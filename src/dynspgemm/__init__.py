@@ -11,21 +11,16 @@ from .semiring import (
     by_name,
 )
 from .storage import (
-    BloomBlock,
-    CsrBlock,
     DcsrBlock,
     DecodeError,
     DynamicBlock,
     STRUCTURE_CODEC,
     add_into,
     bloom_codec,
-    csr_from_triples,
     dcsr_deserialize,
     dcsr_from_row_map,
     dcsr_serialize,
     filter_rows_by_bloom,
-    mask_out,
-    merge_into,
     or_into,
     semiring_codec,
 )
@@ -82,8 +77,8 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbortedError", "BOOLEAN", "BloomBlock", "BlockPartition", "Communicator",
-    "ConfigError", "Counters", "CsrBlock", "DcsrBlock", "DeadlockError",
+    "AbortedError", "BOOLEAN", "BlockPartition", "Communicator",
+    "ConfigError", "Counters", "DcsrBlock", "DeadlockError",
     "DecodeError", "DistMatrix", "DynamicBlock", "ExperimentConfig",
     "IndexPermutation", "MIN_PLUS", "MetricsRecord", "NULL_PHASES",
     "OP_DELETE", "OP_UPSERT",
@@ -92,10 +87,10 @@ __all__ = [
     "Semiring", "SimCluster", "SpgemmState", "TransportError",
     "UnsupportedFeatureError", "UpdateTuple", "VerificationError", "add_into",
     "apply_batch", "bloom_codec", "by_name", "compute_pattern",
-    "counting_sort", "csr_from_triples", "dcsr_deserialize", "dcsr_from_row_map",
+    "counting_sort", "dcsr_deserialize", "dcsr_from_row_map",
     "dcsr_serialize", "decode_tuples", "delete", "emit_csv", "encode_tuples",
     "filter_rows_by_bloom", "gustavson_multiply", "load_edges",
-    "mask_out", "masked_multiply", "merge_into", "or_into", "parse_csv",
+    "masked_multiply", "or_into", "parse_csv",
     "pattern_multiply", "redistribute_updates", "rmat_generate",
     "run_experiment", "run_spmd", "semiring_codec", "spgemm_algebraic_init",
     "spgemm_algebraic_update", "spgemm_general_update", "split_range",

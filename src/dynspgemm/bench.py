@@ -24,7 +24,7 @@ from .grid import BlockPartition
 from .redistribute import UpdateTuple, apply_batch, delete, \
     redistribute_updates, upsert
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import DcsrBlock, DynamicBlock, csr_from_triples
+from .storage import DcsrBlock, DynamicBlock
 from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
 
 
@@ -55,7 +55,6 @@ class ExperimentConfig:
     rmat_edge_factor: int = 16
     semiring: str | None = None   # None: plus-times-i64, min-plus for general
     q: int = 1                    # grid side; q*q simulated ranks
-    workers: int = 1              # shared-memory workers per rank
     batch_size: int = 1024        # update tuples per rank per batch
     n_batches: int = 10
     seed: int = 1
@@ -70,12 +69,13 @@ class ExperimentConfig:
 class MetricsRecord:
     experiment: str
     q: int
-    workers: int
     batch_size: int
     batch_idx: int
     seed: int
     seconds: dict = field(default_factory=dict)   # phase -> max over ranks
-    bytes: dict = field(default_factory=dict)     # phase -> sum over ranks
+    # phase -> sum over ranks; each off-rank byte is counted at the sender
+    # and again at the receiver, so the sum is twice the wire volume
+    bytes: dict = field(default_factory=dict)
     nnz_a: int = 0
     nnz_b: int = 0
     nnz_update: int = 0
@@ -104,8 +104,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("rmat edge factor must be >= 1")
     if cfg.q < 1:
         raise ConfigError("grid side must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.batch_size < 0 or cfg.n_batches < 0:
         raise ConfigError("batch size and batch count must be >= 0")
     if cfg.ell not in (8, 16, 32, 64):
@@ -131,11 +129,14 @@ def load_edges(path: str, sr: Semiring = PLUS_TIMES_I64):
 
 
 def _load_pairs(path: str) -> tuple[int, list[tuple[int, int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("%%MatrixMarket"):
-            return _parse_matrix_market(first, fh, path)
-        return _parse_edge_list(first, fh, path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if first.startswith("%%MatrixMarket"):
+                return _parse_matrix_market(first, fh, path)
+            return _parse_edge_list(first, fh, path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input {path}: {exc}") from exc
 
 
 def _parse_matrix_market(banner: str, fh, path: str):
@@ -361,8 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
 
     records = []
     for b in range(cfg.n_batches):
-        rec = MetricsRecord(cfg.experiment, cfg.q, cfg.workers, cfg.batch_size,
-                            b, cfg.seed)
+        rec = MetricsRecord(cfg.experiment, cfg.q, cfg.batch_size, b, cfg.seed)
         for ph in PHASE_NAMES:
             rec.seconds[ph] = max(o["records"][b]["seconds"][ph] for o in outs)
             rec.bytes[ph] = sum(o["records"][b]["bytes"][ph] for o in outs)
@@ -406,10 +406,7 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
     def owned_triples(sel: np.ndarray):
         lr = (rows[sel] - r0).tolist()
         lc = (cols[sel] - c0).tolist()
-        if vals is None:
-            lv = [sr.one] * len(lr)
-        else:
-            lv = [v.item() for v in vals[sel]]
+        lv = [sr.one] * len(lr) if vals is None else vals[sel].tolist()
         return zip(lr, lc, lv)
 
     def value_at(k: int):
@@ -493,8 +490,7 @@ def _local_matrix_worker(comm, cfg, sr, part, mine_mask, owned_triples,
         with phases.phase("redistribute"):
             owned = redistribute_updates(comm, part, tuples, sr)
         with phases.phase("merge"):
-            apply_batch(block, owned, sr, r0, c0, mode="set",
-                        workers=cfg.workers)
+            apply_batch(block, owned, sr, r0, c0, mode="set")
         _finish_record(rec, phases, t0)
         rec["nnz_a"] = block.nnz
         rec["nnz_update"] = len(owned)
@@ -512,14 +508,14 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
     shape = part.block_shape(i, j)
     exp = cfg.experiment
 
-    b_block = csr_from_triples(*shape, owned_triples(np.flatnonzero(mine_mask)))
+    b_block = DynamicBlock.from_triples(
+        *shape, owned_triples(np.flatnonzero(mine_mask)))
     b_mat = DistMatrix(part, i, j, b_block)
     a_mat = DistMatrix.empty_dynamic(part, comm)
     state = None
     c_static = None
     if exp != "spgemm-static":
-        state = spgemm_algebraic_init(comm, a_mat, b_mat, sr, ell=cfg.ell,
-                                      workers=cfg.workers)
+        state = spgemm_algebraic_init(comm, a_mat, b_mat, sr, ell=cfg.ell)
     empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape),
                              role="update")
 
@@ -542,26 +538,20 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
         if exp == "spgemm-algebraic":
             # a_mat still holds the pre-batch left operand here.
             spgemm_algebraic_update(comm, state, a_mat, a_delta, b_mat,
-                                    empty_delta, workers=cfg.workers,
-                                    phases=phases)
+                                    empty_delta, phases=phases)
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set",
-                            workers=cfg.workers)
+                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
         elif exp == "spgemm-general":
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set",
-                            workers=cfg.workers)
+                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
             # With an empty right-operand delta the pre-batch left operand is
             # never consulted, so the maintained matrix serves as both.
             stats = spgemm_general_update(comm, state, a_mat, a_delta, b_mat,
-                                          empty_delta, a_mat,
-                                          workers=cfg.workers, phases=phases)
+                                          empty_delta, a_mat, phases=phases)
         else:
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set",
-                            workers=cfg.workers)
-            c_static = summa_static(comm, a_mat, b_mat, sr,
-                                    workers=cfg.workers, phases=phases)
+                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
+            c_static = summa_static(comm, a_mat, b_mat, sr, phases=phases)
         _finish_record(rec, phases, t0)
         rec["nnz_a"] = a_mat.block.nnz
         rec["nnz_b"] = b_block.nnz
@@ -574,13 +564,12 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
         c_final = state.C
     else:
         if c_static is None:
-            c_static = summa_static(comm, a_mat, b_mat, sr,
-                                    workers=cfg.workers)
+            c_static = summa_static(comm, a_mat, b_mat, sr)
         c_final = c_static
 
     verify_ok = True
     if do_verify and state is not None:
-        oracle = summa_static(comm, a_mat, b_mat, sr, workers=cfg.workers)
+        oracle = summa_static(comm, a_mat, b_mat, sr)
         verify_ok = oracle.block.entry_map() == state.C.block.entry_map()
 
     return {"records": records, "checksum": _local_checksum(c_final, sr),
@@ -591,22 +580,24 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
 # CSV output
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ("experiment", "q", "workers", "batch_size", "batch_idx", "seed",
-              "phase", "seconds", "bytes", "nnz_a", "nnz_b", "nnz_update",
-              "nnz_c", "nnz_filtered")
+CSV_HEADER = ("experiment", "q", "batch_size", "batch_idx", "seed", "phase",
+              "seconds", "bytes", "nnz_a", "nnz_b", "nnz_update", "nnz_c",
+              "nnz_filtered")
 
 
 def emit_csv(records: list[MetricsRecord], path: str) -> None:
     """One row per (batch, phase), fixed header and order. Byte-identical
-    across reruns of the same config except the seconds column."""
+    across reruns of the same config except the seconds column. The bytes
+    column counts each off-rank byte at the sender and again at the
+    receiver, so it sums to twice the wire volume."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
             for rec in records:
                 for ph in PHASE_NAMES:
-                    w.writerow([rec.experiment, rec.q, rec.workers,
-                                rec.batch_size, rec.batch_idx, rec.seed, ph,
+                    w.writerow([rec.experiment, rec.q, rec.batch_size,
+                                rec.batch_idx, rec.seed, ph,
                                 repr(rec.seconds[ph]), rec.bytes[ph],
                                 rec.nnz_a, rec.nnz_b, rec.nnz_update,
                                 rec.nnz_c, rec.nnz_filtered])
@@ -624,12 +615,12 @@ def parse_csv(path: str) -> list[MetricsRecord]:
                 raise ConfigError(f"{path}: unexpected CSV header")
             by_batch: dict[int, MetricsRecord] = {}
             for row in reader:
-                (exp, q, workers, bs, bi, seed, ph, secs, nbytes,
+                (exp, q, bs, bi, seed, ph, secs, nbytes,
                  nnz_a, nnz_b, nnz_u, nnz_c, nnz_f) = row
                 rec = by_batch.get(int(bi))
                 if rec is None:
-                    rec = MetricsRecord(exp, int(q), int(workers), int(bs),
-                                        int(bi), int(seed))
+                    rec = MetricsRecord(exp, int(q), int(bs), int(bi),
+                                        int(seed))
                     rec.nnz_a, rec.nnz_b = int(nnz_a), int(nnz_b)
                     rec.nnz_update, rec.nnz_c = int(nnz_u), int(nnz_c)
                     rec.nnz_filtered = int(nnz_f)

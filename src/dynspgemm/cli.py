@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "defaults to min-plus)")
     p.add_argument("--grid", type=int, default=1, metavar="Q",
                    help="grid side; simulates Q*Q ranks (default 1)")
-    p.add_argument("--workers", type=int, default=1, metavar="T",
-                   help="shared-memory workers per rank (default 1)")
     p.add_argument("--batch-size", type=int, default=1024, metavar="N",
                    help="update tuples per rank per batch (default 1024)")
     p.add_argument("--batches", type=int, default=10, metavar="K",
@@ -73,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-values", action="store_true",
                    help="seeded per-entry values instead of the multiplicative "
                         "identity")
-    p.add_argument("--out", metavar="CSV", help="write per-phase metrics here")
+    p.add_argument("--out", metavar="CSV",
+                   help="write per-phase metrics here; bytes count each "
+                        "off-rank byte at the sender and at the receiver")
     return p
 
 
@@ -88,7 +88,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         rmat_edge_factor=ef if ef is not None else 16,
         semiring=args.semiring,
         q=args.grid,
-        workers=args.workers,
         batch_size=args.batch_size,
         n_batches=args.batches,
         seed=args.seed,
@@ -100,12 +99,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _summarize(records: list[MetricsRecord]) -> str:
+    """One line per batch. "bytes moved" counts each off-rank byte at the
+    sender and again at the receiver, so it is twice the wire volume."""
     lines = []
     for rec in records:
         busiest = max(PHASE_NAMES, key=lambda ph: rec.seconds[ph])
         lines.append(
             f"batch {rec.batch_idx}: {rec.total_seconds:.4f}s, "
-            f"{sum(rec.bytes.values())} bytes moved, nnz_c={rec.nnz_c}, "
+            f"{sum(rec.bytes.values())} bytes moved (sender + receiver "
+            f"counts), nnz_c={rec.nnz_c}, "
             f"slowest phase {busiest} ({rec.seconds[busiest]:.4f}s)")
     return "\n".join(lines)
 

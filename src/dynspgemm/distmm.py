@@ -28,9 +28,9 @@ from .storage import (
     DcsrBlock,
     DynamicBlock,
     STRUCTURE_CODEC,
+    _bit_or,
     add_into,
     bloom_codec,
-    csr_from_triples,
     dcsr_deserialize,
     dcsr_from_row_map,
     dcsr_serialize,
@@ -48,7 +48,7 @@ class UnsupportedFeatureError(ValueError):
 @dataclass
 class DistMatrix:
     """One rank's view of a block-partitioned matrix: the partition map plus
-    the locally owned block (any row-readable storage).
+    the locally owned block, a DynamicBlock or a DcsrBlock.
 
     role marks how the matrix is used: "primary" operands are long-lived
     (usually mutable), "update" matrices carry one batch's changes and must
@@ -81,23 +81,15 @@ class DistMatrix:
 
     @classmethod
     def from_triples(cls, part: BlockPartition, comm, triples,
-                     storage: str = "dynamic",
                      role: str = "primary") -> "DistMatrix":
-        """Build from global (row, col, value) triples; each rank keeps the
-        entries its block owns. Later duplicates overwrite earlier ones."""
+        """Build a DynamicBlock from global (row, col, value) triples; each
+        rank keeps the entries its block owns. Later duplicates overwrite
+        earlier ones."""
         i, j = comm.grid_row, comm.grid_col
         r0, c0 = part.row_starts[i], part.col_starts[j]
         mine = [(gi - r0, gj - c0, v) for gi, gj, v in triples
                 if part.owner_coords(gi, gj) == (i, j)]
-        shape = part.block_shape(i, j)
-        if storage == "dynamic":
-            block = DynamicBlock.from_triples(*shape, mine)
-        elif storage == "csr":
-            block = csr_from_triples(*shape, mine)
-        elif storage == "dcsr":
-            block = DynamicBlock.from_triples(*shape, mine).to_dcsr()
-        else:
-            raise ValueError(f"unknown storage {storage!r}")
+        block = DynamicBlock.from_triples(*part.block_shape(i, j), mine)
         return cls(part, i, j, block, role)
 
     def global_entries(self) -> dict:
@@ -116,11 +108,12 @@ def _require_update_matrix(m: DistMatrix, name: str) -> None:
 @dataclass
 class SpgemmState:
     """Maintained product: the result C plus, per stored entry, the bitfield F
-    of summation indices that contributed to it (folded mod ell). The
-    transpose flags record the operand orientation C was built under."""
+    of summation indices that contributed to it (folded mod ell). F is None
+    once an algebraic update has left it stale. The transpose flags record
+    the operand orientation C was built under."""
 
     C: DistMatrix
-    F: DistMatrix
+    F: DistMatrix | None
     sr: Semiring
     ell: int
     transpose_a: bool = False
@@ -132,13 +125,11 @@ def _wire(block, codec) -> bytes:
     return dcsr_serialize(d, codec)
 
 
-def _structure_wire(block) -> bytes:
-    d = block if isinstance(block, DcsrBlock) else block.to_dcsr()
-    return dcsr_serialize(d, STRUCTURE_CODEC)
-
-
-def _bit_or(a, b):
-    return a | b
+def _check_local_shape(block, c_local) -> None:
+    if (block.n_rows, block.n_cols) != (c_local.n_rows, c_local.n_cols):
+        raise ValueError(
+            f"block shape {block.n_rows}x{block.n_cols} does not match the "
+            f"local product block {c_local.n_rows}x{c_local.n_cols}")
 
 
 def _check_inner(part_a: BlockPartition, part_b: BlockPartition, q: int) -> None:
@@ -154,7 +145,7 @@ def _check_inner(part_a: BlockPartition, part_b: BlockPartition, q: int) -> None
 # ---------------------------------------------------------------------------
 
 def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
-           ell: int, workers: int, phases):
+           ell: int, phases):
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     _check_inner(a.part, b.part, q)
     part_c = BlockPartition(a.part.n_rows, b.part.n_cols, q)
@@ -171,7 +162,7 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
         a_blk = dcsr_deserialize(a_buf, codec)
         b_blk = dcsr_deserialize(b_buf, codec)
         with phases.phase("local_multiply"):
-            prod = gustavson_multiply(a_blk, b_blk, sr, workers=workers)
+            prod = gustavson_multiply(a_blk, b_blk, sr)
             if build_bloom:
                 _, pat = pattern_multiply(a_blk, b_blk, inner_starts[k], ell)
         with phases.phase("merge"):
@@ -184,20 +175,21 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
 
 
 def summa_static(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
-                 workers: int = 1, phases=NULL_PHASES) -> DistMatrix:
+                 phases=NULL_PHASES) -> DistMatrix:
     """Full product C = a . b: q rounds of paired row/column broadcasts with
     local accumulation. Per rank: 2q broadcasts, no point-to-point traffic."""
-    c, _ = _summa(comm, a, b, sr, False, 64, workers, phases)
+    c, _ = _summa(comm, a, b, sr, False, 64, phases)
     return c
 
 
 def spgemm_algebraic_init(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
-                          ell: int = 64, workers: int = 1,
-                          phases=NULL_PHASES) -> SpgemmState:
+                          ell: int = 64, phases=NULL_PHASES) -> SpgemmState:
     """Full product that also records, per output entry, the bitfield of
     contributing summation indices (folded mod ell), enabling later
-    masked-recompute updates."""
-    c, f = _summa(comm, a, b, sr, True, ell, workers, phases)
+    masked-recompute updates. ell is 8, 16, 32 or 64."""
+    if ell not in (8, 16, 32, 64):
+        raise ValueError(f"bitfield width must be 8, 16, 32 or 64, not {ell}")
+    c, f = _summa(comm, a, b, sr, True, ell, phases)
     return SpgemmState(C=c, F=f, sr=sr, ell=ell)
 
 
@@ -207,16 +199,16 @@ def spgemm_algebraic_init(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
 
 def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
                             a_delta: DistMatrix, b_prime: DistMatrix,
-                            b_delta: DistMatrix, workers: int = 1,
-                            phases=NULL_PHASES) -> None:
+                            b_delta: DistMatrix, phases=NULL_PHASES) -> None:
     """Fold operand deltas into the maintained product:
 
         C' = C (+) op(a_delta) . op(b_prime) (+) op(a) . op(b_delta)
 
     a is the left operand before the batch, b_prime the right operand after
     it. Exact for rings with signed-difference deltas, and for insert-only
-    batches under selective addition (min, or). The entry bitfields in
-    state.F are not refreshed here; run general updates from a fresh init.
+    batches under selective addition (min, or). The entry bitfields are not
+    refreshed here: state.F is dropped, and a later general update raises
+    UnsupportedFeatureError instead of recomputing from stale bitfields.
 
     Operand orientation comes from state's transpose flags. Transposed
     operands stay distributed by their stored layout; the update inserts
@@ -272,8 +264,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
         a_blk = dcsr_deserialize(a_buf, codec)
         b_blk = dcsr_deserialize(b_buf, codec)
         with phases.phase("local_multiply"):
-            x_part = gustavson_multiply(a_blk, b_prime.block, sr, ta, tb, workers)
-            y_part = gustavson_multiply(a.block, b_blk, sr, ta, tb, workers)
+            x_part = gustavson_multiply(a_blk, b_prime.block, sr, ta, tb)
+            y_part = gustavson_multiply(a.block, b_blk, sr, ta, tb)
         with phases.phase("aggregate"):
             xr = comm.aggregate_sparse("col" if x_agg_col else "row", k,
                                        x_part, sr.add, codec)
@@ -293,8 +285,9 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
                 comm.transpose_exchange(dcsr_serialize(y_mine, codec)), codec)
 
     c_local = state.C.block
-    assert (x_mine.n_rows, x_mine.n_cols) == (c_local.n_rows, c_local.n_cols)
-    assert (y_mine.n_rows, y_mine.n_cols) == (c_local.n_rows, c_local.n_cols)
+    _check_local_shape(x_mine, c_local)
+    _check_local_shape(y_mine, c_local)
+    state.F = None
     with phases.phase("merge"):
         add_into(c_local, x_mine, sr.add)
         add_into(c_local, y_mine, sr.add)
@@ -328,8 +321,8 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     bcodec = bloom_codec(ell)
 
     with phases.phase("transpose_exchange"):
-        a_bytes = comm.transpose_exchange(_structure_wire(a_delta.block))
-        b_bytes = comm.transpose_exchange(_structure_wire(b_delta.block))
+        a_bytes = comm.transpose_exchange(_wire(a_delta.block, STRUCTURE_CODEC))
+        b_bytes = comm.transpose_exchange(_wire(b_delta.block, STRUCTURE_CODEC))
 
     x_pat = y_pat = y_bits = None
     for k in range(q):
@@ -345,11 +338,9 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             _, p_cur = pattern_multiply(a_prime.block, b_blk,
                                         inner_starts[j], ell)
         with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, _bit_or, bcodec,
-                                          bloom_ell=ell)
+            r_new = comm.aggregate_sparse("col", k, p_new, _bit_or, bcodec)
             r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-            r_cur = comm.aggregate_sparse("row", k, p_cur, _bit_or, bcodec,
-                                          bloom_ell=ell)
+            r_cur = comm.aggregate_sparse("row", k, p_cur, _bit_or, bcodec)
         if r_new is not None:
             x_pat = r_new
         if r_old is not None:
@@ -373,23 +364,28 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
 
 def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
                           a_delta: DistMatrix, b_prime: DistMatrix,
-                          b_delta: DistMatrix, a: DistMatrix, b=None,
-                          workers: int = 1, phases=NULL_PHASES) -> dict:
+                          b_delta: DistMatrix, a: DistMatrix,
+                          phases=NULL_PHASES) -> dict:
     """Fold a batch of inserts, modifies and deletes into the maintained
     product under any semiring.
 
     a is the left operand before the batch, a_prime/b_prime the operands
-    after it, and a_delta/b_delta the structural change sets (values unused).
-    b, the right operand before the batch, is accepted for symmetry but not
-    needed. Touched output positions are recomputed from scratch, but only
-    over the left-operand rows and summation indices whose bitfields say
-    they can matter; touched positions left with no contribution are deleted
-    from the product. state.C and state.F are updated in place. Returns
-    local batch statistics.
+    after it, and a_delta/b_delta the structural change sets (values unused);
+    the right operand before the batch is not needed. Touched output
+    positions are recomputed from scratch, but only over the left-operand
+    rows and summation indices whose bitfields say they can matter; touched
+    positions left with no contribution are deleted from the product.
+    state.C and state.F are updated in place. Returns local batch
+    statistics. Raises UnsupportedFeatureError when an algebraic update has
+    dropped state.F.
     """
     if state.transpose_a or state.transpose_b:
         raise UnsupportedFeatureError(
             "general updates support untransposed operands only")
+    if state.F is None:
+        raise UnsupportedFeatureError(
+            "general updates need the entry bitfields, which an algebraic "
+            "update left stale; start from a fresh spgemm_algebraic_init")
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     sr, ell = state.sr, state.ell
     _check_inner(a_prime.part, b_prime.part, q)
@@ -404,8 +400,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     # over its touched positions; reduced across the grid row so every rank
     # holding a piece of those rows can filter its slice of a_prime.
     f_local: DynamicBlock = state.F.block
-    n_lr, n_lc = state.C.local_shape
-    assert (touched.n_rows, touched.n_cols) == (n_lr, n_lc)
+    n_lr = state.C.local_shape[0]
+    _check_local_shape(touched, state.C.block)
     with phases.phase("local_multiply"):
         row_bits = [0] * n_lr
         fget, nget = f_local.get, new_bits.get
@@ -423,11 +419,11 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
         vec = DcsrBlock(n_lr, 1, nz, list(range(len(nz) + 1)),
                         [0] * len(nz), [row_bits[r] for r in nz])
     with phases.phase("aggregate"):
-        vr = comm.aggregate_sparse("row", 0, vec, _bit_or, bcodec, bloom_ell=ell)
+        vr = comm.aggregate_sparse("row", 0, vec, _bit_or, bcodec)
     with phases.phase("broadcast"):
         v_buf = comm.row_broadcast(
             0, dcsr_serialize(vr, bcodec) if vr is not None else None)
-    r_blk = dcsr_deserialize(v_buf, bcodec, bloom_ell=ell)
+    r_blk = dcsr_deserialize(v_buf, bcodec)
     r_vec = [0] * n_lr
     for r, _cols, vals in r_blk.iter_rows():
         r_vec[r] = vals[0]
@@ -437,7 +433,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
                                       inner_starts[j], ell)
     with phases.phase("transpose_exchange"):
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
-    mask_bytes = _structure_wire(touched)
+    mask_bytes = _wire(touched, STRUCTURE_CODEC)
 
     z_mine = h_mine = None
     for k in range(q):
@@ -451,8 +447,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
                                              inner_starts[i], ell)
         with phases.phase("aggregate"):
             zr = comm.aggregate_sparse("col", k, z_part, sr.add, codec)
-            hr = comm.aggregate_sparse("col", k, h_part, _bit_or, bcodec,
-                                       bloom_ell=ell)
+            hr = comm.aggregate_sparse("col", k, h_part, _bit_or, bcodec)
         if zr is not None:
             z_mine = zr
         if hr is not None:

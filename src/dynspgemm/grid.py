@@ -26,11 +26,14 @@ class ProcessGrid:
         return self.q * self.q
 
     def rank_of(self, i: int, j: int) -> int:
-        assert 0 <= i < self.q and 0 <= j < self.q
+        if not (0 <= i < self.q and 0 <= j < self.q):
+            raise ValueError(f"grid coordinates ({i}, {j}) outside a "
+                             f"{self.q}x{self.q} grid")
         return i * self.q + j
 
     def coords_of(self, rank: int) -> tuple[int, int]:
-        assert 0 <= rank < self.p
+        if not 0 <= rank < self.p:
+            raise ValueError(f"rank {rank} outside [0, {self.p})")
         return divmod(rank, self.q)
 
     def transpose_rank(self, rank: int) -> int:
@@ -84,7 +87,9 @@ class BlockPartition:
         return gi, gj, i - self.row_starts[gi], j - self.col_starts[gj]
 
     def to_global(self, gi: int, gj: int, li: int, lj: int) -> tuple[int, int]:
-        assert 0 <= li < self.row_sizes[gi] and 0 <= lj < self.col_sizes[gj]
+        if not (0 <= li < self.row_sizes[gi] and 0 <= lj < self.col_sizes[gj]):
+            raise ValueError(f"local index ({li}, {lj}) outside block "
+                             f"({gi}, {gj})")
         return self.row_starts[gi] + li, self.col_starts[gj] + lj
 
     def block_shape(self, gi: int, gj: int) -> tuple[int, int]:
@@ -99,7 +104,8 @@ def _starts(sizes: list[int]) -> list[int]:
 
 
 def _owner(i: int, n: int, q: int) -> int:
-    assert 0 <= i < n, f"index {i} out of range [0, {n})"
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} out of range [0, {n})")
     hi, r = divmod(n, q)
     head = r * (hi + 1)
     if i < head:

@@ -1,29 +1,15 @@
 """Row-wise sparse multiply kernels over one pair of local blocks.
 
 All kernels stream the left operand row by row and fold collisions through a
-sparse accumulator, so cost tracks the number of elementary products rather
-than the dense dimensions. Entries whose accumulated value equals the semiring
-zero are kept: structure is decided by contribution, not by value.
+sparse accumulator (an insertion-ordered dict col -> value), so cost tracks
+the number of elementary products rather than the dense dimensions. Entries
+whose accumulated value equals the semiring zero are kept: structure is
+decided by contribution, not by value.
 """
 
 from __future__ import annotations
 
-import threading
-
-from .storage import BloomBlock, CsrBlock, DcsrBlock, DynamicBlock
-
-
-class SparseAccumulator(dict):
-    """Accumulator for one output row.
-
-    Semantically a growable array of (col, value) pairs fused with a hash
-    index col -> slot; a dict provides exactly that (insertion-ordered items,
-    O(1) lookup). clear() recycles it between output rows.
-    """
-
-    def accumulate(self, col, value, add):
-        prev = self.get(col)
-        self[col] = value if prev is None else add(prev, value)
+from .storage import DcsrBlock, DynamicBlock, dcsr_from_row_map
 
 
 # ---------------------------------------------------------------------------
@@ -33,24 +19,13 @@ class SparseAccumulator(dict):
 _EMPTY: tuple[list, list] = ([], [])
 
 
-def _left_rows(a):
-    """Iterate (row, cols, vals) over any block type, ascending rows."""
-    return a.iter_rows()
-
-
 def _right_reader(b):
-    """O(1) row accessor returning (cols, vals) for any block type."""
+    """O(1) row accessor returning (cols, vals) for either block type."""
     if isinstance(b, DynamicBlock):
         bc, bv = b._cols, b._vals
         def read(r):
             c = bc[r]
             return (c, bv[r]) if c else _EMPTY
-        return read
-    if isinstance(b, CsrBlock):
-        ptr, cols, vals = b.row_ptr, b.cols, b.vals
-        def read(r):
-            lo, hi = ptr[r], ptr[r + 1]
-            return (cols[lo:hi], vals[lo:hi]) if hi > lo else _EMPTY
         return read
     if isinstance(b, DcsrBlock):
         directory = {}
@@ -80,25 +55,12 @@ def _shape(block, transposed: bool) -> tuple[int, int]:
     return (block.n_cols, block.n_rows) if transposed else (block.n_rows, block.n_cols)
 
 
-def _emit_dcsr(n_rows, n_cols, row_map: dict) -> DcsrBlock:
-    nz_rows, row_ptr, cols, vals = [], [0], [], []
-    for r in sorted(row_map):
-        acc = row_map[r]
-        if not acc:
-            continue
-        nz_rows.append(r)
-        cols.extend(acc.keys())
-        vals.extend(acc.values())
-        row_ptr.append(len(cols))
-    return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals)
-
-
 # ---------------------------------------------------------------------------
 # value multiply
 # ---------------------------------------------------------------------------
 
-def gustavson_multiply(a, b, sr, transpose_a: bool = False, transpose_b: bool = False,
-                       workers: int = 1) -> DcsrBlock:
+def gustavson_multiply(a, b, sr, transpose_a: bool = False,
+                       transpose_b: bool = False) -> DcsrBlock:
     """op(a) . op(b) over the semiring, row-wise with a sparse accumulator.
 
     a is streamed; b must be readable by (effective) row, which costs one
@@ -111,14 +73,12 @@ def gustavson_multiply(a, b, sr, transpose_a: bool = False, transpose_b: bool = 
     if ak != bk:
         raise ValueError(f"inner dimensions differ: {ak} vs {bk}")
     read = _transposed_reader(b) if transpose_b else _right_reader(b)
-    if workers > 1:
-        return _multiply_parallel(a, read, sr, transpose_a, an, bm, workers)
     add, mul = sr.add, sr.mul
     if not transpose_a:
         nz_rows, row_ptr, out_cols, out_vals = [], [0], [], []
-        acc = SparseAccumulator()
+        acc: dict = {}
         get = acc.get
-        for r, acols, avals in _left_rows(a):
+        for r, acols, avals in a.iter_rows():
             if acc:
                 acc.clear()
             for k, av in zip(acols, avals):
@@ -134,86 +94,36 @@ def gustavson_multiply(a, b, sr, transpose_a: bool = False, transpose_b: bool = 
                 row_ptr.append(len(out_cols))
         return DcsrBlock(an, bm, nz_rows, row_ptr, out_cols, out_vals)
     # transpose_a: out(r, c) += a(s, r) * op(b)(s, c), outer products over s
-    row_map: dict[int, SparseAccumulator] = {}
-    for s, acols, avals in _left_rows(a):
+    row_map: dict[int, dict] = {}
+    for s, acols, avals in a.iter_rows():
         bcols, bvals = read(s)
         if not bcols:
             continue
         for r, av in zip(acols, avals):
             acc = row_map.get(r)
             if acc is None:
-                acc = row_map[r] = SparseAccumulator()
+                acc = row_map[r] = {}
             get = acc.get
             for c, bv in zip(bcols, bvals):
                 x = mul(av, bv)
                 p = get(c)
                 acc[c] = x if p is None else add(p, x)
-    return _emit_dcsr(an, bm, row_map)
-
-
-def _multiply_parallel(a, read, sr, transpose_a, an, bm, workers):
-    """Partition output rows by (row mod workers); each worker fills a private
-    row map, so the merged result is identical to the sequential one."""
-    add, mul = sr.add, sr.mul
-    maps: list[dict] = [dict() for _ in range(workers)]
-
-    def run(w: int) -> None:
-        mine = maps[w]
-        if not transpose_a:
-            for r, acols, avals in _left_rows(a):
-                if r % workers != w:
-                    continue
-                acc = SparseAccumulator()
-                get = acc.get
-                for k, av in zip(acols, avals):
-                    bcols, bvals = read(k)
-                    for c, bv in zip(bcols, bvals):
-                        x = mul(av, bv)
-                        p = get(c)
-                        acc[c] = x if p is None else add(p, x)
-                if acc:
-                    mine[r] = acc
-        else:
-            for s, acols, avals in _left_rows(a):
-                bcols, bvals = read(s)
-                if not bcols:
-                    continue
-                for r, av in zip(acols, avals):
-                    if r % workers != w:
-                        continue
-                    acc = mine.get(r)
-                    if acc is None:
-                        acc = mine[r] = SparseAccumulator()
-                    get = acc.get
-                    for c, bv in zip(bcols, bvals):
-                        x = mul(av, bv)
-                        p = get(c)
-                        acc[c] = x if p is None else add(p, x)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    merged: dict[int, dict] = {}
-    for m in maps:
-        merged.update(m)
-    return _emit_dcsr(an, bm, merged)
+    return dcsr_from_row_map(an, bm, row_map)
 
 
 # ---------------------------------------------------------------------------
-# structure + bloom multiply
+# structure + bitfield multiply
 # ---------------------------------------------------------------------------
 
 def pattern_multiply(a, b, inner_base: int,
-                     ell: int = 64) -> tuple[DcsrBlock, BloomBlock]:
+                     ell: int = 64) -> tuple[DcsrBlock, DcsrBlock]:
     """Structure of a . b plus, per output entry, the or of bit
     ((inner_base + k) mod ell) over every summation index k that contributes
     structurally. Values of a and b are ignored; structure-only blocks work.
     inner_base is the global index of local inner index 0.
 
-    Returns (structure, bloom) sharing the same positions; the structure
-    block is value-free.
+    Returns (structure, bitfields) sharing the same positions; the structure
+    block is value-free. ell must be a power of two.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -221,7 +131,7 @@ def pattern_multiply(a, b, inner_base: int,
     mod = ell - 1
     nz_rows, row_ptr, out_cols, out_bits = [], [0], [], []
     acc: dict[int, int] = {}
-    for r, acols, _avals in _left_rows(a):
+    for r, acols, _avals in a.iter_rows():
         if acc:
             acc = {}
         for k in acols:
@@ -237,18 +147,17 @@ def pattern_multiply(a, b, inner_base: int,
             out_bits.extend(acc.values())
             row_ptr.append(len(out_cols))
     structure = DcsrBlock(a.n_rows, b.n_cols, nz_rows, row_ptr, out_cols, None)
-    bloom = BloomBlock(a.n_rows, b.n_cols, nz_rows, row_ptr, out_cols, out_bits,
-                       ell=ell)
-    return structure, bloom
+    bits = DcsrBlock(a.n_rows, b.n_cols, nz_rows, row_ptr, out_cols, out_bits)
+    return structure, bits
 
 
 def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
-                    ell: int = 64) -> tuple[DcsrBlock, BloomBlock]:
+                    ell: int = 64) -> tuple[DcsrBlock, DcsrBlock]:
     """a . b restricted to the positions listed in mask.
 
     Positions outside the mask never enter the accumulator. Returns both the
-    value block Z and the bloom block H of contributing summation indices for
-    the surviving positions.
+    value block Z and the bitfield block H of contributing summation indices
+    for the surviving positions.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -260,7 +169,7 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     mod = ell - 1
     z_rows, z_ptr, z_cols, z_vals = [], [0], [], []
     h_rows, h_ptr, h_cols, h_bits = [], [0], [], []
-    for r, acols, avals in _left_rows(a):
+    for r, acols, avals in a.iter_rows():
         arow_allowed = allowed.get(r)
         if not arow_allowed:
             continue
@@ -290,5 +199,5 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
             h_bits.extend(hacc.values())
             h_ptr.append(len(h_cols))
     z = DcsrBlock(a.n_rows, b.n_cols, z_rows, z_ptr, z_cols, z_vals)
-    h = BloomBlock(a.n_rows, b.n_cols, h_rows, h_ptr, h_cols, h_bits, ell=ell)
+    h = DcsrBlock(a.n_rows, b.n_cols, h_rows, h_ptr, h_cols, h_bits)
     return z, h

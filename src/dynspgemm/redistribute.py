@@ -9,7 +9,6 @@ before each step, so the whole path is linear and stable.
 from __future__ import annotations
 
 import random
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -133,38 +132,18 @@ def redistribute_updates(comm, part: BlockPartition, tuples: list[UpdateTuple],
 # ---------------------------------------------------------------------------
 
 def apply_batch(block: DynamicBlock, tuples: list[UpdateTuple], sr,
-                row_base: int, col_base: int, mode: str = "set",
-                workers: int = 1) -> tuple[int, int]:
+                row_base: int, col_base: int,
+                mode: str = "set") -> tuple[int, int]:
     """Apply owned tuples (global coordinates) to the local block.
 
     mode "set": upserts overwrite existing values; mode "add": upserts fold
     into existing values with the semiring add. Deletes remove the position if
-    present. Work is partitioned by (global_row mod workers); the row groups
-    are disjoint, so parallel application equals sequential application.
+    present.
 
     Returns (inserted, deleted) counts.
     """
     if mode not in ("set", "add"):
         raise ValueError(f"unknown apply mode {mode!r}")
-    if workers <= 1 or len(tuples) < 2:
-        return _apply_seq(block, tuples, sr, row_base, col_base, mode)
-    groups: list[list[UpdateTuple]] = [[] for _ in range(workers)]
-    for t in tuples:
-        groups[t.row % workers].append(t)
-    results: list[tuple[int, int]] = [(0, 0)] * workers
-    def run(w: int) -> None:
-        results[w] = _apply_seq(block, groups[w], sr, row_base, col_base, mode)
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    ins = sum(r[0] for r in results)
-    dels = sum(r[1] for r in results)
-    return ins, dels
-
-
-def _apply_seq(block, tuples, sr, row_base, col_base, mode):
     combine = sr.add if mode == "add" else None
     return block.apply_updates(tuples, row_base, col_base, combine)
 

@@ -1,5 +1,8 @@
-"""Local sparse blocks: dynamic hashed rows, CSR, doubly-compressed CSR, and
-Bloom bitfield blocks, plus the DCSR wire codec used for every transport payload.
+"""Local sparse blocks: the dynamic hashed-row block that holds operands and
+maintained results, and the immutable doubly-compressed (DCSR) block that
+holds everything produced or exchanged, plus the DCSR wire codec used for
+every transport payload. Bitfield blocks are DCSR blocks whose values are
+the bitfields.
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -9,7 +12,6 @@ never drops positions.
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +35,7 @@ class DynamicBlock:
     rows enumerate in insertion order until the first delete.
     """
 
-    __slots__ = ("n_rows", "n_cols", "nnz", "_cols", "_vals", "_slot", "_lock")
+    __slots__ = ("n_rows", "n_cols", "nnz", "_cols", "_vals", "_slot")
 
     def __init__(self, n_rows: int, n_cols: int):
         self.n_rows = n_rows
@@ -42,7 +44,6 @@ class DynamicBlock:
         self._cols: list[Optional[list]] = [None] * n_rows
         self._vals: list[Optional[list]] = [None] * n_rows
         self._slot: list[Optional[dict]] = [None] * n_rows
-        self._lock = threading.Lock()
 
     # -- point ops ---------------------------------------------------------
     def upsert(self, r: int, c: int, v) -> bool:
@@ -114,10 +115,7 @@ class DynamicBlock:
         anything else deletes, matching the update-tuple codes. Coordinates
         are shifted by the bases. An upsert onto an existing entry overwrites,
         or folds as combine(old, new) when combine is given.
-
-        Row-disjoint batches may run on concurrent threads: per-row state is
-        touched only for this batch's rows, and nnz is adjusted under a lock
-        once at the end. Returns (inserted, deleted).
+        Returns (inserted, deleted).
         """
         inserted = deleted = 0
         all_cols = self._cols
@@ -166,8 +164,7 @@ class DynamicBlock:
                 cols.pop()
                 vals.pop()
                 deleted += 1
-        with self._lock:
-            self.nnz += inserted - deleted
+        self.nnz += inserted - deleted
         return inserted, deleted
 
     # -- row access ---------------------------------------------------------
@@ -222,16 +219,6 @@ class DynamicBlock:
             row_ptr.append(len(cols))
         return DcsrBlock(self.n_rows, self.n_cols, nz_rows, row_ptr, cols, vals)
 
-    def to_csr(self) -> "CsrBlock":
-        row_ptr, cols, vals = [0], [], []
-        for r in range(self.n_rows):
-            rc = self._cols[r]
-            if rc:
-                cols.extend(rc)
-                vals.extend(self._vals[r])
-            row_ptr.append(len(cols))
-        return CsrBlock(self.n_rows, self.n_cols, row_ptr, cols, vals)
-
     @classmethod
     def from_triples(cls, n_rows: int, n_cols: int, triples) -> "DynamicBlock":
         b = cls(n_rows, n_cols)
@@ -241,58 +228,8 @@ class DynamicBlock:
 
 
 # ---------------------------------------------------------------------------
-# compressed blocks
+# compressed block
 # ---------------------------------------------------------------------------
-
-class CsrBlock:
-    """Immutable CSR block; row_ptr has n_rows + 1 entries."""
-
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "cols", "vals")
-
-    def __init__(self, n_rows, n_cols, row_ptr, cols, vals):
-        assert len(row_ptr) == n_rows + 1
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.row_ptr = row_ptr
-        self.cols = cols
-        self.vals = vals
-
-    @property
-    def nnz(self) -> int:
-        return self.row_ptr[-1]
-
-    def row_cols(self, r: int) -> list:
-        return self.cols[self.row_ptr[r]:self.row_ptr[r + 1]]
-
-    def row_vals(self, r: int) -> list:
-        return self.vals[self.row_ptr[r]:self.row_ptr[r + 1]]
-
-    def row_nnz(self, r: int) -> int:
-        return self.row_ptr[r + 1] - self.row_ptr[r]
-
-    def iter_rows(self):
-        ptr = self.row_ptr
-        for r in range(self.n_rows):
-            lo, hi = ptr[r], ptr[r + 1]
-            if hi > lo:
-                yield r, self.cols[lo:hi], self.vals[lo:hi]
-
-    def triples(self):
-        for r, cols, vals in self.iter_rows():
-            yield from zip([r] * len(cols), cols, vals)
-
-    def entry_map(self) -> dict:
-        return {(r, c): v for r, c, v in self.triples()}
-
-    def to_dcsr(self) -> "DcsrBlock":
-        nz_rows, row_ptr, cols, vals = [], [0], [], []
-        for r, rc, rv in self.iter_rows():
-            nz_rows.append(r)
-            cols.extend(rc)
-            vals.extend(rv)
-            row_ptr.append(len(cols))
-        return DcsrBlock(self.n_rows, self.n_cols, nz_rows, row_ptr, cols, vals)
-
 
 class DcsrBlock:
     """Immutable doubly-compressed block: only non-empty rows are listed.
@@ -305,7 +242,9 @@ class DcsrBlock:
     __slots__ = ("n_rows", "n_cols", "nz_rows", "row_ptr", "cols", "vals")
 
     def __init__(self, n_rows, n_cols, nz_rows, row_ptr, cols, vals):
-        assert len(row_ptr) == len(nz_rows) + 1
+        if len(row_ptr) != len(nz_rows) + 1:
+            raise ValueError(f"row_ptr has {len(row_ptr)} entries for "
+                             f"{len(nz_rows)} listed rows")
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.nz_rows = nz_rows
@@ -341,11 +280,6 @@ class DcsrBlock:
     def positions(self) -> set:
         return {(r, c) for r, cols, _ in self.iter_rows() for c in cols}
 
-    def row_directory(self) -> dict:
-        """row -> (start, end) offsets, for O(1) row access as a right operand."""
-        ptr = self.row_ptr
-        return {r: (ptr[k], ptr[k + 1]) for k, r in enumerate(self.nz_rows)}
-
     def check(self) -> None:
         assert all(b > a for a, b in zip(self.nz_rows, self.nz_rows[1:])), "nz_rows not strictly increasing"
         assert all(0 <= r < self.n_rows for r in self.nz_rows)
@@ -356,48 +290,9 @@ class DcsrBlock:
             assert len(self.vals) == len(self.cols)
 
 
-class BloomBlock(DcsrBlock):
-    """DCSR block whose values are ell-bit bitfields; a zero bitfield is never
-    stored (an absent entry means "no contributions")."""
-
-    __slots__ = ("ell",)
-
-    def __init__(self, n_rows, n_cols, nz_rows, row_ptr, cols, vals, ell: int = 64):
-        super().__init__(n_rows, n_cols, nz_rows, row_ptr, cols, vals)
-        assert ell in (8, 16, 32, 64), "bitfield width must be a power of two <= 64"
-        self.ell = ell
-
-    def check(self) -> None:
-        super().check()
-        limit = 1 << self.ell
-        assert all(0 < v < limit for v in self.vals), "bitfields must be non-zero and fit ell bits"
-
-
 # ---------------------------------------------------------------------------
 # builders and block combinators
 # ---------------------------------------------------------------------------
-
-def csr_from_triples(n_rows: int, n_cols: int, triples) -> CsrBlock:
-    """Build CSR from possibly-duplicated triples; later duplicates overwrite.
-
-    Counting sort by row keeps the build linear in the input size.
-    """
-    buckets: list[Optional[dict]] = [None] * n_rows
-    for r, c, v in triples:
-        d = buckets[r]
-        if d is None:
-            buckets[r] = {c: v}
-        else:
-            d[c] = v
-    row_ptr, cols, vals = [0], [], []
-    for r in range(n_rows):
-        d = buckets[r]
-        if d:
-            cols.extend(d.keys())
-            vals.extend(d.values())
-        row_ptr.append(len(cols))
-    return CsrBlock(n_rows, n_cols, row_ptr, cols, vals)
-
 
 def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
                       structure_only: bool = False) -> DcsrBlock:
@@ -421,24 +316,6 @@ def add_into(dst: DynamicBlock, src, add: Callable) -> None:
     for r, cols, vals in src.iter_rows():
         for c, v in zip(cols, vals):
             dst.fold(r, c, v, add)
-
-
-def merge_into(dst: DynamicBlock, src) -> None:
-    """Upsert src into dst: new positions insert, existing values overwrite."""
-    for r, cols, vals in src.iter_rows():
-        for c, v in zip(cols, vals):
-            dst.upsert(r, c, v)
-
-
-def mask_out(dst: DynamicBlock, mask) -> int:
-    """Delete every position listed in mask's structure; absent ones are ignored.
-    Returns the number of entries actually removed."""
-    removed = 0
-    for r, cols, _ in mask.iter_rows():
-        for c in cols:
-            if dst.delete(r, c):
-                removed += 1
-    return removed
 
 
 def or_into(dst: DynamicBlock, src) -> None:
@@ -521,7 +398,7 @@ def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:
     return b"".join(parts)
 
 
-def dcsr_deserialize(buf: bytes, codec: ValueCodec, bloom_ell: int = 0) -> DcsrBlock:
+def dcsr_deserialize(buf: bytes, codec: ValueCodec) -> DcsrBlock:
     if len(buf) < _HEADER.size:
         raise DecodeError(f"buffer too short for header: {len(buf)} bytes")
     magic, version, width, n_rows, n_cols, n_nz, nnz = _HEADER.unpack_from(buf)
@@ -550,6 +427,4 @@ def dcsr_deserialize(buf: bytes, codec: ValueCodec, bloom_ell: int = 0) -> DcsrB
     if any(c >= n_cols for c in cols):
         raise DecodeError("column index out of bounds")
     vals = codec.decode(buf[off:], nnz) if codec.width else None
-    if bloom_ell:
-        return BloomBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals, ell=bloom_ell)
     return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals)

@@ -31,7 +31,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .grid import ProcessGrid, split_range
-from .storage import DcsrBlock, BloomBlock, ValueCodec, dcsr_serialize, dcsr_deserialize
+from .storage import (
+    DcsrBlock,
+    ValueCodec,
+    dcsr_deserialize,
+    dcsr_from_row_map,
+    dcsr_serialize,
+)
 
 
 class TransportError(RuntimeError):
@@ -230,7 +236,7 @@ class Communicator:
 
     def _broadcast(self, members, my_idx, root_idx, payload):
         size = len(members)
-        assert 0 <= root_idx < size
+        _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_broadcasts += 1
         ctr.collective_rounds += 1
@@ -301,7 +307,7 @@ class Communicator:
 
     # -- sparse aggregation ----------------------------------------------------------
     def aggregate_sparse(self, axis: str, root_idx: int, block: DcsrBlock,
-                         combine, codec: ValueCodec, bloom_ell: int = 0):
+                         combine, codec: ValueCodec):
         """Fold equal-shaped sparse contributions from the whole row/col group
         onto the group member root_idx. Entries colliding at the same position
         fold with combine(old, new) in ascending contributor-rank order, so
@@ -312,7 +318,7 @@ class Communicator:
         """
         members, my_idx = self._group(axis)
         size = len(members)
-        assert 0 <= root_idx < size
+        _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_aggregates += 1
         ctr.collective_rounds += 1
@@ -339,7 +345,7 @@ class Communicator:
             if kind != "rs" or meta != src:
                 raise TransportError(f"rank {self.rank}: bad reduce-scatter message {kind}/{meta}")
             ctr.bytes_aggregate += len(buf)
-            piece = dcsr_deserialize(buf, codec, bloom_ell=bloom_ell)
+            piece = dcsr_deserialize(buf, codec)
             if (piece.n_rows, piece.n_cols) != (block.n_rows, block.n_cols):
                 raise TransportError(
                     f"rank {self.rank}: aggregate contribution dims "
@@ -357,9 +363,9 @@ class Communicator:
                 if kind != "gt" or meta != src:
                     raise TransportError(f"rank {self.rank}: bad gather message {kind}/{meta}")
                 ctr.bytes_aggregate += len(buf)
-                parts[g] = dcsr_deserialize(buf, codec, bloom_ell=bloom_ell)
+                parts[g] = dcsr_deserialize(buf, codec)
             return _concat_row_ranges(parts, block.n_rows, block.n_cols,
-                                      structure_only=codec.width == 0, bloom_ell=bloom_ell)
+                                      structure_only=codec.width == 0)
         buf = dcsr_serialize(merged, codec)
         ctr.bytes_aggregate += len(buf)
         ctr.note_peer(members[root_idx], len(buf))
@@ -379,6 +385,11 @@ class Communicator:
             if kind != "bar":
                 raise TransportError(f"rank {self.rank}: expected barrier, got {kind}")
             k <<= 1
+
+
+def _check_root(root_idx: int, size: int) -> None:
+    if not 0 <= root_idx < size:
+        raise ValueError(f"root index {root_idx} outside a group of {size}")
 
 
 def _split_by_row_range(b: DcsrBlock, starts: list[int]) -> list[DcsrBlock]:
@@ -421,20 +432,11 @@ def _combine_blocks(blocks: list[DcsrBlock], n_rows: int, n_cols: int, combine,
                         d[c] = combine(d[c], v)
                     else:
                         d[c] = v
-    nz_rows, row_ptr, cols_out = [], [0], []
-    vals_out = None if structure_only else []
-    for r in sorted(row_map):
-        d = row_map[r]
-        nz_rows.append(r)
-        cols_out.extend(d.keys())
-        if vals_out is not None:
-            vals_out.extend(d.values())
-        row_ptr.append(len(cols_out))
-    return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols_out, vals_out)
+    return dcsr_from_row_map(n_rows, n_cols, row_map, structure_only)
 
 
 def _concat_row_ranges(parts: list[DcsrBlock], n_rows: int, n_cols: int,
-                       structure_only: bool, bloom_ell: int = 0) -> DcsrBlock:
+                       structure_only: bool) -> DcsrBlock:
     nz_rows, row_ptr, cols = [], [0], []
     vals = None if structure_only else []
     for part in parts:
@@ -444,8 +446,6 @@ def _concat_row_ranges(parts: list[DcsrBlock], n_rows: int, n_cols: int,
         cols.extend(part.cols)
         if vals is not None:
             vals.extend(part.vals)
-    if bloom_ell:
-        return BloomBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals, ell=bloom_ell)
     return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals)
 
 

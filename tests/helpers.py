@@ -70,10 +70,9 @@ def random_map(rng, n_rows: int, n_cols: int, density: float,
     return out
 
 
-def dist_from_map(part: BlockPartition, comm, m: dict,
-                  storage: str = "dynamic") -> DistMatrix:
+def dist_from_map(part: BlockPartition, comm, m: dict) -> DistMatrix:
     return DistMatrix.from_triples(
-        part, comm, [(i, j, v) for (i, j), v in m.items()], storage=storage)
+        part, comm, [(i, j, v) for (i, j), v in m.items()])
 
 
 def update_from_map(part: BlockPartition, comm, m: dict,

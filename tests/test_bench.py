@@ -229,7 +229,7 @@ def _cfg(**kw):
     (dict(rmat_scale=25), "scale"),
     (dict(rmat_edge_factor=0), "edge factor"),
     (dict(q=0), "grid side"),
-    (dict(workers=0), "workers"),
+    (dict(ell=128), "bloom bits"),
     (dict(batch_size=-1), ">= 0"),
     (dict(n_batches=-1), ">= 0"),
     (dict(ell=7), "bloom bits"),
@@ -338,7 +338,7 @@ def test_run_experiment_flops_cap_guard():
 
 
 def test_run_experiment_missing_input_file():
-    with pytest.raises((ConfigError, OSError)):
+    with pytest.raises(ConfigError, match="/nonexistent/g.txt"):
         run_experiment(ExperimentConfig(experiment="construct",
                                         input_path="/nonexistent/g.txt"))
 
@@ -346,7 +346,7 @@ def test_run_experiment_missing_input_file():
 # -- CSV output -------------------------------------------------------------------
 
 def _sample_record():
-    rec = MetricsRecord("insert", 2, 1, 8, 0, 7)
+    rec = MetricsRecord("insert", 2, 8, 0, 7)
     for k, ph in enumerate(PHASE_NAMES):
         rec.seconds[ph] = 0.125 * (k + 1)
         rec.bytes[ph] = 10 * k
@@ -368,7 +368,7 @@ def test_emit_csv_one_record_six_phase_rows(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + len(PHASE_NAMES)
-    assert [r[6] for r in rows[1:]] == list(PHASE_NAMES)
+    assert [r[5] for r in rows[1:]] == list(PHASE_NAMES)
 
 
 def test_csv_round_trip(tmp_path):
@@ -380,8 +380,8 @@ def test_csv_round_trip(tmp_path):
     got = back[0]
     assert got.seconds == rec.seconds
     assert got.bytes == rec.bytes
-    assert (got.experiment, got.q, got.workers, got.batch_size, got.batch_idx,
-            got.seed) == ("insert", 2, 1, 8, 0, 7)
+    assert (got.experiment, got.q, got.batch_size, got.batch_idx,
+            got.seed) == ("insert", 2, 8, 0, 7)
     assert (got.nnz_a, got.nnz_b, got.nnz_update, got.nnz_c,
             got.nnz_filtered) == (5, 6, 7, 8, 9)
 
@@ -410,7 +410,7 @@ def test_csv_replay_identical_except_seconds(tmp_path):
 
     def strip_seconds(path):
         with open(path, newline="") as fh:
-            return [tuple(r[:7] + r[8:]) for r in csv.reader(fh)]
+            return [tuple(r[:6] + r[7:]) for r in csv.reader(fh)]
 
     assert strip_seconds(p1) == strip_seconds(p2)
 
@@ -453,6 +453,18 @@ def test_cli_bad_config_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_missing_input_exits_2(capsys):
+    assert main(["insert", "--input", "/nonexistent/g.txt"]) == 2
+    assert "/nonexistent/g.txt" in capsys.readouterr().err
+
+
+def test_cli_undecodable_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    assert main(["insert", "--input", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_resource_cap_exits_4(tmp_path, capsys):
     # a star graph: the hub's squared degree blows past the default cap
     star = tmp_path / "star.txt"
@@ -466,7 +478,7 @@ def test_cli_resource_cap_exits_4(tmp_path, capsys):
 def test_cli_verification_failure_exits_3(monkeypatch, capsys):
     import dynspgemm.bench as bench
 
-    def broken(comm, a, b, sr, workers=1, phases=None):
+    def broken(comm, a, b, sr, phases=None):
         part = BlockPartition(a.part.n_rows, b.part.n_cols, comm.q)
         return DistMatrix.empty_dynamic(part, comm)
 

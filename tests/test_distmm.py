@@ -156,6 +156,16 @@ def test_init_empty_left_operand():
         assert c_map == {} and f_map == {}
 
 
+def test_init_rejects_bad_bitfield_width():
+    def worker(comm):
+        part = BlockPartition(4, 4, comm.q)
+        a = DistMatrix.empty_dynamic(part, comm)
+        spgemm_algebraic_init(comm, a, a, PLUS_TIMES_I64, ell=12)
+
+    with pytest.raises(ValueError, match="bitfield width"):
+        spmd_collect(1, worker)
+
+
 @pytest.mark.parametrize("ell", [8, 64])
 def test_init_identity_sets_diagonal_bits(ell):
     n = 12
@@ -661,6 +671,48 @@ def test_general_rejects_transposed_state():
         spmd_collect(1, worker)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_general_after_algebraic_is_exact_or_raises(q):
+    # An algebraic batch leaves the entry bitfields stale; a general batch
+    # after it must then raise, or produce the from-scratch product.
+    n = 10
+    exact = raised = 0
+    for idx in range(200):
+        rng = np.random.default_rng(70_000 + idx)
+        a0 = random_map(rng, n, n, 0.2, values="float")
+        b0 = random_map(rng, n, n, 0.2, values="float")
+        free = [p for p in np.ndindex(n, n) if p not in a0]
+        picks = rng.choice(len(free), size=5, replace=False)
+        inserted = {free[k]: float(rng.integers(1, 21)) for k in picks}
+        a1 = {**a0, **inserted}
+        gone = free[picks[0]]
+        a2 = {p: v for p, v in a1.items() if p != gone}
+
+        def worker(comm):
+            part = BlockPartition(n, n, comm.q)
+            a = dist_from_map(part, comm, a0)
+            b = dist_from_map(part, comm, b0)
+            st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+            spgemm_algebraic_update(comm, st, a,
+                                    update_from_map(part, comm, inserted), b,
+                                    update_from_map(part, comm, {}))
+            spgemm_general_update(
+                comm, st, dist_from_map(part, comm, a2),
+                update_from_map(part, comm, {gone: None}, structure_only=True),
+                b, update_from_map(part, comm, {}, structure_only=True),
+                dist_from_map(part, comm, a1))
+            return st.C.global_entries()
+
+        try:
+            got = gather_maps(spmd_collect(q, worker))
+        except UnsupportedFeatureError:
+            raised += 1
+            continue
+        assert got == oracle_product(a2, b0, MIN_PLUS), idx
+        exact += 1
+    assert exact + raised == 200
+
+
 def test_general_empty_batch_changes_nothing():
     n = 10
     rng = np.random.default_rng(47)
@@ -686,30 +738,20 @@ def test_general_empty_batch_changes_nothing():
 
 # -- distributed matrix plumbing ---------------------------------------------------
 
-def test_dist_matrix_from_triples_storage_variants():
+def test_dist_matrix_from_triples_keeps_owned_entries():
     rng = np.random.default_rng(53)
     m = random_map(rng, 10, 10, 0.3)
 
-    def worker(comm, storage):
+    def worker(comm):
         part = BlockPartition(10, 10, comm.q)
         d = DistMatrix.from_triples(part, comm,
-                                    [(i, j, v) for (i, j), v in m.items()],
-                                    storage=storage)
+                                    [(i, j, v) for (i, j), v in m.items()])
         br, bc = part.block_shape(comm.grid_row, comm.grid_col)
+        assert isinstance(d.block, DynamicBlock)
         assert (d.block.n_rows, d.block.n_cols) == (br, bc)
         return d.global_entries()
 
-    for storage in ("dynamic", "csr", "dcsr"):
-        assert gather_maps(spmd_collect(2, worker, storage)) == m
-
-
-def test_dist_matrix_rejects_unknown_storage():
-    def worker(comm):
-        DistMatrix.from_triples(BlockPartition(4, 4, comm.q), comm, [],
-                                storage="coo")
-
-    with pytest.raises(ValueError, match="unknown storage"):
-        spmd_collect(1, worker)
+    assert gather_maps(spmd_collect(2, worker)) == m
 
 
 def test_min_plus_identity_zero_is_infinity():

@@ -1,5 +1,10 @@
 """Process grid layout and block ownership arithmetic."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -129,11 +134,33 @@ def test_block_starts_are_prefix_sums():
 
 def test_out_of_range_and_bad_grid_rejected():
     part = BlockPartition(4, 4, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         part.owner_grid_row(4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         part.owner_grid_col(-1)
     with pytest.raises(ValueError):
         BlockPartition(4, 4, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ProcessGrid(2).rank_of(2, 0)
+    with pytest.raises(ValueError):
+        ProcessGrid(2).coords_of(4)
+    with pytest.raises(ValueError):
+        part.to_global(0, 0, 2, 0)
+
+
+def test_range_checks_survive_optimized_mode():
+    # python -O strips assert statements; validation must not depend on them
+    script = textwrap.dedent("""
+        from dynspgemm import BlockPartition, ProcessGrid
+        for call in (lambda: BlockPartition(8, 8, 2).owner_grid_row(8),
+                     lambda: ProcessGrid(2).rank_of(2, 0)):
+            try:
+                print("returned", call())
+            except ValueError:
+                print("raised")
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["raised", "raised"]

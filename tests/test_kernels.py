@@ -9,7 +9,6 @@ from dynspgemm import (
     DynamicBlock,
     MIN_PLUS,
     PLUS_TIMES_I64,
-    csr_from_triples,
     dcsr_from_row_map,
     gustavson_multiply,
     masked_multiply,
@@ -21,11 +20,7 @@ from helpers import oracle_contribution_bits, oracle_product, random_map, transp
 def _block(m: dict, n_rows: int, n_cols: int, kind="dynamic"):
     triples = [(i, j, v) for (i, j), v in m.items()]
     dyn = DynamicBlock.from_triples(n_rows, n_cols, triples)
-    if kind == "dynamic":
-        return dyn
-    if kind == "csr":
-        return dyn.to_csr()
-    return dyn.to_dcsr()
+    return dyn if kind == "dynamic" else dyn.to_dcsr()
 
 
 def test_single_entry_product():
@@ -59,7 +54,7 @@ def test_structural_zero_rows_kept():
 
 
 @pytest.mark.parametrize("density", [0.01, 0.1, 0.5])
-@pytest.mark.parametrize("right_kind", ["dynamic", "csr", "dcsr"])
+@pytest.mark.parametrize("right_kind", ["dynamic", "dcsr"])
 def test_random_product_matches_dense_numpy(density, right_kind):
     rng = np.random.default_rng(int(density * 100) + 1)
     n, k, m = 40, 64, 33
@@ -141,20 +136,7 @@ def test_one_by_one_product():
             assert c.entry_map() == {(0, 0): 20}
 
 
-@pytest.mark.parametrize("ta", [False, True])
-def test_workers_do_not_change_the_product(ta):
-    rng = np.random.default_rng(9 + ta)
-    shape = (30, 30)
-    a_map = random_map(rng, *shape, 0.15)
-    b_map = random_map(rng, *shape, 0.15)
-    one = gustavson_multiply(_block(a_map, *shape), _block(b_map, *shape),
-                             PLUS_TIMES_I64, transpose_a=ta, workers=1)
-    four = gustavson_multiply(_block(a_map, *shape), _block(b_map, *shape),
-                              PLUS_TIMES_I64, transpose_a=ta, workers=4)
-    assert one.entry_map() == four.entry_map()
-
-
-# -- structure + bloom ---------------------------------------------------------
+# -- structure + bitfields ------------------------------------------------------
 
 def test_pattern_single_contribution_bit():
     a = _block({(0, 1): 2}, 2, 2)
@@ -163,7 +145,6 @@ def test_pattern_single_contribution_bit():
     assert structure.positions() == {(0, 1)}
     assert structure.vals is None
     assert bloom.entry_map() == {(0, 1): 1 << 1}
-    assert bloom.ell == 64
 
 
 def test_pattern_bit_wraps_at_ell():
@@ -201,6 +182,7 @@ def test_pattern_matches_brute_force(ell):
                                         inner_base=3, ell=ell)
     structure.check()
     bloom.check()
+    assert all(0 < v < 1 << ell for v in bloom.vals)
     shifted = {(i, 3 + k): v for (i, k), v in a_map.items()}
     want_bits = {(i, j): bits for (i, j), bits in
                  oracle_contribution_bits(shifted, {(3 + k, j): v for (k, j), v

@@ -203,25 +203,6 @@ def test_apply_matches_sequential_oracle():
     b.check()
 
 
-def test_apply_parallel_equals_sequential():
-    rng = np.random.default_rng(31)
-    n = 64
-    tuples = []
-    for _ in range(8000):
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        if rng.random() < 0.25:
-            tuples.append(delete(i, j))
-        else:
-            tuples.append(upsert(i, j, int(rng.integers(1, 9))))
-    seq = DynamicBlock(n, n)
-    par = DynamicBlock(n, n)
-    s1 = apply_batch(seq, tuples, PLUS_TIMES_I64, 0, 0, mode="add", workers=1)
-    s4 = apply_batch(par, tuples, PLUS_TIMES_I64, 0, 0, mode="add", workers=4)
-    assert seq.entry_map() == par.entry_map()
-    assert s1 == s4
-    par.check()
-
-
 # -- permutation -------------------------------------------------------------------------
 
 def test_permutation_round_trip():

@@ -9,21 +9,16 @@ from dynspgemm import (
     BOOLEAN,
     MIN_PLUS,
     PLUS_TIMES_I64,
-    BloomBlock,
-    CsrBlock,
     DcsrBlock,
     DecodeError,
     DynamicBlock,
     STRUCTURE_CODEC,
     add_into,
     bloom_codec,
-    csr_from_triples,
     dcsr_deserialize,
     dcsr_from_row_map,
     dcsr_serialize,
     filter_rows_by_bloom,
-    mask_out,
-    merge_into,
     or_into,
     semiring_codec,
 )
@@ -142,17 +137,8 @@ def test_round_trip_conversions_preserve_triples():
     b = DynamicBlock.from_triples(30, 17, triples)
     want = set((r, c, v) for r, c, v in triples)
     assert set(b.to_dcsr().triples()) == want
-    assert set(b.to_csr().triples()) == want
-    assert set(b.to_csr().to_dcsr().triples()) == want
     assert b.to_dcsr().entry_map() == b.entry_map()
     assert b.to_dcsr().positions() == {(r, c) for r, c, _ in triples}
-
-
-def test_csr_from_triples_later_duplicate_wins():
-    c = csr_from_triples(2, 3, [(0, 2, 1), (1, 0, 4), (0, 2, 8)])
-    assert c.entry_map() == {(0, 2): 8, (1, 0): 4}
-    assert c.nnz == 2
-    assert c.row_ptr == [0, 1, 2]
 
 
 def test_dcsr_from_row_map_orders_rows():
@@ -179,16 +165,8 @@ def test_dcsr_check_rejects_malformed():
         DcsrBlock(2, 2, [0], [0, 0], [], []).check()                # empty listed row
     with pytest.raises(AssertionError):
         DcsrBlock(2, 2, [0], [0, 1], [5], [1]).check()              # col out of range
-
-
-def test_bloom_block_carries_ell():
-    b = BloomBlock(2, 2, [0], [0, 1], [1], [0b1010], ell=8)
-    assert b.ell == 8
-    b.check()
-    with pytest.raises(AssertionError):
-        BloomBlock(2, 2, [0], [0, 1], [1], [0], ell=8).check()  # zero bitfield
-    with pytest.raises(AssertionError):
-        BloomBlock(2, 2, [0], [0, 1], [1], [1 << 8], ell=8).check()  # bit overflow
+    with pytest.raises(ValueError):
+        DcsrBlock(2, 2, [0], [0], [], [])                           # short row_ptr
 
 
 # -- combinators ---------------------------------------------------------------
@@ -224,44 +202,6 @@ def test_add_into_with_inverses_restores():
                                    for r in {rc[0] for rc in base}})
     add_into(dst, neg, PLUS_TIMES_I64.add)
     assert dst.entry_map() == base
-
-
-def test_merge_into_overwrites_even_upward():
-    dst = DynamicBlock.from_triples(2, 2, [(0, 0, 1.0), (1, 1, 9.0)])
-    upd = dcsr_from_row_map(2, 2, {0: {0: 5.0, 1: 2.0}})
-    merge_into(dst, upd)
-    # min-plus would keep 1.0; merge is overwrite semantics, so 5.0 wins
-    assert dst.entry_map() == {(0, 0): 5.0, (0, 1): 2.0, (1, 1): 9.0}
-
-
-def test_mask_out_set_difference():
-    rng = np.random.default_rng(12)
-    entries = {(int(p // 13), int(p % 13)): int(rng.integers(1, 9))
-               for p in rng.choice(13 * 13, size=60, replace=False)}
-    dst = DynamicBlock.from_triples(13, 13, [(r, c, v) for (r, c), v in entries.items()])
-    keys = list(entries)
-    half = set(keys[:30])
-    mask = dcsr_from_row_map(
-        13, 13, {r: {c: None for (rr, c) in half if rr == r}
-                 for r in {rc[0] for rc in half}}, structure_only=False)
-    # structure-only mask also accepted
-    removed = mask_out(dst, mask)
-    assert removed == 30
-    assert set(dst.entry_map()) == set(keys[30:])
-    dst.check()
-
-
-def test_mask_out_own_structure_empties_block():
-    b = DynamicBlock.from_triples(4, 4, [(0, 0, 1), (2, 3, 4), (3, 1, 2)])
-    assert mask_out(b, b.to_dcsr()) == 3
-    assert b.nnz == 0
-
-
-def test_mask_out_ignores_absent():
-    b = DynamicBlock.from_triples(2, 2, [(0, 0, 1)])
-    mask = dcsr_from_row_map(2, 2, {1: {1: None}}, structure_only=True)
-    assert mask_out(b, mask) == 0
-    assert b.nnz == 1
 
 
 def test_or_into_accumulates_bitfields():
@@ -377,9 +317,7 @@ def test_wire_structure_only():
 def test_wire_bloom_round_trip():
     b = dcsr_from_row_map(4, 4, {0: {1: 0b101}, 2: {3: 0x8000}})
     blob = dcsr_serialize(b, bloom_codec(16))
-    back = dcsr_deserialize(blob, bloom_codec(16), bloom_ell=16)
-    assert isinstance(back, BloomBlock)
-    assert back.ell == 16
+    back = dcsr_deserialize(blob, bloom_codec(16))
     assert back.entry_map() == {(0, 1): 0b101, (2, 3): 0x8000}
 
 
@@ -434,16 +372,3 @@ def test_structural_zero_survives_wire():
                             semiring_codec(PLUS_TIMES_I64))
     assert back.entry_map() == {(0, 0): 0}
 
-
-# -- csr block -----------------------------------------------------------------
-
-def test_csr_block_row_access():
-    c = CsrBlock(3, 4, [0, 2, 2, 3], [1, 3, 0], [10, 30, 5])
-    assert c.row_cols(0) == [1, 3]
-    assert c.row_vals(0) == [10, 30]
-    assert c.row_nnz(1) == 0
-    assert c.row_cols(2) == [0]
-    assert list(c.triples()) == [(0, 1, 10), (0, 3, 30), (2, 0, 5)]
-    d = c.to_dcsr()
-    assert d.nz_rows == [0, 2]
-    assert d.entry_map() == c.entry_map()

@@ -11,6 +11,7 @@ from dynspgemm import (
     NULL_PHASES,
     PLUS_TIMES_I64,
     PhaseRecorder,
+    STRUCTURE_CODEC,
     TransportError,
     dcsr_from_row_map,
     run_spmd,
@@ -130,6 +131,17 @@ def test_broadcast_root_must_supply_payload():
 
     with pytest.raises(TransportError):
         run_spmd(1, worker)
+
+
+def test_root_index_outside_the_group_rejected():
+    def worker(comm, call):
+        call(comm)
+
+    for call in (lambda comm: comm.col_broadcast(2, b"x"),
+                 lambda comm: comm.aggregate_sparse(
+                     "row", -1, DcsrBlock.empty(2, 2), None, STRUCTURE_CODEC)):
+        with pytest.raises(ValueError, match="root index"):
+            run_spmd(4, worker, call)
 
 
 def test_broadcast_root_disagreement_detected():
