@@ -516,8 +516,7 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
     c_static = None
     if exp != "spgemm-static":
         state = spgemm_algebraic_init(comm, a_mat, b_mat, sr, ell=cfg.ell)
-    empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape),
-                             role="update")
+    empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape))
 
     records = []
     for b in range(cfg.n_batches):
@@ -532,7 +531,7 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
             delta_dyn = DynamicBlock(*shape)
             for t in owned:
                 delta_dyn.upsert(t.row - r0, t.col - c0, t.value)
-        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr(), role="update")
+        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr())
 
         stats = {}
         if exp == "spgemm-algebraic":

@@ -1,6 +1,6 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 2 bad configuration or input, 3 maintained product
+Exit codes: 0 success, 2 bad configuration, input or output, 3 maintained product
 failed the cross-check, 4 estimated work above the resource cap.
 """
 
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         records, checksum = run_experiment(cfg)
         if cfg.out_path:
             emit_csv(records, cfg.out_path)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -31,8 +31,8 @@ from .storage import (
     _bit_or,
     add_into,
     bloom_codec,
+    combine_blocks,
     dcsr_deserialize,
-    dcsr_from_row_map,
     dcsr_serialize,
     filter_rows_by_bloom,
     or_into,
@@ -48,18 +48,15 @@ class UnsupportedFeatureError(ValueError):
 @dataclass
 class DistMatrix:
     """One rank's view of a block-partitioned matrix: the partition map plus
-    the locally owned block, a DynamicBlock or a DcsrBlock.
-
-    role marks how the matrix is used: "primary" operands are long-lived
-    (usually mutable), "update" matrices carry one batch's changes and must
-    be DCSR blocks, "bloom" matrices hold per-entry bitfields.
+    the locally owned block. Operands and maintained results hold a
+    DynamicBlock; update matrices, which carry one batch's changes, hold a
+    DcsrBlock.
     """
 
     part: BlockPartition
     grid_row: int
     grid_col: int
     block: object
-    role: str = "primary"
 
     @property
     def row_base(self) -> int:
@@ -74,14 +71,12 @@ class DistMatrix:
         return self.part.block_shape(self.grid_row, self.grid_col)
 
     @classmethod
-    def empty_dynamic(cls, part: BlockPartition, comm,
-                      role: str = "primary") -> "DistMatrix":
+    def empty_dynamic(cls, part: BlockPartition, comm) -> "DistMatrix":
         i, j = comm.grid_row, comm.grid_col
-        return cls(part, i, j, DynamicBlock(*part.block_shape(i, j)), role)
+        return cls(part, i, j, DynamicBlock(*part.block_shape(i, j)))
 
     @classmethod
-    def from_triples(cls, part: BlockPartition, comm, triples,
-                     role: str = "primary") -> "DistMatrix":
+    def from_triples(cls, part: BlockPartition, comm, triples) -> "DistMatrix":
         """Build a DynamicBlock from global (row, col, value) triples; each
         rank keeps the entries its block owns. Later duplicates overwrite
         earlier ones."""
@@ -90,7 +85,7 @@ class DistMatrix:
         mine = [(gi - r0, gj - c0, v) for gi, gj, v in triples
                 if part.owner_coords(gi, gj) == (i, j)]
         block = DynamicBlock.from_triples(*part.block_shape(i, j), mine)
-        return cls(part, i, j, block, role)
+        return cls(part, i, j, block)
 
     def global_entries(self) -> dict:
         """Local entries keyed by global (row, col); for assembling test views."""
@@ -100,9 +95,27 @@ class DistMatrix:
 
 
 def _require_update_matrix(m: DistMatrix, name: str) -> None:
-    if m.role != "update" or not isinstance(m.block, DcsrBlock):
+    if not isinstance(m.block, DcsrBlock):
         raise ValueError(
             f"{name} must be an update-role matrix stored as a DCSR block")
+
+
+def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
+                         b_delta: DistMatrix) -> None:
+    """Local check that a batch only inserts new entries; a_delta shares a's
+    stored layout, so it compares position by position."""
+    if b_delta.block.nnz:
+        raise UnsupportedFeatureError(
+            "under a semiring that is not a ring, algebraic updates take "
+            "left-operand inserts only; b_delta must be empty")
+    contains = a.block.contains
+    for r, cols, _ in a_delta.block.iter_rows():
+        for c in cols:
+            if contains(r, c):
+                raise UnsupportedFeatureError(
+                    "under a semiring that is not a ring, algebraic updates "
+                    f"take inserts only; a_delta overwrites stored entry "
+                    f"({a.row_base + r}, {a.col_base + c})")
 
 
 @dataclass
@@ -170,7 +183,7 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
             if build_bloom:
                 or_into(f_local, pat)
     c = DistMatrix(part_c, i, j, c_local)
-    f = DistMatrix(part_c, i, j, f_local, role="bloom") if build_bloom else None
+    f = DistMatrix(part_c, i, j, f_local) if build_bloom else None
     return c, f
 
 
@@ -206,9 +219,13 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
 
     a is the left operand before the batch, b_prime the right operand after
     it. Exact for rings with signed-difference deltas, and for insert-only
-    batches under selective addition (min, or). The entry bitfields are not
-    refreshed here: state.F is dropped, and a later general update raises
-    UnsupportedFeatureError instead of recomputing from stale bitfields.
+    batches under selective addition (min, or). Under a semiring that is not
+    a ring, UnsupportedFeatureError is raised before any communication when
+    a_delta holds a position already stored in a, or when b_delta is not
+    empty (the right operand before the batch is not at hand to check it).
+    The entry bitfields are not refreshed here: state.F is dropped, and a
+    later general update raises UnsupportedFeatureError instead of
+    recomputing from stale bitfields.
 
     Operand orientation comes from state's transpose flags. Transposed
     operands stay distributed by their stored layout; the update inserts
@@ -222,6 +239,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     ta, tb = state.transpose_a, state.transpose_b
     _require_update_matrix(a_delta, "a_delta")
     _require_update_matrix(b_delta, "b_delta")
+    if not sr.is_ring:
+        _require_insert_only(a, a_delta, b_delta)
     n_out = (a.part.n_cols if ta else a.part.n_rows,
              b_prime.part.n_rows if tb else b_prime.part.n_cols)
     inner = (a.part.n_rows if ta else a.part.n_cols,
@@ -349,13 +368,8 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             y_bits = r_cur
 
     n_r, n_c = x_pat.n_rows, x_pat.n_cols
-    rows: dict[int, dict] = {}
-    for blk in (x_pat, y_pat):
-        for r, cols, _ in blk.iter_rows():
-            d = rows.setdefault(r, {})
-            for c in cols:
-                d[c] = None
-    touched = dcsr_from_row_map(n_r, n_c, rows, structure_only=True)
+    touched = combine_blocks((x_pat, y_pat), n_r, n_c, None,
+                             structure_only=True)
     new_bits = DynamicBlock(n_r, n_c)
     or_into(new_bits, x_pat)
     or_into(new_bits, y_bits)

@@ -311,6 +311,29 @@ def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
     return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals)
 
 
+def combine_blocks(blocks, n_rows: int, n_cols: int, combine,
+                   structure_only: bool) -> DcsrBlock:
+    """Fold equal-shaped blocks in list order into one DCSR block. A position
+    seen again folds with combine(old, new); structure-only blocks take the
+    union of positions. Columns keep their order of first appearance."""
+    row_map: dict[int, dict] = {}
+    for blk in blocks:
+        for r, cols, vals in blk.iter_rows():
+            d = row_map.get(r)
+            if d is None:
+                d = row_map[r] = {}
+            if structure_only:
+                for c in cols:
+                    d[c] = None
+            else:
+                for c, v in zip(cols, vals):
+                    if c in d:
+                        d[c] = combine(d[c], v)
+                    else:
+                        d[c] = v
+    return dcsr_from_row_map(n_rows, n_cols, row_map, structure_only)
+
+
 def add_into(dst: DynamicBlock, src, add: Callable) -> None:
     """Fold src into dst: new positions insert, existing fold with add(old, new)."""
     for r, cols, vals in src.iter_rows():

@@ -3,8 +3,8 @@
 Every rank runs as a thread against reliable, ordered, unbounded point-to-point
 channels. Collectives (row/column broadcast, all-to-all-v, sparse aggregation,
 barrier) are layered on the p2p channels: broadcasts as binomial trees of
-O(log q) depth, aggregation as a reduce-scatter over destination-row ranges
-followed by a gather at the root, the barrier as a dissemination round.
+O(log q) depth, aggregation as one direct send from every other member to
+the root, the barrier as a dissemination round.
 
 Byte accounting:
   - bytes_p2p counts each off-rank send_block payload at the sender and at the
@@ -13,7 +13,7 @@ Byte accounting:
     (zero when it is the only member) and every other member counts it once on
     delivery; relay hops inside the tree do not double-count.
   - bytes_alltoall / bytes_aggregate count the actual off-rank buffers moved,
-    once at the sender and once at the receiver per hop.
+    once at the sender and once at the receiver.
   - collective_rounds increments by one per collective call on every
     participant, so identically-scripted ranks always agree on it.
 
@@ -30,12 +30,12 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .grid import ProcessGrid, split_range
+from .grid import ProcessGrid
 from .storage import (
     DcsrBlock,
     ValueCodec,
+    combine_blocks,
     dcsr_deserialize,
-    dcsr_from_row_map,
     dcsr_serialize,
 )
 
@@ -309,12 +309,10 @@ class Communicator:
     def aggregate_sparse(self, axis: str, root_idx: int, block: DcsrBlock,
                          combine, codec: ValueCodec):
         """Fold equal-shaped sparse contributions from the whole row/col group
-        onto the group member root_idx. Entries colliding at the same position
-        fold with combine(old, new) in ascending contributor-rank order, so
-        results are reproducible. Non-roots return None.
-
-        Implemented as a reduce-scatter keyed on destination-row ranges followed
-        by a gather at the root.
+        onto the group member root_idx. Every other member sends its whole
+        block straight to the root and returns None; the root folds the
+        contributions in ascending member order, entries colliding at the
+        same position with combine(old, new), so results are reproducible.
         """
         members, my_idx = self._group(axis)
         size = len(members)
@@ -324,53 +322,30 @@ class Communicator:
         ctr.collective_rounds += 1
         if size == 1:
             return block
-        sizes = split_range(block.n_rows, size)
-        starts = [0]
-        for s in sizes:
-            starts.append(starts[-1] + s)
-        pieces = _split_by_row_range(block, starts)
-        for g, dst in enumerate(members):
-            if g == my_idx:
-                continue
-            buf = dcsr_serialize(pieces[g], codec)
+        if my_idx != root_idx:
+            root = members[root_idx]
+            buf = dcsr_serialize(block, codec)
             ctr.bytes_aggregate += len(buf)
-            ctr.note_peer(dst, len(buf))
-            self.cluster.put(self.rank, dst, ("rs", self.rank, buf))
-        contrib: list[DcsrBlock] = [None] * size
-        contrib[my_idx] = pieces[my_idx]
+            ctr.note_peer(root, len(buf))
+            self.cluster.put(self.rank, root, ("agg", self.rank, buf))
+            return None
+        contrib: list[DcsrBlock] = []
         for g, src in enumerate(members):
             if g == my_idx:
+                contrib.append(block)
                 continue
             kind, meta, buf = self.cluster.take(src, self.rank)
-            if kind != "rs" or meta != src:
-                raise TransportError(f"rank {self.rank}: bad reduce-scatter message {kind}/{meta}")
+            if kind != "agg" or meta != src:
+                raise TransportError(f"rank {self.rank}: bad aggregate message {kind}/{meta}")
             ctr.bytes_aggregate += len(buf)
             piece = dcsr_deserialize(buf, codec)
             if (piece.n_rows, piece.n_cols) != (block.n_rows, block.n_cols):
                 raise TransportError(
                     f"rank {self.rank}: aggregate contribution dims "
                     f"{piece.n_rows}x{piece.n_cols} != {block.n_rows}x{block.n_cols}")
-            contrib[g] = piece
-        merged = _combine_blocks(contrib, block.n_rows, block.n_cols, combine,
-                                 structure_only=codec.width == 0)
-        if my_idx == root_idx:
-            parts: list[DcsrBlock] = [None] * size
-            parts[my_idx] = merged
-            for g, src in enumerate(members):
-                if g == my_idx:
-                    continue
-                kind, meta, buf = self.cluster.take(src, self.rank)
-                if kind != "gt" or meta != src:
-                    raise TransportError(f"rank {self.rank}: bad gather message {kind}/{meta}")
-                ctr.bytes_aggregate += len(buf)
-                parts[g] = dcsr_deserialize(buf, codec)
-            return _concat_row_ranges(parts, block.n_rows, block.n_cols,
-                                      structure_only=codec.width == 0)
-        buf = dcsr_serialize(merged, codec)
-        ctr.bytes_aggregate += len(buf)
-        ctr.note_peer(members[root_idx], len(buf))
-        self.cluster.put(self.rank, members[root_idx], ("gt", self.rank, buf))
-        return None
+            contrib.append(piece)
+        return combine_blocks(contrib, block.n_rows, block.n_cols, combine,
+                              structure_only=codec.width == 0)
 
     # -- barrier -----------------------------------------------------------------
     def barrier(self) -> None:
@@ -390,63 +365,6 @@ class Communicator:
 def _check_root(root_idx: int, size: int) -> None:
     if not 0 <= root_idx < size:
         raise ValueError(f"root index {root_idx} outside a group of {size}")
-
-
-def _split_by_row_range(b: DcsrBlock, starts: list[int]) -> list[DcsrBlock]:
-    """Slice a DCSR block into row-range sub-blocks with absolute row ids."""
-    size = len(starts) - 1
-    out = []
-    k = 0
-    n_nz = len(b.nz_rows)
-    for g in range(size):
-        lo_row, hi_row = starts[g], starts[g + 1]
-        k0 = k
-        while k < n_nz and b.nz_rows[k] < hi_row:
-            k += 1
-        e0, e1 = b.row_ptr[k0], b.row_ptr[k]
-        out.append(DcsrBlock(
-            b.n_rows, b.n_cols,
-            b.nz_rows[k0:k],
-            [p - e0 for p in b.row_ptr[k0:k + 1]],
-            b.cols[e0:e1],
-            None if b.vals is None else b.vals[e0:e1],
-        ))
-        assert all(lo_row <= r for r in out[-1].nz_rows)
-    return out
-
-
-def _combine_blocks(blocks: list[DcsrBlock], n_rows: int, n_cols: int, combine,
-                    structure_only: bool) -> DcsrBlock:
-    row_map: dict[int, dict] = {}
-    for blk in blocks:
-        for r, cols, vals in blk.iter_rows():
-            d = row_map.get(r)
-            if d is None:
-                d = row_map[r] = {}
-            if structure_only:
-                for c in cols:
-                    d[c] = None
-            else:
-                for c, v in zip(cols, vals):
-                    if c in d:
-                        d[c] = combine(d[c], v)
-                    else:
-                        d[c] = v
-    return dcsr_from_row_map(n_rows, n_cols, row_map, structure_only)
-
-
-def _concat_row_ranges(parts: list[DcsrBlock], n_rows: int, n_cols: int,
-                       structure_only: bool) -> DcsrBlock:
-    nz_rows, row_ptr, cols = [], [0], []
-    vals = None if structure_only else []
-    for part in parts:
-        base = row_ptr[-1]
-        nz_rows.extend(part.nz_rows)
-        row_ptr.extend(base + p for p in part.row_ptr[1:])
-        cols.extend(part.cols)
-        if vals is not None:
-            vals.extend(part.vals)
-    return DcsrBlock(n_rows, n_cols, nz_rows, row_ptr, cols, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def dist_from_map(part: BlockPartition, comm, m: dict) -> DistMatrix:
 
 def update_from_map(part: BlockPartition, comm, m: dict,
                     structure_only: bool = False) -> DistMatrix:
-    """Update-role DCSR matrix holding this rank's slice of the global map."""
+    """Update matrix (a DCSR block) holding this rank's slice of the global map."""
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
     dyn = DynamicBlock(*part.block_shape(i, j))
@@ -88,7 +88,7 @@ def update_from_map(part: BlockPartition, comm, m: dict,
     if structure_only:
         blk = DcsrBlock(blk.n_rows, blk.n_cols, blk.nz_rows, blk.row_ptr,
                         blk.cols, None)
-    return DistMatrix(part, i, j, blk, role="update")
+    return DistMatrix(part, i, j, blk)
 
 
 def gather_maps(per_rank: list) -> dict:

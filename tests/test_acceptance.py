@@ -338,9 +338,8 @@ def test_criterion_6_update_broadcast_volume_beats_static_recompute():
         delta_dyn = DynamicBlock(*shape)
         for t in owned:
             delta_dyn.upsert(t.row - r0, t.col - c0, t.value)
-        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr(), role="update")
-        no_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape),
-                              role="update")
+        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr())
+        no_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape))
         before = comm.counters.bytes_broadcast
         spgemm_algebraic_update(comm, state, a0, a_delta, b, no_delta)
         update_bytes = comm.counters.bytes_broadcast - before

@@ -465,6 +465,14 @@ def test_cli_undecodable_input_exits_2(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "m.csv"
+    assert main(["construct", "--rmat", "scale=3,ef=2", "--batches", "1",
+                 "--batch-size", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_cli_resource_cap_exits_4(tmp_path, capsys):
     # a star graph: the hub's squared degree blows past the default cap
     star = tmp_path / "star.txt"

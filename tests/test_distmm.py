@@ -365,11 +365,59 @@ def test_algebraic_rejects_non_update_deltas():
         a = dist_from_map(part, comm, {})
         b = dist_from_map(part, comm, {})
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
-        bad = dist_from_map(part, comm, {})   # primary role, dynamic block
+        bad = dist_from_map(part, comm, {})   # a dynamic block
         spgemm_algebraic_update(comm, st, a, bad, b, bad)
 
     with pytest.raises(ValueError, match="update-role"):
         spmd_collect(1, worker)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("da, db, match", [
+    # min-plus has no additive inverse, so folding the new value in would
+    # leave C(0,0) = 2.0 where the recompute gives 6.0
+    ({(0, 0): 5.0}, {}, r"\(0, 0\)"),
+    ({}, {(1, 1): 2.0}, "b_delta"),
+], ids=["overwrite", "right_delta"])
+def test_algebraic_non_ring_rejects_non_inserts(q, da, db, match):
+    def worker(comm):
+        part = BlockPartition(4, 4, comm.q)
+        a = dist_from_map(part, comm, {(0, 0): 1.0})
+        b = dist_from_map(part, comm, {(0, 0): 1.0})
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+        spgemm_algebraic_update(comm, st, a, update_from_map(part, comm, da),
+                                b, update_from_map(part, comm, db))
+
+    with pytest.raises(UnsupportedFeatureError, match=match):
+        spmd_collect(q, worker)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_algebraic_non_ring_inserts_match_oracle(q):
+    n = 12
+    rng = np.random.default_rng(91 + q)
+    a0 = random_map(rng, n, n, 0.15, values="float")
+    b0 = random_map(rng, n, n, 0.2, values="float")
+    free = [p for p in np.ndindex(n, n) if p not in a0]
+    picks = rng.choice(len(free), size=12, replace=False)
+    batches = [{free[k]: float(rng.integers(1, 21)) for k in picks[s:s + 4]}
+               for s in (0, 4, 8)]
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, a0)
+        b = dist_from_map(part, comm, b0)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+        for batch in batches:
+            d_a = update_from_map(part, comm, batch)
+            spgemm_algebraic_update(comm, st, a, d_a, b,
+                                    update_from_map(part, comm, {}))
+            add_into(a.block, d_a.block, MIN_PLUS.add)
+        return st.C.global_entries()
+
+    a_final = {**a0, **batches[0], **batches[1], **batches[2]}
+    assert gather_maps(spmd_collect(q, worker)) == oracle_product(a_final, b0,
+                                                                  MIN_PLUS)
 
 
 def test_algebraic_rejects_shape_mismatch():

@@ -9,11 +9,13 @@ from dynspgemm import (
     DynamicBlock,
     MIN_PLUS,
     NULL_PHASES,
+    PLUS_TIMES_F64,
     PLUS_TIMES_I64,
     PhaseRecorder,
     STRUCTURE_CODEC,
     TransportError,
     dcsr_from_row_map,
+    dcsr_serialize,
     run_spmd,
     semiring_codec,
 )
@@ -267,29 +269,92 @@ def test_aggregate_matches_sequential_fold_oracle():
     n = 11
     rng = np.random.default_rng(77)
     # per group-member contribution maps, keyed by grid col (axis row)
-    contribs = {g: {(int(rng.integers(n)), int(rng.integers(n))): float(rng.integers(1, 30))
-                    for _ in range(14)} for g in range(q)}
+    min_contribs = {g: {(int(rng.integers(n)), int(rng.integers(n))): float(rng.integers(1, 30))
+                        for _ in range(14)} for g in range(q)}
+    # float sums of these values depend on the order they are added in
+    big = (1e16, 1.0, -1e16, 3.0)
+    sum_contribs = {g: {(int(rng.integers(n)), int(rng.integers(n))): big[int(rng.integers(4))]
+                        for _ in range(14)} for g in range(q)}
+    for g, v in enumerate((1e16, 1.0, -1e16, 1.0)):
+        sum_contribs[g][(0, 0)] = v
+
+    for sr, contribs in ((MIN_PLUS, min_contribs), (PLUS_TIMES_F64, sum_contribs)):
+        def worker(comm):
+            mine = contribs[comm.grid_col]
+            block = DynamicBlock.from_triples(
+                n, n, [(r, c, v) for (r, c), v in mine.items()]).to_dcsr()
+            got = comm.aggregate_sparse("row", 2, block, sr.add,
+                                        semiring_codec(sr))
+            return None if got is None else got.entry_map()
+
+        # oracle: fold in ascending member order
+        want: dict = {}
+        for g in range(q):
+            for pos, v in contribs[g].items():
+                want[pos] = sr.add(want[pos], v) if pos in want else v
+
+        out = run_spmd(q * q, worker)
+        for rank in range(q * q):
+            if rank % q == 2:
+                assert out[rank] == want
+            else:
+                assert out[rank] is None
+    # the ascending-order sum; other orders give 0.0 or 2.0
+    assert want[(0, 0)] == 1.0
+
+
+def test_aggregate_sends_each_contribution_once():
+    q, n, root = 4, 12, 1
+    blocks = {}
+    for rank in range(q * q):
+        rng = np.random.default_rng(500 + rank)
+        blocks[rank] = DynamicBlock.from_triples(n, n, [
+            (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(1, 9)))
+            for _ in range(int(rng.integers(0, 20)))]).to_dcsr()
 
     def worker(comm):
-        mine = contribs[comm.grid_col]
-        block = DynamicBlock.from_triples(
-            n, n, [(r, c, v) for (r, c), v in mine.items()]).to_dcsr()
-        got = comm.aggregate_sparse("row", 2, block, MIN_PLUS.add,
-                                    semiring_codec(MIN_PLUS))
-        return None if got is None else got.entry_map()
-
-    # oracle: fold in ascending member order
-    want: dict = {}
-    for g in range(q):
-        for pos, v in contribs[g].items():
-            want[pos] = MIN_PLUS.add(want[pos], v) if pos in want else v
+        comm.aggregate_sparse("row", root, blocks[comm.rank],
+                              PLUS_TIMES_I64.add, I64)
+        return comm.counters.bytes_aggregate, dict(comm.counters.peers_sent)
 
     out = run_spmd(q * q, worker)
-    for rank in range(q * q):
-        if rank % q == 2:
-            assert out[rank] == want
-        else:
-            assert out[rank] is None
+    wire = sum(len(dcsr_serialize(blocks[rank], I64))
+               for rank in range(q * q) if rank % q != root)
+    assert sum(nbytes for nbytes, _ in out) == 2 * wire
+    for rank, (_, peers) in enumerate(out):
+        row_root = rank - rank % q + root
+        assert set(peers) == (set() if rank == row_root else {row_root})
+
+
+def test_back_to_back_aggregations_reach_their_own_roots():
+    # Non-roots return as soon as their contribution is sent, so one member
+    # may already be two aggregations ahead of the root of the first.
+    q, n = 4, 6
+    combines = ((PLUS_TIMES_I64, I64), (MIN_PLUS, semiring_codec(MIN_PLUS)),
+                (PLUS_TIMES_I64, I64))
+
+    def contribution(g, call):
+        return {(g % n, call): g + 1, (n - 1, 0): 10 * (call + 1) + g}
+
+    def worker(comm):
+        got = []
+        for root, (sr, codec) in enumerate(combines):
+            mine = contribution(comm.grid_col, root)
+            block = DynamicBlock.from_triples(
+                n, n, [(r, c, v) for (r, c), v in mine.items()]).to_dcsr()
+            res = comm.aggregate_sparse("row", root, block, sr.add, codec)
+            got.append(None if res is None else res.entry_map())
+        return got
+
+    out = run_spmd(q * q, worker)
+    for root, (sr, _codec) in enumerate(combines):
+        want: dict = {}
+        for g in range(q):
+            for pos, v in contribution(g, root).items():
+                want[pos] = sr.add(want[pos], v) if pos in want else v
+        for rank in range(q * q):
+            expected = want if rank % q == root else None
+            assert out[rank][root] == expected
 
 
 def test_aggregate_single_rank_is_identity():
