@@ -22,6 +22,7 @@ from .storage import (
     dcsr_serialize,
     filter_rows_by_bloom,
     or_into,
+    same_entries,
     semiring_codec,
 )
 from .grid import BlockPartition, ProcessGrid, split_range
@@ -92,7 +93,8 @@ __all__ = [
     "filter_rows_by_bloom", "gustavson_multiply", "load_edges",
     "masked_multiply", "or_into", "parse_csv",
     "pattern_multiply", "redistribute_updates", "rmat_generate",
-    "run_experiment", "run_spmd", "semiring_codec", "spgemm_algebraic_init",
+    "run_experiment", "run_spmd", "same_entries", "semiring_codec",
+    "spgemm_algebraic_init",
     "spgemm_algebraic_update", "spgemm_general_update", "split_range",
     "summa_static", "upsert",
 ]

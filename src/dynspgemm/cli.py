@@ -100,14 +100,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _summarize(records: list[MetricsRecord]) -> str:
     """One line per batch. "bytes moved" counts each off-rank byte at the
-    sender and again at the receiver, so it is twice the wire volume."""
+    sender and again at the receiver, so it is twice the wire volume. The
+    size shown is the product's (nnz_c) for spgemm experiments and the
+    matrix's (nnz_a) for the storage experiments."""
     lines = []
     for rec in records:
         busiest = max(PHASE_NAMES, key=lambda ph: rec.seconds[ph])
+        if rec.experiment.startswith("spgemm-"):
+            size = f"nnz_c={rec.nnz_c}"
+        else:
+            size = f"nnz_a={rec.nnz_a}"
         lines.append(
             f"batch {rec.batch_idx}: {rec.total_seconds:.4f}s, "
             f"{sum(rec.bytes.values())} bytes moved (sender + receiver "
-            f"counts), nnz_c={rec.nnz_c}, "
+            f"counts), {size}, "
             f"slowest phase {busiest} ({rec.seconds[busiest]:.4f}s)")
     return "\n".join(lines)
 

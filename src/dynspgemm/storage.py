@@ -12,6 +12,7 @@ never drops positions.
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -194,6 +195,18 @@ class DynamicBlock:
     def entry_map(self) -> dict:
         return {(r, c): v for r, c, v in self.triples()}
 
+    def to_arrays(self, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) as numpy arrays in storage order: rows
+        ascending, each row in slot order; vals cast to dtype."""
+        counts = np.fromiter((0 if c is None else len(c) for c in self._cols),
+                             dtype=np.int64, count=self.n_rows)
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+        cols = np.fromiter(chain.from_iterable(c for c in self._cols if c),
+                           dtype=np.int64, count=self.nnz)
+        vals = np.fromiter(chain.from_iterable(v for v in self._vals if v),
+                           dtype=dtype, count=self.nnz)
+        return rows, cols, vals
+
     # -- integrity ----------------------------------------------------------
     def check(self) -> None:
         """Assert the slot-index bijection and the nnz count."""
@@ -332,6 +345,21 @@ def combine_blocks(blocks, n_rows: int, n_cols: int, combine,
                     else:
                         d[c] = v
     return dcsr_from_row_map(n_rows, n_cols, row_map, structure_only)
+
+
+def same_entries(x: DynamicBlock, y: DynamicBlock, dtype) -> bool:
+    """True when x and y store the same positions with equal values (cast to
+    dtype), whatever the order of entries within a row."""
+    if (x.n_rows, x.n_cols, x.nnz) != (y.n_rows, y.n_cols, y.nnz):
+        return False
+    xr, xc, xv = x.to_arrays(dtype)
+    yr, yc, yv = y.to_arrays(dtype)
+    xk = xr * x.n_cols + xc
+    yk = yr * y.n_cols + yc
+    xo = np.argsort(xk)
+    yo = np.argsort(yk)
+    return (np.array_equal(xk[xo], yk[yo])
+            and np.array_equal(xv[xo], yv[yo]))
 
 
 def add_into(dst: DynamicBlock, src, add: Callable) -> None:

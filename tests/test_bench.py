@@ -6,7 +6,16 @@ import csv
 import numpy as np
 import pytest
 
-from dynspgemm import MIN_PLUS, OP_UPSERT, BlockPartition, DistMatrix
+from dynspgemm import (
+    BOOLEAN,
+    MIN_PLUS,
+    OP_UPSERT,
+    PLUS_TIMES_F64,
+    PLUS_TIMES_I64,
+    BlockPartition,
+    DistMatrix,
+    DynamicBlock,
+)
 from dynspgemm.bench import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -14,6 +23,7 @@ from dynspgemm.bench import (
     ExperimentConfig,
     MetricsRecord,
     ResourceCapError,
+    _local_checksum,
     combine_checksums,
     emit_csv,
     load_edges,
@@ -211,6 +221,98 @@ def test_combine_checksums_is_order_free_xor_fold():
 
 def test_combine_checksums_empty():
     assert combine_checksums([]) == "nnz=0;hash=0000000000000000"
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_checksum(entries: dict, sr):
+    """Per-entry loop over global positions and the wire bytes of each
+    value, independent of the vectorised code."""
+    acc = 0
+    for (gi, gj), v in entries.items():
+        bits = int.from_bytes(sr.encode_values([v]), "little")
+        acc ^= _splitmix64(_splitmix64(_splitmix64(gi) ^ gj) ^ bits)
+    return len(entries), acc
+
+
+def _checksum(entries: dict, sr, n=6, q=1, coords=(0, 0)):
+    """_local_checksum of the block at grid coords holding those entries,
+    given by global position."""
+    part = BlockPartition(n, n, q)
+    i, j = coords
+    r0, c0 = part.row_starts[i], part.col_starts[j]
+    block = DynamicBlock.from_triples(
+        *part.block_shape(i, j),
+        [(gi - r0, gj - c0, v) for (gi, gj), v in entries.items()])
+    return _local_checksum(DistMatrix(part, i, j, block), sr)
+
+
+_BASE = {(0, 1): 5, (2, 3): 7, (4, 4): -2}
+
+
+@pytest.mark.parametrize("changed", [
+    {(0, 1): 6, (2, 3): 7, (4, 4): -2},    # one value
+    {(0, 2): 5, (2, 3): 7, (4, 4): -2},    # one entry moved
+    {(1, 0): 5, (2, 3): 7, (4, 4): -2},    # (i, j) swapped to (j, i)
+    {(0, 1): 7, (2, 3): 5, (4, 4): -2},    # two values swapped
+])
+def test_checksum_sees_every_value_and_position(changed):
+    count, h = _checksum(_BASE, PLUS_TIMES_I64)
+    count2, h2 = _checksum(changed, PLUS_TIMES_I64)
+    assert count == count2 == 3
+    assert h != h2
+
+
+def test_checksum_ignores_insertion_and_delete_history():
+    part = BlockPartition(6, 6, 1)
+    x = DynamicBlock.from_triples(6, 6, [(0, 1, 5), (0, 4, 9), (2, 3, 7)])
+    y = DynamicBlock(6, 6)
+    for r, c, v in [(2, 3, 7), (0, 4, 0), (0, 5, 1), (0, 1, 5), (0, 4, 9)]:
+        y.upsert(r, c, v)
+    y.delete(0, 5)   # swap-remove: row 0 now stores columns 4, 1
+    assert y.entry_map() == x.entry_map()
+    assert y.row_cols(0) == [4, 1] and x.row_cols(0) == [1, 4]
+    assert _local_checksum(DistMatrix(part, 0, 0, x), PLUS_TIMES_I64) == \
+        _local_checksum(DistMatrix(part, 0, 0, y), PLUS_TIMES_I64)
+
+
+@pytest.mark.parametrize("sr,entries,changed", [
+    (PLUS_TIMES_I64, {(0, 0): 0, (1, 2): -(2 ** 63), (3, 1): 2 ** 63 - 1},
+     {(0, 0): 1, (1, 2): -(2 ** 63), (3, 1): 2 ** 63 - 1}),
+    (PLUS_TIMES_F64, {(0, 0): 0.5, (1, 2): -3.0, (3, 1): 1e300},
+     {(0, 0): 0.5, (1, 2): -3.0, (3, 1): 1e300 * (1 + 2 ** -52)}),
+    (MIN_PLUS, {(0, 0): float("inf"), (1, 2): 0.0, (3, 1): 4.0},
+     {(0, 0): 1e308, (1, 2): 0.0, (3, 1): 4.0}),
+    (BOOLEAN, {(0, 0): True, (1, 2): False, (3, 1): True},
+     {(0, 0): True, (1, 2): True, (3, 1): True}),
+])
+def test_checksum_per_semiring_matches_reference(sr, entries, changed):
+    for m in (entries, changed):
+        assert _checksum(m, sr) == _reference_checksum(m, sr)
+        # the same entries split over a 2x2 grid fold to the same parts
+        parts = [_checksum({p: v for p, v in m.items()
+                            if BlockPartition(6, 6, 2).owner_coords(*p)
+                            == (i, j)}, sr, q=2, coords=(i, j))
+                 for i in range(2) for j in range(2)]
+        assert combine_checksums(parts) == combine_checksums([_checksum(m, sr)])
+    assert _checksum(entries, sr) != _checksum(changed, sr)
+
+
+def test_checksum_frozen_example():
+    # Any change to the mix, its constants or the value encoding must be
+    # made on purpose: it changes every printed checksum.
+    assert combine_checksums([_checksum(_BASE, PLUS_TIMES_I64)]) == \
+        "nnz=3;hash=99f1c9e2c48e52d7"
+    assert combine_checksums([_checksum({}, PLUS_TIMES_I64)]) == \
+        "nnz=0;hash=0000000000000000"
 
 
 # -- config validation ----------------------------------------------------------
@@ -495,3 +597,40 @@ def test_cli_verification_failure_exits_3(monkeypatch, capsys):
                  "--batch-size", "8", "--batches", "2"])
     assert code == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_cli_verification_catches_one_changed_value(monkeypatch, capsys):
+    # The recompute differs from the maintained product in one value only,
+    # so the entry counts still agree.
+    import dynspgemm.bench as bench
+    real = bench.summa_static
+    changed = []
+
+    def off_by_one(comm, a, b, sr, phases=None):
+        c = real(comm, a, b, sr)
+        r, cols, vals = next(c.block.iter_rows())
+        c.block.upsert(r, cols[0], vals[0] + 1)
+        changed.append(c.block.nnz)
+        return c
+
+    monkeypatch.setattr(bench, "summa_static", off_by_one)
+    code = main(["spgemm-algebraic", "--rmat", "scale=3,ef=2",
+                 "--batch-size", "8", "--batches", "2"])
+    assert code == 3
+    assert "verification failed" in capsys.readouterr().err
+    assert len(changed) == 1 and changed[0] > 0
+
+
+def test_cli_summary_reports_the_size_of_the_maintained_matrix(capsys):
+    assert main(["insert", "--rmat", "scale=1,ef=1", "--grid", "3",
+                 "--batches", "1", "--batch-size", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "nnz_a=3," in out and "nnz_c" not in out
+    assert "checksum nnz=3;" in out
+    assert main(["spgemm-algebraic", "--rmat", "scale=3,ef=2",
+                 "--batch-size", "8", "--batches", "1"]) == 0
+    out = capsys.readouterr().out
+    batch_line, checksum_line = out.splitlines()
+    assert "nnz_a" not in batch_line
+    nnz_c = batch_line.split("nnz_c=")[1].split(",")[0]
+    assert checksum_line.startswith(f"checksum nnz={nnz_c};")

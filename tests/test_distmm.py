@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
     BlockPartition,
@@ -759,6 +760,112 @@ def test_general_after_algebraic_is_exact_or_raises(q):
         assert got == oracle_product(a2, b0, MIN_PLUS), idx
         exact += 1
     assert exact + raised == 200
+
+
+@st.composite
+def _call_sequences(draw, sr):
+    """A square size, two operands and a sequence of batches. A batch is
+    algebraic or general and lists (operand, position, value) changes,
+    value None meaning delete."""
+    n = draw(st.integers(2, 8))
+    pos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    value = (st.integers(-5, 5) if sr.is_ring
+             else st.integers(1, 9).map(float))
+    operand = st.dictionaries(pos, value, max_size=2 * n)
+    change = st.tuples(st.sampled_from("ab"), pos, st.none() | value)
+    batch = st.tuples(st.sampled_from(("algebraic", "general")),
+                      st.lists(change, min_size=1, max_size=4))
+    return (n, draw(operand), draw(operand),
+            draw(st.lists(batch, min_size=2, max_size=4)))
+
+
+def _plan_calls(sr, a0, b0, batches) -> list:
+    """Per call: the operands before and after, the deltas, the expected
+    product, and whether the call must raise UnsupportedFeatureError.
+    The sequence ends at the first call that must raise.
+
+    The algebraic path has no structural delete: there a delete sets the
+    semiring zero, which stays a stored entry. Its deltas are signed
+    differences under a ring and the new values otherwise."""
+    a, b = dict(a0), dict(b0)
+    bits_fresh = True
+    calls = []
+    for kind, changes in batches:
+        new = {"a": dict(a), "b": dict(b)}
+        changed = {"a": {}, "b": {}}
+        for which, p, v in changes:
+            if v is None and kind == "algebraic":
+                v = sr.zero
+            if v is None:
+                new[which].pop(p, None)
+            else:
+                new[which][p] = v
+            changed[which][p] = None
+        old = {"a": a, "b": b}
+        delta = None
+        if kind == "algebraic":
+            delta = {w: {p: sr.add(new[w][p], -old[w].get(p, 0))
+                         if sr.is_ring else new[w][p] for p in changed[w]}
+                     for w in "ab"}
+            raises = not sr.is_ring and (
+                any(p in a for p in changed["a"]) or bool(changed["b"]))
+        else:
+            raises = not bits_fresh
+        calls.append({"kind": kind, "a": a, "new": new, "changed": changed,
+                      "delta": delta, "raises": raises,
+                      "product": oracle_product(new["a"], new["b"], sr)})
+        if raises:
+            break
+        bits_fresh = bits_fresh and kind == "general"
+        a, b = new["a"], new["b"]
+    return calls
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, MIN_PLUS], ids=lambda s: s.name)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_any_call_order_is_exact_or_raises(q, sr, data):
+    # After every call the maintained product equals the from-scratch
+    # product, or the call raises UnsupportedFeatureError, and it raises
+    # exactly when the documented limits say so.
+    n, a0, b0, batches = data.draw(_call_sequences(sr))
+    calls = _plan_calls(sr, a0, b0, batches)
+
+    def check(comm, part, st_, product):
+        mine = {p: v for p, v in product.items()
+                if part.owner_coords(*p) == (comm.grid_row, comm.grid_col)}
+        assert st_.C.global_entries() == mine
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        st_ = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0),
+                                    dist_from_map(part, comm, b0), sr)
+        check(comm, part, st_, oracle_product(a0, b0, sr))
+        for call in calls:
+            a = dist_from_map(part, comm, call["a"])
+            b_new = dist_from_map(part, comm, call["new"]["b"])
+            if call["kind"] == "algebraic":
+                spgemm_algebraic_update(
+                    comm, st_, a,
+                    update_from_map(part, comm, call["delta"]["a"]), b_new,
+                    update_from_map(part, comm, call["delta"]["b"]))
+            else:
+                spgemm_general_update(
+                    comm, st_, dist_from_map(part, comm, call["new"]["a"]),
+                    update_from_map(part, comm, call["changed"]["a"],
+                                    structure_only=True),
+                    b_new,
+                    update_from_map(part, comm, call["changed"]["b"],
+                                    structure_only=True),
+                    a)
+            check(comm, part, st_, call["product"])
+
+    if calls[-1]["raises"]:
+        with pytest.raises(UnsupportedFeatureError):
+            spmd_collect(q, worker)
+    else:
+        spmd_collect(q, worker)
 
 
 def test_general_empty_batch_changes_nothing():

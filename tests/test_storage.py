@@ -20,6 +20,7 @@ from dynspgemm import (
     dcsr_serialize,
     filter_rows_by_bloom,
     or_into,
+    same_entries,
     semiring_codec,
 )
 
@@ -139,6 +140,96 @@ def test_round_trip_conversions_preserve_triples():
     assert set(b.to_dcsr().triples()) == want
     assert b.to_dcsr().entry_map() == b.entry_map()
     assert b.to_dcsr().positions() == {(r, c) for r, c, _ in triples}
+
+
+def test_to_arrays_storage_order_and_dtype():
+    b = DynamicBlock.from_triples(4, 5, [(2, 4, 7), (0, 1, 5), (2, 0, 3),
+                                         (0, 3, 6)])
+    b.delete(0, 1)   # swap-remove: (0, 3) moves into slot 0
+    rows, cols, vals = b.to_arrays(PLUS_TIMES_I64.np_dtype)
+    assert rows.tolist() == [0, 2, 2]
+    assert cols.tolist() == [3, 4, 0]
+    assert vals.tolist() == [6, 7, 3]
+    assert vals.dtype == PLUS_TIMES_I64.np_dtype
+    empty = DynamicBlock(3, 3)
+    empty.upsert(1, 1, True)
+    empty.delete(1, 1)   # a row emptied by deletes contributes nothing
+    rows, cols, vals = empty.to_arrays(BOOLEAN.np_dtype)
+    assert rows.size == cols.size == vals.size == 0
+    assert vals.dtype == BOOLEAN.np_dtype
+
+
+def test_to_arrays_matches_triples_for_every_semiring():
+    for sr, values in ((PLUS_TIMES_I64, [-4, 0, 9]),
+                       (MIN_PLUS, [float("inf"), 0.0, 2.5]),
+                       (BOOLEAN, [True, False, True])):
+        b = DynamicBlock.from_triples(
+            3, 3, [(1, 2, values[0]), (0, 0, values[1]), (1, 0, values[2])])
+        rows, cols, vals = b.to_arrays(sr.np_dtype)
+        assert vals.dtype == sr.np_dtype
+        got = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        assert got == list(b.triples())
+
+
+def _block(entries, n=4):
+    return DynamicBlock.from_triples(n, n, entries)
+
+
+def test_same_entries_ignores_within_row_order():
+    x = _block([(0, 1, 5), (0, 3, 6), (2, 2, 1)])
+    y = _block([(2, 2, 1), (0, 3, 6), (0, 1, 5)])
+    assert x.row_cols(0) != y.row_cols(0)
+    assert same_entries(x, y, PLUS_TIMES_I64.np_dtype)
+
+
+@pytest.mark.parametrize("other", [
+    [(0, 1, 5), (0, 3, 7), (2, 2, 1)],   # one value differs
+    [(0, 1, 5), (0, 2, 6), (2, 2, 1)],   # one position differs
+    [(0, 1, 5), (3, 0, 6), (2, 2, 1)],   # moved to (j, i)
+    [(0, 1, 5), (0, 3, 6)],              # one entry missing
+])
+def test_same_entries_rejects_any_difference(other):
+    x = _block([(0, 1, 5), (0, 3, 6), (2, 2, 1)])
+    assert not same_entries(x, _block(other), PLUS_TIMES_I64.np_dtype)
+    assert not same_entries(_block(other), x, PLUS_TIMES_I64.np_dtype)
+
+
+def test_same_entries_compares_float_values_exactly():
+    x = _block([(1, 1, float("inf")), (0, 0, 0.5)])
+    assert same_entries(x, _block([(0, 0, 0.5), (1, 1, float("inf"))]),
+                        MIN_PLUS.np_dtype)
+    assert not same_entries(x, _block([(0, 0, 0.5), (1, 1, 1e308)]),
+                            MIN_PLUS.np_dtype)
+    assert not same_entries(x, _block([(0, 0, 0.5 + 2 ** -52),
+                                       (1, 1, float("inf"))]),
+                            MIN_PLUS.np_dtype)
+
+
+def test_same_entries_agrees_with_entry_map_equality():
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for _ in range(200):
+        x = DynamicBlock(5, 5)
+        for _ in range(int(rng.integers(0, 16))):
+            r, c = int(rng.integers(5)), int(rng.integers(5))
+            if rng.random() < 0.75:
+                x.upsert(r, c, int(rng.integers(0, 3)))
+            else:
+                x.delete(r, c)
+        # y: x's entries in another order, then at most one random change
+        triples = list(x.triples())
+        y = DynamicBlock.from_triples(
+            5, 5, [triples[k] for k in rng.permutation(len(triples))])
+        r, c = int(rng.integers(5)), int(rng.integers(5))
+        change = rng.random()
+        if change < 0.3:
+            y.upsert(r, c, int(rng.integers(0, 3)))
+        elif change < 0.6:
+            y.delete(r, c)
+        want = x.entry_map() == y.entry_map()
+        assert same_entries(x, y, PLUS_TIMES_I64.np_dtype) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_dcsr_from_row_map_orders_rows():
