@@ -18,7 +18,7 @@ from .storage import (
     add_into,
     bloom_codec,
     dcsr_deserialize,
-    dcsr_from_row_map,
+    dcsr_from_coo,
     dcsr_serialize,
     filter_rows_by_bloom,
     or_into,
@@ -88,7 +88,7 @@ __all__ = [
     "Semiring", "SimCluster", "SpgemmState", "TransportError",
     "UnsupportedFeatureError", "UpdateTuple", "VerificationError", "add_into",
     "apply_batch", "bloom_codec", "by_name", "compute_pattern",
-    "counting_sort", "dcsr_deserialize", "dcsr_from_row_map",
+    "counting_sort", "dcsr_deserialize", "dcsr_from_coo",
     "dcsr_serialize", "decode_tuples", "delete", "emit_csv", "encode_tuples",
     "filter_rows_by_bloom", "gustavson_multiply", "load_edges",
     "masked_multiply", "or_into", "parse_csv",

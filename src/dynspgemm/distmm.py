@@ -19,7 +19,10 @@ Every rank calls each function collectively with its own Communicator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .grid import BlockPartition
 from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
@@ -28,14 +31,16 @@ from .storage import (
     DcsrBlock,
     DynamicBlock,
     STRUCTURE_CODEC,
-    _bit_or,
     add_into,
     bloom_codec,
     combine_blocks,
     dcsr_deserialize,
+    dcsr_from_coo,
     dcsr_serialize,
     filter_rows_by_bloom,
+    locate,
     or_into,
+    replace_touched,
     semiring_codec,
 )
 from .transport import NULL_PHASES
@@ -48,9 +53,9 @@ class UnsupportedFeatureError(ValueError):
 @dataclass
 class DistMatrix:
     """One rank's view of a block-partitioned matrix: the partition map plus
-    the locally owned block. Operands and maintained results hold a
-    DynamicBlock; update matrices, which carry one batch's changes, hold a
-    DcsrBlock.
+    the locally owned block. Operands hold a DynamicBlock; maintained
+    results (C and its bitfields F) and update matrices, which carry one
+    batch's changes, hold a DcsrBlock.
     """
 
     part: BlockPartition
@@ -109,13 +114,12 @@ def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
             "under a semiring that is not a ring, algebraic updates take "
             "left-operand inserts only; b_delta must be empty")
     contains = a.block.contains
-    for r, cols, _ in a_delta.block.iter_rows():
-        for c in cols:
-            if contains(r, c):
-                raise UnsupportedFeatureError(
-                    "under a semiring that is not a ring, algebraic updates "
-                    f"take inserts only; a_delta overwrites stored entry "
-                    f"({a.row_base + r}, {a.col_base + c})")
+    for r, c, _ in a_delta.block.triples():
+        if contains(r, c):
+            raise UnsupportedFeatureError(
+                "under a semiring that is not a ring, algebraic updates "
+                f"take inserts only; a_delta overwrites stored entry "
+                f"({a.row_base + r}, {a.col_base + c})")
 
 
 @dataclass
@@ -166,8 +170,9 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
     codec = semiring_codec(sr)
     a_bytes = _wire(a.block, codec)
     b_bytes = _wire(b.block, codec)
-    c_local = DynamicBlock(*part_c.block_shape(i, j))
-    f_local = DynamicBlock(*part_c.block_shape(i, j)) if build_bloom else None
+    c_local = DcsrBlock.empty(*part_c.block_shape(i, j), dtype=sr.np_dtype)
+    f_local = (DcsrBlock.empty(*part_c.block_shape(i, j), dtype=np.uint64)
+               if build_bloom else None)
     for k in range(q):
         with phases.phase("broadcast"):
             a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
@@ -319,7 +324,7 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
 def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
                     b_prime: DistMatrix, b_delta: DistMatrix,
                     a_prime: DistMatrix, ell: int = 64,
-                    phases=NULL_PHASES) -> tuple[DcsrBlock, DynamicBlock]:
+                    phases=NULL_PHASES) -> tuple[DcsrBlock, DcsrBlock]:
     """Locate every output position a batch can touch.
 
     a_delta and b_delta list, structurally, each inserted, modified or
@@ -357,9 +362,9 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             _, p_cur = pattern_multiply(a_prime.block, b_blk,
                                         inner_starts[j], ell)
         with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, _bit_or, bcodec)
+            r_new = comm.aggregate_sparse("col", k, p_new, operator.or_, bcodec)
             r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-            r_cur = comm.aggregate_sparse("row", k, p_cur, _bit_or, bcodec)
+            r_cur = comm.aggregate_sparse("row", k, p_cur, operator.or_, bcodec)
         if r_new is not None:
             x_pat = r_new
         if r_old is not None:
@@ -370,7 +375,7 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     n_r, n_c = x_pat.n_rows, x_pat.n_cols
     touched = combine_blocks((x_pat, y_pat), n_r, n_c, None,
                              structure_only=True)
-    new_bits = DynamicBlock(n_r, n_c)
+    new_bits = DcsrBlock.empty(n_r, n_c, dtype=np.uint64)
     or_into(new_bits, x_pat)
     or_into(new_bits, y_bits)
     return touched, new_bits
@@ -413,34 +418,25 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     # Per local output row, the union of candidate summation-index bitfields
     # over its touched positions; reduced across the grid row so every rank
     # holding a piece of those rows can filter its slice of a_prime.
-    f_local: DynamicBlock = state.F.block
+    f_local: DcsrBlock = state.F.block
     n_lr = state.C.local_shape[0]
     _check_local_shape(touched, state.C.block)
     with phases.phase("local_multiply"):
-        row_bits = [0] * n_lr
-        fget, nget = f_local.get, new_bits.get
-        for r, cols, _ in touched.iter_rows():
-            acc = 0
-            for c in cols:
-                v = fget(r, c)
-                if v:
-                    acc |= v
-                v = nget(r, c)
-                if v:
-                    acc |= v
-            row_bits[r] |= acc
-        nz = [r for r in range(n_lr) if row_bits[r]]
-        vec = DcsrBlock(n_lr, 1, nz, list(range(len(nz) + 1)),
-                        [0] * len(nz), [row_bits[r] for r in nz])
+        t_rows, t_keys = touched.to_arrays()[0], touched.keys()
+        row_bits = np.zeros(n_lr, dtype=np.uint64)
+        for blk in (f_local, new_bits):
+            pos, found = locate(blk.keys(), t_keys)
+            np.bitwise_or.at(row_bits, t_rows[found], blk.vals[pos[found]])
+        nz = np.flatnonzero(row_bits)
+        vec = dcsr_from_coo(n_lr, 1, nz, np.zeros(len(nz)), row_bits[nz])
     with phases.phase("aggregate"):
-        vr = comm.aggregate_sparse("row", 0, vec, _bit_or, bcodec)
+        vr = comm.aggregate_sparse("row", 0, vec, operator.or_, bcodec)
     with phases.phase("broadcast"):
         v_buf = comm.row_broadcast(
             0, dcsr_serialize(vr, bcodec) if vr is not None else None)
     r_blk = dcsr_deserialize(v_buf, bcodec)
-    r_vec = [0] * n_lr
-    for r, _cols, vals in r_blk.iter_rows():
-        r_vec[r] = vals[0]
+    r_vec = np.zeros(n_lr, dtype=np.uint64)
+    r_vec[r_blk.nz_rows] = r_blk.vals
 
     with phases.phase("local_multiply"):
         a_rows = filter_rows_by_bloom(a_prime.block, r_vec,
@@ -461,31 +457,18 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
                                              inner_starts[i], ell)
         with phases.phase("aggregate"):
             zr = comm.aggregate_sparse("col", k, z_part, sr.add, codec)
-            hr = comm.aggregate_sparse("col", k, h_part, _bit_or, bcodec)
+            hr = comm.aggregate_sparse("col", k, h_part, operator.or_, bcodec)
         if zr is not None:
             z_mine = zr
         if hr is not None:
             h_mine = hr
 
-    c_local: DynamicBlock = state.C.block
     with phases.phase("merge"):
-        z_map = z_mine.entry_map()
-        h_map = h_mine.entry_map()
-        recomputed = deleted = 0
-        for r, cols, _ in touched.iter_rows():
-            for c in cols:
-                v = z_map.get((r, c))
-                if v is None:
-                    if c_local.delete(r, c):
-                        deleted += 1
-                    f_local.delete(r, c)
-                else:
-                    c_local.upsert(r, c, v)
-                    f_local.upsert(r, c, h_map[(r, c)])
-                    recomputed += 1
+        deleted = replace_touched(state.C.block, touched, z_mine)
+        replace_touched(f_local, touched, h_mine)
     return {
         "n_touched": touched.nnz,
-        "n_recomputed": recomputed,
+        "n_recomputed": z_mine.nnz,
         "n_deleted": deleted,
         "nnz_filtered": a_rows.nnz,
     }

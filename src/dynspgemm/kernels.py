@@ -1,58 +1,75 @@
-"""Row-wise sparse multiply kernels over one pair of local blocks.
+"""Sparse multiply kernels over one pair of local blocks, by
+expand-sort-compress (ESC; Dalton, Olson & Bell, ACM TOMS 2015).
 
-All kernels stream the left operand row by row and fold collisions through a
-sparse accumulator (an insertion-ordered dict col -> value), so cost tracks
-the number of elementary products rather than the dense dimensions. Entries
-whose accumulated value equals the semiring zero are kept: structure is
+Expand: each entry (r, k) of op(a) meets row k of op(b), one elementary
+product per entry there. Only the rows of op(b) that op(a) names are read,
+so the cost tracks the number of products, not the size of op(b) or the
+dense dimensions. Sort and compress: dcsr_from_coo sorts the products
+stably by output key r * n_cols + c and folds each key in input order,
+which is ascending inner index k because op(a) is read in canonical order.
+Entries whose folded value equals the semiring zero are kept: structure is
 decided by contribution, not by value.
 """
 
 from __future__ import annotations
 
-from .storage import DcsrBlock, DynamicBlock, dcsr_from_row_map
+import numpy as np
 
-
-# ---------------------------------------------------------------------------
-# operand access helpers
-# ---------------------------------------------------------------------------
-
-_EMPTY: tuple[list, list] = ([], [])
-
-
-def _right_reader(b):
-    """O(1) row accessor returning (cols, vals) for either block type."""
-    if isinstance(b, DynamicBlock):
-        bc, bv = b._cols, b._vals
-        def read(r):
-            c = bc[r]
-            return (c, bv[r]) if c else _EMPTY
-        return read
-    if isinstance(b, DcsrBlock):
-        directory = {}
-        for r, cols, vals in b.iter_rows():
-            directory[r] = (cols, vals if vals is not None else [None] * len(cols))
-        return lambda r: directory.get(r, _EMPTY)
-    raise TypeError(f"unsupported right operand {type(b).__name__}")
-
-
-def _transposed_reader(b):
-    """Row accessor for b^T, built once in O(nnz(b))."""
-    directory: dict[int, tuple[list, list]] = {}
-    for r, cols, vals in b.iter_rows():
-        if vals is None:
-            vals = [None] * len(cols)
-        for c, v in zip(cols, vals):
-            ent = directory.get(c)
-            if ent is None:
-                directory[c] = ([r], [v])
-            else:
-                ent[0].append(r)
-                ent[1].append(v)
-    return lambda r: directory.get(r, _EMPTY)
+from .storage import DcsrBlock, _run_starts, dcsr_from_coo, locate
 
 
 def _shape(block, transposed: bool) -> tuple[int, int]:
     return (block.n_cols, block.n_rows) if transposed else (block.n_rows, block.n_cols)
+
+
+def _op_coo(block, transposed: bool, dtype):
+    """(rows, cols, vals) of op(block), rows ascending and columns ascending
+    within a row."""
+    rows, cols, vals = block.to_arrays(dtype)
+    if transposed:
+        rows, cols = cols, rows
+    elif isinstance(block, DcsrBlock):
+        return rows, cols, vals
+    order = (rows * _shape(block, transposed)[1] + cols).argsort(kind="stable")
+    return rows[order], cols[order], None if vals is None else vals[order]
+
+
+def _op_rows(block, transposed: bool, dtype, needed: np.ndarray):
+    """(nz_rows, row_ptr, cols, vals) of op(block) in DCSR layout, holding
+    at least the rows listed in needed. A dynamic block is read only in
+    those rows, and its columns stay in slot order."""
+    if transposed:
+        cols, rows, vals = block.to_arrays(dtype)
+        b = dcsr_from_coo(*_shape(block, transposed), rows, cols, vals)
+    elif isinstance(block, DcsrBlock):
+        b = block
+    else:
+        rows, cols, vals = block.to_arrays(dtype, rows=sorted(set(needed.tolist())))
+        starts = _run_starts(rows).nonzero()[0]
+        return rows[starts], np.concatenate((starts, [len(rows)])), cols, vals
+    return b.nz_rows, b.row_ptr, b.cols, b.vals
+
+
+def _expand(inner: np.ndarray, nz: np.ndarray, ptr: np.ndarray):
+    """Every elementary product of entries with inner indices `inner` and
+    the rows nz (ascending, entries ptr[i]:ptr[i+1]) they name: (index into
+    inner, index into the rows' entries) per product, grouped by the first
+    in ascending order."""
+    if not len(nz):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    pos = np.minimum(nz.searchsorted(inner), len(nz) - 1)
+    start = ptr[pos]
+    count = ptr[pos + 1] - start
+    count[nz[pos] != inner] = 0
+    e = np.arange(len(inner)).repeat(count)
+    skip = count.cumsum() - count
+    return e, np.arange(len(e)) + (start - skip).repeat(count)
+
+
+def _bits(inner: np.ndarray, inner_base: int, ell: int) -> np.ndarray:
+    """1 << ((inner_base + k) mod ell) per inner index k, as uint64."""
+    shift = ((inner_base + inner) & (ell - 1)).astype(np.uint64)
+    return np.left_shift(np.uint64(1), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -61,54 +78,21 @@ def _shape(block, transposed: bool) -> tuple[int, int]:
 
 def gustavson_multiply(a, b, sr, transpose_a: bool = False,
                        transpose_b: bool = False) -> DcsrBlock:
-    """op(a) . op(b) over the semiring, row-wise with a sparse accumulator.
-
-    a is streamed; b must be readable by (effective) row, which costs one
-    O(nnz(b)) directory pass when transpose_b is set. With transpose_a the
-    kernel switches to outer-product accumulation over scattered output rows.
-    Result rows equal multiplying explicitly transposed operands.
-    """
+    """op(a) . op(b) over the semiring; transposing an operand swaps its row
+    and column arrays. With transpose_b all of b is read, otherwise only the
+    rows of b that op(a) names."""
     an, ak = _shape(a, transpose_a)
     bk, bm = _shape(b, transpose_b)
     if ak != bk:
         raise ValueError(f"inner dimensions differ: {ak} vs {bk}")
-    read = _transposed_reader(b) if transpose_b else _right_reader(b)
-    add, mul = sr.add, sr.mul
-    if not transpose_a:
-        nz_rows, row_ptr, out_cols, out_vals = [], [0], [], []
-        acc: dict = {}
-        get = acc.get
-        for r, acols, avals in a.iter_rows():
-            if acc:
-                acc.clear()
-            for k, av in zip(acols, avals):
-                bcols, bvals = read(k)
-                for c, bv in zip(bcols, bvals):
-                    x = mul(av, bv)
-                    p = get(c)
-                    acc[c] = x if p is None else add(p, x)
-            if acc:
-                nz_rows.append(r)
-                out_cols.extend(acc.keys())
-                out_vals.extend(acc.values())
-                row_ptr.append(len(out_cols))
-        return DcsrBlock(an, bm, nz_rows, row_ptr, out_cols, out_vals)
-    # transpose_a: out(r, c) += a(s, r) * op(b)(s, c), outer products over s
-    row_map: dict[int, dict] = {}
-    for s, acols, avals in a.iter_rows():
-        bcols, bvals = read(s)
-        if not bcols:
-            continue
-        for r, av in zip(acols, avals):
-            acc = row_map.get(r)
-            if acc is None:
-                acc = row_map[r] = {}
-            get = acc.get
-            for c, bv in zip(bcols, bvals):
-                x = mul(av, bv)
-                p = get(c)
-                acc[c] = x if p is None else add(p, x)
-    return dcsr_from_row_map(an, bm, row_map)
+    dtype = sr.np_dtype
+    if not a.nnz or not b.nnz:
+        return DcsrBlock.empty(an, bm, dtype=dtype)
+    rows, inner, avals = _op_coo(a, transpose_a, dtype)
+    nz, ptr, bcols, bvals = _op_rows(b, transpose_b, dtype, inner)
+    e, bi = _expand(inner, nz, ptr)
+    x = sr.np_mul(avals[e], bvals[bi].astype(dtype, copy=False))
+    return dcsr_from_coo(an, bm, rows[e], bcols[bi], x, sr.np_add)
 
 
 # ---------------------------------------------------------------------------
@@ -123,81 +107,43 @@ def pattern_multiply(a, b, inner_base: int,
     inner_base is the global index of local inner index 0.
 
     Returns (structure, bitfields) sharing the same positions; the structure
-    block is value-free. ell must be a power of two.
+    block is value-free and the bitfields are uint64. ell must be a power of
+    two.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    read = _right_reader(b)
-    mod = ell - 1
-    nz_rows, row_ptr, out_cols, out_bits = [], [0], [], []
-    acc: dict[int, int] = {}
-    for r, acols, _avals in a.iter_rows():
-        if acc:
-            acc = {}
-        for k in acols:
-            bcols, _bvals = read(k)
-            if not bcols:
-                continue
-            bit = 1 << ((inner_base + k) & mod)
-            for c in bcols:
-                acc[c] = acc.get(c, 0) | bit
-        if acc:
-            nz_rows.append(r)
-            out_cols.extend(acc.keys())
-            out_bits.extend(acc.values())
-            row_ptr.append(len(out_cols))
-    structure = DcsrBlock(a.n_rows, b.n_cols, nz_rows, row_ptr, out_cols, None)
-    bits = DcsrBlock(a.n_rows, b.n_cols, nz_rows, row_ptr, out_cols, out_bits)
-    return structure, bits
+    bits = DcsrBlock.empty(a.n_rows, b.n_cols, dtype=np.uint64)
+    if a.nnz and b.nnz:
+        rows, inner, _ = _op_coo(a, False, None)
+        nz, ptr, bcols, _ = _op_rows(b, False, None, inner)
+        e, bi = _expand(inner, nz, ptr)
+        bits = dcsr_from_coo(a.n_rows, b.n_cols, rows[e], bcols[bi],
+                             _bits(inner, inner_base, ell)[e], np.bitwise_or)
+    return DcsrBlock(bits.n_rows, bits.n_cols, bits.nz_rows, bits.row_ptr,
+                     bits.cols, None), bits
 
 
 def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
                     ell: int = 64) -> tuple[DcsrBlock, DcsrBlock]:
     """a . b restricted to the positions listed in mask.
 
-    Positions outside the mask never enter the accumulator. Returns both the
-    value block Z and the bitfield block H of contributing summation indices
-    for the surviving positions.
+    Products landing outside the mask are dropped before the fold. Returns
+    both the value block Z and the bitfield block H of contributing
+    summation indices for the surviving positions.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    allowed: dict[int, set] = {}
-    for r, cols, _ in mask.iter_rows():
-        allowed[r] = set(cols)
-    read = _right_reader(b)
-    add, mul = sr.add, sr.mul
-    mod = ell - 1
-    z_rows, z_ptr, z_cols, z_vals = [], [0], [], []
-    h_rows, h_ptr, h_cols, h_bits = [], [0], [], []
-    for r, acols, avals in a.iter_rows():
-        arow_allowed = allowed.get(r)
-        if not arow_allowed:
-            continue
-        zacc: dict = {}
-        hacc: dict[int, int] = {}
-        zget, hget = zacc.get, hacc.get
-        for k, av in zip(acols, avals):
-            bcols, bvals = read(k)
-            if not bcols:
-                continue
-            bit = 1 << ((inner_base + k) & mod)
-            for c, bv in zip(bcols, bvals):
-                if c not in arow_allowed:
-                    continue
-                x = mul(av, bv)
-                p = zget(c)
-                zacc[c] = x if p is None else add(p, x)
-                h = hget(c)
-                hacc[c] = bit if h is None else h | bit
-        if zacc:
-            z_rows.append(r)
-            z_cols.extend(zacc.keys())
-            z_vals.extend(zacc.values())
-            z_ptr.append(len(z_cols))
-            h_rows.append(r)
-            h_cols.extend(hacc.keys())
-            h_bits.extend(hacc.values())
-            h_ptr.append(len(h_cols))
-    z = DcsrBlock(a.n_rows, b.n_cols, z_rows, z_ptr, z_cols, z_vals)
-    h = DcsrBlock(a.n_rows, b.n_cols, h_rows, h_ptr, h_cols, h_bits)
+    dtype = sr.np_dtype
+    rows, inner, avals = _op_coo(a, False, dtype)
+    _, in_mask = locate(mask.nz_rows, rows)
+    rows, inner, avals = rows[in_mask], inner[in_mask], avals[in_mask]
+    nz, ptr, bcols, bvals = _op_rows(b, False, dtype, inner)
+    e, bi = _expand(inner, nz, ptr)
+    out_rows, out_cols = rows[e], bcols[bi]
+    _, hit = locate(mask.keys(), out_rows * b.n_cols + out_cols)
+    e, bi, out_rows, out_cols = e[hit], bi[hit], out_rows[hit], out_cols[hit]
+    x = sr.np_mul(avals[e], bvals[bi].astype(dtype, copy=False))
+    z = dcsr_from_coo(a.n_rows, b.n_cols, out_rows, out_cols, x, sr.np_add)
+    h = dcsr_from_coo(a.n_rows, b.n_cols, out_rows, out_cols,
+                      _bits(inner, inner_base, ell)[e], np.bitwise_or)
     return z, h

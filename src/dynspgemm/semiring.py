@@ -1,8 +1,9 @@
 """Semiring descriptors for sparse matrix algebra.
 
 A semiring bundles the fold operator (add), the combine operator (mul), their
-identities, and the on-wire value encoding. Matrix code treats entries whose
-value equals `zero` as structural non-zeros: they are kept, never dropped.
+identities, the numpy ufuncs that apply both to arrays, and the on-wire value
+encoding. Matrix code treats entries whose value equals `zero` as structural
+non-zeros: they are kept, never dropped.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ class Semiring:
     identity and annihilator and `one` the multiplicative identity. `is_ring`
     marks semirings whose add has inverses (required by the algebraic update
     path for value decreases/removals expressed through add).
+
+    np_add/np_mul are add/mul as ufuncs over np_dtype arrays, which the
+    kernels and merges use. plus-times-i64 array arithmetic wraps modulo
+    2**64 (numpy int64), still a ring, so the algebraic path stays exact.
+    The boolean lane holds 0/1 bytes (u1) under bitwise or/and.
     """
 
     name: str
@@ -33,16 +39,22 @@ class Semiring:
     is_ring: bool
     value_width: int          # bytes per value on the wire
     np_dtype: np.dtype = field(compare=False)
+    np_add: np.ufunc = field(compare=False)
+    np_mul: np.ufunc = field(compare=False)
 
     def encode_values(self, values) -> bytes:
         return np.asarray(values, dtype=self.np_dtype).tobytes()
 
-    def decode_values(self, buf: bytes, count: int) -> list:
+    def decode_array(self, buf: bytes, count: int) -> np.ndarray:
         arr = np.frombuffer(buf, dtype=self.np_dtype, count=count)
         if self.np_dtype.kind == "u":
             # boolean lane stores one 0/1 byte per value
-            return [bool(x) for x in arr.tolist()]
-        return arr.tolist()
+            return (arr != 0).view(self.np_dtype)
+        return arr
+
+    def decode_values(self, buf: bytes, count: int) -> list:
+        arr = self.decode_array(buf, count)
+        return (arr.astype(bool) if self.np_dtype.kind == "u" else arr).tolist()
 
 
 PLUS_TIMES_I64 = Semiring(
@@ -54,6 +66,8 @@ PLUS_TIMES_I64 = Semiring(
     is_ring=True,
     value_width=8,
     np_dtype=np.dtype("<i8"),
+    np_add=np.add,
+    np_mul=np.multiply,
 )
 
 PLUS_TIMES_F64 = Semiring(
@@ -65,6 +79,8 @@ PLUS_TIMES_F64 = Semiring(
     is_ring=True,
     value_width=8,
     np_dtype=np.dtype("<f8"),
+    np_add=np.add,
+    np_mul=np.multiply,
 )
 
 # Tropical algebra: fold = min, combine = +, so "zero" is +inf and "one" is 0.
@@ -77,6 +93,8 @@ MIN_PLUS = Semiring(
     is_ring=False,
     value_width=8,
     np_dtype=np.dtype("<f8"),
+    np_add=np.minimum,
+    np_mul=np.add,
 )
 
 BOOLEAN = Semiring(
@@ -88,9 +106,15 @@ BOOLEAN = Semiring(
     is_ring=False,
     value_width=1,
     np_dtype=np.dtype("<u1"),
+    np_add=np.bitwise_or,
+    np_mul=np.bitwise_and,
 )
 
 REGISTRY = {sr.name: sr for sr in (PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS, BOOLEAN)}
+
+
+# The ufunc of each semiring add; operator.or_ (bool) also folds bitfields.
+FOLD_UFUNCS = {sr.add: sr.np_add for sr in REGISTRY.values()}
 
 
 def by_name(name: str) -> Semiring:

@@ -13,6 +13,7 @@ from dynspgemm import (
     DcsrBlock,
     DistMatrix,
     DynamicBlock,
+    dcsr_from_coo,
     run_spmd,
 )
 
@@ -43,6 +44,20 @@ def oracle_contribution_bits(a_map: dict, b_map: dict, ell: int) -> dict:
         for j in b_rows.get(k, ()):
             out[(i, j)] = out.get((i, j), 0) | bit
     return out
+
+
+def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
+                      structure_only: bool = False) -> DcsrBlock:
+    """row -> {col: value} mapping to a DCSR block."""
+    entries = [(r, c, v) for r, d in row_map.items() for c, v in d.items()]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return dcsr_from_coo(n_rows, n_cols, rows, cols,
+                         None if structure_only else list(vals))
+
+
+def position_set(block) -> set:
+    """Stored (row, col) positions of a block."""
+    return set(block.entry_map())
 
 
 def transpose_map(m: dict) -> dict:

@@ -44,6 +44,7 @@ from helpers import (
     mixed_general_batch,
     oracle_contribution_bits,
     oracle_product,
+    position_set,
     random_map,
     spmd_collect,
     update_from_map,
@@ -133,7 +134,7 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
             assert st.C.block.entry_map() == static.block.entry_map()
             to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
-            touched_g = {to_global(i, j, r, c) for (r, c) in touched.positions()}
+            touched_g = {to_global(i, j, r, c) for (r, c) in position_set(touched)}
             return before, st.C.global_entries(), touched_g
 
         out = spmd_collect(q, worker)

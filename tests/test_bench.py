@@ -315,6 +315,59 @@ def test_checksum_frozen_example():
         "nnz=0;hash=0000000000000000"
 
 
+# Outputs of a fixed small run of every experiment (R-MAT scale 8, ef 8,
+# three batches of 16 updates per rank, seed 5): the checksum string and the
+# total bytes moved. Every value is an integer, so a port of the local layer
+# to other arithmetic must reproduce them bit for bit, and every wire size
+# depends only on listed rows and nnz. semiring None is the default.
+_FROZEN_RUNS = [
+    ("construct", 1, False, None, "nnz=48;hash=c76739c1920f3426", 0),
+    ("construct", 1, True, None, "nnz=48;hash=97aaac60ce8d68a5", 0),
+    ("construct", 2, False, None, "nnz=192;hash=12e1e6958a4b2496", 9350),
+    ("construct", 2, True, None, "nnz=192;hash=f16447eb76026305", 9350),
+    ("insert", 1, False, None, "nnz=1376;hash=66bd515b09f91913", 0),
+    ("insert", 1, True, None, "nnz=1376;hash=9f409cdea65d6d38", 0),
+    ("insert", 2, False, None, "nnz=1520;hash=e26d949aeadfd70c", 9750),
+    ("insert", 2, True, None, "nnz=1520;hash=88f5935ac055c69a", 9750),
+    ("update", 1, False, None, "nnz=2656;hash=24b9e036bb0ec3a7", 0),
+    ("update", 1, True, None, "nnz=2656;hash=f5026d1929d2b1f6", 0),
+    ("update", 2, False, None, "nnz=2656;hash=ac371db601ee29f9", 9350),
+    ("update", 2, True, None, "nnz=2656;hash=cec4a44633f940b8", 9350),
+    ("delete", 1, False, None, "nnz=2608;hash=3d96dcfff5468f30", 0),
+    ("delete", 1, True, None, "nnz=2608;hash=ec2d51d0679afd61", 0),
+    ("delete", 2, False, None, "nnz=2464;hash=e81003abed029f80", 9350),
+    ("delete", 2, True, None, "nnz=2464;hash=8ae3ba5bdf15f6c1", 9350),
+    ("spgemm-algebraic", 1, False, None, "nnz=1746;hash=46c1824b19307711", 0),
+    ("spgemm-algebraic", 1, True, None, "nnz=1746;hash=bbb150400ebbf8cc", 0),
+    ("spgemm-algebraic", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 144870),
+    ("spgemm-algebraic", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 144870),
+    ("spgemm-general", 1, False, None, "nnz=1746;hash=337df34d89022581", 0),
+    ("spgemm-general", 1, True, None, "nnz=1746;hash=3d2e96a96b1088e0", 0),
+    ("spgemm-general", 2, False, None, "nnz=5875;hash=b6770ae57c7cea97", 542758),
+    ("spgemm-general", 2, True, None, "nnz=5875;hash=26d7c93d45357f15", 542758),
+    ("spgemm-static", 1, False, None, "nnz=1746;hash=46c1824b19307711", 0),
+    ("spgemm-static", 1, True, None, "nnz=1746;hash=bbb150400ebbf8cc", 0),
+    ("spgemm-static", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 322822),
+    ("spgemm-static", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 322822),
+    ("spgemm-algebraic", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 91166),
+    ("spgemm-algebraic", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 144870),
+    ("spgemm-static", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 203276),
+    ("spgemm-static", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 322822),
+]
+
+
+@pytest.mark.parametrize("experiment,q,random_values,semiring,checksum,nbytes",
+                         _FROZEN_RUNS)
+def test_frozen_checksums_and_bytes(experiment, q, random_values, semiring,
+                                    checksum, nbytes):
+    records, got = run_experiment(ExperimentConfig(
+        experiment=experiment, rmat_scale=8, rmat_edge_factor=8, q=q,
+        batch_size=16, n_batches=3, seed=5, random_values=random_values,
+        semiring=semiring))
+    assert got == checksum
+    assert sum(sum(r.bytes.values()) for r in records) == nbytes
+
+
 # -- config validation ----------------------------------------------------------
 
 def _cfg(**kw):
@@ -608,8 +661,7 @@ def test_cli_verification_catches_one_changed_value(monkeypatch, capsys):
 
     def off_by_one(comm, a, b, sr, phases=None):
         c = real(comm, a, b, sr)
-        r, cols, vals = next(c.block.iter_rows())
-        c.block.upsert(r, cols[0], vals[0] + 1)
+        c.block.vals[0] += 1
         changed.append(c.block.nnz)
         return c
 

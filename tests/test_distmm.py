@@ -25,6 +25,7 @@ from dynspgemm import (
     spgemm_general_update,
     summa_static,
 )
+from dynspgemm.bench import _local_checksum
 from helpers import (
     apply_delta,
     dist_from_map,
@@ -33,6 +34,7 @@ from helpers import (
     mixed_general_batch,
     oracle_contribution_bits,
     oracle_product,
+    position_set,
     random_map,
     spmd_collect,
     transpose_map,
@@ -255,6 +257,45 @@ def test_algebraic_hand_example():
     assert got == {(0, 0): 1, (1, 1): 3, (2, 2): 1, (3, 3): 1, (0, 1): 6}
 
 
+def _wrap_i64(v: int) -> int:
+    return (v + 2**63) % 2**64 - 2**63
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_plus_times_i64_wraps_modulo_2_64(q):
+    # Sums and products past 2**63 wrap as numpy int64 does. Reduction
+    # modulo 2**64 preserves ring arithmetic, so the maintained product
+    # still equals the recompute, and the checksum reads it.
+    n = 6
+    big = 2**62 + 12345
+    a_map = {(i, k): big + i for i in range(n) for k in range(n)
+             if (i + k) % 2 == 0}
+    b_map = {(k, j): 3 + k for k in range(n) for j in range(n)
+             if (k + 2 * j) % 3 != 1}
+    a_delta = {(0, 1): big, (3, 2): -big}   # two inserts
+    a_after = apply_delta(a_map, a_delta, PLUS_TIMES_I64)
+    exact = oracle_product(a_after, b_map, PLUS_TIMES_I64)
+    assert max(abs(v) for v in exact.values()) >= 2**63
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, a_map)
+        b = dist_from_map(part, comm, b_map)
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
+        d_a = update_from_map(part, comm, a_delta)
+        d_b = update_from_map(part, comm, {})
+        spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
+        add_into(a.block, d_a.block, PLUS_TIMES_I64.add)
+        static = summa_static(comm, a, b, PLUS_TIMES_I64)
+        _local_checksum(st.C, PLUS_TIMES_I64)
+        return st.C.global_entries(), static.global_entries()
+
+    out = spmd_collect(q, worker)
+    want = {p: _wrap_i64(v) for p, v in exact.items()}
+    assert gather_maps([c for c, _ in out]) == want
+    assert gather_maps([s for _, s in out]) == want
+
+
 @pytest.mark.parametrize("q", [1, 2, 4])
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64],
                          ids=lambda s: s.name)
@@ -467,7 +508,7 @@ def test_compute_pattern_hand_example():
         touched, new_bits = compute_pattern(comm, a, d_a, b, d_b, a_prime)
         to_global = part.to_global
         i, j = comm.grid_row, comm.grid_col
-        return ({to_global(i, j, r, c) for (r, c) in touched.positions()},
+        return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
                  new_bits.entry_map().items()})
 
@@ -491,7 +532,7 @@ def test_compute_pattern_right_side_term():
         touched, new_bits = compute_pattern(comm, a, d_a, b, d_b, a)
         to_global = part.to_global
         i, j = comm.grid_row, comm.grid_col
-        return ({to_global(i, j, r, c) for (r, c) in touched.positions()},
+        return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
                  new_bits.entry_map().items()})
 
@@ -539,7 +580,7 @@ def test_compute_pattern_matches_structural_oracle(q):
                                             a_prime, ell=ell)
         to_global = part.to_global
         i, j = comm.grid_row, comm.grid_col
-        return ({to_global(i, j, r, c) for (r, c) in touched.positions()},
+        return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
                  new_bits.entry_map().items()})
 
@@ -621,7 +662,7 @@ def test_general_random_updates_match_static_recompute(q):
             to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
             touched_g = {to_global(i, j, r, c)
-                         for (r, c) in touched.positions()}
+                         for (r, c) in position_set(touched)}
             per_batch.append((before, st.C.global_entries(), touched_g, stats))
             prev_a, prev_b = a1, b1
         return per_batch

@@ -2,19 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
     BOOLEAN,
     DcsrBlock,
     DynamicBlock,
     MIN_PLUS,
+    PLUS_TIMES_F64,
     PLUS_TIMES_I64,
-    dcsr_from_row_map,
+    REGISTRY,
     gustavson_multiply,
     masked_multiply,
     pattern_multiply,
 )
-from helpers import oracle_contribution_bits, oracle_product, random_map, transpose_map
+from dynspgemm.storage import combine_blocks
+from helpers import (
+    dcsr_from_row_map,
+    oracle_contribution_bits,
+    oracle_product,
+    position_set,
+    random_map,
+    transpose_map,
+)
 
 
 def _block(m: dict, n_rows: int, n_cols: int, kind="dynamic"):
@@ -142,7 +152,7 @@ def test_pattern_single_contribution_bit():
     a = _block({(0, 1): 2}, 2, 2)
     b = _block({(1, 1): 3}, 2, 2)
     structure, bloom = pattern_multiply(a, b, inner_base=0, ell=64)
-    assert structure.positions() == {(0, 1)}
+    assert position_set(structure) == {(0, 1)}
     assert structure.vals is None
     assert bloom.entry_map() == {(0, 1): 1 << 1}
 
@@ -168,7 +178,7 @@ def test_pattern_accepts_structure_only_operands():
     a = dcsr_from_row_map(2, 2, {0: {1: None}}, structure_only=True)
     b = dcsr_from_row_map(2, 2, {1: {0: None}}, structure_only=True)
     structure, bloom = pattern_multiply(a, b, inner_base=0, ell=8)
-    assert structure.positions() == {(0, 0)}
+    assert position_set(structure) == {(0, 0)}
     assert bloom.entry_map() == {(0, 0): 1 << 1}
 
 
@@ -188,8 +198,8 @@ def test_pattern_matches_brute_force(ell):
                  oracle_contribution_bits(shifted, {(3 + k, j): v for (k, j), v
                                                     in b_map.items()}, ell).items()}
     assert bloom.entry_map() == want_bits
-    assert structure.positions() == set(want_bits)
-    assert structure.positions() == bloom.positions()
+    assert position_set(structure) == set(want_bits)
+    assert position_set(structure) == position_set(bloom)
 
 
 # -- masked ----------------------------------------------------------------------
@@ -211,7 +221,7 @@ def test_masked_full_mask_equals_plain_product():
     full_mask = DcsrBlock(12, 12, plain.nz_rows, plain.row_ptr, plain.cols, None)
     z, h = masked_multiply(a, b, full_mask, PLUS_TIMES_I64, inner_base=0)
     assert z.entry_map() == plain.entry_map()
-    assert h.positions() == plain.positions()
+    assert position_set(h) == position_set(plain)
 
 
 def test_masked_restricts_to_mask_positions():
@@ -227,7 +237,7 @@ def test_masked_restricts_to_mask_positions():
     z, h = masked_multiply(_block(a_map, 14, 14), _block(b_map, 14, 14), mask,
                            MIN_PLUS, inner_base=0, ell=8)
     assert z.entry_map() == {p: want[p] for p in half}
-    assert z.positions() <= mask.positions()
+    assert position_set(z) <= position_set(mask)
     bits = oracle_contribution_bits(a_map, b_map, 8)
     assert h.entry_map() == {p: bits[p] for p in half}
 
@@ -246,3 +256,140 @@ def test_masked_inner_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         masked_multiply(DynamicBlock(2, 3), DynamicBlock(2, 2),
                         DcsrBlock.empty(2, 2), PLUS_TIMES_I64, inner_base=0)
+
+
+# -- properties against the oracles ---------------------------------------------
+
+def _value(sr):
+    if sr is BOOLEAN:
+        return st.booleans()
+    if sr is PLUS_TIMES_I64:
+        return st.integers(-9, 9)
+    return st.integers(-9, 9).map(float)
+
+
+def _entries(n_rows, n_cols, sr):
+    pos = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    return st.dictionaries(pos, _value(sr), max_size=n_rows * n_cols // 2)
+
+
+@st.composite
+def _operands(draw, sr, ta=False, tb=False):
+    # stored shapes; op(a) is n x k and op(b) is k x m
+    n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
+    a_shape = (k, n) if ta else (n, k)
+    b_shape = (m, k) if tb else (k, m)
+    a_map = draw(_entries(*a_shape, sr))
+    b_map = draw(_entries(*b_shape, sr))
+    kinds = draw(st.tuples(st.sampled_from(("dynamic", "dcsr")),
+                           st.sampled_from(("dynamic", "dcsr"))))
+    return (a_map, b_map, _block(a_map, *a_shape, kinds[0]),
+            _block(b_map, *b_shape, kinds[1]), (n, k, m))
+
+
+_KERNEL_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
+                            database=None)
+
+
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("tb", [False, True])
+@pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_gustavson_matches_oracle_property(sr, ta, tb, data):
+    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr, ta, tb))
+    c = gustavson_multiply(a, b, sr, transpose_a=ta, transpose_b=tb)
+    c.check()
+    assert (c.n_rows, c.n_cols) == (n, m)
+    want = oracle_product(transpose_map(a_map) if ta else a_map,
+                          transpose_map(b_map) if tb else b_map, sr)
+    assert c.entry_map() == want
+
+
+@pytest.mark.parametrize("ell", [8, 64])
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_pattern_matches_oracle_property(ell, data):
+    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
+    # bases near 64 put some summation indices on bit 63 (and wrap past it)
+    base = data.draw(st.sampled_from((0, 5, 52, 60)))
+    structure, bits = pattern_multiply(a, b, inner_base=base, ell=ell)
+    bits.check()
+    shifted_a = {(i, k + base): v for (i, k), v in a_map.items()}
+    shifted_b = {(k + base, j): v for (k, j), v in b_map.items()}
+    want = oracle_contribution_bits(shifted_a, shifted_b, ell)
+    assert bits.entry_map() == want
+    assert position_set(structure) == set(want)
+
+
+def test_pattern_sets_bit_63():
+    a = _block({(0, 3): 1, (0, 4): 1}, 1, 5)
+    b = _block({(3, 0): 1, (4, 0): 1}, 5, 1)
+    _, bits = pattern_multiply(a, b, inner_base=60, ell=64)
+    assert bits.entry_map() == {(0, 0): (1 << 63) | 1}
+
+
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, MIN_PLUS, BOOLEAN],
+                         ids=lambda s: s.name)
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_masked_matches_restricted_oracle_property(sr, data):
+    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr))
+    mask_pos = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, m - 1))))
+    mask = dcsr_from_row_map(n, m, {r: {c: None for rr, c in mask_pos if rr == r}
+                                    for r, _ in mask_pos}, structure_only=True)
+    z, h = masked_multiply(a, b, mask, sr, inner_base=3, ell=8)
+    want = oracle_product(a_map, b_map, sr)
+    assert z.entry_map() == {p: v for p, v in want.items() if p in mask_pos}
+    shifted_a = {(i, k + 3): v for (i, k), v in a_map.items()}
+    shifted_b = {(k + 3, j): v for (k, j), v in b_map.items()}
+    bits = oracle_contribution_bits(shifted_a, shifted_b, 8)
+    assert h.entry_map() == {p: v for p, v in bits.items() if p in mask_pos}
+
+
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
+                                BOOLEAN], ids=lambda s: s.name)
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_combine_blocks_is_a_member_order_fold(sr, data):
+    n = data.draw(st.integers(1, 12))
+    value = (st.sampled_from((1e16, 1.0, -1e16, 3.0)) if sr is PLUS_TIMES_F64
+             else _value(sr))
+    pos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    members = data.draw(st.lists(st.dictionaries(pos, value, max_size=20),
+                                 min_size=1, max_size=4))
+    blocks = [_block(m, n, n, "dcsr") for m in members]
+    got = combine_blocks(blocks, n, n, sr.add, structure_only=False)
+    got.check()
+    want: dict = {}
+    for m in members:
+        for p, v in m.items():
+            want[p] = sr.add(want[p], v) if p in want else v
+    assert got.entry_map() == want
+    union = combine_blocks(blocks, n, n, None, structure_only=True)
+    assert union.vals is None and position_set(union) == set(want)
+
+
+def test_float_sums_fold_in_ascending_inner_index():
+    # Pairwise or reordered summation of these products gives another sum.
+    column = [1e16, 1.0, -1e16, 3.0] * 5 + [1.0] * 20
+    k = len(column)
+    want = 0.0
+    for i, v in enumerate(column):
+        want = v if i == 0 else want + v
+    assert want == 39.0
+    # a stores row 0 in reverse insertion order, so its storage order is
+    # not the inner-index order
+    a = DynamicBlock.from_triples(1, k, [(0, j, v) for j, v in
+                                         reversed(list(enumerate(column)))])
+    b = _block({(j, 0): 1.0 for j in range(k)}, k, 1)
+    for left in (a, a.to_dcsr()):
+        c = gustavson_multiply(left, b, PLUS_TIMES_F64)
+        assert c.entry_map() == {(0, 0): want}
+        mask = dcsr_from_row_map(1, 1, {0: {0: None}}, structure_only=True)
+        z, _ = masked_multiply(left, b, mask, PLUS_TIMES_F64, inner_base=0)
+        assert z.entry_map() == {(0, 0): want}
+    bt = _block({(0, j): 1.0 for j in range(k)}, 1, k)
+    c = gustavson_multiply(a, bt, PLUS_TIMES_F64, transpose_b=True)
+    assert c.entry_map() == {(0, 0): want}

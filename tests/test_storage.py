@@ -16,13 +16,14 @@ from dynspgemm import (
     add_into,
     bloom_codec,
     dcsr_deserialize,
-    dcsr_from_row_map,
+    dcsr_from_coo,
     dcsr_serialize,
     filter_rows_by_bloom,
     or_into,
     same_entries,
     semiring_codec,
 )
+from helpers import dcsr_from_row_map, position_set
 
 
 # -- dynamic block -----------------------------------------------------------
@@ -60,12 +61,12 @@ def test_delete_middle_of_row_keeps_bijection():
     assert b.row_nnz(0) == 2
 
 
-def test_fold_inserts_then_combines():
+def test_apply_updates_combine_inserts_then_folds():
     b = DynamicBlock(2, 2)
-    assert b.fold(0, 0, 4, min) is True
-    assert b.fold(0, 0, 2, min) is False
+    assert b.apply_updates([(0, 0, 0, 4)], combine=min) == (1, 0)
+    assert b.apply_updates([(0, 0, 0, 2)], combine=min) == (0, 0)
     assert b.get(0, 0) == 2
-    assert b.fold(0, 0, 9, min) is False
+    assert b.apply_updates([(0, 0, 0, 9)], combine=min) == (0, 0)
     assert b.get(0, 0) == 2
 
 
@@ -98,7 +99,7 @@ def test_random_ops_match_dict_oracle():
 def test_structural_zero_is_kept():
     b = DynamicBlock(2, 2)
     b.upsert(0, 0, 5)
-    b.fold(0, 0, -5, PLUS_TIMES_I64.add)
+    b.apply_updates([(0, 0, 0, -5)], combine=PLUS_TIMES_I64.add)
     assert b.get(0, 0) == 0
     assert b.contains(0, 0)
     assert b.nnz == 1
@@ -116,17 +117,17 @@ def test_from_triples_and_row_access():
 def test_to_dcsr_example():
     b = DynamicBlock.from_triples(3, 2, [(0, 1, 5), (2, 0, 3)])
     d = b.to_dcsr()
-    assert d.nz_rows == [0, 2]
-    assert d.row_ptr == [0, 1, 2]
-    assert d.cols == [1, 0]
-    assert d.vals == [5, 3]
+    assert d.nz_rows.tolist() == [0, 2]
+    assert d.row_ptr.tolist() == [0, 1, 2]
+    assert d.cols.tolist() == [1, 0]
+    assert d.vals.tolist() == [5, 3]
     assert d.nnz == 2
     d.check()
 
 
 def test_to_dcsr_empty():
     d = DynamicBlock(4, 4).to_dcsr()
-    assert d.nz_rows == [] and d.row_ptr == [0] and d.cols == []
+    assert d.nz_rows.tolist() == [] and d.row_ptr.tolist() == [0] and d.cols.tolist() == []
     assert d.nnz == 0
 
 
@@ -139,7 +140,7 @@ def test_round_trip_conversions_preserve_triples():
     want = set((r, c, v) for r, c, v in triples)
     assert set(b.to_dcsr().triples()) == want
     assert b.to_dcsr().entry_map() == b.entry_map()
-    assert b.to_dcsr().positions() == {(r, c) for r, c, _ in triples}
+    assert position_set(b.to_dcsr()) == {(r, c) for r, c, _ in triples}
 
 
 def test_to_arrays_storage_order_and_dtype():
@@ -232,19 +233,31 @@ def test_same_entries_agrees_with_entry_map_equality():
     assert outcomes == {True, False}
 
 
-def test_dcsr_from_row_map_orders_rows():
-    d = dcsr_from_row_map(5, 5, {3: {1: 7}, 0: {4: 2, 0: 1}, 2: {}})
-    assert d.nz_rows == [0, 3]
-    assert d.entry_map() == {(0, 4): 2, (0, 0): 1, (3, 1): 7}
-    s = dcsr_from_row_map(5, 5, {1: {2: None}}, structure_only=True)
+def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
+    d = dcsr_from_coo(5, 5, [3, 0, 0], [1, 4, 0], [7, 2, 1])
+    assert d.nz_rows.tolist() == [0, 3]
+    assert d.row_ptr.tolist() == [0, 2, 3]
+    assert d.cols.tolist() == [0, 4, 1]
+    assert list(d.triples()) == [(0, 0, 1), (0, 4, 2), (3, 1, 7)]
+    d.check()
+    # a repeated position folds left to right in input order; without a
+    # fold the first entry stays
+    big = [1e16, 1.0, -1e16, 3.0]
+    rows, cols = [2, 0, 2, 2, 2], [1, 0, 1, 1, 1]
+    vals = np.array([big[0], 5.0] + big[1:])
+    assert dcsr_from_coo(3, 3, rows, cols, vals, np.add).entry_map() == \
+        {(0, 0): 5.0, (2, 1): 3.0}
+    assert dcsr_from_coo(3, 3, rows, cols, vals).entry_map() == \
+        {(0, 0): 5.0, (2, 1): 1e16}
+    s = dcsr_from_coo(5, 5, [1, 1], [2, 2])
     assert s.vals is None
-    assert s.positions() == {(1, 2)}
+    assert position_set(s) == {(1, 2)}
 
 
 def test_dcsr_empty_classmethod():
     d = DcsrBlock.empty(3, 4)
     assert (d.n_rows, d.n_cols, d.nnz) == (3, 4, 0)
-    assert d.vals == []
+    assert d.vals.tolist() == []
     s = DcsrBlock.empty(3, 4, structure_only=True)
     assert s.vals is None
 
@@ -256,6 +269,8 @@ def test_dcsr_check_rejects_malformed():
         DcsrBlock(2, 2, [0], [0, 0], [], []).check()                # empty listed row
     with pytest.raises(AssertionError):
         DcsrBlock(2, 2, [0], [0, 1], [5], [1]).check()              # col out of range
+    with pytest.raises(AssertionError):
+        DcsrBlock(2, 2, [0], [0, 2], [1, 0], [1, 1]).check()        # cols unordered
     with pytest.raises(ValueError):
         DcsrBlock(2, 2, [0], [0], [], [])                           # short row_ptr
 
@@ -402,7 +417,7 @@ def test_wire_structure_only():
     blob = dcsr_serialize(b, STRUCTURE_CODEC)
     back = dcsr_deserialize(blob, STRUCTURE_CODEC)
     assert back.vals is None
-    assert back.positions() == {(1, 0), (1, 3)}
+    assert position_set(back) == {(1, 0), (1, 3)}
 
 
 def test_wire_bloom_round_trip():
@@ -455,6 +470,9 @@ def test_wire_rejects_inconsistent_structure():
         dcsr_deserialize(body([0, 2], [0, 1, 2], [1, 7], [5, 3]), codec)  # col overflow
     with pytest.raises(DecodeError):
         dcsr_deserialize(body([0, 5], [0, 1, 2], [1, 0], [5, 3]), codec)  # row overflow
+    head = struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 3, 1, 2)  # one row, two entries
+    with pytest.raises(DecodeError, match="columns"):
+        dcsr_deserialize(body([0], [0, 2], [2, 1], [5, 3]), codec)        # cols unordered
 
 
 def test_structural_zero_survives_wire():

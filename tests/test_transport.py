@@ -14,11 +14,11 @@ from dynspgemm import (
     PhaseRecorder,
     STRUCTURE_CODEC,
     TransportError,
-    dcsr_from_row_map,
     dcsr_serialize,
     run_spmd,
     semiring_codec,
 )
+from helpers import dcsr_from_row_map
 
 I64 = semiring_codec(PLUS_TIMES_I64)
 
