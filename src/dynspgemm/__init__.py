@@ -39,17 +39,12 @@ from .transport import (
     run_spmd,
 )
 from .redistribute import (
-    IndexPermutation,
     OP_DELETE,
     OP_UPSERT,
-    UpdateTuple,
     apply_batch,
-    counting_sort,
-    decode_tuples,
-    delete,
-    encode_tuples,
+    batch_dtype,
     redistribute_updates,
-    upsert,
+    update_batch,
 )
 from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
 from .distmm import (
@@ -71,7 +66,6 @@ from .bench import (
     emit_csv,
     load_edges,
     parse_csv,
-    rmat_generate,
     run_experiment,
 )
 
@@ -81,20 +75,17 @@ __all__ = [
     "AbortedError", "BOOLEAN", "BlockPartition", "Communicator",
     "ConfigError", "Counters", "DcsrBlock", "DeadlockError",
     "DecodeError", "DistMatrix", "DynamicBlock", "ExperimentConfig",
-    "IndexPermutation", "MIN_PLUS", "MetricsRecord", "NULL_PHASES",
-    "OP_DELETE", "OP_UPSERT",
+    "MIN_PLUS", "MetricsRecord", "NULL_PHASES", "OP_DELETE", "OP_UPSERT",
     "PHASE_NAMES", "PLUS_TIMES_F64", "PLUS_TIMES_I64", "PhaseRecorder",
     "ProcessGrid", "REGISTRY", "ResourceCapError", "STRUCTURE_CODEC",
     "Semiring", "SimCluster", "SpgemmState", "TransportError",
-    "UnsupportedFeatureError", "UpdateTuple", "VerificationError", "add_into",
-    "apply_batch", "bloom_codec", "by_name", "compute_pattern",
-    "counting_sort", "dcsr_deserialize", "dcsr_from_coo",
-    "dcsr_serialize", "decode_tuples", "delete", "emit_csv", "encode_tuples",
-    "filter_rows_by_bloom", "gustavson_multiply", "load_edges",
-    "masked_multiply", "or_into", "parse_csv",
-    "pattern_multiply", "redistribute_updates", "rmat_generate",
+    "UnsupportedFeatureError", "VerificationError", "add_into",
+    "apply_batch", "batch_dtype", "bloom_codec", "by_name",
+    "compute_pattern", "dcsr_deserialize", "dcsr_from_coo",
+    "dcsr_serialize", "emit_csv", "filter_rows_by_bloom",
+    "gustavson_multiply", "load_edges", "masked_multiply", "or_into",
+    "parse_csv", "pattern_multiply", "redistribute_updates",
     "run_experiment", "run_spmd", "same_entries", "semiring_codec",
-    "spgemm_algebraic_init",
-    "spgemm_algebraic_update", "spgemm_general_update", "split_range",
-    "summa_static", "upsert",
+    "spgemm_algebraic_init", "spgemm_algebraic_update",
+    "spgemm_general_update", "split_range", "summa_static", "update_batch",
 ]

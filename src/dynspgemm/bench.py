@@ -22,10 +22,10 @@ import numpy as np
 from .distmm import DistMatrix, spgemm_algebraic_init, \
     spgemm_algebraic_update, spgemm_general_update, summa_static
 from .grid import BlockPartition
-from .redistribute import UpdateTuple, apply_batch, delete, \
-    redistribute_updates, upsert
+from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
+    update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import DcsrBlock, DynamicBlock, same_entries
+from .storage import DcsrBlock, DynamicBlock, dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
 
 
@@ -56,7 +56,7 @@ class ExperimentConfig:
     rmat_edge_factor: int = 16
     semiring: str | None = None   # None: plus-times-i64, min-plus for general
     q: int = 1                    # grid side; q*q simulated ranks
-    batch_size: int = 1024        # update tuples per rank per batch
+    batch_size: int = 1024        # updates per rank per batch
     n_batches: int = 10
     seed: int = 1
     ell: int = 64
@@ -119,25 +119,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def load_edges(path: str, sr: Semiring = PLUS_TIMES_I64):
     """Read a graph file as an undirected adjacency: every edge {u, v} yields
     upserts (u,v) and (v,u), self-loops once, values the multiplicative
-    identity. Returns (n, tuples) with tuples sorted and deduplicated.
+    identity. Returns (n, batch), the update batch sorted by (row, col) and
+    deduplicated.
 
     Detects Matrix Market (coordinate real/integer/pattern, general or
     symmetric) by its banner; anything else is parsed as a whitespace
     edge list of 0-based "u v [weight]" lines with # or % comments.
     """
-    n, pairs = _load_pairs(path)
-    return n, [upsert(u, v, sr.one) for u, v in pairs]
+    n, rows, cols = _load_positions(path)
+    return n, update_batch(sr, rows, cols)
 
 
-def _load_pairs(path: str) -> tuple[int, list[tuple[int, int]]]:
+def _load_positions(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, rows, cols) of the sorted, deduplicated adjacency positions."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
             if first.startswith("%%MatrixMarket"):
-                return _parse_matrix_market(first, fh, path)
-            return _parse_edge_list(first, fh, path)
+                n, pairs = _parse_matrix_market(first, fh, path)
+            else:
+                n, pairs = _parse_edge_list(first, fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return n, arr[:, 0], arr[:, 1]
 
 
 def _parse_matrix_market(banner: str, fh, path: str):
@@ -248,15 +253,6 @@ def rmat_arrays(scale: int, edge_factor: int,
     return src, dst
 
 
-def rmat_generate(scale: int, edge_factor: int, seed: int,
-                  sr: Semiring = PLUS_TIMES_I64) -> list[UpdateTuple]:
-    """The directed edge stream as upsert tuples (values the multiplicative
-    identity), exactly as drawn: duplicates retained, order preserved."""
-    src, dst = rmat_arrays(scale, edge_factor, seed)
-    one = sr.one
-    return [upsert(int(u), int(v), one) for u, v in zip(src, dst)]
-
-
 def symmetrized_pool(src: np.ndarray, dst: np.ndarray,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
     """Unique undirected adjacency positions from a directed edge stream:
@@ -322,15 +318,6 @@ def combine_checksums(parts) -> str:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def _owner_vec(idx: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Vectorized owner range of global indices under the balanced split."""
-    base, extra = divmod(n, q)
-    cut = extra * (base + 1)
-    low = idx // (base + 1)
-    high = extra + (idx - cut) // max(base, 1)
-    return np.where(idx < cut, low, high)
-
-
 def _estimate_flops(n: int, rows: np.ndarray) -> int:
     """Multiplication work bound for the squared symmetric adjacency: the sum
     over inner indices of (degree)^2. Used for the resource guard and the
@@ -354,14 +341,15 @@ def _entry_values(cfg: ExperimentConfig, sr: Semiring,
     return base
 
 
-def _modified_value(i: int, j: int, seed: int, sr: Semiring):
-    """Entry-deterministic replacement value for the 'update' experiment."""
-    v = ((i * 2654435761 + j * 40503 + seed * 97) % 95) + 2
+def _modified_value(i: np.ndarray, j: np.ndarray, seed: int, sr: Semiring):
+    """Entry-deterministic replacement values for the 'update' experiment:
+    ((i * 2654435761 + j * 40503 + seed * 97) mod 95) + 2, reduced term by
+    term so that int64 arithmetic cannot overflow."""
     if sr.np_dtype.kind == "u":
         return True
-    if sr.np_dtype.kind == "f":
-        return float(v)
-    return v
+    v = (i % 95 * (2654435761 % 95) + j % 95 * (40503 % 95)
+         + seed * 97 % 95) % 95 + 2
+    return v.astype(sr.np_dtype)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
@@ -406,11 +394,10 @@ def _build_pool(cfg: ExperimentConfig):
         src, dst = rmat_arrays(cfg.rmat_scale, cfg.rmat_edge_factor, cfg.seed)
         rows, cols = symmetrized_pool(src, dst, n)
         return n, rows, cols
-    n, pairs = _load_pairs(cfg.input_path)
+    n, rows, cols = _load_positions(cfg.input_path)
     if n == 0:
         raise ConfigError(f"{cfg.input_path}: no vertices found")
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return n, arr[:, 0], arr[:, 1]
+    return n, rows, cols
 
 
 def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
@@ -422,18 +409,20 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
     m = len(rows)
     p = comm.size
 
-    own_r = _owner_vec(rows, n, comm.q)
-    own_c = _owner_vec(cols, n, comm.q)
-    mine_mask = (own_r == i) & (own_c == j)
+    mine_mask = ((part.owner_grid_rows(rows) == i)
+                 & (part.owner_grid_cols(cols) == j))
 
-    def owned_triples(sel: np.ndarray):
-        lr = (rows[sel] - r0).tolist()
-        lc = (cols[sel] - c0).tolist()
-        lv = [sr.one] * len(lr) if vals is None else vals[sel].tolist()
-        return zip(lr, lc, lv)
+    def pool_batch(chosen: np.ndarray) -> np.ndarray:
+        """Upserts of the chosen pool entries with their pool values."""
+        return update_batch(sr, rows[chosen], cols[chosen],
+                            None if vals is None else vals[chosen])
 
-    def value_at(k: int):
-        return sr.one if vals is None else vals[k].item()
+    def owned_block(pool_mask=True) -> DynamicBlock:
+        """The local block of the owned pool entries where pool_mask is set."""
+        block = DynamicBlock(*part.block_shape(i, j))
+        apply_batch(block, pool_batch(np.flatnonzero(mine_mask & pool_mask)),
+                    sr, r0, c0)
+        return block
 
     # Draw pool: the pool indices this rank may insert/modify/delete, drawn
     # without replacement across batches, seeded per (rank, batch).
@@ -458,10 +447,10 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
         return chosen
 
     if cfg.experiment in _SPGEMM:
-        return _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples,
-                              value_at, draw, rows, cols, do_verify)
-    return _local_matrix_worker(comm, cfg, sr, part, mine_mask, owned_triples,
-                                value_at, draw, rows, cols)
+        return _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch,
+                              draw, do_verify)
+    return _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch,
+                                draw, rows, cols)
 
 
 def _new_record() -> dict:
@@ -477,41 +466,36 @@ def _finish_record(rec: dict, phases: PhaseRecorder, t0: float) -> None:
     rec["total_seconds"] = time.perf_counter() - t0
 
 
-def _local_matrix_worker(comm, cfg, sr, part, mine_mask, owned_triples,
-                         value_at, draw, rows, cols) -> dict:
+def _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
+                         rows, cols) -> dict:
     i, j = comm.grid_row, comm.grid_col
     r0 = part.row_starts[i]
     c0 = part.col_starts[j]
-    shape = part.block_shape(i, j)
     exp = cfg.experiment
 
     if exp == "construct":
-        block = DynamicBlock(*shape)
+        block = DynamicBlock(*part.block_shape(i, j))
     elif exp == "insert":
-        pre = mine_mask & (np.arange(len(rows)) % 2 == 0)
-        block = DynamicBlock.from_triples(*shape, owned_triples(np.flatnonzero(pre)))
+        block = owned_block(np.arange(len(rows)) % 2 == 0)
     else:  # update, delete: start from the full adjacency
-        block = DynamicBlock.from_triples(*shape, owned_triples(np.flatnonzero(mine_mask)))
+        block = owned_block()
     a = DistMatrix(part, i, j, block)
 
     records = []
     for b in range(cfg.n_batches):
         chosen = draw(b)
+        r, c = rows[chosen], cols[chosen]
         if exp == "delete":
-            tuples = [delete(int(rows[k]), int(cols[k])) for k in chosen]
+            batch = update_batch(sr, r, c, ops=OP_DELETE)
         elif exp == "update":
-            tuples = [upsert(int(rows[k]), int(cols[k]),
-                             _modified_value(int(rows[k]), int(cols[k]),
-                                             cfg.seed, sr))
-                      for k in chosen]
+            batch = update_batch(sr, r, c, _modified_value(r, c, cfg.seed, sr))
         else:
-            tuples = [upsert(int(rows[k]), int(cols[k]), value_at(int(k)))
-                      for k in chosen]
+            batch = pool_batch(chosen)
         rec = _new_record()
         phases = PhaseRecorder(comm)
         t0 = time.perf_counter()
         with phases.phase("redistribute"):
-            owned = redistribute_updates(comm, part, tuples, sr)
+            owned = redistribute_updates(comm, part, batch, sr)
         with phases.phase("merge"):
             apply_batch(block, owned, sr, r0, c0, mode="set")
         _finish_record(rec, phases, t0)
@@ -523,16 +507,15 @@ def _local_matrix_worker(comm, cfg, sr, part, mine_mask, owned_triples,
             "verify_ok": True}
 
 
-def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
-                   draw, rows, cols, do_verify: bool) -> dict:
+def _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
+                   do_verify: bool) -> dict:
     i, j = comm.grid_row, comm.grid_col
     r0 = part.row_starts[i]
     c0 = part.col_starts[j]
     shape = part.block_shape(i, j)
     exp = cfg.experiment
 
-    b_block = DynamicBlock.from_triples(
-        *shape, owned_triples(np.flatnonzero(mine_mask)))
+    b_block = owned_block()
     b_mat = DistMatrix(part, i, j, b_block)
     a_mat = DistMatrix.empty_dynamic(part, comm)
     state = None
@@ -543,18 +526,18 @@ def _spgemm_worker(comm, cfg, sr, part, mine_mask, owned_triples, value_at,
 
     records = []
     for b in range(cfg.n_batches):
-        chosen = draw(b)
-        tuples = [upsert(int(rows[k]), int(cols[k]), value_at(int(k)))
-                  for k in chosen]
+        batch = pool_batch(draw(b))
         rec = _new_record()
         phases = PhaseRecorder(comm)
         t0 = time.perf_counter()
         with phases.phase("redistribute"):
-            owned = redistribute_updates(comm, part, tuples, sr)
-            delta_dyn = DynamicBlock(*shape)
-            for t in owned:
-                delta_dyn.upsert(t.row - r0, t.col - c0, t.value)
-        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr())
+            owned = redistribute_updates(comm, part, batch, sr)
+            # The batch's positions are unique (drawn without replacement
+            # from a pool of unique positions split across ranks), so the
+            # first-wins of dcsr_from_coo equals applying the batch in order.
+            delta = dcsr_from_coo(*shape, owned["i"] - r0, owned["j"] - c0,
+                                  owned["v"])
+        a_delta = DistMatrix(part, i, j, delta)
 
         stats = {}
         if exp == "spgemm-algebraic":

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1, metavar="Q",
                    help="grid side; simulates Q*Q ranks (default 1)")
     p.add_argument("--batch-size", type=int, default=1024, metavar="N",
-                   help="update tuples per rank per batch (default 1024)")
+                   help="updates per rank per batch (default 1024)")
     p.add_argument("--batches", type=int, default=10, metavar="K",
                    help="number of batches (default 10)")
     p.add_argument("--seed", type=int, default=1)

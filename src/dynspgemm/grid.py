@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ProcessGrid:
@@ -76,6 +78,14 @@ class BlockPartition:
 
     def owner_grid_col(self, j: int) -> int:
         return _owner(j, self.n_cols, self.q)
+
+    def owner_grid_rows(self, rows: np.ndarray) -> np.ndarray:
+        """owner_grid_row of every entry of an array of in-range indices."""
+        return np.searchsorted(self.row_starts, rows, side="right") - 1
+
+    def owner_grid_cols(self, cols: np.ndarray) -> np.ndarray:
+        """owner_grid_col of every entry of an array of in-range indices."""
+        return np.searchsorted(self.col_starts, cols, side="right") - 1
 
     def owner_coords(self, i: int, j: int) -> tuple[int, int]:
         return self.owner_grid_row(i), self.owner_grid_col(j)

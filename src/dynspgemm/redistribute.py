@@ -1,15 +1,18 @@
-"""Routing of update tuples to their owner ranks and batched application.
+"""Routing of update batches to their owner ranks and batched application.
+
+A batch is one numpy structured array of update records of dtype
+batch_dtype(sr): global row "i" and column "j" (int64), "op" (OP_UPSERT or
+OP_DELETE, one byte) and value "v" in the semiring's wire dtype (the
+semiring zero in a delete). The wire carries the records' own bytes: a send
+is `tobytes()`, a receive `np.frombuffer`.
 
 Routing runs in two all-to-all steps, each over at most q peers: first within
 the rank's grid column to fix the grid row, then within the grid row to fix
-the grid column. Tuples are counting-sorted into the q destination buckets
-before each step, so the whole path is linear and stable.
+the grid column. Before each step a stable argsort by destination puts the
+records into q contiguous buckets and keeps their order within a bucket.
 """
 
 from __future__ import annotations
-
-import random
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,167 +23,102 @@ OP_UPSERT = 0
 OP_DELETE = 1
 
 
-class UpdateTuple(NamedTuple):
-    row: int
-    col: int
-    op: int          # OP_UPSERT or OP_DELETE
-    value: object    # ignored for deletes
+def batch_dtype(sr) -> np.dtype:
+    return np.dtype([("i", "<i8"), ("j", "<i8"), ("op", "<u1"), ("v", sr.np_dtype)])
 
 
-def upsert(i: int, j: int, v) -> UpdateTuple:
-    return UpdateTuple(i, j, OP_UPSERT, v)
+def update_batch(sr, rows, cols, vals=None, ops=None) -> np.ndarray:
+    """A batch of updates at the global positions (rows[k], cols[k]): upserts
+    of vals (the multiplicative identity when None), or deletes where ops, an
+    array or one code for all, is OP_DELETE. A delete carries the zero."""
+    batch = np.zeros(len(rows), dtype=batch_dtype(sr))
+    batch["i"] = rows
+    batch["j"] = cols
+    batch["v"] = sr.one if vals is None else vals
+    if ops is not None:
+        batch["op"] = ops
+        batch["v"][batch["op"] != OP_UPSERT] = sr.zero
+    return batch
 
 
-def delete(i: int, j: int) -> UpdateTuple:
-    return UpdateTuple(i, j, OP_DELETE, None)
-
-
-# ---------------------------------------------------------------------------
-# tuple wire codec
-# ---------------------------------------------------------------------------
-
-def _tuple_dtype(sr) -> np.dtype:
-    return np.dtype([("i", "<u8"), ("j", "<u8"), ("op", "<u1"), ("v", sr.np_dtype)])
-
-
-def encode_tuples(tuples: list[UpdateTuple], sr) -> bytes:
-    dt = _tuple_dtype(sr)
-    arr = np.zeros(len(tuples), dtype=dt)
-    if tuples:
-        arr["i"] = [t.row for t in tuples]
-        arr["j"] = [t.col for t in tuples]
-        arr["op"] = [t.op for t in tuples]
-        arr["v"] = [sr.zero if t.op == OP_DELETE else t.value for t in tuples]
-    return arr.tobytes()
-
-
-def decode_tuples(buf: bytes, sr) -> list[UpdateTuple]:
-    dt = _tuple_dtype(sr)
-    if len(buf) % dt.itemsize:
-        raise ValueError(f"tuple buffer length {len(buf)} not a multiple of {dt.itemsize}")
-    arr = np.frombuffer(buf, dtype=dt)
-    vals = sr.decode_values(arr["v"].tobytes(), len(arr))
-    return [
-        UpdateTuple(int(i), int(j), int(op), None if op else v)
-        for i, j, op, v in zip(arr["i"].tolist(), arr["j"].tolist(),
-                               arr["op"].tolist(), vals)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# counting sort
-# ---------------------------------------------------------------------------
-
-def counting_sort(items: list, keys: list[int], n_buckets: int) -> tuple[list, list[int]]:
-    """Stable counting sort of items by integer bucket keys.
-
-    Returns (sorted_items, offsets) where offsets has n_buckets + 1 entries and
-    bucket b occupies sorted_items[offsets[b]:offsets[b+1]].
-    """
-    counts = [0] * n_buckets
-    for k in keys:
-        counts[k] += 1
-    offsets = [0] * (n_buckets + 1)
-    for b in range(n_buckets):
-        offsets[b + 1] = offsets[b] + counts[b]
-    out = [None] * len(items)
-    cursor = offsets[:-1].copy()
-    for item, k in zip(items, keys):
-        out[cursor[k]] = item
-        cursor[k] += 1
-    return out, offsets
+def _check_batch(batch: np.ndarray, sr, row_base: int, col_base: int,
+                 n_rows: int, n_cols: int) -> None:
+    """Raise ValueError unless batch has dtype batch_dtype(sr) and every
+    update lies in the n_rows x n_cols window whose first position is
+    (row_base, col_base)."""
+    if batch.dtype != batch_dtype(sr):
+        raise ValueError(f"batch dtype {batch.dtype} is not the {sr.name} "
+                         f"update record")
+    i, j = batch["i"], batch["j"]
+    bad = ((i < row_base) | (i >= row_base + n_rows)
+           | (j < col_base) | (j >= col_base + n_cols))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(
+            f"update ({i[k]}, {j[k]}) outside rows [{row_base}, "
+            f"{row_base + n_rows}) x cols [{col_base}, {col_base + n_cols})")
 
 
 # ---------------------------------------------------------------------------
 # two-step routing
 # ---------------------------------------------------------------------------
 
-def redistribute_updates(comm, part: BlockPartition, tuples: list[UpdateTuple],
-                         sr) -> list[UpdateTuple]:
-    """Deliver every tuple to the rank owning its (row, col) position.
+def _buckets(dest: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of the records by bucket, and the n_buckets + 1 offsets:
+    bucket b is order[offsets[b]:offsets[b + 1]]."""
+    offsets = np.zeros(n_buckets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dest, minlength=n_buckets), out=offsets[1:])
+    return np.argsort(dest, kind="stable"), offsets
+
+
+def _exchange(comm, axis: str, batch: np.ndarray, dest: np.ndarray,
+              q: int) -> np.ndarray:
+    order, offs = _buckets(dest, q)
+    srt = batch[order]
+    got = comm.all_to_all_v(
+        axis, [srt[offs[g]:offs[g + 1]].tobytes() for g in range(q)])
+    # frombuffer raises ValueError on a buffer that is not whole records
+    return np.concatenate([np.frombuffer(buf, dtype=batch.dtype) for buf in got])
+
+
+def redistribute_updates(comm, part: BlockPartition, batch: np.ndarray,
+                         sr) -> np.ndarray:
+    """Deliver every update of a batch (dtype batch_dtype(sr)) to the rank
+    owning its (row, col) position; returns the batch this rank owns.
 
     Step 1 corrects the grid row (exchange within this rank's grid column),
     step 2 corrects the grid column (exchange within the grid row). Each step
     talks to at most q peers.
     """
-    q = part.q
-    for t in tuples:
-        if not (0 <= t.row < part.n_rows and 0 <= t.col < part.n_cols):
-            raise ValueError(
-                f"tuple ({t.row}, {t.col}) outside {part.n_rows}x{part.n_cols}")
-
-    keys = [part.owner_grid_row(t.row) for t in tuples]
-    srt, offs = counting_sort(tuples, keys, q)
-    bufs = [encode_tuples(srt[offs[g]:offs[g + 1]], sr) for g in range(q)]
-    got = comm.all_to_all_v("col", bufs)
-    rowfixed: list[UpdateTuple] = []
-    for buf in got:
-        rowfixed.extend(decode_tuples(buf, sr))
-
-    keys = [part.owner_grid_col(t.col) for t in rowfixed]
-    srt, offs = counting_sort(rowfixed, keys, q)
-    bufs = [encode_tuples(srt[offs[g]:offs[g + 1]], sr) for g in range(q)]
-    got = comm.all_to_all_v("row", bufs)
-    owned: list[UpdateTuple] = []
-    for buf in got:
-        owned.extend(decode_tuples(buf, sr))
-    return owned
+    _check_batch(batch, sr, 0, 0, part.n_rows, part.n_cols)
+    rowfixed = _exchange(comm, "col", batch, part.owner_grid_rows(batch["i"]),
+                         part.q)
+    return _exchange(comm, "row", rowfixed,
+                     part.owner_grid_cols(rowfixed["j"]), part.q)
 
 
 # ---------------------------------------------------------------------------
 # batched application
 # ---------------------------------------------------------------------------
 
-def apply_batch(block: DynamicBlock, tuples: list[UpdateTuple], sr,
+def apply_batch(block: DynamicBlock, batch: np.ndarray, sr,
                 row_base: int, col_base: int,
                 mode: str = "set") -> tuple[int, int]:
-    """Apply owned tuples (global coordinates) to the local block.
+    """Apply an owned batch (global coordinates) to the local block whose
+    first position is (row_base, col_base), in batch order.
 
     mode "set": upserts overwrite existing values; mode "add": upserts fold
     into existing values with the semiring add. Deletes remove the position if
-    present.
+    present. An update outside the block raises ValueError before any entry
+    changes.
 
     Returns (inserted, deleted) counts.
     """
     if mode not in ("set", "add"):
         raise ValueError(f"unknown apply mode {mode!r}")
+    _check_batch(batch, sr, row_base, col_base, block.n_rows, block.n_cols)
     combine = sr.add if mode == "add" else None
-    return block.apply_updates(tuples, row_base, col_base, combine)
-
-
-# ---------------------------------------------------------------------------
-# index permutation
-# ---------------------------------------------------------------------------
-
-class IndexPermutation:
-    """Seeded random relabeling of row and column indices, used to spread
-    skewed inputs evenly over the grid. Fisher-Yates via random.Random(seed);
-    the seed is kept so a run can be reproduced or inverted later."""
-
-    def __init__(self, n_rows: int, n_cols: int, seed: int):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.seed = seed
-        rng = random.Random(seed)
-        self.row_map = list(range(n_rows))
-        rng.shuffle(self.row_map)
-        self.col_map = list(range(n_cols))
-        rng.shuffle(self.col_map)
-        self.row_inv = _invert(self.row_map)
-        self.col_inv = _invert(self.col_map)
-
-    def map_entry(self, i: int, j: int) -> tuple[int, int]:
-        return self.row_map[i], self.col_map[j]
-
-    def unmap_entry(self, i: int, j: int) -> tuple[int, int]:
-        return self.row_inv[i], self.col_inv[j]
-
-    def map_tuple(self, t: UpdateTuple) -> UpdateTuple:
-        return UpdateTuple(self.row_map[t.row], self.col_map[t.col], t.op, t.value)
-
-
-def _invert(perm: list[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return inv
+    updates = zip((batch["i"] - row_base).tolist(),
+                  (batch["j"] - col_base).tolist(), batch["op"].tolist(),
+                  sr.decode_values(batch["v"].tobytes(), len(batch)))
+    return block.apply_updates(updates, 0, 0, combine)

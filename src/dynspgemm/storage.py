@@ -112,7 +112,7 @@ class DynamicBlock:
     def apply_updates(self, updates, row_base: int = 0, col_base: int = 0,
                       combine: Optional[Callable] = None) -> tuple[int, int]:
         """Bulk point ops from (row, col, op, value) tuples: op 0 upserts,
-        anything else deletes, matching the update-tuple codes. Coordinates
+        anything else deletes, matching OP_UPSERT and OP_DELETE. Coordinates
         are shifted by the bases. An upsert onto an existing entry overwrites,
         or folds as combine(old, new) when combine is given.
         Returns (inserted, deleted).

@@ -20,19 +20,18 @@ from dynspgemm import (
     add_into,
     apply_batch,
     compute_pattern,
-    counting_sort,
+    dcsr_from_coo,
     redistribute_updates,
     run_spmd,
     spgemm_algebraic_init,
     spgemm_algebraic_update,
     spgemm_general_update,
     summa_static,
-    upsert,
+    update_batch,
 )
 from dynspgemm.bench import (
     ExperimentConfig,
     rmat_arrays,
-    rmat_generate,
     run_experiment,
     symmetrized_pool,
 )
@@ -239,12 +238,14 @@ def test_criterion_4_redistribution_conserves_and_stays_local():
         part = BlockPartition(n, n, comm.q)
         lo = count * comm.rank // comm.size
         hi = count * (comm.rank + 1) // comm.size
-        tuples = [upsert(int(rows[k]), int(cols[k]), int(vals[k]))
-                  for k in range(lo, hi)]
-        owned = redistribute_updates(comm, part, tuples, PLUS_TIMES_I64)
+        batch = update_batch(PLUS_TIMES_I64, rows[lo:hi], cols[lo:hi],
+                             vals[lo:hi])
+        owned = redistribute_updates(comm, part, batch, PLUS_TIMES_I64)
         me = (comm.grid_row, comm.grid_col)
-        for t in owned:
-            assert part.owner_coords(t.row, t.col) == me
+        owned = list(zip(owned["i"].tolist(), owned["j"].tolist(),
+                         owned["v"].tolist()))
+        for r, c, _ in owned:
+            assert part.owner_coords(r, c) == me
         g = comm.grid
         col_group = set(g.col_members(comm.grid_col))
         row_group = set(g.row_members(comm.grid_row))
@@ -253,7 +254,7 @@ def test_criterion_4_redistribution_conserves_and_stays_local():
         assert len(peers & col_group) <= comm.q
         assert len(peers & row_group) <= comm.q
         assert comm.counters.n_alltoalls == 2
-        return [(t.row, t.col, t.value) for t in owned]
+        return owned
 
     t0 = time.perf_counter()
     outs = run_spmd(64, worker)
@@ -334,12 +335,10 @@ def test_criterion_6_update_broadcast_volume_beats_static_recompute():
         take = min(per_rank, pool_slice.size)
         chosen = pool_slice[rng.choice(pool_slice.size, size=take,
                                        replace=False)]
-        tuples = [upsert(int(rows[k]), int(cols[k]), 1) for k in chosen]
-        owned = redistribute_updates(comm, part, tuples, PLUS_TIMES_I64)
-        delta_dyn = DynamicBlock(*shape)
-        for t in owned:
-            delta_dyn.upsert(t.row - r0, t.col - c0, t.value)
-        a_delta = DistMatrix(part, i, j, delta_dyn.to_dcsr())
+        batch = update_batch(PLUS_TIMES_I64, rows[chosen], cols[chosen])
+        owned = redistribute_updates(comm, part, batch, PLUS_TIMES_I64)
+        a_delta = DistMatrix(part, i, j, dcsr_from_coo(
+            *shape, owned["i"] - r0, owned["j"] - c0, owned["v"]))
         no_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape))
         before = comm.counters.bytes_broadcast
         spgemm_algebraic_update(comm, state, a0, a_delta, b, no_delta)
@@ -400,12 +399,14 @@ def test_criterion_7_applying_a_batch_beats_rebuilding():
     rows, cols = symmetrized_pool(src, dst, n)
     base = list(zip(rows.tolist(), cols.tolist(), [1] * len(rows)))
 
-    batch = rmat_generate(16, 2, seed=99)
-    assert len(batch) == 131072
-    # batches reach the merge step row-sorted (the routing step counting
-    # sorts); both sides consume the same pre-sorted input
-    batch, _ = counting_sort(batch, [t.row for t in batch], n)
-    batch_triples = [(t.row, t.col, t.value) for t in batch]
+    src, dst = rmat_arrays(16, 2, 99)
+    assert len(src) == 131072
+    # both sides consume the same row-sorted input, on which apply_updates
+    # looks up a row's structures once per run of equal rows
+    order = np.argsort(src, kind="stable")
+    batch = update_batch(PLUS_TIMES_I64, src[order], dst[order])
+    batch_triples = list(zip(batch["i"].tolist(), batch["j"].tolist(),
+                             batch["v"].tolist()))
 
     block = DynamicBlock.from_triples(n, n, base)
     rebuild_times = []

@@ -24,13 +24,13 @@ from dynspgemm.bench import (
     MetricsRecord,
     ResourceCapError,
     _local_checksum,
+    _modified_value,
     combine_checksums,
     emit_csv,
     load_edges,
     parse_csv,
     resolve_semiring,
     rmat_arrays,
-    rmat_generate,
     run_experiment,
     symmetrized_pool,
     validate_config,
@@ -41,58 +41,58 @@ from dynspgemm.transport import PHASE_NAMES
 
 # -- edge-list ingestion ---------------------------------------------------------
 
-def _edges(tuples):
-    return sorted((t.row, t.col) for t in tuples)
+def _edges(batch):
+    return sorted(zip(batch["i"].tolist(), batch["j"].tolist()))
 
 
 def test_load_edges_single_edge(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n == 2
-    assert _edges(tuples) == [(0, 1), (1, 0)]
-    assert all(t.op == OP_UPSERT and t.value == 1 for t in tuples)
+    assert _edges(batch) == [(0, 1), (1, 0)]
+    assert (batch["op"] == OP_UPSERT).all() and (batch["v"] == 1).all()
 
 
 def test_load_edges_self_loop_once(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("2 2\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n == 3
-    assert _edges(tuples) == [(2, 2)]
+    assert _edges(batch) == [(2, 2)]
 
 
 def test_load_edges_triangle(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n1 2\n0 2\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n >= 3
-    assert len(tuples) == 6
-    assert _edges(tuples) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert len(batch) == 6
+    assert _edges(batch) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
 def test_load_edges_comments_blanks_and_weights(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("# header\n\n% more\n0 3 9.5\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n == 4
     # a trailing weight column is tolerated; values stay the identity
-    assert _edges(tuples) == [(0, 3), (3, 0)]
-    assert all(t.value == 1 for t in tuples)
+    assert _edges(batch) == [(0, 3), (3, 0)]
+    assert (batch["v"] == 1).all()
 
 
 def test_load_edges_duplicate_edges_collapse(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n1 0\n0 1\n")
-    _, tuples = load_edges(str(f))
-    assert _edges(tuples) == [(0, 1), (1, 0)]
+    _, batch = load_edges(str(f))
+    assert _edges(batch) == [(0, 1), (1, 0)]
 
 
 def test_load_edges_semiring_identity_value(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n")
-    _, tuples = load_edges(str(f), sr=MIN_PLUS)
-    assert all(t.value == 0.0 for t in tuples)
+    _, batch = load_edges(str(f), sr=MIN_PLUS)
+    assert batch["v"].dtype == np.float64 and (batch["v"] == 0.0).all()
 
 
 @pytest.mark.parametrize("body,lineno", [
@@ -113,18 +113,18 @@ def test_matrix_market_general(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("%%MatrixMarket matrix coordinate integer general\n"
                  "% comment\n3 3 2\n1 2 5\n2 3 1\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n == 3
-    assert _edges(tuples) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert _edges(batch) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_matrix_market_pattern_symmetric(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
                  "3 3 1\n3 1\n")
-    n, tuples = load_edges(str(f))
+    n, batch = load_edges(str(f))
     assert n == 3
-    assert _edges(tuples) == [(0, 2), (2, 0)]
+    assert _edges(batch) == [(0, 2), (2, 0)]
 
 
 @pytest.mark.parametrize("banner,match", [
@@ -173,19 +173,36 @@ def test_matrix_market_missing_size_line(tmp_path):
 # -- synthetic power-law generator ------------------------------------------------
 
 def test_rmat_scale_one_index_range():
-    tuples = rmat_generate(1, 1, seed=3)
-    assert len(tuples) == 2
-    for t in tuples:
-        assert t.row in (0, 1) and t.col in (0, 1)
-        assert t.op == OP_UPSERT and t.value == 1
+    src, dst = rmat_arrays(1, 1, seed=3)
+    assert len(src) == len(dst) == 2
+    assert src.dtype == dst.dtype == np.int64
+    assert set(src.tolist()) <= {0, 1} and set(dst.tolist()) <= {0, 1}
 
 
 def test_rmat_seed_determinism():
-    a = rmat_generate(6, 4, seed=11)
-    b = rmat_generate(6, 4, seed=11)
-    assert [(t.row, t.col) for t in a] == [(t.row, t.col) for t in b]
-    c = rmat_generate(6, 4, seed=12)
-    assert [(t.row, t.col) for t in a] != [(t.row, t.col) for t in c]
+    a = rmat_arrays(6, 4, seed=11)
+    b = rmat_arrays(6, 4, seed=11)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    c = rmat_arrays(6, 4, seed=12)
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+
+
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, BOOLEAN])
+def test_modified_value_matches_the_python_int_formula(sr):
+    # indices up to 2**40 and a large seed: int64 products of the unreduced
+    # formula would overflow
+    rng = np.random.default_rng(3)
+    i = rng.integers(0, 2 ** 40, size=500)
+    j = rng.integers(0, 2 ** 40, size=500)
+    for seed in (1, 77, 2 ** 62):
+        want = [((a * 2654435761 + b * 40503 + seed * 97) % 95) + 2
+                for a, b in zip(i.tolist(), j.tolist())]
+        got = np.broadcast_to(_modified_value(i, j, seed, sr), (500,))
+        if sr is BOOLEAN:
+            assert got.tolist() == [True] * 500
+        else:
+            assert got.tolist() == want
+            assert got.dtype == sr.np_dtype
 
 
 def test_rmat_quadrant_frequencies():

@@ -148,12 +148,32 @@ def test_out_of_range_and_bad_grid_rejected():
         part.to_global(0, 0, 2, 0)
 
 
+def test_owner_array_form_matches_the_scalar_owner():
+    for n, q in ((1, 1), (3, 4), (5, 8), (7, 3), (12, 5), (37, 2), (64, 4)):
+        part = BlockPartition(n, n + 3, q)
+        rows = np.arange(n)
+        cols = np.arange(n + 3)
+        assert part.owner_grid_rows(rows).tolist() == \
+            [part.owner_grid_row(i) for i in range(n)]
+        assert part.owner_grid_cols(cols).tolist() == \
+            [part.owner_grid_col(j) for j in range(n + 3)]
+
+
 def test_range_checks_survive_optimized_mode():
     # python -O strips assert statements; validation must not depend on them
     script = textwrap.dedent("""
-        from dynspgemm import BlockPartition, ProcessGrid
+        from dynspgemm import (BlockPartition, DynamicBlock, PLUS_TIMES_I64,
+                               ProcessGrid, apply_batch, redistribute_updates,
+                               run_spmd, update_batch)
+        part = BlockPartition(8, 8, 1)
+        far = update_batch(PLUS_TIMES_I64, [8], [0])
+        stray = update_batch(PLUS_TIMES_I64, [9], [20])
         for call in (lambda: BlockPartition(8, 8, 2).owner_grid_row(8),
-                     lambda: ProcessGrid(2).rank_of(2, 0)):
+                     lambda: ProcessGrid(2).rank_of(2, 0),
+                     lambda: run_spmd(1, lambda comm: redistribute_updates(
+                         comm, part, far, PLUS_TIMES_I64)),
+                     lambda: apply_batch(DynamicBlock(2, 2), stray,
+                                         PLUS_TIMES_I64, 10, 20)):
             try:
                 print("returned", call())
             except ValueError:
@@ -163,4 +183,4 @@ def test_range_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["raised"] * 4

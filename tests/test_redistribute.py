@@ -1,4 +1,4 @@
-"""Update routing, batched application, and index permutation."""
+"""Update batches, their routing and batched application."""
 
 import numpy as np
 import pytest
@@ -7,74 +7,121 @@ from dynspgemm import (
     BOOLEAN,
     BlockPartition,
     DynamicBlock,
-    IndexPermutation,
     MIN_PLUS,
     OP_DELETE,
     OP_UPSERT,
+    PLUS_TIMES_F64,
     PLUS_TIMES_I64,
+    REGISTRY,
     apply_batch,
-    counting_sort,
-    decode_tuples,
-    delete,
-    encode_tuples,
+    batch_dtype,
     redistribute_updates,
     run_spmd,
-    upsert,
+    update_batch,
 )
+from dynspgemm.redistribute import _buckets
 
 
-# -- counting sort --------------------------------------------------------------
+def records(batch, sr):
+    """A batch as (row, col, op, value) tuples with Python values; a delete
+    reads as value None."""
+    vals = sr.decode_values(batch["v"].tobytes(), len(batch))
+    return [(i, j, op, None if op else v) for i, j, op, v in
+            zip(batch["i"].tolist(), batch["j"].tolist(),
+                batch["op"].tolist(), vals)]
+
+
+def upserts(sr, *entries):
+    """A batch of upserts from (row, col, value) triples."""
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return update_batch(sr, rows, cols, vals)
+
+
+def route_on_one_rank(batch, sr):
+    part = BlockPartition(1 << 41, 1 << 41, 1)
+    return run_spmd(1, lambda comm: redistribute_updates(comm, part, batch, sr))[0]
+
+
+# -- bucket step (the routing sort) -----------------------------------------------
 
 def test_counting_sort_empty():
-    out, offs = counting_sort([], [], 4)
-    assert out == [] and offs == [0, 0, 0, 0, 0]
+    order, offs = _buckets(np.empty(0, dtype=np.int64), 4)
+    assert order.tolist() == [] and offs.tolist() == [0, 0, 0, 0, 0]
 
 
 def test_counting_sort_is_stable():
-    items = ["a0", "b0", "a1", "c0", "a2", "b1"]
-    keys = [0, 1, 0, 2, 0, 1]
-    out, offs = counting_sort(items, keys, 3)
-    assert out == ["a0", "a1", "a2", "b0", "b1", "c0"]
-    assert offs == [0, 3, 5, 6]
+    items = np.array(["a0", "b0", "a1", "c0", "a2", "b1"])
+    keys = np.array([0, 1, 0, 2, 0, 1])
+    order, offs = _buckets(keys, 3)
+    assert items[order].tolist() == ["a0", "a1", "a2", "b0", "b1", "c0"]
+    assert offs.tolist() == [0, 3, 5, 6]
 
 
 def test_counting_sort_matches_sorted_oracle():
     rng = np.random.default_rng(19)
     items = list(range(2000))
-    keys = [int(k) for k in rng.integers(0, 16, size=2000)]
-    out, offs = counting_sort(items, keys, 16)
-    want = [item for item, _ in sorted(zip(items, keys), key=lambda p: p[1])]
+    keys = rng.integers(0, 16, size=2000)
+    order, offs = _buckets(keys, 16)
+    out = order.tolist()
+    want = [item for item, _ in sorted(zip(items, keys.tolist()), key=lambda p: p[1])]
     assert out == want
     for b in range(16):
         assert all(keys[item] == b for item in out[offs[b]:offs[b + 1]])
 
 
-# -- tuple codec ------------------------------------------------------------------
+# -- batch records and their wire bytes ------------------------------------------------
 
 def test_tuple_codec_round_trip():
-    tuples = [upsert(3, 1, 42), delete(0, 7), upsert(2 ** 40, 5, -6)]
-    back = decode_tuples(encode_tuples(tuples, PLUS_TIMES_I64), PLUS_TIMES_I64)
-    assert back == tuples
-    assert back[1].op == OP_DELETE and back[1].value is None
-    assert back[0].op == OP_UPSERT
+    sr = PLUS_TIMES_I64
+    batch = update_batch(sr, [3, 0, 2 ** 40], [1, 7, 5], [42, 99, -6],
+                         ops=[OP_UPSERT, OP_DELETE, OP_UPSERT])
+    assert batch.dtype == batch_dtype(sr) and batch.dtype.itemsize == 25
+    back = route_on_one_rank(batch, sr)
+    assert back.tobytes() == batch.tobytes()
+    assert records(back, sr) == [(3, 1, OP_UPSERT, 42), (0, 7, OP_DELETE, None),
+                                 (2 ** 40, 5, OP_UPSERT, -6)]
+    assert back["v"][1] == sr.zero    # a delete carries the zero
 
 
 def test_tuple_codec_bool_and_tropical():
-    bools = [upsert(1, 1, True), upsert(0, 2, False), delete(3, 3)]
-    assert decode_tuples(encode_tuples(bools, BOOLEAN), BOOLEAN) == bools
-    trop = [upsert(0, 0, 2.5), delete(1, 0)]
-    assert decode_tuples(encode_tuples(trop, MIN_PLUS), MIN_PLUS) == trop
+    bools = update_batch(BOOLEAN, [1, 0, 3], [1, 2, 3], [True, False, True],
+                         ops=np.array([OP_UPSERT, OP_UPSERT, OP_DELETE]))
+    assert bools.dtype.itemsize == 18
+    assert records(route_on_one_rank(bools, BOOLEAN), BOOLEAN) == [
+        (1, 1, OP_UPSERT, True), (0, 2, OP_UPSERT, False),
+        (3, 3, OP_DELETE, None)]
+    trop = update_batch(MIN_PLUS, [0, 1], [0, 0], [2.5, 1.0],
+                        ops=[OP_UPSERT, OP_DELETE])
+    back = route_on_one_rank(trop, MIN_PLUS)
+    assert records(back, MIN_PLUS) == [(0, 0, OP_UPSERT, 2.5),
+                                       (1, 0, OP_DELETE, None)]
+    assert back["v"][1] == np.inf
 
 
 def test_tuple_codec_rejects_ragged_buffer():
-    buf = encode_tuples([upsert(0, 0, 1)], PLUS_TIMES_I64)
+    class TruncatingComm:
+        """One-rank communicator that drops the last byte of every buffer."""
+
+        def all_to_all_v(self, axis, bufs):
+            return [buf[:-1] for buf in bufs]
+
+    batch = upserts(PLUS_TIMES_I64, (0, 0, 1))
     with pytest.raises(ValueError):
-        decode_tuples(buf[:-1], PLUS_TIMES_I64)
+        redistribute_updates(TruncatingComm(), BlockPartition(4, 4, 1), batch,
+                             PLUS_TIMES_I64)
 
 
 def test_tuple_codec_empty():
-    assert encode_tuples([], PLUS_TIMES_I64) == b""
-    assert decode_tuples(b"", PLUS_TIMES_I64) == []
+    batch = update_batch(PLUS_TIMES_I64, [], [])
+    assert batch.tobytes() == b""
+    back = route_on_one_rank(batch, PLUS_TIMES_I64)
+    assert len(back) == 0 and back.dtype == batch_dtype(PLUS_TIMES_I64)
+
+
+def test_update_batch_defaults_to_upserts_of_one():
+    batch = update_batch(PLUS_TIMES_F64, np.array([2, 5]), np.array([0, 1]))
+    assert records(batch, PLUS_TIMES_F64) == [(2, 0, OP_UPSERT, 1.0),
+                                              (5, 1, OP_UPSERT, 1.0)]
 
 
 # -- routing -----------------------------------------------------------------------
@@ -83,56 +130,58 @@ def test_route_single_tuple_to_owner():
     part = BlockPartition(4, 4, 2)
 
     def worker(comm):
-        mine = [upsert(3, 0, 9)] if (comm.grid_row, comm.grid_col) == (0, 1) else []
+        mine = (upserts(PLUS_TIMES_I64, (3, 0, 9))
+                if (comm.grid_row, comm.grid_col) == (0, 1)
+                else upserts(PLUS_TIMES_I64))
         got = redistribute_updates(comm, part, mine, PLUS_TIMES_I64)
-        return got
+        return records(got, PLUS_TIMES_I64)
 
     out = run_spmd(4, worker)
     assert out[0] == [] and out[1] == [] and out[3] == []
-    assert out[2] == [upsert(3, 0, 9)]   # rank (1, 0) owns row 3, col 0
+    assert out[2] == [(3, 0, OP_UPSERT, 9)]   # rank (1, 0) owns row 3, col 0
 
 
 def test_route_keeps_already_owned_tuple_local():
     part = BlockPartition(4, 4, 2)
 
     def worker(comm):
-        mine = [upsert(0, 1, 5)] if comm.rank == 0 else []
+        mine = (upserts(PLUS_TIMES_I64, (0, 1, 5)) if comm.rank == 0
+                else upserts(PLUS_TIMES_I64))
         got = redistribute_updates(comm, part, mine, PLUS_TIMES_I64)
-        return got, comm.counters.bytes_alltoall
+        return records(got, PLUS_TIMES_I64), comm.counters.bytes_alltoall
 
     out = run_spmd(4, worker)
-    assert out[0][0] == [upsert(0, 1, 5)]
+    assert out[0][0] == [(0, 1, OP_UPSERT, 5)]
     assert all(o[0] == [] for o in out[1:])
     assert all(o[1] == 0 for o in out)   # nothing actually crossed ranks
 
 
-def test_route_random_tuples_preserved_and_owned():
+@pytest.mark.parametrize("sr", REGISTRY.values(), ids=REGISTRY.keys())
+def test_route_random_tuples_preserved_and_owned(sr):
     n = 37
     part = BlockPartition(n, n, 2)
     rng = np.random.default_rng(23)
     per_rank = []
     for r in range(4):
-        tuples = []
-        for _ in range(2500):
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            if rng.random() < 0.25:
-                tuples.append(delete(i, j))
-            else:
-                tuples.append(upsert(i, j, int(rng.integers(100))))
-        per_rank.append(tuples)
+        vals = rng.integers(100, size=2500)
+        per_rank.append(update_batch(
+            sr, rng.integers(n, size=2500), rng.integers(n, size=2500),
+            vals % 2 if sr is BOOLEAN else vals,
+            ops=np.where(rng.random(2500) < 0.25, OP_DELETE, OP_UPSERT)))
 
     def worker(comm):
-        got = redistribute_updates(comm, part, per_rank[comm.rank], PLUS_TIMES_I64)
+        got = redistribute_updates(comm, part, per_rank[comm.rank], sr)
         grid = (comm.grid_row, comm.grid_col)
-        assert all(part.owner_coords(t.row, t.col) == grid for t in got)
+        assert all(part.owner_coords(i, j) == grid for i, j, _, _ in
+                   records(got, sr))
         peers = set(comm.counters.peers_sent)
         assert peers <= set(comm.row_group()) | set(comm.col_group())
         assert comm.counters.n_alltoalls == 2
-        return got
+        return records(got, sr)
 
     out = run_spmd(4, worker)
     got_all = sorted(t for chunk in out for t in chunk)
-    sent_all = sorted(t for chunk in per_rank for t in chunk)
+    sent_all = sorted(t for batch in per_rank for t in records(batch, sr))
     assert got_all == sent_all
 
 
@@ -140,109 +189,98 @@ def test_route_rejects_out_of_range_before_talking():
     part = BlockPartition(4, 4, 2)
 
     def worker(comm):
-        bad = [upsert(4, 0, 1)] if comm.rank == 1 else []
+        bad = (upserts(PLUS_TIMES_I64, (4, 0, 1)) if comm.rank == 1
+               else upserts(PLUS_TIMES_I64))
         return redistribute_updates(comm, part, bad, PLUS_TIMES_I64)
 
     with pytest.raises(ValueError, match="outside"):
         run_spmd(4, worker)
 
 
+def test_route_rejects_a_negative_index_and_another_semirings_batch():
+    part = BlockPartition(4, 4, 1)
+
+    def worker(comm, batch, sr):
+        return redistribute_updates(comm, part, batch, sr)
+
+    with pytest.raises(ValueError, match="outside"):
+        run_spmd(1, worker, upserts(PLUS_TIMES_I64, (0, -1, 1)), PLUS_TIMES_I64)
+    with pytest.raises(ValueError, match="update record"):
+        run_spmd(1, worker, upserts(PLUS_TIMES_I64, (0, 1, 1)), BOOLEAN)
+
+
 # -- batched application --------------------------------------------------------------
 
 def test_apply_upsert_then_delete_same_position():
     b = DynamicBlock(4, 4)
-    stats = apply_batch(b, [upsert(1, 2, 5), delete(1, 2)], PLUS_TIMES_I64, 0, 0)
+    batch = update_batch(PLUS_TIMES_I64, [1, 1], [2, 2], [5, 0],
+                         ops=[OP_UPSERT, OP_DELETE])
+    stats = apply_batch(b, batch, PLUS_TIMES_I64, 0, 0)
     assert stats == (1, 1)
     assert b.nnz == 0 and not b.contains(1, 2)
 
 
 def test_apply_add_mode_folds():
     b = DynamicBlock(4, 4)
-    apply_batch(b, [upsert(0, 0, 1), upsert(0, 0, 2)], PLUS_TIMES_I64, 0, 0,
-                mode="add")
+    apply_batch(b, upserts(PLUS_TIMES_I64, (0, 0, 1), (0, 0, 2)),
+                PLUS_TIMES_I64, 0, 0, mode="add")
     assert b.get(0, 0) == 3
-    apply_batch(b, [upsert(0, 0, 4)], PLUS_TIMES_I64, 0, 0, mode="set")
+    apply_batch(b, upserts(PLUS_TIMES_I64, (0, 0, 4)), PLUS_TIMES_I64, 0, 0,
+                mode="set")
     assert b.get(0, 0) == 4
 
 
 def test_apply_translates_base_offsets():
     b = DynamicBlock(2, 2)
-    apply_batch(b, [upsert(10, 21, 7)], PLUS_TIMES_I64, row_base=10, col_base=20)
+    apply_batch(b, upserts(PLUS_TIMES_I64, (10, 21, 7)), PLUS_TIMES_I64,
+                row_base=10, col_base=20)
     assert b.get(0, 1) == 7
 
 
 def test_apply_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        apply_batch(DynamicBlock(2, 2), [], PLUS_TIMES_I64, 0, 0, mode="xor")
+        apply_batch(DynamicBlock(2, 2), upserts(PLUS_TIMES_I64), PLUS_TIMES_I64,
+                    0, 0, mode="xor")
+
+
+@pytest.mark.parametrize("entry", [(9, 20), (10, 25), (12, 20), (10, 19)])
+def test_apply_rejects_updates_outside_the_block(entry):
+    # the 2x2 block at (10, 20) holds rows 10-11 and columns 20-21; a stray
+    # update must not wrap to a negative local index or land past the edge
+    b = DynamicBlock(2, 2)
+    batch = upserts(PLUS_TIMES_I64, (10, 20, 1), (*entry, 7))
+    with pytest.raises(ValueError, match="outside"):
+        apply_batch(b, batch, PLUS_TIMES_I64, row_base=10, col_base=20)
+    assert b.nnz == 0 and b.entry_map() == {}
+
+
+def test_apply_bool_values_stay_bools():
+    b = DynamicBlock(2, 2)
+    apply_batch(b, upserts(BOOLEAN, (0, 0, True), (1, 1, False)), BOOLEAN, 0, 0)
+    assert b.entry_map() == {(0, 0): True, (1, 1): False}
+    assert all(type(v) is bool for v in b.entry_map().values())
 
 
 def test_apply_matches_sequential_oracle():
     rng = np.random.default_rng(29)
     n = 50
-    tuples = []
-    for _ in range(20_000):
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        if rng.random() < 0.3:
-            tuples.append(delete(i, j))
-        else:
-            tuples.append(upsert(i, j, int(rng.integers(1, 100))))
+    count = 20_000
+    batch = update_batch(
+        PLUS_TIMES_I64, rng.integers(n, size=count), rng.integers(n, size=count),
+        rng.integers(1, 100, size=count),
+        ops=np.where(rng.random(count) < 0.3, OP_DELETE, OP_UPSERT))
     b = DynamicBlock(n, n)
-    ins, dels = apply_batch(b, tuples, PLUS_TIMES_I64, 0, 0, mode="set")
+    ins, dels = apply_batch(b, batch, PLUS_TIMES_I64, 0, 0, mode="set")
     oracle: dict = {}
     o_ins = o_del = 0
-    for t in tuples:
-        if t.op == OP_UPSERT:
-            if (t.row, t.col) not in oracle:
+    for i, j, op, v in records(batch, PLUS_TIMES_I64):
+        if op == OP_UPSERT:
+            if (i, j) not in oracle:
                 o_ins += 1
-            oracle[(t.row, t.col)] = t.value
-        elif (t.row, t.col) in oracle:
-            del oracle[(t.row, t.col)]
+            oracle[(i, j)] = v
+        elif (i, j) in oracle:
+            del oracle[(i, j)]
             o_del += 1
     assert b.entry_map() == oracle
     assert (ins, dels) == (o_ins, o_del)
     b.check()
-
-
-# -- permutation -------------------------------------------------------------------------
-
-def test_permutation_round_trip():
-    perm = IndexPermutation(100, 80, seed=5)
-    for i in range(100):
-        for j in range(0, 80, 7):
-            pi, pj = perm.map_entry(i, j)
-            assert perm.unmap_entry(pi, pj) == (i, j)
-    assert sorted(perm.row_map) == list(range(100))
-    assert sorted(perm.col_map) == list(range(80))
-
-
-def test_permutation_is_seed_deterministic():
-    a = IndexPermutation(64, 64, seed=9)
-    b = IndexPermutation(64, 64, seed=9)
-    c = IndexPermutation(64, 64, seed=10)
-    assert a.row_map == b.row_map and a.col_map == b.col_map
-    assert a.row_map != c.row_map or a.col_map != c.col_map
-
-
-def test_permutation_map_tuple_preserves_op():
-    perm = IndexPermutation(16, 16, seed=3)
-    t = perm.map_tuple(delete(4, 7))
-    assert t.op == OP_DELETE and t.value is None
-    assert (t.row, t.col) == perm.map_entry(4, 7)
-
-
-def test_permutation_spreads_skewed_load():
-    # all traffic aimed at ten hot rows; after relabeling, ownership of 1e5
-    # tuples over the grid rows must be within 3x of uniform
-    n, q = 1024, 4
-    part = BlockPartition(n, n, q)
-    perm = IndexPermutation(n, n, seed=11)
-    rng = np.random.default_rng(37)
-    counts = [0] * q
-    for _ in range(100_000):
-        i = int(rng.integers(10))            # hot rows 0..9
-        j = int(rng.integers(n))
-        pi, _pj = perm.map_entry(i, j)
-        counts[part.owner_grid_row(pi)] += 1
-    uniform = 100_000 / q
-    for c in counts:
-        assert uniform / 3 <= c <= uniform * 3, counts
