@@ -13,7 +13,6 @@ from .semiring import (
 from .storage import (
     DcsrBlock,
     DecodeError,
-    DynamicBlock,
     STRUCTURE_CODEC,
     add_into,
     bloom_codec,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbortedError", "BOOLEAN", "BlockPartition", "Communicator",
     "ConfigError", "Counters", "DcsrBlock", "DeadlockError",
-    "DecodeError", "DistMatrix", "DynamicBlock", "ExperimentConfig",
+    "DecodeError", "DistMatrix", "ExperimentConfig",
     "MIN_PLUS", "MetricsRecord", "NULL_PHASES", "OP_DELETE", "OP_UPSERT",
     "PHASE_NAMES", "PLUS_TIMES_F64", "PLUS_TIMES_I64", "PhaseRecorder",
     "ProcessGrid", "REGISTRY", "ResourceCapError", "STRUCTURE_CODEC",

@@ -25,7 +25,7 @@ from .grid import BlockPartition
 from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import DcsrBlock, DynamicBlock, dcsr_from_coo, same_entries
+from .storage import DcsrBlock, dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
 
 
@@ -417,9 +417,9 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
         return update_batch(sr, rows[chosen], cols[chosen],
                             None if vals is None else vals[chosen])
 
-    def owned_block(pool_mask=True) -> DynamicBlock:
+    def owned_block(pool_mask=True) -> DcsrBlock:
         """The local block of the owned pool entries where pool_mask is set."""
-        block = DynamicBlock(*part.block_shape(i, j))
+        block = DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype)
         apply_batch(block, pool_batch(np.flatnonzero(mine_mask & pool_mask)),
                     sr, r0, c0)
         return block
@@ -474,7 +474,7 @@ def _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
     exp = cfg.experiment
 
     if exp == "construct":
-        block = DynamicBlock(*part.block_shape(i, j))
+        block = DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype)
     elif exp == "insert":
         block = owned_block(np.arange(len(rows)) % 2 == 0)
     else:  # update, delete: start from the full adjacency
@@ -497,7 +497,7 @@ def _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
         with phases.phase("redistribute"):
             owned = redistribute_updates(comm, part, batch, sr)
         with phases.phase("merge"):
-            apply_batch(block, owned, sr, r0, c0, mode="set")
+            apply_batch(block, owned, sr, r0, c0)
         _finish_record(rec, phases, t0)
         rec["nnz_a"] = block.nnz
         rec["nnz_update"] = len(owned)
@@ -517,12 +517,12 @@ def _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
 
     b_block = owned_block()
     b_mat = DistMatrix(part, i, j, b_block)
-    a_mat = DistMatrix.empty_dynamic(part, comm)
+    a_mat = DistMatrix.empty(part, comm, sr)
     state = None
     c_static = None
     if exp != "spgemm-static":
         state = spgemm_algebraic_init(comm, a_mat, b_mat, sr, ell=cfg.ell)
-    empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape))
+    empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape, dtype=sr.np_dtype))
 
     records = []
     for b in range(cfg.n_batches):
@@ -545,17 +545,17 @@ def _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
             spgemm_algebraic_update(comm, state, a_mat, a_delta, b_mat,
                                     empty_delta, phases=phases)
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
+                apply_batch(a_mat.block, owned, sr, r0, c0)
         elif exp == "spgemm-general":
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
+                apply_batch(a_mat.block, owned, sr, r0, c0)
             # With an empty right-operand delta the pre-batch left operand is
             # never consulted, so the maintained matrix serves as both.
             stats = spgemm_general_update(comm, state, a_mat, a_delta, b_mat,
                                           empty_delta, a_mat, phases=phases)
         else:
             with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0, mode="set")
+                apply_batch(a_mat.block, owned, sr, r0, c0)
             c_static = summa_static(comm, a_mat, b_mat, sr, phases=phases)
         _finish_record(rec, phases, t0)
         rec["nnz_a"] = a_mat.block.nnz

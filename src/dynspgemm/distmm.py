@@ -29,7 +29,6 @@ from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
 from .semiring import Semiring
 from .storage import (
     DcsrBlock,
-    DynamicBlock,
     STRUCTURE_CODEC,
     add_into,
     bloom_codec,
@@ -53,15 +52,15 @@ class UnsupportedFeatureError(ValueError):
 @dataclass
 class DistMatrix:
     """One rank's view of a block-partitioned matrix: the partition map plus
-    the locally owned block. Operands hold a DynamicBlock; maintained
-    results (C and its bitfields F) and update matrices, which carry one
-    batch's changes, hold a DcsrBlock.
+    the locally owned DcsrBlock. Operands, which update batches change in
+    place, maintained results (C and its bitfields F) and update matrices,
+    which carry one batch's changes, all hold the same block type.
     """
 
     part: BlockPartition
     grid_row: int
     grid_col: int
-    block: object
+    block: DcsrBlock
 
     @property
     def row_base(self) -> int:
@@ -76,20 +75,24 @@ class DistMatrix:
         return self.part.block_shape(self.grid_row, self.grid_col)
 
     @classmethod
-    def empty_dynamic(cls, part: BlockPartition, comm) -> "DistMatrix":
+    def empty(cls, part: BlockPartition, comm, sr: Semiring) -> "DistMatrix":
+        """This rank's empty block, holding sr's value dtype."""
         i, j = comm.grid_row, comm.grid_col
-        return cls(part, i, j, DynamicBlock(*part.block_shape(i, j)))
+        return cls(part, i, j,
+                   DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype))
 
     @classmethod
     def from_triples(cls, part: BlockPartition, comm, triples) -> "DistMatrix":
-        """Build a DynamicBlock from global (row, col, value) triples; each
-        rank keeps the entries its block owns. Later duplicates overwrite
-        earlier ones."""
+        """Build this rank's block from global (row, col, value) triples; each
+        rank keeps the entries its block owns, with the value dtype numpy
+        infers. Later duplicates overwrite earlier ones."""
         i, j = comm.grid_row, comm.grid_col
         r0, c0 = part.row_starts[i], part.col_starts[j]
         mine = [(gi - r0, gj - c0, v) for gi, gj, v in triples
                 if part.owner_coords(gi, gj) == (i, j)]
-        block = DynamicBlock.from_triples(*part.block_shape(i, j), mine)
+        rows, cols, vals = zip(*reversed(mine)) if mine else ((), (), ())
+        # reversed input: the first-wins fold keeps the last duplicate
+        block = dcsr_from_coo(*part.block_shape(i, j), rows, cols, list(vals))
         return cls(part, i, j, block)
 
     def global_entries(self) -> dict:
@@ -97,12 +100,6 @@ class DistMatrix:
         to_global = self.part.to_global
         i, j = self.grid_row, self.grid_col
         return {to_global(i, j, r, c): v for r, c, v in self.block.triples()}
-
-
-def _require_update_matrix(m: DistMatrix, name: str) -> None:
-    if not isinstance(m.block, DcsrBlock):
-        raise ValueError(
-            f"{name} must be an update-role matrix stored as a DCSR block")
 
 
 def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
@@ -113,13 +110,14 @@ def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
         raise UnsupportedFeatureError(
             "under a semiring that is not a ring, algebraic updates take "
             "left-operand inserts only; b_delta must be empty")
-    contains = a.block.contains
-    for r, c, _ in a_delta.block.triples():
-        if contains(r, c):
-            raise UnsupportedFeatureError(
-                "under a semiring that is not a ring, algebraic updates "
-                f"take inserts only; a_delta overwrites stored entry "
-                f"({a.row_base + r}, {a.col_base + c})")
+    keys = a_delta.block.keys()
+    _, stored = locate(a.block.keys(), keys)
+    if stored.any():
+        r, c = divmod(int(keys[stored.argmax()]), a.block.n_cols)
+        raise UnsupportedFeatureError(
+            "under a semiring that is not a ring, algebraic updates "
+            f"take inserts only; a_delta overwrites stored entry "
+            f"({a.row_base + r}, {a.col_base + c})")
 
 
 @dataclass
@@ -135,11 +133,6 @@ class SpgemmState:
     ell: int
     transpose_a: bool = False
     transpose_b: bool = False
-
-
-def _wire(block, codec) -> bytes:
-    d = block if isinstance(block, DcsrBlock) else block.to_dcsr()
-    return dcsr_serialize(d, codec)
 
 
 def _check_local_shape(block, c_local) -> None:
@@ -168,8 +161,8 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
     part_c = BlockPartition(a.part.n_rows, b.part.n_cols, q)
     inner_starts = a.part.col_starts
     codec = semiring_codec(sr)
-    a_bytes = _wire(a.block, codec)
-    b_bytes = _wire(b.block, codec)
+    a_bytes = dcsr_serialize(a.block, codec)
+    b_bytes = dcsr_serialize(b.block, codec)
     c_local = DcsrBlock.empty(*part_c.block_shape(i, j), dtype=sr.np_dtype)
     f_local = (DcsrBlock.empty(*part_c.block_shape(i, j), dtype=np.uint64)
                if build_bloom else None)
@@ -242,8 +235,6 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     sr = state.sr
     ta, tb = state.transpose_a, state.transpose_b
-    _require_update_matrix(a_delta, "a_delta")
-    _require_update_matrix(b_delta, "b_delta")
     if not sr.is_ring:
         _require_insert_only(a, a_delta, b_delta)
     n_out = (a.part.n_cols if ta else a.part.n_rows,
@@ -269,11 +260,11 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
 
     with phases.phase("transpose_exchange"):
         if pre_exchange:
-            a_bytes = comm.transpose_exchange(_wire(a_delta.block, codec))
-            b_bytes = comm.transpose_exchange(_wire(b_delta.block, codec))
+            a_bytes = comm.transpose_exchange(dcsr_serialize(a_delta.block, codec))
+            b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
         else:
-            a_bytes = _wire(a_delta.block, codec)
-            b_bytes = _wire(b_delta.block, codec)
+            a_bytes = dcsr_serialize(a_delta.block, codec)
+            b_bytes = dcsr_serialize(b_delta.block, codec)
 
     def bcast(along_row: bool, k: int, payload: bytes) -> bytes:
         if along_row:
@@ -339,14 +330,14 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     """
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     _check_inner(a.part, b_prime.part, q)
-    _require_update_matrix(a_delta, "a_delta")
-    _require_update_matrix(b_delta, "b_delta")
     inner_starts = a.part.col_starts
     bcodec = bloom_codec(ell)
 
     with phases.phase("transpose_exchange"):
-        a_bytes = comm.transpose_exchange(_wire(a_delta.block, STRUCTURE_CODEC))
-        b_bytes = comm.transpose_exchange(_wire(b_delta.block, STRUCTURE_CODEC))
+        a_bytes = comm.transpose_exchange(
+            dcsr_serialize(a_delta.block, STRUCTURE_CODEC))
+        b_bytes = comm.transpose_exchange(
+            dcsr_serialize(b_delta.block, STRUCTURE_CODEC))
 
     x_pat = y_pat = y_bits = None
     for k in range(q):
@@ -443,7 +434,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
                                       inner_starts[j], ell)
     with phases.phase("transpose_exchange"):
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
-    mask_bytes = _wire(touched, STRUCTURE_CODEC)
+    mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 
     z_mine = h_mine = None
     for k in range(q):

@@ -15,39 +15,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .storage import DcsrBlock, _run_starts, dcsr_from_coo, locate
+from .storage import DcsrBlock, dcsr_from_coo, locate
 
 
 def _shape(block, transposed: bool) -> tuple[int, int]:
     return (block.n_cols, block.n_rows) if transposed else (block.n_rows, block.n_cols)
 
 
-def _op_coo(block, transposed: bool, dtype):
+def _op_coo(block: DcsrBlock, transposed: bool, dtype):
     """(rows, cols, vals) of op(block), rows ascending and columns ascending
     within a row."""
     rows, cols, vals = block.to_arrays(dtype)
-    if transposed:
-        rows, cols = cols, rows
-    elif isinstance(block, DcsrBlock):
+    if not transposed:
         return rows, cols, vals
-    order = (rows * _shape(block, transposed)[1] + cols).argsort(kind="stable")
-    return rows[order], cols[order], None if vals is None else vals[order]
+    order = (cols * block.n_rows + rows).argsort(kind="stable")
+    return cols[order], rows[order], None if vals is None else vals[order]
 
 
-def _op_rows(block, transposed: bool, dtype, needed: np.ndarray):
-    """(nz_rows, row_ptr, cols, vals) of op(block) in DCSR layout, holding
-    at least the rows listed in needed. A dynamic block is read only in
-    those rows, and its columns stay in slot order."""
+def _op_rows(block: DcsrBlock, transposed: bool, dtype):
+    """(nz_rows, row_ptr, cols, vals) of op(block) in DCSR layout."""
     if transposed:
         cols, rows, vals = block.to_arrays(dtype)
-        b = dcsr_from_coo(*_shape(block, transposed), rows, cols, vals)
-    elif isinstance(block, DcsrBlock):
-        b = block
-    else:
-        rows, cols, vals = block.to_arrays(dtype, rows=sorted(set(needed.tolist())))
-        starts = _run_starts(rows).nonzero()[0]
-        return rows[starts], np.concatenate((starts, [len(rows)])), cols, vals
-    return b.nz_rows, b.row_ptr, b.cols, b.vals
+        block = dcsr_from_coo(*_shape(block, transposed), rows, cols, vals)
+    return block.nz_rows, block.row_ptr, block.cols, block.vals
 
 
 def _expand(inner: np.ndarray, nz: np.ndarray, ptr: np.ndarray):
@@ -89,7 +79,7 @@ def gustavson_multiply(a, b, sr, transpose_a: bool = False,
     if not a.nnz or not b.nnz:
         return DcsrBlock.empty(an, bm, dtype=dtype)
     rows, inner, avals = _op_coo(a, transpose_a, dtype)
-    nz, ptr, bcols, bvals = _op_rows(b, transpose_b, dtype, inner)
+    nz, ptr, bcols, bvals = _op_rows(b, transpose_b, dtype)
     e, bi = _expand(inner, nz, ptr)
     x = sr.np_mul(avals[e], bvals[bi].astype(dtype, copy=False))
     return dcsr_from_coo(an, bm, rows[e], bcols[bi], x, sr.np_add)
@@ -115,7 +105,7 @@ def pattern_multiply(a, b, inner_base: int,
     bits = DcsrBlock.empty(a.n_rows, b.n_cols, dtype=np.uint64)
     if a.nnz and b.nnz:
         rows, inner, _ = _op_coo(a, False, None)
-        nz, ptr, bcols, _ = _op_rows(b, False, None, inner)
+        nz, ptr, bcols, _ = _op_rows(b, False, None)
         e, bi = _expand(inner, nz, ptr)
         bits = dcsr_from_coo(a.n_rows, b.n_cols, rows[e], bcols[bi],
                              _bits(inner, inner_base, ell)[e], np.bitwise_or)
@@ -137,7 +127,7 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     rows, inner, avals = _op_coo(a, False, dtype)
     _, in_mask = locate(mask.nz_rows, rows)
     rows, inner, avals = rows[in_mask], inner[in_mask], avals[in_mask]
-    nz, ptr, bcols, bvals = _op_rows(b, False, dtype, inner)
+    nz, ptr, bcols, bvals = _op_rows(b, False, dtype)
     e, bi = _expand(inner, nz, ptr)
     out_rows, out_cols = rows[e], bcols[bi]
     _, hit = locate(mask.keys(), out_rows * b.n_cols + out_cols)

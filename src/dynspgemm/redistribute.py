@@ -10,6 +10,10 @@ Routing runs in two all-to-all steps, each over at most q peers: first within
 the rank's grid column to fix the grid row, then within the grid row to fix
 the grid column. Before each step a stable argsort by destination puts the
 records into q contiguous buckets and keeps their order within a bucket.
+
+A rank applies the batch it owns to its DcsrBlock as one sort and merge: a
+stable argsort of the records' local keys, overwrites in place, and one
+sorted merge for the new and deleted keys, O(nnz(block) + batch) in all.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BlockPartition
-from .storage import DynamicBlock
+from .storage import DcsrBlock, _merge_keys, _run_starts, locate
 
 OP_UPSERT = 0
 OP_DELETE = 1
@@ -101,24 +105,45 @@ def redistribute_updates(comm, part: BlockPartition, batch: np.ndarray,
 # batched application
 # ---------------------------------------------------------------------------
 
-def apply_batch(block: DynamicBlock, batch: np.ndarray, sr,
-                row_base: int, col_base: int,
-                mode: str = "set") -> tuple[int, int]:
+def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
+                row_base: int, col_base: int) -> tuple[int, int]:
     """Apply an owned batch (global coordinates) to the local block whose
-    first position is (row_base, col_base), in batch order.
+    first position is (row_base, col_base), with the result of applying its
+    records in batch order: an upsert inserts or overwrites, a delete removes
+    the position if present. An update outside the block raises ValueError
+    before any entry changes.
 
-    mode "set": upserts overwrite existing values; mode "add": upserts fold
-    into existing values with the semiring add. Deletes remove the position if
-    present. An update outside the block raises ValueError before any entry
-    changes.
-
-    Returns (inserted, deleted) counts.
+    Returns (inserted, deleted): the records that inserted a position absent
+    just before them, and the deletes that found one present.
     """
-    if mode not in ("set", "add"):
-        raise ValueError(f"unknown apply mode {mode!r}")
     _check_batch(batch, sr, row_base, col_base, block.n_rows, block.n_cols)
-    combine = sr.add if mode == "add" else None
-    updates = zip((batch["i"] - row_base).tolist(),
-                  (batch["j"] - col_base).tolist(), batch["op"].tolist(),
-                  sr.decode_values(batch["v"].tobytes(), len(batch)))
-    return block.apply_updates(updates, 0, 0, combine)
+    keys = (batch["i"] - row_base) * block.n_cols + (batch["j"] - col_base)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    upsert = batch["op"][order] == OP_UPSERT
+    first = _run_starts(keys)
+    last = np.roll(first, -1)  # the last record of each run of equal keys
+    run_keys = keys[last]
+    dk = block.keys()
+    pos, stored = locate(dk, run_keys)
+    # present before a record: the previous record of its run upserted, or
+    # for the first of a run, the block stores the position
+    before = np.roll(upsert, 1)
+    before[first] = stored
+    inserted = int(np.count_nonzero(upsert & ~before))
+    deleted = int(np.count_nonzero(~upsert & before))
+
+    final = upsert[last]
+    vals = sr.decode_array(batch["v"][order[last]].tobytes(), len(pos))
+    hit = stored & final
+    block.vals[pos[hit]] = vals[hit]
+    dead = pos[stored & ~final]
+    new = ~stored & final
+    if len(dead) or new.any():
+        old_vals = block.vals
+        if len(dead):
+            keep = np.ones(len(dk), dtype=bool)
+            keep[dead] = False
+            dk, old_vals = dk[keep], old_vals[keep]
+        _merge_keys(block, dk, old_vals, run_keys[new], vals[new])
+    return inserted, deleted

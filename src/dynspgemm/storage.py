@@ -1,14 +1,16 @@
-"""Local sparse blocks: the dynamic hashed-row block that holds the operands,
-and the doubly-compressed (DCSR) block over numpy arrays that holds
-everything produced, maintained or exchanged, plus the DCSR wire codec used
-for every transport payload. Bitfield blocks are DCSR blocks whose values
-are the bitfields. The maintained product C and its bitfields F are DCSR
-blocks merged in place.
+"""Local sparse blocks: one doubly-compressed (DCSR) block type over numpy
+arrays for every block, the operands A and B as much as the maintained
+product C, its bitfields F and everything produced or exchanged, plus the
+DCSR wire codec used for every transport payload. Bitfield blocks are DCSR
+blocks whose values are the bitfields. Update batches (apply_batch) and the
+merges into C and F (add_into, or_into, replace_touched) change a block in
+place.
 
 A DCSR block is canonical: its entry keys r * n_cols + c strictly increase,
 so array code finds positions with `searchsorted`. Kernels and combinators
 emit blocks only through dcsr_from_coo, which sorts by key and folds
-repeated positions in input order.
+repeated positions in input order; in-place changes go through one sorted
+merge of disjoint key sets (_merge_keys).
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,206 +33,6 @@ class DecodeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dynamic block
-# ---------------------------------------------------------------------------
-
-class DynamicBlock:
-    """Mutable sparse block: per-row adjacency arrays plus per-row hash index.
-
-    Each non-empty row r keeps parallel arrays cols[r]/vals[r] and a dict
-    mapping column -> slot, so get/upsert/delete are O(1) expected. delete
-    swap-removes: the last entry of the row moves into the vacated slot, so
-    within-row order is not stable across deletions. New entries append, so
-    rows enumerate in insertion order until the first delete.
-    """
-
-    __slots__ = ("n_rows", "n_cols", "nnz", "_cols", "_vals", "_slot")
-
-    def __init__(self, n_rows: int, n_cols: int):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.nnz = 0
-        self._cols: list[Optional[list]] = [None] * n_rows
-        self._vals: list[Optional[list]] = [None] * n_rows
-        self._slot: list[Optional[dict]] = [None] * n_rows
-
-    # -- point ops ---------------------------------------------------------
-    def upsert(self, r: int, c: int, v) -> bool:
-        """Insert or overwrite. Returns True if the position was new."""
-        slot = self._slot[r]
-        if slot is None:
-            self._cols[r] = [c]
-            self._vals[r] = [v]
-            self._slot[r] = {c: 0}
-            self.nnz += 1
-            return True
-        s = slot.get(c)
-        if s is None:
-            slot[c] = len(self._cols[r])
-            self._cols[r].append(c)
-            self._vals[r].append(v)
-            self.nnz += 1
-            return True
-        self._vals[r][s] = v
-        return False
-
-    def get(self, r: int, c: int):
-        """Value at (r, c), or None when the position is structurally absent."""
-        slot = self._slot[r]
-        if slot is None:
-            return None
-        s = slot.get(c)
-        if s is None:
-            return None
-        return self._vals[r][s]
-
-    def contains(self, r: int, c: int) -> bool:
-        slot = self._slot[r]
-        return slot is not None and c in slot
-
-    def delete(self, r: int, c: int) -> bool:
-        """Swap-remove (r, c). Returns False if the position was absent."""
-        slot = self._slot[r]
-        if slot is None:
-            return False
-        s = slot.pop(c, None)
-        if s is None:
-            return False
-        cols, vals = self._cols[r], self._vals[r]
-        last = len(cols) - 1
-        if s != last:
-            moved = cols[last]
-            cols[s] = moved
-            vals[s] = vals[last]
-            slot[moved] = s
-        cols.pop()
-        vals.pop()
-        self.nnz -= 1
-        return True
-
-    def apply_updates(self, updates, row_base: int = 0, col_base: int = 0,
-                      combine: Optional[Callable] = None) -> tuple[int, int]:
-        """Bulk point ops from (row, col, op, value) tuples: op 0 upserts,
-        anything else deletes, matching OP_UPSERT and OP_DELETE. Coordinates
-        are shifted by the bases. An upsert onto an existing entry overwrites,
-        or folds as combine(old, new) when combine is given.
-        Returns (inserted, deleted).
-        """
-        inserted = deleted = 0
-        all_cols = self._cols
-        all_vals = self._vals
-        all_slot = self._slot
-        # row structures stay bound across runs of equal rows, so sorted
-        # batches (the redistributed case) pay the row lookup once per run
-        cur_r = -1
-        slot = cols = vals = None
-        for row, col, op, value in updates:
-            r = row - row_base
-            c = col - col_base
-            if r != cur_r:
-                cur_r = r
-                slot = all_slot[r]
-                if slot is not None:
-                    cols = all_cols[r]
-                    vals = all_vals[r]
-            if op == 0:
-                if slot is None:
-                    cols = all_cols[r] = [c]
-                    vals = all_vals[r] = [value]
-                    slot = all_slot[r] = {c: 0}
-                    inserted += 1
-                    continue
-                s = slot.get(c)
-                if s is None:
-                    slot[c] = len(cols)
-                    cols.append(c)
-                    vals.append(value)
-                    inserted += 1
-                elif combine is None:
-                    vals[s] = value
-                else:
-                    vals[s] = combine(vals[s], value)
-            elif slot is not None:
-                s = slot.pop(c, None)
-                if s is None:
-                    continue
-                last = len(cols) - 1
-                if s != last:
-                    moved = cols[last]
-                    cols[s] = moved
-                    vals[s] = vals[last]
-                    slot[moved] = s
-                cols.pop()
-                vals.pop()
-                deleted += 1
-        self.nnz += inserted - deleted
-        return inserted, deleted
-
-    # -- row access ---------------------------------------------------------
-    def row_cols(self, r: int) -> list:
-        c = self._cols[r]
-        return c if c is not None else []
-
-    def row_nnz(self, r: int) -> int:
-        c = self._cols[r]
-        return 0 if c is None else len(c)
-
-    def iter_rows(self) -> Iterator[tuple[int, list, list]]:
-        """(row, cols, vals) for non-empty rows in ascending row order."""
-        for r in range(self.n_rows):
-            cols = self._cols[r]
-            if cols:
-                yield r, cols, self._vals[r]
-
-    def triples(self) -> Iterator[tuple[int, int, object]]:
-        for r, cols, vals in self.iter_rows():
-            yield from zip([r] * len(cols), cols, vals)
-
-    def entry_map(self) -> dict:
-        return {(r, c): v for r, c, v in self.triples()}
-
-    def to_arrays(self, dtype=None, rows=None):
-        """(rows, cols, vals) as numpy arrays in storage order: rows
-        ascending (all, or the ascending rows given), each row in slot
-        order; vals cast to dtype, or of the dtype numpy infers."""
-        idx = np.arange(self.n_rows) if rows is None else np.asarray(rows, np.int64)
-        row_cols = [self._cols[r] or () for r in idx.tolist()]
-        row_vals = chain.from_iterable(self._vals[r] or () for r in idx.tolist())
-        counts = np.fromiter(map(len, row_cols), dtype=np.int64, count=len(idx))
-        cols = np.fromiter(chain.from_iterable(row_cols), dtype=np.int64,
-                           count=int(counts.sum()))
-        vals = (np.array(list(row_vals)) if dtype is None
-                else np.fromiter(row_vals, dtype=dtype, count=len(cols)))
-        return idx.repeat(counts), cols, vals
-
-    # -- integrity ----------------------------------------------------------
-    def check(self) -> None:
-        """Assert the slot-index bijection and the nnz count."""
-        total = 0
-        for r in range(self.n_rows):
-            cols, vals, slot = self._cols[r], self._vals[r], self._slot[r]
-            if cols is None:
-                assert vals is None and slot is None
-                continue
-            assert len(cols) == len(vals) == len(slot)
-            for c, s in slot.items():
-                assert 0 <= s < len(cols) and cols[s] == c
-            total += len(cols)
-        assert total == self.nnz, f"nnz {self.nnz} != counted {total}"
-
-    # -- conversions ---------------------------------------------------------
-    def to_dcsr(self) -> "DcsrBlock":
-        return dcsr_from_coo(self.n_rows, self.n_cols, *self.to_arrays())
-
-    @classmethod
-    def from_triples(cls, n_rows: int, n_cols: int, triples) -> "DynamicBlock":
-        b = cls(n_rows, n_cols)
-        for r, c, v in triples:
-            b.upsert(r, c, v)
-        return b
-
-
-# ---------------------------------------------------------------------------
 # compressed block
 # ---------------------------------------------------------------------------
 
@@ -240,8 +41,8 @@ class DcsrBlock:
     arrays nz_rows, row_ptr and cols, with vals an array or None when
     structure-only (value width 0 on the wire). Canonical: rows ascend and
     columns ascend within a row. The constructor takes lists or arrays in
-    that order; dcsr_from_coo takes entries in any order. Only the merges
-    into C and F change a block, in place.
+    that order; dcsr_from_coo takes entries in any order. Update batches
+    (apply_batch) and the merges into C and F change a block in place.
     """
 
     __slots__ = ("n_rows", "n_cols", "nz_rows", "row_ptr", "cols", "vals")
@@ -268,13 +69,14 @@ class DcsrBlock:
         return cls(n_rows, n_cols, [], [0], [], vals)
 
     def iter_rows(self):
-        """(row, cols, vals) per listed row, cols and vals as array slices;
-        vals is None when structure-only."""
+        """(row, cols, vals) per listed row, cols and vals as lists of Python
+        scalars; vals is None when structure-only."""
         ptr = self.row_ptr.tolist()
-        vals = self.vals
+        cols = self.cols.tolist()
+        vals = None if self.vals is None else self.vals.tolist()
         for k, r in enumerate(self.nz_rows.tolist()):
             lo, hi = ptr[k], ptr[k + 1]
-            yield r, self.cols[lo:hi], None if vals is None else vals[lo:hi]
+            yield r, cols[lo:hi], None if vals is None else vals[lo:hi]
 
     def to_arrays(self, dtype=None):
         """(rows, cols, vals) arrays in canonical order; vals cast to dtype
@@ -350,11 +152,20 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
 
 def _merge_keys(dst: DcsrBlock, keys, vals, new_keys, new_vals) -> None:
     """Set dst to the entries (keys, vals) plus (new_keys, new_vals), two
-    disjoint sorted key sets; dst keeps its value dtype."""
-    keys = np.concatenate((keys, new_keys))
-    order = keys.argsort(kind="stable")
-    vals = np.concatenate((vals, new_vals.astype(vals.dtype, copy=False)))
-    b = _from_keys(dst.n_rows, dst.n_cols, keys[order], vals[order])
+    disjoint sorted key sets; dst keeps its value dtype. Each new key lands
+    at its rank among the old keys plus its own index, and the old keys
+    fill the remaining slots in order."""
+    n = len(keys) + len(new_keys)
+    at = keys.searchsorted(new_keys) + np.arange(len(new_keys))
+    old = np.ones(n, dtype=bool)
+    old[at] = False
+    merged = np.empty(n, dtype=np.int64)
+    merged[at] = new_keys
+    merged[old] = keys
+    merged_vals = np.empty(n, dtype=dst.vals.dtype)
+    merged_vals[at] = new_vals
+    merged_vals[old] = vals
+    b = _from_keys(dst.n_rows, dst.n_cols, merged, merged_vals)
     dst.nz_rows, dst.row_ptr, dst.cols, dst.vals = b.nz_rows, b.row_ptr, b.cols, b.vals
 
 
@@ -380,39 +191,30 @@ def combine_blocks(blocks, n_rows: int, n_cols: int, combine,
                          np.concatenate(vals), FOLD_UFUNCS[combine])
 
 
-def same_entries(x, y, dtype) -> bool:
+def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
     """True when x and y store the same positions with equal values (cast to
-    dtype), whatever the order of entries within a row."""
-    if (x.n_rows, x.n_cols, x.nnz) != (y.n_rows, y.n_cols, y.nnz):
-        return False
-    xr, xc, xv = x.to_arrays(dtype)
-    yr, yc, yv = y.to_arrays(dtype)
-    xk = xr * x.n_cols + xc
-    yk = yr * y.n_cols + yc
-    xo = np.argsort(xk)
-    yo = np.argsort(yk)
-    return (np.array_equal(xk[xo], yk[yo])
-            and np.array_equal(xv[xo], yv[yo]))
+    dtype). Both are canonical, so their arrays compare directly."""
+    return ((x.n_rows, x.n_cols) == (y.n_rows, y.n_cols)
+            and np.array_equal(x.nz_rows, y.nz_rows)
+            and np.array_equal(x.row_ptr, y.row_ptr)
+            and np.array_equal(x.cols, y.cols)
+            and np.array_equal(x.vals.astype(dtype, copy=False),
+                               y.vals.astype(dtype, copy=False)))
 
 
-def add_into(dst, src, add: Callable) -> None:
-    """Fold src into dst: new positions insert, existing ones fold as
-    add(old, new), with add a semiring's add. A DcsrBlock dst merges in
-    place through add's ufunc; a DynamicBlock dst folds entry by entry."""
+def add_into(dst: DcsrBlock, src: DcsrBlock, add: Callable) -> None:
+    """Fold src into dst in place: new positions insert, existing ones fold
+    as add(old, new) through the ufunc of add, a semiring's add."""
     _fold_into(dst, src, add)
 
 
-def or_into(dst, src) -> None:
+def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
     """Bitwise-or the bitfield entries of src into dst, in place."""
     _fold_into(dst, src, operator.or_)
 
 
-def _fold_into(dst, src, fold: Callable) -> None:
+def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: Callable) -> None:
     if not src.nnz:
-        return
-    if isinstance(dst, DynamicBlock):
-        dst.apply_updates(((r, c, 0, v) for r, c, v in src.triples()),
-                          combine=fold)
         return
     dk = dst.keys()
     rows, cols, vals = src.to_arrays()
@@ -436,13 +238,13 @@ def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
     return deleted
 
 
-def filter_rows_by_bloom(a: DynamicBlock, r_vec, col_base: int, ell: int) -> DcsrBlock:
+def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int, ell: int) -> DcsrBlock:
     """Keep a's entries (r, c, v) whose row has a bitfield r_vec[r] with bit
     ((col_base + c) mod ell) set. col_base is the global index of local
-    column 0; only the rows with a non-zero bitfield are read.
+    column 0.
     """
     r_vec = np.asarray(r_vec, dtype=np.uint64)
-    rows, cols, vals = a.to_arrays(rows=np.flatnonzero(r_vec))
+    rows, cols, vals = a.to_arrays()
     shift = ((col_base + cols) & (ell - 1)).astype(np.uint64)  # ell is a power of two
     keep = (r_vec[rows] >> shift) & np.uint64(1) != 0
     return dcsr_from_coo(a.n_rows, a.n_cols, rows[keep], cols[keep], vals[keep])

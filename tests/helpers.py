@@ -12,9 +12,10 @@ from dynspgemm import (
     BlockPartition,
     DcsrBlock,
     DistMatrix,
-    DynamicBlock,
+    apply_batch,
     dcsr_from_coo,
     run_spmd,
+    update_batch,
 )
 
 
@@ -53,6 +54,24 @@ def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
     rows, cols, vals = zip(*entries) if entries else ((), (), ())
     return dcsr_from_coo(n_rows, n_cols, rows, cols,
                          None if structure_only else list(vals))
+
+
+def block_from_triples(n_rows: int, n_cols: int, triples) -> DcsrBlock:
+    """Canonical block of (row, col, value) triples, with the value dtype
+    numpy infers; later duplicates overwrite earlier ones."""
+    triples = list(triples)[::-1]   # the first-wins fold keeps the last
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    return dcsr_from_coo(n_rows, n_cols, rows, cols, list(vals))
+
+
+def loaded_block(n_rows: int, n_cols: int, triples, sr) -> DcsrBlock:
+    """An operand block loaded as the experiments load one: the triples as
+    upserts, in order, applied to an empty block of sr's value dtype."""
+    block = DcsrBlock.empty(n_rows, n_cols, dtype=sr.np_dtype)
+    triples = list(triples)
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    apply_batch(block, update_batch(sr, rows, cols, vals), sr, 0, 0)
+    return block
 
 
 def position_set(block) -> set:
@@ -95,11 +114,9 @@ def update_from_map(part: BlockPartition, comm, m: dict,
     """Update matrix (a DCSR block) holding this rank's slice of the global map."""
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
-    dyn = DynamicBlock(*part.block_shape(i, j))
-    for (gi, gj), v in m.items():
-        if part.owner_coords(gi, gj) == (i, j):
-            dyn.upsert(gi - r0, gj - c0, v)
-    blk = dyn.to_dcsr()
+    blk = block_from_triples(*part.block_shape(i, j), [
+        (gi - r0, gj - c0, v) for (gi, gj), v in m.items()
+        if part.owner_coords(gi, gj) == (i, j)])
     if structure_only:
         blk = DcsrBlock(blk.n_rows, blk.n_cols, blk.nz_rows, blk.row_ptr,
                         blk.cols, None)

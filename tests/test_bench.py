@@ -14,7 +14,9 @@ from dynspgemm import (
     PLUS_TIMES_I64,
     BlockPartition,
     DistMatrix,
-    DynamicBlock,
+    OP_DELETE,
+    apply_batch,
+    update_batch,
 )
 from dynspgemm.bench import (
     CSV_HEADER,
@@ -37,6 +39,7 @@ from dynspgemm.bench import (
 )
 from dynspgemm.cli import _parse_rmat, build_parser, main
 from dynspgemm.transport import PHASE_NAMES
+from helpers import block_from_triples, loaded_block
 
 
 # -- edge-list ingestion ---------------------------------------------------------
@@ -266,7 +269,7 @@ def _checksum(entries: dict, sr, n=6, q=1, coords=(0, 0)):
     part = BlockPartition(n, n, q)
     i, j = coords
     r0, c0 = part.row_starts[i], part.col_starts[j]
-    block = DynamicBlock.from_triples(
+    block = block_from_triples(
         *part.block_shape(i, j),
         [(gi - r0, gj - c0, v) for (gi, gj), v in entries.items()])
     return _local_checksum(DistMatrix(part, i, j, block), sr)
@@ -290,13 +293,15 @@ def test_checksum_sees_every_value_and_position(changed):
 
 def test_checksum_ignores_insertion_and_delete_history():
     part = BlockPartition(6, 6, 1)
-    x = DynamicBlock.from_triples(6, 6, [(0, 1, 5), (0, 4, 9), (2, 3, 7)])
-    y = DynamicBlock(6, 6)
-    for r, c, v in [(2, 3, 7), (0, 4, 0), (0, 5, 1), (0, 1, 5), (0, 4, 9)]:
-        y.upsert(r, c, v)
-    y.delete(0, 5)   # swap-remove: row 0 now stores columns 4, 1
+    x = block_from_triples(6, 6, [(0, 1, 5), (0, 4, 9), (2, 3, 7)])
+    # y reaches the same entries through overwrites, a delete and a
+    # reinsert, in two batches
+    y = loaded_block(6, 6, [(2, 3, 7), (0, 4, 0), (0, 5, 1), (0, 1, 5)],
+                     PLUS_TIMES_I64)
+    apply_batch(y, update_batch(PLUS_TIMES_I64, [0, 0, 0], [4, 5, 5],
+                                [9, 0, 0], [OP_UPSERT, OP_DELETE, OP_DELETE]),
+                PLUS_TIMES_I64, 0, 0)
     assert y.entry_map() == x.entry_map()
-    assert y.row_cols(0) == [4, 1] and x.row_cols(0) == [1, 4]
     assert _local_checksum(DistMatrix(part, 0, 0, x), PLUS_TIMES_I64) == \
         _local_checksum(DistMatrix(part, 0, 0, y), PLUS_TIMES_I64)
 
@@ -660,7 +665,7 @@ def test_cli_verification_failure_exits_3(monkeypatch, capsys):
 
     def broken(comm, a, b, sr, phases=None):
         part = BlockPartition(a.part.n_rows, b.part.n_cols, comm.q)
-        return DistMatrix.empty_dynamic(part, comm)
+        return DistMatrix.empty(part, comm, sr)
 
     monkeypatch.setattr(bench, "summa_static", broken)
     code = main(["spgemm-algebraic", "--rmat", "scale=3,ef=2",

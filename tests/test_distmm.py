@@ -10,7 +10,6 @@ from dynspgemm import (
     BlockPartition,
     DcsrBlock,
     DistMatrix,
-    DynamicBlock,
     MIN_PLUS,
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
@@ -150,7 +149,7 @@ def test_summa_round_counts():
 def test_init_empty_left_operand():
     def worker(comm):
         part = BlockPartition(6, 6, comm.q)
-        a = DistMatrix.empty_dynamic(part, comm)
+        a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
         b = dist_from_map(part, comm, {(0, 1): 5})
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         return st.C.global_entries(), st.F.global_entries()
@@ -162,7 +161,7 @@ def test_init_empty_left_operand():
 def test_init_rejects_bad_bitfield_width():
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
-        a = DistMatrix.empty_dynamic(part, comm)
+        a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
         spgemm_algebraic_init(comm, a, a, PLUS_TIMES_I64, ell=12)
 
     with pytest.raises(ValueError, match="bitfield width"):
@@ -401,19 +400,6 @@ def test_algebraic_transposed_updates_match_oracle(ta, tb, q):
     assert gather_maps(spmd_collect(q, worker)) == want
 
 
-def test_algebraic_rejects_non_update_deltas():
-    def worker(comm):
-        part = BlockPartition(4, 4, comm.q)
-        a = dist_from_map(part, comm, {})
-        b = dist_from_map(part, comm, {})
-        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
-        bad = dist_from_map(part, comm, {})   # a dynamic block
-        spgemm_algebraic_update(comm, st, a, bad, b, bad)
-
-    with pytest.raises(ValueError, match="update-role"):
-        spmd_collect(1, worker)
-
-
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("da, db, match", [
     # min-plus has no additive inverse, so folding the new value in would
@@ -500,7 +486,7 @@ def test_compute_pattern_hand_example():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = DistMatrix.empty_dynamic(part, comm)
+        a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
         a_prime = dist_from_map(part, comm, {(0, 1): 2})
         b = dist_from_map(part, comm, b_map)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
@@ -696,7 +682,7 @@ def test_general_deletion_drops_product_entries():
         a = dist_from_map(part, comm, a0)
         b = dist_from_map(part, comm, b0)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
-        a_prime = DistMatrix.empty_dynamic(part, comm)
+        a_prime = DistMatrix.empty(part, comm, MIN_PLUS)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         stats = spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
@@ -943,7 +929,8 @@ def test_dist_matrix_from_triples_keeps_owned_entries():
         d = DistMatrix.from_triples(part, comm,
                                     [(i, j, v) for (i, j), v in m.items()])
         br, bc = part.block_shape(comm.grid_row, comm.grid_col)
-        assert isinstance(d.block, DynamicBlock)
+        assert isinstance(d.block, DcsrBlock)
+        d.block.check()
         assert (d.block.n_rows, d.block.n_cols) == (br, bc)
         return d.global_entries()
 

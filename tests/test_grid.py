@@ -162,7 +162,7 @@ def test_owner_array_form_matches_the_scalar_owner():
 def test_range_checks_survive_optimized_mode():
     # python -O strips assert statements; validation must not depend on them
     script = textwrap.dedent("""
-        from dynspgemm import (BlockPartition, DynamicBlock, PLUS_TIMES_I64,
+        from dynspgemm import (BlockPartition, DcsrBlock, PLUS_TIMES_I64,
                                ProcessGrid, apply_batch, redistribute_updates,
                                run_spmd, update_batch)
         part = BlockPartition(8, 8, 1)
@@ -172,7 +172,7 @@ def test_range_checks_survive_optimized_mode():
                      lambda: ProcessGrid(2).rank_of(2, 0),
                      lambda: run_spmd(1, lambda comm: redistribute_updates(
                          comm, part, far, PLUS_TIMES_I64)),
-                     lambda: apply_batch(DynamicBlock(2, 2), stray,
+                     lambda: apply_batch(DcsrBlock.empty(2, 2), stray,
                                          PLUS_TIMES_I64, 10, 20)):
             try:
                 print("returned", call())

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dynspgemm import (
     BOOLEAN,
     DcsrBlock,
-    DynamicBlock,
     MIN_PLUS,
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
@@ -18,7 +17,9 @@ from dynspgemm import (
 )
 from dynspgemm.storage import combine_blocks
 from helpers import (
+    block_from_triples,
     dcsr_from_row_map,
+    loaded_block,
     oracle_contribution_bits,
     oracle_product,
     position_set,
@@ -27,10 +28,13 @@ from helpers import (
 )
 
 
-def _block(m: dict, n_rows: int, n_cols: int, kind="dynamic"):
+def _block(m: dict, n_rows: int, n_cols: int, kind="dcsr", sr=None):
+    """A block of m's entries: built by dcsr_from_coo ("dcsr"), or loaded
+    as an operand by upserts under sr ("dynamic")."""
     triples = [(i, j, v) for (i, j), v in m.items()]
-    dyn = DynamicBlock.from_triples(n_rows, n_cols, triples)
-    return dyn if kind == "dynamic" else dyn.to_dcsr()
+    if kind == "dynamic":
+        return loaded_block(n_rows, n_cols, triples, sr)
+    return block_from_triples(n_rows, n_cols, triples)
 
 
 def test_single_entry_product():
@@ -42,15 +46,15 @@ def test_single_entry_product():
 
 
 def test_empty_operand_gives_empty_product():
-    a = DynamicBlock(3, 3)
+    a = DcsrBlock.empty(3, 3)
     b = _block({(0, 0): 1}, 3, 3)
     assert gustavson_multiply(a, b, PLUS_TIMES_I64).nnz == 0
-    assert gustavson_multiply(b, DynamicBlock(3, 3), PLUS_TIMES_I64).nnz == 0
+    assert gustavson_multiply(b, DcsrBlock.empty(3, 3), PLUS_TIMES_I64).nnz == 0
 
 
 def test_inner_dimension_mismatch_rejected():
-    a = DynamicBlock(2, 3)
-    b = DynamicBlock(4, 2)
+    a = DcsrBlock.empty(2, 3)
+    b = DcsrBlock.empty(4, 2)
     with pytest.raises(ValueError, match="inner dimensions"):
         gustavson_multiply(a, b, PLUS_TIMES_I64)
 
@@ -71,7 +75,7 @@ def test_random_product_matches_dense_numpy(density, right_kind):
     a_map = random_map(rng, n, k, density)
     b_map = random_map(rng, k, m, density)
     a = _block(a_map, n, k)
-    b = _block(b_map, k, m, right_kind)
+    b = _block(b_map, k, m, right_kind, PLUS_TIMES_I64)
     c = gustavson_multiply(a, b, PLUS_TIMES_I64)
     c.check()
 
@@ -254,7 +258,7 @@ def test_masked_positions_without_contributions_are_absent():
 
 def test_masked_inner_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        masked_multiply(DynamicBlock(2, 3), DynamicBlock(2, 2),
+        masked_multiply(DcsrBlock.empty(2, 3), DcsrBlock.empty(2, 2),
                         DcsrBlock.empty(2, 2), PLUS_TIMES_I64, inner_base=0)
 
 
@@ -283,8 +287,8 @@ def _operands(draw, sr, ta=False, tb=False):
     b_map = draw(_entries(*b_shape, sr))
     kinds = draw(st.tuples(st.sampled_from(("dynamic", "dcsr")),
                            st.sampled_from(("dynamic", "dcsr"))))
-    return (a_map, b_map, _block(a_map, *a_shape, kinds[0]),
-            _block(b_map, *b_shape, kinds[1]), (n, k, m))
+    return (a_map, b_map, _block(a_map, *a_shape, kinds[0], sr),
+            _block(b_map, *b_shape, kinds[1], sr), (n, k, m))
 
 
 _KERNEL_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
@@ -379,12 +383,12 @@ def test_float_sums_fold_in_ascending_inner_index():
     for i, v in enumerate(column):
         want = v if i == 0 else want + v
     assert want == 39.0
-    # a stores row 0 in reverse insertion order, so its storage order is
-    # not the inner-index order
-    a = DynamicBlock.from_triples(1, k, [(0, j, v) for j, v in
-                                         reversed(list(enumerate(column)))])
+    # a is loaded in reverse inner-index order, once by updates and once
+    # by dcsr_from_coo
+    triples = [(0, j, v) for j, v in reversed(list(enumerate(column)))]
+    a = loaded_block(1, k, triples, PLUS_TIMES_F64)
     b = _block({(j, 0): 1.0 for j in range(k)}, k, 1)
-    for left in (a, a.to_dcsr()):
+    for left in (a, block_from_triples(1, k, triples)):
         c = gustavson_multiply(left, b, PLUS_TIMES_F64)
         assert c.entry_map() == {(0, 0): want}
         mask = dcsr_from_row_map(1, 1, {0: {0: None}}, structure_only=True)

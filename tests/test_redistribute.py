@@ -6,7 +6,7 @@ import pytest
 from dynspgemm import (
     BOOLEAN,
     BlockPartition,
-    DynamicBlock,
+    DcsrBlock,
     MIN_PLUS,
     OP_DELETE,
     OP_UPSERT,
@@ -211,76 +211,101 @@ def test_route_rejects_a_negative_index_and_another_semirings_batch():
 
 # -- batched application --------------------------------------------------------------
 
+def _empty(sr, n_rows, n_cols):
+    return DcsrBlock.empty(n_rows, n_cols, dtype=sr.np_dtype)
+
+
 def test_apply_upsert_then_delete_same_position():
-    b = DynamicBlock(4, 4)
+    b = _empty(PLUS_TIMES_I64, 4, 4)
     batch = update_batch(PLUS_TIMES_I64, [1, 1], [2, 2], [5, 0],
                          ops=[OP_UPSERT, OP_DELETE])
     stats = apply_batch(b, batch, PLUS_TIMES_I64, 0, 0)
     assert stats == (1, 1)
-    assert b.nnz == 0 and not b.contains(1, 2)
-
-
-def test_apply_add_mode_folds():
-    b = DynamicBlock(4, 4)
-    apply_batch(b, upserts(PLUS_TIMES_I64, (0, 0, 1), (0, 0, 2)),
-                PLUS_TIMES_I64, 0, 0, mode="add")
-    assert b.get(0, 0) == 3
-    apply_batch(b, upserts(PLUS_TIMES_I64, (0, 0, 4)), PLUS_TIMES_I64, 0, 0,
-                mode="set")
-    assert b.get(0, 0) == 4
+    assert b.nnz == 0 and b.entry_map() == {}
 
 
 def test_apply_translates_base_offsets():
-    b = DynamicBlock(2, 2)
+    b = _empty(PLUS_TIMES_I64, 2, 2)
     apply_batch(b, upserts(PLUS_TIMES_I64, (10, 21, 7)), PLUS_TIMES_I64,
                 row_base=10, col_base=20)
-    assert b.get(0, 1) == 7
-
-
-def test_apply_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        apply_batch(DynamicBlock(2, 2), upserts(PLUS_TIMES_I64), PLUS_TIMES_I64,
-                    0, 0, mode="xor")
+    assert b.entry_map() == {(0, 1): 7}
 
 
 @pytest.mark.parametrize("entry", [(9, 20), (10, 25), (12, 20), (10, 19)])
 def test_apply_rejects_updates_outside_the_block(entry):
     # the 2x2 block at (10, 20) holds rows 10-11 and columns 20-21; a stray
     # update must not wrap to a negative local index or land past the edge
-    b = DynamicBlock(2, 2)
-    batch = upserts(PLUS_TIMES_I64, (10, 20, 1), (*entry, 7))
+    b = _empty(PLUS_TIMES_I64, 2, 2)
+    apply_batch(b, upserts(PLUS_TIMES_I64, (11, 21, 3)), PLUS_TIMES_I64,
+                row_base=10, col_base=20)
+    batch = upserts(PLUS_TIMES_I64, (10, 20, 1), (11, 21, 4), (*entry, 7))
     with pytest.raises(ValueError, match="outside"):
         apply_batch(b, batch, PLUS_TIMES_I64, row_base=10, col_base=20)
-    assert b.nnz == 0 and b.entry_map() == {}
+    assert b.nnz == 1 and b.entry_map() == {(1, 1): 3}
 
 
 def test_apply_bool_values_stay_bools():
-    b = DynamicBlock(2, 2)
-    apply_batch(b, upserts(BOOLEAN, (0, 0, True), (1, 1, False)), BOOLEAN, 0, 0)
-    assert b.entry_map() == {(0, 0): True, (1, 1): False}
-    assert all(type(v) is bool for v in b.entry_map().values())
+    # bool operand values are the 0/1 u1 lane, as in the product
+    b = _empty(BOOLEAN, 2, 2)
+    batch = upserts(BOOLEAN, (0, 0, True), (1, 1, False), (0, 1, 1))
+    batch["v"][2] = 7   # a non-zero byte off the wire still reads as true
+    apply_batch(b, batch, BOOLEAN, 0, 0)
+    assert b.vals.dtype == BOOLEAN.np_dtype
+    assert b.entry_map() == {(0, 0): 1, (0, 1): 1, (1, 1): 0}
 
 
-def test_apply_matches_sequential_oracle():
-    rng = np.random.default_rng(29)
-    n = 50
-    count = 20_000
-    batch = update_batch(
-        PLUS_TIMES_I64, rng.integers(n, size=count), rng.integers(n, size=count),
-        rng.integers(1, 100, size=count),
+def _random_batch(rng, sr, n, count):
+    """count records over an n x n block, 30% deletes; one upsert in ten
+    writes the semiring zero."""
+    if sr is BOOLEAN:
+        vals = rng.integers(2, size=count).astype(bool)
+    elif sr is PLUS_TIMES_I64:
+        vals = rng.integers(-50, 100, size=count)
+    else:
+        vals = rng.integers(-50, 100, size=count).astype(float)
+    vals = np.where(rng.random(count) < 0.1, sr.zero, vals)
+    return update_batch(
+        sr, rng.integers(n, size=count), rng.integers(n, size=count), vals,
         ops=np.where(rng.random(count) < 0.3, OP_DELETE, OP_UPSERT))
-    b = DynamicBlock(n, n)
-    ins, dels = apply_batch(b, batch, PLUS_TIMES_I64, 0, 0, mode="set")
-    oracle: dict = {}
-    o_ins = o_del = 0
-    for i, j, op, v in records(batch, PLUS_TIMES_I64):
+
+
+def _apply_in_order(oracle: dict, batch, sr) -> tuple[int, int]:
+    """Apply the records one by one to a dict: (inserted, deleted)."""
+    ins = dels = 0
+    for i, j, op, v in records(batch, sr):
         if op == OP_UPSERT:
-            if (i, j) not in oracle:
-                o_ins += 1
+            ins += (i, j) not in oracle
             oracle[(i, j)] = v
         elif (i, j) in oracle:
             del oracle[(i, j)]
-            o_del += 1
-    assert b.entry_map() == oracle
-    assert (ins, dels) == (o_ins, o_del)
-    b.check()
+            dels += 1
+    return ins, dels
+
+
+@pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
+def test_apply_matches_sequential_oracle(sr):
+    rng = np.random.default_rng(29)
+    n = 50
+    count = 20_000
+    b = _empty(sr, n, n)
+    oracle: dict = {}
+    for step in range(2):
+        batch = _random_batch(rng, sr, n, count)
+        if step:
+            # the second batch meets stored entries: a run's first record
+            # finds its position stored (an upsert or a delete) or absent,
+            # and runs hold upsert -> delete -> upsert chains
+            ops_at: dict = {}
+            for i, j, op, _ in records(batch, sr):
+                ops_at.setdefault((i, j), []).append(op)
+            firsts = {(ops[0], p in oracle) for p, ops in ops_at.items()}
+            assert firsts == {(OP_UPSERT, True), (OP_UPSERT, False),
+                              (OP_DELETE, True), (OP_DELETE, False)}
+            assert any(f"{OP_UPSERT}{OP_DELETE}{OP_UPSERT}" in
+                       "".join(map(str, ops)) for ops in ops_at.values())
+        want = _apply_in_order(oracle, batch, sr)
+        assert apply_batch(b, batch, sr, 0, 0) == want
+        assert b.entry_map() == oracle
+        assert b.vals.dtype == sr.np_dtype
+        b.check()
+    assert any(v == sr.zero for v in oracle.values())

@@ -11,9 +11,11 @@ from dynspgemm import (
     PLUS_TIMES_I64,
     DcsrBlock,
     DecodeError,
-    DynamicBlock,
+    OP_DELETE,
+    OP_UPSERT,
     STRUCTURE_CODEC,
     add_into,
+    apply_batch,
     bloom_codec,
     dcsr_deserialize,
     dcsr_from_coo,
@@ -22,101 +24,118 @@ from dynspgemm import (
     or_into,
     same_entries,
     semiring_codec,
+    update_batch,
 )
-from helpers import dcsr_from_row_map, position_set
+from helpers import block_from_triples, dcsr_from_row_map, loaded_block, position_set
 
 
-# -- dynamic block -----------------------------------------------------------
+# -- operand blocks under update batches --------------------------------------
+
+def _apply(block, *records, sr=PLUS_TIMES_I64):
+    """apply_batch of (row, col, value) upserts, or (row, col) deletes."""
+    rows = [r[0] for r in records]
+    cols = [r[1] for r in records]
+    vals = [r[2] if len(r) == 3 else sr.zero for r in records]
+    ops = [OP_UPSERT if len(r) == 3 else OP_DELETE for r in records]
+    return apply_batch(block, update_batch(sr, rows, cols, vals, ops), sr, 0, 0)
+
+
+def _empty(n_rows, n_cols, sr=PLUS_TIMES_I64):
+    return DcsrBlock.empty(n_rows, n_cols, dtype=sr.np_dtype)
+
 
 def test_upsert_get_overwrite():
-    b = DynamicBlock(2, 2)
-    assert b.upsert(0, 1, 5) is True
+    b = _empty(2, 2)
+    assert _apply(b, (0, 1, 5)) == (1, 0)
     assert b.nnz == 1
-    assert b.get(0, 1) == 5
-    assert b.upsert(0, 1, 7) is False
+    assert b.entry_map() == {(0, 1): 5}
+    assert _apply(b, (0, 1, 7)) == (0, 0)
     assert b.nnz == 1
-    assert b.get(0, 1) == 7
-    assert b.get(1, 0) is None
-    assert b.contains(0, 1) and not b.contains(1, 1)
+    assert b.entry_map() == {(0, 1): 7}
+    b.check()
 
 
 def test_delete_absent_and_present():
-    b = DynamicBlock(3, 3)
-    assert b.delete(0, 0) is False
-    b.upsert(1, 2, 9)
-    assert b.delete(1, 2) is True
+    b = _empty(3, 3)
+    assert _apply(b, (0, 0)) == (0, 0)
+    assert _apply(b, (1, 2, 9)) == (1, 0)
+    assert _apply(b, (1, 2)) == (0, 1)
     assert b.nnz == 0
-    assert b.get(1, 2) is None
-    assert b.delete(1, 2) is False
+    assert b.entry_map() == {}
+    assert _apply(b, (1, 2)) == (0, 0)
+    b.check()
 
 
 def test_delete_middle_of_row_keeps_bijection():
-    b = DynamicBlock(1, 8)
-    for c, v in ((3, 30), (5, 50), (7, 70)):
-        b.upsert(0, c, v)
-    assert b.delete(0, 5) is True
+    b = _empty(1, 8)
+    _apply(b, (0, 3, 30), (0, 5, 50), (0, 7, 70))
+    assert _apply(b, (0, 5)) == (0, 1)
     b.check()
     assert b.entry_map() == {(0, 3): 30, (0, 7): 70}
-    assert sorted(b.row_cols(0)) == [3, 7]
-    assert b.row_nnz(0) == 2
+    assert list(b.iter_rows()) == [(0, [3, 7], [30, 70])]
+    assert b.nnz == 2
 
 
 def test_apply_updates_combine_inserts_then_folds():
-    b = DynamicBlock(2, 2)
-    assert b.apply_updates([(0, 0, 0, 4)], combine=min) == (1, 0)
-    assert b.apply_updates([(0, 0, 0, 2)], combine=min) == (0, 0)
-    assert b.get(0, 0) == 2
-    assert b.apply_updates([(0, 0, 0, 9)], combine=min) == (0, 0)
-    assert b.get(0, 0) == 2
+    # folding is add_into's job: a new position inserts, a stored one folds
+    b = DcsrBlock.empty(2, 2)
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 4.0}}), MIN_PLUS.add)
+    assert b.entry_map() == {(0, 0): 4.0}
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 2.0}}), MIN_PLUS.add)
+    assert b.entry_map() == {(0, 0): 2.0}
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 9.0}}), MIN_PLUS.add)
+    assert b.entry_map() == {(0, 0): 2.0}
 
 
 def test_random_ops_match_dict_oracle():
     rng = np.random.default_rng(21)
-    b = DynamicBlock(20, 20)
+    b = _empty(20, 20)
     oracle: dict = {}
-    for step in range(5000):
-        r = int(rng.integers(20))
-        c = int(rng.integers(20))
-        op = rng.random()
-        if op < 0.55:
-            v = int(rng.integers(100))
-            got_new = b.upsert(r, c, v)
-            assert got_new == ((r, c) not in oracle)
-            oracle[(r, c)] = v
-        elif op < 0.8:
-            got = b.delete(r, c)
-            assert got == ((r, c) in oracle)
-            oracle.pop((r, c), None)
-        else:
-            assert b.get(r, c) == oracle.get((r, c))
-        if step % 500 == 0:
-            b.check()
-    assert b.entry_map() == oracle
+    for _ in range(50):
+        records = []
+        for _ in range(100):
+            r, c = int(rng.integers(20)), int(rng.integers(20))
+            if rng.random() < 0.65:
+                records.append((r, c, int(rng.integers(100))))
+            else:
+                records.append((r, c))
+        want_ins = want_del = 0
+        for rec in records:
+            if len(rec) == 3:
+                want_ins += rec[:2] not in oracle
+                oracle[rec[:2]] = rec[2]
+            elif oracle.pop(rec, None) is not None:
+                want_del += 1
+        assert _apply(b, *records) == (want_ins, want_del)
+        assert b.entry_map() == oracle
+        b.check()
     assert b.nnz == len(oracle)
-    b.check()
 
 
 def test_structural_zero_is_kept():
-    b = DynamicBlock(2, 2)
-    b.upsert(0, 0, 5)
-    b.apply_updates([(0, 0, 0, -5)], combine=PLUS_TIMES_I64.add)
-    assert b.get(0, 0) == 0
-    assert b.contains(0, 0)
-    assert b.nnz == 1
+    b = _empty(2, 2)
+    _apply(b, (0, 0, 5), (1, 1, 0))
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: -5}}), PLUS_TIMES_I64.add)
+    assert b.entry_map() == {(0, 0): 0, (1, 1): 0}
+    assert b.nnz == 2
 
 
 def test_from_triples_and_row_access():
-    b = DynamicBlock.from_triples(3, 4, [(0, 1, 5), (2, 0, 3), (0, 1, 6)])
+    b = block_from_triples(3, 4, [(0, 1, 5), (2, 0, 3), (0, 1, 6)])
     assert b.nnz == 2
-    assert b.get(0, 1) == 6   # later triple overwrites
+    assert b.entry_map()[(0, 1)] == 6   # later triple overwrites
+    # lists of Python scalars, as triples() yields Python scalars
     assert list(b.iter_rows()) == [(0, [1], [6]), (2, [0], [3])]
+    assert all(type(x) is list for _, cols, vals in b.iter_rows()
+               for x in (cols, vals))
 
 
-# -- conversions --------------------------------------------------------------
+# -- layout --------------------------------------------------------------------
 
 def test_to_dcsr_example():
-    b = DynamicBlock.from_triples(3, 2, [(0, 1, 5), (2, 0, 3)])
-    d = b.to_dcsr()
+    # an operand loaded by updates holds the canonical DCSR arrays
+    d = _empty(3, 2)
+    _apply(d, (2, 0, 3), (0, 1, 5))
     assert d.nz_rows.tolist() == [0, 2]
     assert d.row_ptr.tolist() == [0, 1, 2]
     assert d.cols.tolist() == [1, 0]
@@ -126,9 +145,11 @@ def test_to_dcsr_example():
 
 
 def test_to_dcsr_empty():
-    d = DynamicBlock(4, 4).to_dcsr()
+    d = _empty(4, 4)
+    _apply(d, (1, 1), (2, 3, 4), (2, 3))   # a block emptied again by deletes
     assert d.nz_rows.tolist() == [] and d.row_ptr.tolist() == [0] and d.cols.tolist() == []
     assert d.nnz == 0
+    d.check()
 
 
 def test_round_trip_conversions_preserve_triples():
@@ -136,25 +157,26 @@ def test_round_trip_conversions_preserve_triples():
     pos = rng.choice(30 * 17, size=500, replace=False)
     triples = [(int(p // 17), int(p % 17), int(rng.integers(1, 99)))
                for p in pos]
-    b = DynamicBlock.from_triples(30, 17, triples)
+    b = loaded_block(30, 17, triples, PLUS_TIMES_I64)
+    b.check()
     want = set((r, c, v) for r, c, v in triples)
-    assert set(b.to_dcsr().triples()) == want
-    assert b.to_dcsr().entry_map() == b.entry_map()
-    assert position_set(b.to_dcsr()) == {(r, c) for r, c, _ in triples}
+    assert set(b.triples()) == want
+    assert b.entry_map() == block_from_triples(30, 17, triples).entry_map()
+    assert position_set(b) == {(r, c) for r, c, _ in triples}
 
 
 def test_to_arrays_storage_order_and_dtype():
-    b = DynamicBlock.from_triples(4, 5, [(2, 4, 7), (0, 1, 5), (2, 0, 3),
-                                         (0, 3, 6)])
-    b.delete(0, 1)   # swap-remove: (0, 3) moves into slot 0
+    b = loaded_block(4, 5, [(2, 4, 7), (0, 1, 5), (2, 0, 3), (0, 3, 6)],
+                     PLUS_TIMES_I64)
+    _apply(b, (0, 1))
     rows, cols, vals = b.to_arrays(PLUS_TIMES_I64.np_dtype)
     assert rows.tolist() == [0, 2, 2]
-    assert cols.tolist() == [3, 4, 0]
-    assert vals.tolist() == [6, 7, 3]
+    assert cols.tolist() == [3, 0, 4]
+    assert vals.tolist() == [6, 3, 7]
     assert vals.dtype == PLUS_TIMES_I64.np_dtype
-    empty = DynamicBlock(3, 3)
-    empty.upsert(1, 1, True)
-    empty.delete(1, 1)   # a row emptied by deletes contributes nothing
+    empty = _empty(3, 3, BOOLEAN)
+    _apply(empty, (1, 1, True), sr=BOOLEAN)
+    _apply(empty, (1, 1), sr=BOOLEAN)   # a row emptied by deletes is not listed
     rows, cols, vals = empty.to_arrays(BOOLEAN.np_dtype)
     assert rows.size == cols.size == vals.size == 0
     assert vals.dtype == BOOLEAN.np_dtype
@@ -164,8 +186,8 @@ def test_to_arrays_matches_triples_for_every_semiring():
     for sr, values in ((PLUS_TIMES_I64, [-4, 0, 9]),
                        (MIN_PLUS, [float("inf"), 0.0, 2.5]),
                        (BOOLEAN, [True, False, True])):
-        b = DynamicBlock.from_triples(
-            3, 3, [(1, 2, values[0]), (0, 0, values[1]), (1, 0, values[2])])
+        b = loaded_block(
+            3, 3, [(1, 2, values[0]), (0, 0, values[1]), (1, 0, values[2])], sr)
         rows, cols, vals = b.to_arrays(sr.np_dtype)
         assert vals.dtype == sr.np_dtype
         got = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
@@ -173,14 +195,7 @@ def test_to_arrays_matches_triples_for_every_semiring():
 
 
 def _block(entries, n=4):
-    return DynamicBlock.from_triples(n, n, entries)
-
-
-def test_same_entries_ignores_within_row_order():
-    x = _block([(0, 1, 5), (0, 3, 6), (2, 2, 1)])
-    y = _block([(2, 2, 1), (0, 3, 6), (0, 1, 5)])
-    assert x.row_cols(0) != y.row_cols(0)
-    assert same_entries(x, y, PLUS_TIMES_I64.np_dtype)
+    return block_from_triples(n, n, entries)
 
 
 @pytest.mark.parametrize("other", [
@@ -210,23 +225,24 @@ def test_same_entries_agrees_with_entry_map_equality():
     rng = np.random.default_rng(8)
     outcomes = set()
     for _ in range(200):
-        x = DynamicBlock(5, 5)
+        x = _empty(5, 5)
         for _ in range(int(rng.integers(0, 16))):
             r, c = int(rng.integers(5)), int(rng.integers(5))
             if rng.random() < 0.75:
-                x.upsert(r, c, int(rng.integers(0, 3)))
+                _apply(x, (r, c, int(rng.integers(0, 3))))
             else:
-                x.delete(r, c)
-        # y: x's entries in another order, then at most one random change
+                _apply(x, (r, c))
+        # y: x's entries loaded in another order, then at most one random
+        # change
         triples = list(x.triples())
-        y = DynamicBlock.from_triples(
-            5, 5, [triples[k] for k in rng.permutation(len(triples))])
+        y = loaded_block(5, 5, [triples[k] for k in rng.permutation(len(triples))],
+                         PLUS_TIMES_I64)
         r, c = int(rng.integers(5)), int(rng.integers(5))
         change = rng.random()
         if change < 0.3:
-            y.upsert(r, c, int(rng.integers(0, 3)))
+            _apply(y, (r, c, int(rng.integers(0, 3))))
         elif change < 0.6:
-            y.delete(r, c)
+            _apply(y, (r, c))
         want = x.entry_map() == y.entry_map()
         assert same_entries(x, y, PLUS_TIMES_I64.np_dtype) == want
         outcomes.add(want)
@@ -278,17 +294,17 @@ def test_dcsr_check_rejects_malformed():
 # -- combinators ---------------------------------------------------------------
 
 def test_add_into_examples():
-    dst = DynamicBlock.from_triples(2, 2, [(0, 0, 4.0)])
+    dst = block_from_triples(2, 2, [(0, 0, 4.0)])
     upd = dcsr_from_row_map(2, 2, {0: {0: 2.0}})
     add_into(dst, upd, MIN_PLUS.add)
-    assert dst.get(0, 0) == 2.0
+    assert dst.entry_map() == {(0, 0): 2.0}
 
-    dst2 = DynamicBlock.from_triples(2, 2, [(0, 0, 4)])
+    dst2 = block_from_triples(2, 2, [(0, 0, 4)])
     upd2 = dcsr_from_row_map(2, 2, {0: {0: 2}})
     add_into(dst2, upd2, PLUS_TIMES_I64.add)
-    assert dst2.get(0, 0) == 6
+    assert dst2.entry_map() == {(0, 0): 6}
 
-    empty = DynamicBlock(2, 2)
+    empty = _empty(2, 2)
     add_into(empty, upd2, PLUS_TIMES_I64.add)
     assert empty.entry_map() == upd2.entry_map()
 
@@ -297,7 +313,7 @@ def test_add_into_with_inverses_restores():
     rng = np.random.default_rng(8)
     base = {(int(rng.integers(9)), int(rng.integers(9))): int(rng.integers(1, 50))
             for _ in range(40)}
-    dst = DynamicBlock.from_triples(9, 9, [(r, c, v) for (r, c), v in base.items()])
+    dst = block_from_triples(9, 9, [(r, c, v) for (r, c), v in base.items()])
     delta = dcsr_from_row_map(9, 9, {r: {c: -v for (rr, c), v in base.items() if rr == r}
                                      for r in {rc[0] for rc in base}})
     add_into(dst, delta, PLUS_TIMES_I64.add)
@@ -311,7 +327,7 @@ def test_add_into_with_inverses_restores():
 
 
 def test_or_into_accumulates_bitfields():
-    dst = DynamicBlock.from_triples(2, 2, [(0, 0, 0b0001)])
+    dst = block_from_triples(2, 2, [(0, 0, 0b0001)])
     upd = dcsr_from_row_map(2, 2, {0: {0: 0b0100, 1: 0b0010}})
     or_into(dst, upd)
     assert dst.entry_map() == {(0, 0): 0b0101, (0, 1): 0b0010}
@@ -320,13 +336,13 @@ def test_or_into_accumulates_bitfields():
 # -- bloom row filter ----------------------------------------------------------
 
 def test_filter_rows_zero_vector_drops_all():
-    a = DynamicBlock.from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
+    a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
     out = filter_rows_by_bloom(a, [0, 0, 0], col_base=0, ell=64)
     assert out.nnz == 0
 
 
 def test_filter_rows_full_vector_keeps_all():
-    a = DynamicBlock.from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
+    a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
     full = (1 << 64) - 1
     out = filter_rows_by_bloom(a, [full] * 3, col_base=0, ell=64)
     assert set(out.triples()) == set(a.triples())
@@ -335,14 +351,14 @@ def test_filter_rows_full_vector_keeps_all():
 def test_filter_rows_small_ell_example():
     # ell = 4: bit of column c is (col_base + c) mod 4. Bitfield 0b0010 keeps
     # exactly columns congruent to 1 (mod 4): here 1 and 5 but not 2.
-    a = DynamicBlock.from_triples(1, 8, [(0, 1, 10), (0, 5, 50), (0, 2, 20)])
+    a = block_from_triples(1, 8, [(0, 1, 10), (0, 5, 50), (0, 2, 20)])
     out = filter_rows_by_bloom(a, [0b0010], col_base=0, ell=4)
     assert out.entry_map() == {(0, 1): 10, (0, 5): 50}
 
 
 def test_filter_rows_respects_col_base():
     # global column = col_base + local column; shifting the base moves bits
-    a = DynamicBlock.from_triples(1, 4, [(0, 0, 7), (0, 1, 8)])
+    a = block_from_triples(1, 4, [(0, 0, 7), (0, 1, 8)])
     out = filter_rows_by_bloom(a, [0b0001], col_base=3, ell=4)
     # global cols are 3 and 4 -> bits 3 and 0; only bit 0 passes
     assert out.entry_map() == {(0, 1): 8}
@@ -350,21 +366,21 @@ def test_filter_rows_respects_col_base():
 
 def test_filter_rows_output_is_subset():
     rng = np.random.default_rng(31)
-    a = DynamicBlock.from_triples(
+    a = block_from_triples(
         10, 10, [(int(p // 10), int(p % 10), int(rng.integers(1, 9)))
                  for p in rng.choice(100, size=40, replace=False)])
     r_vec = [int(rng.integers(0, 256)) for _ in range(10)]
     out = filter_rows_by_bloom(a, r_vec, col_base=5, ell=8)
     out.check()
     for r, c, v in out.triples():
-        assert a.get(r, c) == v
+        assert a.entry_map()[(r, c)] == v
         assert (r_vec[r] >> ((5 + c) % 8)) & 1
 
 
 # -- wire format ---------------------------------------------------------------
 
 def test_serialize_golden_bytes():
-    b = DynamicBlock.from_triples(3, 2, [(0, 1, 5), (2, 0, 3)]).to_dcsr()
+    b = block_from_triples(3, 2, [(0, 1, 5), (2, 0, 3)])
     blob = dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64))
     want = struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 2, 2, 2)
     want += np.asarray([0, 2], "<u8").tobytes()        # nz_rows
@@ -386,7 +402,7 @@ def test_wire_round_trip(sr):
         if sr is PLUS_TIMES_I64:
             v = int(v)
         triples.append((int(p // 40), int(p % 40), v))
-    b = DynamicBlock.from_triples(50, 40, triples).to_dcsr()
+    b = block_from_triples(50, 40, triples)
     blob = dcsr_serialize(b, semiring_codec(sr))
     back = dcsr_deserialize(blob, semiring_codec(sr))
     assert back.entry_map() == b.entry_map()
@@ -406,7 +422,7 @@ def test_wire_round_trip_large():
     pos = rng.choice(n * n, size=100_000, replace=False)
     triples = [(int(p // n), int(p % n), int(v)) for p, v in
                zip(pos, rng.integers(-1000, 1000, size=len(pos)))]
-    b = DynamicBlock.from_triples(n, n, triples).to_dcsr()
+    b = block_from_triples(n, n, triples)
     blob = dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64))
     back = dcsr_deserialize(blob, semiring_codec(PLUS_TIMES_I64))
     assert back.entry_map() == b.entry_map()
@@ -429,7 +445,7 @@ def test_wire_bloom_round_trip():
 
 def test_wire_rejects_corruption():
     codec = semiring_codec(PLUS_TIMES_I64)
-    b = DynamicBlock.from_triples(3, 3, [(0, 1, 5), (2, 0, 3)]).to_dcsr()
+    b = block_from_triples(3, 3, [(0, 1, 5), (2, 0, 3)])
     blob = dcsr_serialize(b, codec)
 
     with pytest.raises(DecodeError):
@@ -476,7 +492,7 @@ def test_wire_rejects_inconsistent_structure():
 
 
 def test_structural_zero_survives_wire():
-    b = DynamicBlock.from_triples(2, 2, [(0, 0, 0)]).to_dcsr()
+    b = block_from_triples(2, 2, [(0, 0, 0)])
     back = dcsr_deserialize(dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64)),
                             semiring_codec(PLUS_TIMES_I64))
     assert back.entry_map() == {(0, 0): 0}

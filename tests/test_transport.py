@@ -6,7 +6,6 @@ import pytest
 from dynspgemm import (
     DcsrBlock,
     DeadlockError,
-    DynamicBlock,
     MIN_PLUS,
     NULL_PHASES,
     PLUS_TIMES_F64,
@@ -18,7 +17,7 @@ from dynspgemm import (
     run_spmd,
     semiring_codec,
 )
-from helpers import dcsr_from_row_map
+from helpers import block_from_triples, dcsr_from_row_map
 
 I64 = semiring_codec(PLUS_TIMES_I64)
 
@@ -281,8 +280,8 @@ def test_aggregate_matches_sequential_fold_oracle():
     for sr, contribs in ((MIN_PLUS, min_contribs), (PLUS_TIMES_F64, sum_contribs)):
         def worker(comm):
             mine = contribs[comm.grid_col]
-            block = DynamicBlock.from_triples(
-                n, n, [(r, c, v) for (r, c), v in mine.items()]).to_dcsr()
+            block = block_from_triples(
+                n, n, [(r, c, v) for (r, c), v in mine.items()])
             got = comm.aggregate_sparse("row", 2, block, sr.add,
                                         semiring_codec(sr))
             return None if got is None else got.entry_map()
@@ -308,9 +307,9 @@ def test_aggregate_sends_each_contribution_once():
     blocks = {}
     for rank in range(q * q):
         rng = np.random.default_rng(500 + rank)
-        blocks[rank] = DynamicBlock.from_triples(n, n, [
+        blocks[rank] = block_from_triples(n, n, [
             (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(1, 9)))
-            for _ in range(int(rng.integers(0, 20)))]).to_dcsr()
+            for _ in range(int(rng.integers(0, 20)))])
 
     def worker(comm):
         comm.aggregate_sparse("row", root, blocks[comm.rank],
@@ -340,8 +339,8 @@ def test_back_to_back_aggregations_reach_their_own_roots():
         got = []
         for root, (sr, codec) in enumerate(combines):
             mine = contribution(comm.grid_col, root)
-            block = DynamicBlock.from_triples(
-                n, n, [(r, c, v) for (r, c), v in mine.items()]).to_dcsr()
+            block = block_from_triples(
+                n, n, [(r, c, v) for (r, c), v in mine.items()])
             res = comm.aggregate_sparse("row", root, block, sr.add, codec)
             got.append(None if res is None else res.entry_map())
         return got
