@@ -275,14 +275,16 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """One splitmix64 step per element of a uint64 array, modulo 2**64."""
-    z = z + _GAMMA
-    z ^= z >> _S30
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One splitmix64 step per element of a uint64 array, modulo 2**64, in
+    place: z is overwritten and returned, and t, of z's size, is scratch
+    (each new array of a block's size costs fresh pages)."""
+    z += _GAMMA
+    z ^= np.right_shift(z, _S30, out=t)
     z *= _MIX1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=t)
     z *= _MIX2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
@@ -299,10 +301,14 @@ def _local_checksum(dist: DistMatrix, sr: Semiring) -> tuple[int, int]:
         bits = vals.view("<u8")
     else:
         bits = vals.astype(np.uint64)
-    h = _mix64((rows + dist.row_base).view(np.uint64))
-    h = _mix64(h ^ (cols + dist.col_base).view(np.uint64))
-    h = _mix64(h ^ bits)
-    return len(vals), int(np.bitwise_xor.reduce(h))
+    rows += dist.row_base   # to_arrays gives new index arrays
+    cols += dist.col_base
+    h, t = rows.view(np.uint64), np.empty(len(rows), dtype=np.uint64)
+    _mix64(h, t)
+    h ^= cols.view(np.uint64)
+    _mix64(h, t)
+    h ^= bits
+    return len(vals), int(np.bitwise_xor.reduce(_mix64(h, t)))
 
 
 def combine_checksums(parts) -> str:

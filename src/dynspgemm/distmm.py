@@ -26,6 +26,7 @@ import numpy as np
 
 from .grid import BlockPartition
 from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
+from .redistribute import apply_batch, update_batch
 from .semiring import Semiring
 from .storage import (
     DcsrBlock,
@@ -34,7 +35,6 @@ from .storage import (
     bloom_codec,
     combine_blocks,
     dcsr_deserialize,
-    dcsr_from_coo,
     dcsr_serialize,
     filter_rows_by_bloom,
     locate,
@@ -82,18 +82,18 @@ class DistMatrix:
                    DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype))
 
     @classmethod
-    def from_triples(cls, part: BlockPartition, comm, triples) -> "DistMatrix":
+    def from_triples(cls, part: BlockPartition, comm, triples,
+                     sr: Semiring) -> "DistMatrix":
         """Build this rank's block from global (row, col, value) triples; each
-        rank keeps the entries its block owns, with the value dtype numpy
-        infers. Later duplicates overwrite earlier ones."""
-        i, j = comm.grid_row, comm.grid_col
-        r0, c0 = part.row_starts[i], part.col_starts[j]
-        mine = [(gi - r0, gj - c0, v) for gi, gj, v in triples
-                if part.owner_coords(gi, gj) == (i, j)]
-        rows, cols, vals = zip(*reversed(mine)) if mine else ((), (), ())
-        # reversed input: the first-wins fold keeps the last duplicate
-        block = dcsr_from_coo(*part.block_shape(i, j), rows, cols, list(vals))
-        return cls(part, i, j, block)
+        rank keeps the entries its block owns, in sr's value dtype. Later
+        duplicates overwrite earlier ones."""
+        d = cls.empty(part, comm, sr)
+        mine = [t for t in triples
+                if part.owner_coords(t[0], t[1]) == (d.grid_row, d.grid_col)]
+        rows, cols, vals = zip(*mine) if mine else ((), (), ())
+        apply_batch(d.block, update_batch(sr, rows, cols, vals), sr,
+                    d.row_base, d.col_base)
+        return d
 
     def global_entries(self) -> dict:
         """Local entries keyed by global (row, col); for assembling test views."""
@@ -364,8 +364,7 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             y_bits = r_cur
 
     n_r, n_c = x_pat.n_rows, x_pat.n_cols
-    touched = combine_blocks((x_pat, y_pat), n_r, n_c, None,
-                             structure_only=True)
+    touched = combine_blocks((x_pat, y_pat), n_r, n_c, None)
     new_bits = DcsrBlock.empty(n_r, n_c, dtype=np.uint64)
     or_into(new_bits, x_pat)
     or_into(new_bits, y_bits)
@@ -419,7 +418,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
             pos, found = locate(blk.keys(), t_keys)
             np.bitwise_or.at(row_bits, t_rows[found], blk.vals[pos[found]])
         nz = np.flatnonzero(row_bits)
-        vec = dcsr_from_coo(n_lr, 1, nz, np.zeros(len(nz)), row_bits[nz])
+        vec = DcsrBlock(n_lr, 1, nz, row_bits[nz])   # an n x 1 key is its row
     with phases.phase("aggregate"):
         vr = comm.aggregate_sparse("row", 0, vec, operator.or_, bcodec)
     with phases.phase("broadcast"):
@@ -427,7 +426,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
             0, dcsr_serialize(vr, bcodec) if vr is not None else None)
     r_blk = dcsr_deserialize(v_buf, bcodec)
     r_vec = np.zeros(n_lr, dtype=np.uint64)
-    r_vec[r_blk.nz_rows] = r_blk.vals
+    r_vec[r_blk.keys()] = r_blk.vals
 
     with phases.phase("local_multiply"):
         a_rows = filter_rows_by_bloom(a_prime.block, r_vec,

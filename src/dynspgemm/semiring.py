@@ -37,10 +37,14 @@ class Semiring:
     zero: object
     one: object
     is_ring: bool
-    value_width: int          # bytes per value on the wire
     np_dtype: np.dtype = field(compare=False)
     np_add: np.ufunc = field(compare=False)
     np_mul: np.ufunc = field(compare=False)
+
+    @property
+    def value_width(self) -> int:
+        """Bytes per value on the wire."""
+        return self.np_dtype.itemsize
 
     def encode_values(self, values) -> bytes:
         return np.asarray(values, dtype=self.np_dtype).tobytes()
@@ -64,7 +68,6 @@ PLUS_TIMES_I64 = Semiring(
     zero=0,
     one=1,
     is_ring=True,
-    value_width=8,
     np_dtype=np.dtype("<i8"),
     np_add=np.add,
     np_mul=np.multiply,
@@ -77,7 +80,6 @@ PLUS_TIMES_F64 = Semiring(
     zero=0.0,
     one=1.0,
     is_ring=True,
-    value_width=8,
     np_dtype=np.dtype("<f8"),
     np_add=np.add,
     np_mul=np.multiply,
@@ -91,7 +93,6 @@ MIN_PLUS = Semiring(
     zero=math.inf,
     one=0.0,
     is_ring=False,
-    value_width=8,
     np_dtype=np.dtype("<f8"),
     np_add=np.minimum,
     np_mul=np.add,
@@ -104,7 +105,6 @@ BOOLEAN = Semiring(
     zero=False,
     one=True,
     is_ring=False,
-    value_width=1,
     np_dtype=np.dtype("<u1"),
     np_add=np.bitwise_or,
     np_mul=np.bitwise_and,

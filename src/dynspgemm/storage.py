@@ -1,16 +1,19 @@
-"""Local sparse blocks: one doubly-compressed (DCSR) block type over numpy
-arrays for every block, the operands A and B as much as the maintained
-product C, its bitfields F and everything produced or exchanged, plus the
-DCSR wire codec used for every transport payload. Bitfield blocks are DCSR
-blocks whose values are the bitfields. Update batches (apply_batch) and the
-merges into C and F (add_into, or_into, replace_touched) change a block in
-place.
+"""Local sparse blocks: one block type (DcsrBlock) for every block, the
+operands A and B as much as the maintained product C, its bitfields F and
+everything produced or exchanged, plus the wire codec used for every
+transport payload. Bitfield blocks are blocks whose values are the
+bitfields. Update batches (apply_batch) and the merges into C and F
+(add_into, or_into, replace_touched) change a block in place.
 
-A DCSR block is canonical: its entry keys r * n_cols + c strictly increase,
-so array code finds positions with `searchsorted`. Kernels and combinators
-emit blocks only through dcsr_from_coo, which sorts by key and folds
-repeated positions in input order; in-place changes go through one sorted
-merge of disjoint key sets (_merge_keys).
+A block is its canonical entry keys r * n_cols + c, one strictly increasing
+int64 array, and its values in key order, so array code finds positions
+with `searchsorted` and no operation rebuilds rows. Kernels and combinators
+emit blocks only through dcsr_from_keys (or dcsr_from_coo), which sorts by
+key and folds repeated keys in input order; in-place changes go through one
+sorted merge of disjoint key sets (_merge_keys). The doubly-compressed
+sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008), which lists only
+the non-empty rows, is the wire format only: dcsr_serialize derives it from
+the keys and dcsr_deserialize checks it and turns it back into keys.
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -33,62 +36,64 @@ class DecodeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# compressed block
+# block
 # ---------------------------------------------------------------------------
 
 class DcsrBlock:
-    """Doubly-compressed block: only non-empty rows are listed, in int64
-    arrays nz_rows, row_ptr and cols, with vals an array or None when
-    structure-only (value width 0 on the wire). Canonical: rows ascend and
-    columns ascend within a row. The constructor takes lists or arrays in
-    that order; dcsr_from_coo takes entries in any order. Update batches
-    (apply_batch) and the merges into C and F change a block in place.
+    """A sparse block as its entry keys r * n_cols + c, strictly increasing
+    int64, and vals, an array in key order or None when structure-only
+    (value width 0 on the wire). It keeps no DCSR arrays: the codec derives
+    them on the way out, as nz_rows and iter_rows do, and the decoder turns
+    them back into keys. The constructor takes keys in that order;
+    dcsr_from_keys and dcsr_from_coo take entries in any order. Update
+    batches (apply_batch) and the merges into C and F change a block in
+    place.
     """
 
-    __slots__ = ("n_rows", "n_cols", "nz_rows", "row_ptr", "cols", "vals")
+    __slots__ = ("n_rows", "n_cols", "_keys", "vals")
 
-    def __init__(self, n_rows, n_cols, nz_rows, row_ptr, cols, vals):
-        if len(row_ptr) != len(nz_rows) + 1:
-            raise ValueError(f"row_ptr has {len(row_ptr)} entries for "
-                             f"{len(nz_rows)} listed rows")
+    def __init__(self, n_rows, n_cols, keys, vals):
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.nz_rows = np.asarray(nz_rows, dtype=np.int64)
-        self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
+        self._keys = np.asarray(keys, dtype=np.int64)
         self.vals = None if vals is None else np.asarray(vals)
 
     @property
     def nnz(self) -> int:
-        return int(self.row_ptr[-1])
+        return len(self._keys)
 
     @classmethod
     def empty(cls, n_rows: int, n_cols: int, structure_only: bool = False,
               dtype=np.float64) -> "DcsrBlock":
         vals = None if structure_only else np.empty(0, dtype=dtype)
-        return cls(n_rows, n_cols, [], [0], [], vals)
+        return cls(n_rows, n_cols, [], vals)
+
+    def keys(self) -> np.ndarray:
+        """Entry keys r * n_cols + c, strictly increasing."""
+        return self._keys
+
+    @property
+    def nz_rows(self) -> np.ndarray:
+        """The rows holding an entry, ascending."""
+        return _dcsr_arrays(self)[0]
 
     def iter_rows(self):
         """(row, cols, vals) per listed row, cols and vals as lists of Python
         scalars; vals is None when structure-only."""
-        ptr = self.row_ptr.tolist()
-        cols = self.cols.tolist()
+        nz_rows, ptr, cols = (a.tolist() for a in _dcsr_arrays(self))
         vals = None if self.vals is None else self.vals.tolist()
-        for k, r in enumerate(self.nz_rows.tolist()):
-            lo, hi = ptr[k], ptr[k + 1]
+        for r, lo, hi in zip(nz_rows, ptr, ptr[1:]):
             yield r, cols[lo:hi], None if vals is None else vals[lo:hi]
 
     def to_arrays(self, dtype=None):
-        """(rows, cols, vals) arrays in canonical order; vals cast to dtype
-        when given, None when structure-only."""
-        ptr, vals = self.row_ptr, self.vals
+        """(rows, cols, vals) arrays in key order, rows and cols new arrays;
+        vals cast to dtype when given, None when structure-only."""
+        vals = self.vals
         if vals is not None and dtype is not None:
             vals = vals.astype(dtype, copy=False)
-        return self.nz_rows.repeat(ptr[1:] - ptr[:-1]), self.cols, vals
-
-    def keys(self) -> np.ndarray:
-        """Entry keys r * n_cols + c, strictly increasing."""
-        return self.to_arrays()[0] * self.n_cols + self.cols
+        rows = self._keys // max(self.n_cols, 1)
+        cols = np.multiply(rows, self.n_cols)
+        return rows, np.subtract(self._keys, cols, out=cols), vals
 
     def triples(self):
         """(row, col, value) as Python scalars; value None when
@@ -101,14 +106,22 @@ class DcsrBlock:
         return {(r, c): v for r, c, v in self.triples()}
 
     def check(self) -> None:
-        assert np.all(np.diff(self.nz_rows) > 0), "nz_rows not strictly increasing"
-        assert np.all((self.nz_rows >= 0) & (self.nz_rows < self.n_rows))
-        assert self.row_ptr[0] == 0 and self.row_ptr[-1] == len(self.cols)
-        assert np.all(np.diff(self.row_ptr) > 0), "listed row is empty"
-        assert np.all((self.cols >= 0) & (self.cols < self.n_cols))
-        assert np.all(np.diff(self.keys()) > 0), "columns not ascending within a row"
-        if self.vals is not None:
-            assert len(self.vals) == len(self.cols)
+        """Raise ValueError unless the keys strictly increase within
+        [0, n_rows * n_cols) and vals, when present, has one per key."""
+        k = self._keys
+        if np.count_nonzero(k[1:] <= k[:-1]):
+            raise ValueError("keys not strictly increasing")
+        if len(k) and (k[0] < 0 or k[-1] >= self.n_rows * self.n_cols):
+            raise ValueError(f"key outside a {self.n_rows}x{self.n_cols} block")
+        if self.vals is not None and len(self.vals) != len(k):
+            raise ValueError(f"{len(self.vals)} values for {len(k)} keys")
+
+
+def _dcsr_arrays(b: DcsrBlock):
+    """(nz_rows, row_ptr, cols) of b, its DCSR layout."""
+    rows, cols, _ = b.to_arrays()
+    starts = _run_starts(rows).nonzero()[0]
+    return rows[starts], np.append(starts, len(rows)), cols
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +130,19 @@ class DcsrBlock:
 
 def dcsr_from_coo(n_rows: int, n_cols: int, rows, cols, vals=None,
                   fold=None) -> DcsrBlock:
-    """Canonical DCSR block from COO arrays in any order; vals None gives a
-    structure-only block. Entries at one position fold in input order: the
-    first sets the value and fold (a ufunc) combines the rest into it one
-    by one, left to right. Without fold the first entry stays."""
+    """Canonical block from COO arrays in any order; vals None gives a
+    structure-only block. Entries at one position fold as in
+    dcsr_from_keys."""
     keys = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64)
+    return dcsr_from_keys(n_rows, n_cols, keys, vals, fold)
+
+
+def dcsr_from_keys(n_rows: int, n_cols: int, keys: np.ndarray, vals=None,
+                   fold=None) -> DcsrBlock:
+    """Canonical block from entry keys r * n_cols + c in any order. Entries
+    at one key fold in input order: the first sets the value and fold (a
+    ufunc) combines the rest into it one by one, left to right. Without
+    fold the first entry stays."""
     order = keys.argsort(kind="stable")
     keys = keys[order]
     first = _run_starts(keys)
@@ -131,15 +152,7 @@ def dcsr_from_coo(n_rows: int, n_cols: int, rows, cols, vals=None,
         if fold is not None and np.count_nonzero(first) < len(first):
             rest = ~first
             fold.at(vals, first.cumsum()[rest] - 1, v[rest])
-    return _from_keys(n_rows, n_cols, keys[first], vals)
-
-
-def _from_keys(n_rows: int, n_cols: int, keys: np.ndarray, vals) -> DcsrBlock:
-    """DCSR block from strictly increasing entry keys."""
-    rows = keys // max(n_cols, 1)
-    starts = _run_starts(rows).nonzero()[0]
-    return DcsrBlock(n_rows, n_cols, rows[starts],
-                     np.concatenate((starts, [len(keys)])), keys - rows * n_cols, vals)
+    return DcsrBlock(n_rows, n_cols, keys[first], vals)
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -165,8 +178,7 @@ def _merge_keys(dst: DcsrBlock, keys, vals, new_keys, new_vals) -> None:
     merged_vals = np.empty(n, dtype=dst.vals.dtype)
     merged_vals[at] = new_vals
     merged_vals[old] = vals
-    b = _from_keys(dst.n_rows, dst.n_cols, merged, merged_vals)
-    dst.nz_rows, dst.row_ptr, dst.cols, dst.vals = b.nz_rows, b.row_ptr, b.cols, b.vals
+    dst._keys, dst.vals = merged, merged_vals
 
 
 def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,26 +190,24 @@ def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, found
 
 
-def combine_blocks(blocks, n_rows: int, n_cols: int, combine,
-                   structure_only: bool) -> DcsrBlock:
-    """Fold equal-shaped blocks in list order into one canonical DCSR block.
-    A position seen again folds as combine(old, new), in list order, with
-    combine a semiring's add; structure-only blocks take the union of
-    positions."""
-    rows, cols, vals = zip(*(b.to_arrays() for b in blocks))
-    if structure_only:
-        return dcsr_from_coo(n_rows, n_cols, np.concatenate(rows), np.concatenate(cols))
-    return dcsr_from_coo(n_rows, n_cols, np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), FOLD_UFUNCS[combine])
+def combine_blocks(blocks, n_rows: int, n_cols: int, combine) -> DcsrBlock:
+    """Fold equal-shaped blocks in list order into one canonical block. A
+    position seen again folds as combine(old, new), in list order, with
+    combine a semiring's add; with combine None the blocks are
+    structure-only and the result is the union of their positions."""
+    keys = np.concatenate([b.keys() for b in blocks])
+    if combine is None:
+        return dcsr_from_keys(n_rows, n_cols, keys)
+    return dcsr_from_keys(n_rows, n_cols, keys,
+                          np.concatenate([b.vals for b in blocks]),
+                          FOLD_UFUNCS[combine])
 
 
 def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
     """True when x and y store the same positions with equal values (cast to
     dtype). Both are canonical, so their arrays compare directly."""
     return ((x.n_rows, x.n_cols) == (y.n_rows, y.n_cols)
-            and np.array_equal(x.nz_rows, y.nz_rows)
-            and np.array_equal(x.row_ptr, y.row_ptr)
-            and np.array_equal(x.cols, y.cols)
+            and np.array_equal(x.keys(), y.keys())
             and np.array_equal(x.vals.astype(dtype, copy=False),
                                y.vals.astype(dtype, copy=False)))
 
@@ -216,14 +226,12 @@ def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
 def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: Callable) -> None:
     if not src.nnz:
         return
-    dk = dst.keys()
-    rows, cols, vals = src.to_arrays()
-    sk = rows * dst.n_cols + cols
+    dk, sk = dst.keys(), src.keys()
     pos, hit = locate(dk, sk)
     at = pos[hit]
-    dst.vals[at] = FOLD_UFUNCS[fold](dst.vals[at], vals[hit])
+    dst.vals[at] = FOLD_UFUNCS[fold](dst.vals[at], src.vals[hit])
     if np.count_nonzero(hit) < len(hit):
-        _merge_keys(dst, dk, dst.vals, sk[~hit], vals[~hit])
+        _merge_keys(dst, dk, dst.vals, sk[~hit], src.vals[~hit])
 
 
 def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
@@ -247,7 +255,7 @@ def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int, ell: int) -> DcsrBl
     rows, cols, vals = a.to_arrays()
     shift = ((col_base + cols) & (ell - 1)).astype(np.uint64)  # ell is a power of two
     keep = (r_vec[rows] >> shift) & np.uint64(1) != 0
-    return dcsr_from_coo(a.n_rows, a.n_cols, rows[keep], cols[keep], vals[keep])
+    return DcsrBlock(a.n_rows, a.n_cols, a.keys()[keep], vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +291,11 @@ STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None)
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:
-    n_nz = len(b.nz_rows)
-    nnz = b.nnz
-    head = _HEADER.pack(_MAGIC, _VERSION, codec.width, b.n_rows, b.n_cols, n_nz, nnz)
+    nz_rows, row_ptr, cols = _dcsr_arrays(b)
+    head = _HEADER.pack(_MAGIC, _VERSION, codec.width, b.n_rows, b.n_cols,
+                        len(nz_rows), b.nnz)
     parts = [head] + [index.astype(_U64).tobytes()
-                      for index in (b.nz_rows, b.row_ptr, b.cols)]
+                      for index in (nz_rows, row_ptr, cols)]
     if codec.width:
         parts.append(codec.encode(b.vals))
     return b"".join(parts)
@@ -322,10 +330,9 @@ def dcsr_deserialize(buf: bytes, codec: ValueCodec) -> DcsrBlock:
         raise DecodeError("nz_rows not strictly increasing within bounds")
     if np.count_nonzero(cols >= n_cols):
         raise DecodeError("column index out of bounds")
-    vals = codec.decode(buf[off:], nnz) if codec.width else None
-    block = DcsrBlock(n_rows, n_cols, nz_rows.astype(np.int64),
-                      row_ptr.astype(np.int64), cols.astype(np.int64), vals)
-    keys = block.keys()
+    rows = nz_rows.astype(np.int64).repeat(np.diff(row_ptr.astype(np.int64)))
+    keys = rows * n_cols + cols.astype(np.int64)
     if np.count_nonzero(keys[1:] <= keys[:-1]):
         raise DecodeError("columns not strictly increasing within a row")
-    return block
+    vals = codec.decode(buf[off:], nnz) if codec.width else None
+    return DcsrBlock(n_rows, n_cols, keys, vals)

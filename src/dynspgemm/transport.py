@@ -344,8 +344,7 @@ class Communicator:
                     f"rank {self.rank}: aggregate contribution dims "
                     f"{piece.n_rows}x{piece.n_cols} != {block.n_rows}x{block.n_cols}")
             contrib.append(piece)
-        return combine_blocks(contrib, block.n_rows, block.n_cols, combine,
-                              structure_only=codec.width == 0)
+        return combine_blocks(contrib, block.n_rows, block.n_cols, combine)
 
     # -- barrier -----------------------------------------------------------------
     def barrier(self) -> None:

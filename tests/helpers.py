@@ -104,9 +104,9 @@ def random_map(rng, n_rows: int, n_cols: int, density: float,
     return out
 
 
-def dist_from_map(part: BlockPartition, comm, m: dict) -> DistMatrix:
+def dist_from_map(part: BlockPartition, comm, m: dict, sr) -> DistMatrix:
     return DistMatrix.from_triples(
-        part, comm, [(i, j, v) for (i, j), v in m.items()])
+        part, comm, [(i, j, v) for (i, j), v in m.items()], sr)
 
 
 def update_from_map(part: BlockPartition, comm, m: dict,
@@ -118,8 +118,7 @@ def update_from_map(part: BlockPartition, comm, m: dict,
         (gi - r0, gj - c0, v) for (gi, gj), v in m.items()
         if part.owner_coords(gi, gj) == (i, j)])
     if structure_only:
-        blk = DcsrBlock(blk.n_rows, blk.n_cols, blk.nz_rows, blk.row_ptr,
-                        blk.cols, None)
+        blk = DcsrBlock(blk.n_rows, blk.n_cols, blk.keys(), None)
     return DistMatrix(part, i, j, blk)
 
 

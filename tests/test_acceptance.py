@@ -76,8 +76,8 @@ def test_criterion_1_algebraic_updates_match_static_recompute():
         def worker(comm):
             pa = BlockPartition(n, k, comm.q)
             pb = BlockPartition(k, m, comm.q)
-            a = dist_from_map(pa, comm, a0)
-            b = dist_from_map(pb, comm, b0)
+            a = dist_from_map(pa, comm, a0, sr)
+            b = dist_from_map(pb, comm, b0, sr)
             st = spgemm_algebraic_init(comm, a, b, sr)
             for da, db in batches:
                 d_a = update_from_map(pa, comm, da)
@@ -116,11 +116,11 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
 
         def worker(comm):
             part = BlockPartition(n, n, comm.q)
-            a = dist_from_map(part, comm, a0)
-            b = dist_from_map(part, comm, b0)
+            a = dist_from_map(part, comm, a0, sr)
+            b = dist_from_map(part, comm, b0, sr)
             st = spgemm_algebraic_init(comm, a, b, sr)
-            a_prime = dist_from_map(part, comm, a1)
-            b_prime = dist_from_map(part, comm, b1)
+            a_prime = dist_from_map(part, comm, a1, sr)
+            b_prime = dist_from_map(part, comm, b1, sr)
             d_a = update_from_map(part, comm, {p: None for p in ch_a},
                                   structure_only=True)
             d_b = update_from_map(part, comm, {p: None for p in ch_b},
@@ -176,14 +176,14 @@ def test_criterion_3_bitfields_never_lose_contributors():
 
         def worker(comm):
             part = BlockPartition(n, n, comm.q)
-            a = dist_from_map(part, comm, a_seq[0])
-            b = dist_from_map(part, comm, b_seq[0])
+            a = dist_from_map(part, comm, a_seq[0], sr)
+            b = dist_from_map(part, comm, b_seq[0], sr)
             st = spgemm_algebraic_init(comm, a, b, sr, ell=ell)
             out = [(st.F.global_entries(), {})]
             for step, (ch_a, ch_b) in enumerate(changes):
-                a_prev = dist_from_map(part, comm, a_seq[step])
-                a_prime = dist_from_map(part, comm, a_seq[step + 1])
-                b_prime = dist_from_map(part, comm, b_seq[step + 1])
+                a_prev = dist_from_map(part, comm, a_seq[step], sr)
+                a_prime = dist_from_map(part, comm, a_seq[step + 1], sr)
+                b_prime = dist_from_map(part, comm, b_seq[step + 1], sr)
                 d_a = update_from_map(part, comm, {p: None for p in ch_a},
                                       structure_only=True)
                 d_b = update_from_map(part, comm, {p: None for p in ch_b},
@@ -275,8 +275,10 @@ def test_criterion_5_collective_round_counts():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, {(i, i): 1 for i in range(n)})
-        b = dist_from_map(part, comm, {(i, (i + 1) % n): 2 for i in range(n)})
+        a = dist_from_map(part, comm, {(i, i): 1 for i in range(n)},
+                          PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, {(i, (i + 1) % n): 2 for i in range(n)},
+                          PLUS_TIMES_I64)
         c0 = comm.counters.snapshot()
         summa_static(comm, a, b, PLUS_TIMES_I64)
         c1 = comm.counters.snapshot()

@@ -16,6 +16,7 @@ from dynspgemm import (
     SpgemmState,
     UnsupportedFeatureError,
     add_into,
+    apply_batch,
     compute_pattern,
     dcsr_serialize,
     semiring_codec,
@@ -23,6 +24,7 @@ from dynspgemm import (
     spgemm_algebraic_update,
     spgemm_general_update,
     summa_static,
+    update_batch,
 )
 from dynspgemm.bench import _local_checksum
 from helpers import (
@@ -54,8 +56,8 @@ def test_summa_identity_leaves_b_unchanged():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, _identity(n))
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
 
     assert gather_maps(spmd_collect(2, worker)) == b_map
@@ -64,8 +66,8 @@ def test_summa_identity_leaves_b_unchanged():
 def test_summa_single_entry_product():
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
-        a = dist_from_map(part, comm, {(0, 1): 2})
-        b = dist_from_map(part, comm, {(1, 0): 3})
+        a = dist_from_map(part, comm, {(0, 1): 2}, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, {(1, 0): 3}, PLUS_TIMES_I64)
         return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
 
     assert gather_maps(spmd_collect(2, worker)) == {(0, 0): 6}
@@ -80,8 +82,8 @@ def test_summa_random_matches_dense_oracle(q):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
 
     got = gather_maps(spmd_collect(q, worker))
@@ -105,8 +107,10 @@ def test_summa_rectangular_dims():
     b_map = random_map(rng, k, m, 0.4)
 
     def worker(comm):
-        a = dist_from_map(BlockPartition(n, k, comm.q), comm, a_map)
-        b = dist_from_map(BlockPartition(k, m, comm.q), comm, b_map)
+        a = dist_from_map(BlockPartition(n, k, comm.q), comm, a_map,
+                          PLUS_TIMES_I64)
+        b = dist_from_map(BlockPartition(k, m, comm.q), comm, b_map,
+                          PLUS_TIMES_I64)
         c = summa_static(comm, a, b, PLUS_TIMES_I64)
         assert (c.part.n_rows, c.part.n_cols) == (n, m)
         return c.global_entries()
@@ -117,8 +121,8 @@ def test_summa_rectangular_dims():
 
 def test_summa_rejects_dimension_mismatch():
     def worker(comm):
-        a = dist_from_map(BlockPartition(4, 4, comm.q), comm, {})
-        b = dist_from_map(BlockPartition(5, 4, comm.q), comm, {})
+        a = dist_from_map(BlockPartition(4, 4, comm.q), comm, {}, PLUS_TIMES_I64)
+        b = dist_from_map(BlockPartition(5, 4, comm.q), comm, {}, PLUS_TIMES_I64)
         summa_static(comm, a, b, PLUS_TIMES_I64)
 
     with pytest.raises(ValueError, match="inner dimensions"):
@@ -128,8 +132,8 @@ def test_summa_rejects_dimension_mismatch():
 def test_summa_round_counts():
     def worker(comm):
         part = BlockPartition(8, 8, comm.q)
-        a = dist_from_map(part, comm, _identity(8))
-        b = dist_from_map(part, comm, _identity(8))
+        a = dist_from_map(part, comm, _identity(8), PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, _identity(8), PLUS_TIMES_I64)
         before = comm.counters.snapshot()
         summa_static(comm, a, b, PLUS_TIMES_I64)
         after = comm.counters
@@ -150,7 +154,7 @@ def test_init_empty_left_operand():
     def worker(comm):
         part = BlockPartition(6, 6, comm.q)
         a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
-        b = dist_from_map(part, comm, {(0, 1): 5})
+        b = dist_from_map(part, comm, {(0, 1): 5}, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         return st.C.global_entries(), st.F.global_entries()
 
@@ -176,8 +180,8 @@ def test_init_identity_sets_diagonal_bits(ell):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, _identity(n))
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=ell)
         return st.C.global_entries(), st.F.global_entries()
 
@@ -195,8 +199,8 @@ def test_init_bitfields_match_brute_force():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=8)
         return st.F.global_entries()
 
@@ -215,8 +219,8 @@ def test_algebraic_no_op_update_only_moves_headers():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         empty = update_from_map(part, comm, {})
         before = comm.counters.snapshot()
@@ -243,8 +247,8 @@ def test_algebraic_hand_example():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, a_delta)
         d_b = update_from_map(part, comm, {})
@@ -278,8 +282,8 @@ def test_plus_times_i64_wraps_modulo_2_64(q):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, a_delta)
         d_b = update_from_map(part, comm, {})
@@ -314,8 +318,8 @@ def test_algebraic_random_updates_match_static_recompute(q, sr):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map)
-        b = dist_from_map(part, comm, b_map)
+        a = dist_from_map(part, comm, a_map, sr)
+        b = dist_from_map(part, comm, b_map, sr)
         st = spgemm_algebraic_init(comm, a, b, sr)
         results = []
         for da, db in batches:
@@ -343,8 +347,8 @@ def test_algebraic_update_round_counts():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, _identity(n))
-        b = dist_from_map(part, comm, _identity(n))
+        a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         d = update_from_map(part, comm, {(0, 1): 4})
         before = comm.counters.snapshot()
@@ -387,9 +391,10 @@ def test_algebraic_transposed_updates_match_oracle(ta, tb, q):
         part_a = BlockPartition(*a_shape, comm.q)
         part_b = BlockPartition(*b_shape, comm.q)
         part_c = BlockPartition(n, m, comm.q)
-        a = dist_from_map(part_a, comm, a0)
-        b = dist_from_map(part_b, comm, b1)     # right operand after the batch
-        c = dist_from_map(part_c, comm, c0)
+        a = dist_from_map(part_a, comm, a0, PLUS_TIMES_I64)
+        # right operand after the batch
+        b = dist_from_map(part_b, comm, b1, PLUS_TIMES_I64)
+        c = dist_from_map(part_c, comm, c0, PLUS_TIMES_I64)
         st = SpgemmState(C=c, F=None, sr=PLUS_TIMES_I64, ell=64,
                          transpose_a=ta, transpose_b=tb)
         spgemm_algebraic_update(comm, st, a,
@@ -410,8 +415,8 @@ def test_algebraic_transposed_updates_match_oracle(ta, tb, q):
 def test_algebraic_non_ring_rejects_non_inserts(q, da, db, match):
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
-        a = dist_from_map(part, comm, {(0, 0): 1.0})
-        b = dist_from_map(part, comm, {(0, 0): 1.0})
+        a = dist_from_map(part, comm, {(0, 0): 1.0}, MIN_PLUS)
+        b = dist_from_map(part, comm, {(0, 0): 1.0}, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         spgemm_algebraic_update(comm, st, a, update_from_map(part, comm, da),
                                 b, update_from_map(part, comm, db))
@@ -433,8 +438,8 @@ def test_algebraic_non_ring_inserts_match_oracle(q):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a0)
-        b = dist_from_map(part, comm, b0)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         for batch in batches:
             d_a = update_from_map(part, comm, batch)
@@ -452,10 +457,10 @@ def test_algebraic_rejects_shape_mismatch():
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
         part5 = BlockPartition(5, 5, comm.q)
-        a = dist_from_map(part, comm, {})
-        b = dist_from_map(part, comm, {})
+        a = dist_from_map(part, comm, {}, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, {}, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
-        a5 = dist_from_map(part5, comm, {})
+        a5 = dist_from_map(part5, comm, {}, PLUS_TIMES_I64)
         spgemm_algebraic_update(comm, st, a5, update_from_map(part5, comm, {}),
                                 b, update_from_map(part, comm, {}))
 
@@ -470,7 +475,7 @@ def test_compute_pattern_empty_updates():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, _identity(n))
+        a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         empty = update_from_map(part, comm, {}, structure_only=True)
         touched, new_bits = compute_pattern(comm, a, empty, a, empty, a)
         return touched.nnz, new_bits.nnz
@@ -487,8 +492,8 @@ def test_compute_pattern_hand_example():
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
         a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
-        a_prime = dist_from_map(part, comm, {(0, 1): 2})
-        b = dist_from_map(part, comm, b_map)
+        a_prime = dist_from_map(part, comm, {(0, 1): 2}, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         touched, new_bits = compute_pattern(comm, a, d_a, b, d_b, a_prime)
@@ -511,8 +516,8 @@ def test_compute_pattern_right_side_term():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, {(0, 1): 3})
-        b = dist_from_map(part, comm, {(1, 2): 9})
+        a = dist_from_map(part, comm, {(0, 1): 3}, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, {(1, 2): 9}, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {}, structure_only=True)
         d_b = update_from_map(part, comm, {(1, 2): None}, structure_only=True)
         touched, new_bits = compute_pattern(comm, a, d_a, b, d_b, a)
@@ -555,9 +560,9 @@ def test_compute_pattern_matches_structural_oracle(q):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a0)
-        a_prime = dist_from_map(part, comm, a1)
-        b_prime = dist_from_map(part, comm, b1)
+        a = dist_from_map(part, comm, a0, PLUS_TIMES_I64)
+        a_prime = dist_from_map(part, comm, a1, PLUS_TIMES_I64)
+        b_prime = dist_from_map(part, comm, b1, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {p: None for p in ch_a},
                               structure_only=True)
         d_b = update_from_map(part, comm, {p: None for p in ch_b},
@@ -590,12 +595,12 @@ def test_general_hand_example(q):
 
     def worker(comm):
         part = BlockPartition(2, 2, comm.q)
-        a = dist_from_map(part, comm, a0)
-        b = dist_from_map(part, comm, b0)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         full = {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 4.0, (1, 1): 4.0}
         assert all(full[p] == v for p, v in st.C.global_entries().items())
-        a_prime = dist_from_map(part, comm, a1)
+        a_prime = dist_from_map(part, comm, a1, MIN_PLUS)
         d_a = update_from_map(part, comm, {(0, 0): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         stats = spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
@@ -626,14 +631,14 @@ def test_general_random_updates_match_static_recompute(q):
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
         prev_a, prev_b = a0, b0
-        a = dist_from_map(part, comm, prev_a)
-        b = dist_from_map(part, comm, prev_b)
+        a = dist_from_map(part, comm, prev_a, MIN_PLUS)
+        b = dist_from_map(part, comm, prev_b, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS, ell=8)
         per_batch = []
         for a1, ch_a, b1, ch_b in batches:
-            a_mat = dist_from_map(part, comm, prev_a)
-            a_prime = dist_from_map(part, comm, a1)
-            b_prime = dist_from_map(part, comm, b1)
+            a_mat = dist_from_map(part, comm, prev_a, MIN_PLUS)
+            a_prime = dist_from_map(part, comm, a1, MIN_PLUS)
+            b_prime = dist_from_map(part, comm, b1, MIN_PLUS)
             d_a = update_from_map(part, comm, {p: None for p in ch_a},
                                   structure_only=True)
             d_b = update_from_map(part, comm, {p: None for p in ch_b},
@@ -679,8 +684,8 @@ def test_general_deletion_drops_product_entries():
 
     def worker(comm):
         part = BlockPartition(3, 3, comm.q)
-        a = dist_from_map(part, comm, a0)
-        b = dist_from_map(part, comm, b0)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         a_prime = DistMatrix.empty(part, comm, MIN_PLUS)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
@@ -704,8 +709,8 @@ def test_general_bloom_stays_superset_after_chained_updates():
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
         prev_a, prev_b = a0, b0
-        a = dist_from_map(part, comm, prev_a)
-        b = dist_from_map(part, comm, prev_b)
+        a = dist_from_map(part, comm, prev_a, MIN_PLUS)
+        b = dist_from_map(part, comm, prev_b, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS, ell=ell)
         rng_w = np.random.default_rng(43)
         snapshots = []
@@ -713,13 +718,13 @@ def test_general_bloom_stays_superset_after_chained_updates():
             a1, ch_a = mixed_general_batch(rng_w, prev_a, n, n)
             b1, ch_b = mixed_general_batch(rng_w, prev_b, n, n)
             spgemm_general_update(
-                comm, st, dist_from_map(part, comm, a1),
+                comm, st, dist_from_map(part, comm, a1, MIN_PLUS),
                 update_from_map(part, comm, {p: None for p in ch_a},
                                 structure_only=True),
-                dist_from_map(part, comm, b1),
+                dist_from_map(part, comm, b1, MIN_PLUS),
                 update_from_map(part, comm, {p: None for p in ch_b},
                                 structure_only=True),
-                dist_from_map(part, comm, prev_a))
+                dist_from_map(part, comm, prev_a, MIN_PLUS))
             snapshots.append((a1, b1, st.F.global_entries()))
             prev_a, prev_b = a1, b1
         return snapshots
@@ -736,8 +741,8 @@ def test_general_bloom_stays_superset_after_chained_updates():
 def test_general_rejects_transposed_state():
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
-        a = dist_from_map(part, comm, {})
-        b = dist_from_map(part, comm, {})
+        a = dist_from_map(part, comm, {}, MIN_PLUS)
+        b = dist_from_map(part, comm, {}, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         st.transpose_a = True
         d = update_from_map(part, comm, {}, structure_only=True)
@@ -766,17 +771,17 @@ def test_general_after_algebraic_is_exact_or_raises(q):
 
         def worker(comm):
             part = BlockPartition(n, n, comm.q)
-            a = dist_from_map(part, comm, a0)
-            b = dist_from_map(part, comm, b0)
+            a = dist_from_map(part, comm, a0, MIN_PLUS)
+            b = dist_from_map(part, comm, b0, MIN_PLUS)
             st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
             spgemm_algebraic_update(comm, st, a,
                                     update_from_map(part, comm, inserted), b,
                                     update_from_map(part, comm, {}))
             spgemm_general_update(
-                comm, st, dist_from_map(part, comm, a2),
+                comm, st, dist_from_map(part, comm, a2, MIN_PLUS),
                 update_from_map(part, comm, {gone: None}, structure_only=True),
                 b, update_from_map(part, comm, {}, structure_only=True),
-                dist_from_map(part, comm, a1))
+                dist_from_map(part, comm, a1, MIN_PLUS))
             return st.C.global_entries()
 
         try:
@@ -866,12 +871,12 @@ def test_any_call_order_is_exact_or_raises(q, sr, data):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        st_ = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0),
-                                    dist_from_map(part, comm, b0), sr)
+        st_ = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0, sr),
+                                    dist_from_map(part, comm, b0, sr), sr)
         check(comm, part, st_, oracle_product(a0, b0, sr))
         for call in calls:
-            a = dist_from_map(part, comm, call["a"])
-            b_new = dist_from_map(part, comm, call["new"]["b"])
+            a = dist_from_map(part, comm, call["a"], sr)
+            b_new = dist_from_map(part, comm, call["new"]["b"], sr)
             if call["kind"] == "algebraic":
                 spgemm_algebraic_update(
                     comm, st_, a,
@@ -879,7 +884,7 @@ def test_any_call_order_is_exact_or_raises(q, sr, data):
                     update_from_map(part, comm, call["delta"]["b"]))
             else:
                 spgemm_general_update(
-                    comm, st_, dist_from_map(part, comm, call["new"]["a"]),
+                    comm, st_, dist_from_map(part, comm, call["new"]["a"], sr),
                     update_from_map(part, comm, call["changed"]["a"],
                                     structure_only=True),
                     b_new,
@@ -903,8 +908,8 @@ def test_general_empty_batch_changes_nothing():
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a0)
-        b = dist_from_map(part, comm, b0)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         c_before = st.C.global_entries()
         f_before = st.F.global_entries()
@@ -927,7 +932,8 @@ def test_dist_matrix_from_triples_keeps_owned_entries():
     def worker(comm):
         part = BlockPartition(10, 10, comm.q)
         d = DistMatrix.from_triples(part, comm,
-                                    [(i, j, v) for (i, j), v in m.items()])
+                                    [(i, j, v) for (i, j), v in m.items()],
+                                    PLUS_TIMES_I64)
         br, bc = part.block_shape(comm.grid_row, comm.grid_col)
         assert isinstance(d.block, DcsrBlock)
         d.block.check()
@@ -937,12 +943,32 @@ def test_dist_matrix_from_triples_keeps_owned_entries():
     assert gather_maps(spmd_collect(2, worker)) == m
 
 
+def test_dist_matrix_from_triples_holds_the_semiring_dtype_on_every_rank():
+    # rank 3 owns none of the triples; it must still hold i64 values, so a
+    # later upsert of 2**60 + 1 is stored exactly, not rounded through f8
+    big = 2 ** 60 + 1
+
+    def worker(comm):
+        part = BlockPartition(4, 4, comm.q)
+        d = DistMatrix.from_triples(part, comm, [(0, 0, 5)], PLUS_TIMES_I64)
+        assert d.block.vals.dtype == PLUS_TIMES_I64.np_dtype
+        i, j = comm.grid_row, comm.grid_col
+        batch = update_batch(PLUS_TIMES_I64, [3], [3], [big])
+        if part.owner_coords(3, 3) == (i, j):
+            apply_batch(d.block, batch, PLUS_TIMES_I64, d.row_base, d.col_base)
+        return d.global_entries()
+
+    got = gather_maps(spmd_collect(2, worker))
+    assert got == {(0, 0): 5, (3, 3): big}
+    assert type(got[(3, 3)]) is int
+
+
 def test_min_plus_identity_zero_is_infinity():
     # sanity for tropical runs: additive identity entries act as absences
     def worker(comm):
         part = BlockPartition(2, 2, comm.q)
-        a = dist_from_map(part, comm, {(0, 0): 0.0, (0, 1): math.inf})
-        b = dist_from_map(part, comm, {(0, 0): 4.0, (1, 0): 1.0})
+        a = dist_from_map(part, comm, {(0, 0): 0.0, (0, 1): math.inf}, MIN_PLUS)
+        b = dist_from_map(part, comm, {(0, 0): 4.0, (1, 0): 1.0}, MIN_PLUS)
         return summa_static(comm, a, b, MIN_PLUS).global_entries()
 
     got = gather_maps(spmd_collect(1, worker))

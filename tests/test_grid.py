@@ -173,7 +173,8 @@ def test_range_checks_survive_optimized_mode():
                      lambda: run_spmd(1, lambda comm: redistribute_updates(
                          comm, part, far, PLUS_TIMES_I64)),
                      lambda: apply_batch(DcsrBlock.empty(2, 2), stray,
-                                         PLUS_TIMES_I64, 10, 20)):
+                                         PLUS_TIMES_I64, 10, 20),
+                     lambda: DcsrBlock(2, 2, [3, 1], [1, 1]).check()):
             try:
                 print("returned", call())
             except ValueError:
@@ -183,4 +184,4 @@ def test_range_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["raised"] * 4
+    assert out.stdout.split() == ["raised"] * 5

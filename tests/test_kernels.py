@@ -222,7 +222,7 @@ def test_masked_full_mask_equals_plain_product():
     b_map = random_map(rng, 12, 12, 0.3)
     a, b = _block(a_map, 12, 12), _block(b_map, 12, 12)
     plain = gustavson_multiply(a, b, PLUS_TIMES_I64)
-    full_mask = DcsrBlock(12, 12, plain.nz_rows, plain.row_ptr, plain.cols, None)
+    full_mask = DcsrBlock(12, 12, plain.keys(), None)
     z, h = masked_multiply(a, b, full_mask, PLUS_TIMES_I64, inner_base=0)
     assert z.entry_map() == plain.entry_map()
     assert position_set(h) == position_set(plain)
@@ -363,15 +363,16 @@ def test_combine_blocks_is_a_member_order_fold(sr, data):
     pos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     members = data.draw(st.lists(st.dictionaries(pos, value, max_size=20),
                                  min_size=1, max_size=4))
-    blocks = [_block(m, n, n, "dcsr") for m in members]
-    got = combine_blocks(blocks, n, n, sr.add, structure_only=False)
+    # one aggregation's contributions share sr's value dtype, even empty ones
+    blocks = [_block(m, n, n, "dynamic", sr) for m in members]
+    got = combine_blocks(blocks, n, n, sr.add)
     got.check()
     want: dict = {}
     for m in members:
         for p, v in m.items():
             want[p] = sr.add(want[p], v) if p in want else v
     assert got.entry_map() == want
-    union = combine_blocks(blocks, n, n, None, structure_only=True)
+    union = combine_blocks(blocks, n, n, None)
     assert union.vals is None and position_set(union) == set(want)
 
 

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
     BOOLEAN,
@@ -133,12 +134,12 @@ def test_from_triples_and_row_access():
 # -- layout --------------------------------------------------------------------
 
 def test_to_dcsr_example():
-    # an operand loaded by updates holds the canonical DCSR arrays
+    # an operand loaded by updates holds its keys r * n_cols + c in order
     d = _empty(3, 2)
     _apply(d, (2, 0, 3), (0, 1, 5))
+    assert d.keys().tolist() == [1, 4]
     assert d.nz_rows.tolist() == [0, 2]
-    assert d.row_ptr.tolist() == [0, 1, 2]
-    assert d.cols.tolist() == [1, 0]
+    assert list(d.iter_rows()) == [(0, [1], [5]), (2, [0], [3])]
     assert d.vals.tolist() == [5, 3]
     assert d.nnz == 2
     d.check()
@@ -147,7 +148,8 @@ def test_to_dcsr_example():
 def test_to_dcsr_empty():
     d = _empty(4, 4)
     _apply(d, (1, 1), (2, 3, 4), (2, 3))   # a block emptied again by deletes
-    assert d.nz_rows.tolist() == [] and d.row_ptr.tolist() == [0] and d.cols.tolist() == []
+    assert d.keys().tolist() == [] and d.nz_rows.tolist() == []
+    assert list(d.iter_rows()) == []
     assert d.nnz == 0
     d.check()
 
@@ -251,9 +253,9 @@ def test_same_entries_agrees_with_entry_map_equality():
 
 def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
     d = dcsr_from_coo(5, 5, [3, 0, 0], [1, 4, 0], [7, 2, 1])
+    assert d.keys().tolist() == [0, 4, 16]
     assert d.nz_rows.tolist() == [0, 3]
-    assert d.row_ptr.tolist() == [0, 2, 3]
-    assert d.cols.tolist() == [0, 4, 1]
+    assert list(d.iter_rows()) == [(0, [0, 4], [1, 2]), (3, [1], [7])]
     assert list(d.triples()) == [(0, 0, 1), (0, 4, 2), (3, 1, 7)]
     d.check()
     # a repeated position folds left to right in input order; without a
@@ -270,6 +272,79 @@ def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
     assert position_set(s) == {(1, 2)}
 
 
+def _oracle_dcsr(entries: dict):
+    """(nz_rows, row_ptr, cols, vals) of a {(r, c): v} map, row by row."""
+    nz_rows, row_ptr, cols, vals = [], [0], [], []
+    for r, c in sorted(entries):
+        if not nz_rows or nz_rows[-1] != r:
+            nz_rows.append(r)
+            row_ptr.append(row_ptr[-1])
+        row_ptr[-1] += 1
+        cols.append(c)
+        vals.append(entries[(r, c)])
+    return nz_rows, row_ptr, cols, vals
+
+
+def _wire(n_rows, n_cols, layout, width, values=b""):
+    nz_rows, row_ptr, cols, _ = layout
+    head = struct.pack("<4sHHQQQQ", b"DCSR", 1, width, n_rows, n_cols,
+                       len(nz_rows), len(cols))
+    return head + b"".join(np.asarray(a, "<u8").tobytes()
+                           for a in (nz_rows, row_ptr, cols)) + values
+
+
+_VALUES = {PLUS_TIMES_I64: st.integers(-2 ** 63, 2 ** 63 - 1),
+           MIN_PLUS: st.floats(allow_nan=False),
+           BOOLEAN: st.booleans()}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_derived_layout_matches_dict_oracle(data):
+    # rows, row access, arrays and all three codecs are derived from the
+    # keys; a plain sort of the entry map gives each of them
+    n_rows = data.draw(st.integers(1, 8))
+    n_cols = data.draw(st.one_of(st.just(1), st.integers(1, 8)))
+    sr = data.draw(st.sampled_from(list(_VALUES)))
+    pos = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    entries = data.draw(st.dictionaries(pos, _VALUES[sr], max_size=20))
+    block = loaded_block(n_rows, n_cols,
+                         [(r, c, v) for (r, c), v in entries.items()], sr)
+    block.check()
+    layout = nz_rows, row_ptr, cols, vals = _oracle_dcsr(entries)
+    assert block.nz_rows.tolist() == nz_rows
+    assert list(block.iter_rows()) == [
+        (r, cols[lo:hi], vals[lo:hi])
+        for r, lo, hi in zip(nz_rows, row_ptr, row_ptr[1:])]
+    rows, got_cols, got_vals = block.to_arrays(sr.np_dtype)
+    assert list(zip(rows.tolist(), got_cols.tolist(), got_vals.tolist())) == \
+        [(r, c, entries[(r, c)]) for r, c in sorted(entries)]
+
+    codec = semiring_codec(sr)
+    blob = dcsr_serialize(block, codec)
+    assert blob == _wire(n_rows, n_cols, layout, sr.value_width,
+                         np.asarray(vals, sr.np_dtype).tobytes())
+    back = dcsr_deserialize(blob, codec)
+    back.check()
+    assert back.entry_map() == entries
+
+    ell = data.draw(st.sampled_from([8, 16, 32, 64]))
+    bits = data.draw(st.lists(st.integers(0, 2 ** ell - 1),
+                              min_size=len(entries), max_size=len(entries)))
+    bloom = DcsrBlock(n_rows, n_cols, block.keys(),
+                      np.asarray(bits, f"<u{ell // 8}"))
+    blob = dcsr_serialize(bloom, bloom_codec(ell))
+    assert blob == _wire(n_rows, n_cols, layout, ell // 8, bloom.vals.tobytes())
+    assert list(dcsr_deserialize(blob, bloom_codec(ell)).triples()) == \
+        [(r, c, b) for (r, c), b in zip(sorted(entries), bits)]
+
+    shape = DcsrBlock(n_rows, n_cols, block.keys(), None)
+    blob = dcsr_serialize(shape, STRUCTURE_CODEC)
+    assert blob == _wire(n_rows, n_cols, layout, 0)
+    back = dcsr_deserialize(blob, STRUCTURE_CODEC)
+    assert back.vals is None and position_set(back) == set(entries)
+
+
 def test_dcsr_empty_classmethod():
     d = DcsrBlock.empty(3, 4)
     assert (d.n_rows, d.n_cols, d.nnz) == (3, 4, 0)
@@ -279,16 +354,20 @@ def test_dcsr_empty_classmethod():
 
 
 def test_dcsr_check_rejects_malformed():
-    with pytest.raises(AssertionError):
-        DcsrBlock(2, 2, [1, 0], [0, 1, 2], [0, 0], [1, 1]).check()  # rows unordered
-    with pytest.raises(AssertionError):
-        DcsrBlock(2, 2, [0], [0, 0], [], []).check()                # empty listed row
-    with pytest.raises(AssertionError):
-        DcsrBlock(2, 2, [0], [0, 1], [5], [1]).check()              # col out of range
-    with pytest.raises(AssertionError):
-        DcsrBlock(2, 2, [0], [0, 2], [1, 0], [1, 1]).check()        # cols unordered
-    with pytest.raises(ValueError):
-        DcsrBlock(2, 2, [0], [0], [], [])                           # short row_ptr
+    DcsrBlock(2, 3, [0, 2, 5], [1, 2, 3]).check()
+    DcsrBlock(2, 3, [0, 2, 5], None).check()                  # structure-only
+    with pytest.raises(ValueError, match="increasing"):
+        DcsrBlock(2, 3, [2, 0], [1, 1]).check()               # keys unordered
+    with pytest.raises(ValueError, match="increasing"):
+        DcsrBlock(2, 3, [1, 1], [1, 1]).check()               # repeated key
+    with pytest.raises(ValueError, match="outside"):
+        DcsrBlock(2, 3, [0, 6], [1, 1]).check()               # past n_rows * n_cols
+    with pytest.raises(ValueError, match="outside"):
+        DcsrBlock(2, 3, [-1, 0], [1, 1]).check()              # negative key
+    with pytest.raises(ValueError, match="values"):
+        DcsrBlock(2, 3, [0, 1], [1]).check()                  # vals too short
+    with pytest.raises(ValueError, match="values"):
+        DcsrBlock(2, 3, [0], [1, 1]).check()                  # vals too long
 
 
 # -- combinators ---------------------------------------------------------------
