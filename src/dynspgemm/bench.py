@@ -1,21 +1,27 @@
-"""Desk-scale experiment harness: graph ingestion, R-MAT generation, batch
-experiment drivers and per-phase time/volume metrics.
+"""Desk-scale experiment harness: graph ingestion, R-MAT generation, the
+experiment driver and per-phase time/volume metrics.
 
-Experiments run all q*q simulated ranks inside this process. Insertion pools
-are partitioned round-robin across ranks and each rank draws its batches
-without replacement, seeded per (rank, batch index), so reruns are exactly
-reproducible. Final-state checksums hash each entry's global position and
-wire value bits with a vectorised 64-bit mix and xor-fold the hashes, so they
-are order-free and comparable across grid sides. Product runs are verified
-by comparing the maintained C with a from-scratch recompute, position by
-position and value by value, on sorted arrays.
+Experiments run all q*q simulated ranks inside this process, each in one
+rank worker whose single batch loop serves all seven experiments: draw,
+route, apply (and for products, update or recompute C), and one
+MetricsRecord per batch, which run_experiment folds over the ranks.
+Insertion pools are partitioned round-robin across ranks and each rank
+draws its batches without replacement, seeded per (rank, batch index), so
+reruns are exactly reproducible. Final-state checksums hash each entry's
+global position and wire value bits with a vectorised 64-bit mix and
+xor-fold the hashes, so they are order-free and comparable across grid
+sides. Product runs are verified by comparing the maintained C with a
+from-scratch recompute, position by position and value by value, on sorted
+arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .grid import BlockPartition
 from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import DcsrBlock, dcsr_from_coo, same_entries
+from .storage import dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
 
 
@@ -46,6 +52,9 @@ EXPERIMENTS = ("construct", "insert", "update", "delete",
 _SPGEMM = ("spgemm-algebraic", "spgemm-general", "spgemm-static")
 
 RMAT_A, RMAT_B, RMAT_C, RMAT_D = 0.57, 0.19, 0.19, 0.05
+
+# The most vertices whose entry keys r * n + c all fit in int64.
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -141,8 +150,11 @@ def _load_positions(path: str) -> tuple[int, np.ndarray, np.ndarray]:
                 n, pairs = _parse_edge_list(first, fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
+    if n > _MAX_VERTICES:
+        raise ConfigError(f"{path}: {n} vertices, more than the "
+                          f"{_MAX_VERTICES} whose entry keys fit in int64")
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return n, arr[:, 0], arr[:, 1]
+    return n, *symmetrized_pool(arr[:, 0], arr[:, 1], n)
 
 
 def _parse_matrix_market(banner: str, fh, path: str):
@@ -157,8 +169,7 @@ def _parse_matrix_market(banner: str, fh, path: str):
     lineno = 1
     dims = None
     want_value = value_kind != "pattern"
-    edges = set()
-    count = 0
+    edges = []
     for line in fh:
         lineno += 1
         text = line.strip()
@@ -185,27 +196,22 @@ def _parse_matrix_market(banner: str, fh, path: str):
             raise ConfigError(f"{path}:{lineno}: bad index: {exc}") from exc
         if not (0 <= u < dims[0] and 0 <= v < dims[0]):
             raise ConfigError(f"{path}:{lineno}: index out of declared range")
-        count += 1
-        edges.add((u, v))
-        edges.add((v, u))
+        edges.append((u, v))
     if dims is None:
         raise ConfigError(f"{path}: missing size line")
-    if count != dims[1]:
+    if len(edges) != dims[1]:
         raise ConfigError(
-            f"{path}: header declares {dims[1]} entries, found {count}")
-    return dims[0], sorted(edges)
+            f"{path}: header declares {dims[1]} entries, found {len(edges)}")
+    return dims[0], edges
 
 
 def _parse_edge_list(first: str, fh, path: str):
-    edges = set()
+    edges = []
     n = 0
-    lineno = 0
-
-    def take(line: str, lineno: int) -> None:
-        nonlocal n
+    for lineno, line in enumerate(itertools.chain([first], fh), start=1):
         text = line.strip()
         if not text or text[0] in "#%":
-            return
+            continue
         parts = text.split()
         if len(parts) < 2:
             raise ConfigError(f"{path}:{lineno}: expected 'u v' per line")
@@ -216,15 +222,8 @@ def _parse_edge_list(first: str, fh, path: str):
         if u < 0 or v < 0:
             raise ConfigError(f"{path}:{lineno}: negative vertex id")
         n = max(n, u + 1, v + 1)
-        edges.add((u, v))
-        edges.add((v, u))
-
-    lineno += 1
-    take(first, lineno)
-    for line in fh:
-        lineno += 1
-        take(line, lineno)
-    return n, sorted(edges)
+        edges.append((u, v))
+    return n, edges
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +331,11 @@ def _estimate_flops(n: int, rows: np.ndarray) -> int:
     return int((deg * deg).sum())
 
 
-def _entry_values(cfg: ExperimentConfig, sr: Semiring,
-                  m: int) -> np.ndarray | None:
+def _entry_values(cfg: ExperimentConfig, sr: Semiring, m: int) -> np.ndarray:
     """Per-pool-entry values: multiplicative identity, or (with
     random_values) entry-indexed draws so results stay grid-independent."""
     if not cfg.random_values:
-        return None
+        return np.full(m, sr.one, dtype=sr.np_dtype)
     rng = np.random.default_rng(cfg.seed)
     base = rng.integers(1, 100, size=m)
     if sr.np_dtype.kind == "u":
@@ -376,22 +374,25 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
         do_verify = est <= cfg.verify_cap
     p = cfg.q * cfg.q
     outs = run_spmd(p, _rank_worker, cfg, sr, n, rows, cols, vals, do_verify)
-
-    records = []
-    for b in range(cfg.n_batches):
-        rec = MetricsRecord(cfg.experiment, cfg.q, cfg.batch_size, b, cfg.seed)
-        for ph in PHASE_NAMES:
-            rec.seconds[ph] = max(o["records"][b]["seconds"][ph] for o in outs)
-            rec.bytes[ph] = sum(o["records"][b]["bytes"][ph] for o in outs)
-        for key in ("nnz_a", "nnz_b", "nnz_update", "nnz_c", "nnz_filtered"):
-            setattr(rec, key, sum(o["records"][b][key] for o in outs))
-        rec.total_seconds = max(o["records"][b]["total_seconds"] for o in outs)
-        records.append(rec)
-    checksum = combine_checksums(o["checksum"] for o in outs)
-    if do_verify and not all(o["verify_ok"] for o in outs):
+    records = [_fold_ranks(recs) for recs in zip(*(o[0] for o in outs))]
+    checksum = combine_checksums(o[1] for o in outs)
+    if not all(o[2] for o in outs):
         raise VerificationError(
             "maintained product disagrees with the static recompute")
     return records, checksum
+
+
+def _fold_ranks(recs) -> MetricsRecord:
+    """One batch's record over all ranks: the slowest rank's seconds, and the
+    bytes and entry counts summed."""
+    out = replace(
+        recs[0],
+        seconds={ph: max(r.seconds[ph] for r in recs) for ph in PHASE_NAMES},
+        bytes={ph: sum(r.bytes[ph] for r in recs) for ph in PHASE_NAMES},
+        total_seconds=max(r.total_seconds for r in recs))
+    for key in ("nnz_a", "nnz_b", "nnz_update", "nnz_c", "nnz_filtered"):
+        setattr(out, key, sum(getattr(r, key) for r in recs))
+    return out
 
 
 def _build_pool(cfg: ExperimentConfig):
@@ -407,184 +408,106 @@ def _build_pool(cfg: ExperimentConfig):
 
 
 def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
-                 rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray | None, do_verify: bool) -> dict:
+                 rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 do_verify: bool) -> tuple[list[MetricsRecord], tuple, bool]:
+    """One rank of an experiment: load the operands, run the batch loop and
+    return (per-batch records, local checksum, verification outcome).
+
+    Every batch goes into the left operand A. The storage experiments start
+    A empty (construct), from the even pool entries (insert) or from the
+    whole pool (update, delete), and apply the batch in the merge phase. The
+    products start A empty and B from the whole pool, apply the batch in
+    the redistribute phase and maintain C = A . B.
+    """
+    exp = cfg.experiment
     part = BlockPartition(n, n, comm.q)
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
     m = len(rows)
-    p = comm.size
-
-    mine_mask = ((part.owner_grid_rows(rows) == i)
-                 & (part.owner_grid_cols(cols) == j))
-
-    def pool_batch(chosen: np.ndarray) -> np.ndarray:
-        """Upserts of the chosen pool entries with their pool values."""
-        return update_batch(sr, rows[chosen], cols[chosen],
-                            None if vals is None else vals[chosen])
-
-    def owned_block(pool_mask=True) -> DcsrBlock:
-        """The local block of the owned pool entries where pool_mask is set."""
-        block = DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype)
-        apply_batch(block, pool_batch(np.flatnonzero(mine_mask & pool_mask)),
+    mine = ((part.owner_grid_rows(rows) == i)
+            & (part.owner_grid_cols(cols) == j))
+    if exp == "insert":
+        mine &= np.arange(m) % 2 == 0
+    loaded = DistMatrix.empty(part, comm, sr)
+    if exp != "construct":
+        own = np.flatnonzero(mine)
+        apply_batch(loaded.block,
+                    update_batch(sr, rows[own], cols[own], vals[own]),
                     sr, r0, c0)
-        return block
+    if exp in _SPGEMM:
+        a, b = DistMatrix.empty(part, comm, sr), loaded
+    else:
+        a, b = loaded, None
+
+    state = c = None
+    if exp in ("spgemm-algebraic", "spgemm-general"):
+        state = spgemm_algebraic_init(comm, a, b, sr, ell=cfg.ell)
+        c = state.C   # updated in place
+        empty_delta = DistMatrix.empty(part, comm, sr)
 
     # Draw pool: the pool indices this rank may insert/modify/delete, drawn
     # without replacement across batches, seeded per (rank, batch).
-    if cfg.experiment == "insert":
-        drawable = np.flatnonzero(np.arange(m) % 2 == 1)
-    else:
-        drawable = np.arange(m)
-    remaining = drawable[np.arange(drawable.size) % p == comm.rank]
+    drawable = np.arange(1, m, 2) if exp == "insert" else np.arange(m)
+    remaining = drawable[comm.rank::comm.size]
 
-    def draw(b: int) -> np.ndarray:
-        nonlocal remaining
-        take = min(cfg.batch_size, remaining.size)
-        if take == 0:
-            return np.empty(0, dtype=np.int64)
+    records = []
+    for k in range(cfg.n_batches):
         rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(comm.rank, b)))
-        sel = rng.choice(remaining.size, size=take, replace=False)
-        chosen = remaining[sel]
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[sel] = False
-        remaining = remaining[keep]
-        return chosen
-
-    if cfg.experiment in _SPGEMM:
-        return _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch,
-                              draw, do_verify)
-    return _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch,
-                                draw, rows, cols)
-
-
-def _new_record() -> dict:
-    return {"seconds": dict.fromkeys(PHASE_NAMES, 0.0),
-            "bytes": dict.fromkeys(PHASE_NAMES, 0),
-            "nnz_a": 0, "nnz_b": 0, "nnz_update": 0, "nnz_c": 0,
-            "nnz_filtered": 0, "total_seconds": 0.0}
-
-
-def _finish_record(rec: dict, phases: PhaseRecorder, t0: float) -> None:
-    rec["seconds"] = dict(phases.seconds)
-    rec["bytes"] = dict(phases.bytes)
-    rec["total_seconds"] = time.perf_counter() - t0
-
-
-def _local_matrix_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
-                         rows, cols) -> dict:
-    i, j = comm.grid_row, comm.grid_col
-    r0 = part.row_starts[i]
-    c0 = part.col_starts[j]
-    exp = cfg.experiment
-
-    if exp == "construct":
-        block = DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype)
-    elif exp == "insert":
-        block = owned_block(np.arange(len(rows)) % 2 == 0)
-    else:  # update, delete: start from the full adjacency
-        block = owned_block()
-    a = DistMatrix(part, i, j, block)
-
-    records = []
-    for b in range(cfg.n_batches):
-        chosen = draw(b)
-        r, c = rows[chosen], cols[chosen]
+            np.random.SeedSequence(cfg.seed, spawn_key=(comm.rank, k)))
+        sel = rng.choice(remaining.size,
+                         size=min(cfg.batch_size, remaining.size),
+                         replace=False)
+        chosen, remaining = remaining[sel], np.delete(remaining, sel)
+        bi, bj = rows[chosen], cols[chosen]
         if exp == "delete":
-            batch = update_batch(sr, r, c, ops=OP_DELETE)
+            batch = update_batch(sr, bi, bj, ops=OP_DELETE)
         elif exp == "update":
-            batch = update_batch(sr, r, c, _modified_value(r, c, cfg.seed, sr))
+            batch = update_batch(sr, bi, bj,
+                                 _modified_value(bi, bj, cfg.seed, sr))
         else:
-            batch = pool_batch(chosen)
-        rec = _new_record()
+            batch = update_batch(sr, bi, bj, vals[chosen])
+
         phases = PhaseRecorder(comm)
         t0 = time.perf_counter()
         with phases.phase("redistribute"):
             owned = redistribute_updates(comm, part, batch, sr)
-        with phases.phase("merge"):
-            apply_batch(block, owned, sr, r0, c0)
-        _finish_record(rec, phases, t0)
-        rec["nnz_a"] = block.nnz
-        rec["nnz_update"] = len(owned)
-        records.append(rec)
-
-    return {"records": records, "checksum": _local_checksum(a, sr),
-            "verify_ok": True}
-
-
-def _spgemm_worker(comm, cfg, sr, part, owned_block, pool_batch, draw,
-                   do_verify: bool) -> dict:
-    i, j = comm.grid_row, comm.grid_col
-    r0 = part.row_starts[i]
-    c0 = part.col_starts[j]
-    shape = part.block_shape(i, j)
-    exp = cfg.experiment
-
-    b_block = owned_block()
-    b_mat = DistMatrix(part, i, j, b_block)
-    a_mat = DistMatrix.empty(part, comm, sr)
-    state = None
-    c_static = None
-    if exp != "spgemm-static":
-        state = spgemm_algebraic_init(comm, a_mat, b_mat, sr, ell=cfg.ell)
-    empty_delta = DistMatrix(part, i, j, DcsrBlock.empty(*shape, dtype=sr.np_dtype))
-
-    records = []
-    for b in range(cfg.n_batches):
-        batch = pool_batch(draw(b))
-        rec = _new_record()
-        phases = PhaseRecorder(comm)
-        t0 = time.perf_counter()
-        with phases.phase("redistribute"):
-            owned = redistribute_updates(comm, part, batch, sr)
-            # The batch's positions are unique (drawn without replacement
-            # from a pool of unique positions split across ranks), so the
-            # first-wins of dcsr_from_coo equals applying the batch in order.
-            delta = dcsr_from_coo(*shape, owned["i"] - r0, owned["j"] - c0,
-                                  owned["v"])
-        a_delta = DistMatrix(part, i, j, delta)
-
+            if state is not None:
+                # The batch's positions are unique (drawn without replacement
+                # from a pool of unique positions split across ranks), so the
+                # first-wins of dcsr_from_coo equals applying the batch in
+                # order.
+                delta = DistMatrix(part, i, j, dcsr_from_coo(
+                    *a.local_shape, owned["i"] - r0, owned["j"] - c0,
+                    owned["v"]))
         stats = {}
         if exp == "spgemm-algebraic":
-            # a_mat still holds the pre-batch left operand here.
-            spgemm_algebraic_update(comm, state, a_mat, a_delta, b_mat,
-                                    empty_delta, phases=phases)
-            with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0)
-        elif exp == "spgemm-general":
-            with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0)
+            # a still holds the pre-batch left operand here.
+            spgemm_algebraic_update(comm, state, a, delta, b, empty_delta,
+                                    phases=phases)
+        with phases.phase("redistribute" if b is not None else "merge"):
+            apply_batch(a.block, owned, sr, r0, c0)
+        if exp == "spgemm-general":
             # With an empty right-operand delta the pre-batch left operand is
             # never consulted, so the maintained matrix serves as both.
-            stats = spgemm_general_update(comm, state, a_mat, a_delta, b_mat,
-                                          empty_delta, a_mat, phases=phases)
-        else:
-            with phases.phase("redistribute"):
-                apply_batch(a_mat.block, owned, sr, r0, c0)
-            c_static = summa_static(comm, a_mat, b_mat, sr, phases=phases)
-        _finish_record(rec, phases, t0)
-        rec["nnz_a"] = a_mat.block.nnz
-        rec["nnz_b"] = b_block.nnz
-        rec["nnz_update"] = len(owned)
-        rec["nnz_c"] = (c_static if state is None else state.C).block.nnz
-        rec["nnz_filtered"] = stats.get("nnz_filtered", 0)
-        records.append(rec)
+            stats = spgemm_general_update(comm, state, a, delta, b,
+                                          empty_delta, a, phases=phases)
+        elif exp == "spgemm-static":
+            c = summa_static(comm, a, b, sr, phases=phases)
+        total = time.perf_counter() - t0
+        records.append(MetricsRecord(
+            exp, cfg.q, cfg.batch_size, k, cfg.seed, phases.seconds,
+            phases.bytes, nnz_a=a.block.nnz,
+            nnz_b=0 if b is None else b.block.nnz, nnz_update=len(owned),
+            nnz_c=0 if c is None else c.block.nnz,
+            nnz_filtered=stats.get("nnz_filtered", 0), total_seconds=total))
 
-    if state is not None:
-        c_final = state.C
-    else:
-        if c_static is None:
-            c_static = summa_static(comm, a_mat, b_mat, sr)
-        c_final = c_static
-
+    if b is not None and c is None:   # a static product run with no batch
+        c = summa_static(comm, a, b, sr)
     verify_ok = True
     if do_verify and state is not None:
-        oracle = summa_static(comm, a_mat, b_mat, sr)
-        verify_ok = same_entries(oracle.block, state.C.block, sr.np_dtype)
-
-    return {"records": records, "checksum": _local_checksum(c_final, sr),
-            "verify_ok": verify_ok}
+        oracle = summa_static(comm, a, b, sr)
+        verify_ok = same_entries(oracle.block, c.block, sr.np_dtype)
+    return records, _local_checksum(a if c is None else c, sr), verify_ok
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ Every rank calls each function collectively with its own Communicator.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +176,7 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
             if build_bloom:
                 _, pat = pattern_multiply(a_blk, b_blk, inner_starts[k], ell)
         with phases.phase("merge"):
-            add_into(c_local, prod, sr.add)
+            add_into(c_local, prod, sr.np_add)
             if build_bloom:
                 or_into(f_local, pat)
     c = DistMatrix(part_c, i, j, c_local)
@@ -283,9 +282,9 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
             y_part = gustavson_multiply(a.block, b_blk, sr, ta, tb)
         with phases.phase("aggregate"):
             xr = comm.aggregate_sparse("col" if x_agg_col else "row", k,
-                                       x_part, sr.add, codec)
+                                       x_part, sr.np_add, codec)
             yr = comm.aggregate_sparse("col" if y_agg_col else "row", k,
-                                       y_part, sr.add, codec)
+                                       y_part, sr.np_add, codec)
         if xr is not None:
             x_mine = xr
         if yr is not None:
@@ -304,8 +303,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     _check_local_shape(y_mine, c_local)
     state.F = None
     with phases.phase("merge"):
-        add_into(c_local, x_mine, sr.add)
-        add_into(c_local, y_mine, sr.add)
+        add_into(c_local, x_mine, sr.np_add)
+        add_into(c_local, y_mine, sr.np_add)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +352,9 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             _, p_cur = pattern_multiply(a_prime.block, b_blk,
                                         inner_starts[j], ell)
         with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, operator.or_, bcodec)
+            r_new = comm.aggregate_sparse("col", k, p_new, np.bitwise_or, bcodec)
             r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-            r_cur = comm.aggregate_sparse("row", k, p_cur, operator.or_, bcodec)
+            r_cur = comm.aggregate_sparse("row", k, p_cur, np.bitwise_or, bcodec)
         if r_new is not None:
             x_pat = r_new
         if r_old is not None:
@@ -420,7 +419,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
         nz = np.flatnonzero(row_bits)
         vec = DcsrBlock(n_lr, 1, nz, row_bits[nz])   # an n x 1 key is its row
     with phases.phase("aggregate"):
-        vr = comm.aggregate_sparse("row", 0, vec, operator.or_, bcodec)
+        vr = comm.aggregate_sparse("row", 0, vec, np.bitwise_or, bcodec)
     with phases.phase("broadcast"):
         v_buf = comm.row_broadcast(
             0, dcsr_serialize(vr, bcodec) if vr is not None else None)
@@ -446,8 +445,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
             z_part, h_part = masked_multiply(a_blk, b_prime.block, mask, sr,
                                              inner_starts[i], ell)
         with phases.phase("aggregate"):
-            zr = comm.aggregate_sparse("col", k, z_part, sr.add, codec)
-            hr = comm.aggregate_sparse("col", k, h_part, operator.or_, bcodec)
+            zr = comm.aggregate_sparse("col", k, z_part, sr.np_add, codec)
+            hr = comm.aggregate_sparse("col", k, h_part, np.bitwise_or, bcodec)
         if zr is not None:
             z_mine = zr
         if hr is not None:

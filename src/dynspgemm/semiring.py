@@ -25,10 +25,12 @@ class Semiring:
     marks semirings whose add has inverses (required by the algebraic update
     path for value decreases/removals expressed through add).
 
-    np_add/np_mul are add/mul as ufuncs over np_dtype arrays, which the
-    kernels and merges use. plus-times-i64 array arithmetic wraps modulo
-    2**64 (numpy int64), still a ring, so the algebraic path stays exact.
-    The boolean lane holds 0/1 bytes (u1) under bitwise or/and.
+    np_add/np_mul are add/mul as ufuncs over np_dtype arrays. The kernels,
+    merges and aggregations compute with these alone, so a user-built
+    semiring needs no registration; add/mul are the scalar reference
+    arithmetic. plus-times-i64 array arithmetic wraps modulo 2**64 (numpy
+    int64), still a ring, so the algebraic path stays exact. The boolean
+    lane holds 0/1 bytes (u1) under bitwise or/and.
     """
 
     name: str
@@ -111,10 +113,6 @@ BOOLEAN = Semiring(
 )
 
 REGISTRY = {sr.name: sr for sr in (PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS, BOOLEAN)}
-
-
-# The ufunc of each semiring add; operator.or_ (bool) also folds bitfields.
-FOLD_UFUNCS = {sr.add: sr.np_add for sr in REGISTRY.values()}
 
 
 def by_name(name: str) -> Semiring:

@@ -22,13 +22,10 @@ never drops positions.
 
 from __future__ import annotations
 
-import operator
 import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .semiring import FOLD_UFUNCS
 
 
 class DecodeError(ValueError):
@@ -190,17 +187,17 @@ def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, found
 
 
-def combine_blocks(blocks, n_rows: int, n_cols: int, combine) -> DcsrBlock:
+def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
     """Fold equal-shaped blocks in list order into one canonical block. A
-    position seen again folds as combine(old, new), in list order, with
-    combine a semiring's add; with combine None the blocks are
-    structure-only and the result is the union of their positions."""
+    position seen again folds as fold(old, new), in list order, with fold a
+    ufunc (a semiring's np_add, or np.bitwise_or for bitfields); with fold
+    None the blocks are structure-only and the result is the union of their
+    positions."""
     keys = np.concatenate([b.keys() for b in blocks])
-    if combine is None:
+    if fold is None:
         return dcsr_from_keys(n_rows, n_cols, keys)
     return dcsr_from_keys(n_rows, n_cols, keys,
-                          np.concatenate([b.vals for b in blocks]),
-                          FOLD_UFUNCS[combine])
+                          np.concatenate([b.vals for b in blocks]), fold)
 
 
 def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
@@ -212,24 +209,24 @@ def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
                                y.vals.astype(dtype, copy=False)))
 
 
-def add_into(dst: DcsrBlock, src: DcsrBlock, add: Callable) -> None:
+def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     """Fold src into dst in place: new positions insert, existing ones fold
-    as add(old, new) through the ufunc of add, a semiring's add."""
-    _fold_into(dst, src, add)
+    as fold(old, new), with fold a ufunc, a semiring's np_add."""
+    _fold_into(dst, src, fold)
 
 
 def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
     """Bitwise-or the bitfield entries of src into dst, in place."""
-    _fold_into(dst, src, operator.or_)
+    _fold_into(dst, src, np.bitwise_or)
 
 
-def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: Callable) -> None:
+def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     if not src.nnz:
         return
     dk, sk = dst.keys(), src.keys()
     pos, hit = locate(dk, sk)
     at = pos[hit]
-    dst.vals[at] = FOLD_UFUNCS[fold](dst.vals[at], src.vals[hit])
+    dst.vals[at] = fold(dst.vals[at], src.vals[hit])
     if np.count_nonzero(hit) < len(hit):
         _merge_keys(dst, dk, dst.vals, sk[~hit], src.vals[~hit])
 

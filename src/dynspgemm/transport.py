@@ -307,12 +307,14 @@ class Communicator:
 
     # -- sparse aggregation ----------------------------------------------------------
     def aggregate_sparse(self, axis: str, root_idx: int, block: DcsrBlock,
-                         combine, codec: ValueCodec):
+                         fold, codec: ValueCodec):
         """Fold equal-shaped sparse contributions from the whole row/col group
         onto the group member root_idx. Every other member sends its whole
         block straight to the root and returns None; the root folds the
         contributions in ascending member order, entries colliding at the
-        same position with combine(old, new), so results are reproducible.
+        same position with fold(old, new), so results are reproducible.
+        fold is a ufunc (a semiring's np_add, or np.bitwise_or for
+        bitfields), or None for structure-only blocks.
         """
         members, my_idx = self._group(axis)
         size = len(members)
@@ -344,7 +346,7 @@ class Communicator:
                     f"rank {self.rank}: aggregate contribution dims "
                     f"{piece.n_rows}x{piece.n_cols} != {block.n_rows}x{block.n_cols}")
             contrib.append(piece)
-        return combine_blocks(contrib, block.n_rows, block.n_cols, combine)
+        return combine_blocks(contrib, block.n_rows, block.n_cols, fold)
 
     # -- barrier -----------------------------------------------------------------
     def barrier(self) -> None:

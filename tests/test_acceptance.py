@@ -82,9 +82,9 @@ def test_criterion_1_algebraic_updates_match_static_recompute():
             for da, db in batches:
                 d_a = update_from_map(pa, comm, da)
                 d_b = update_from_map(pb, comm, db)
-                add_into(b.block, d_b.block, sr.add)
+                add_into(b.block, d_b.block, sr.np_add)
                 spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
-                add_into(a.block, d_a.block, sr.add)
+                add_into(a.block, d_a.block, sr.np_add)
                 static = summa_static(comm, a, b, sr)
                 assert st.C.block.entry_map() == static.block.entry_map()
             return st.C.global_entries()

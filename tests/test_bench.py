@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_load_edges_reports_line_numbers(tmp_path, body, lineno):
     f = tmp_path / "g.txt"
     f.write_text(body)
     with pytest.raises(ConfigError, match=f":{lineno}:"):
+        load_edges(str(f))
+
+
+def test_load_edges_rejects_ids_whose_keys_overflow_int64(tmp_path):
+    # n vertices need keys up to n * n - 1 <= 2**63 - 1
+    max_n = math.isqrt(2 ** 63 - 1)
+    f = tmp_path / "g.txt"
+    f.write_text(f"0 {max_n - 1}\n")
+    n, batch = load_edges(str(f))
+    assert n == max_n
+    assert _edges(batch) == [(0, max_n - 1), (max_n - 1, 0)]
+    f.write_text(f"0 {max_n}\n")
+    with pytest.raises(ConfigError, match="int64"):
         load_edges(str(f))
 
 
@@ -388,6 +402,67 @@ def test_frozen_checksums_and_bytes(experiment, q, random_values, semiring,
         semiring=semiring))
     assert got == checksum
     assert sum(sum(r.bytes.values()) for r in records) == nbytes
+
+
+# Per batch of the q=2 _FROZEN_RUNS configuration: (nnz_a, nnz_b, nnz_update,
+# nnz_c, nnz_filtered) and the phases with a non-zero byte count.
+_FROZEN_RECORDS = {
+    "construct": [
+        ((64, 0, 64, 0, 0), {"redistribute": 2800}),
+        ((128, 0, 64, 0, 0), {"redistribute": 3450}),
+        ((192, 0, 64, 0, 0), {"redistribute": 3100})],
+    "insert": [
+        ((1392, 0, 64, 0, 0), {"redistribute": 3200}),
+        ((1456, 0, 64, 0, 0), {"redistribute": 3500}),
+        ((1520, 0, 64, 0, 0), {"redistribute": 3050})],
+    "update": [
+        ((2656, 0, 64, 0, 0), {"redistribute": 2800}),
+        ((2656, 0, 64, 0, 0), {"redistribute": 3450}),
+        ((2656, 0, 64, 0, 0), {"redistribute": 3100})],
+    "delete": [
+        ((2592, 0, 64, 0, 0), {"redistribute": 2800}),
+        ((2528, 0, 64, 0, 0), {"redistribute": 3450}),
+        ((2464, 0, 64, 0, 0), {"redistribute": 3100})],
+    "spgemm-algebraic": [
+        ((64, 2656, 64, 2618, 0),
+         {"redistribute": 2800, "transpose_exchange": 2464,
+          "broadcast": 4640, "aggregate": 45504}),
+        ((128, 2656, 64, 4303, 0),
+         {"redistribute": 3450, "transpose_exchange": 2336,
+          "broadcast": 4480, "aggregate": 35328}),
+        ((192, 2656, 64, 5875, 0),
+         {"redistribute": 3100, "transpose_exchange": 2176,
+          "broadcast": 4416, "aggregate": 34176})],
+    "spgemm-general": [
+        ((64, 2656, 64, 2618, 64),
+         {"redistribute": 2800, "transpose_exchange": 4192,
+          "broadcast": 56800, "aggregate": 139520}),
+        ((128, 2656, 64, 4303, 92),
+         {"redistribute": 3450, "transpose_exchange": 4496,
+          "broadcast": 47200, "aggregate": 115200}),
+        ((192, 2656, 64, 5875, 111),
+         {"redistribute": 3100, "transpose_exchange": 4672,
+          "broadcast": 48240, "aggregate": 113088})],
+    "spgemm-static": [
+        ((64, 2656, 64, 2618, 0),
+         {"redistribute": 2800, "broadcast": 101344}),
+        ((128, 2656, 64, 4303, 0),
+         {"redistribute": 3450, "broadcast": 104640}),
+        ((192, 2656, 64, 5875, 0),
+         {"redistribute": 3100, "broadcast": 107488})],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_frozen_records(experiment):
+    records, _ = run_experiment(ExperimentConfig(
+        experiment=experiment, rmat_scale=8, rmat_edge_factor=8, q=2,
+        batch_size=16, n_batches=3, seed=5))
+    got = [((r.nnz_a, r.nnz_b, r.nnz_update, r.nnz_c, r.nnz_filtered), r.bytes)
+           for r in records]
+    want = [(counts, {**dict.fromkeys(PHASE_NAMES, 0), **nbytes})
+            for counts, nbytes in _FROZEN_RECORDS[experiment]]
+    assert got == want
 
 
 # -- config validation ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Distributed products: static baseline, algebraic and general updates."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dynspgemm import (
     MIN_PLUS,
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
+    Semiring,
     SpgemmState,
     UnsupportedFeatureError,
     add_into,
@@ -288,7 +290,7 @@ def test_plus_times_i64_wraps_modulo_2_64(q):
         d_a = update_from_map(part, comm, a_delta)
         d_b = update_from_map(part, comm, {})
         spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
-        add_into(a.block, d_a.block, PLUS_TIMES_I64.add)
+        add_into(a.block, d_a.block, PLUS_TIMES_I64.np_add)
         static = summa_static(comm, a, b, PLUS_TIMES_I64)
         _local_checksum(st.C, PLUS_TIMES_I64)
         return st.C.global_entries(), static.global_entries()
@@ -325,9 +327,9 @@ def test_algebraic_random_updates_match_static_recompute(q, sr):
         for da, db in batches:
             d_a = update_from_map(part, comm, da)
             d_b = update_from_map(part, comm, db)
-            add_into(b.block, d_b.block, sr.add)     # b becomes b-after
+            add_into(b.block, d_b.block, sr.np_add)     # b becomes b-after
             spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
-            add_into(a.block, d_a.block, sr.add)     # now a catches up
+            add_into(a.block, d_a.block, sr.np_add)     # now a catches up
             static = summa_static(comm, a, b, sr)
             assert st.C.block.entry_map() == static.block.entry_map()
             results.append(st.C.global_entries())
@@ -445,12 +447,56 @@ def test_algebraic_non_ring_inserts_match_oracle(q):
             d_a = update_from_map(part, comm, batch)
             spgemm_algebraic_update(comm, st, a, d_a, b,
                                     update_from_map(part, comm, {}))
-            add_into(a.block, d_a.block, MIN_PLUS.add)
+            add_into(a.block, d_a.block, MIN_PLUS.np_add)
         return st.C.global_entries()
 
     a_final = {**a0, **batches[0], **batches[1], **batches[2]}
     assert gather_maps(spmd_collect(q, worker)) == oracle_product(a_final, b0,
                                                                   MIN_PLUS)
+
+
+def test_user_built_semiring_folds_with_its_own_ufunc():
+    # max-plus is in no registry: every merge and aggregation must fold with
+    # the np_add it carries
+    max_plus = Semiring(name="max-plus", add=max, mul=operator.add,
+                        zero=-math.inf, one=0.0, is_ring=False,
+                        np_dtype=np.dtype("<f8"), np_add=np.maximum,
+                        np_mul=np.add)
+    n = 10
+    rng = np.random.default_rng(17)
+    a0 = random_map(rng, n, n, 0.25, values="float")
+    b0 = random_map(rng, n, n, 0.25, values="float")
+    free = [p for p in np.ndindex(n, n) if p not in a0]
+    inserts = {free[k]: float(rng.integers(1, 21))
+               for k in rng.choice(len(free), size=5, replace=False)}
+    gone, lowered = sorted(a0)[:2]
+    a1 = {**a0, **inserts, lowered: a0[lowered] - 7.0}
+    del a1[gone]
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, a0, max_plus)
+        b = dist_from_map(part, comm, b0, max_plus)
+        static = summa_static(comm, a, b, max_plus).global_entries()
+        st = spgemm_algebraic_init(comm, a, b, max_plus)
+        spgemm_algebraic_update(comm, st, a,
+                                update_from_map(part, comm, inserts), b,
+                                update_from_map(part, comm, {}))
+        algebraic = st.C.global_entries()
+        st = spgemm_algebraic_init(comm, a, b, max_plus)
+        a_prime = dist_from_map(part, comm, a1, max_plus)
+        d_a = update_from_map(part, comm, {p: None for p in
+                                           (gone, lowered, *inserts)},
+                              structure_only=True)
+        d_b = update_from_map(part, comm, {}, structure_only=True)
+        spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
+        return static, algebraic, st.C.global_entries()
+
+    out = spmd_collect(2, worker)
+    assert gather_maps(o[0] for o in out) == oracle_product(a0, b0, max_plus)
+    assert gather_maps(o[1] for o in out) == \
+        oracle_product({**a0, **inserts}, b0, max_plus)
+    assert gather_maps(o[2] for o in out) == oracle_product(a1, b0, max_plus)
 
 
 def test_algebraic_rejects_shape_mismatch():

@@ -365,7 +365,7 @@ def test_combine_blocks_is_a_member_order_fold(sr, data):
                                  min_size=1, max_size=4))
     # one aggregation's contributions share sr's value dtype, even empty ones
     blocks = [_block(m, n, n, "dynamic", sr) for m in members]
-    got = combine_blocks(blocks, n, n, sr.add)
+    got = combine_blocks(blocks, n, n, sr.np_add)
     got.check()
     want: dict = {}
     for m in members:

@@ -80,11 +80,11 @@ def test_delete_middle_of_row_keeps_bijection():
 def test_apply_updates_combine_inserts_then_folds():
     # folding is add_into's job: a new position inserts, a stored one folds
     b = DcsrBlock.empty(2, 2)
-    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 4.0}}), MIN_PLUS.add)
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 4.0}}), MIN_PLUS.np_add)
     assert b.entry_map() == {(0, 0): 4.0}
-    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 2.0}}), MIN_PLUS.add)
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 2.0}}), MIN_PLUS.np_add)
     assert b.entry_map() == {(0, 0): 2.0}
-    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 9.0}}), MIN_PLUS.add)
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: 9.0}}), MIN_PLUS.np_add)
     assert b.entry_map() == {(0, 0): 2.0}
 
 
@@ -116,7 +116,7 @@ def test_random_ops_match_dict_oracle():
 def test_structural_zero_is_kept():
     b = _empty(2, 2)
     _apply(b, (0, 0, 5), (1, 1, 0))
-    add_into(b, dcsr_from_row_map(2, 2, {0: {0: -5}}), PLUS_TIMES_I64.add)
+    add_into(b, dcsr_from_row_map(2, 2, {0: {0: -5}}), PLUS_TIMES_I64.np_add)
     assert b.entry_map() == {(0, 0): 0, (1, 1): 0}
     assert b.nnz == 2
 
@@ -375,16 +375,16 @@ def test_dcsr_check_rejects_malformed():
 def test_add_into_examples():
     dst = block_from_triples(2, 2, [(0, 0, 4.0)])
     upd = dcsr_from_row_map(2, 2, {0: {0: 2.0}})
-    add_into(dst, upd, MIN_PLUS.add)
+    add_into(dst, upd, MIN_PLUS.np_add)
     assert dst.entry_map() == {(0, 0): 2.0}
 
     dst2 = block_from_triples(2, 2, [(0, 0, 4)])
     upd2 = dcsr_from_row_map(2, 2, {0: {0: 2}})
-    add_into(dst2, upd2, PLUS_TIMES_I64.add)
+    add_into(dst2, upd2, PLUS_TIMES_I64.np_add)
     assert dst2.entry_map() == {(0, 0): 6}
 
     empty = _empty(2, 2)
-    add_into(empty, upd2, PLUS_TIMES_I64.add)
+    add_into(empty, upd2, PLUS_TIMES_I64.np_add)
     assert empty.entry_map() == upd2.entry_map()
 
 
@@ -395,13 +395,13 @@ def test_add_into_with_inverses_restores():
     dst = block_from_triples(9, 9, [(r, c, v) for (r, c), v in base.items()])
     delta = dcsr_from_row_map(9, 9, {r: {c: -v for (rr, c), v in base.items() if rr == r}
                                      for r in {rc[0] for rc in base}})
-    add_into(dst, delta, PLUS_TIMES_I64.add)
+    add_into(dst, delta, PLUS_TIMES_I64.np_add)
     # every position still present, all values identically zero
     assert dst.nnz == len(base)
     assert all(v == 0 for v in dst.entry_map().values())
     neg = dcsr_from_row_map(9, 9, {r: {c: base[(r, c)] for (rr, c) in base if rr == r}
                                    for r in {rc[0] for rc in base}})
-    add_into(dst, neg, PLUS_TIMES_I64.add)
+    add_into(dst, neg, PLUS_TIMES_I64.np_add)
     assert dst.entry_map() == base
 
 

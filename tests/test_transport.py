@@ -239,7 +239,7 @@ def test_aggregate_folds_to_root():
     def worker(comm):
         v = 1 if comm.grid_col == 0 else 2
         block = dcsr_from_row_map(2, 2, {0: {0: v}})
-        got = comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.add, I64)
+        got = comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64)
         return None if got is None else got.entry_map()
 
     out = run_spmd(4, worker)
@@ -255,7 +255,7 @@ def test_aggregate_with_one_empty_contribution():
             block = dcsr_from_row_map(3, 3, {0: {1: 7}, 2: {0: 4}})
         else:
             block = DcsrBlock.empty(3, 3)
-        got = comm.aggregate_sparse("row", 1, block, PLUS_TIMES_I64.add, I64)
+        got = comm.aggregate_sparse("row", 1, block, PLUS_TIMES_I64.np_add, I64)
         return None if got is None else got.entry_map()
 
     out = run_spmd(4, worker)
@@ -282,7 +282,7 @@ def test_aggregate_matches_sequential_fold_oracle():
             mine = contribs[comm.grid_col]
             block = block_from_triples(
                 n, n, [(r, c, v) for (r, c), v in mine.items()])
-            got = comm.aggregate_sparse("row", 2, block, sr.add,
+            got = comm.aggregate_sparse("row", 2, block, sr.np_add,
                                         semiring_codec(sr))
             return None if got is None else got.entry_map()
 
@@ -313,7 +313,7 @@ def test_aggregate_sends_each_contribution_once():
 
     def worker(comm):
         comm.aggregate_sparse("row", root, blocks[comm.rank],
-                              PLUS_TIMES_I64.add, I64)
+                              PLUS_TIMES_I64.np_add, I64)
         return comm.counters.bytes_aggregate, dict(comm.counters.peers_sent)
 
     out = run_spmd(q * q, worker)
@@ -341,7 +341,7 @@ def test_back_to_back_aggregations_reach_their_own_roots():
             mine = contribution(comm.grid_col, root)
             block = block_from_triples(
                 n, n, [(r, c, v) for (r, c), v in mine.items()])
-            res = comm.aggregate_sparse("row", root, block, sr.add, codec)
+            res = comm.aggregate_sparse("row", root, block, sr.np_add, codec)
             got.append(None if res is None else res.entry_map())
         return got
 
@@ -359,7 +359,7 @@ def test_back_to_back_aggregations_reach_their_own_roots():
 def test_aggregate_single_rank_is_identity():
     def worker(comm):
         block = dcsr_from_row_map(2, 2, {1: {1: 5}})
-        return comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.add, I64).entry_map()
+        return comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64).entry_map()
 
     (got,), = (run_spmd(1, worker),)
     assert got == {(1, 1): 5}
@@ -369,7 +369,7 @@ def test_aggregate_rejects_shape_mismatch():
     def worker(comm):
         shape = 3 if comm.grid_col == 0 else 2
         block = DcsrBlock.empty(shape, shape)
-        comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.add, I64)
+        comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64)
 
     with pytest.raises(TransportError, match="dims"):
         run_spmd(4, worker)
@@ -378,7 +378,7 @@ def test_aggregate_rejects_shape_mismatch():
 def test_aggregate_on_column_axis():
     def worker(comm):
         block = dcsr_from_row_map(2, 2, {comm.grid_row: {0: 10 ** comm.grid_row}})
-        got = comm.aggregate_sparse("col", 0, block, PLUS_TIMES_I64.add, I64)
+        got = comm.aggregate_sparse("col", 0, block, PLUS_TIMES_I64.np_add, I64)
         return None if got is None else got.entry_map()
 
     out = run_spmd(4, worker)
@@ -446,7 +446,7 @@ def test_counters_are_deterministic_across_runs():
         bufs = [b"m" * (comm.rank + g) for g in range(comm.q)]
         comm.all_to_all_v("col", bufs)
         block = dcsr_from_row_map(4, 4, {comm.rank % 4: {0: 1}})
-        comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.add, I64)
+        comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64)
         c = comm.counters
         return c.volume_tuple(), c.n_broadcasts, c.n_alltoalls, c.n_aggregates, \
             dict(c.peers_sent)
