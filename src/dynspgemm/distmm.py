@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import BlockPartition
 from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
-from .redistribute import apply_batch, update_batch
+from .redistribute import _check_batch, apply_batch, update_batch
 from .semiring import Semiring
 from .storage import (
     DcsrBlock,
@@ -87,11 +87,12 @@ class DistMatrix:
         rank keeps the entries its block owns, in sr's value dtype. Later
         duplicates overwrite earlier ones."""
         d = cls.empty(part, comm, sr)
-        mine = [t for t in triples
-                if part.owner_coords(t[0], t[1]) == (d.grid_row, d.grid_col)]
-        rows, cols, vals = zip(*mine) if mine else ((), (), ())
-        apply_batch(d.block, update_batch(sr, rows, cols, vals), sr,
-                    d.row_base, d.col_base)
+        rows, cols, vals = zip(*triples) if triples else ((), (), ())
+        batch = update_batch(sr, rows, cols, vals)
+        _check_batch(batch, sr, 0, 0, part.n_rows, part.n_cols)
+        mine = ((part.owner_grid_rows(batch["i"]) == d.grid_row)
+                & (part.owner_grid_cols(batch["j"]) == d.grid_col))
+        apply_batch(d.block, batch[mine], sr, d.row_base, d.col_base)
         return d
 
     def global_entries(self) -> dict:

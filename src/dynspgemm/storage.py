@@ -10,10 +10,13 @@ int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
 emit blocks only through dcsr_from_keys (or dcsr_from_coo), which sorts by
 key and folds repeated keys in input order; in-place changes go through one
-sorted merge of disjoint key sets (_merge_keys). The doubly-compressed
-sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008), which lists only
-the non-empty rows, is the wire format only: dcsr_serialize derives it from
-the keys and dcsr_deserialize checks it and turns it back into keys.
+sorted merge of disjoint key sets (_merge_keys). The wire carries a block as
+it is stored: dcsr_serialize writes a header, the keys and the values, and
+dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
+returns views of the message. The doubly-compressed sparse row layout
+(DCSR; Buluc & Gilbert, IPDPS 2008), which lists only the non-empty rows,
+survives only as the derived nz_rows and iter_rows views; the dcsr_* names
+stay because the benchmark hooks wrap them by name.
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -29,7 +32,7 @@ import numpy as np
 
 
 class DecodeError(ValueError):
-    """Raised when a wire buffer cannot be decoded as a DCSR block."""
+    """Raised when a wire buffer cannot be decoded as a canonical block."""
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +42,13 @@ class DecodeError(ValueError):
 class DcsrBlock:
     """A sparse block as its entry keys r * n_cols + c, strictly increasing
     int64, and vals, an array in key order or None when structure-only
-    (value width 0 on the wire). It keeps no DCSR arrays: the codec derives
-    them on the way out, as nz_rows and iter_rows do, and the decoder turns
-    them back into keys. The constructor takes keys in that order;
-    dcsr_from_keys and dcsr_from_coo take entries in any order. Update
-    batches (apply_batch) and the merges into C and F change a block in
-    place.
+    (value width 0 on the wire). The wire carries exactly these two arrays;
+    the DCSR layout exists only in the derived nz_rows and iter_rows views.
+    The constructor takes keys in that order; dcsr_from_keys and
+    dcsr_from_coo take entries in any order. Update batches (apply_batch)
+    and the merges into C and F change a block in place. A decoded block's
+    keys (and values, bool aside) are read-only views of its message, so no
+    merge takes one as its destination.
     """
 
     __slots__ = ("n_rows", "n_cols", "_keys", "vals")
@@ -259,10 +263,11 @@ def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int, ell: int) -> DcsrBl
 # wire codec
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sHHQQQQ")
+_HEADER = struct.Struct("<4sHHQQQ")
 _MAGIC = b"DCSR"
-_VERSION = 1
-_U64 = np.dtype("<u8")
+_VERSION = 2
+_KEY = np.dtype("<i8")
+_MAX_CELLS = 2 ** 63 - 1  # n_rows * n_cols bound, so keys and it fit in int64
 
 
 class ValueCodec(NamedTuple):
@@ -288,48 +293,39 @@ STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None)
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:
-    nz_rows, row_ptr, cols = _dcsr_arrays(b)
-    head = _HEADER.pack(_MAGIC, _VERSION, codec.width, b.n_rows, b.n_cols,
-                        len(nz_rows), b.nnz)
-    parts = [head] + [index.astype(_U64).tobytes()
-                      for index in (nz_rows, row_ptr, cols)]
+    """The block as stored: a header (magic, version, value width, n_rows,
+    n_cols, nnz), the keys as little-endian int64, then codec's values."""
+    head = _HEADER.pack(_MAGIC, _VERSION, codec.width, b.n_rows, b.n_cols, b.nnz)
+    parts = [head, b.keys().astype(_KEY, copy=False).tobytes()]
     if codec.width:
         parts.append(codec.encode(b.vals))
     return b"".join(parts)
 
 
 def dcsr_deserialize(buf: bytes, codec: ValueCodec) -> DcsrBlock:
+    """The block of a dcsr_serialize buffer, its keys a read-only view of buf.
+    Raises DecodeError unless buf is one whole canonical block whose keys
+    fit in int64."""
     if len(buf) < _HEADER.size:
         raise DecodeError(f"buffer too short for header: {len(buf)} bytes")
-    magic, version, width, n_rows, n_cols, n_nz, nnz = _HEADER.unpack_from(buf)
+    magic, version, width, n_rows, n_cols, nnz = _HEADER.unpack_from(buf)
     if magic != _MAGIC:
         raise DecodeError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise DecodeError(f"unsupported version {version}")
     if width != codec.width:
         raise DecodeError(f"value width {width} != expected {codec.width}")
-    want = _HEADER.size + 8 * (n_nz + (n_nz + 1) + nnz) + width * nnz
+    if n_rows * n_cols > _MAX_CELLS:
+        raise DecodeError(f"a {n_rows}x{n_cols} block has keys beyond int64")
+    want = _HEADER.size + (8 + width) * nnz
     if len(buf) != want:
         raise DecodeError(f"buffer length {len(buf)} != expected {want}")
-    off = _HEADER.size
-    nz_rows = np.frombuffer(buf, dtype=_U64, count=n_nz, offset=off)
-    off += 8 * n_nz
-    row_ptr = np.frombuffer(buf, dtype=_U64, count=n_nz + 1, offset=off)
-    off += 8 * (n_nz + 1)
-    cols = np.frombuffer(buf, dtype=_U64, count=nnz, offset=off)
-    off += 8 * nnz
-    if row_ptr[0] != 0 or row_ptr[-1] != nnz:
-        raise DecodeError("row_ptr endpoints inconsistent with nnz")
-    if np.count_nonzero(row_ptr[1:] <= row_ptr[:-1]):
-        raise DecodeError("row_ptr not strictly increasing (empty listed row)")
-    if (np.count_nonzero(nz_rows[1:] <= nz_rows[:-1])
-            or (n_nz and nz_rows[-1] >= n_rows)):
-        raise DecodeError("nz_rows not strictly increasing within bounds")
-    if np.count_nonzero(cols >= n_cols):
-        raise DecodeError("column index out of bounds")
-    rows = nz_rows.astype(np.int64).repeat(np.diff(row_ptr.astype(np.int64)))
-    keys = rows * n_cols + cols.astype(np.int64)
-    if np.count_nonzero(keys[1:] <= keys[:-1]):
-        raise DecodeError("columns not strictly increasing within a row")
-    vals = codec.decode(buf[off:], nnz) if codec.width else None
-    return DcsrBlock(n_rows, n_cols, keys, vals)
+    off = _HEADER.size + 8 * nnz
+    keys = np.frombuffer(buf, dtype=_KEY, count=nnz, offset=_HEADER.size)
+    vals = codec.decode(memoryview(buf)[off:], nnz) if width else None
+    block = DcsrBlock(n_rows, n_cols, keys, vals)
+    try:
+        block.check()
+    except ValueError as exc:
+        raise DecodeError(str(exc)) from None
+    return block

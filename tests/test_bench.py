@@ -375,20 +375,20 @@ _FROZEN_RUNS = [
     ("delete", 2, True, None, "nnz=2464;hash=8ae3ba5bdf15f6c1", 9350),
     ("spgemm-algebraic", 1, False, None, "nnz=1746;hash=46c1824b19307711", 0),
     ("spgemm-algebraic", 1, True, None, "nnz=1746;hash=bbb150400ebbf8cc", 0),
-    ("spgemm-algebraic", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 144870),
-    ("spgemm-algebraic", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 144870),
+    ("spgemm-algebraic", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 129958),
+    ("spgemm-algebraic", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 129958),
     ("spgemm-general", 1, False, None, "nnz=1746;hash=337df34d89022581", 0),
     ("spgemm-general", 1, True, None, "nnz=1746;hash=3d2e96a96b1088e0", 0),
-    ("spgemm-general", 2, False, None, "nnz=5875;hash=b6770ae57c7cea97", 542758),
-    ("spgemm-general", 2, True, None, "nnz=5875;hash=26d7c93d45357f15", 542758),
+    ("spgemm-general", 2, False, None, "nnz=5875;hash=b6770ae57c7cea97", 487014),
+    ("spgemm-general", 2, True, None, "nnz=5875;hash=26d7c93d45357f15", 487014),
     ("spgemm-static", 1, False, None, "nnz=1746;hash=46c1824b19307711", 0),
     ("spgemm-static", 1, True, None, "nnz=1746;hash=bbb150400ebbf8cc", 0),
-    ("spgemm-static", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 322822),
-    ("spgemm-static", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 322822),
-    ("spgemm-algebraic", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 91166),
-    ("spgemm-algebraic", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 144870),
-    ("spgemm-static", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 203276),
-    ("spgemm-static", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 322822),
+    ("spgemm-static", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 278150),
+    ("spgemm-static", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 278150),
+    ("spgemm-algebraic", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 76254),
+    ("spgemm-algebraic", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 129958),
+    ("spgemm-static", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 158604),
+    ("spgemm-static", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 278150),
 ]
 
 
@@ -425,31 +425,31 @@ _FROZEN_RECORDS = {
         ((2464, 0, 64, 0, 0), {"redistribute": 3100})],
     "spgemm-algebraic": [
         ((64, 2656, 64, 2618, 0),
-         {"redistribute": 2800, "transpose_exchange": 2464,
-          "broadcast": 4640, "aggregate": 45504}),
+         {"redistribute": 2800, "transpose_exchange": 1344,
+          "broadcast": 2560, "aggregate": 43328}),
         ((128, 2656, 64, 4303, 0),
-         {"redistribute": 3450, "transpose_exchange": 2336,
-          "broadcast": 4480, "aggregate": 35328}),
+         {"redistribute": 3450, "transpose_exchange": 1312,
+          "broadcast": 2560, "aggregate": 33376}),
         ((192, 2656, 64, 5875, 0),
-         {"redistribute": 3100, "transpose_exchange": 2176,
-          "broadcast": 4416, "aggregate": 34176})],
+         {"redistribute": 3100, "transpose_exchange": 1216,
+          "broadcast": 2560, "aggregate": 32352})],
     "spgemm-general": [
         ((64, 2656, 64, 2618, 64),
-         {"redistribute": 2800, "transpose_exchange": 4192,
-          "broadcast": 56800, "aggregate": 139520}),
+         {"redistribute": 2800, "transpose_exchange": 2016,
+          "broadcast": 47744, "aggregate": 131456}),
         ((128, 2656, 64, 4303, 92),
-         {"redistribute": 3450, "transpose_exchange": 4496,
-          "broadcast": 47200, "aggregate": 115200}),
+         {"redistribute": 3450, "transpose_exchange": 2352,
+          "broadcast": 38912, "aggregate": 107424}),
         ((192, 2656, 64, 5875, 111),
-         {"redistribute": 3100, "transpose_exchange": 4672,
-          "broadcast": 48240, "aggregate": 113088})],
+         {"redistribute": 3100, "transpose_exchange": 2560,
+          "broadcast": 39760, "aggregate": 105440})],
     "spgemm-static": [
         ((64, 2656, 64, 2618, 0),
-         {"redistribute": 2800, "broadcast": 101344}),
+         {"redistribute": 2800, "broadcast": 87552}),
         ((128, 2656, 64, 4303, 0),
-         {"redistribute": 3450, "broadcast": 104640}),
+         {"redistribute": 3450, "broadcast": 89600}),
         ((192, 2656, 64, 5875, 0),
-         {"redistribute": 3100, "broadcast": 107488})],
+         {"redistribute": 3100, "broadcast": 91648})],
 }
 
 

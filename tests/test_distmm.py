@@ -989,6 +989,20 @@ def test_dist_matrix_from_triples_keeps_owned_entries():
     assert gather_maps(spmd_collect(2, worker)) == m
 
 
+def test_dist_matrix_from_triples_rejects_entries_outside_the_matrix():
+    # every rank checks every triple, so a rank that owns neither entry
+    # raises too, and a negative index is not silently dropped
+    def worker(comm):
+        part = BlockPartition(4, 4, comm.q)
+        for bad in ((4, 0, 1), (0, -1, 1)):
+            with pytest.raises(ValueError):
+                DistMatrix.from_triples(part, comm, [(0, 0, 5), bad],
+                                        PLUS_TIMES_I64)
+        return True
+
+    assert spmd_collect(2, worker) == [True] * 4
+
+
 def test_dist_matrix_from_triples_holds_the_semiring_dtype_on_every_rank():
     # rank 3 owns none of the triples; it must still hold i64 values, so a
     # later upsert of 2**60 + 1 is stored exactly, not rounded through f8

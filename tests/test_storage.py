@@ -286,11 +286,12 @@ def _oracle_dcsr(entries: dict):
 
 
 def _wire(n_rows, n_cols, layout, width, values=b""):
+    # the wire layout: header, then the keys r * n_cols + c as int64
     nz_rows, row_ptr, cols, _ = layout
-    head = struct.pack("<4sHHQQQQ", b"DCSR", 1, width, n_rows, n_cols,
-                       len(nz_rows), len(cols))
-    return head + b"".join(np.asarray(a, "<u8").tobytes()
-                           for a in (nz_rows, row_ptr, cols)) + values
+    rows = np.repeat(nz_rows, np.diff(row_ptr)).astype(np.int64)
+    head = struct.pack("<4sHHQQQ", b"DCSR", 2, width, n_rows, n_cols, len(cols))
+    keys = rows * n_cols + np.asarray(cols, np.int64)
+    return head + keys.astype("<i8").tobytes() + values
 
 
 _VALUES = {PLUS_TIMES_I64: st.integers(-2 ** 63, 2 ** 63 - 1),
@@ -461,14 +462,12 @@ def test_filter_rows_output_is_subset():
 def test_serialize_golden_bytes():
     b = block_from_triples(3, 2, [(0, 1, 5), (2, 0, 3)])
     blob = dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64))
-    want = struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 2, 2, 2)
-    want += np.asarray([0, 2], "<u8").tobytes()        # nz_rows
-    want += np.asarray([0, 1, 2], "<u8").tobytes()     # row_ptr
-    want += np.asarray([1, 0], "<u8").tobytes()        # cols
+    want = struct.pack("<4sHHQQQ", b"DCSR", 2, 8, 3, 2, 2)
+    want += np.asarray([1, 4], "<i8").tobytes()        # keys r * 2 + c
     want += np.asarray([5, 3], "<i8").tobytes()        # values
     assert blob == want
-    # 40-byte header + 2 nz_rows + 3 row_ptr + 2 cols (u64) + 2 values (i64)
-    assert len(blob) == 40 + 8 * (2 + 3 + 2 + 2)
+    # 32-byte header + 2 keys (i64) + 2 values (i64)
+    assert len(blob) == 32 + 8 * (2 + 2)
 
 
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, MIN_PLUS, BOOLEAN],
@@ -522,13 +521,21 @@ def test_wire_bloom_round_trip():
     assert back.entry_map() == {(0, 1): 0b101, (2, 3): 0x8000}
 
 
+def _keyed(n_rows, n_cols, keys, vals):
+    head = struct.pack("<4sHHQQQ", b"DCSR", 2, 8, n_rows, n_cols, len(keys))
+    return (head + np.asarray(keys, "<i8").tobytes()
+            + np.asarray(vals, "<i8").tobytes())
+
+
 def test_wire_rejects_corruption():
     codec = semiring_codec(PLUS_TIMES_I64)
     b = block_from_triples(3, 3, [(0, 1, 5), (2, 0, 3)])
     blob = dcsr_serialize(b, codec)
+    assert blob == _keyed(3, 3, [1, 6], [5, 3])
 
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(blob[:10], codec)                     # truncated header
+    for cut in range(len(blob)):
+        with pytest.raises(DecodeError):
+            dcsr_deserialize(blob[:cut], codec)                # every prefix
     with pytest.raises(DecodeError):
         dcsr_deserialize(b"XXXX" + blob[4:], codec)            # bad magic
     bad_ver = blob[:4] + struct.pack("<H", 9) + blob[6:]
@@ -538,36 +545,34 @@ def test_wire_rejects_corruption():
         dcsr_deserialize(blob, STRUCTURE_CODEC)                # width mismatch
     with pytest.raises(DecodeError):
         dcsr_deserialize(blob + b"\x00", codec)                # trailing bytes
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(blob[:-1], codec)                     # short payload
+
+    # the version-1 layout: a listed-row count, then nz_rows, row_ptr, cols
+    v1 = (struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 3, 2, 2)
+          + np.asarray([0, 2, 0, 1, 2, 1, 0, 5, 3], "<u8").tobytes())
+    with pytest.raises(DecodeError, match="version 1"):
+        dcsr_deserialize(v1, codec)
+
+    for keys in ([6, 1],     # swapped
+                 [1, 1],     # repeated
+                 [-1, 6],    # negative
+                 [1, 9]):    # == n_rows * n_cols
+        with pytest.raises(DecodeError):
+            dcsr_deserialize(_keyed(3, 3, keys, [5, 3]), codec)
+    assert dcsr_deserialize(_keyed(3, 3, [0, 8], [5, 3]), codec).entry_map() \
+        == {(0, 0): 5, (2, 2): 3}
 
 
-def test_wire_rejects_inconsistent_structure():
+def test_wire_rejects_shapes_beyond_int64_keys():
     codec = semiring_codec(PLUS_TIMES_I64)
-    head = struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 3, 2, 2)
-
-    def body(nz_rows, row_ptr, cols, vals):
-        return (head + np.asarray(nz_rows, "<u8").tobytes()
-                + np.asarray(row_ptr, "<u8").tobytes()
-                + np.asarray(cols, "<u8").tobytes()
-                + np.asarray(vals, "<i8").tobytes())
-
-    ok = body([0, 2], [0, 1, 2], [1, 0], [5, 3])
-    assert dcsr_deserialize(ok, codec).nnz == 2
-
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(body([2, 0], [0, 1, 2], [1, 0], [5, 3]), codec)  # rows unordered
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(body([0, 2], [0, 1, 1], [1, 0], [5, 3]), codec)  # bad endpoint
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(body([0, 2], [0, 0, 2], [1, 0], [5, 3]), codec)  # empty listed row
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(body([0, 2], [0, 1, 2], [1, 7], [5, 3]), codec)  # col overflow
-    with pytest.raises(DecodeError):
-        dcsr_deserialize(body([0, 5], [0, 1, 2], [1, 0], [5, 3]), codec)  # row overflow
-    head = struct.pack("<4sHHQQQQ", b"DCSR", 1, 8, 3, 3, 1, 2)  # one row, two entries
-    with pytest.raises(DecodeError, match="columns"):
-        dcsr_deserialize(body([0], [0, 2], [2, 1], [5, 3]), codec)        # cols unordered
+    # n_rows * n_cols must fit in int64: no key r * n_cols + c may wrap
+    with pytest.raises(DecodeError, match="beyond int64"):
+        dcsr_deserialize(_keyed(1, 2 ** 63, [], []), codec)
+    wrapped = (2 ** 62 - 1) * 4 + 3 - 2 ** 64   # row 2**62 - 1, column 3
+    with pytest.raises(DecodeError, match="beyond int64"):
+        dcsr_deserialize(_keyed(2 ** 62, 4, [wrapped], [7]), codec)
+    # the largest shape whose keys fit still decodes
+    top = dcsr_deserialize(_keyed(1, 2 ** 63 - 1, [2 ** 63 - 2], [7]), codec)
+    assert top.entry_map() == {(0, 2 ** 63 - 2): 7}
 
 
 def test_structural_zero_survives_wire():
