@@ -13,7 +13,9 @@ records into q contiguous buckets and keeps their order within a bucket.
 
 A rank applies the batch it owns to its DcsrBlock as one sort and merge: a
 stable argsort of the records' local keys, overwrites in place, and one
-sorted merge for the new and deleted keys, O(nnz(block) + batch) in all.
+sorted merge for the new and deleted keys. The block is searched once, for
+the batch's keys, so the searches cost O(batch log nnz(block)); the one
+O(nnz(block)) copy happens only when a key is added or removed.
 """
 
 from __future__ import annotations
@@ -137,13 +139,16 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     vals = sr.decode_array(batch["v"][order[last]].tobytes(), len(pos))
     hit = stored & final
     block.vals[pos[hit]] = vals[hit]
-    dead = pos[stored & ~final]
+    gone = stored & ~final
     new = ~stored & final
-    if len(dead) or new.any():
-        old_vals = block.vals
-        if len(dead):
+    n_gone = np.count_nonzero(gone)
+    if n_gone or new.any():
+        old_vals, at = block.vals, pos[new]
+        if n_gone:
             keep = np.ones(len(dk), dtype=bool)
-            keep[dead] = False
+            keep[pos[gone]] = False
             dk, old_vals = dk[keep], old_vals[keep]
-        _merge_keys(block, dk, old_vals, run_keys[new], vals[new])
+            # the deleted keys below a new key are runs before it
+            at -= np.cumsum(gone)[new]
+        _merge_keys(block, dk, old_vals, at, run_keys[new], vals[new])
     return inserted, deleted

@@ -10,13 +10,16 @@ int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
 emit blocks only through dcsr_from_keys (or dcsr_from_coo), which sorts by
 key and folds repeated keys in input order; in-place changes go through one
-sorted merge of disjoint key sets (_merge_keys). The wire carries a block as
-it is stored: dcsr_serialize writes a header, the keys and the values, and
-dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
-returns views of the message. The doubly-compressed sparse row layout
-(DCSR; Buluc & Gilbert, IPDPS 2008), which lists only the non-empty rows,
-survives only as the derived nz_rows and iter_rows views; the dcsr_* names
-stay because the benchmark hooks wrap them by name.
+sorted merge of disjoint key sets (_merge_keys). Every in-place writer
+searches with the batch's keys only, once each, and hands the ranks it found
+to the merge: the searches cost O(batch log nnz), plus one O(nnz) copy of
+the block's arrays, only when a key is added or removed. The wire carries a
+block as it is stored: dcsr_serialize writes a header, the keys and the
+values, and dcsr_deserialize checks the header and the keys
+(DcsrBlock.check) and returns views of the message. The doubly-compressed
+sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008), which lists only the
+non-empty rows, survives only as the derived nz_rows and iter_rows views;
+the dcsr_* names stay because the benchmark hooks wrap them by name.
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -164,13 +167,14 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _merge_keys(dst: DcsrBlock, keys, vals, new_keys, new_vals) -> None:
+def _merge_keys(dst: DcsrBlock, keys, vals, at, new_keys, new_vals) -> None:
     """Set dst to the entries (keys, vals) plus (new_keys, new_vals), two
-    disjoint sorted key sets; dst keeps its value dtype. Each new key lands
-    at its rank among the old keys plus its own index, and the old keys
-    fill the remaining slots in order."""
+    disjoint sorted key sets; dst keeps its value dtype. at is the rank of
+    each new key among keys, as its caller's search found it, so the merge
+    searches nothing: each new key lands at its rank plus its own index, and
+    the old keys fill the remaining slots in order. One O(len(keys)) copy."""
     n = len(keys) + len(new_keys)
-    at = keys.searchsorted(new_keys) + np.arange(len(new_keys))
+    at = at + np.arange(len(new_keys))
     old = np.ones(n, dtype=bool)
     old[at] = False
     merged = np.empty(n, dtype=np.int64)
@@ -232,18 +236,41 @@ def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     at = pos[hit]
     dst.vals[at] = fold(dst.vals[at], src.vals[hit])
     if np.count_nonzero(hit) < len(hit):
-        _merge_keys(dst, dk, dst.vals, sk[~hit], src.vals[~hit])
+        miss = ~hit
+        _merge_keys(dst, dk, dst.vals, pos[miss], sk[miss], src.vals[miss])
 
 
 def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
-    """dst = (dst - touched) | src, in place, for src positions within
-    touched: every touched entry of dst is replaced by src's entry there or
-    deleted. Returns the number deleted."""
-    dk = dst.keys()
-    _, gone = locate(touched.keys(), dk)
-    _, replaced = locate(src.keys(), dk)
-    deleted = int(np.count_nonzero(gone & ~replaced))
-    _merge_keys(dst, dk[~gone], dst.vals[~gone], src.keys(), src.vals)
+    """dst = (dst - touched) | src, in place: every touched entry of dst is
+    replaced by src's entry there or deleted. Returns the number deleted.
+    Raises ValueError, before any entry changes, when src holds a position
+    outside touched.
+
+    Only the touched keys are searched for in dst, and src's keys in
+    touched, so the searches cost O(t log nnz(dst)) for t touched entries.
+    Replaced entries change in place; dst's arrays are copied once, O(nnz),
+    only when an entry is added or deleted."""
+    dk, tk, sk = dst.keys(), touched.keys(), src.keys()
+    s_at, in_touched = locate(tk, sk)
+    if not in_touched.all():
+        k = int(sk[~in_touched][0])
+        raise ValueError(f"src holds key {k}, which is not a touched key")
+    pos, held = locate(dk, tk)
+    s_held = held[s_at]   # per src entry: does dst hold its key
+    dst.vals[pos[s_at[s_held]]] = src.vals[s_held]
+    gone = held.copy()    # per touched key: does dst hold it and src not
+    gone[s_at] = False
+    deleted = int(np.count_nonzero(gone))
+    new = ~s_held
+    if deleted or new.any():
+        keys, vals, at = dk, dst.vals, pos[s_at[new]]
+        if deleted:
+            keep = np.ones(len(dk), dtype=bool)
+            keep[pos[gone]] = False
+            keys, vals = dk[keep], vals[keep]
+            # the deleted keys below a new key are touched keys before it
+            at -= np.cumsum(gone)[s_at[new]]
+        _merge_keys(dst, keys, vals, at, sk[new], src.vals[new])
     return deleted
 
 
