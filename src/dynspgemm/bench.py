@@ -31,7 +31,7 @@ from .grid import BlockPartition
 from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import dcsr_from_coo, same_entries
+from .storage import _run_starts, dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
 
 
@@ -255,9 +255,15 @@ def rmat_arrays(scale: int, edge_factor: int,
 def symmetrized_pool(src: np.ndarray, dst: np.ndarray,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
     """Unique undirected adjacency positions from a directed edge stream:
-    both orientations of every edge, self-loops once, sorted by (row, col)."""
+    both orientations of every edge, self-loops once, sorted by (row, col).
+
+    One in-place sort of the keys r * n + c and a run-start mask. numpy's
+    unique gives the same array, but from numpy 2.3 on it builds a hash
+    table and then sorts, which costs tens of times as much on a scale-14
+    pool."""
     keys = np.concatenate([src * n + dst, dst * n + src])
-    keys = np.unique(keys)
+    keys.sort()
+    keys = keys[_run_starts(keys)]
     return keys // n, keys % n
 
 
@@ -287,6 +293,11 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
+# Entries hashed per pass: three 64 KiB scratch arrays stay in cache, where
+# whole-block passes would stream the block through memory 27 times.
+_CHECKSUM_CHUNK = 8192
+
+
 def _local_checksum(dist: DistMatrix, sr: Semiring) -> tuple[int, int]:
     """(entry count, xor of per-entry 64-bit hashes) over the local block.
 
@@ -294,20 +305,34 @@ def _local_checksum(dist: DistMatrix, sr: Semiring) -> tuple[int, int]:
     its value as the wire carries them (the 8-byte word of an i8 or f8
     value, the 0/1 byte of a bool), each folded in by xor and one splitmix64
     step. The xor fold is order-free, so the result does not depend on the
-    storage order, and the fold over ranks does not depend on the grid."""
-    rows, cols, vals = dist.block.to_arrays(sr.np_dtype)
-    if vals.dtype.itemsize == 8:
-        bits = vals.view("<u8")
-    else:
-        bits = vals.astype(np.uint64)
-    rows += dist.row_base   # to_arrays gives new index arrays
-    cols += dist.col_base
-    h, t = rows.view(np.uint64), np.empty(len(rows), dtype=np.uint64)
-    _mix64(h, t)
-    h ^= cols.view(np.uint64)
-    _mix64(h, t)
-    h ^= bits
-    return len(vals), int(np.bitwise_xor.reduce(_mix64(h, t)))
+    storage order, and the fold over ranks does not depend on the grid.
+
+    The block is hashed in chunks of _CHECKSUM_CHUNK entries through scratch
+    arrays reused from chunk to chunk, and the chunks' folds are xor-folded
+    in turn: the same hash as one pass over the whole block."""
+    block = dist.block
+    keys, n_cols = block.keys(), max(block.n_cols, 1)
+    vals = block.vals.astype(sr.np_dtype, copy=False)
+    wide = vals.dtype.itemsize == 8
+    size = min(len(keys), _CHECKSUM_CHUNK)
+    h, c, t = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    acc = 0
+    for lo in range(0, len(keys), _CHECKSUM_CHUNK):
+        k = keys[lo:lo + _CHECKSUM_CHUNK]
+        m = len(k)
+        rows, cols = h[:m].view(np.int64), c[:m].view(np.int64)
+        np.floor_divide(k, n_cols, out=rows)
+        np.subtract(k, np.multiply(rows, n_cols, out=cols), out=cols)
+        rows += dist.row_base
+        cols += dist.col_base
+        z, s = h[:m], t[:m]
+        _mix64(z, s)
+        z ^= c[:m]
+        _mix64(z, s)
+        v = vals[lo:lo + m]
+        z ^= v.view("<u8") if wide else v
+        acc ^= int(np.bitwise_xor.reduce(_mix64(z, s)))
+    return len(keys), acc
 
 
 def combine_checksums(parts) -> str:
@@ -418,19 +443,24 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
     whole pool (update, delete), and apply the batch in the merge phase. The
     products start A empty and B from the whole pool, apply the batch in
     the redistribute phase and maintain C = A . B.
+
+    The pool (rows, cols) must be sorted by (row, col), as symmetrized_pool
+    gives it: a rank finds its grid row's entries as one slice and tests
+    only that slice for its columns.
     """
     exp = cfg.experiment
     part = BlockPartition(n, n, comm.q)
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
     m = len(rows)
-    mine = ((part.owner_grid_rows(rows) == i)
-            & (part.owner_grid_cols(cols) == j))
-    if exp == "insert":
-        mine &= np.arange(m) % 2 == 0
     loaded = DistMatrix.empty(part, comm, sr)
     if exp != "construct":
-        own = np.flatnonzero(mine)
+        lo, hi = rows.searchsorted([r0, r0 + part.row_sizes[i]])
+        band = cols[lo:hi]
+        mine = (band >= c0) & (band < c0 + part.col_sizes[j])
+        if exp == "insert":
+            mine[(lo + 1) % 2::2] = False   # odd pool indices are drawn
+        own = lo + np.flatnonzero(mine)
         apply_batch(loaded.block,
                     update_batch(sr, rows[own], cols[own], vals[own]),
                     sr, r0, c0)
@@ -444,6 +474,9 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
         state = spgemm_algebraic_init(comm, a, b, sr, ell=cfg.ell)
         c = state.C   # updated in place
         empty_delta = DistMatrix.empty(part, comm, sr)
+    # Batch 0 starts when the slowest rank's set-up is done, so that its
+    # latency counts no other rank's set-up.
+    comm.barrier()
 
     # Draw pool: the pool indices this rank may insert/modify/delete, drawn
     # without replacement across batches, seeded per (rank, batch).

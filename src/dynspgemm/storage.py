@@ -200,10 +200,16 @@ def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
     position seen again folds as fold(old, new), in list order, with fold a
     ufunc (a semiring's np_add, or np.bitwise_or for bitfields); with fold
     None the blocks are structure-only and the result is the union of their
-    positions."""
+    positions. Folded members must share one value dtype: ValueError
+    otherwise, as numpy would promote the values to a type fold may not
+    take."""
     keys = np.concatenate([b.keys() for b in blocks])
     if fold is None:
         return dcsr_from_keys(n_rows, n_cols, keys)
+    dtypes = {b.vals.dtype for b in blocks}
+    if len(dtypes) > 1:
+        raise ValueError("combine_blocks members hold values of dtypes "
+                         f"{' and '.join(sorted(map(str, dtypes)))}")
     return dcsr_from_keys(n_rows, n_cols, keys,
                           np.concatenate([b.vals for b in blocks]), fold)
 
@@ -300,11 +306,13 @@ _MAX_CELLS = 2 ** 63 - 1  # n_rows * n_cols bound, so keys and it fit in int64
 class ValueCodec(NamedTuple):
     width: int
     encode: Callable  # (values) -> bytes
-    decode: Callable  # (buf, count) -> array
+    decode: Callable  # (buf, count) -> array of dtype
+    dtype: np.dtype | None   # None when structure-only
 
 
 def semiring_codec(sr) -> ValueCodec:
-    return ValueCodec(sr.value_width, sr.encode_values, sr.decode_array)
+    return ValueCodec(sr.value_width, sr.encode_values, sr.decode_array,
+                      sr.np_dtype)
 
 
 def bloom_codec(ell: int) -> ValueCodec:
@@ -313,10 +321,12 @@ def bloom_codec(ell: int) -> ValueCodec:
         ell // 8,
         lambda values: np.asarray(values, dtype=dt).tobytes(),
         lambda buf, count: np.frombuffer(buf, dtype=dt, count=count),
+        dt,
     )
 
 
-STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None)
+STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None,
+                             None)
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:

@@ -331,6 +331,11 @@ class Communicator:
             ctr.note_peer(root, len(buf))
             self.cluster.put(self.rank, root, ("agg", self.rank, buf))
             return None
+        if fold is not None:
+            # the root's own values take the wire's dtype, as every other
+            # member's do, so that the fold sees one dtype
+            block = DcsrBlock(block.n_rows, block.n_cols, block.keys(),
+                              block.vals.astype(codec.dtype, copy=False))
         contrib: list[DcsrBlock] = []
         for g, src in enumerate(members):
             if g == my_idx:

@@ -56,12 +56,15 @@ def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
                          None if structure_only else list(vals))
 
 
-def block_from_triples(n_rows: int, n_cols: int, triples) -> DcsrBlock:
-    """Canonical block of (row, col, value) triples, with the value dtype
-    numpy infers; later duplicates overwrite earlier ones."""
+def block_from_triples(n_rows: int, n_cols: int, triples,
+                       dtype=None) -> DcsrBlock:
+    """Canonical block of (row, col, value) triples, values of the given
+    dtype, or of the one numpy infers when dtype is None (float64 for no
+    triples); later duplicates overwrite earlier ones."""
     triples = list(triples)[::-1]   # the first-wins fold keeps the last
     rows, cols, vals = zip(*triples) if triples else ((), (), ())
-    return dcsr_from_coo(n_rows, n_cols, rows, cols, list(vals))
+    return dcsr_from_coo(n_rows, n_cols, rows, cols,
+                         np.asarray(vals, dtype=dtype))
 
 
 def loaded_block(n_rows: int, n_cols: int, triples, sr) -> DcsrBlock:

@@ -3,9 +3,11 @@
 import copy
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
     BOOLEAN,
@@ -19,6 +21,7 @@ from dynspgemm import (
     apply_batch,
     update_batch,
 )
+from dynspgemm import bench
 from dynspgemm.bench import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -245,6 +248,96 @@ def test_symmetrized_pool_frozen_example():
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0), (2, 2)]
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_symmetrized_pool_matches_a_unique_oracle(data):
+    # small vertex ranges make duplicates, self-loops and both orientations
+    # of one edge common; n = 1 and empty streams are drawn too
+    n = data.draw(st.integers(1, 9))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=40))
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    rows, cols = symmetrized_pool(src, dst, n)
+    want = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == (want // n).tolist()
+    assert cols.tolist() == (want % n).tolist()
+
+
+# -- operand load -----------------------------------------------------------------
+
+def _loads(monkeypatch, cfg):
+    """The update batch each rank loads its operand from, by block origin,
+    with no batch drawn after the load."""
+    loads = {}
+    real = bench.apply_batch
+
+    def recording(block, batch, sr, r0, c0):
+        assert (r0, c0) not in loads
+        loads[(r0, c0)] = batch.copy()
+        return real(block, batch, sr, r0, c0)
+
+    monkeypatch.setattr(bench, "apply_batch", recording)
+    run_experiment(replace(cfg, n_batches=0))
+    return loads
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("experiment", ["update", "insert"])
+@pytest.mark.parametrize("source", ["rmat", "file"])
+def test_each_rank_loads_its_owner_mask_selection(monkeypatch, tmp_path, q,
+                                                  experiment, source):
+    if source == "rmat":   # n = 32 is not a multiple of 3
+        cfg = ExperimentConfig(experiment=experiment, rmat_scale=5,
+                               rmat_edge_factor=4, q=q, seed=3,
+                               random_values=True)
+    else:                  # n = 23 is a multiple of neither 2 nor 3
+        rng = np.random.default_rng(4)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in
+                                rng.integers(0, 23, size=(60, 2)).tolist())
+                        + "22 22\n")
+        cfg = ExperimentConfig(experiment=experiment, input_path=str(path),
+                               q=q, random_values=True)
+    sr = resolve_semiring(cfg)
+    n, rows, cols = bench._build_pool(cfg)
+    vals = bench._entry_values(cfg, sr, len(rows))
+    part = BlockPartition(n, n, q)
+    loads = _loads(monkeypatch, cfg)
+    assert len(loads) == q * q
+    for i in range(q):
+        for j in range(q):
+            mine = ((part.owner_grid_rows(rows) == i)
+                    & (part.owner_grid_cols(cols) == j))
+            if experiment == "insert":
+                mine &= np.arange(len(rows)) % 2 == 0
+            got = loads[(part.row_starts[i], part.col_starts[j])]
+            want = update_batch(sr, rows[mine], cols[mine], vals[mine])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_operand_load_makes_no_owner_pass_over_the_pool(monkeypatch):
+    """Every owner lookup of an insert run is made for routed batch
+    records, never for the whole pool."""
+    cfg = ExperimentConfig(experiment="insert", rmat_scale=8,
+                           rmat_edge_factor=8, q=2, batch_size=16,
+                           n_batches=3, seed=5)
+    one_batch = cfg.q * cfg.q * cfg.batch_size
+    assert len(bench._build_pool(cfg)[1]) > 4 * one_batch
+    queries = []
+    for name in ("owner_grid_rows", "owner_grid_cols"):
+        real = getattr(BlockPartition, name)
+
+        def counting(part, idx, real=real):
+            queries.append(len(idx))
+            return real(part, idx)
+
+        monkeypatch.setattr(BlockPartition, name, counting)
+    run_experiment(cfg)
+    assert queries and max(queries) <= one_batch
+
+
 # -- checksums -------------------------------------------------------------------
 
 def test_combine_checksums_is_order_free_xor_fold():
@@ -340,6 +433,31 @@ def test_checksum_per_semiring_matches_reference(sr, entries, changed):
                  for i in range(2) for j in range(2)]
         assert combine_checksums(parts) == combine_checksums([_checksum(m, sr)])
     assert _checksum(entries, sr) != _checksum(changed, sr)
+
+
+_C = bench._CHECKSUM_CHUNK
+
+
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
+                                BOOLEAN], ids=lambda s: s.name)
+@pytest.mark.parametrize("count", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 3])
+def test_checksum_chunks_match_the_reference_at_chunk_boundaries(sr, count):
+    rng = np.random.default_rng(count)
+    n = 2 * math.isqrt(2 * count) + 4    # the (1, 1) block holds count entries
+    part = BlockPartition(n, n, 2)
+    r0, c0 = part.row_starts[1], part.col_starts[1]
+    flat = rng.choice(part.row_sizes[1] * part.col_sizes[1], size=count,
+                      replace=False)
+    if sr is BOOLEAN:
+        vals = rng.integers(0, 2, size=count).astype(bool).tolist()
+    elif sr is PLUS_TIMES_I64:
+        vals = rng.integers(-2 ** 63, 2 ** 63 - 1, size=count).tolist()
+    else:
+        vals = rng.normal(size=count).tolist()
+    entries = {(r0 + f // part.col_sizes[1], c0 + f % part.col_sizes[1]): v
+               for f, v in zip(flat.tolist(), vals)}
+    got = _checksum(entries, sr, n=n, q=2, coords=(1, 1))
+    assert got == _reference_checksum(entries, sr)
 
 
 def test_checksum_frozen_example():

@@ -364,7 +364,8 @@ def test_combine_blocks_is_a_member_order_fold(sr, data):
     members = data.draw(st.lists(st.dictionaries(pos, value, max_size=20),
                                  min_size=1, max_size=4))
     # one aggregation's contributions share sr's value dtype, even empty ones
-    blocks = [_block(m, n, n, "dynamic", sr) for m in members]
+    blocks = [block_from_triples(n, n, [(i, j, v) for (i, j), v in m.items()],
+                                 sr.np_dtype) for m in members]
     got = combine_blocks(blocks, n, n, sr.np_add)
     got.check()
     want: dict = {}
@@ -374,6 +375,16 @@ def test_combine_blocks_is_a_member_order_fold(sr, data):
     assert got.entry_map() == want
     union = combine_blocks(blocks, n, n, None)
     assert union.vals is None and position_set(union) == set(want)
+
+
+def test_combine_blocks_refuses_members_of_two_dtypes():
+    members = [block_from_triples(2, 2, [(0, 0, 1.5)], np.float64),
+               block_from_triples(2, 2, [(0, 0, True)], np.bool_)]
+    for blocks in (members, members[::-1]):
+        with pytest.raises(ValueError, match="bool and float64"):
+            combine_blocks(blocks, 2, 2, np.add)
+    # a structure-only union takes no values, so it takes any members
+    assert position_set(combine_blocks(members, 2, 2, None)) == {(0, 0)}
 
 
 def test_float_sums_fold_in_ascending_inner_index():
