@@ -8,18 +8,22 @@ bitfields. Update batches (apply_batch) and the merges into C and F
 A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
-emit blocks only through dcsr_from_keys (or dcsr_from_coo), which sorts by
-key and folds repeated keys in input order; in-place changes go through one
-sorted merge of disjoint key sets (_merge_keys). Every in-place writer
-searches with the batch's keys only, once each, and hands the ranks it found
-to the merge: the searches cost O(batch log nnz), plus one O(nnz) copy of
-the block's arrays, only when a key is added or removed. The wire carries a
-block as it is stored: dcsr_serialize writes a header, the keys and the
-values, and dcsr_deserialize checks the header and the keys
-(DcsrBlock.check) and returns views of the message. The doubly-compressed
-sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008), which lists only the
-non-empty rows, survives only as the derived nz_rows and iter_rows views;
-the dcsr_* names stay because the benchmark hooks wrap them by name.
+emit blocks only through _sort_fold, behind dcsr_from_keys and
+dcsr_from_coo: one stable argsort by key and an index compress that folds
+repeated keys in input order, for one value array or several from the one
+sort (masked_multiply's values and bitfields). In-place changes go through
+one sorted merge of disjoint key sets (_merge_keys). Every in-place writer
+checks that its operands share dst's shape, searches with the batch's keys
+only, once each, and hands the ranks it found to the merge: the searches
+cost O(batch log nnz), plus one O(nnz) copy of the block's arrays, only
+when a key is added or removed. A merge into an empty block copies the
+source. The wire carries a block as it is stored: dcsr_serialize writes a
+header, the keys and the values, and dcsr_deserialize checks the header and
+the keys (DcsrBlock.check) and returns views of the message. The
+doubly-compressed sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008),
+which lists only the non-empty rows, survives only as the derived nz_rows
+and iter_rows views; the dcsr_* names stay because the benchmark hooks wrap
+them by name.
 
 Structural convention everywhere in this package: an entry whose value equals
 the semiring zero is still a stored entry. Deleting is explicit; arithmetic
@@ -147,16 +151,41 @@ def dcsr_from_keys(n_rows: int, n_cols: int, keys: np.ndarray, vals=None,
     at one key fold in input order: the first sets the value and fold (a
     ufunc) combines the rest into it one by one, left to right. Without
     fold the first entry stays."""
+    if vals is None:
+        keys, _ = _sort_fold(keys)
+        return DcsrBlock(n_rows, n_cols, keys, None)
+    keys, (vals,) = _sort_fold(keys, (vals, fold))
+    return DcsrBlock(n_rows, n_cols, keys, vals)
+
+
+def _sort_fold(keys: np.ndarray, *columns) -> tuple[np.ndarray, list]:
+    """Sort keys by one stable argsort and compress each run of equal keys
+    to one entry. Returns the distinct keys, ascending, and one array per
+    (vals, fold) pair in columns: per key, its first entry's value with
+    fold (a ufunc, or None to keep that value) applied to the rest of its
+    run one by one, left to right in input order. Every column folds from
+    the one sort, through integer gathers at the run starts and fold.at over
+    the other entries of each run."""
     order = keys.argsort(kind="stable")
-    keys = keys[order]
-    first = _run_starts(keys)
-    if vals is not None:
-        v = np.asarray(vals)[order]
-        vals = v[first]
-        if fold is not None and np.count_nonzero(first) < len(first):
-            rest = ~first
-            fold.at(vals, first.cumsum()[rest] - 1, v[rest])
-    return DcsrBlock(n_rows, n_cols, keys[first], vals)
+    first = _run_starts(keys[order])
+    head, tail = order[np.flatnonzero(first)], None
+    keys = keys[head]
+    if len(head) < len(order) and any(f is not None for _, f in columns):
+        rest = np.flatnonzero(~first)
+        tail = order[rest]
+        # the r-th non-first entry, at sorted index p, has p - r run starts
+        # at or before it, so it folds into run p - r - 1
+        seg = rest
+        seg -= np.arange(1, len(rest) + 1)
+    del order, first   # product-sized: free them before the folds allocate
+    folded = []
+    for vals, fold in columns:
+        vals = np.asarray(vals)
+        out = vals[head]
+        if fold is not None and tail is not None:
+            fold.at(out, seg, vals[tail])
+        folded.append(out)
+    return keys, folded
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -190,9 +219,10 @@ def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(pos, found) for each query in the strictly increasing keys: its
     insertion position, and whether keys holds it there."""
     pos = keys.searchsorted(queries)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == queries[found]
-    return pos, found
+    if not len(keys):
+        return pos, np.zeros(len(pos), dtype=bool)
+    # a query above every key clips to the last key, which is smaller
+    return pos, keys.take(pos, mode="clip") == queries
 
 
 def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
@@ -223,21 +253,37 @@ def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
                                y.vals.astype(dtype, copy=False)))
 
 
+def _check_same_shape(dst: DcsrBlock, other: DcsrBlock, name: str) -> None:
+    """ValueError unless other has dst's shape: equal keys name equal
+    positions only under one width."""
+    if (other.n_rows, other.n_cols) != (dst.n_rows, dst.n_cols):
+        raise ValueError(f"{name} is {other.n_rows}x{other.n_cols}, "
+                         f"dst is {dst.n_rows}x{dst.n_cols}")
+
+
 def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     """Fold src into dst in place: new positions insert, existing ones fold
-    as fold(old, new), with fold a ufunc, a semiring's np_add."""
+    as fold(old, new), with fold a ufunc, a semiring's np_add. Into an empty
+    dst, src's keys and values are copied, the values cast to dst's dtype.
+    Raises ValueError when src's shape differs from dst's."""
     _fold_into(dst, src, fold)
 
 
 def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
-    """Bitwise-or the bitfield entries of src into dst, in place."""
+    """Bitwise-or the bitfield entries of src into dst, in place, as
+    add_into does."""
     _fold_into(dst, src, np.bitwise_or)
 
 
 def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
+    _check_same_shape(dst, src, "src")
     if not src.nnz:
         return
     dk, sk = dst.keys(), src.keys()
+    if not len(dk):
+        # nothing to search or fold: dst takes copies, src may be read-only
+        dst._keys, dst.vals = sk.copy(), src.vals.astype(dst.vals.dtype)
+        return
     pos, hit = locate(dk, sk)
     at = pos[hit]
     dst.vals[at] = fold(dst.vals[at], src.vals[hit])
@@ -250,12 +296,14 @@ def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
     """dst = (dst - touched) | src, in place: every touched entry of dst is
     replaced by src's entry there or deleted. Returns the number deleted.
     Raises ValueError, before any entry changes, when src holds a position
-    outside touched.
+    outside touched, or when touched or src differs from dst in shape.
 
     Only the touched keys are searched for in dst, and src's keys in
     touched, so the searches cost O(t log nnz(dst)) for t touched entries.
     Replaced entries change in place; dst's arrays are copied once, O(nnz),
     only when an entry is added or deleted."""
+    _check_same_shape(dst, touched, "touched")
+    _check_same_shape(dst, src, "src")
     dk, tk, sk = dst.keys(), touched.keys(), src.keys()
     s_at, in_touched = locate(tk, sk)
     if not in_touched.all():

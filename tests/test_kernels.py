@@ -15,6 +15,7 @@ from dynspgemm import (
     masked_multiply,
     pattern_multiply,
 )
+from dynspgemm import kernels, storage
 from dynspgemm.storage import combine_blocks
 from helpers import (
     block_from_triples,
@@ -260,6 +261,39 @@ def test_masked_inner_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         masked_multiply(DcsrBlock.empty(2, 3), DcsrBlock.empty(2, 2),
                         DcsrBlock.empty(2, 2), PLUS_TIMES_I64, inner_base=0)
+
+
+def test_masked_mask_of_another_shape_rejected():
+    # under the product's width 3, the 2x2 mask's key 3 = (1, 1) would name
+    # (1, 0): the mask must be a.n_rows x b.n_cols
+    a = _block({(1, 0): 2}, 2, 2)
+    b = _block({(0, 1): 3}, 2, 3)
+    mask = dcsr_from_row_map(2, 2, {1: {1: None}}, structure_only=True)
+    with pytest.raises(ValueError, match="mask is 2x2, the product 2x3"):
+        masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
+
+
+def test_masked_sorts_the_products_once(monkeypatch):
+    """Z and H fold from one sort of the surviving products."""
+    sorts = []
+    real = storage._sort_fold
+
+    def counting(keys, *columns):
+        sorts.append(len(keys))
+        return real(keys, *columns)
+
+    monkeypatch.setattr(storage, "_sort_fold", counting)
+    monkeypatch.setattr(kernels, "_sort_fold", counting)
+    rng = np.random.default_rng(5)
+    a_map = random_map(rng, 12, 12, 0.4)
+    b_map = random_map(rng, 12, 12, 0.4)
+    a, b = _block(a_map, 12, 12), _block(b_map, 12, 12)
+    want = oracle_product(a_map, b_map, MIN_PLUS)
+    mask = DcsrBlock(12, 12, sorted(i * 12 + j for i, j in want)[::3], None)
+    sorts.clear()
+    z, h = masked_multiply(a, b, mask, MIN_PLUS, inner_base=0)
+    assert len(sorts) == 1 and sorts[0] > z.nnz == mask.nnz
+    assert z.keys() is h.keys()
 
 
 # -- properties against the oracles ---------------------------------------------

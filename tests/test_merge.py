@@ -166,6 +166,21 @@ def test_replace_touched_rejects_src_outside_touched():
         replace_touched(d, _block(16, {}), _block(16, {2: 1}))
 
 
+def test_writers_refuse_blocks_of_another_shape():
+    # under the wrong width, key 1 * 2 + 1 = 3 would name (0, 3) of a 2x4
+    # block: every writer raises before any entry changes
+    src = DcsrBlock(4, 2, np.array([3]), np.array([1]))
+    for write in (lambda d: add_into(d, src, np.add),
+                  lambda d: or_into(d, src),
+                  lambda d: replace_touched(d, src, src),
+                  lambda d: replace_touched(d, _block(4, {3: 0}, 2), src)):
+        for dst in ({}, {0: 5}):
+            d = _block(4, dst, 2)
+            with pytest.raises(ValueError, match="4x2, dst is 2x4"):
+                write(d)
+            assert _entries(d) == dst
+
+
 def test_writers_search_only_with_the_batch(monkeypatch):
     """On a 131,072-entry block and a batch of BATCH keys, every search the
     writers make goes through locate with at most BATCH queries."""

@@ -27,6 +27,7 @@ from dynspgemm import (
     semiring_codec,
     update_batch,
 )
+from dynspgemm.storage import dcsr_from_keys
 from helpers import block_from_triples, dcsr_from_row_map, loaded_block, position_set
 
 
@@ -272,6 +273,50 @@ def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
     assert position_set(s) == {(1, 2)}
 
 
+def _fold_oracle(keys, vals, fold) -> dict:
+    """{key: value} of (keys, vals) folded left to right in input order, one
+    Python step per entry; without fold the first value stays."""
+    out: dict = {}
+    for k, v in zip(keys, vals):
+        if k not in out:
+            out[k] = v
+        elif fold is not None:
+            out[k] = fold(out[k], v)
+    return out
+
+
+_FOLD_CASES = {
+    # float sums whose value depends on the order of the additions
+    "add-f64": (np.add, np.float64, (1e16, 1.0, -1e16, 3.0)),
+    # minimum returns its second argument on a tie, so 0.0 and -0.0 show order
+    "minimum-signed-zero": (np.minimum, np.float64, (0.0, -0.0, 1.0, -1.0)),
+    "bitwise-or": (np.bitwise_or, np.uint64, (1, 2, 4, 1 << 63)),
+    "no-fold": (None, np.float64, (0.0, -0.0, 1e16, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_dcsr_from_keys_folds_left_to_right_in_input_order(case, data):
+    fold, dtype, values = _FOLD_CASES[case]
+    n_cols = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 3)) * n_cols
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.sampled_from(values)),
+                                 max_size=40))
+    keys = np.array([k for k, _ in entries], dtype=np.int64)
+    vals = np.array([v for _, v in entries], dtype=dtype)
+    got = dcsr_from_keys(n // n_cols, n_cols, keys, vals, fold)
+    got.check()
+    assert got.vals.dtype == dtype
+    want = _fold_oracle(keys.tolist(), list(vals), fold)
+    assert got.keys().tolist() == sorted(want)
+    # compare bit patterns, so that -0.0 and 0.0 differ
+    assert got.vals.tobytes() == np.array([want[k] for k in sorted(want)],
+                                          dtype=dtype).tobytes()
+
+
 def _oracle_dcsr(entries: dict):
     """(nz_rows, row_ptr, cols, vals) of a {(r, c): v} map, row by row."""
     nz_rows, row_ptr, cols, vals = [], [0], [], []
@@ -387,6 +432,30 @@ def test_add_into_examples():
     empty = _empty(2, 2)
     add_into(empty, upd2, PLUS_TIMES_I64.np_add)
     assert empty.entry_map() == upd2.entry_map()
+
+
+def test_add_into_an_empty_block_copies_a_read_only_source():
+    src = dcsr_deserialize(
+        dcsr_serialize(block_from_triples(2, 3, [(0, 1, 5), (1, 2, 7)],
+                                          np.int64),
+                       semiring_codec(PLUS_TIMES_I64)),
+        semiring_codec(PLUS_TIMES_I64))
+    assert not src.keys().flags.writeable and not src.vals.flags.writeable
+    dst = DcsrBlock.empty(2, 3, dtype=np.float64)
+    add_into(dst, src, np.add)
+    assert dst.vals.dtype == np.float64
+    assert dst.entry_map() == {(0, 1): 5.0, (1, 2): 7.0}
+    dst.vals[0] = 99.0
+    add_into(dst, src, np.add)          # dst's own arrays take in-place folds
+    assert dst.entry_map() == {(0, 1): 104.0, (1, 2): 14.0}
+    assert src.entry_map() == {(0, 1): 5, (1, 2): 7}
+
+    bits = dcsr_deserialize(
+        dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint8),
+                       bloom_codec(8)), bloom_codec(8))
+    dst = DcsrBlock.empty(2, 3, dtype=np.uint64)
+    or_into(dst, bits)
+    assert dst.vals.dtype == np.uint64 and dst.entry_map() == {(1, 0): 3}
 
 
 def test_add_into_with_inverses_restores():
