@@ -40,6 +40,7 @@ from .storage import (
     or_into,
     replace_touched,
     semiring_codec,
+    share_keys,
 )
 from .transport import NULL_PHASES
 
@@ -125,7 +126,13 @@ class SpgemmState:
     """Maintained product: the result C plus, per stored entry, the bitfield F
     of summation indices that contributed to it (folded mod ell). F is None
     once an algebraic update has left it stale. The transpose flags record
-    the operand orientation C was built under."""
+    the operand orientation C was built under.
+
+    While F is present it holds exactly C's positions, and its block holds
+    C's key array object (storage.share_keys): F.block.keys() is
+    C.block.keys(). The general update searches and merges that one position
+    set once per batch, and raises ValueError on a state whose F holds
+    other positions than C."""
 
     C: DistMatrix
     F: DistMatrix | None
@@ -180,6 +187,8 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
             add_into(c_local, prod, sr.np_add)
             if build_bloom:
                 or_into(f_local, pat)
+    if build_bloom:
+        share_keys(f_local, c_local)   # one position set from here on
     c = DistMatrix(part_c, i, j, c_local)
     f = DistMatrix(part_c, i, j, f_local) if build_bloom else None
     return c, f
@@ -384,9 +393,12 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     positions are recomputed from scratch, but only over the left-operand
     rows and summation indices whose bitfields say they can matter; touched
     positions left with no contribution are deleted from the product.
-    state.C and state.F are updated in place. Returns local batch
-    statistics. Raises UnsupportedFeatureError when an algebraic update has
-    dropped state.F.
+    state.C and state.F are updated in place, together: one lookup of the
+    touched keys in their shared key array serves the row-bitfield union
+    and the merge. Returns local batch statistics. Raises
+    UnsupportedFeatureError when an algebraic update has dropped state.F,
+    and ValueError, before any communication, when state.F holds other
+    positions than state.C.
     """
     if state.transpose_a or state.transpose_b:
         raise UnsupportedFeatureError(
@@ -395,6 +407,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
         raise UnsupportedFeatureError(
             "general updates need the entry bitfields, which an algebraic "
             "update left stale; start from a fresh spgemm_algebraic_init")
+    c_local, f_local = state.C.block, state.F.block
+    share_keys(f_local, c_local)
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     sr, ell = state.sr, state.ell
     _check_inner(a_prime.part, b_prime.part, q)
@@ -407,15 +421,17 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
 
     # Per local output row, the union of candidate summation-index bitfields
     # over its touched positions; reduced across the grid row so every rank
-    # holding a piece of those rows can filter its slice of a_prime.
-    f_local: DcsrBlock = state.F.block
+    # holding a piece of those rows can filter its slice of a_prime. The
+    # lookup of the touched keys in C's (and F's) keys serves the merge too:
+    # C does not change before it.
     n_lr = state.C.local_shape[0]
-    _check_local_shape(touched, state.C.block)
+    _check_local_shape(touched, c_local)
     with phases.phase("local_multiply"):
         t_rows, t_keys = touched.to_arrays()[0], touched.keys()
         row_bits = np.zeros(n_lr, dtype=np.uint64)
-        for blk in (f_local, new_bits):
-            pos, found = locate(blk.keys(), t_keys)
+        held = locate(c_local.keys(), t_keys)
+        for blk, (pos, found) in ((f_local, held),
+                                  (new_bits, locate(new_bits.keys(), t_keys))):
             np.bitwise_or.at(row_bits, t_rows[found], blk.vals[pos[found]])
         nz = np.flatnonzero(row_bits)
         vec = DcsrBlock(n_lr, 1, nz, row_bits[nz])   # an n x 1 key is its row
@@ -454,8 +470,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
             h_mine = hr
 
     with phases.phase("merge"):
-        deleted = replace_touched(state.C.block, touched, z_mine)
-        replace_touched(f_local, touched, h_mine)
+        deleted = replace_touched((c_local, f_local), touched,
+                                  (z_mine, h_mine), held)
     return {
         "n_touched": touched.nnz,
         "n_recomputed": z_mine.nnz,

@@ -150,5 +150,5 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
             dk, old_vals = dk[keep], old_vals[keep]
             # the deleted keys below a new key are runs before it
             at -= np.cumsum(gone)[new]
-        _merge_keys(block, dk, old_vals, at, run_keys[new], vals[new])
+        _merge_keys((block,), dk, at, run_keys[new], (old_vals,), (vals[new],))
     return inserted, deleted

@@ -12,14 +12,19 @@ emit blocks only through _sort_fold, behind dcsr_from_keys and
 dcsr_from_coo: one stable argsort by key and an index compress that folds
 repeated keys in input order, for one value array or several from the one
 sort (masked_multiply's values and bitfields). In-place changes go through
-one sorted merge of disjoint key sets (_merge_keys). Every in-place writer
-checks that its operands share dst's shape, searches with the batch's keys
-only, once each, and hands the ranks it found to the merge: the searches
-cost O(batch log nnz), plus one O(nnz) copy of the block's arrays, only
-when a key is added or removed. A merge into an empty block copies the
-source. The wire carries a block as it is stored: dcsr_serialize writes a
-header, the keys and the values, and dcsr_deserialize checks the header and
-the keys (DcsrBlock.check) and returns views of the message. The
+one sorted merge of disjoint key sets (_merge_keys), which gives any number
+of blocks one merged key array and merges a value array for each. Every
+in-place writer checks that its operands share dst's shape, searches with
+the batch's keys only, once each, and hands the ranks it found to the
+merge: the searches cost O(batch log nnz), plus one O(nnz) copy of the
+block's arrays, only when a key is added or removed. A merge into an empty
+block copies the source. Blocks that hold one position set can share one
+key array object (share_keys): the maintained product C and its bitfields
+F do, and replace_touched replaces both from the recomputed Z and H with
+one search of the touched keys and one key merge. The wire carries a block
+as it is stored: dcsr_serialize writes a header, the keys and the values,
+and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
+returns views of the message. The
 doubly-compressed sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008),
 which lists only the non-empty rows, survives only as the derived nz_rows
 and iter_rows views; the dcsr_* names stay because the benchmark hooks wrap
@@ -196,12 +201,15 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _merge_keys(dst: DcsrBlock, keys, vals, at, new_keys, new_vals) -> None:
-    """Set dst to the entries (keys, vals) plus (new_keys, new_vals), two
-    disjoint sorted key sets; dst keeps its value dtype. at is the rank of
-    each new key among keys, as its caller's search found it, so the merge
-    searches nothing: each new key lands at its rank plus its own index, and
-    the old keys fill the remaining slots in order. One O(len(keys)) copy."""
+def _merge_keys(dsts, keys, at, new_keys, vals, new_vals) -> None:
+    """Set each block of dsts to the entries (keys, its vals) plus (new_keys,
+    its new_vals), two disjoint sorted key sets: vals and new_vals hold one
+    value array per block, and every block keeps its value dtype and takes
+    the one merged key array. at is the rank of each new key among keys, as
+    its caller's search found it, so the merge searches nothing: each new key
+    lands at its rank plus its own index, and the old keys fill the remaining
+    slots in order. One O(len(keys)) copy of the keys, and one per value
+    array."""
     n = len(keys) + len(new_keys)
     at = at + np.arange(len(new_keys))
     old = np.ones(n, dtype=bool)
@@ -209,10 +217,11 @@ def _merge_keys(dst: DcsrBlock, keys, vals, at, new_keys, new_vals) -> None:
     merged = np.empty(n, dtype=np.int64)
     merged[at] = new_keys
     merged[old] = keys
-    merged_vals = np.empty(n, dtype=dst.vals.dtype)
-    merged_vals[at] = new_vals
-    merged_vals[old] = vals
-    dst._keys, dst.vals = merged, merged_vals
+    for dst, v, new_v in zip(dsts, vals, new_vals):
+        merged_vals = np.empty(n, dtype=dst.vals.dtype)
+        merged_vals[at] = new_v
+        merged_vals[old] = v
+        dst._keys, dst.vals = merged, merged_vals
 
 
 def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,42 +298,81 @@ def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     dst.vals[at] = fold(dst.vals[at], src.vals[hit])
     if np.count_nonzero(hit) < len(hit):
         miss = ~hit
-        _merge_keys(dst, dk, dst.vals, pos[miss], sk[miss], src.vals[miss])
+        _merge_keys((dst,), dk, pos[miss], sk[miss], (dst.vals,),
+                    (src.vals[miss],))
 
 
-def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
+def share_keys(dst: DcsrBlock, src: DcsrBlock) -> None:
+    """Make dst hold src's key array object, so that the two keep one
+    position set: a maintained product C and its bitfields F. O(1) when they
+    share it already. Raises ValueError, with nothing changed, unless dst
+    has src's shape and holds the same positions."""
+    if dst.keys() is src.keys():
+        return
+    _check_same_shape(dst, src, "src")
+    if not np.array_equal(dst.keys(), src.keys()):
+        raise ValueError("dst holds other positions than src")
+    dst._keys = src.keys()
+
+
+def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
     """dst = (dst - touched) | src, in place: every touched entry of dst is
     replaced by src's entry there or deleted. Returns the number deleted.
+
+    dst and src are one block each, or equal-length tuples of blocks that
+    each hold one position set: the dst blocks share one key array (C and
+    its bitfields F, see share_keys) and the src blocks hold equal keys (the
+    recomputed values Z and bitfields H). Each dst block takes the values of
+    the src block at its index, and all end on one merged key array. lookup,
+    when given, is locate(dst keys, touched keys) as the caller found it,
+    and dst must not have changed since.
+
     Raises ValueError, before any entry changes, when src holds a position
-    outside touched, or when touched or src differs from dst in shape.
+    outside touched, when touched or a src block differs from dst in shape,
+    when the dst blocks do not share one key array, or when the src blocks
+    hold different keys.
 
     Only the touched keys are searched for in dst, and src's keys in
-    touched, so the searches cost O(t log nnz(dst)) for t touched entries.
-    Replaced entries change in place; dst's arrays are copied once, O(nnz),
-    only when an entry is added or deleted."""
-    _check_same_shape(dst, touched, "touched")
-    _check_same_shape(dst, src, "src")
-    dk, tk, sk = dst.keys(), touched.keys(), src.keys()
+    touched, once each for all the blocks, so the searches cost
+    O(t log nnz(dst)) for t touched entries. Replaced entries change in
+    place; the keys and each value array are copied once, O(nnz), only when
+    an entry is added or deleted."""
+    dsts = dst if isinstance(dst, tuple) else (dst,)
+    srcs = src if isinstance(src, tuple) else (src,)
+    if len(dsts) != len(srcs):
+        raise ValueError(f"{len(srcs)} src blocks for {len(dsts)} dst blocks")
+    dk, tk, sk = dsts[0].keys(), touched.keys(), srcs[0].keys()
+    _check_same_shape(dsts[0], touched, "touched")
+    for s in srcs:
+        _check_same_shape(dsts[0], s, "src")
+    if any(d.keys() is not dk for d in dsts[1:]):
+        raise ValueError("dst blocks do not share one key array")
+    if any(s.keys() is not sk and not np.array_equal(s.keys(), sk)
+           for s in srcs[1:]):
+        raise ValueError("src blocks hold different keys")
     s_at, in_touched = locate(tk, sk)
     if not in_touched.all():
         k = int(sk[~in_touched][0])
         raise ValueError(f"src holds key {k}, which is not a touched key")
-    pos, held = locate(dk, tk)
+    pos, held = locate(dk, tk) if lookup is None else lookup
     s_held = held[s_at]   # per src entry: does dst hold its key
-    dst.vals[pos[s_at[s_held]]] = src.vals[s_held]
+    replaced = pos[s_at[s_held]]
+    for d, s in zip(dsts, srcs):
+        d.vals[replaced] = s.vals[s_held]
     gone = held.copy()    # per touched key: does dst hold it and src not
     gone[s_at] = False
     deleted = int(np.count_nonzero(gone))
     new = ~s_held
     if deleted or new.any():
-        keys, vals, at = dk, dst.vals, pos[s_at[new]]
+        keys, vals, at = dk, [d.vals for d in dsts], pos[s_at[new]]
         if deleted:
             keep = np.ones(len(dk), dtype=bool)
             keep[pos[gone]] = False
-            keys, vals = dk[keep], vals[keep]
+            keys, vals = dk[keep], [v[keep] for v in vals]
             # the deleted keys below a new key are touched keys before it
             at -= np.cumsum(gone)[s_at[new]]
-        _merge_keys(dst, keys, vals, at, sk[new], src.vals[new])
+        _merge_keys(dsts, keys, at, sk[new], vals,
+                    [s.vals[new] for s in srcs])
     return deleted
 
 

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dynspgemm import (
     summa_static,
     update_batch,
 )
+from dynspgemm import distmm, storage
 from dynspgemm.bench import _local_checksum
 from helpers import (
     apply_delta,
@@ -967,6 +969,140 @@ def test_general_empty_batch_changes_nothing():
             st.F.global_entries() == f_before
 
     assert all(spmd_collect(2, worker))
+
+
+def _general_batches(rng, a0, b0, n, count):
+    """count general batches (a before, a after, a changes, b after, b
+    changes), chained from a0 and b0."""
+    out, cur_a, cur_b = [], a0, b0
+    for _ in range(count):
+        a1, ch_a = mixed_general_batch(rng, cur_a, n, n)
+        b1, ch_b = mixed_general_batch(rng, cur_b, n, n)
+        out.append((cur_a, a1, ch_a, b1, ch_b))
+        cur_a, cur_b = a1, b1
+    return out
+
+
+def _run_general(comm, part, st, batch):
+    prev_a, a1, ch_a, b1, ch_b = batch
+
+    def changes(ch):
+        return update_from_map(part, comm, {p: None for p in ch},
+                               structure_only=True)
+
+    return spgemm_general_update(
+        comm, st, dist_from_map(part, comm, a1, MIN_PLUS), changes(ch_a),
+        dist_from_map(part, comm, b1, MIN_PLUS), changes(ch_b),
+        dist_from_map(part, comm, prev_a, MIN_PLUS))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_f_shares_c_key_array_after_init_and_every_general_update(q):
+    n = 24
+    rng = np.random.default_rng(59 + q)
+    a0 = random_map(rng, n, n, 0.12, values="float")
+    b0 = random_map(rng, n, n, 0.12, values="float")
+    batches = _general_batches(rng, a0, b0, n, 4)
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        st = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0, MIN_PLUS),
+                                   dist_from_map(part, comm, b0, MIN_PLUS),
+                                   MIN_PLUS, ell=8)
+        shared = [st.F.block.keys() is st.C.block.keys()]
+        for batch in batches:
+            _run_general(comm, part, st, batch)
+            st.F.block.check()
+            shared.append(st.F.block.keys() is st.C.block.keys())
+        return shared
+
+    assert spmd_collect(q, worker) == [[True] * 5] * (q * q)
+
+
+def test_general_batch_searches_c_keys_and_touched_once(monkeypatch):
+    """Per rank, one general batch looks up the touched keys in C's (and F's)
+    key array once, searches the touched set once, and merges C and F in
+    one replace_touched call."""
+    n = 32
+    rng = np.random.default_rng(61)
+    a0 = random_map(rng, n, n, 0.15, values="float")
+    b0 = random_map(rng, n, n, 0.15, values="float")
+    (batch,) = _general_batches(rng, a0, b0, n, 1)
+    searched, touched, replaced = {}, {}, {}
+    real_locate = storage.locate
+    real_pattern = distmm.compute_pattern
+    real_replace = distmm.replace_touched
+
+    def rank():
+        return threading.current_thread().name
+
+    def counting_locate(keys, queries):
+        searched.setdefault(rank(), []).append(keys)
+        return real_locate(keys, queries)
+
+    def keeping_pattern(*args, **kwargs):
+        out = real_pattern(*args, **kwargs)
+        touched[rank()] = out[0]
+        return out
+
+    def counting_replace(*args, **kwargs):
+        replaced[rank()] = replaced.get(rank(), 0) + 1
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "locate", counting_locate)
+    monkeypatch.setattr(distmm, "locate", counting_locate)
+    monkeypatch.setattr(distmm, "compute_pattern", keeping_pattern)
+    monkeypatch.setattr(distmm, "replace_touched", counting_replace)
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        st = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0, MIN_PLUS),
+                                   dist_from_map(part, comm, b0, MIN_PLUS),
+                                   MIN_PLUS)
+        c_keys = st.C.block.keys().copy()
+        searched[rank()] = []
+        stats = _run_general(comm, part, st, batch)
+        mine = searched[rank()]
+        t_keys = touched[rank()].keys()
+        return (len(c_keys), stats["n_touched"],
+                sum(np.array_equal(k, c_keys) for k in mine),
+                sum(k is t_keys for k in mine), replaced[rank()])
+
+    out = spmd_collect(2, worker)
+    assert all(nnz > 0 for nnz, *_ in out)
+    assert any(n_touched > 0 for _, n_touched, *_ in out)
+    assert [counts for _, _, *counts in out] == [[1, 1, 1]] * 4
+
+
+def test_general_refuses_a_state_whose_f_has_other_positions():
+    a0 = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0}
+    b0 = {(0, 0): 1.0, (1, 1): 1.0, (1, 2): 4.0}
+
+    def worker(comm):
+        part = BlockPartition(3, 3, comm.q)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
+        d_a = update_from_map(part, comm, {(0, 0): None}, structure_only=True)
+        d_b = update_from_map(part, comm, {}, structure_only=True)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+        c, f = st.C.block, st.F.block
+        c_before, f_before = c.entry_map(), f.entry_map()
+        # F with C's positions in an array of its own is re-keyed onto C's
+        st.F.block = DcsrBlock(f.n_rows, f.n_cols, f.keys().copy(), f.vals)
+        spgemm_general_update(comm, st, a, d_a, b, d_b, a)
+        assert st.F.block.keys() is st.C.block.keys()
+        assert (st.C.block.entry_map(), st.F.block.entry_map()) == \
+            (c_before, f_before)
+        # F missing one of C's positions: raises, nothing merged
+        short = DcsrBlock(f.n_rows, f.n_cols, c.keys()[1:], f.vals[1:])
+        st.F.block = short
+        with pytest.raises(ValueError, match="other positions"):
+            spgemm_general_update(comm, st, a, d_a, b, d_b, a)
+        assert st.C.block.entry_map() == c_before
+        assert st.F.block is short and short.nnz == len(f_before) - 1
+        return True
+
+    assert spmd_collect(1, worker) == [True]
 
 
 # -- distributed matrix plumbing ---------------------------------------------------

@@ -216,3 +216,81 @@ def test_writers_search_only_with_the_batch(monkeypatch):
     records = update_batch(PLUS_TIMES_I64, keys // n, keys % n, 3,
                            [OP_DELETE, OP_UPSERT] * (BATCH // 2))
     run(lambda d: apply_batch(d, records, PLUS_TIMES_I64, 0, 0))
+
+
+def _bits_of(entries: dict) -> dict:
+    """A bitfield per key, derived from the key, for a second value array."""
+    return {k: (k * 2654435761) % 2 ** 64 for k in entries}
+
+
+@_settings
+@given(case=_case(), data=st.data(), pass_lookup=st.booleans())
+def test_replace_touched_on_two_blocks_matches_two_single_calls(
+        case, data, pass_lookup):
+    """C and F replaced together from Z and H end as two single-block calls
+    leave them, on one key array object."""
+    n_rows, n_cols, dst, touched = case
+    src = {k: data.draw(st.integers(-100, 100)) for k in touched
+           if data.draw(st.booleans())}
+    t = _block(n_cols, dict.fromkeys(touched, 0), n_rows)
+    z = _block(n_cols, src, n_rows)
+    h = _block(n_cols, _bits_of(src), n_rows, np.uint64)
+
+    c1 = _block(n_cols, dst, n_rows)
+    f1 = _block(n_cols, _bits_of(dst), n_rows, np.uint64)
+    want_deleted = replace_touched(c1, t, z)
+    assert replace_touched(f1, t, h) == want_deleted
+
+    c2 = _block(n_cols, dst, n_rows)
+    f2 = _block(n_cols, _bits_of(dst), n_rows, np.uint64)
+    storage.share_keys(f2, c2)
+    lookup = storage.locate(c2.keys(), t.keys()) if pass_lookup else None
+    assert replace_touched((c2, f2), t, (z, h), lookup) == want_deleted
+    assert _entries(c2) == _entries(c1)
+    assert _entries(f2) == _entries(f1)
+    assert f2.vals.dtype == np.uint64
+    assert c2.keys() is f2.keys()
+
+
+def test_replace_touched_on_two_blocks_refuses_unshared_positions():
+    """Unshared dst keys, unequal src keys or a src per dst missing: each
+    raises before any entry changes."""
+    dst = {5: 50, 9: 90}
+    t = _block(16, dict.fromkeys([5, 7], 0))
+    z, h = _block(16, {7: 1}), _block(16, {7: 2}, dtype=np.uint64)
+
+    def blocks(shared: bool):
+        c = _block(16, dst)
+        f = _block(16, _bits_of(dst), dtype=np.uint64)   # equal keys, own array
+        if shared:
+            storage.share_keys(f, c)
+        return c, f
+
+    cases = [
+        (blocks(False), (z, h), "do not share one key array"),
+        (blocks(True), (z, _block(16, {5: 2}, dtype=np.uint64)),
+         "src blocks hold different keys"),
+        (blocks(True), (z, _block(16, {}, dtype=np.uint64)),
+         "src blocks hold different keys"),
+        (blocks(True), (z,), "1 src blocks for 2 dst blocks"),
+    ]
+    for (c, f), srcs, match in cases:
+        keys = c.keys()
+        with pytest.raises(ValueError, match=match):
+            replace_touched((c, f), t, srcs)
+        assert _entries(c) == dst and _entries(f) == _bits_of(dst)
+        assert c.keys() is keys
+
+
+def test_share_keys_refuses_other_positions():
+    c = _block(16, {5: 50, 9: 90})
+    f = _block(16, {5: 1}, dtype=np.uint64)
+    with pytest.raises(ValueError, match="other positions"):
+        storage.share_keys(f, c)
+    assert _entries(f) == {5: 1} and f.keys() is not c.keys()
+    wide = _block(8, {5: 1, 9: 1}, n_rows=2, dtype=np.uint64)
+    with pytest.raises(ValueError, match="src is 1x16, dst is 2x8"):
+        storage.share_keys(wide, c)
+    f = _block(16, {5: 1, 9: 2}, dtype=np.uint64)
+    storage.share_keys(f, c)
+    assert f.keys() is c.keys() and _entries(f) == {5: 1, 9: 2}
