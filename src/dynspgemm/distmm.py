@@ -170,9 +170,6 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
     codec = semiring_codec(sr)
     a_bytes = dcsr_serialize(a.block, codec)
     b_bytes = dcsr_serialize(b.block, codec)
-    c_local = DcsrBlock.empty(*part_c.block_shape(i, j), dtype=sr.np_dtype)
-    f_local = (DcsrBlock.empty(*part_c.block_shape(i, j), dtype=np.uint64)
-               if build_bloom else None)
     for k in range(q):
         with phases.phase("broadcast"):
             a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
@@ -181,8 +178,12 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
         b_blk = dcsr_deserialize(b_buf, codec)
         with phases.phase("local_multiply"):
             prod = gustavson_multiply(a_blk, b_blk, sr)
-            if build_bloom:
-                _, pat = pattern_multiply(a_blk, b_blk, inner_starts[k], ell)
+            pat = (pattern_multiply(a_blk, b_blk, inner_starts[k], ell)[1]
+                   if build_bloom else None)
+        if not k:
+            # the kernels' fresh blocks are round 0's C and F as they stand
+            c_local, f_local = prod, pat
+            continue
         with phases.phase("merge"):
             add_into(c_local, prod, sr.np_add)
             if build_bloom:

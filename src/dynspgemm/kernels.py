@@ -4,27 +4,46 @@ blocks' sorted entry keys.
 
 Expand: each entry (r, k) of op(a) meets row k of op(b), one elementary
 product per entry there. Row k of op(b) is the run of its keys in
-[k * m, (k + 1) * m), m its width, found by two `searchsorted` calls, so
-only the rows that op(a) names are read and the cost tracks the number of
-products, not the size of op(b) or the dense dimensions. Entry (r, k) and
-key k * m + c meet at output key r * m + c. _expand returns how many
-products each entry of op(a) forms, and callers spread op(a)'s values and
-bits to the products with .repeat(count). Sort and compress: one stable
-argsort orders the products by output key (storage._sort_fold, behind
-dcsr_from_keys); each key's first product is gathered by its run-start
-index and the others fold into it with ufunc.at, left to right in input
-order, which is ascending inner index k because op(a) is read in key
-order. masked_multiply sorts its surviving products once and folds both
-its values and its bitfields from that sort. Entries whose folded value
-equals the semiring zero are kept: structure is decided by contribution,
-not by value.
+[k * m, (k + 1) * m), m its width, found by two `searchsorted` calls
+(_expand), so only the rows that op(a) names are read and the cost tracks
+the number of products, not the size of op(b) or the dense dimensions.
+Entry (r, k) and key k * m + c meet at output key r * m + c (_products),
+and callers spread op(a)'s values and bits to the products with
+.repeat(count). Sort and compress: a stable argsort orders the products by
+output key (storage._sort_fold); each key's first product is gathered by
+its run-start index and the others fold into it with ufunc.at, left to
+right in input order, which is ascending inner index k because op(a) is
+read in key order.
+
+gustavson_multiply and pattern_multiply expand, sort and compress in row
+bands (_banded_esc): op(a)'s entries are cut only where the row changes,
+into bands of at most BAND_PRODUCTS products, a longer row being a band on
+its own, with the cuts placed from the cumulative sum of the per-entry
+product counts. Every output key's products lie in one band, in input
+order, so each fold is the one a single sort would give, bit for bit, and
+the bands' outputs joined in order are canonical. The band caps every
+product-sized temporary (sort order, sorted keys, run masks, gathers), so
+a large product's working memory stays band-sized. masked_multiply
+expands only the rows of a that hold a mask position, drops the products
+outside the mask, and folds both its values and its bitfields from one
+sort. The value kernels raise ValueError on a structure-only operand;
+pattern_multiply reads structure only. Entries whose folded value equals
+the semiring zero are kept: structure is decided by contribution, not by
+value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .storage import DcsrBlock, _sort_fold, dcsr_from_coo, dcsr_from_keys, locate
+from .storage import DcsrBlock, _run_starts, _sort_fold, dcsr_from_coo, locate
+
+BAND_PRODUCTS = 1 << 18
+"""Products that gustavson_multiply and pattern_multiply sort at once,
+unless a single row of op(a) forms more: about 2 MB per product-sized
+array. On a 2-CPU host, budgets of 2^16 to 2^18 gave the fastest check of
+a 2.1M-product static product and about two thirds of its unbanded peak
+memory; 2^19 and up were slower."""
 
 
 def _op(block: DcsrBlock, transposed: bool) -> DcsrBlock:
@@ -35,21 +54,73 @@ def _op(block: DcsrBlock, transposed: bool) -> DcsrBlock:
     return dcsr_from_coo(block.n_cols, block.n_rows, cols, rows, vals)
 
 
-def _expand(rows: np.ndarray, inner: np.ndarray, keys: np.ndarray, width: int):
-    """Every elementary product of the entries (rows, inner) of op(a) and
-    the entries of op(b), whose ascending keys have row width `width`:
-    (count, bi, out): the number of products of each entry of op(a), and
-    per product, grouped by that entry in entry order, its index into keys
-    and its output key. A caller spreads a per-entry array of op(a) to the
-    products with .repeat(count)."""
+def _require_values(**operands) -> None:
+    """ValueError naming each structure-only operand of a value product."""
+    bare = [name for name, block in operands.items() if block.vals is None]
+    if bare:
+        raise ValueError(f"{' and '.join(bare)} structure-only: the product "
+                         "needs operand values")
+
+
+def _expand(inner: np.ndarray, keys: np.ndarray, width: int):
+    """(start, count) per entry (r, k) of op(a), given op(b)'s ascending
+    keys of row width `width`: the index in keys of row k's first key, and
+    how many keys row k holds, which is how many products the entry
+    forms."""
     start = keys.searchsorted(inner * width)
-    count = keys.searchsorted((inner + 1) * width) - start
-    start -= count.cumsum() - count
-    bi = start.repeat(count)
+    return start, keys.searchsorted((inner + 1) * width) - start
+
+
+def _products(rows, inner, start, count, keys: np.ndarray, width: int):
+    """(bi, out) for every product of the entries (rows, inner) of op(a),
+    with _expand's start and count for them: per product, grouped by entry
+    in entry order, its index into keys and its output key. A caller
+    spreads a per-entry array of op(a) to the products with
+    .repeat(count)."""
+    bi = (start - (count.cumsum() - count)).repeat(count)
     bi += np.arange(len(bi))
     out = keys[bi]
     out += ((rows - inner) * width).repeat(count)
-    return count, bi, out
+    return bi, out
+
+
+def _row_bands(rows: np.ndarray, count: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) entry ranges that split op(a)'s entries, rows ascending,
+    only where the row changes, each forming at most BAND_PRODUCTS products
+    unless it is a single row that forms more."""
+    ends = count.cumsum()
+    if not len(ends) or ends[-1] <= BAND_PRODUCTS:
+        return [(0, len(rows))]
+    cuts = np.append(np.flatnonzero(_run_starts(rows))[1:], len(rows))
+    formed = ends[cuts - 1]   # products formed before each cut
+    bands, lo, done, i = [], 0, 0, 0
+    while lo < len(rows):
+        # i is the first cut after lo: a row over budget is a band alone
+        i = max(int(formed.searchsorted(done + BAND_PRODUCTS, "right")) - 1, i)
+        bands.append((lo, int(cuts[i])))
+        lo, done, i = int(cuts[i]), formed[i], i + 1
+    return bands
+
+
+def _banded_esc(rows, inner, b: DcsrBlock, columns):
+    """Expand-sort-compress of the products of op(a)'s entries (rows,
+    inner) with b, one row band (_row_bands) at a time. columns(s, count,
+    bi) gives the (vals, fold) pairs that _sort_fold folds for the products
+    of the entries in slice s, count and bi being theirs. Every output key's
+    products lie in one band, in input order, and the bands' keys ascend
+    band after band, so the joined result is _sort_fold's over all the
+    products: (keys, folded arrays)."""
+    keys, width = b.keys(), b.n_cols
+    start, count = _expand(inner, keys, width)
+    bands = []
+    for lo, hi in _row_bands(rows, count):
+        s = slice(lo, hi)
+        bi, out = _products(rows[s], inner[s], start[s], count[s], keys, width)
+        bands.append(_sort_fold(out, *columns(s, count[s], bi)))
+    if len(bands) == 1:
+        return bands[0]
+    return (np.concatenate([k for k, _ in bands]),
+            [np.concatenate(f) for f in zip(*(f for _, f in bands))])
 
 
 def _bits(inner: np.ndarray, inner_base: int, ell: int) -> np.ndarray:
@@ -66,7 +137,8 @@ def gustavson_multiply(a, b, sr, transpose_a: bool = False,
                        transpose_b: bool = False) -> DcsrBlock:
     """op(a) . op(b) over the semiring, op(x) being x or its transpose. With
     transpose_b all of b is read, otherwise only the rows of b that op(a)
-    names."""
+    names. Raises ValueError when a or b is structure-only."""
+    _require_values(a=a, b=b)
     a, b = _op(a, transpose_a), _op(b, transpose_b)
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -74,11 +146,14 @@ def gustavson_multiply(a, b, sr, transpose_a: bool = False,
     if not a.nnz or not b.nnz:
         return DcsrBlock.empty(a.n_rows, b.n_cols, dtype=dtype)
     rows, inner, avals = a.to_arrays(dtype)
-    count, bi, out = _expand(rows, inner, b.keys(), b.n_cols)
-    x = avals.repeat(count)
-    sr.np_mul(x, b.vals[bi].astype(dtype, copy=False), out=x)
-    del bi   # product-sized: free it before the sort allocates
-    return dcsr_from_keys(a.n_rows, b.n_cols, out, x, sr.np_add)
+
+    def values(s, count, bi):
+        x = avals[s].repeat(count)
+        sr.np_mul(x, b.vals[bi].astype(dtype, copy=False), out=x)
+        return ((x, sr.np_add),)
+
+    keys, (vals,) = _banded_esc(rows, inner, b, values)
+    return DcsrBlock(a.n_rows, b.n_cols, keys, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +176,11 @@ def pattern_multiply(a, b, inner_base: int,
     bits = DcsrBlock.empty(a.n_rows, b.n_cols, dtype=np.uint64)
     if a.nnz and b.nnz:
         rows, inner, _ = a.to_arrays()
-        count, _, out = _expand(rows, inner, b.keys(), b.n_cols)
-        bits = dcsr_from_keys(a.n_rows, b.n_cols, out,
-                              _bits(inner, inner_base, ell).repeat(count),
-                              np.bitwise_or)
+        bit = _bits(inner, inner_base, ell)
+        keys, (vals,) = _banded_esc(
+            rows, inner, b,
+            lambda s, count, _: ((bit[s].repeat(count), np.bitwise_or),))
+        bits = DcsrBlock(a.n_rows, b.n_cols, keys, vals)
     return DcsrBlock(bits.n_rows, bits.n_cols, bits.keys(), None), bits
 
 
@@ -117,8 +193,9 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     landing outside the mask are dropped before the fold. Returns both the
     value block Z and the bitfield block H of contributing summation indices
     for the surviving positions; both fold from one sort of the products and
-    share one key array.
+    share one key array. Raises ValueError when a or b is structure-only.
     """
+    _require_values(a=a, b=b)
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
     if (mask.n_rows, mask.n_cols) != (a.n_rows, b.n_cols):
@@ -131,7 +208,8 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     in_mask[mk // max(mask.n_cols, 1)] = True
     keep = in_mask[rows]
     rows, inner, avals = rows[keep], inner[keep], avals[keep]
-    count, bi, out = _expand(rows, inner, b.keys(), b.n_cols)
+    start, count = _expand(inner, b.keys(), b.n_cols)
+    bi, out = _products(rows, inner, start, count, b.keys(), b.n_cols)
     _, hit = locate(mk, out)
     e = np.arange(len(count)).repeat(count)[hit]
     bi, out = bi[hit], out[hit]

@@ -8,17 +8,20 @@ bitfields. Update batches (apply_batch) and the merges into C and F
 A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
-emit blocks only through _sort_fold, behind dcsr_from_keys and
+emit blocks only through _sort_fold, directly or behind dcsr_from_keys and
 dcsr_from_coo: one stable argsort by key and an index compress that folds
 repeated keys in input order, for one value array or several from the one
-sort (masked_multiply's values and bitfields). In-place changes go through
-one sorted merge of disjoint key sets (_merge_keys), which gives any number
-of blocks one merged key array and merges a value array for each. Every
-in-place writer checks that its operands share dst's shape, searches with
-the batch's keys only, once each, and hands the ranks it found to the
-merge: the searches cost O(batch log nnz), plus one O(nnz) copy of the
-block's arrays, only when a key is added or removed. A merge into an empty
-block copies the source. Blocks that hold one position set can share one
+sort (masked_multiply's values and bitfields). The value and pattern
+kernels call it once per row band of their products, so one call sorts at
+most a band's worth. In-place changes go through one sorted merge of
+disjoint key sets (_merge_keys), which gives any number of blocks one
+merged key array and merges a value array for each. Every in-place writer
+checks that its operands share dst's shape, searches with the batch's keys
+only, once each, and hands the ranks it found to the merge: the searches
+cost O(batch log nnz), plus one O(nnz) copy of the block's arrays, only
+when a key is added or removed. A merge into an empty block copies the
+source; the static product merges no first round, it takes the kernels'
+output blocks as C and F. Blocks that hold one position set can share one
 key array object (share_keys): the maintained product C and its bitfields
 F do, and replace_touched replaces both from the recomputed Z and H with
 one search of the touched keys and one key merge. The wire carries a block

@@ -152,6 +152,48 @@ def test_summa_round_counts():
             assert np2p == 0
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("with_bits", [False, True])
+def test_static_product_adopts_round_zero(monkeypatch, q, with_bits):
+    """Round 0's kernel products are C and F as they stand: each rank merges
+    q - 1 products into C (and F), and the results are unchanged."""
+    n = 12
+    rng = np.random.default_rng(30 + q)
+    a_map = random_map(rng, n, n, 0.3)
+    b_map = random_map(rng, n, n, 0.3)
+    calls = {"add_into": [], "or_into": []}
+    for name in calls:
+        real = getattr(distmm, name)
+
+        def counting(*args, _real=real, _log=calls[name]):
+            _log.append(threading.get_ident())
+            return _real(*args)
+
+        monkeypatch.setattr(distmm, name, counting)
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
+        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
+        if not with_bits:
+            return (summa_static(comm, a, b, PLUS_TIMES_I64).global_entries(),
+                    {}, threading.get_ident())
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=8)
+        assert st.F.block.keys() is st.C.block.keys()
+        return (st.C.global_entries(), st.F.global_entries(),
+                threading.get_ident())
+
+    out = spmd_collect(q, worker)
+    assert gather_maps([c for c, _, _ in out]) == oracle_product(
+        a_map, b_map, PLUS_TIMES_I64)
+    if with_bits:
+        assert gather_maps([f for _, f, _ in out]) == oracle_contribution_bits(
+            a_map, b_map, 8)
+    for name, merged in (("add_into", True), ("or_into", with_bits)):
+        per_rank = [calls[name].count(ident) for _, _, ident in out]
+        assert per_rank == [q - 1 if merged else 0] * (q * q), name
+
+
 # -- init --------------------------------------------------------------------------
 
 def test_init_empty_left_operand():

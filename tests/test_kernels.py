@@ -443,3 +443,171 @@ def test_float_sums_fold_in_ascending_inner_index():
     bt = _block({(0, j): 1.0 for j in range(k)}, 1, k)
     c = gustavson_multiply(a, bt, PLUS_TIMES_F64, transpose_b=True)
     assert c.entry_map() == {(0, 0): want}
+
+
+# -- row bands -------------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", [1, 3, 7])
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("tb", [False, True])
+@pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_banded_gustavson_matches_oracle_property(sr, ta, tb, budget, data):
+    a_map, b_map, a, b, _ = data.draw(_operands(sr, ta, tb))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BAND_PRODUCTS", budget)
+        c = gustavson_multiply(a, b, sr, transpose_a=ta, transpose_b=tb)
+    c.check()
+    want = oracle_product(transpose_map(a_map) if ta else a_map,
+                          transpose_map(b_map) if tb else b_map, sr)
+    assert c.entry_map() == want
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7])
+@pytest.mark.parametrize("ell", [8, 64])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_banded_pattern_matches_oracle_property(ell, budget, data):
+    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
+    base = data.draw(st.sampled_from((0, 5, 60)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BAND_PRODUCTS", budget)
+        structure, bits = pattern_multiply(a, b, inner_base=base, ell=ell)
+    bits.check()
+    want = oracle_contribution_bits(
+        {(i, k + base): v for (i, k), v in a_map.items()},
+        {(k + base, j): v for (k, j), v in b_map.items()}, ell)
+    assert bits.entry_map() == want
+    assert structure.keys() is bits.keys()
+
+
+def _banded_sorts(monkeypatch, budget: int) -> list:
+    """Set the band budget, and list the key count of every sort the
+    kernels make from here on."""
+    sorts = []
+    real = kernels._sort_fold
+
+    def counting(keys, *columns):
+        sorts.append(len(keys))
+        return real(keys, *columns)
+
+    monkeypatch.setattr(kernels, "_sort_fold", counting)
+    monkeypatch.setattr(kernels, "BAND_PRODUCTS", budget)
+    return sorts
+
+
+def _row_products(a_map: dict, b_map: dict) -> dict:
+    """Products each row of a forms with b."""
+    b_row: dict = {}
+    for k, _ in b_map:
+        b_row[k] = b_row.get(k, 0) + 1
+    out: dict = {}
+    for i, k in a_map:
+        out[i] = out.get(i, 0) + b_row.get(k, 0)
+    return out
+
+
+def _long_row_operands():
+    """a (4 x 5) and a full b (5 x 6): the rows of a form 6, 30, 6 and 12
+    products, row 1 more than any budget below."""
+    a_map = {(0, 2): 2, (1, 0): 1, (1, 1): -3, (1, 2): 4, (1, 3): 5,
+             (1, 4): -1, (2, 4): 7, (3, 0): 1, (3, 1): 1}
+    b_map = {(k, j): k - j + 2 for k in range(5) for j in range(6)}
+    return a_map, b_map
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 16])
+def test_banded_kernels_cut_at_rows_and_keep_long_rows_whole(monkeypatch,
+                                                            budget):
+    """Every sort takes at most max(budget, the longest row's products)
+    keys, and the kernels' results match the oracles."""
+    a_map, b_map = _long_row_operands()
+    a, b = _block(a_map, 4, 5), _block(b_map, 5, 6)
+    row_products = _row_products(a_map, b_map)
+    assert max(row_products.values()) > 16
+    sorts = _banded_sorts(monkeypatch, budget)
+    c = gustavson_multiply(a, b, PLUS_TIMES_I64)
+    assert c.entry_map() == oracle_product(a_map, b_map, PLUS_TIMES_I64)
+    _, bits = pattern_multiply(a, b, inner_base=0, ell=8)
+    assert bits.entry_map() == oracle_contribution_bits(a_map, b_map, 8)
+    bound = max(budget, max(row_products.values()))
+    assert len(sorts) > 2 and max(sorts) <= bound
+    assert sum(sorts) == 2 * sum(row_products.values())
+
+
+def test_banded_sort_is_bounded_on_a_product_of_many_budgets(monkeypatch):
+    """A product forming many budgets' worth of products sorts at most
+    max(budget, the largest single row's products) keys per call."""
+    rng = np.random.default_rng(23)
+    a_map = random_map(rng, 60, 50, 0.2)
+    b_map = random_map(rng, 50, 40, 0.2)
+    a, b = _block(a_map, 60, 50), _block(b_map, 50, 40)
+    row_products = _row_products(a_map, b_map)
+    total, budget = sum(row_products.values()), 64
+    assert total > 10 * budget
+    sorts = _banded_sorts(monkeypatch, budget)
+    for sr in (PLUS_TIMES_I64, MIN_PLUS):
+        sorts.clear()
+        c = gustavson_multiply(a, b, sr)
+        assert c.entry_map() == oracle_product(a_map, b_map, sr)
+        assert sum(sorts) == total
+        assert max(sorts) <= max(budget, max(row_products.values()))
+
+
+def test_float_sums_fold_in_ascending_inner_index_one_product_per_band(
+        monkeypatch):
+    """The float column of test_float_sums_fold_in_ascending_inner_index
+    under a band budget of one product: the one output row is a band on its
+    own and still folds in ascending inner index."""
+    monkeypatch.setattr(kernels, "BAND_PRODUCTS", 1)
+    column = [1e16, 1.0, -1e16, 3.0] * 5 + [1.0] * 20
+    k = len(column)
+    triples = [(0, j, v) for j, v in reversed(list(enumerate(column)))]
+    a = loaded_block(1, k, triples, PLUS_TIMES_F64)
+    b = _block({(j, 0): 1.0 for j in range(k)}, k, 1)
+    for left in (a, block_from_triples(1, k, triples)):
+        assert gustavson_multiply(left, b, PLUS_TIMES_F64).entry_map() == {
+            (0, 0): 39.0}
+    bt = _block({(0, j): 1.0 for j in range(k)}, 1, k)
+    c = gustavson_multiply(a, bt, PLUS_TIMES_F64, transpose_b=True)
+    assert c.entry_map() == {(0, 0): 39.0}
+    # two such rows, one band each, join in key order
+    two = block_from_triples(2, k, triples + [(1, j, v) for _, j, v in triples])
+    assert gustavson_multiply(two, b, PLUS_TIMES_F64).entry_map() == {
+        (0, 0): 39.0, (1, 0): 39.0}
+
+
+# -- structure-only operands -----------------------------------------------------
+
+@pytest.mark.parametrize("bare", [(), ("a",), ("b",), ("a", "b")],
+                         ids=lambda t: "+".join(t) or "none")
+def test_value_kernels_name_structure_only_operands(bare):
+    """gustavson_multiply and masked_multiply raise ValueError naming each
+    structure-only operand, before any work; pattern_multiply takes them."""
+    a = _block({(0, 1): 2, (1, 0): 1}, 2, 2)
+    b = _block({(1, 1): 3, (0, 0): 4}, 2, 2)
+    ops = {name: DcsrBlock(2, 2, blk.keys(), None) if name in bare else blk
+           for name, blk in (("a", a), ("b", b))}
+    mask = DcsrBlock(2, 2, [1], None)
+    want = {(0, 1): 6, (1, 0): 4}
+    structure, bits = pattern_multiply(ops["a"], ops["b"], inner_base=0)
+    assert position_set(structure) == set(want)
+    assert bits.entry_map() == {(0, 1): 2, (1, 0): 1}
+    if not bare:
+        assert gustavson_multiply(ops["a"], ops["b"],
+                                  PLUS_TIMES_I64).entry_map() == want
+        z, _ = masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64, 0)
+        assert z.entry_map() == {(0, 1): 6}
+        return
+    message = f"{' and '.join(bare)} structure-only"
+    for ta in (False, True):
+        with pytest.raises(ValueError, match=message):
+            gustavson_multiply(ops["a"], ops["b"], PLUS_TIMES_I64, ta, ta)
+    with pytest.raises(ValueError, match=message):
+        masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64, 0)
+    # even with nothing to multiply, the operands' kind is checked first
+    empty = {name: DcsrBlock(2, 2, [], None) if name in bare
+             else DcsrBlock.empty(2, 2) for name in ("a", "b")}
+    with pytest.raises(ValueError, match=message):
+        gustavson_multiply(empty["a"], empty["b"], PLUS_TIMES_I64)
