@@ -7,8 +7,7 @@ result in one of two ways:
 
 * algebraic path: C' = C (+) Adelta . B' (+) A . Bdelta.  Exact when the
   semiring is a ring (deltas carry signed differences), and for insert-only
-  batches whose addition is selective (min, or).  Supports transposed
-  operands.
+  batches whose addition is selective (min, or).
 * general path: works for any semiring and any mix of inserts, modifies and
   deletes.  It recomputes exactly the output positions the batch can touch,
   using per-entry summation-index bitfields to shrink the recomputation,
@@ -46,7 +45,9 @@ from .transport import NULL_PHASES
 
 
 class UnsupportedFeatureError(ValueError):
-    """Requested operand layout is outside what the chosen path supports."""
+    """A batch or state the chosen update path cannot fold exactly: a
+    non-insert batch under a semiring that is not a ring, or a general
+    update over bitfields an algebraic update left stale."""
 
 
 @dataclass
@@ -125,8 +126,7 @@ def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
 class SpgemmState:
     """Maintained product: the result C plus, per stored entry, the bitfield F
     of summation indices that contributed to it (folded mod ell). F is None
-    once an algebraic update has left it stale. The transpose flags record
-    the operand orientation C was built under.
+    once an algebraic update has left it stale.
 
     While F is present it holds exactly C's positions, and its block holds
     C's key array object (storage.share_keys): F.block.keys() is
@@ -138,8 +138,6 @@ class SpgemmState:
     F: DistMatrix | None
     sr: Semiring
     ell: int
-    transpose_a: bool = False
-    transpose_b: bool = False
 
 
 def _check_local_shape(block, c_local) -> None:
@@ -223,7 +221,7 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
                             b_delta: DistMatrix, phases=NULL_PHASES) -> None:
     """Fold operand deltas into the maintained product:
 
-        C' = C (+) op(a_delta) . op(b_prime) (+) op(a) . op(b_delta)
+        C' = C (+) a_delta . b_prime (+) a . b_delta
 
     a is the left operand before the batch, b_prime the right operand after
     it. Exact for rings with signed-difference deltas, and for insert-only
@@ -235,79 +233,40 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     later general update raises UnsupportedFeatureError instead of
     recomputing from stale bitfields.
 
-    Operand orientation comes from state's transpose flags. Transposed
-    operands stay distributed by their stored layout; the update inserts
-    transpose exchanges around the broadcasts and aggregations instead of
-    materializing the transposed matrices. Per rank and call this costs 2q
-    broadcasts, 2q aggregations and at most 4 point-to-point exchanges
-    (exactly 2 when neither operand is transposed).
+    Per rank and call this costs 2 transpose exchanges, 2q broadcasts and
+    2q aggregations.
     """
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     sr = state.sr
-    ta, tb = state.transpose_a, state.transpose_b
+    _check_inner(a.part, b_prime.part, q)
     if not sr.is_ring:
         _require_insert_only(a, a_delta, b_delta)
-    n_out = (a.part.n_cols if ta else a.part.n_rows,
-             b_prime.part.n_rows if tb else b_prime.part.n_cols)
-    inner = (a.part.n_rows if ta else a.part.n_cols,
-             b_prime.part.n_cols if tb else b_prime.part.n_rows)
-    if inner[0] != inner[1]:
-        raise ValueError(f"inner dimensions differ: {inner[0]} vs {inner[1]}")
-    if (state.C.part.n_rows, state.C.part.n_cols) != n_out:
+    if (state.C.part.n_rows, state.C.part.n_cols) != (a.part.n_rows,
+                                                      b_prime.part.n_cols):
         raise ValueError("maintained product shape does not match operands")
     codec = semiring_codec(sr)
 
-    # Block placement around the two delta products X = op(Ad).op(B') and
-    # Y = op(A).op(Bd). Broadcasting a delta along rows wants its round-k
-    # source at (i, k), along columns at (k, j); whether the natively owned
-    # or the transpose-partner block is the one needed there flips with each
-    # transpose flag, and both flips cancel when ta == tb.
-    pre_exchange = ta == tb
-    x_bcast_row = not tb  # axis the delta of a travels along
-    y_bcast_row = ta      # axis the delta of b travels along
-    x_agg_col = not tb    # axis X partials fold along
-    y_agg_col = ta        # axis Y partials fold along
-
     with phases.phase("transpose_exchange"):
-        if pre_exchange:
-            a_bytes = comm.transpose_exchange(dcsr_serialize(a_delta.block, codec))
-            b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
-        else:
-            a_bytes = dcsr_serialize(a_delta.block, codec)
-            b_bytes = dcsr_serialize(b_delta.block, codec)
-
-    def bcast(along_row: bool, k: int, payload: bytes) -> bytes:
-        if along_row:
-            return comm.row_broadcast(k, payload if j == k else None)
-        return comm.col_broadcast(k, payload if i == k else None)
+        a_bytes = comm.transpose_exchange(dcsr_serialize(a_delta.block, codec))
+        b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
 
     x_mine = y_mine = None
     for k in range(q):
         with phases.phase("broadcast"):
-            a_buf = bcast(x_bcast_row, k, a_bytes)
-            b_buf = bcast(y_bcast_row, k, b_bytes)
+            a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
+            b_buf = comm.col_broadcast(k, b_bytes if i == k else None)
         a_blk = dcsr_deserialize(a_buf, codec)
         b_blk = dcsr_deserialize(b_buf, codec)
         with phases.phase("local_multiply"):
-            x_part = gustavson_multiply(a_blk, b_prime.block, sr, ta, tb)
-            y_part = gustavson_multiply(a.block, b_blk, sr, ta, tb)
+            x_part = gustavson_multiply(a_blk, b_prime.block, sr)
+            y_part = gustavson_multiply(a.block, b_blk, sr)
         with phases.phase("aggregate"):
-            xr = comm.aggregate_sparse("col" if x_agg_col else "row", k,
-                                       x_part, sr.np_add, codec)
-            yr = comm.aggregate_sparse("col" if y_agg_col else "row", k,
-                                       y_part, sr.np_add, codec)
+            xr = comm.aggregate_sparse("col", k, x_part, sr.np_add, codec)
+            yr = comm.aggregate_sparse("row", k, y_part, sr.np_add, codec)
         if xr is not None:
             x_mine = xr
         if yr is not None:
             y_mine = yr
-
-    with phases.phase("transpose_exchange"):
-        if tb:  # X folded onto the transpose of its destination rank
-            x_mine = dcsr_deserialize(
-                comm.transpose_exchange(dcsr_serialize(x_mine, codec)), codec)
-        if ta:
-            y_mine = dcsr_deserialize(
-                comm.transpose_exchange(dcsr_serialize(y_mine, codec)), codec)
 
     c_local = state.C.block
     _check_local_shape(x_mine, c_local)
@@ -401,9 +360,6 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     and ValueError, before any communication, when state.F holds other
     positions than state.C.
     """
-    if state.transpose_a or state.transpose_b:
-        raise UnsupportedFeatureError(
-            "general updates support untransposed operands only")
     if state.F is None:
         raise UnsupportedFeatureError(
             "general updates need the entry bitfields, which an algebraic "

@@ -87,15 +87,7 @@ class BlockPartition:
         """owner_grid_col of every entry of an array of in-range indices."""
         return np.searchsorted(self.col_starts, cols, side="right") - 1
 
-    def owner_coords(self, i: int, j: int) -> tuple[int, int]:
-        return self.owner_grid_row(i), self.owner_grid_col(j)
-
     # translations --------------------------------------------------------
-    def to_local(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """global (i, j) -> (grid_row, grid_col, local_row, local_col)."""
-        gi, gj = self.owner_coords(i, j)
-        return gi, gj, i - self.row_starts[gi], j - self.col_starts[gj]
-
     def to_global(self, gi: int, gj: int, li: int, lj: int) -> tuple[int, int]:
         if not (0 <= li < self.row_sizes[gi] and 0 <= lj < self.col_sizes[gj]):
             raise ValueError(f"local index ({li}, {lj}) outside block "

@@ -2,21 +2,20 @@
 expand-sort-compress (ESC; Dalton, Olson & Bell, ACM TOMS 2015), on the
 blocks' sorted entry keys.
 
-Expand: each entry (r, k) of op(a) meets row k of op(b), one elementary
-product per entry there. Row k of op(b) is the run of its keys in
-[k * m, (k + 1) * m), m its width, found by two `searchsorted` calls
-(_expand), so only the rows that op(a) names are read and the cost tracks
-the number of products, not the size of op(b) or the dense dimensions.
-Entry (r, k) and key k * m + c meet at output key r * m + c (_products),
-and callers spread op(a)'s values and bits to the products with
-.repeat(count). Sort and compress: a stable argsort orders the products by
-output key (storage._sort_fold); each key's first product is gathered by
-its run-start index and the others fold into it with ufunc.at, left to
-right in input order, which is ascending inner index k because op(a) is
-read in key order.
+Expand: each entry (r, k) of a meets row k of b, one elementary product
+per entry there. Row k of b is the run of its keys in [k * m, (k + 1) * m),
+m its width, found by two `searchsorted` calls (_expand), so only the rows
+that a names are read and the cost tracks the number of products, not the
+size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
+output key r * m + c (_products), and callers spread a's values and bits
+to the products with .repeat(count). Sort and compress: a stable argsort
+orders the products by output key (storage._sort_fold); each key's first
+product is gathered by its run-start index and the others fold into it
+with ufunc.at, left to right in input order, which is ascending inner
+index k because a is read in key order.
 
 gustavson_multiply and pattern_multiply expand, sort and compress in row
-bands (_banded_esc): op(a)'s entries are cut only where the row changes,
+bands (_banded_esc): a's entries are cut only where the row changes,
 into bands of at most BAND_PRODUCTS products, a longer row being a band on
 its own, with the cuts placed from the cumulative sum of the per-entry
 product counts. Every output key's products lie in one band, in input
@@ -36,22 +35,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .storage import DcsrBlock, _run_starts, _sort_fold, dcsr_from_coo, locate
+from .storage import DcsrBlock, _run_starts, _sort_fold, locate
 
 BAND_PRODUCTS = 1 << 18
 """Products that gustavson_multiply and pattern_multiply sort at once,
-unless a single row of op(a) forms more: about 2 MB per product-sized
+unless a single row of a forms more: about 2 MB per product-sized
 array. On a 2-CPU host, budgets of 2^16 to 2^18 gave the fastest check of
 a 2.1M-product static product and about two thirds of its unbanded peak
 memory; 2^19 and up were slower."""
-
-
-def _op(block: DcsrBlock, transposed: bool) -> DcsrBlock:
-    """op(block): the block itself, or its transpose."""
-    if not transposed:
-        return block
-    rows, cols, vals = block.to_arrays()
-    return dcsr_from_coo(block.n_cols, block.n_rows, cols, rows, vals)
 
 
 def _require_values(**operands) -> None:
@@ -63,7 +54,7 @@ def _require_values(**operands) -> None:
 
 
 def _expand(inner: np.ndarray, keys: np.ndarray, width: int):
-    """(start, count) per entry (r, k) of op(a), given op(b)'s ascending
+    """(start, count) per entry (r, k) of a, given b's ascending
     keys of row width `width`: the index in keys of row k's first key, and
     how many keys row k holds, which is how many products the entry
     forms."""
@@ -72,10 +63,10 @@ def _expand(inner: np.ndarray, keys: np.ndarray, width: int):
 
 
 def _products(rows, inner, start, count, keys: np.ndarray, width: int):
-    """(bi, out) for every product of the entries (rows, inner) of op(a),
+    """(bi, out) for every product of the entries (rows, inner) of a,
     with _expand's start and count for them: per product, grouped by entry
     in entry order, its index into keys and its output key. A caller
-    spreads a per-entry array of op(a) to the products with
+    spreads a per-entry array of a to the products with
     .repeat(count)."""
     bi = (start - (count.cumsum() - count)).repeat(count)
     bi += np.arange(len(bi))
@@ -85,7 +76,7 @@ def _products(rows, inner, start, count, keys: np.ndarray, width: int):
 
 
 def _row_bands(rows: np.ndarray, count: np.ndarray) -> list[tuple[int, int]]:
-    """[lo, hi) entry ranges that split op(a)'s entries, rows ascending,
+    """[lo, hi) entry ranges that split a's entries, rows ascending,
     only where the row changes, each forming at most BAND_PRODUCTS products
     unless it is a single row that forms more."""
     ends = count.cumsum()
@@ -103,7 +94,7 @@ def _row_bands(rows: np.ndarray, count: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _banded_esc(rows, inner, b: DcsrBlock, columns):
-    """Expand-sort-compress of the products of op(a)'s entries (rows,
+    """Expand-sort-compress of the products of a's entries (rows,
     inner) with b, one row band (_row_bands) at a time. columns(s, count,
     bi) gives the (vals, fold) pairs that _sort_fold folds for the products
     of the entries in slice s, count and bi being theirs. Every output key's
@@ -133,13 +124,10 @@ def _bits(inner: np.ndarray, inner_base: int, ell: int) -> np.ndarray:
 # value multiply
 # ---------------------------------------------------------------------------
 
-def gustavson_multiply(a, b, sr, transpose_a: bool = False,
-                       transpose_b: bool = False) -> DcsrBlock:
-    """op(a) . op(b) over the semiring, op(x) being x or its transpose. With
-    transpose_b all of b is read, otherwise only the rows of b that op(a)
-    names. Raises ValueError when a or b is structure-only."""
+def gustavson_multiply(a, b, sr) -> DcsrBlock:
+    """a . b over the semiring, reading only the rows of b that a names.
+    Raises ValueError when a or b is structure-only."""
     _require_values(a=a, b=b)
-    a, b = _op(a, transpose_a), _op(b, transpose_b)
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
     dtype = sr.np_dtype

@@ -58,10 +58,6 @@ class Semiring:
             return (arr != 0).view(self.np_dtype)
         return arr
 
-    def decode_values(self, buf: bytes, count: int) -> list:
-        arr = self.decode_array(buf, count)
-        return (arr.astype(bool) if self.np_dtype.kind == "u" else arr).tolist()
-
 
 PLUS_TIMES_I64 = Semiring(
     name="plus-times-i64",

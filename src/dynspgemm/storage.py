@@ -118,9 +118,6 @@ class DcsrBlock:
         vals = [None] * len(cols) if vals is None else vals.tolist()
         return zip(rows.tolist(), cols.tolist(), vals)
 
-    def entry_map(self) -> dict:
-        return {(r, c): v for r, c, v in self.triples()}
-
     def check(self) -> None:
         """Raise ValueError unless the keys strictly increase within
         [0, n_rows * n_cols) and vals, when present, has one per key."""

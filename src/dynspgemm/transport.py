@@ -77,10 +77,6 @@ class Counters:
         c.peers_sent = dict(self.peers_sent)
         return c
 
-    def volume_tuple(self) -> tuple:
-        return (self.bytes_p2p, self.bytes_broadcast, self.bytes_alltoall,
-                self.bytes_aggregate, self.collective_rounds)
-
 
 _POLL = 0.05  # seconds between deadlock scans while a receive is starved
 

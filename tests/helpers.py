@@ -77,13 +77,41 @@ def loaded_block(n_rows: int, n_cols: int, triples, sr) -> DcsrBlock:
     return block
 
 
+def entry_map(block) -> dict:
+    """{(row, col): value} of a block's entries, value None when
+    structure-only."""
+    return {(r, c): v for r, c, v in block.triples()}
+
+
 def position_set(block) -> set:
     """Stored (row, col) positions of a block."""
-    return set(block.entry_map())
+    return set(entry_map(block))
 
 
-def transpose_map(m: dict) -> dict:
-    return {(j, i): v for (i, j), v in m.items()}
+def decode_values(sr, buf: bytes, count: int) -> list:
+    """Python values of count wire-encoded values of sr; the boolean lane's
+    0/1 bytes come back as bools."""
+    arr = sr.decode_array(buf, count)
+    return (arr.astype(bool) if sr.np_dtype.kind == "u" else arr).tolist()
+
+
+def owner_coords(part: BlockPartition, i: int, j: int) -> tuple[int, int]:
+    """Grid coordinates of the block that owns global (i, j)."""
+    return part.owner_grid_row(i), part.owner_grid_col(j)
+
+
+def to_local(part: BlockPartition, i: int,
+             j: int) -> tuple[int, int, int, int]:
+    """global (i, j) -> (grid_row, grid_col, local_row, local_col)."""
+    gi, gj = owner_coords(part, i, j)
+    return gi, gj, i - part.row_starts[gi], j - part.col_starts[gj]
+
+
+def volume_tuple(counters) -> tuple:
+    """A Counters' byte totals by kind, then its collective rounds."""
+    return (counters.bytes_p2p, counters.bytes_broadcast,
+            counters.bytes_alltoall, counters.bytes_aggregate,
+            counters.collective_rounds)
 
 
 def random_map(rng, n_rows: int, n_cols: int, density: float,
@@ -119,7 +147,7 @@ def update_from_map(part: BlockPartition, comm, m: dict,
     r0, c0 = part.row_starts[i], part.col_starts[j]
     blk = block_from_triples(*part.block_shape(i, j), [
         (gi - r0, gj - c0, v) for (gi, gj), v in m.items()
-        if part.owner_coords(gi, gj) == (i, j)])
+        if owner_coords(part, gi, gj) == (i, j)])
     if structure_only:
         blk = DcsrBlock(blk.n_rows, blk.n_cols, blk.keys(), None)
     return DistMatrix(part, i, j, blk)

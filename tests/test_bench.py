@@ -43,7 +43,7 @@ from dynspgemm.bench import (
 )
 from dynspgemm.cli import _parse_rmat, build_parser, main
 from dynspgemm.transport import PHASE_NAMES
-from helpers import block_from_triples, loaded_block
+from helpers import block_from_triples, entry_map, loaded_block, owner_coords
 
 
 # -- edge-list ingestion ---------------------------------------------------------
@@ -408,7 +408,7 @@ def test_checksum_ignores_insertion_and_delete_history():
     apply_batch(y, update_batch(PLUS_TIMES_I64, [0, 0, 0], [4, 5, 5],
                                 [9, 0, 0], [OP_UPSERT, OP_DELETE, OP_DELETE]),
                 PLUS_TIMES_I64, 0, 0)
-    assert y.entry_map() == x.entry_map()
+    assert entry_map(y) == entry_map(x)
     assert _local_checksum(DistMatrix(part, 0, 0, x), PLUS_TIMES_I64) == \
         _local_checksum(DistMatrix(part, 0, 0, y), PLUS_TIMES_I64)
 
@@ -428,7 +428,7 @@ def test_checksum_per_semiring_matches_reference(sr, entries, changed):
         assert _checksum(m, sr) == _reference_checksum(m, sr)
         # the same entries split over a 2x2 grid fold to the same parts
         parts = [_checksum({p: v for p, v in m.items()
-                            if BlockPartition(6, 6, 2).owner_coords(*p)
+                            if owner_coords(BlockPartition(6, 6, 2), *p)
                             == (i, j)}, sr, q=2, coords=(i, j))
                  for i in range(2) for j in range(2)]
         assert combine_checksums(parts) == combine_checksums([_checksum(m, sr)])

@@ -16,7 +16,6 @@ from dynspgemm import (
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
     Semiring,
-    SpgemmState,
     UnsupportedFeatureError,
     add_into,
     apply_batch,
@@ -34,15 +33,16 @@ from dynspgemm.bench import _local_checksum
 from helpers import (
     apply_delta,
     dist_from_map,
+    entry_map,
     gather_maps,
     hypersparse_delta,
     mixed_general_batch,
     oracle_contribution_bits,
     oracle_product,
+    owner_coords,
     position_set,
     random_map,
     spmd_collect,
-    transpose_map,
     update_from_map,
 )
 
@@ -375,7 +375,7 @@ def test_algebraic_random_updates_match_static_recompute(q, sr):
             spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
             add_into(a.block, d_a.block, sr.np_add)     # now a catches up
             static = summa_static(comm, a, b, sr)
-            assert st.C.block.entry_map() == static.block.entry_map()
+            assert entry_map(st.C.block) == entry_map(static.block)
             results.append(st.C.global_entries())
         return results
 
@@ -410,45 +410,6 @@ def test_algebraic_update_round_counts():
             assert nb == 2 * q
             assert na == 2 * q
             assert (ns, nr) == (2, 2)
-
-
-@pytest.mark.parametrize("ta", [False, True])
-@pytest.mark.parametrize("tb", [False, True])
-@pytest.mark.parametrize("q", [1, 2])
-def test_algebraic_transposed_updates_match_oracle(ta, tb, q):
-    n, k, m = 8, 6, 9    # logical product is n x k times k x m
-    rng = np.random.default_rng(17 + 4 * ta + 2 * tb + q)
-    a_shape = (k, n) if ta else (n, k)
-    b_shape = (m, k) if tb else (k, m)
-    a0 = random_map(rng, *a_shape, 0.25)
-    b0 = random_map(rng, *b_shape, 0.25)
-    da = hypersparse_delta(rng, a0, *a_shape, PLUS_TIMES_I64)
-    db = hypersparse_delta(rng, b0, *b_shape, PLUS_TIMES_I64)
-    a1 = apply_delta(a0, da, PLUS_TIMES_I64)
-    b1 = apply_delta(b0, db, PLUS_TIMES_I64)
-
-    def logical(m_, t):
-        return transpose_map(m_) if t else m_
-
-    c0 = oracle_product(logical(a0, ta), logical(b0, tb), PLUS_TIMES_I64)
-    want = oracle_product(logical(a1, ta), logical(b1, tb), PLUS_TIMES_I64)
-
-    def worker(comm):
-        part_a = BlockPartition(*a_shape, comm.q)
-        part_b = BlockPartition(*b_shape, comm.q)
-        part_c = BlockPartition(n, m, comm.q)
-        a = dist_from_map(part_a, comm, a0, PLUS_TIMES_I64)
-        # right operand after the batch
-        b = dist_from_map(part_b, comm, b1, PLUS_TIMES_I64)
-        c = dist_from_map(part_c, comm, c0, PLUS_TIMES_I64)
-        st = SpgemmState(C=c, F=None, sr=PLUS_TIMES_I64, ell=64,
-                         transpose_a=ta, transpose_b=tb)
-        spgemm_algebraic_update(comm, st, a,
-                                update_from_map(part_a, comm, da), b,
-                                update_from_map(part_b, comm, db))
-        return st.C.global_entries()
-
-    assert gather_maps(spmd_collect(q, worker)) == want
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -544,18 +505,34 @@ def test_user_built_semiring_folds_with_its_own_ufunc():
 
 
 def test_algebraic_rejects_shape_mismatch():
-    def worker(comm):
+    """Refused before any communication: a left operand of another inner
+    dimension, and (on a 2x2 grid) a right operand partitioned for a 1x1
+    grid, whose local blocks would otherwise fail mid-schedule naming local
+    block sizes."""
+    def worker(comm, mismatch):
         part = BlockPartition(4, 4, comm.q)
-        part5 = BlockPartition(5, 5, comm.q)
         a = dist_from_map(part, comm, {}, PLUS_TIMES_I64)
         b = dist_from_map(part, comm, {}, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
-        a5 = dist_from_map(part5, comm, {}, PLUS_TIMES_I64)
-        spgemm_algebraic_update(comm, st, a5, update_from_map(part5, comm, {}),
-                                b, update_from_map(part, comm, {}))
+        d_a = d_b = update_from_map(part, comm, {})
+        if mismatch == "inner":
+            part5 = BlockPartition(5, 5, comm.q)
+            a = dist_from_map(part5, comm, {}, PLUS_TIMES_I64)
+            d_a = update_from_map(part5, comm, {})
+        else:
+            b = DistMatrix(BlockPartition(4, 4, 1), comm.grid_row,
+                           comm.grid_col, DcsrBlock.empty(4, 4, dtype=np.int64))
+        before = comm.counters.snapshot()
+        try:
+            spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
+        finally:
+            assert comm.counters == before
 
-    with pytest.raises(ValueError, match="inner dimensions"):
-        spmd_collect(1, worker)
+    with pytest.raises(ValueError, match="inner dimensions differ: 5 vs 4"):
+        spmd_collect(1, worker, "inner")
+    with pytest.raises(ValueError,
+                       match="operand partitions do not match the grid"):
+        spmd_collect(2, worker, "grid")
 
 
 # -- pattern discovery -------------------------------------------------------------
@@ -591,7 +568,7 @@ def test_compute_pattern_hand_example():
         i, j = comm.grid_row, comm.grid_col
         return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
-                 new_bits.entry_map().items()})
+                 entry_map(new_bits).items()})
 
     out = spmd_collect(1, worker)
     positions = set().union(*(p for p, _ in out))
@@ -615,7 +592,7 @@ def test_compute_pattern_right_side_term():
         i, j = comm.grid_row, comm.grid_col
         return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
-                 new_bits.entry_map().items()})
+                 entry_map(new_bits).items()})
 
     for q in (1, 2):
         out = spmd_collect(q, worker)
@@ -663,7 +640,7 @@ def test_compute_pattern_matches_structural_oracle(q):
         i, j = comm.grid_row, comm.grid_col
         return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
-                 new_bits.entry_map().items()})
+                 entry_map(new_bits).items()})
 
     out = spmd_collect(q, worker)
     positions = set().union(*(p for p, _ in out))
@@ -739,7 +716,7 @@ def test_general_random_updates_match_static_recompute(q):
             stats = spgemm_general_update(comm, st, a_prime, d_a, b_prime,
                                           d_b, a_mat)
             static = summa_static(comm, a_prime, b_prime, MIN_PLUS)
-            assert st.C.block.entry_map() == static.block.entry_map()
+            assert entry_map(st.C.block) == entry_map(static.block)
             to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
             touched_g = {to_global(i, j, r, c)
@@ -826,20 +803,6 @@ def test_general_bloom_stays_superset_after_chained_updates():
         for pos, bits in needed.items():
             assert pos in f_map
             assert bits & ~f_map[pos] == 0, (pos, bin(bits), bin(f_map[pos]))
-
-
-def test_general_rejects_transposed_state():
-    def worker(comm):
-        part = BlockPartition(4, 4, comm.q)
-        a = dist_from_map(part, comm, {}, MIN_PLUS)
-        b = dist_from_map(part, comm, {}, MIN_PLUS)
-        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
-        st.transpose_a = True
-        d = update_from_map(part, comm, {}, structure_only=True)
-        spgemm_general_update(comm, st, a, d, b, d, a)
-
-    with pytest.raises(UnsupportedFeatureError):
-        spmd_collect(1, worker)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -956,7 +919,7 @@ def test_any_call_order_is_exact_or_raises(q, sr, data):
 
     def check(comm, part, st_, product):
         mine = {p: v for p, v in product.items()
-                if part.owner_coords(*p) == (comm.grid_row, comm.grid_col)}
+                if owner_coords(part, *p) == (comm.grid_row, comm.grid_col)}
         assert st_.C.global_entries() == mine
 
     def worker(comm):
@@ -1128,19 +1091,19 @@ def test_general_refuses_a_state_whose_f_has_other_positions():
         d_b = update_from_map(part, comm, {}, structure_only=True)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         c, f = st.C.block, st.F.block
-        c_before, f_before = c.entry_map(), f.entry_map()
+        c_before, f_before = entry_map(c), entry_map(f)
         # F with C's positions in an array of its own is re-keyed onto C's
         st.F.block = DcsrBlock(f.n_rows, f.n_cols, f.keys().copy(), f.vals)
         spgemm_general_update(comm, st, a, d_a, b, d_b, a)
         assert st.F.block.keys() is st.C.block.keys()
-        assert (st.C.block.entry_map(), st.F.block.entry_map()) == \
+        assert (entry_map(st.C.block), entry_map(st.F.block)) == \
             (c_before, f_before)
         # F missing one of C's positions: raises, nothing merged
         short = DcsrBlock(f.n_rows, f.n_cols, c.keys()[1:], f.vals[1:])
         st.F.block = short
         with pytest.raises(ValueError, match="other positions"):
             spgemm_general_update(comm, st, a, d_a, b, d_b, a)
-        assert st.C.block.entry_map() == c_before
+        assert entry_map(st.C.block) == c_before
         assert st.F.block is short and short.nnz == len(f_before) - 1
         return True
 
@@ -1192,7 +1155,7 @@ def test_dist_matrix_from_triples_holds_the_semiring_dtype_on_every_rank():
         assert d.block.vals.dtype == PLUS_TIMES_I64.np_dtype
         i, j = comm.grid_row, comm.grid_col
         batch = update_batch(PLUS_TIMES_I64, [3], [3], [big])
-        if part.owner_coords(3, 3) == (i, j):
+        if owner_coords(part, 3, 3) == (i, j):
             apply_batch(d.block, batch, PLUS_TIMES_I64, d.row_base, d.col_base)
         return d.global_entries()
 

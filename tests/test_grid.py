@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dynspgemm import BlockPartition, ProcessGrid, split_range
+from helpers import owner_coords, to_local
 
 
 def test_grid_rank_layout_round_trip():
@@ -75,9 +76,9 @@ def test_split_range_balanced():
 
 def test_owner_examples_square_4():
     part = BlockPartition(4, 4, 2)
-    assert part.owner_coords(3, 0) == (1, 0)
-    assert part.owner_coords(0, 3) == (0, 1)
-    assert part.owner_coords(0, 0) == (0, 0)
+    assert owner_coords(part, 3, 0) == (1, 0)
+    assert owner_coords(part, 0, 3) == (0, 1)
+    assert owner_coords(part, 0, 0) == (0, 0)
     assert part.row_sizes == [2, 2]
 
 
@@ -87,7 +88,7 @@ def test_owner_example_uneven_5():
     assert part.owner_grid_row(2) == 0
     assert part.owner_grid_row(3) == 1
     # global row 3 is local row 0 of the second block row
-    gi, gj, li, lj = part.to_local(3, 0)
+    gi, gj, li, lj = to_local(part, 3, 0)
     assert (gi, li) == (1, 0)
 
 
@@ -100,8 +101,8 @@ def test_local_global_round_trip_exhaustive():
                 part = BlockPartition(n, m, q)
                 for i in range(n):
                     for j in range(m):
-                        gi, gj, li, lj = part.to_local(i, j)
-                        assert (gi, gj) == part.owner_coords(i, j)
+                        gi, gj, li, lj = to_local(part, i, j)
+                        assert (gi, gj) == owner_coords(part, i, j)
                         br, bc = part.block_shape(gi, gj)
                         assert 0 <= li < br and 0 <= lj < bc
                         assert part.to_global(gi, gj, li, lj) == (i, j)

@@ -20,12 +20,13 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm.redistribute import _buckets
+from helpers import decode_values, entry_map, owner_coords
 
 
 def records(batch, sr):
     """A batch as (row, col, op, value) tuples with Python values; a delete
     reads as value None."""
-    vals = sr.decode_values(batch["v"].tobytes(), len(batch))
+    vals = decode_values(sr, batch["v"].tobytes(), len(batch))
     return [(i, j, op, None if op else v) for i, j, op, v in
             zip(batch["i"].tolist(), batch["j"].tolist(),
                 batch["op"].tolist(), vals)]
@@ -172,7 +173,7 @@ def test_route_random_tuples_preserved_and_owned(sr):
     def worker(comm):
         got = redistribute_updates(comm, part, per_rank[comm.rank], sr)
         grid = (comm.grid_row, comm.grid_col)
-        assert all(part.owner_coords(i, j) == grid for i, j, _, _ in
+        assert all(owner_coords(part, i, j) == grid for i, j, _, _ in
                    records(got, sr))
         peers = set(comm.counters.peers_sent)
         assert peers <= set(comm.row_group()) | set(comm.col_group())
@@ -221,14 +222,14 @@ def test_apply_upsert_then_delete_same_position():
                          ops=[OP_UPSERT, OP_DELETE])
     stats = apply_batch(b, batch, PLUS_TIMES_I64, 0, 0)
     assert stats == (1, 1)
-    assert b.nnz == 0 and b.entry_map() == {}
+    assert b.nnz == 0 and entry_map(b) == {}
 
 
 def test_apply_translates_base_offsets():
     b = _empty(PLUS_TIMES_I64, 2, 2)
     apply_batch(b, upserts(PLUS_TIMES_I64, (10, 21, 7)), PLUS_TIMES_I64,
                 row_base=10, col_base=20)
-    assert b.entry_map() == {(0, 1): 7}
+    assert entry_map(b) == {(0, 1): 7}
 
 
 @pytest.mark.parametrize("entry", [(9, 20), (10, 25), (12, 20), (10, 19)])
@@ -241,7 +242,7 @@ def test_apply_rejects_updates_outside_the_block(entry):
     batch = upserts(PLUS_TIMES_I64, (10, 20, 1), (11, 21, 4), (*entry, 7))
     with pytest.raises(ValueError, match="outside"):
         apply_batch(b, batch, PLUS_TIMES_I64, row_base=10, col_base=20)
-    assert b.nnz == 1 and b.entry_map() == {(1, 1): 3}
+    assert b.nnz == 1 and entry_map(b) == {(1, 1): 3}
 
 
 def test_apply_bool_values_stay_bools():
@@ -251,7 +252,7 @@ def test_apply_bool_values_stay_bools():
     batch["v"][2] = 7   # a non-zero byte off the wire still reads as true
     apply_batch(b, batch, BOOLEAN, 0, 0)
     assert b.vals.dtype == BOOLEAN.np_dtype
-    assert b.entry_map() == {(0, 0): 1, (0, 1): 1, (1, 1): 0}
+    assert entry_map(b) == {(0, 0): 1, (0, 1): 1, (1, 1): 0}
 
 
 def _random_batch(rng, sr, n, count):
@@ -305,7 +306,7 @@ def test_apply_matches_sequential_oracle(sr):
                        "".join(map(str, ops)) for ops in ops_at.values())
         want = _apply_in_order(oracle, batch, sr)
         assert apply_batch(b, batch, sr, 0, 0) == want
-        assert b.entry_map() == oracle
+        assert entry_map(b) == oracle
         assert b.vals.dtype == sr.np_dtype
         b.check()
     assert any(v == sr.zero for v in oracle.values())

@@ -13,6 +13,7 @@ from dynspgemm import (
     REGISTRY,
     by_name,
 )
+from helpers import decode_values
 
 
 def _samples(sr, rng, count):
@@ -71,9 +72,9 @@ def test_codec_round_trip(sr):
     vals = _samples(sr, rng, 257)
     blob = sr.encode_values(vals)
     assert len(blob) == sr.value_width * len(vals)
-    back = sr.decode_values(blob, len(vals))
+    back = decode_values(sr, blob, len(vals))
     assert list(back) == vals
-    assert list(sr.decode_values(b"", 0)) == []
+    assert list(decode_values(sr, b"", 0)) == []
 
 
 def test_value_widths():
@@ -85,7 +86,7 @@ def test_value_widths():
 
 def test_infinity_survives_codec():
     blob = MIN_PLUS.encode_values([math.inf, 3.0])
-    assert list(MIN_PLUS.decode_values(blob, 2)) == [math.inf, 3.0]
+    assert list(decode_values(MIN_PLUS, blob, 2)) == [math.inf, 3.0]
 
 
 def test_registry_lookup():

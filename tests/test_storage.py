@@ -28,7 +28,13 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm.storage import dcsr_from_keys
-from helpers import block_from_triples, dcsr_from_row_map, loaded_block, position_set
+from helpers import (
+    block_from_triples,
+    dcsr_from_row_map,
+    entry_map,
+    loaded_block,
+    position_set,
+)
 
 
 # -- operand blocks under update batches --------------------------------------
@@ -50,10 +56,10 @@ def test_upsert_get_overwrite():
     b = _empty(2, 2)
     assert _apply(b, (0, 1, 5)) == (1, 0)
     assert b.nnz == 1
-    assert b.entry_map() == {(0, 1): 5}
+    assert entry_map(b) == {(0, 1): 5}
     assert _apply(b, (0, 1, 7)) == (0, 0)
     assert b.nnz == 1
-    assert b.entry_map() == {(0, 1): 7}
+    assert entry_map(b) == {(0, 1): 7}
     b.check()
 
 
@@ -63,7 +69,7 @@ def test_delete_absent_and_present():
     assert _apply(b, (1, 2, 9)) == (1, 0)
     assert _apply(b, (1, 2)) == (0, 1)
     assert b.nnz == 0
-    assert b.entry_map() == {}
+    assert entry_map(b) == {}
     assert _apply(b, (1, 2)) == (0, 0)
     b.check()
 
@@ -73,7 +79,7 @@ def test_delete_middle_of_row_keeps_bijection():
     _apply(b, (0, 3, 30), (0, 5, 50), (0, 7, 70))
     assert _apply(b, (0, 5)) == (0, 1)
     b.check()
-    assert b.entry_map() == {(0, 3): 30, (0, 7): 70}
+    assert entry_map(b) == {(0, 3): 30, (0, 7): 70}
     assert list(b.iter_rows()) == [(0, [3, 7], [30, 70])]
     assert b.nnz == 2
 
@@ -82,11 +88,11 @@ def test_apply_updates_combine_inserts_then_folds():
     # folding is add_into's job: a new position inserts, a stored one folds
     b = DcsrBlock.empty(2, 2)
     add_into(b, dcsr_from_row_map(2, 2, {0: {0: 4.0}}), MIN_PLUS.np_add)
-    assert b.entry_map() == {(0, 0): 4.0}
+    assert entry_map(b) == {(0, 0): 4.0}
     add_into(b, dcsr_from_row_map(2, 2, {0: {0: 2.0}}), MIN_PLUS.np_add)
-    assert b.entry_map() == {(0, 0): 2.0}
+    assert entry_map(b) == {(0, 0): 2.0}
     add_into(b, dcsr_from_row_map(2, 2, {0: {0: 9.0}}), MIN_PLUS.np_add)
-    assert b.entry_map() == {(0, 0): 2.0}
+    assert entry_map(b) == {(0, 0): 2.0}
 
 
 def test_random_ops_match_dict_oracle():
@@ -109,7 +115,7 @@ def test_random_ops_match_dict_oracle():
             elif oracle.pop(rec, None) is not None:
                 want_del += 1
         assert _apply(b, *records) == (want_ins, want_del)
-        assert b.entry_map() == oracle
+        assert entry_map(b) == oracle
         b.check()
     assert b.nnz == len(oracle)
 
@@ -118,14 +124,14 @@ def test_structural_zero_is_kept():
     b = _empty(2, 2)
     _apply(b, (0, 0, 5), (1, 1, 0))
     add_into(b, dcsr_from_row_map(2, 2, {0: {0: -5}}), PLUS_TIMES_I64.np_add)
-    assert b.entry_map() == {(0, 0): 0, (1, 1): 0}
+    assert entry_map(b) == {(0, 0): 0, (1, 1): 0}
     assert b.nnz == 2
 
 
 def test_from_triples_and_row_access():
     b = block_from_triples(3, 4, [(0, 1, 5), (2, 0, 3), (0, 1, 6)])
     assert b.nnz == 2
-    assert b.entry_map()[(0, 1)] == 6   # later triple overwrites
+    assert entry_map(b)[(0, 1)] == 6   # later triple overwrites
     # lists of Python scalars, as triples() yields Python scalars
     assert list(b.iter_rows()) == [(0, [1], [6]), (2, [0], [3])]
     assert all(type(x) is list for _, cols, vals in b.iter_rows()
@@ -164,7 +170,7 @@ def test_round_trip_conversions_preserve_triples():
     b.check()
     want = set((r, c, v) for r, c, v in triples)
     assert set(b.triples()) == want
-    assert b.entry_map() == block_from_triples(30, 17, triples).entry_map()
+    assert entry_map(b) == entry_map(block_from_triples(30, 17, triples))
     assert position_set(b) == {(r, c) for r, c, _ in triples}
 
 
@@ -246,7 +252,7 @@ def test_same_entries_agrees_with_entry_map_equality():
             _apply(y, (r, c, int(rng.integers(0, 3))))
         elif change < 0.6:
             _apply(y, (r, c))
-        want = x.entry_map() == y.entry_map()
+        want = entry_map(x) == entry_map(y)
         assert same_entries(x, y, PLUS_TIMES_I64.np_dtype) == want
         outcomes.add(want)
     assert outcomes == {True, False}
@@ -264,9 +270,9 @@ def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
     big = [1e16, 1.0, -1e16, 3.0]
     rows, cols = [2, 0, 2, 2, 2], [1, 0, 1, 1, 1]
     vals = np.array([big[0], 5.0] + big[1:])
-    assert dcsr_from_coo(3, 3, rows, cols, vals, np.add).entry_map() == \
+    assert entry_map(dcsr_from_coo(3, 3, rows, cols, vals, np.add)) == \
         {(0, 0): 5.0, (2, 1): 3.0}
-    assert dcsr_from_coo(3, 3, rows, cols, vals).entry_map() == \
+    assert entry_map(dcsr_from_coo(3, 3, rows, cols, vals)) == \
         {(0, 0): 5.0, (2, 1): 1e16}
     s = dcsr_from_coo(5, 5, [1, 1], [2, 2])
     assert s.vals is None
@@ -372,7 +378,7 @@ def test_derived_layout_matches_dict_oracle(data):
                          np.asarray(vals, sr.np_dtype).tobytes())
     back = dcsr_deserialize(blob, codec)
     back.check()
-    assert back.entry_map() == entries
+    assert entry_map(back) == entries
 
     ell = data.draw(st.sampled_from([8, 16, 32, 64]))
     bits = data.draw(st.lists(st.integers(0, 2 ** ell - 1),
@@ -422,16 +428,16 @@ def test_add_into_examples():
     dst = block_from_triples(2, 2, [(0, 0, 4.0)])
     upd = dcsr_from_row_map(2, 2, {0: {0: 2.0}})
     add_into(dst, upd, MIN_PLUS.np_add)
-    assert dst.entry_map() == {(0, 0): 2.0}
+    assert entry_map(dst) == {(0, 0): 2.0}
 
     dst2 = block_from_triples(2, 2, [(0, 0, 4)])
     upd2 = dcsr_from_row_map(2, 2, {0: {0: 2}})
     add_into(dst2, upd2, PLUS_TIMES_I64.np_add)
-    assert dst2.entry_map() == {(0, 0): 6}
+    assert entry_map(dst2) == {(0, 0): 6}
 
     empty = _empty(2, 2)
     add_into(empty, upd2, PLUS_TIMES_I64.np_add)
-    assert empty.entry_map() == upd2.entry_map()
+    assert entry_map(empty) == entry_map(upd2)
 
 
 def test_add_into_an_empty_block_copies_a_read_only_source():
@@ -444,18 +450,18 @@ def test_add_into_an_empty_block_copies_a_read_only_source():
     dst = DcsrBlock.empty(2, 3, dtype=np.float64)
     add_into(dst, src, np.add)
     assert dst.vals.dtype == np.float64
-    assert dst.entry_map() == {(0, 1): 5.0, (1, 2): 7.0}
+    assert entry_map(dst) == {(0, 1): 5.0, (1, 2): 7.0}
     dst.vals[0] = 99.0
     add_into(dst, src, np.add)          # dst's own arrays take in-place folds
-    assert dst.entry_map() == {(0, 1): 104.0, (1, 2): 14.0}
-    assert src.entry_map() == {(0, 1): 5, (1, 2): 7}
+    assert entry_map(dst) == {(0, 1): 104.0, (1, 2): 14.0}
+    assert entry_map(src) == {(0, 1): 5, (1, 2): 7}
 
     bits = dcsr_deserialize(
         dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint8),
                        bloom_codec(8)), bloom_codec(8))
     dst = DcsrBlock.empty(2, 3, dtype=np.uint64)
     or_into(dst, bits)
-    assert dst.vals.dtype == np.uint64 and dst.entry_map() == {(1, 0): 3}
+    assert dst.vals.dtype == np.uint64 and entry_map(dst) == {(1, 0): 3}
 
 
 def test_add_into_with_inverses_restores():
@@ -468,18 +474,18 @@ def test_add_into_with_inverses_restores():
     add_into(dst, delta, PLUS_TIMES_I64.np_add)
     # every position still present, all values identically zero
     assert dst.nnz == len(base)
-    assert all(v == 0 for v in dst.entry_map().values())
+    assert all(v == 0 for v in entry_map(dst).values())
     neg = dcsr_from_row_map(9, 9, {r: {c: base[(r, c)] for (rr, c) in base if rr == r}
                                    for r in {rc[0] for rc in base}})
     add_into(dst, neg, PLUS_TIMES_I64.np_add)
-    assert dst.entry_map() == base
+    assert entry_map(dst) == base
 
 
 def test_or_into_accumulates_bitfields():
     dst = block_from_triples(2, 2, [(0, 0, 0b0001)])
     upd = dcsr_from_row_map(2, 2, {0: {0: 0b0100, 1: 0b0010}})
     or_into(dst, upd)
-    assert dst.entry_map() == {(0, 0): 0b0101, (0, 1): 0b0010}
+    assert entry_map(dst) == {(0, 0): 0b0101, (0, 1): 0b0010}
 
 
 # -- bloom row filter ----------------------------------------------------------
@@ -502,7 +508,7 @@ def test_filter_rows_small_ell_example():
     # exactly columns congruent to 1 (mod 4): here 1 and 5 but not 2.
     a = block_from_triples(1, 8, [(0, 1, 10), (0, 5, 50), (0, 2, 20)])
     out = filter_rows_by_bloom(a, [0b0010], col_base=0, ell=4)
-    assert out.entry_map() == {(0, 1): 10, (0, 5): 50}
+    assert entry_map(out) == {(0, 1): 10, (0, 5): 50}
 
 
 def test_filter_rows_respects_col_base():
@@ -510,7 +516,7 @@ def test_filter_rows_respects_col_base():
     a = block_from_triples(1, 4, [(0, 0, 7), (0, 1, 8)])
     out = filter_rows_by_bloom(a, [0b0001], col_base=3, ell=4)
     # global cols are 3 and 4 -> bits 3 and 0; only bit 0 passes
-    assert out.entry_map() == {(0, 1): 8}
+    assert entry_map(out) == {(0, 1): 8}
 
 
 def test_filter_rows_output_is_subset():
@@ -522,7 +528,7 @@ def test_filter_rows_output_is_subset():
     out = filter_rows_by_bloom(a, r_vec, col_base=5, ell=8)
     out.check()
     for r, c, v in out.triples():
-        assert a.entry_map()[(r, c)] == v
+        assert entry_map(a)[(r, c)] == v
         assert (r_vec[r] >> ((5 + c) % 8)) & 1
 
 
@@ -552,7 +558,7 @@ def test_wire_round_trip(sr):
     b = block_from_triples(50, 40, triples)
     blob = dcsr_serialize(b, semiring_codec(sr))
     back = dcsr_deserialize(blob, semiring_codec(sr))
-    assert back.entry_map() == b.entry_map()
+    assert entry_map(back) == entry_map(b)
     assert (back.n_rows, back.n_cols) == (50, 40)
 
 
@@ -572,7 +578,7 @@ def test_wire_round_trip_large():
     b = block_from_triples(n, n, triples)
     blob = dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64))
     back = dcsr_deserialize(blob, semiring_codec(PLUS_TIMES_I64))
-    assert back.entry_map() == b.entry_map()
+    assert entry_map(back) == entry_map(b)
 
 
 def test_wire_structure_only():
@@ -587,7 +593,7 @@ def test_wire_bloom_round_trip():
     b = dcsr_from_row_map(4, 4, {0: {1: 0b101}, 2: {3: 0x8000}})
     blob = dcsr_serialize(b, bloom_codec(16))
     back = dcsr_deserialize(blob, bloom_codec(16))
-    assert back.entry_map() == {(0, 1): 0b101, (2, 3): 0x8000}
+    assert entry_map(back) == {(0, 1): 0b101, (2, 3): 0x8000}
 
 
 def _keyed(n_rows, n_cols, keys, vals):
@@ -627,7 +633,7 @@ def test_wire_rejects_corruption():
                  [1, 9]):    # == n_rows * n_cols
         with pytest.raises(DecodeError):
             dcsr_deserialize(_keyed(3, 3, keys, [5, 3]), codec)
-    assert dcsr_deserialize(_keyed(3, 3, [0, 8], [5, 3]), codec).entry_map() \
+    assert entry_map(dcsr_deserialize(_keyed(3, 3, [0, 8], [5, 3]), codec)) \
         == {(0, 0): 5, (2, 2): 3}
 
 
@@ -641,12 +647,12 @@ def test_wire_rejects_shapes_beyond_int64_keys():
         dcsr_deserialize(_keyed(2 ** 62, 4, [wrapped], [7]), codec)
     # the largest shape whose keys fit still decodes
     top = dcsr_deserialize(_keyed(1, 2 ** 63 - 1, [2 ** 63 - 2], [7]), codec)
-    assert top.entry_map() == {(0, 2 ** 63 - 2): 7}
+    assert entry_map(top) == {(0, 2 ** 63 - 2): 7}
 
 
 def test_structural_zero_survives_wire():
     b = block_from_triples(2, 2, [(0, 0, 0)])
     back = dcsr_deserialize(dcsr_serialize(b, semiring_codec(PLUS_TIMES_I64)),
                             semiring_codec(PLUS_TIMES_I64))
-    assert back.entry_map() == {(0, 0): 0}
+    assert entry_map(back) == {(0, 0): 0}
 

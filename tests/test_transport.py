@@ -17,7 +17,12 @@ from dynspgemm import (
     run_spmd,
     semiring_codec,
 )
-from helpers import block_from_triples, dcsr_from_row_map
+from helpers import (
+    block_from_triples,
+    dcsr_from_row_map,
+    entry_map,
+    volume_tuple,
+)
 
 I64 = semiring_codec(PLUS_TIMES_I64)
 
@@ -240,7 +245,7 @@ def test_aggregate_folds_to_root():
         v = 1 if comm.grid_col == 0 else 2
         block = dcsr_from_row_map(2, 2, {0: {0: v}})
         got = comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64)
-        return None if got is None else got.entry_map()
+        return None if got is None else entry_map(got)
 
     out = run_spmd(4, worker)
     assert out[0] == {(0, 0): 3}
@@ -256,7 +261,7 @@ def test_aggregate_with_one_empty_contribution():
         else:
             block = DcsrBlock.empty(3, 3)
         got = comm.aggregate_sparse("row", 1, block, PLUS_TIMES_I64.np_add, I64)
-        return None if got is None else got.entry_map()
+        return None if got is None else entry_map(got)
 
     out = run_spmd(4, worker)
     assert out[0] is None and out[2] is None
@@ -284,7 +289,7 @@ def test_aggregate_matches_sequential_fold_oracle():
                 n, n, [(r, c, v) for (r, c), v in mine.items()])
             got = comm.aggregate_sparse("row", 2, block, sr.np_add,
                                         semiring_codec(sr))
-            return None if got is None else got.entry_map()
+            return None if got is None else entry_map(got)
 
         # oracle: fold in ascending member order
         want: dict = {}
@@ -342,7 +347,7 @@ def test_back_to_back_aggregations_reach_their_own_roots():
             block = block_from_triples(
                 n, n, [(r, c, v) for (r, c), v in mine.items()])
             res = comm.aggregate_sparse("row", root, block, sr.np_add, codec)
-            got.append(None if res is None else res.entry_map())
+            got.append(None if res is None else entry_map(res))
         return got
 
     out = run_spmd(q * q, worker)
@@ -359,7 +364,7 @@ def test_back_to_back_aggregations_reach_their_own_roots():
 def test_aggregate_single_rank_is_identity():
     def worker(comm):
         block = dcsr_from_row_map(2, 2, {1: {1: 5}})
-        return comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64).entry_map()
+        return entry_map(comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64))
 
     (got,), = (run_spmd(1, worker),)
     assert got == {(1, 1): 5}
@@ -379,7 +384,7 @@ def test_aggregate_on_column_axis():
     def worker(comm):
         block = dcsr_from_row_map(2, 2, {comm.grid_row: {0: 10 ** comm.grid_row}})
         got = comm.aggregate_sparse("col", 0, block, PLUS_TIMES_I64.np_add, I64)
-        return None if got is None else got.entry_map()
+        return None if got is None else entry_map(got)
 
     out = run_spmd(4, worker)
     assert out[0] == {(0, 0): 1, (1, 0): 10}
@@ -404,7 +409,7 @@ def test_barrier_orders_side_effects():
 def test_barrier_moves_no_payload_bytes():
     def worker(comm):
         comm.barrier()
-        return comm.counters.volume_tuple()
+        return volume_tuple(comm.counters)
 
     for vol in run_spmd(4, worker):
         assert vol == (0, 0, 0, 0, 0)
@@ -448,7 +453,7 @@ def test_counters_are_deterministic_across_runs():
         block = dcsr_from_row_map(4, 4, {comm.rank % 4: {0: 1}})
         comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64)
         c = comm.counters
-        return c.volume_tuple(), c.n_broadcasts, c.n_alltoalls, c.n_aggregates, \
+        return volume_tuple(c), c.n_broadcasts, c.n_alltoalls, c.n_aggregates, \
             dict(c.peers_sent)
 
     first = run_spmd(16, worker)
