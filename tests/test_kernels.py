@@ -277,12 +277,19 @@ def _entries(n_rows, n_cols, sr):
     return st.dictionaries(pos, _value(sr), max_size=n_rows * n_cols // 2)
 
 
+def _flip(entries):
+    return {(j, i): v for (i, j), v in entries.items()}
+
+
 @st.composite
-def _operands(draw, sr):
-    # a is n x k and b is k x m
+def _operands(draw, sr, ta=False, tb=False):
+    # a is n x k and b is k x m; ta (tb) draws a k x n (m x k) map and
+    # flips it, so the kernel sees entries laid out in the other orientation
     n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
-    a_map = draw(_entries(n, k, sr))
-    b_map = draw(_entries(k, m, sr))
+    a_map = draw(_entries(k, n, sr)) if ta else draw(_entries(n, k, sr))
+    b_map = draw(_entries(m, k, sr)) if tb else draw(_entries(k, m, sr))
+    a_map = _flip(a_map) if ta else a_map
+    b_map = _flip(b_map) if tb else b_map
     kinds = draw(st.tuples(st.sampled_from(("dynamic", "dcsr")),
                            st.sampled_from(("dynamic", "dcsr"))))
     return (a_map, b_map, _block(a_map, n, k, kinds[0], sr),
@@ -293,11 +300,13 @@ _KERNEL_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
                             database=None)
 
 
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("tb", [False, True])
 @pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
 @_KERNEL_SETTINGS
 @given(data=st.data())
-def test_gustavson_matches_oracle_property(sr, data):
-    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr))
+def test_gustavson_matches_oracle_property(sr, ta, tb, data):
+    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr, ta, tb))
     c = gustavson_multiply(a, b, sr)
     c.check()
     assert (c.n_rows, c.n_cols) == (n, m)
@@ -405,11 +414,13 @@ def test_float_sums_fold_in_ascending_inner_index():
 # -- row bands -------------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("tb", [False, True])
 @pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_banded_gustavson_matches_oracle_property(sr, budget, data):
-    a_map, b_map, a, b, _ = data.draw(_operands(sr))
+def test_banded_gustavson_matches_oracle_property(sr, ta, tb, budget, data):
+    a_map, b_map, a, b, _ = data.draw(_operands(sr, ta, tb))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BAND_PRODUCTS", budget)
         c = gustavson_multiply(a, b, sr)
