@@ -32,7 +32,8 @@ from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
 from .storage import _run_starts, dcsr_from_coo, same_entries
-from .transport import PHASE_NAMES, PhaseRecorder, run_spmd
+from .transport import PHASE_NAMES, PhaseRecorder, keep_freed_pages, \
+    run_spmd
 
 
 class ConfigError(ValueError):
@@ -385,9 +386,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
     """Execute one experiment over all simulated ranks; returns per-batch
     metric records plus the final-state checksum. spgemm experiments verify
     the maintained product against a from-scratch recompute when the
-    estimated work is under cfg.verify_cap."""
+    estimated work is under cfg.verify_cap. Sets glibc's allocator policy
+    for the whole process first (transport.keep_freed_pages), as an MPI
+    launcher owns its ranks' processes."""
     validate_config(cfg)
     sr = resolve_semiring(cfg)
+    keep_freed_pages()
     n, rows, cols = _build_pool(cfg)
     vals = _entry_values(cfg, sr, len(rows))
     do_verify = False

@@ -73,18 +73,13 @@ class BlockPartition:
         self.col_starts = _starts(self.col_sizes)
 
     # ownership -----------------------------------------------------------
-    def owner_grid_row(self, i: int) -> int:
-        return _owner(i, self.n_rows, self.q)
-
-    def owner_grid_col(self, j: int) -> int:
-        return _owner(j, self.n_cols, self.q)
-
     def owner_grid_rows(self, rows: np.ndarray) -> np.ndarray:
-        """owner_grid_row of every entry of an array of in-range indices."""
+        """The grid row owning each of an array of in-range row indices."""
         return np.searchsorted(self.row_starts, rows, side="right") - 1
 
     def owner_grid_cols(self, cols: np.ndarray) -> np.ndarray:
-        """owner_grid_col of every entry of an array of in-range indices."""
+        """The grid column owning each of an array of in-range column
+        indices."""
         return np.searchsorted(self.col_starts, cols, side="right") - 1
 
     # translations --------------------------------------------------------
@@ -103,13 +98,3 @@ def _starts(sizes: list[int]) -> list[int]:
     for s in sizes:
         out.append(out[-1] + s)
     return out
-
-
-def _owner(i: int, n: int, q: int) -> int:
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range [0, {n})")
-    hi, r = divmod(n, q)
-    head = r * (hi + 1)
-    if i < head:
-        return i // (hi + 1)
-    return r + (i - head) // hi

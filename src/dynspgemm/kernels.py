@@ -8,8 +8,9 @@ m its width, found by two `searchsorted` calls (_expand), so only the rows
 that a names are read and the cost tracks the number of products, not the
 size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
 output key r * m + c (_products), and callers spread a's values and bits
-to the products with .repeat(count). Sort and compress: a stable argsort
-orders the products by output key (storage._sort_fold); each key's first
+to the products with .repeat(count). Sort and compress: a stable sort
+orders the products by output key (storage._sort_fold, by packed
+key-and-index words once a band holds 2^12 products); each key's first
 product is gathered by its run-start index and the others fold into it
 with ufunc.at, left to right in input order, which is ascending inner
 index k because a is read in key order.
@@ -20,9 +21,10 @@ into bands of at most BAND_PRODUCTS products, a longer row being a band on
 its own, with the cuts placed from the cumulative sum of the per-entry
 product counts. Every output key's products lie in one band, in input
 order, so each fold is the one a single sort would give, bit for bit, and
-the bands' outputs joined in order are canonical. The band caps every
-product-sized temporary (sort order, sorted keys, run masks, gathers), so
-a large product's working memory stays band-sized. masked_multiply
+the bands' outputs, written one after another into the result arrays, are
+canonical. The band caps every product-sized temporary (sort words and
+order, run masks, gathers), so a large product's working memory stays
+band-sized. masked_multiply
 expands only the rows of a that hold a mask position, drops the products
 outside the mask, and folds both its values and its bitfields from one
 sort. The value kernels raise ValueError on a structure-only operand;
@@ -100,18 +102,29 @@ def _banded_esc(rows, inner, b: DcsrBlock, columns):
     of the entries in slice s, count and bi being theirs. Every output key's
     products lie in one band, in input order, and the bands' keys ascend
     band after band, so the joined result is _sort_fold's over all the
-    products: (keys, folded arrays)."""
+    products: (keys, folded arrays). Past one band, each band's output is
+    written into result arrays sized by the product count, which bounds
+    the output, and trimmed in place at the end."""
     keys, width = b.keys(), b.n_cols
     start, count = _expand(inner, keys, width)
-    bands = []
-    for lo, hi in _row_bands(rows, count):
+    bands = _row_bands(rows, count)
+    result, n = [], 0
+    for lo, hi in bands:
         s = slice(lo, hi)
         bi, out = _products(rows[s], inner[s], start[s], count[s], keys, width)
-        bands.append(_sort_fold(out, *columns(s, count[s], bi)))
-    if len(bands) == 1:
-        return bands[0]
-    return (np.concatenate([k for k, _ in bands]),
-            [np.concatenate(f) for f in zip(*(f for _, f in bands))])
+        k, folded = _sort_fold(out, *columns(s, count[s], bi))
+        if len(bands) == 1:
+            return k, folded
+        if not result:
+            total = int(count.sum())
+            result = [np.empty(total, dtype=x.dtype) for x in (k, *folded)]
+        for dst, src in zip(result, (k, *folded)):
+            dst[n:n + len(k)] = src
+        n += len(k)
+        del bi, out, k, folded   # band-sized: free them before the next band
+    for arr in result:
+        arr.resize(n, refcheck=False)
+    return result[0], result[1:]
 
 
 def _bits(inner: np.ndarray, inner_base: int, ell: int) -> np.ndarray:

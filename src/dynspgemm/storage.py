@@ -9,7 +9,9 @@ A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
 emit blocks only through _sort_fold, directly or behind dcsr_from_keys and
-dcsr_from_coo: one stable argsort by key and an index compress that folds
+dcsr_from_coo: one stable sort by key (an in-place sort of packed
+key-and-index words, or a stable argsort for short keys, keys in a few
+ascending runs and keys too wide to pack) and an index compress that folds
 repeated keys in input order, for one value array or several from the one
 sort (masked_multiply's values and bitfields). The value and pattern
 kernels call it once per row band of their products, so one call sorts at
@@ -163,18 +165,69 @@ def dcsr_from_keys(n_rows: int, n_cols: int, keys: np.ndarray, vals=None,
     return DcsrBlock(n_rows, n_cols, keys, vals)
 
 
+_PACK_MIN = 1 << 12
+"""Keys shorter than this sort by stable argsort: below it numpy's per-call
+cost outweighs what the packed-word sort saves."""
+
+_PACK_MIN_DESCENTS = 64
+"""Keys that descend fewer times than this form a few ascending runs (the
+concatenated blocks of an aggregation or combine_blocks), which the stable
+argsort (timsort) merges in linear time, faster than the packed-word
+sort."""
+
+
+def _pack_shift(keys: np.ndarray) -> int:
+    """b, the bit length of len(keys) - 1, when keys sort as packed words
+    (key - min) << b | index; 0 when they take the stable argsort instead:
+    keys shorter than _PACK_MIN, not int64, descending fewer than
+    _PACK_MIN_DESCENTS times, or whose words would not fit in 63 bits."""
+    n = len(keys)
+    if n < _PACK_MIN or keys.dtype != np.int64:
+        return 0
+    b = (n - 1).bit_length()
+    if (int(keys.max()) - int(keys.min())).bit_length() + b > 63:
+        return 0
+    if np.count_nonzero(keys[1:] < keys[:-1]) < _PACK_MIN_DESCENTS:
+        return 0
+    return b
+
+
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, keys[order]) for the stable argsort order of keys, without
+    changing keys. Keys that _pack_shift admits sort as packed words
+    (key - min) << b | i, i the input index, by one in-place ndarray.sort:
+    the index breaks ties, so the order is the stable one, and the sorted
+    keys come back from the words by a shift, with no gather. The words and
+    the order are the only key-sized arrays, as with argsort."""
+    b = _pack_shift(keys)
+    if not b:
+        order = keys.argsort(kind="stable")
+        return order, keys[order]
+    lo = keys.min()
+    words = np.subtract(keys, lo)
+    words <<= b
+    order = np.arange(len(keys))
+    words |= order
+    words.sort()
+    np.bitwise_and(words, (1 << b) - 1, out=order)
+    words >>= b
+    words += lo
+    return order, words
+
+
 def _sort_fold(keys: np.ndarray, *columns) -> tuple[np.ndarray, list]:
-    """Sort keys by one stable argsort and compress each run of equal keys
-    to one entry. Returns the distinct keys, ascending, and one array per
-    (vals, fold) pair in columns: per key, its first entry's value with
-    fold (a ufunc, or None to keep that value) applied to the rest of its
-    run one by one, left to right in input order. Every column folds from
-    the one sort, through integer gathers at the run starts and fold.at over
-    the other entries of each run."""
-    order = keys.argsort(kind="stable")
-    first = _run_starts(keys[order])
-    head, tail = order[np.flatnonzero(first)], None
-    keys = keys[head]
+    """Sort keys stably (_stable_order) and compress each run of equal keys
+    to one entry, leaving keys unchanged. Returns the distinct keys,
+    ascending, and one array per (vals, fold) pair in columns: per key, its
+    first entry's value with fold (a ufunc, or None to keep that value)
+    applied to the rest of its run one by one, left to right in input
+    order. Every column folds from the one sort, through integer gathers at
+    the run starts and fold.at over the other entries of each run."""
+    order, keys = _stable_order(keys)
+    first = _run_starts(keys)
+    starts = np.flatnonzero(first)
+    head, tail = order[starts], None
+    keys = keys[starts]
     if len(head) < len(order) and any(f is not None for _, f in columns):
         rest = np.flatnonzero(~first)
         tail = order[rest]
@@ -182,7 +235,7 @@ def _sort_fold(keys: np.ndarray, *columns) -> tuple[np.ndarray, list]:
         # at or before it, so it folds into run p - r - 1
         seg = rest
         seg -= np.arange(1, len(rest) + 1)
-    del order, first   # product-sized: free them before the folds allocate
+    del order, first, starts   # product-sized: free them before the folds
     folded = []
     for vals, fold in columns:
         vals = np.asarray(vals)

@@ -95,9 +95,31 @@ def decode_values(sr, buf: bytes, count: int) -> list:
     return (arr.astype(bool) if sr.np_dtype.kind == "u" else arr).tolist()
 
 
+def _owner(i: int, n: int, q: int) -> int:
+    """The part of the balanced split of n into q (split_range) that holds
+    index i, in closed form; ValueError outside [0, n)."""
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} out of range [0, {n})")
+    hi, r = divmod(n, q)
+    head = r * (hi + 1)
+    if i < head:
+        return i // (hi + 1)
+    return r + (i - head) // hi
+
+
+def owner_grid_row(part: BlockPartition, i: int) -> int:
+    """Grid row of the blocks that hold global row i."""
+    return _owner(i, part.n_rows, part.q)
+
+
+def owner_grid_col(part: BlockPartition, j: int) -> int:
+    """Grid column of the blocks that hold global column j."""
+    return _owner(j, part.n_cols, part.q)
+
+
 def owner_coords(part: BlockPartition, i: int, j: int) -> tuple[int, int]:
     """Grid coordinates of the block that owns global (i, j)."""
-    return part.owner_grid_row(i), part.owner_grid_col(j)
+    return owner_grid_row(part, i), owner_grid_col(part, j)
 
 
 def to_local(part: BlockPartition, i: int,

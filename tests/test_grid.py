@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynspgemm import BlockPartition, ProcessGrid, split_range
-from helpers import owner_coords, to_local
+from helpers import owner_coords, owner_grid_col, owner_grid_row, to_local
 
 
 def test_grid_rank_layout_round_trip():
@@ -85,8 +85,8 @@ def test_owner_examples_square_4():
 def test_owner_example_uneven_5():
     part = BlockPartition(5, 5, 2)
     assert part.row_sizes == [3, 2]
-    assert part.owner_grid_row(2) == 0
-    assert part.owner_grid_row(3) == 1
+    assert owner_grid_row(part, 2) == 0
+    assert owner_grid_row(part, 3) == 1
     # global row 3 is local row 0 of the second block row
     gi, gj, li, lj = to_local(part, 3, 0)
     assert (gi, li) == (1, 0)
@@ -136,9 +136,9 @@ def test_block_starts_are_prefix_sums():
 def test_out_of_range_and_bad_grid_rejected():
     part = BlockPartition(4, 4, 2)
     with pytest.raises(ValueError):
-        part.owner_grid_row(4)
+        owner_grid_row(part, 4)
     with pytest.raises(ValueError):
-        part.owner_grid_col(-1)
+        owner_grid_col(part, -1)
     with pytest.raises(ValueError):
         BlockPartition(4, 4, 0)
     with pytest.raises(ValueError):
@@ -155,9 +155,9 @@ def test_owner_array_form_matches_the_scalar_owner():
         rows = np.arange(n)
         cols = np.arange(n + 3)
         assert part.owner_grid_rows(rows).tolist() == \
-            [part.owner_grid_row(i) for i in range(n)]
+            [owner_grid_row(part, i) for i in range(n)]
         assert part.owner_grid_cols(cols).tolist() == \
-            [part.owner_grid_col(j) for j in range(n + 3)]
+            [owner_grid_col(part, j) for j in range(n + 3)]
 
 
 def test_range_checks_survive_optimized_mode():
@@ -169,7 +169,7 @@ def test_range_checks_survive_optimized_mode():
         part = BlockPartition(8, 8, 1)
         far = update_batch(PLUS_TIMES_I64, [8], [0])
         stray = update_batch(PLUS_TIMES_I64, [9], [20])
-        for call in (lambda: BlockPartition(8, 8, 2).owner_grid_row(8),
+        for call in (lambda: BlockPartition(8, 8, 2).to_global(1, 0, 4, 0),
                      lambda: ProcessGrid(2).rank_of(2, 0),
                      lambda: run_spmd(1, lambda comm: redistribute_updates(
                          comm, part, far, PLUS_TIMES_I64)),

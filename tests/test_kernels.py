@@ -411,6 +411,40 @@ def test_float_sums_fold_in_ascending_inner_index():
         assert entry_map(z) == {(0, 0): want}
 
 
+
+def test_float_sums_of_many_interleaved_products_fold_in_inner_order(
+        monkeypatch):
+    """A plus-times-f64 product of more than 2^12 interleaved products,
+    enough for the packed-word sort, whose sums depend on the order of
+    their additions, matches the oracle's ascending-inner-index fold bit
+    for bit."""
+    rng = np.random.default_rng(41)
+    n, k, m = 6, 64, 48
+    terms = [1e16, 1.0, -1e16, 3.0, 0.5]
+    a_map = {(i, j): float(rng.choice(terms))
+             for i in range(n) for j in range(k) if rng.random() < 0.6}
+    b_map = {(j, c): float(rng.choice([1.0, 2.0, -0.25]))
+             for j in range(k) for c in range(m) if rng.random() < 0.5}
+    a, b = _block(a_map, n, k), _block(b_map, k, m)
+    assert sum(_row_products(a_map, b_map).values()) >= 1 << 12
+    shifts = []
+    real = storage._pack_shift
+
+    def recording(keys):
+        shifts.append(real(keys))
+        return shifts[-1]
+
+    monkeypatch.setattr(storage, "_pack_shift", recording)
+    c = gustavson_multiply(a, b, PLUS_TIMES_F64)
+    assert shifts and all(shifts)
+    want = oracle_product(a_map, b_map, PLUS_TIMES_F64)
+    assert c.keys().tolist() == [i * m + j for i, j in sorted(want)]
+    assert c.vals.tobytes() == np.array([want[p] for p in sorted(want)]).tobytes()
+    backwards = oracle_product(dict(reversed(a_map.items())), b_map,
+                               PLUS_TIMES_F64)
+    assert backwards != want   # the fold order shows in the sums
+
+
 # -- row bands -------------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
@@ -537,6 +571,30 @@ def test_float_sums_fold_in_ascending_inner_index_one_product_per_band(
     two = block_from_triples(2, k, triples + [(1, j, v) for _, j, v in triples])
     assert entry_map(gustavson_multiply(two, b, PLUS_TIMES_F64)) == {
         (0, 0): 39.0, (1, 0): 39.0}
+
+
+
+def test_banded_kernels_return_arrays_of_exactly_nnz_that_own_their_data(
+        monkeypatch):
+    """Past one band the kernels write each band into result arrays sized
+    by the product count and trim them: the returned keys and values hold
+    exactly nnz entries, own their data, and match the oracles."""
+    rng = np.random.default_rng(29)
+    a_map = random_map(rng, 60, 50, 0.2)
+    b_map = random_map(rng, 50, 40, 0.2)
+    a, b = _block(a_map, 60, 50), _block(b_map, 50, 40)
+    sorts = _banded_sorts(monkeypatch, 64)
+    c = gustavson_multiply(a, b, PLUS_TIMES_I64)
+    structure, bits = pattern_multiply(a, b, inner_base=0, ell=64)
+    assert len(sorts) > 2 * 10
+    assert entry_map(c) == oracle_product(a_map, b_map, PLUS_TIMES_I64)
+    assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 64)
+    assert structure.keys() is bits.keys()
+    for block in (c, bits):
+        block.check()
+        for arr in (block.keys(), block.vals):
+            assert arr.shape == (block.nnz,)
+            assert arr.base is None and arr.flags.owndata
 
 
 # -- structure-only operands -----------------------------------------------------

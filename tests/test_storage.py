@@ -27,6 +27,7 @@ from dynspgemm import (
     semiring_codec,
     update_batch,
 )
+from dynspgemm import storage
 from dynspgemm.storage import dcsr_from_keys
 from helpers import (
     block_from_triples,
@@ -321,6 +322,47 @@ def test_dcsr_from_keys_folds_left_to_right_in_input_order(case, data):
     # compare bit patterns, so that -0.0 and 0.0 differ
     assert got.vals.tobytes() == np.array([want[k] for k in sorted(want)],
                                           dtype=dtype).tobytes()
+
+
+# -- the sort under every block: packed words or the stable argsort -----------
+
+def _keys_in_regime(rng, regime: str, n: int) -> np.ndarray:
+    """n int64 keys of one _sort_fold regime: a few ascending runs, keys
+    interleaved over a small range (so most repeat), or keys spanning more
+    than 2^51, whose packed words would not fit in 63 bits."""
+    if regime == "few-runs":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=7, replace=False))
+        runs = np.split(rng.integers(0, n // 2, size=n), cuts)
+        return np.concatenate([np.sort(r) for r in runs])
+    if regime == "interleaved":
+        return rng.integers(0, n // 3, size=n)
+    return rng.integers(0, 1 << 52, size=n)
+
+
+@pytest.mark.parametrize("regime", ["few-runs", "interleaved", "wide"])
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_sort_fold_is_the_stable_argsort_fold(regime, data):
+    """_sort_fold gives exactly the fold of the stable argsort order, in
+    each of its regimes, and leaves its input keys unchanged: the
+    first-wins column shows the order of equal keys, and the float sums
+    depend on the order of their additions."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(1 << 12, 3 << 12))
+    keys = _keys_in_regime(rng, regime, n)
+    assert (storage._pack_shift(keys) > 0) == (regime == "interleaved")
+    vals = rng.choice([1e16, 1.0, -1e16, 3.0], size=n)
+    index = np.arange(n)
+    before = keys.copy()
+    got, (sums, firsts) = storage._sort_fold(keys, (vals, np.add),
+                                             (index, None))
+    assert np.array_equal(keys, before)
+    order = keys.argsort(kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1) != 0)
+    assert np.array_equal(got, keys[order][starts])
+    assert np.array_equal(firsts, order[starts])
+    want = _fold_oracle(keys.tolist(), vals.tolist(), lambda x, y: x + y)
+    assert sums.tobytes() == np.array([want[k] for k in got.tolist()]).tobytes()
 
 
 def _oracle_dcsr(entries: dict):

@@ -1,5 +1,7 @@
 """Simulated cluster: point-to-point, collectives, failure handling, metrics."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dynspgemm import (
     run_spmd,
     semiring_codec,
 )
+from dynspgemm import transport
 from helpers import (
     block_from_triples,
     dcsr_from_row_map,
@@ -494,3 +497,33 @@ def test_null_phase_recorder_is_noop():
     with NULL_PHASES.phase("literally anything"):
         x = 1 + 1
     assert x == 2
+
+
+# -- allocator policy ----------------------------------------------------------
+
+def test_keep_freed_pages_without_mallopt_returns_false(monkeypatch):
+    monkeypatch.setattr(transport.ctypes, "CDLL", lambda name: object())
+    assert transport.keep_freed_pages() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mallopt only")
+def test_keep_freed_pages_reuses_freed_band_sized_arrays():
+    """After the call a freed 3 MiB array's pages serve the next one:
+    20 rounds of allocating, filling and freeing one fault in almost no
+    fresh page."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("per-thread rusage only")
+    assert transport.keep_freed_pages() is True
+
+    def round_trip():
+        x = np.empty(3 << 17)   # 3 MiB of float64
+        x.fill(1.0)
+        del x
+
+    round_trip()
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(20):
+        round_trip()
+    assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 100
