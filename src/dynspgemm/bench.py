@@ -21,6 +21,7 @@ import csv
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,7 +73,7 @@ class ExperimentConfig:
     ell: int = 64
     out_path: str | None = None
     random_values: bool = False
-    verify_cap: int = 20_000_000   # skip the static cross-check above this
+    verify_cap: int = 20_000_000   # above this, warn and skip the cross-check
     flops_cap: int = 100_000_000   # refuse configs above this estimate
 
 
@@ -386,9 +387,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
     """Execute one experiment over all simulated ranks; returns per-batch
     metric records plus the final-state checksum. spgemm experiments verify
     the maintained product against a from-scratch recompute when the
-    estimated work is under cfg.verify_cap. Sets glibc's allocator policy
-    for the whole process first (transport.keep_freed_pages), as an MPI
-    launcher owns its ranks' processes."""
+    estimated work is at most cfg.verify_cap, and otherwise issue a
+    RuntimeWarning that names the estimate and the cap. Sets glibc's
+    allocator policy for the whole process first
+    (transport.keep_freed_pages), as an MPI launcher owns its ranks'
+    processes."""
     validate_config(cfg)
     sr = resolve_semiring(cfg)
     keep_freed_pages()
@@ -401,6 +404,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
             raise ResourceCapError(
                 f"estimated multiply work {est} exceeds cap {cfg.flops_cap}")
         do_verify = est <= cfg.verify_cap
+        if not do_verify:
+            warnings.warn(f"estimated multiply work {est} exceeds verify_cap "
+                          f"{cfg.verify_cap}: the product is not checked",
+                          RuntimeWarning, stacklevel=2)
     p = cfg.q * cfg.q
     outs = run_spmd(p, _rank_worker, cfg, sr, n, rows, cols, vals, do_verify)
     records = [_fold_ranks(recs) for recs in zip(*(o[0] for o in outs))]

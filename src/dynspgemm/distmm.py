@@ -29,6 +29,7 @@ from .semiring import Semiring
 from .storage import (
     DcsrBlock,
     STRUCTURE_CODEC,
+    _check_same_shape,
     add_into,
     bloom_codec,
     combine_blocks,
@@ -140,19 +141,26 @@ class SpgemmState:
     ell: int
 
 
-def _check_local_shape(block, c_local) -> None:
-    if (block.n_rows, block.n_cols) != (c_local.n_rows, c_local.n_cols):
-        raise ValueError(
-            f"block shape {block.n_rows}x{block.n_cols} does not match the "
-            f"local product block {c_local.n_rows}x{c_local.n_cols}")
-
-
 def _check_inner(part_a: BlockPartition, part_b: BlockPartition, q: int) -> None:
     if part_a.q != q or part_b.q != q:
         raise ValueError("operand partitions do not match the grid")
     if part_a.n_cols != part_b.n_rows:
         raise ValueError(
             f"inner dimensions differ: {part_a.n_cols} vs {part_b.n_rows}")
+
+
+def _rounds(comm, a_bytes, b_bytes, a_codec, b_codec, phases):
+    """The q broadcast rounds: per round k, (k, the left block that grid
+    column k row-broadcasts, the right block that grid row k
+    column-broadcasts), both broadcasts in one "broadcast" phase and decoded
+    after it. a_bytes and b_bytes are this rank's payloads as a root."""
+    i, j = comm.grid_row, comm.grid_col
+    for k in range(comm.q):
+        with phases.phase("broadcast"):
+            a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
+            b_buf = comm.col_broadcast(k, b_bytes if i == k else None)
+        yield (k, dcsr_deserialize(a_buf, a_codec),
+               dcsr_deserialize(b_buf, b_codec))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +174,9 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
     part_c = BlockPartition(a.part.n_rows, b.part.n_cols, q)
     inner_starts = a.part.col_starts
     codec = semiring_codec(sr)
-    a_bytes = dcsr_serialize(a.block, codec)
-    b_bytes = dcsr_serialize(b.block, codec)
-    for k in range(q):
-        with phases.phase("broadcast"):
-            a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
-            b_buf = comm.col_broadcast(k, b_bytes if i == k else None)
-        a_blk = dcsr_deserialize(a_buf, codec)
-        b_blk = dcsr_deserialize(b_buf, codec)
+    for k, a_blk, b_blk in _rounds(comm, dcsr_serialize(a.block, codec),
+                                   dcsr_serialize(b.block, codec), codec,
+                                   codec, phases):
         with phases.phase("local_multiply"):
             prod = gustavson_multiply(a_blk, b_blk, sr)
             pat = (pattern_multiply(a_blk, b_blk, inner_starts[k], ell)[1]
@@ -236,9 +239,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     Per rank and call this costs 2 transpose exchanges, 2q broadcasts and
     2q aggregations.
     """
-    q, i, j = comm.q, comm.grid_row, comm.grid_col
     sr = state.sr
-    _check_inner(a.part, b_prime.part, q)
+    _check_inner(a.part, b_prime.part, comm.q)
     if not sr.is_ring:
         _require_insert_only(a, a_delta, b_delta)
     if (state.C.part.n_rows, state.C.part.n_cols) != (a.part.n_rows,
@@ -251,12 +253,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
         b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
 
     x_mine = y_mine = None
-    for k in range(q):
-        with phases.phase("broadcast"):
-            a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
-            b_buf = comm.col_broadcast(k, b_bytes if i == k else None)
-        a_blk = dcsr_deserialize(a_buf, codec)
-        b_blk = dcsr_deserialize(b_buf, codec)
+    for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, codec, codec,
+                                   phases):
         with phases.phase("local_multiply"):
             x_part = gustavson_multiply(a_blk, b_prime.block, sr)
             y_part = gustavson_multiply(a.block, b_blk, sr)
@@ -269,8 +267,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
             y_mine = yr
 
     c_local = state.C.block
-    _check_local_shape(x_mine, c_local)
-    _check_local_shape(y_mine, c_local)
+    _check_same_shape(c_local, x_mine, "a_delta . b_prime")
+    _check_same_shape(c_local, y_mine, "a . b_delta")
     state.F = None
     with phases.phase("merge"):
         add_into(c_local, x_mine, sr.np_add)
@@ -297,8 +295,8 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
 
     Costs 2q broadcasts, 3q aggregations and 2 transpose exchanges per rank.
     """
-    q, i, j = comm.q, comm.grid_row, comm.grid_col
-    _check_inner(a.part, b_prime.part, q)
+    i, j = comm.grid_row, comm.grid_col
+    _check_inner(a.part, b_prime.part, comm.q)
     inner_starts = a.part.col_starts
     bcodec = bloom_codec(ell)
 
@@ -309,12 +307,8 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
             dcsr_serialize(b_delta.block, STRUCTURE_CODEC))
 
     x_pat = y_pat = y_bits = None
-    for k in range(q):
-        with phases.phase("broadcast"):
-            a_buf = comm.row_broadcast(k, a_bytes if j == k else None)
-            b_buf = comm.col_broadcast(k, b_bytes if i == k else None)
-        a_blk = dcsr_deserialize(a_buf, STRUCTURE_CODEC)
-        b_blk = dcsr_deserialize(b_buf, STRUCTURE_CODEC)
+    for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, STRUCTURE_CODEC,
+                                   STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
             _, p_new = pattern_multiply(a_blk, b_prime.block,
                                         inner_starts[i], ell)
@@ -366,9 +360,9 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
             "update left stale; start from a fresh spgemm_algebraic_init")
     c_local, f_local = state.C.block, state.F.block
     share_keys(f_local, c_local)
-    q, i, j = comm.q, comm.grid_row, comm.grid_col
+    i, j = comm.grid_row, comm.grid_col
     sr, ell = state.sr, state.ell
-    _check_inner(a_prime.part, b_prime.part, q)
+    _check_inner(a_prime.part, b_prime.part, comm.q)
     codec = semiring_codec(sr)
     bcodec = bloom_codec(ell)
     inner_starts = a_prime.part.col_starts
@@ -382,7 +376,7 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     # lookup of the touched keys in C's (and F's) keys serves the merge too:
     # C does not change before it.
     n_lr = state.C.local_shape[0]
-    _check_local_shape(touched, c_local)
+    _check_same_shape(c_local, touched, "touched")
     with phases.phase("local_multiply"):
         t_rows, t_keys = touched.to_arrays()[0], touched.keys()
         row_bits = np.zeros(n_lr, dtype=np.uint64)
@@ -409,12 +403,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 
     z_mine = h_mine = None
-    for k in range(q):
-        with phases.phase("broadcast"):
-            a_buf = comm.row_broadcast(k, ar_bytes if j == k else None)
-            m_buf = comm.col_broadcast(k, mask_bytes if i == k else None)
-        a_blk = dcsr_deserialize(a_buf, codec)
-        mask = dcsr_deserialize(m_buf, STRUCTURE_CODEC)
+    for k, a_blk, mask in _rounds(comm, ar_bytes, mask_bytes, codec,
+                                  STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
             z_part, h_part = masked_multiply(a_blk, b_prime.block, mask, sr,
                                              inner_starts[i], ell)

@@ -11,11 +11,12 @@ the rank's grid column to fix the grid row, then within the grid row to fix
 the grid column. Before each step a stable argsort by destination puts the
 records into q contiguous buckets and keeps their order within a bucket.
 
-A rank applies the batch it owns to its DcsrBlock as one sort and merge: a
-stable argsort of the records' local keys, overwrites in place, and one
-sorted merge for the new and deleted keys. The block is searched once, for
-the batch's keys, so the searches cost O(batch log nnz(block)); the one
-O(nnz(block)) copy happens only when a key is added or removed.
+A rank applies the batch it owns to its DcsrBlock as one sort, one search
+and one splice (storage._splice): a stable argsort of the records' local
+keys, one search of the block for the batch's keys, O(batch log
+nnz(block)), and one write that overwrites held keys in place and deletes
+and inserts the others, copying the block, O(nnz(block)), only when a key
+is added or removed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BlockPartition
-from .storage import DcsrBlock, _merge_keys, _run_starts, locate
+from .storage import DcsrBlock, _run_starts, _splice, locate
 
 OP_UPSERT = 0
 OP_DELETE = 1
@@ -126,8 +127,7 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     first = _run_starts(keys)
     last = np.roll(first, -1)  # the last record of each run of equal keys
     run_keys = keys[last]
-    dk = block.keys()
-    pos, stored = locate(dk, run_keys)
+    pos, stored = locate(block.keys(), run_keys)
     # present before a record: the previous record of its run upserted, or
     # for the first of a run, the block stores the position
     before = np.roll(upsert, 1)
@@ -137,18 +137,7 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
 
     final = upsert[last]
     vals = sr.decode_array(batch["v"][order[last]].tobytes(), len(pos))
-    hit = stored & final
-    block.vals[pos[hit]] = vals[hit]
-    gone = stored & ~final
-    new = ~stored & final
-    n_gone = np.count_nonzero(gone)
-    if n_gone or new.any():
-        old_vals, at = block.vals, pos[new]
-        if n_gone:
-            keep = np.ones(len(dk), dtype=bool)
-            keep[pos[gone]] = False
-            dk, old_vals = dk[keep], old_vals[keep]
-            # the deleted keys below a new key are runs before it
-            at -= np.cumsum(gone)[new]
-        _merge_keys((block,), dk, at, run_keys[new], (old_vals,), (vals[new],))
+    hit, new = stored & final, ~stored & final
+    _splice((block,), pos[hit], (vals[hit],), pos[stored & ~final], pos[new],
+            run_keys[new], (vals[new],))
     return inserted, deleted

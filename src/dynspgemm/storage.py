@@ -15,18 +15,18 @@ ascending runs and keys too wide to pack) and an index compress that folds
 repeated keys in input order, for one value array or several from the one
 sort (masked_multiply's values and bitfields). The value and pattern
 kernels call it once per row band of their products, so one call sorts at
-most a band's worth. In-place changes go through one sorted merge of
-disjoint key sets (_merge_keys), which gives any number of blocks one
-merged key array and merges a value array for each. Every in-place writer
-checks that its operands share dst's shape, searches with the batch's keys
-only, once each, and hands the ranks it found to the merge: the searches
-cost O(batch log nnz), plus one O(nnz) copy of the block's arrays, only
-when a key is added or removed. A merge into an empty block copies the
+most a band's worth. Every in-place change is one write, _splice, which
+overwrites held values, deletes entries and inserts keys at ranks its caller
+found, for one block or several that share a key array. Every in-place
+writer checks that its operands share dst's shape, searches with the
+batch's keys only, once each, and hands what it found to the splice: the
+searches cost O(batch log nnz), plus one O(nnz) copy of the block's arrays,
+only when a key is added or removed. A write into an empty block copies the
 source; the static product merges no first round, it takes the kernels'
 output blocks as C and F. Blocks that hold one position set can share one
 key array object (share_keys): the maintained product C and its bitfields
 F do, and replace_touched replaces both from the recomputed Z and H with
-one search of the touched keys and one key merge. The wire carries a block
+one search of the touched keys and one splice. The wire carries a block
 as it is stored: dcsr_serialize writes a header, the keys and the values,
 and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
 returns views of the message. The
@@ -65,7 +65,7 @@ class DcsrBlock:
     dcsr_from_coo take entries in any order. Update batches (apply_batch)
     and the merges into C and F change a block in place. A decoded block's
     keys (and values, bool aside) are read-only views of its message, so no
-    merge takes one as its destination.
+    write takes one as its destination.
     """
 
     __slots__ = ("n_rows", "n_cols", "_keys", "vals")
@@ -254,27 +254,46 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _merge_keys(dsts, keys, at, new_keys, vals, new_vals) -> None:
-    """Set each block of dsts to the entries (keys, its vals) plus (new_keys,
-    its new_vals), two disjoint sorted key sets: vals and new_vals hold one
-    value array per block, and every block keeps its value dtype and takes
-    the one merged key array. at is the rank of each new key among keys, as
-    its caller's search found it, so the merge searches nothing: each new key
-    lands at its rank plus its own index, and the old keys fill the remaining
-    slots in order. One O(len(keys)) copy of the keys, and one per value
+def _splice(dsts, at, vals, gone, new_at, new_keys, new_vals) -> None:
+    """The one in-place write of blocks. dsts, blocks that share one key
+    array, each with its value array in vals and in new_vals, have the
+    values at the held positions at overwritten, the entries at gone
+    (ascending positions) deleted, and new_keys (sorted, none held) inserted
+    at new_at, their ranks among the held keys as the caller's search found
+    them; the splice corrects those ranks for the deletions. Overwrites
+    change the values in place. Only an added or deleted key copies the keys
+    and each value array, O(nnz), and the blocks then share one new key
     array."""
-    n = len(keys) + len(new_keys)
-    at = at + np.arange(len(new_keys))
-    old = np.ones(n, dtype=bool)
-    old[at] = False
-    merged = np.empty(n, dtype=np.int64)
-    merged[at] = new_keys
-    merged[old] = keys
-    for dst, v, new_v in zip(dsts, vals, new_vals):
-        merged_vals = np.empty(n, dtype=dst.vals.dtype)
-        merged_vals[at] = new_v
-        merged_vals[old] = v
-        dst._keys, dst.vals = merged, merged_vals
+    for d, v in zip(dsts, vals):
+        d.vals[at] = v
+    keys = dsts[0].keys()
+    if not (len(gone) or len(new_keys)):
+        return
+    n_kept = len(keys) - len(gone)
+    if len(gone):
+        keep = np.ones(len(keys), dtype=bool)
+        keep[gone] = False
+        new_at = new_at - gone.searchsorted(new_at)
+    if len(new_keys):
+        # each new key lands at its rank plus its own index, and the kept
+        # entries fill the other slots in order
+        slot = new_at + np.arange(len(new_keys))
+        old = np.ones(n_kept + len(new_keys), dtype=bool)
+        old[slot] = False
+
+    def spliced(a, new_a):
+        if len(gone):
+            a = a[keep]
+        if not len(new_keys):
+            return a
+        out = np.empty(len(old), dtype=a.dtype)
+        out[slot] = new_a
+        out[old] = a
+        return out
+
+    merged = spliced(keys, new_keys)
+    for d, new_v in zip(dsts, new_vals):
+        d._keys, d.vals = merged, spliced(d.vals, new_v)
 
 
 def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,20 +358,11 @@ def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
 
 def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     _check_same_shape(dst, src, "src")
-    if not src.nnz:
-        return
-    dk, sk = dst.keys(), src.keys()
-    if not len(dk):
-        # nothing to search or fold: dst takes copies, src may be read-only
-        dst._keys, dst.vals = sk.copy(), src.vals.astype(dst.vals.dtype)
-        return
-    pos, hit = locate(dk, sk)
-    at = pos[hit]
-    dst.vals[at] = fold(dst.vals[at], src.vals[hit])
-    if np.count_nonzero(hit) < len(hit):
-        miss = ~hit
-        _merge_keys((dst,), dk, pos[miss], sk[miss], (dst.vals,),
-                    (src.vals[miss],))
+    sk = src.keys()
+    pos, hit = locate(dst.keys(), sk)
+    at, miss = pos[hit], ~hit
+    _splice((dst,), at, (fold(dst.vals[at], src.vals[hit]),), pos[:0],
+            pos[miss], sk[miss], (src.vals[miss],))
 
 
 def share_keys(dst: DcsrBlock, src: DcsrBlock) -> None:
@@ -376,7 +386,7 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
     each hold one position set: the dst blocks share one key array (C and
     its bitfields F, see share_keys) and the src blocks hold equal keys (the
     recomputed values Z and bitfields H). Each dst block takes the values of
-    the src block at its index, and all end on one merged key array. lookup,
+    the src block at its index, and all end on one key array. lookup,
     when given, is locate(dst keys, touched keys) as the caller found it,
     and dst must not have changed since.
 
@@ -388,8 +398,8 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
     Only the touched keys are searched for in dst, and src's keys in
     touched, once each for all the blocks, so the searches cost
     O(t log nnz(dst)) for t touched entries. Replaced entries change in
-    place; the keys and each value array are copied once, O(nnz), only when
-    an entry is added or deleted."""
+    place; the keys and each value array are copied, O(nnz), only when an
+    entry is added or deleted (_splice)."""
     dsts = dst if isinstance(dst, tuple) else (dst,)
     srcs = src if isinstance(src, tuple) else (src,)
     if len(dsts) != len(srcs):
@@ -409,24 +419,12 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
         raise ValueError(f"src holds key {k}, which is not a touched key")
     pos, held = locate(dk, tk) if lookup is None else lookup
     s_held = held[s_at]   # per src entry: does dst hold its key
-    replaced = pos[s_at[s_held]]
-    for d, s in zip(dsts, srcs):
-        d.vals[replaced] = s.vals[s_held]
     gone = held.copy()    # per touched key: does dst hold it and src not
     gone[s_at] = False
-    deleted = int(np.count_nonzero(gone))
     new = ~s_held
-    if deleted or new.any():
-        keys, vals, at = dk, [d.vals for d in dsts], pos[s_at[new]]
-        if deleted:
-            keep = np.ones(len(dk), dtype=bool)
-            keep[pos[gone]] = False
-            keys, vals = dk[keep], [v[keep] for v in vals]
-            # the deleted keys below a new key are touched keys before it
-            at -= np.cumsum(gone)[s_at[new]]
-        _merge_keys(dsts, keys, at, sk[new], vals,
-                    [s.vals[new] for s in srcs])
-    return deleted
+    _splice(dsts, pos[s_at[s_held]], [s.vals[s_held] for s in srcs], pos[gone],
+            pos[s_at[new]], sk[new], [s.vals[new] for s in srcs])
+    return int(np.count_nonzero(gone))
 
 
 def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int, ell: int) -> DcsrBlock:

@@ -192,10 +192,19 @@ class Communicator:
             self.counters.note_peer(dst, len(payload))
         self.cluster.put(self.rank, dst, ("p2p", None, payload))
 
+    def _take(self, src: int, kind: str, meta) -> bytes:
+        """The payload of the next message from src. Raises TransportError
+        unless the message is of kind and carries meta: the sender in an
+        all-to-all or aggregation, the root rank in a broadcast, else None."""
+        got, got_meta, payload = self.cluster.take(src, self.rank)
+        if (got, got_meta) != (kind, meta):
+            raise TransportError(
+                f"rank {self.rank}: kind, sender or root mismatch (expected "
+                f"{kind}/{meta} from rank {src}, message {got}/{got_meta})")
+        return payload
+
     def recv_block(self, src: int) -> bytes:
-        kind, _meta, payload = self.cluster.take(src, self.rank)
-        if kind != "p2p":
-            raise TransportError(f"rank {self.rank}: expected p2p from {src}, got {kind}")
+        payload = self._take(src, "p2p", None)
         self.counters.n_p2p_recvs += 1
         if src != self.rank:
             self.counters.bytes_p2p += len(payload)
@@ -249,11 +258,7 @@ class Communicator:
             while mask < size:
                 if rel & mask:
                     src = members[(rel - mask + root_idx) % size]
-                    kind, meta, payload = self.cluster.take(src, self.rank)
-                    if kind != "bc" or meta != root_rank:
-                        raise TransportError(
-                            f"rank {self.rank}: broadcast root mismatch "
-                            f"(expected root {root_rank}, message {kind}/{meta})")
+                    payload = self._take(src, "bc", root_rank)
                     ctr.bytes_broadcast += len(payload)
                     break
                 mask <<= 1
@@ -295,9 +300,7 @@ class Communicator:
         for g, src in enumerate(members):
             if g == my_idx:
                 continue
-            kind, meta, buf = self.cluster.take(src, self.rank)
-            if kind != "aav" or meta != src:
-                raise TransportError(f"rank {self.rank}: bad all-to-all message {kind}/{meta}")
+            buf = self._take(src, "aav", src)
             ctr.bytes_alltoall += len(buf)
             out[g] = buf
         return out
@@ -338,9 +341,7 @@ class Communicator:
             if g == my_idx:
                 contrib.append(block)
                 continue
-            kind, meta, buf = self.cluster.take(src, self.rank)
-            if kind != "agg" or meta != src:
-                raise TransportError(f"rank {self.rank}: bad aggregate message {kind}/{meta}")
+            buf = self._take(src, "agg", src)
             ctr.bytes_aggregate += len(buf)
             piece = dcsr_deserialize(buf, codec)
             if (piece.n_rows, piece.n_cols) != (block.n_rows, block.n_cols):
@@ -359,9 +360,7 @@ class Communicator:
             dst = (self.rank + k) % p
             src = (self.rank - k) % p
             self.cluster.put(self.rank, dst, ("bar", None, b""))
-            kind, _m, _b = self.cluster.take(src, self.rank)
-            if kind != "bar":
-                raise TransportError(f"rank {self.rank}: expected barrier, got {kind}")
+            self._take(src, "bar", None)
             k <<= 1
 
 

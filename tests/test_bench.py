@@ -3,6 +3,7 @@
 import copy
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -705,6 +706,22 @@ def test_run_experiment_flops_cap_guard():
                flops_cap=10)
     with pytest.raises(ResourceCapError, match="exceeds cap"):
         run_experiment(cfg)
+
+
+def test_run_experiment_warns_when_it_skips_the_check():
+    cfg = _cfg(experiment="spgemm-algebraic", batch_size=4, n_batches=1,
+               verify_cap=0)
+    with pytest.warns(RuntimeWarning,
+                      match=r"estimated multiply work [1-9]\d* exceeds "
+                            r"verify_cap 0: the product is not checked"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_within_the_verify_cap_gives_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(_cfg(experiment="spgemm-algebraic", batch_size=4,
+                            n_batches=1))
 
 
 def test_run_experiment_missing_input_file():

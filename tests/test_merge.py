@@ -1,6 +1,7 @@
-"""The in-place writers (replace_touched, add_into, apply_batch) against dict
-oracles, and the cost of their searches: each looks up the batch's keys, never
-the block's own."""
+"""The in-place writers (replace_touched, add_into, apply_batch) and the one
+write under them (storage._splice) against dict oracles, when a write copies
+a block's arrays, and the cost of the writers' searches: each looks up the
+batch's keys, never the block's own."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from dynspgemm import (
     storage,
     update_batch,
 )
-from dynspgemm.storage import replace_touched
+from dynspgemm.storage import (
+    bloom_codec,
+    dcsr_deserialize,
+    dcsr_serialize,
+    replace_touched,
+    semiring_codec,
+)
 
 BATCH = 10   # at most this many keys in a batch
 
@@ -294,3 +301,108 @@ def test_share_keys_refuses_other_positions():
     f = _block(16, {5: 1, 9: 2}, dtype=np.uint64)
     storage.share_keys(f, c)
     assert f.keys() is c.keys() and _entries(f) == {5: 1, 9: 2}
+
+
+def _c_and_f():
+    """A product block C and its bitfields F on one key array object."""
+    c = _block(16, {5: 50, 9: 90})
+    f = _block(16, {5: 1, 9: 2}, dtype=np.uint64)
+    storage.share_keys(f, c)
+    return c, f
+
+
+def test_writers_that_only_overwrite_keep_their_arrays():
+    """A write that adds and deletes no key changes the values in place: C
+    and F keep their key and value array objects."""
+    t = _block(16, {5: 0, 9: 0})
+    z, h = _block(16, {5: 7, 9: 8}), _block(16, {5: 3, 9: 4}, dtype=np.uint64)
+    writes = [
+        lambda c, f: add_into(c, _block(16, {9: 1}), np.add),
+        lambda c, f: or_into(f, _block(16, {5: 4}, dtype=np.uint64)),
+        lambda c, f: replace_touched(c, t, z),
+        lambda c, f: replace_touched((c, f), t, (z, h)),
+        lambda c, f: apply_batch(c, update_batch(
+            PLUS_TIMES_I64, [0, 0], [5, 9], [7, 8]), PLUS_TIMES_I64, 0, 0),
+    ]
+    for write in writes:
+        c, f = _c_and_f()
+        arrays = (c.keys(), c.vals, f.vals)
+        before = (_entries(c), _entries(f))
+        write(c, f)
+        assert all(x is y for x, y in zip((c.keys(), c.vals, f.vals), arrays))
+        assert f.keys() is c.keys()
+        assert (_entries(c), _entries(f)) != before
+
+
+def test_a_key_added_or_deleted_gives_new_arrays():
+    """A write that adds or deletes one key leaves C and F on one new shared
+    key array; a write into C alone gives C a new one. The old key array is
+    never written, so a block still holding it keeps its positions."""
+    for touched, z, h, want in [({5: 0}, {}, {}, {9: 90}),
+                                ({7: 0}, {7: 1}, {7: 2},
+                                 {5: 50, 7: 1, 9: 90})]:
+        c, f = _c_and_f()
+        old = c.keys()
+        replace_touched((c, f), _block(16, touched),
+                        (_block(16, z), _block(16, h, dtype=np.uint64)))
+        assert c.keys() is f.keys() and c.keys() is not old
+        assert old.tolist() == [5, 9] and _entries(c) == want
+    for write in (lambda c: add_into(c, _block(16, {7: 1}), np.add),
+                  lambda c: apply_batch(c, update_batch(
+                      PLUS_TIMES_I64, [0], [9], ops=OP_DELETE),
+                      PLUS_TIMES_I64, 0, 0)):
+        c, f = _c_and_f()
+        write(c)
+        assert c.keys() is not f.keys() and _entries(f) == {5: 1, 9: 2}
+
+
+@_settings
+@given(case=_case(), data=st.data(), n_blocks=st.integers(1, 2),
+       empty=st.booleans(), delete_all=st.booleans(), read_only=st.booleans())
+def test_splice_matches_dict_oracle(case, data, n_blocks, empty, delete_all,
+                                    read_only):
+    """Overwrites, deletes and inserts in one _splice call, on one block or on
+    C and F sharing one key array, against a dict per block: from an empty
+    destination, deleting every entry, and with inserted keys and values
+    that are read-only views of a message."""
+    n_rows, n_cols, dst, batch = case
+    dst = {} if empty else dst
+    value = st.integers(-100, 100)
+    held = [k for k in batch if k in dst]
+    gone = (sorted(dst) if delete_all
+            else [k for k in held if data.draw(st.booleans())])
+    kept = set(dst) - set(gone)
+    over = {k: data.draw(value) for k in held if k in kept}
+    new = {k: data.draw(value) for k in batch
+           if k not in dst and data.draw(st.booleans())}
+
+    def bits(entries):   # F's values: the same changes, as bitfields
+        return {k: v % 2 ** 64 for k, v in entries.items()}
+
+    c = _block(n_cols, dst, n_rows)
+    f = _block(n_cols, bits(dst), n_rows, np.uint64)
+    storage.share_keys(f, c)
+    dsts = (c, f)[:n_blocks]
+    new_blocks = (_block(n_cols, new, n_rows),
+                  _block(n_cols, bits(new), n_rows, np.uint64))
+    if read_only:
+        new_blocks = tuple(
+            dcsr_deserialize(dcsr_serialize(b, codec), codec)
+            for b, codec in zip(new_blocks, (semiring_codec(PLUS_TIMES_I64),
+                                             bloom_codec(64))))
+        assert not new_blocks[0].keys().flags.writeable
+    keys, new_keys = c.keys(), new_blocks[0].keys()
+    at = keys.searchsorted(np.array(sorted(over), dtype=np.int64))
+    storage._splice(
+        dsts, at, [np.array(list(over.values())), np.array(
+            list(bits(over).values()), dtype=np.uint64)][:n_blocks],
+        keys.searchsorted(np.array(gone, dtype=np.int64)),
+        keys.searchsorted(new_keys), new_keys,
+        [b.vals for b in new_blocks][:n_blocks])
+
+    want = {k: dst[k] for k in kept} | over | new
+    for d, w in zip(dsts, (want, bits(want))):
+        assert _entries(d) == w
+        assert d.keys() is c.keys() and d.vals.flags.writeable
+    assert c.vals.dtype == np.int64 and f.vals.dtype == np.uint64
+    assert (c.keys() is keys) == (not gone and not new)
