@@ -4,15 +4,17 @@ experiment driver and per-phase time/volume metrics.
 Experiments run all q*q simulated ranks inside this process, each in one
 rank worker whose single batch loop serves all seven experiments: draw,
 route, apply (and for products, update or recompute C), and one
-MetricsRecord per batch, which run_experiment folds over the ranks.
-Insertion pools are partitioned round-robin across ranks and each rank
-draws its batches without replacement, seeded per (rank, batch index), so
-reruns are exactly reproducible. Final-state checksums hash each entry's
-global position and wire value bits with a vectorised 64-bit mix and
-xor-fold the hashes, so they are order-free and comparable across grid
-sides. Product runs are verified by comparing the maintained C with a
-from-scratch recompute, position by position and value by value, on sorted
-arrays.
+MetricsRecord per batch, which run_experiment folds over the ranks. Each
+rank loads its operand straight from its row-band slice of the sorted,
+deduplicated pool, whose (row, col) order is already the block's key order,
+so set-up builds no update batch. Insertion pools are partitioned
+round-robin across ranks and each rank draws its batches without
+replacement, seeded per (rank, batch index), so reruns are exactly
+reproducible. Final-state checksums hash each entry's global position and
+wire value bits with a vectorised 64-bit mix and xor-fold the hashes, so
+they are order-free and comparable across grid sides. Product runs are
+verified by comparing the maintained C with a from-scratch recompute,
+position by position and value by value, on sorted arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .grid import BlockPartition
 from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
 from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
-from .storage import _run_starts, dcsr_from_coo, same_entries
+from .storage import DcsrBlock, _run_starts, dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, keep_freed_pages, \
     run_spmd
 
@@ -236,22 +238,34 @@ def rmat_arrays(scale: int, edge_factor: int,
                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """edge_factor * 2^scale directed edges over 2^scale vertices, drawn with
     the standard recursive-quadrant probabilities (0.57, 0.19, 0.19, 0.05).
-    Duplicates are kept; deterministic per seed."""
-    n_bits = scale
+    Duplicates are kept; deterministic per seed.
+
+    Per bit, two arrays of m uniforms are drawn into one reused buffer: the
+    row bits from the first, the column bits from the second against the
+    row bit's threshold, chosen by exact bool logic, not a float select.
+    The bits collect in int32 words until the final int64 cast."""
     m = edge_factor << scale
     rng = np.random.default_rng(seed)
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    word = np.int32 if scale < 32 else np.int64
+    src, dst, shifted = (np.zeros(m, dtype=word) for _ in range(3))
+    u = np.empty(m)
+    ii, jj, flip = (np.empty(m, dtype=bool) for _ in range(3))
     p_row1 = RMAT_C + RMAT_D
     p_col1_row1 = RMAT_D / (RMAT_C + RMAT_D)
     p_col1_row0 = RMAT_B / (RMAT_A + RMAT_B)
-    for bit in range(n_bits):
-        ii = rng.random(m) < p_row1
-        pj = np.where(ii, p_col1_row1, p_col1_row0)
-        jj = rng.random(m) < pj
-        src |= ii.astype(np.int64) << bit
-        dst |= jj.astype(np.int64) << bit
-    return src, dst
+    for bit in range(scale):
+        np.less(rng.random(out=u), p_row1, out=ii)
+        rng.random(out=u)
+        # jj = u < (p_col1_row1 if ii else p_col1_row0), as
+        # (u < p10) ^ (ii & ((u < p10) ^ (u < p11)))
+        np.less(u, p_col1_row0, out=jj)
+        np.less(u, p_col1_row1, out=flip)
+        flip ^= jj
+        flip &= ii
+        jj ^= flip
+        src |= np.left_shift(ii, bit, out=shifted, dtype=word)
+        dst |= np.left_shift(jj, bit, out=shifted, dtype=word)
+    return src.astype(np.int64), dst.astype(np.int64)
 
 
 def symmetrized_pool(src: np.ndarray, dst: np.ndarray,
@@ -455,26 +469,35 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
     products start A empty and B from the whole pool, apply the batch in
     the redistribute phase and maintain C = A . B.
 
-    The pool (rows, cols) must be sorted by (row, col), as symmetrized_pool
-    gives it: a rank finds its grid row's entries as one slice and tests
-    only that slice for its columns.
+    The pool (rows, cols) must be sorted by (row, col) and free of
+    duplicates, as symmetrized_pool gives it: a rank finds its grid row's
+    entries as one slice, tests only that slice for its columns, and takes
+    the selected entries' local keys, strictly increasing in pool order,
+    and their values as its operand block as they stand, with no update
+    batch, sort or search.
     """
     exp = cfg.experiment
     part = BlockPartition(n, n, comm.q)
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
     m = len(rows)
-    loaded = DistMatrix.empty(part, comm, sr)
-    if exp != "construct":
-        lo, hi = rows.searchsorted([r0, r0 + part.row_sizes[i]])
+    if exp == "construct":
+        loaded = DistMatrix.empty(part, comm, sr)
+    else:
+        n_rows, n_cols = part.block_shape(i, j)
+        lo, hi = rows.searchsorted([r0, r0 + n_rows])
         band = cols[lo:hi]
-        mine = (band >= c0) & (band < c0 + part.col_sizes[j])
+        mine = (band >= c0) & (band < c0 + n_cols)
         if exp == "insert":
             mine[(lo + 1) % 2::2] = False   # odd pool indices are drawn
         own = lo + np.flatnonzero(mine)
-        apply_batch(loaded.block,
-                    update_batch(sr, rows[own], cols[own], vals[own]),
-                    sr, r0, c0)
+        keys = rows[own]
+        keys -= r0
+        keys *= n_cols
+        keys += cols[own]
+        keys -= c0
+        loaded = DistMatrix(part, i, j, DcsrBlock(
+            n_rows, n_cols, keys, vals[own].astype(sr.np_dtype, copy=False)))
     if exp in _SPGEMM:
         a, b = DistMatrix.empty(part, comm, sr), loaded
     else:
@@ -491,8 +514,12 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
 
     # Draw pool: the pool indices this rank may insert/modify/delete, drawn
     # without replacement across batches, seeded per (rank, batch).
-    drawable = np.arange(1, m, 2) if exp == "insert" else np.arange(m)
-    remaining = drawable[comm.rank::comm.size]
+    # This rank's share of them is every size-th, from its rank on, of the
+    # odd indices (insert) or of all indices.
+    if exp == "insert":
+        remaining = np.arange(1 + 2 * comm.rank, m, 2 * comm.size)
+    else:
+        remaining = np.arange(comm.rank, m, comm.size)
 
     records = []
     for k in range(cfg.n_batches):

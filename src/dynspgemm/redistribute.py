@@ -12,11 +12,11 @@ the grid column. Before each step a stable argsort by destination puts the
 records into q contiguous buckets and keeps their order within a bucket.
 
 A rank applies the batch it owns to its DcsrBlock as one sort, one search
-and one splice (storage._splice): a stable argsort of the records' local
-keys, one search of the block for the batch's keys, O(batch log
-nnz(block)), and one write that overwrites held keys in place and deletes
-and inserts the others, copying the block, O(nnz(block)), only when a key
-is added or removed.
+and one splice (storage._splice): a stable sort of the records' local keys
+(storage._stable_order, the packed-word sort), one search of the block for
+the batch's keys, O(batch log nnz(block)), and one write that overwrites
+held keys in place and deletes and inserts the others, copying the block,
+O(nnz(block)), only when a key is added or removed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BlockPartition
-from .storage import DcsrBlock, _run_starts, _splice, locate
+from .storage import DcsrBlock, _run_starts, _splice, _stable_order, \
+    locate
 
 OP_UPSERT = 0
 OP_DELETE = 1
@@ -120,9 +121,8 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     just before them, and the deletes that found one present.
     """
     _check_batch(batch, sr, row_base, col_base, block.n_rows, block.n_cols)
-    keys = (batch["i"] - row_base) * block.n_cols + (batch["j"] - col_base)
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
+    order, keys = _stable_order(
+        (batch["i"] - row_base) * block.n_cols + (batch["j"] - col_base))
     upsert = batch["op"][order] == OP_UPSERT
     first = _run_starts(keys)
     last = np.roll(first, -1)  # the last record of each run of equal keys

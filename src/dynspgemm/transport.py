@@ -375,16 +375,20 @@ def _check_root(root_idx: int, size: int) -> None:
 
 _M_TRIM_THRESHOLD = -1   # glibc malloc.h mallopt parameters
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def keep_freed_pages() -> bool:
     """Make glibc's allocator keep freed memory mapped for this whole
     process, as a launcher that owns the process may: blocks up to 32 MiB
-    come from the heap instead of fresh mappings, and the heap is trimmed
-    only past 1 GiB free at its top. numpy's band-sized temporaries (2 MiB,
-    below numpy's 4 MiB huge-page cut-off) are then reused instead of
-    faulted in again, page by page, after every free. Returns whether both
-    settings took, False without raising where mallopt does not exist."""
+    come from the heap instead of fresh mappings, the heap is trimmed only
+    past 1 GiB free at its top, and every thread allocates from the one
+    main arena. numpy's band-sized temporaries (2 MiB, below numpy's 4 MiB
+    huge-page cut-off) are then reused instead of faulted in again, page by
+    page, after every free, and a rank thread reuses the pages that the
+    main thread's set-up freed instead of faulting in an arena of its own.
+    Returns whether all three settings took, False without raising where
+    mallopt does not exist."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -392,7 +396,8 @@ def keep_freed_pages() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 def run_spmd(p: int, fn, *args) -> list:

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -17,6 +18,7 @@ from dynspgemm import (
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
     BlockPartition,
+    DcsrBlock,
     DistMatrix,
     OP_DELETE,
     apply_batch,
@@ -200,12 +202,25 @@ def test_rmat_scale_one_index_range():
     assert set(src.tolist()) <= {0, 1} and set(dst.tolist()) <= {0, 1}
 
 
+# sha256 of src then dst as little-endian int64 at scale 10, edge factor 4,
+# frozen from the float-select generator that the bool-logic one replaced
+_RMAT_DIGESTS = {1: "d4b99524b6e9184d0a6261e43672a366",
+                 2: "df078e330dc3146a484c048f0c5988f5",
+                 3: "635120f527e3f4671995584f82f9c555"}
+
+
 def test_rmat_seed_determinism():
     a = rmat_arrays(6, 4, seed=11)
     b = rmat_arrays(6, 4, seed=11)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = rmat_arrays(6, 4, seed=12)
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+    for seed, want in _RMAT_DIGESTS.items():
+        src, dst = rmat_arrays(10, 4, seed=seed)
+        assert src.dtype == dst.dtype == np.int64
+        got = hashlib.sha256(src.astype("<i8").tobytes()
+                             + dst.astype("<i8").tobytes()).hexdigest()
+        assert got[:32] == want, seed
 
 
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, BOOLEAN])
@@ -269,17 +284,19 @@ def test_symmetrized_pool_matches_a_unique_oracle(data):
 # -- operand load -----------------------------------------------------------------
 
 def _loads(monkeypatch, cfg):
-    """The update batch each rank loads its operand from, by block origin,
-    with no batch drawn after the load."""
+    """The block each rank loads its operand as, by block origin, with no
+    batch drawn after the load: at n_batches=0 the storage experiments
+    checksum their loaded operand as it stands."""
     loads = {}
-    real = bench.apply_batch
+    real = bench._local_checksum
 
-    def recording(block, batch, sr, r0, c0):
-        assert (r0, c0) not in loads
-        loads[(r0, c0)] = batch.copy()
-        return real(block, batch, sr, r0, c0)
+    def recording(dist, sr):
+        key = (dist.row_base, dist.col_base)
+        assert key not in loads
+        loads[key] = dist.block
+        return real(dist, sr)
 
-    monkeypatch.setattr(bench, "apply_batch", recording)
+    monkeypatch.setattr(bench, "_local_checksum", recording)
     run_experiment(replace(cfg, n_batches=0))
     return loads
 
@@ -289,6 +306,8 @@ def _loads(monkeypatch, cfg):
 @pytest.mark.parametrize("source", ["rmat", "file"])
 def test_each_rank_loads_its_owner_mask_selection(monkeypatch, tmp_path, q,
                                                   experiment, source):
+    """Each rank's operand block equals its owner-mask selection of the pool
+    applied as one update batch to an empty block."""
     if source == "rmat":   # n = 32 is not a multiple of 3
         cfg = ExperimentConfig(experiment=experiment, rmat_scale=5,
                                rmat_edge_factor=4, q=q, seed=3,
@@ -313,9 +332,16 @@ def test_each_rank_loads_its_owner_mask_selection(monkeypatch, tmp_path, q,
                     & (part.owner_grid_cols(cols) == j))
             if experiment == "insert":
                 mine &= np.arange(len(rows)) % 2 == 0
-            got = loads[(part.row_starts[i], part.col_starts[j])]
-            want = update_batch(sr, rows[mine], cols[mine], vals[mine])
-            assert got.tobytes() == want.tobytes()
+            r0, c0 = part.row_starts[i], part.col_starts[j]
+            got = loads[(r0, c0)]
+            want = DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype)
+            apply_batch(want, update_batch(sr, rows[mine], cols[mine],
+                                           vals[mine]), sr, r0, c0)
+            assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+            assert got.keys().dtype == np.int64
+            assert got.keys().tobytes() == want.keys().tobytes()
+            assert got.vals.dtype == want.vals.dtype
+            assert got.vals.tobytes() == want.vals.tobytes()
 
 
 def test_operand_load_makes_no_owner_pass_over_the_pool(monkeypatch):

@@ -1,6 +1,10 @@
 """Simulated cluster: point-to-point, collectives, failure handling, metrics."""
 
+import os
 import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -527,3 +531,45 @@ def test_keep_freed_pages_reuses_freed_band_sized_arrays():
     for _ in range(20):
         round_trip()
     assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 100
+
+
+_ARENA_SCRIPT = textwrap.dedent("""
+    import resource, threading
+    import numpy as np
+    from dynspgemm.transport import keep_freed_pages
+
+    assert keep_freed_pages() is True
+    x = np.empty(3 << 17)   # 3 MiB of float64, faulted in and freed
+    x.fill(1.0)
+    del x
+    faults = []
+
+    def worker():
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        y = np.empty(3 << 17)
+        y.fill(1.0)
+        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+                      - before)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    t.join()
+    print(faults[0])
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mallopt only")
+def test_keep_freed_pages_lets_threads_reuse_the_main_threads_pages():
+    """With one arena, a worker thread's 3 MiB array takes the pages that the
+    main thread freed: it faults in fewer than 100 fresh pages. With a
+    per-thread arena of its own it faulted in every page, 768 of them. The
+    check runs in a fresh process, before any other thread has allocated."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("per-thread rusage only")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _ARENA_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100
