@@ -328,8 +328,7 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
 
     n_r, n_c = x_pat.n_rows, x_pat.n_cols
     touched = combine_blocks((x_pat, y_pat), n_r, n_c, None)
-    new_bits = DcsrBlock.empty(n_r, n_c, dtype=np.uint64)
-    or_into(new_bits, x_pat)
+    new_bits = DcsrBlock(n_r, n_c, x_pat.keys(), x_pat.vals.astype(np.uint64))
     or_into(new_bits, y_bits)
     return touched, new_bits
 

@@ -24,10 +24,13 @@ order, so each fold is the one a single sort would give, bit for bit, and
 the bands' outputs, written one after another into the result arrays, are
 canonical. The band caps every product-sized temporary (sort words and
 order, run masks, gathers), so a large product's working memory stays
-band-sized. masked_multiply
-expands only the rows of a that hold a mask position, drops the products
-outside the mask, and folds both its values and its bitfields from one
-sort. The value kernels raise ValueError on a structure-only operand;
+band-sized. masked_multiply expands only the rows of a that hold a mask
+position, drops the products outside the mask, and folds both its values
+and its bitfields from one sort. It tests a product against the mask with
+one read of a bool table, a row of cells per mask row, set at the mask's
+entries; where that table would hold more than MASK_TABLE_RATIO cells per
+product formed or mask entry, it searches the mask's keys instead. The
+value kernels raise ValueError on a structure-only operand;
 pattern_multiply reads structure only. Entries whose folded value equals
 the semiring zero are kept: structure is decided by contribution, not by
 value.
@@ -45,6 +48,13 @@ unless a single row of a forms more: about 2 MB per product-sized
 array. On a 2-CPU host, budgets of 2^16 to 2^18 gave the fastest check of
 a 2.1M-product static product and about two thirds of its unbanded peak
 memory; 2^19 and up were slower."""
+
+MASK_TABLE_RATIO = 64
+"""Cells that masked_multiply's mask table may hold per product formed
+or mask entry: one bool per column of each row that holds a mask position.
+Past that, the products search the mask's keys instead, whose memory stays
+bounded on wide blocks. Over the 64 calls of a `general-q2` run the table
+held at most 36 and a median of 13 cells per product or mask entry."""
 
 
 def _require_values(**operands) -> None:
@@ -191,7 +201,15 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     b.n_cols block.
 
     Only the rows of a that hold a mask position are expanded, and products
-    landing outside the mask are dropped before the fold. Returns both the
+    landing outside the mask are dropped before the fold. Each row holding
+    a mask position gets a slot, and a bool table of slots x b.n_cols cells
+    is set at the mask's entries, so a product of row r at output key out
+    is kept when table[out + (slot[r] - r) * b.n_cols] is set. The table is
+    built only while its cells are at most MASK_TABLE_RATIO times the
+    products formed plus the mask entries; past that, as on a wide block,
+    the products are searched for in the mask's keys, in memory that stays
+    product-sized. Both keep the same products in the same order, so the
+    result does not depend on which ran. Returns both the
     value block Z and the bitfield block H of contributing summation indices
     for the surviving positions; both fold from one sort of the products and
     share one key array. Raises ValueError when a or b is structure-only.
@@ -203,17 +221,33 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
         raise ValueError(f"mask is {mask.n_rows}x{mask.n_cols}, the product "
                          f"{a.n_rows}x{b.n_cols}")
     dtype = sr.np_dtype
-    mk = mask.keys()
+    mk, w = mask.keys(), max(mask.n_cols, 1)
+    mask_rows = mk // w
     rows, inner, avals = a.to_arrays(dtype)
     in_mask = np.zeros(a.n_rows, dtype=bool)
-    in_mask[mk // max(mask.n_cols, 1)] = True
+    in_mask[mask_rows] = True
     keep = in_mask[rows]
     rows, inner, avals = rows[keep], inner[keep], avals[keep]
     start, count = _expand(inner, b.keys(), b.n_cols)
     bi, out = _products(rows, inner, start, count, b.keys(), b.n_cols)
-    _, hit = locate(mk, out)
-    e = np.arange(len(count)).repeat(count)[hit]
-    bi, out = bi[hit], out[hit]
+    slot, n_slots = in_mask.cumsum() - 1, np.count_nonzero(in_mask)
+    if n_slots * w <= MASK_TABLE_RATIO * (len(out) + len(mk)):
+        # mask entry (r, c) sets table[slot[r] * w + c], which a product of
+        # row r at output key out reads at out + shift[r]
+        shift = (slot - np.arange(len(slot))) * w
+        table = np.zeros(n_slots * w, dtype=bool)
+        table[mk + shift[mask_rows]] = True
+        at = shift[rows].repeat(count)
+        at += out
+        hit = table[at]
+        del table, at   # freed before the product-sized gathers
+    else:
+        _, hit = locate(mk, out)
+    # gather by the survivors' indices: when about half the products
+    # survive, a gather by a bool mask costs several times a take
+    kept = np.flatnonzero(hit)
+    e = np.arange(len(count)).repeat(count).take(kept)
+    bi, out = bi.take(kept), out.take(kept)
     x = avals[e]
     sr.np_mul(x, b.vals[bi].astype(dtype, copy=False), out=x)
     keys, (z, h) = _sort_fold(out, (x, sr.np_add),

@@ -1,5 +1,7 @@
 """Local multiply kernels: value, structure + bloom, and masked variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +241,25 @@ def test_masked_mask_of_another_shape_rejected():
         masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
 
 
+def test_masked_wide_mask_searches_its_keys():
+    """A row table of this mask would hold 2 x 2^22 cells for 4 products:
+    past MASK_TABLE_RATIO cells per product or mask entry, the kernel
+    searches the mask's keys instead, and its memory stays product-sized."""
+    w = 1 << 22
+    a = _block({(0, 0): 2, (1, 0): 5}, 2, 1)
+    b = _block({(0, 0): 3, (0, w - 1): 7}, 1, w)
+    mask = DcsrBlock(2, w, [0, 2 * w - 1], None)
+    tracemalloc.start()
+    try:
+        z, h = masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry_map(z) == {(0, 0): 6, (1, w - 1): 35}
+    assert entry_map(h) == {(0, 0): 1, (1, w - 1): 1}
+    assert peak < (2 * w) >> 6
+
+
 def test_masked_sorts_the_products_once(monkeypatch):
     """Z and H fold from one sort of the surviving products."""
     sorts = []
@@ -272,9 +293,17 @@ def _value(sr):
     return st.integers(-9, 9).map(float)
 
 
-def _entries(n_rows, n_cols, sr):
+def _fold_order_value(sr):
+    """_value, but plus-times-f64 values whose sums change with the order
+    of their additions."""
+    return (st.sampled_from((1e16, 1.0, -1e16, 3.0)) if sr is PLUS_TIMES_F64
+            else _value(sr))
+
+
+def _entries(n_rows, n_cols, value, min_size=0):
     pos = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
-    return st.dictionaries(pos, _value(sr), max_size=n_rows * n_cols // 2)
+    return st.dictionaries(pos, value, min_size=min_size,
+                           max_size=n_rows * n_cols // 2)
 
 
 def _flip(entries):
@@ -282,12 +311,20 @@ def _flip(entries):
 
 
 @st.composite
-def _operands(draw, sr, ta=False, tb=False):
+def _operands(draw, sr, ta=False, tb=False, fold_order=False):
     # a is n x k and b is k x m; ta (tb) draws a k x n (m x k) map and
-    # flips it, so the kernel sees entries laid out in the other orientation
+    # flips it, so the kernel sees entries laid out in the other orientation.
+    # fold_order draws _fold_order_value values and fills at least a third
+    # of each operand, so that many positions sum three or more products
     n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
-    a_map = draw(_entries(k, n, sr)) if ta else draw(_entries(n, k, sr))
-    b_map = draw(_entries(m, k, sr)) if tb else draw(_entries(k, m, sr))
+    value = _fold_order_value(sr) if fold_order else _value(sr)
+
+    def entries(rows, cols):
+        return _entries(rows, cols, value,
+                        rows * cols // 3 if fold_order else 0)
+
+    a_map = draw(entries(k, n) if ta else entries(n, k))
+    b_map = draw(entries(m, k) if tb else entries(k, m))
     a_map = _flip(a_map) if ta else a_map
     b_map = _flip(b_map) if tb else b_map
     kinds = draw(st.tuples(st.sampled_from(("dynamic", "dcsr")),
@@ -336,23 +373,41 @@ def test_pattern_sets_bit_63():
     assert entry_map(bits) == {(0, 0): (1 << 63) | 1}
 
 
-@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, MIN_PLUS, BOOLEAN],
-                         ids=lambda s: s.name)
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
+                                BOOLEAN], ids=lambda s: s.name)
 @_KERNEL_SETTINGS
 @given(data=st.data())
 def test_masked_matches_restricted_oracle_property(sr, data):
-    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr))
+    """Both ways of testing the mask, its row table and the search of its
+    keys, at both bitfield widths, match the oracle. Under plus-times-f64
+    many sums depend on the order of their additions, which is ascending
+    inner index in the kernel."""
+    a_map, b_map, a, b, (n, _k, m) = data.draw(_operands(sr, fold_order=True))
     mask_pos = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
                                            st.integers(0, m - 1))))
     mask = dcsr_from_row_map(n, m, {r: {c: None for rr, c in mask_pos if rr == r}
                                     for r, _ in mask_pos}, structure_only=True)
-    z, h = masked_multiply(a, b, mask, sr, inner_base=3, ell=8)
-    want = oracle_product(a_map, b_map, sr)
-    assert entry_map(z) == {p: v for p, v in want.items() if p in mask_pos}
+    # the oracle adds in a_map's order: the kernel's is a's inner index
+    by_inner = dict(sorted(a_map.items(), key=lambda e: e[0][::-1]))
+    want = oracle_product(by_inner, b_map, sr)
     shifted_a = {(i, k + 3): v for (i, k), v in a_map.items()}
     shifted_b = {(k + 3, j): v for (k, j), v in b_map.items()}
-    bits = oracle_contribution_bits(shifted_a, shifted_b, 8)
-    assert entry_map(h) == {p: v for p, v in bits.items() if p in mask_pos}
+    # ratio 0 sends every nonempty mask to the search, and 2^40 cells per
+    # product or mask entry admits every row table
+    for ratio in (0, 1 << 40):
+        for ell in (8, 64):
+            searched = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "MASK_TABLE_RATIO", ratio)
+                mp.setattr(kernels, "locate",
+                           lambda *q: searched.append(q) or storage.locate(*q))
+                z, h = masked_multiply(a, b, mask, sr, inner_base=3, ell=ell)
+            assert bool(searched) == (ratio == 0 and bool(mask_pos))
+            assert entry_map(z) == {p: v for p, v in want.items()
+                                    if p in mask_pos}
+            bits = oracle_contribution_bits(shifted_a, shifted_b, ell)
+            assert entry_map(h) == {p: v for p, v in bits.items()
+                                    if p in mask_pos}
 
 
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
@@ -361,8 +416,7 @@ def test_masked_matches_restricted_oracle_property(sr, data):
 @given(data=st.data())
 def test_combine_blocks_is_a_member_order_fold(sr, data):
     n = data.draw(st.integers(1, 12))
-    value = (st.sampled_from((1e16, 1.0, -1e16, 3.0)) if sr is PLUS_TIMES_F64
-             else _value(sr))
+    value = _fold_order_value(sr)
     pos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     members = data.draw(st.lists(st.dictionaries(pos, value, max_size=20),
                                  min_size=1, max_size=4))
