@@ -95,7 +95,8 @@ class DistMatrix:
         _check_batch(batch, sr, 0, 0, part.n_rows, part.n_cols)
         mine = ((part.owner_grid_rows(batch["i"]) == d.grid_row)
                 & (part.owner_grid_cols(batch["j"]) == d.grid_col))
-        apply_batch(d.block, batch[mine], sr, d.row_base, d.col_base)
+        apply_batch(d.block, batch.take(np.flatnonzero(mine)), sr,
+                    d.row_base, d.col_base)
         return d
 
     def global_entries(self) -> dict:

@@ -21,12 +21,16 @@ found, for one block or several that share a key array. Every in-place
 writer checks that its operands share dst's shape, searches with the
 batch's keys only, once each, and hands what it found to the splice: the
 searches cost O(batch log nnz), plus one O(nnz) copy of the block's arrays,
-only when a key is added or removed. A write into an empty block copies the
-source; the static product merges no first round, it takes the kernels'
-output blocks as C and F. Blocks that hold one position set can share one
-key array object (share_keys): the maintained product C and its bitfields
-F do, and replace_touched replaces both from the recomputed Z and H with
-one search of the touched keys and one splice. The wire carries a block
+only when a key is added or removed. Writers gather by index where a mask
+would be near half full, which numpy gathers several times slower:
+add_into and or_into split the source into hits and misses once
+(np.flatnonzero) and gather with take; apply_batch and replace_touched keep
+masks that are nearly all true or all false. A write into an empty block
+copies the source; the static product merges no first round, it takes the
+kernels' output blocks as C and F. Blocks that hold one position set can
+share one key array object (share_keys): the maintained product C and its
+bitfields F do, and replace_touched replaces both from the recomputed Z and
+H with one search of the touched keys and one splice. The wire carries a block
 as it is stored: dcsr_serialize writes a header, the keys and the values,
 and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
 returns views of the message. The
@@ -358,11 +362,12 @@ def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
 
 def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     _check_same_shape(dst, src, "src")
-    sk = src.keys()
-    pos, hit = locate(dst.keys(), sk)
-    at, miss = pos[hit], ~hit
-    _splice((dst,), at, (fold(dst.vals[at], src.vals[hit]),), pos[:0],
-            pos[miss], sk[miss], (src.vals[miss],))
+    sk, sv = src.keys(), src.vals
+    pos, found = locate(dst.keys(), sk)
+    hit, miss = np.flatnonzero(found), np.flatnonzero(~found)
+    at = pos.take(hit)
+    _splice((dst,), at, (fold(dst.vals.take(at), sv.take(hit)),), at[:0],
+            pos.take(miss), sk.take(miss), (sv.take(miss),))
 
 
 def share_keys(dst: DcsrBlock, src: DcsrBlock) -> None:

@@ -1,5 +1,7 @@
 """Update batches, their routing and batched application."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from dynspgemm import (
     run_spmd,
     update_batch,
 )
-from dynspgemm.redistribute import _buckets
+from dynspgemm.redistribute import _buckets, _exchange
 from helpers import decode_values, entry_map, owner_coords
 
 
@@ -60,14 +62,16 @@ def test_counting_sort_is_stable():
 
 def test_counting_sort_matches_sorted_oracle():
     rng = np.random.default_rng(19)
-    items = list(range(2000))
-    keys = rng.integers(0, 16, size=2000)
-    order, offs = _buckets(keys, 16)
-    out = order.tolist()
-    want = [item for item, _ in sorted(zip(items, keys.tolist()), key=lambda p: p[1])]
-    assert out == want
-    for b in range(16):
-        assert all(keys[item] == b for item in out[offs[b]:offs[b + 1]])
+    # past 255 buckets the destinations sort as uint16, not uint8
+    for n_buckets in (16, 300):
+        keys = rng.integers(0, n_buckets, size=5000)
+        order, offs = _buckets(keys, n_buckets)
+        out = order.tolist()
+        want = [item for item, _ in
+                sorted(enumerate(keys.tolist()), key=lambda p: p[1])]
+        assert out == want
+        for b in range(n_buckets):
+            assert all(keys[item] == b for item in out[offs[b]:offs[b + 1]])
 
 
 # -- batch records and their wire bytes ------------------------------------------------
@@ -106,10 +110,57 @@ def test_tuple_codec_rejects_ragged_buffer():
         def all_to_all_v(self, axis, bufs):
             return [buf[:-1] for buf in bufs]
 
-    batch = upserts(PLUS_TIMES_I64, (0, 0, 1))
-    with pytest.raises(ValueError):
-        redistribute_updates(TruncatingComm(), BlockPartition(4, 4, 1), batch,
-                             PLUS_TIMES_I64)
+    class ShiftingComm:
+        """Moves one byte of the first received buffer to the second: each
+        is ragged, but together they still hold whole records."""
+
+        def all_to_all_v(self, axis, bufs):
+            return [bufs[0][:-1], bufs[0][-1:] + bufs[1]]
+
+    batch = upserts(PLUS_TIMES_I64, (0, 0, 1), (2, 0, 2), (0, 1, 3))
+    for comm, q in ((TruncatingComm(), 1), (ShiftingComm(), 2)):
+        with pytest.raises(ValueError):
+            redistribute_updates(comm, BlockPartition(4, 4, q), batch,
+                                 PLUS_TIMES_I64)
+
+
+def _exchange_oracle(batch, dest, q):
+    """The fancy-index and concatenate exchange the routing replaced, over
+    a communicator that sends every bucket back to its sender."""
+    order = np.argsort(dest, kind="stable")
+    srt = batch[order]
+    offs = np.searchsorted(dest[order], np.arange(q + 1))
+    return np.concatenate([np.frombuffer(srt[offs[g]:offs[g + 1]].tobytes(),
+                                         dtype=batch.dtype) for g in range(q)])
+
+
+class _LoopbackComm:
+    def all_to_all_v(self, axis, bufs):
+        return list(bufs)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("sr", list(REGISTRY.values()), ids=lambda s: s.name)
+def test_exchange_matches_the_concatenated_gather(sr, q):
+    rng = np.random.default_rng(41 + q)
+    # every bucket used, and all but the first or the last left empty
+    for count, used in itertools.product((0, 1, 7, 500),
+                                         (range(q), [0], [q - 1])):
+        batch = _random_batch(rng, sr, 40, count)
+        dest = rng.choice(used, size=count)
+        got = _exchange(_LoopbackComm(), "row", batch, dest, q)
+        want = _exchange_oracle(batch, dest, q)
+        assert got.flags.writeable and got.dtype == batch.dtype
+        assert got.tobytes() == want.tobytes()
+    # a routed batch, grid rank by grid rank, is writable too
+    part = BlockPartition(40, 40, q)
+    batches = [_random_batch(rng, sr, 40, 300) for _ in range(q * q)]
+
+    def worker(comm):
+        return redistribute_updates(comm, part, batches[comm.rank],
+                                    sr).flags.writeable
+
+    assert all(run_spmd(q * q, worker))
 
 
 def test_tuple_codec_empty():
