@@ -2,8 +2,8 @@
 experiment driver and per-phase time/volume metrics.
 
 Experiments run all q*q simulated ranks inside this process, each in one
-rank worker whose single batch loop serves all seven experiments: draw,
-route, apply (and for products, update or recompute C), and one
+rank worker whose single batch loop serves every experiment's _Preset:
+draw, route, apply (and for products, update or recompute C), and one
 MetricsRecord per batch, which run_experiment folds over the ranks. Each
 rank loads its operand straight from its row-band slice of the sorted,
 deduplicated pool, whose (row, col) order is already the block's key order,
@@ -51,14 +51,42 @@ class ResourceCapError(RuntimeError):
     """Estimated work exceeds the configured resource cap."""
 
 
-EXPERIMENTS = ("construct", "insert", "update", "delete",
-               "spgemm-algebraic", "spgemm-general", "spgemm-static")
-_SPGEMM = ("spgemm-algebraic", "spgemm-general", "spgemm-static")
+@dataclass(frozen=True)
+class _Preset:
+    """What an experiment runs; every batch goes into the left operand A.
+
+    a0: what A starts as: "empty", the even pool indices ("even", whose
+        batches then draw the odd ones) or the whole "pool".
+    op: what a batch does to the pool entries it draws: "insert" them with
+        their values, "modify" them to _modified_value, or "delete" them.
+    path: how a batch reaches the result. "apply" applies it to A in the
+        merge phase, and the checksum names A. Any other path makes B the
+        pool, applies the batch to A in the redistribute phase and keeps
+        C = A . B by the "algebraic" or "general" update, or recomputes it
+        with summa_static ("static"); the checksum names C.
+    """
+    a0: str
+    op: str
+    path: str
+
+
+_PRESETS = {
+    "construct": _Preset("empty", "insert", "apply"),
+    "insert": _Preset("even", "insert", "apply"),
+    "update": _Preset("pool", "modify", "apply"),
+    "delete": _Preset("pool", "delete", "apply"),
+    "spgemm-algebraic": _Preset("empty", "insert", "algebraic"),
+    "spgemm-general": _Preset("empty", "insert", "general"),
+    "spgemm-static": _Preset("empty", "insert", "static"),
+}
+EXPERIMENTS = tuple(_PRESETS)
 
 RMAT_A, RMAT_B, RMAT_C, RMAT_D = 0.57, 0.19, 0.19, 0.05
 
 # The most vertices whose entry keys r * n + c all fit in int64.
 _MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+# The largest grid side: run_spmd starts one OS thread per rank, q * q at once.
+_MAX_GRID_SIDE = 32
 
 
 @dataclass
@@ -101,14 +129,15 @@ class MetricsRecord:
 def resolve_semiring(cfg: ExperimentConfig) -> Semiring:
     name = cfg.semiring
     if name is None:
-        name = "min-plus" if cfg.experiment == "spgemm-general" else "plus-times-i64"
+        general = _PRESETS[cfg.experiment].path == "general"
+        name = "min-plus" if general else "plus-times-i64"
     if name not in REGISTRY:
         raise ConfigError(f"unknown semiring {name!r}; known: {sorted(REGISTRY)}")
     return by_name(name)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
+    if cfg.experiment not in _PRESETS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if (cfg.input_path is None) == (cfg.rmat_scale is None):
         raise ConfigError("exactly one of input_path / rmat_scale is required")
@@ -116,8 +145,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("rmat scale must be in [1, 24]")
     if cfg.rmat_scale is not None and cfg.rmat_edge_factor < 1:
         raise ConfigError("rmat edge factor must be >= 1")
-    if cfg.q < 1:
-        raise ConfigError("grid side must be >= 1")
+    if not 1 <= cfg.q <= _MAX_GRID_SIDE:
+        raise ConfigError(f"grid side must be in [1, {_MAX_GRID_SIDE}]")
     if cfg.batch_size < 0 or cfg.n_batches < 0:
         raise ConfigError("batch size and batch count must be >= 0")
     if cfg.ell not in (8, 16, 32, 64):
@@ -399,11 +428,11 @@ def _modified_value(i: np.ndarray, j: np.ndarray, seed: int, sr: Semiring):
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
     """Execute one experiment over all simulated ranks; returns per-batch
-    metric records plus the final-state checksum. spgemm experiments verify
-    the maintained product against a from-scratch recompute when the
-    estimated work is at most cfg.verify_cap, and otherwise issue a
-    RuntimeWarning that names the estimate and the cap. Sets glibc's
-    allocator policy for the whole process first
+    metric records plus the final-state checksum. Product experiments (any
+    path but "apply") verify the maintained product against a from-scratch
+    recompute when the estimated work is at most cfg.verify_cap, and
+    otherwise issue a RuntimeWarning that names the estimate and the cap.
+    Sets glibc's allocator policy for the whole process first
     (transport.keep_freed_pages), as an MPI launcher owns its ranks'
     processes."""
     validate_config(cfg)
@@ -412,7 +441,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], str]:
     n, rows, cols = _build_pool(cfg)
     vals = _entry_values(cfg, sr, len(rows))
     do_verify = False
-    if cfg.experiment in _SPGEMM:
+    if _PRESETS[cfg.experiment].path != "apply":
         est = _estimate_flops(n, rows)
         if est > cfg.flops_cap:
             raise ResourceCapError(
@@ -457,54 +486,55 @@ def _build_pool(cfg: ExperimentConfig):
     return n, rows, cols
 
 
-def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
-                 rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 do_verify: bool) -> tuple[list[MetricsRecord], tuple, bool]:
-    """One rank of an experiment: load the operands, run the batch loop and
-    return (per-batch records, local checksum, verification outcome).
-
-    Every batch goes into the left operand A. The storage experiments start
-    A empty (construct), from the even pool entries (insert) or from the
-    whole pool (update, delete), and apply the batch in the merge phase. The
-    products start A empty and B from the whole pool, apply the batch in
-    the redistribute phase and maintain C = A . B.
+def _load_operand(comm, part: BlockPartition, sr: Semiring, rows: np.ndarray,
+                  cols: np.ndarray, vals: np.ndarray, a0: str) -> DistMatrix:
+    """This rank's block of an operand that starts as a0 ("empty", "even" or
+    "pool", as in _Preset).
 
     The pool (rows, cols) must be sorted by (row, col) and free of
     duplicates, as symmetrized_pool gives it: a rank finds its grid row's
     entries as one slice, tests only that slice for its columns, and takes
     the selected entries' local keys, strictly increasing in pool order,
-    and their values as its operand block as they stand, with no update
-    batch, sort or search.
+    and their values as its block as they stand, with no update batch, sort
+    or search.
     """
-    exp = cfg.experiment
+    if a0 == "empty":
+        return DistMatrix.empty(part, comm, sr)
+    i, j = comm.grid_row, comm.grid_col
+    r0, c0 = part.row_starts[i], part.col_starts[j]
+    n_rows, n_cols = part.block_shape(i, j)
+    lo, hi = rows.searchsorted([r0, r0 + n_rows])
+    band = cols[lo:hi]
+    mine = (band >= c0) & (band < c0 + n_cols)
+    if a0 == "even":
+        mine[(lo + 1) % 2::2] = False   # odd pool indices are drawn
+    own = lo + np.flatnonzero(mine)
+    keys = rows[own]
+    keys -= r0
+    keys *= n_cols
+    keys += cols[own]
+    keys -= c0
+    return DistMatrix(part, i, j, DcsrBlock(
+        n_rows, n_cols, keys, vals[own].astype(sr.np_dtype, copy=False)))
+
+
+def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
+                 rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 do_verify: bool) -> tuple[list[MetricsRecord], tuple, bool]:
+    """One rank of an experiment: load the operands, run the batch loop and
+    return (per-batch records, local checksum, verification outcome). The
+    experiment's _Preset decides what the operands start as, what a batch
+    draws and which path it takes."""
+    preset = _PRESETS[cfg.experiment]
     part = BlockPartition(n, n, comm.q)
     i, j = comm.grid_row, comm.grid_col
     r0, c0 = part.row_starts[i], part.col_starts[j]
-    m = len(rows)
-    if exp == "construct":
-        loaded = DistMatrix.empty(part, comm, sr)
-    else:
-        n_rows, n_cols = part.block_shape(i, j)
-        lo, hi = rows.searchsorted([r0, r0 + n_rows])
-        band = cols[lo:hi]
-        mine = (band >= c0) & (band < c0 + n_cols)
-        if exp == "insert":
-            mine[(lo + 1) % 2::2] = False   # odd pool indices are drawn
-        own = lo + np.flatnonzero(mine)
-        keys = rows[own]
-        keys -= r0
-        keys *= n_cols
-        keys += cols[own]
-        keys -= c0
-        loaded = DistMatrix(part, i, j, DcsrBlock(
-            n_rows, n_cols, keys, vals[own].astype(sr.np_dtype, copy=False)))
-    if exp in _SPGEMM:
-        a, b = DistMatrix.empty(part, comm, sr), loaded
-    else:
-        a, b = loaded, None
+    a = _load_operand(comm, part, sr, rows, cols, vals, preset.a0)
+    b = None if preset.path == "apply" else _load_operand(
+        comm, part, sr, rows, cols, vals, "pool")
 
     state = c = None
-    if exp in ("spgemm-algebraic", "spgemm-general"):
+    if preset.path in ("algebraic", "general"):
         state = spgemm_algebraic_init(comm, a, b, sr, ell=cfg.ell)
         c = state.C   # updated in place
         empty_delta = DistMatrix.empty(part, comm, sr)
@@ -515,11 +545,10 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
     # Draw pool: the pool indices this rank may insert/modify/delete, drawn
     # without replacement across batches, seeded per (rank, batch).
     # This rank's share of them is every size-th, from its rank on, of the
-    # odd indices (insert) or of all indices.
-    if exp == "insert":
-        remaining = np.arange(1 + 2 * comm.rank, m, 2 * comm.size)
-    else:
-        remaining = np.arange(comm.rank, m, comm.size)
+    # odd indices (a0 "even") or of all indices.
+    step = 2 if preset.a0 == "even" else 1
+    remaining = np.arange(step - 1 + step * comm.rank, len(rows),
+                          step * comm.size)
 
     records = []
     for k in range(cfg.n_batches):
@@ -530,9 +559,9 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
                          replace=False)
         chosen, remaining = remaining[sel], np.delete(remaining, sel)
         bi, bj = rows[chosen], cols[chosen]
-        if exp == "delete":
+        if preset.op == "delete":
             batch = update_batch(sr, bi, bj, ops=OP_DELETE)
-        elif exp == "update":
+        elif preset.op == "modify":
             batch = update_batch(sr, bi, bj,
                                  _modified_value(bi, bj, cfg.seed, sr))
         else:
@@ -551,28 +580,29 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
                     *a.local_shape, owned["i"] - r0, owned["j"] - c0,
                     owned["v"]))
         stats = {}
-        if exp == "spgemm-algebraic":
+        if preset.path == "algebraic":
             # a still holds the pre-batch left operand here.
             spgemm_algebraic_update(comm, state, a, delta, b, empty_delta,
                                     phases=phases)
-        with phases.phase("redistribute" if b is not None else "merge"):
+        with phases.phase("merge" if preset.path == "apply" else
+                          "redistribute"):
             apply_batch(a.block, owned, sr, r0, c0)
-        if exp == "spgemm-general":
+        if preset.path == "general":
             # With an empty right-operand delta the pre-batch left operand is
             # never consulted, so the maintained matrix serves as both.
             stats = spgemm_general_update(comm, state, a, delta, b,
                                           empty_delta, a, phases=phases)
-        elif exp == "spgemm-static":
+        elif preset.path == "static":
             c = summa_static(comm, a, b, sr, phases=phases)
         total = time.perf_counter() - t0
         records.append(MetricsRecord(
-            exp, cfg.q, cfg.batch_size, k, cfg.seed, phases.seconds,
-            phases.bytes, nnz_a=a.block.nnz,
+            cfg.experiment, cfg.q, cfg.batch_size, k, cfg.seed,
+            phases.seconds, phases.bytes, nnz_a=a.block.nnz,
             nnz_b=0 if b is None else b.block.nnz, nnz_update=len(owned),
             nnz_c=0 if c is None else c.block.nnz,
             nnz_filtered=stats.get("nnz_filtered", 0), total_seconds=total))
 
-    if b is not None and c is None:   # a static product run with no batch
+    if preset.path == "static" and c is None:   # no batch ran
         c = summa_static(comm, a, b, sr)
     verify_ok = True
     if do_verify and state is not None:
@@ -611,7 +641,8 @@ def emit_csv(records: list[MetricsRecord], path: str) -> None:
 
 
 def parse_csv(path: str) -> list[MetricsRecord]:
-    """Inverse of emit_csv (total_seconds is not serialized)."""
+    """Inverse of emit_csv (total_seconds is not serialized). Raises
+    ConfigError naming the file and line of a malformed row."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -620,18 +651,22 @@ def parse_csv(path: str) -> list[MetricsRecord]:
                 raise ConfigError(f"{path}: unexpected CSV header")
             by_batch: dict[int, MetricsRecord] = {}
             for row in reader:
-                (exp, q, bs, bi, seed, ph, secs, nbytes,
-                 nnz_a, nnz_b, nnz_u, nnz_c, nnz_f) = row
-                rec = by_batch.get(int(bi))
-                if rec is None:
-                    rec = MetricsRecord(exp, int(q), int(bs), int(bi),
-                                        int(seed))
-                    rec.nnz_a, rec.nnz_b = int(nnz_a), int(nnz_b)
-                    rec.nnz_update, rec.nnz_c = int(nnz_u), int(nnz_c)
-                    rec.nnz_filtered = int(nnz_f)
-                    by_batch[int(bi)] = rec
-                rec.seconds[ph] = float(secs)
-                rec.bytes[ph] = int(nbytes)
+                try:
+                    (exp, q, bs, bi, seed, ph, secs, nbytes,
+                     nnz_a, nnz_b, nnz_u, nnz_c, nnz_f) = row
+                    rec = by_batch.get(int(bi))
+                    if rec is None:
+                        rec = MetricsRecord(exp, int(q), int(bs), int(bi),
+                                            int(seed))
+                        rec.nnz_a, rec.nnz_b = int(nnz_a), int(nnz_b)
+                        rec.nnz_update, rec.nnz_c = int(nnz_u), int(nnz_c)
+                        rec.nnz_filtered = int(nnz_f)
+                        by_batch[int(bi)] = rec
+                    rec.seconds[ph] = float(secs)
+                    rec.bytes[ph] = int(nbytes)
+                except ValueError as exc:   # a wrong field count or number
+                    raise ConfigError(
+                        f"{path}:{reader.line_num}: {exc}") from exc
             return [by_batch[b] for b in sorted(by_batch)]
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc

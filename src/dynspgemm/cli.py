@@ -10,6 +10,8 @@ import argparse
 import sys
 
 from .bench import (
+    _MAX_GRID_SIDE,
+    _PRESETS,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -57,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value algebra (default plus-times-i64; spgemm-general "
                         "defaults to min-plus)")
     p.add_argument("--grid", type=int, default=1, metavar="Q",
-                   help="grid side; simulates Q*Q ranks (default 1)")
+                   help=f"grid side, at most {_MAX_GRID_SIDE}; simulates Q*Q "
+                        "ranks (default 1)")
     p.add_argument("--batch-size", type=int, default=1024, metavar="N",
                    help="updates per rank per batch (default 1024)")
     p.add_argument("--batches", type=int, default=10, metavar="K",
@@ -101,12 +104,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _summarize(records: list[MetricsRecord]) -> str:
     """One line per batch. "bytes moved" counts each off-rank byte at the
     sender and again at the receiver, so it is twice the wire volume. The
-    size shown is the product's (nnz_c) for spgemm experiments and the
-    matrix's (nnz_a) for the storage experiments."""
+    size shown is the product's (nnz_c) for the experiments that keep one
+    and the matrix's (nnz_a) for those whose path is "apply"."""
     lines = []
     for rec in records:
         busiest = max(PHASE_NAMES, key=lambda ph: rec.seconds[ph])
-        if rec.experiment.startswith("spgemm-"):
+        if _PRESETS[rec.experiment].path != "apply":
             size = f"nnz_c={rec.nnz_c}"
         else:
             size = f"nnz_a={rec.nnz_a}"

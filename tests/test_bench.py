@@ -650,6 +650,84 @@ def test_experiment_names_frozen():
                            "spgemm-static")
 
 
+def test_validate_config_bounds_the_grid_side():
+    # only validated: a run at q = 33 would start 1089 rank threads
+    validate_config(_cfg(q=32))
+    for q in (33, 1000):
+        with pytest.raises(ConfigError, match=r"grid side must be in \[1, 32\]"):
+            validate_config(_cfg(q=q))
+
+
+# -- experiment presets -----------------------------------------------------------
+
+_SMALL = dict(rmat_scale=6, rmat_edge_factor=4, seed=3)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_zero_batch_run_checksums_its_starting_state(experiment, q):
+    """With no batch, a run checksums what its preset starts from: nothing
+    for construct and for the products (A starts empty, so C = A . B is
+    empty, the static product computed after the loop included), the whole
+    pool for update and delete, and the even pool indices for insert, at
+    any grid side."""
+    cfg = ExperimentConfig(experiment=experiment, q=q, n_batches=0,
+                           **_SMALL)
+    records, checksum = run_experiment(cfg)
+    _, rows, cols = bench._build_pool(cfg)
+    pool = list(zip(rows.tolist(), cols.tolist()))
+    want = {"insert": pool[::2], "update": pool, "delete": pool}.get(
+        experiment, [])
+    assert records == []
+    assert checksum == combine_checksums(
+        [_reference_checksum(dict.fromkeys(want, 1), PLUS_TIMES_I64)])
+
+
+def _preset_run(monkeypatch, a0, op, path, **kw):
+    """run_experiment of a preset that only the calling test defines."""
+    name = f"test-{a0}-{op}-{path}"
+    monkeypatch.setitem(bench._PRESETS, name, bench._Preset(a0, op, path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no skipped check
+        return run_experiment(ExperimentConfig(
+            experiment=name, semiring="min-plus", **_SMALL, **kw))
+
+
+def _small_pool_size():
+    return len(bench._build_pool(_cfg(**_SMALL))[1])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("op", ["delete", "modify"])
+def test_a_preset_added_in_the_test_needs_no_worker_code(monkeypatch, op, q):
+    """A loaded A with delete or modify batches, on the general path (its
+    product checked against a recompute) and the static path: both end at
+    the same product, and the batches changed A as their op says."""
+    runs = {path: _preset_run(monkeypatch, "pool", op, path, q=q,
+                              batch_size=8, n_batches=3)
+            for path in ("general", "static")}
+    assert runs["general"][1] == runs["static"][1]
+    drawn = 3 * 8 * q * q
+    for records, _ in runs.values():
+        assert [r.nnz_update for r in records] == [8 * q * q] * 3
+        assert records[-1].nnz_a == \
+            _small_pool_size() - (drawn if op == "delete" else 0)
+
+
+def test_a_static_preset_with_no_batch_checksums_its_starting_product(
+        monkeypatch):
+    """The static product of a run with no batch is computed after the
+    loop: with A loaded it is the pool's square, as the general path's
+    initial product is."""
+    general = _preset_run(monkeypatch, "pool", "insert", "general", q=2,
+                          n_batches=0)[1]
+    static = _preset_run(monkeypatch, "pool", "insert", "static", q=2,
+                         n_batches=0)[1]
+    assert static == general
+    nnz = int(static.split(";")[0].removeprefix("nnz="))
+    assert nnz > _small_pool_size()
+
+
 # -- experiment driver ------------------------------------------------------------
 
 def test_run_experiment_zero_batch_size_is_a_no_op():
@@ -803,6 +881,20 @@ def test_parse_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b,c\n")
     with pytest.raises(ConfigError, match="header"):
+        parse_csv(str(path))
+
+
+@pytest.mark.parametrize("bad_row,match", [
+    ("insert,2,8\n", r"expected 13, got 3"),
+    ("insert,2,8,0,7,merge,x,0,5,6,7,8,9\n", r"float: 'x'"),
+], ids=["field-count", "non-numeric"])
+def test_parse_csv_names_the_file_and_line_of_a_bad_row(tmp_path, bad_row,
+                                                        match):
+    path = tmp_path / "m.csv"
+    emit_csv([_sample_record()], str(path))   # header and lines 2-7
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad_row)
+    with pytest.raises(ConfigError, match=f"m.csv:8: .*{match}"):
         parse_csv(str(path))
 
 
