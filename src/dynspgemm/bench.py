@@ -642,7 +642,8 @@ def emit_csv(records: list[MetricsRecord], path: str) -> None:
 
 def parse_csv(path: str) -> list[MetricsRecord]:
     """Inverse of emit_csv (total_seconds is not serialized). Raises
-    ConfigError naming the file and line of a malformed row."""
+    ConfigError naming the file and line of a malformed row or an unknown
+    phase, and naming the file when it is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -662,11 +663,15 @@ def parse_csv(path: str) -> list[MetricsRecord]:
                         rec.nnz_update, rec.nnz_c = int(nnz_u), int(nnz_c)
                         rec.nnz_filtered = int(nnz_f)
                         by_batch[int(bi)] = rec
+                    if ph not in PHASE_NAMES:
+                        raise ValueError(f"unknown phase {ph!r}")
                     rec.seconds[ph] = float(secs)
                     rec.bytes[ph] = int(nbytes)
                 except ValueError as exc:   # a wrong field count or number
                     raise ConfigError(
                         f"{path}:{reader.line_num}: {exc}") from exc
             return [by_batch[b] for b in sorted(by_batch)]
+    except UnicodeDecodeError as exc:   # decoded ahead of the rows, so no line
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc

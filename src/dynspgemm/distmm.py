@@ -35,9 +35,12 @@ from .storage import (
     combine_blocks,
     dcsr_deserialize,
     dcsr_serialize,
+    field_blocks,
     filter_rows_by_bloom,
     locate,
     or_into,
+    record_block,
+    record_codec,
     replace_touched,
     semiring_codec,
     share_keys,
@@ -294,6 +297,9 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     * the bitfield block bloom(a_delta . b_prime) | bloom(a_prime . b_delta)
       of summation indices the batch adds to those positions.
 
+    When b_delta is empty, both hold the key array object of
+    struct(a_delta . b_prime), unsorted and uncopied (combine_blocks).
+
     Costs 2q broadcasts, 3q aggregations and 2 transpose exchanges per rank.
     """
     i, j = comm.grid_row, comm.grid_col
@@ -379,13 +385,18 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     _check_same_shape(c_local, touched, "touched")
     with phases.phase("local_multiply"):
         t_rows, t_keys = touched.to_arrays()[0], touched.keys()
-        row_bits = np.zeros(n_lr, dtype=np.uint64)
-        held = locate(c_local.keys(), t_keys)
-        for blk, (pos, found) in ((f_local, held),
-                                  (new_bits, locate(new_bits.keys(), t_keys))):
-            np.bitwise_or.at(row_bits, t_rows[found], blk.vals[pos[found]])
+        held = pos, found = locate(c_local.keys(), t_keys)
+        bits = np.zeros(len(t_keys), dtype=np.uint64)
+        bits[found] = f_local.vals[pos[found]]
+        if new_bits.keys() is t_keys:   # compute_pattern's one-sided union
+            bits |= new_bits.vals
+        else:
+            pos, found = locate(new_bits.keys(), t_keys)
+            bits[found] |= new_bits.vals[pos[found]]
+        starts = np.flatnonzero(np.diff(t_rows, prepend=-1))
+        row_bits = np.bitwise_or.reduceat(bits, starts)
         nz = np.flatnonzero(row_bits)
-        vec = DcsrBlock(n_lr, 1, nz, row_bits[nz])   # an n x 1 key is its row
+        vec = DcsrBlock(n_lr, 1, t_rows[starts[nz]], row_bits[nz])  # key: row
     with phases.phase("aggregate"):
         vr = comm.aggregate_sparse("row", 0, vec, np.bitwise_or, bcodec)
     with phases.phase("broadcast"):
@@ -402,20 +413,22 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
     mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 
-    z_mine = h_mine = None
+    # Z and H travel as one block of (z, h) records, folded field by field
+    zh_codec = record_codec(codec, bcodec)
+    zh_mine = None
     for k, a_blk, mask in _rounds(comm, ar_bytes, mask_bytes, codec,
                                   STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
-            z_part, h_part = masked_multiply(a_blk, b_prime.block, mask, sr,
-                                             inner_starts[i], ell)
+            zh_part = record_block(
+                masked_multiply(a_blk, b_prime.block, mask, sr,
+                                inner_starts[i], ell), zh_codec.dtype)
         with phases.phase("aggregate"):
-            zr = comm.aggregate_sparse("col", k, z_part, sr.np_add, codec)
-            hr = comm.aggregate_sparse("col", k, h_part, np.bitwise_or, bcodec)
-        if zr is not None:
-            z_mine = zr
-        if hr is not None:
-            h_mine = hr
+            zhr = comm.aggregate_sparse("col", k, zh_part,
+                                        (sr.np_add, np.bitwise_or), zh_codec)
+        if zhr is not None:
+            zh_mine = zhr
 
+    z_mine, h_mine = field_blocks(zh_mine)
     with phases.phase("merge"):
         deleted = replace_touched((c_local, f_local), touched,
                                   (z_mine, h_mine), held)

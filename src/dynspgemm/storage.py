@@ -313,20 +313,47 @@ def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
     """Fold equal-shaped blocks in list order into one canonical block. A
     position seen again folds as fold(old, new), in list order, with fold a
-    ufunc (a semiring's np_add, or np.bitwise_or for bitfields); with fold
-    None the blocks are structure-only and the result is the union of their
-    positions. Folded members must share one value dtype: ValueError
-    otherwise, as numpy would promote the values to a type fold may not
-    take."""
+    ufunc (a semiring's np_add, or np.bitwise_or for bitfields), or a tuple
+    of ufuncs, one per field, for record values (record_codec); with fold
+    None the result is the structure-only union of the members' positions.
+    Folded members must share one value dtype: ValueError otherwise, as
+    numpy would promote the values to a type fold may not take. A single
+    non-empty member, or the first when all are empty, is returned as is
+    (its keys alone when fold is None)."""
+    if fold is not None:
+        dtypes = {b.vals.dtype for b in blocks}
+        if len(dtypes) > 1:
+            raise ValueError("combine_blocks members hold values of dtypes "
+                             f"{' and '.join(sorted(map(str, dtypes)))}")
+    full = [b for b in blocks if b.nnz] or blocks[:1]
+    if len(full) == 1:
+        b = full[0]
+        return b if fold else DcsrBlock(n_rows, n_cols, b.keys(), None)
     keys = np.concatenate([b.keys() for b in blocks])
     if fold is None:
         return dcsr_from_keys(n_rows, n_cols, keys)
-    dtypes = {b.vals.dtype for b in blocks}
-    if len(dtypes) > 1:
-        raise ValueError("combine_blocks members hold values of dtypes "
-                         f"{' and '.join(sorted(map(str, dtypes)))}")
-    return dcsr_from_keys(n_rows, n_cols, keys,
-                          np.concatenate([b.vals for b in blocks]), fold)
+    vals = np.concatenate([b.vals for b in blocks])
+    if not isinstance(fold, tuple):
+        return dcsr_from_keys(n_rows, n_cols, keys, vals, fold)
+    keys, cols = _sort_fold(keys, *zip((vals[f] for f in vals.dtype.names),
+                                       fold))
+    return record_block([DcsrBlock(n_rows, n_cols, keys, c) for c in cols],
+                        vals.dtype)
+
+
+def record_block(blocks, dtype: np.dtype) -> DcsrBlock:
+    """The block of records of dtype (record_codec's) whose field i holds
+    blocks[i]'s values; the blocks share one key array (Z and H)."""
+    b, vals = blocks[0], np.empty(blocks[0].nnz, dtype=dtype)
+    for f, blk in zip(dtype.names, blocks):
+        vals[f] = blk.vals
+    return DcsrBlock(b.n_rows, b.n_cols, b.keys(), vals)
+
+
+def field_blocks(block: DcsrBlock) -> list[DcsrBlock]:
+    """One block per field of a record block, each on its key array."""
+    return [DcsrBlock(block.n_rows, block.n_cols, block.keys(), block.vals[f])
+            for f in block.vals.dtype.names]
 
 
 def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
@@ -402,9 +429,10 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
 
     Only the touched keys are searched for in dst, and src's keys in
     touched, once each for all the blocks, so the searches cost
-    O(t log nnz(dst)) for t touched entries. Replaced entries change in
-    place; the keys and each value array are copied, O(nnz), only when an
-    entry is added or deleted (_splice)."""
+    O(t log nnz(dst)) for t touched entries, and src's keys are not searched
+    when they are the touched keys (the same array or equal ones). Replaced
+    entries change in place; the keys and each value array are copied,
+    O(nnz), only when an entry is added or deleted (_splice)."""
     dsts = dst if isinstance(dst, tuple) else (dst,)
     srcs = src if isinstance(src, tuple) else (src,)
     if len(dsts) != len(srcs):
@@ -418,10 +446,13 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
     if any(s.keys() is not sk and not np.array_equal(s.keys(), sk)
            for s in srcs[1:]):
         raise ValueError("src blocks hold different keys")
-    s_at, in_touched = locate(tk, sk)
-    if not in_touched.all():
-        k = int(sk[~in_touched][0])
-        raise ValueError(f"src holds key {k}, which is not a touched key")
+    if sk is tk or np.array_equal(sk, tk):
+        s_at = np.arange(len(tk))
+    else:
+        s_at, in_touched = locate(tk, sk)
+        if not in_touched.all():
+            k = int(sk[~in_touched][0])
+            raise ValueError(f"src holds key {k}, which is not a touched key")
     pos, held = locate(dk, tk) if lookup is None else lookup
     s_held = held[s_at]   # per src entry: does dst hold its key
     gone = held.copy()    # per touched key: does dst hold it and src not
@@ -479,6 +510,14 @@ def bloom_codec(ell: int) -> ValueCodec:
 
 STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None,
                              None)
+
+
+def record_codec(*codecs: ValueCodec) -> ValueCodec:
+    """Codec of packed records, field f<i> in codecs[i]'s dtype: a message
+    carries the keys once and every field's values."""
+    dt = np.dtype([(f"f{i}", c.dtype) for i, c in enumerate(codecs)])
+    return ValueCodec(dt.itemsize, lambda v: np.asarray(v, dtype=dt).tobytes(),
+                      lambda buf, n: np.frombuffer(buf, dtype=dt, count=n), dt)
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:

@@ -314,7 +314,8 @@ class Communicator:
         contributions in ascending member order, entries colliding at the
         same position with fold(old, new), so results are reproducible.
         fold is a ufunc (a semiring's np_add, or np.bitwise_or for
-        bitfields), or None for structure-only blocks.
+        bitfields), a tuple of ufuncs that folds record values field by
+        field (storage.record_codec), or None for structure-only blocks.
         """
         members, my_idx = self._group(axis)
         size = len(members)

@@ -524,8 +524,8 @@ _FROZEN_RUNS = [
     ("spgemm-algebraic", 2, True, None, "nnz=5875;hash=c1c841a3f704c8bd", 129958),
     ("spgemm-general", 1, False, None, "nnz=1746;hash=337df34d89022581", 0),
     ("spgemm-general", 1, True, None, "nnz=1746;hash=3d2e96a96b1088e0", 0),
-    ("spgemm-general", 2, False, None, "nnz=5875;hash=b6770ae57c7cea97", 487014),
-    ("spgemm-general", 2, True, None, "nnz=5875;hash=26d7c93d45357f15", 487014),
+    ("spgemm-general", 2, False, None, "nnz=5875;hash=b6770ae57c7cea97", 429190),
+    ("spgemm-general", 2, True, None, "nnz=5875;hash=26d7c93d45357f15", 429190),
     ("spgemm-static", 1, False, None, "nnz=1746;hash=46c1824b19307711", 0),
     ("spgemm-static", 1, True, None, "nnz=1746;hash=bbb150400ebbf8cc", 0),
     ("spgemm-static", 2, False, None, "nnz=5875;hash=3458f50628b654ac", 278150),
@@ -581,13 +581,13 @@ _FROZEN_RECORDS = {
     "spgemm-general": [
         ((64, 2656, 64, 2618, 64),
          {"redistribute": 2800, "transpose_exchange": 2016,
-          "broadcast": 47744, "aggregate": 131456}),
+          "broadcast": 47744, "aggregate": 109792}),
         ((128, 2656, 64, 4303, 92),
          {"redistribute": 3450, "transpose_exchange": 2352,
-          "broadcast": 38912, "aggregate": 107424}),
+          "broadcast": 38912, "aggregate": 89216}),
         ((192, 2656, 64, 5875, 111),
          {"redistribute": 3100, "transpose_exchange": 2560,
-          "broadcast": 39760, "aggregate": 105440})],
+          "broadcast": 39760, "aggregate": 87488})],
     "spgemm-static": [
         ((64, 2656, 64, 2618, 0),
          {"redistribute": 2800, "broadcast": 87552}),
@@ -895,6 +895,24 @@ def test_parse_csv_names_the_file_and_line_of_a_bad_row(tmp_path, bad_row,
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(bad_row)
     with pytest.raises(ConfigError, match=f"m.csv:8: .*{match}"):
+        parse_csv(str(path))
+
+
+def test_parse_csv_names_the_line_of_an_unknown_phase(tmp_path):
+    path = tmp_path / "m.csv"
+    emit_csv([_sample_record()], str(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("insert,2,8,0,7,bogus,0.5,0,5,6,7,8,9\n")
+    with pytest.raises(ConfigError, match=r"m.csv:8: unknown phase 'bogus'"):
+        parse_csv(str(path))
+
+
+def test_parse_csv_names_the_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    emit_csv([_sample_record()], str(path))
+    with open(path, "ab") as fh:
+        fh.write(b"insert,2,8,0,7,merge,0.5,0,5,6,7,8,\xff\n")
+    with pytest.raises(ConfigError, match=r"m.csv: not UTF-8"):
         parse_csv(str(path))
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
+    BOOLEAN,
     BlockPartition,
     DcsrBlock,
     DistMatrix,
@@ -1077,6 +1078,121 @@ def test_general_batch_searches_c_keys_and_touched_once(monkeypatch):
     assert all(nnz > 0 for nnz, *_ in out)
     assert any(n_touched > 0 for _, n_touched, *_ in out)
     assert [counts for _, _, *counts in out] == [[1, 1, 1]] * 4
+
+
+def test_one_sided_general_batch_looks_up_each_key_set_once(monkeypatch):
+    """With b_delta empty, touched and new_bits share one key array: per
+    rank the one search is the touched keys' lookup in C's keys, and
+    replace_touched searches nothing, as Z holds every touched key (the
+    batch inserts and modifies only, so no touched position loses its
+    support)."""
+    n = 32
+    rng = np.random.default_rng(67)
+    a0 = random_map(rng, n, n, 0.15, values="float")
+    b0 = random_map(rng, n, n, 0.15, values="float")
+    a1 = dict(a0)
+    for pos in list(a0)[:6]:
+        a1[pos] = a0[pos] + 3.0
+    while len(a1) < len(a0) + 6:
+        a1[(int(rng.integers(n)), int(rng.integers(n)))] = 1.0
+    changed = {p for p in a1 if a0.get(p) != a1[p]}
+    calls, pattern, replacing = {}, {}, set()
+    real_locate = storage.locate
+    real_pattern = distmm.compute_pattern
+    real_replace = distmm.replace_touched
+
+    def rank():
+        return threading.current_thread().name
+
+    def counting_locate(keys, queries):
+        where = "replace" if rank() in replacing else "update"
+        calls.setdefault(rank(), []).append((where, keys, queries))
+        return real_locate(keys, queries)
+
+    def keeping_pattern(*args, **kwargs):
+        pattern[rank()] = out = real_pattern(*args, **kwargs)
+        return out
+
+    def marking_replace(*args, **kwargs):
+        replacing.add(rank())
+        try:
+            return real_replace(*args, **kwargs)
+        finally:
+            replacing.discard(rank())
+
+    monkeypatch.setattr(storage, "locate", counting_locate)
+    monkeypatch.setattr(distmm, "locate", counting_locate)
+    monkeypatch.setattr(distmm, "compute_pattern", keeping_pattern)
+    monkeypatch.setattr(distmm, "replace_touched", marking_replace)
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, a0, MIN_PLUS)
+        b = dist_from_map(part, comm, b0, MIN_PLUS)
+        a_prime = dist_from_map(part, comm, a1, MIN_PLUS)
+        d_a = update_from_map(part, comm, dict.fromkeys(changed),
+                              structure_only=True)
+        d_b = update_from_map(part, comm, {}, structure_only=True)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+        c_keys = st.C.block.keys()
+        calls[rank()] = []
+        stats = spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
+        mine = calls.pop(rank())
+        touched, new_bits = pattern[rank()]
+        t_keys = touched.keys()
+        held = [q for _, k, q in mine if k is c_keys]
+        others = [k for _, k, q in mine if k is not c_keys and len(q)]
+        assert entry_map(st.C.block) == entry_map(
+            summa_static(comm, a_prime, b, MIN_PLUS).block)
+        return (stats["n_touched"], stats["n_recomputed"],
+                new_bits.keys() is t_keys,
+                len(held), held[0] is t_keys, len(others),
+                sum(w == "replace" for w, *_ in mine))
+
+    out = spmd_collect(2, worker)
+    assert sum(t for t, *_ in out) > 0
+    for n_touched, n_recomputed, *checks in out:
+        assert n_recomputed == n_touched
+        assert checks == [True, 1, True, 0, 0]
+
+
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
+                                BOOLEAN], ids=lambda s: s.name)
+def test_two_sided_general_batch_matches_static_under_each_semiring(sr):
+    """A batch that changes and deletes entries of both operands: touched
+    and new_bits hold different keys and Z misses the positions left with
+    no support, so the row-bitfield union and replace_touched take their
+    searches."""
+    n = 24
+    rng = np.random.default_rng(71)
+    a0 = random_map(rng, n, n, 0.15, values="float")
+    b0 = random_map(rng, n, n, 0.15, values="float")
+    batches = _general_batches(rng, a0, b0, n, 3)
+    # b_delta deletes a right-operand entry in some batch
+    assert any(p not in b1 for *_, b1, ch_b in batches for p in ch_b)
+
+    def dist(part, comm, m):
+        vals = {p: (1 if sr is BOOLEAN else v) for p, v in m.items()}
+        return dist_from_map(part, comm, vals, sr)
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        st = spgemm_algebraic_init(comm, dist(part, comm, a0),
+                                   dist(part, comm, b0), sr, ell=8)
+        deleted = 0
+        for prev_a, a1, ch_a, b1, ch_b in batches:
+            a_prime, b_prime = dist(part, comm, a1), dist(part, comm, b1)
+            stats = spgemm_general_update(
+                comm, st, a_prime,
+                update_from_map(part, comm, dict.fromkeys(ch_a), True),
+                b_prime, update_from_map(part, comm, dict.fromkeys(ch_b), True),
+                dist(part, comm, prev_a))
+            deleted += stats["n_deleted"]
+            assert entry_map(st.C.block) == entry_map(
+                summa_static(comm, a_prime, b_prime, sr).block)
+        return deleted
+
+    assert sum(spmd_collect(2, worker)) > 0
 
 
 def test_general_refuses_a_state_whose_f_has_other_positions():

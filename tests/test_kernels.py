@@ -459,6 +459,20 @@ def test_combine_blocks_refuses_members_of_two_dtypes():
     assert position_set(combine_blocks(members, 2, 2, None)) == {(0, 0)}
 
 
+def test_combine_blocks_returns_a_single_non_empty_member_as_is():
+    full = block_from_triples(3, 3, [(0, 1, 2.5), (2, 0, 1.0)], np.float64)
+    empty = DcsrBlock.empty(3, 3, dtype=np.float64)
+    for blocks in ((full, empty), (empty, full, empty)):
+        got = combine_blocks(blocks, 3, 3, np.add)
+        assert got.keys() is full.keys() and got.vals is full.vals
+        union = combine_blocks(blocks, 3, 3, None)
+        assert union.keys() is full.keys() and union.vals is None
+    # the dtype check comes before the shortcut
+    with pytest.raises(ValueError, match="bool and float64"):
+        combine_blocks((full, DcsrBlock.empty(3, 3, dtype=np.bool_)), 3, 3,
+                       np.add)
+
+
 def test_float_sums_fold_in_ascending_inner_index():
     # Pairwise or reordered summation of these products gives another sum.
     column = [1e16, 1.0, -1e16, 3.0] * 5 + [1.0] * 20
