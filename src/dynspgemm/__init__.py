@@ -11,11 +11,11 @@ from .semiring import (
     by_name,
 )
 from .storage import (
+    BLOOM_CODEC,
     DcsrBlock,
     DecodeError,
     STRUCTURE_CODEC,
     add_into,
-    bloom_codec,
     dcsr_deserialize,
     dcsr_from_coo,
     dcsr_serialize,
@@ -71,7 +71,7 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbortedError", "BOOLEAN", "BlockPartition", "Communicator",
+    "AbortedError", "BLOOM_CODEC", "BOOLEAN", "BlockPartition", "Communicator",
     "ConfigError", "Counters", "DcsrBlock", "DeadlockError",
     "DecodeError", "DistMatrix", "ExperimentConfig",
     "MIN_PLUS", "MetricsRecord", "NULL_PHASES", "OP_DELETE", "OP_UPSERT",
@@ -79,7 +79,7 @@ __all__ = [
     "ProcessGrid", "REGISTRY", "ResourceCapError", "STRUCTURE_CODEC",
     "Semiring", "SimCluster", "SpgemmState", "TransportError",
     "UnsupportedFeatureError", "VerificationError", "add_into",
-    "apply_batch", "batch_dtype", "bloom_codec", "by_name",
+    "apply_batch", "batch_dtype", "by_name",
     "compute_pattern", "dcsr_deserialize", "dcsr_from_coo",
     "dcsr_serialize", "emit_csv", "filter_rows_by_bloom",
     "gustavson_multiply", "load_edges", "masked_multiply", "or_into",

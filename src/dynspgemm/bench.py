@@ -100,7 +100,6 @@ class ExperimentConfig:
     batch_size: int = 1024        # updates per rank per batch
     n_batches: int = 10
     seed: int = 1
-    ell: int = 64
     out_path: str | None = None
     random_values: bool = False
     verify_cap: int = 20_000_000   # above this, warn and skip the cross-check
@@ -149,8 +148,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid side must be in [1, {_MAX_GRID_SIDE}]")
     if cfg.batch_size < 0 or cfg.n_batches < 0:
         raise ConfigError("batch size and batch count must be >= 0")
-    if cfg.ell not in (8, 16, 32, 64):
-        raise ConfigError("bloom bits must be one of 8, 16, 32, 64")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     resolve_semiring(cfg)
 
 
@@ -535,7 +534,7 @@ def _rank_worker(comm, cfg: ExperimentConfig, sr: Semiring, n: int,
 
     state = c = None
     if preset.path in ("algebraic", "general"):
-        state = spgemm_algebraic_init(comm, a, b, sr, ell=cfg.ell)
+        state = spgemm_algebraic_init(comm, a, b, sr)
         c = state.C   # updated in place
         empty_delta = DistMatrix.empty(part, comm, sr)
     # Batch 0 starts when the slowest rank's set-up is done, so that its

@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batches", type=int, default=10, metavar="K",
                    help="number of batches (default 10)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bloom-bits", type=int, default=64, metavar="L",
-                   help="summation-index bitfield width (default 64)")
     p.add_argument("--verify-cap", type=int, default=20_000_000, metavar="NNZ",
                    help="cross-check the maintained product against a full "
                         "recompute when the work estimate is at most this")
@@ -94,7 +92,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         batch_size=args.batch_size,
         n_batches=args.batches,
         seed=args.seed,
-        ell=args.bloom_bits,
         out_path=args.out,
         random_values=args.random_values,
         verify_cap=args.verify_cap,

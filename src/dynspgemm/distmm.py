@@ -10,8 +10,9 @@ result in one of two ways:
   batches whose addition is selective (min, or).
 * general path: works for any semiring and any mix of inserts, modifies and
   deletes.  It recomputes exactly the output positions the batch can touch,
-  using per-entry summation-index bitfields to shrink the recomputation,
-  and deletes touched positions that lost all support.
+  using per-entry summation-index bitfields (one uint64 word, bit k mod 64
+  for summation index k) to shrink the recomputation, and deletes touched
+  positions that lost all support.
 
 Every rank calls each function collectively with its own Communicator.
 """
@@ -27,11 +28,11 @@ from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
 from .redistribute import _check_batch, apply_batch, update_batch
 from .semiring import Semiring
 from .storage import (
+    BLOOM_CODEC,
     DcsrBlock,
     STRUCTURE_CODEC,
     _check_same_shape,
     add_into,
-    bloom_codec,
     combine_blocks,
     dcsr_deserialize,
     dcsr_serialize,
@@ -130,8 +131,9 @@ def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
 @dataclass
 class SpgemmState:
     """Maintained product: the result C plus, per stored entry, the bitfield F
-    of summation indices that contributed to it (folded mod ell). F is None
-    once an algebraic update has left it stale.
+    of summation indices that contributed to it, one uint64 word with bit
+    k mod 64 for summation index k. F is None once an algebraic update has
+    left it stale.
 
     While F is present it holds exactly C's positions, and its block holds
     C's key array object (storage.share_keys): F.block.keys() is
@@ -142,7 +144,6 @@ class SpgemmState:
     C: DistMatrix
     F: DistMatrix | None
     sr: Semiring
-    ell: int
 
 
 def _check_inner(part_a: BlockPartition, part_b: BlockPartition, q: int) -> None:
@@ -172,7 +173,7 @@ def _rounds(comm, a_bytes, b_bytes, a_codec, b_codec, phases):
 # ---------------------------------------------------------------------------
 
 def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
-           ell: int, phases):
+           phases):
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     _check_inner(a.part, b.part, q)
     part_c = BlockPartition(a.part.n_rows, b.part.n_cols, q)
@@ -183,7 +184,7 @@ def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
                                    codec, phases):
         with phases.phase("local_multiply"):
             prod = gustavson_multiply(a_blk, b_blk, sr)
-            pat = (pattern_multiply(a_blk, b_blk, inner_starts[k], ell)[1]
+            pat = (pattern_multiply(a_blk, b_blk, inner_starts[k])[1]
                    if build_bloom else None)
         if not k:
             # the kernels' fresh blocks are round 0's C and F as they stand
@@ -204,19 +205,17 @@ def summa_static(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
                  phases=NULL_PHASES) -> DistMatrix:
     """Full product C = a . b: q rounds of paired row/column broadcasts with
     local accumulation. Per rank: 2q broadcasts, no point-to-point traffic."""
-    c, _ = _summa(comm, a, b, sr, False, 64, phases)
+    c, _ = _summa(comm, a, b, sr, False, phases)
     return c
 
 
 def spgemm_algebraic_init(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
-                          ell: int = 64, phases=NULL_PHASES) -> SpgemmState:
+                          phases=NULL_PHASES) -> SpgemmState:
     """Full product that also records, per output entry, the bitfield of
-    contributing summation indices (folded mod ell), enabling later
-    masked-recompute updates. ell is 8, 16, 32 or 64."""
-    if ell not in (8, 16, 32, 64):
-        raise ValueError(f"bitfield width must be 8, 16, 32 or 64, not {ell}")
-    c, f = _summa(comm, a, b, sr, True, ell, phases)
-    return SpgemmState(C=c, F=f, sr=sr, ell=ell)
+    contributing summation indices (bit k mod 64 of one uint64 word),
+    enabling later masked-recompute updates."""
+    c, f = _summa(comm, a, b, sr, True, phases)
+    return SpgemmState(C=c, F=f, sr=sr)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
 
 def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
                     b_prime: DistMatrix, b_delta: DistMatrix,
-                    a_prime: DistMatrix, ell: int = 64,
+                    a_prime: DistMatrix,
                     phases=NULL_PHASES) -> tuple[DcsrBlock, DcsrBlock]:
     """Locate every output position a batch can touch.
 
@@ -305,7 +304,6 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     i, j = comm.grid_row, comm.grid_col
     _check_inner(a.part, b_prime.part, comm.q)
     inner_starts = a.part.col_starts
-    bcodec = bloom_codec(ell)
 
     with phases.phase("transpose_exchange"):
         a_bytes = comm.transpose_exchange(
@@ -317,15 +315,15 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, STRUCTURE_CODEC,
                                    STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
-            _, p_new = pattern_multiply(a_blk, b_prime.block,
-                                        inner_starts[i], ell)
-            p_old, _ = pattern_multiply(a.block, b_blk, inner_starts[j], ell)
-            _, p_cur = pattern_multiply(a_prime.block, b_blk,
-                                        inner_starts[j], ell)
+            _, p_new = pattern_multiply(a_blk, b_prime.block, inner_starts[i])
+            p_old, _ = pattern_multiply(a.block, b_blk, inner_starts[j])
+            _, p_cur = pattern_multiply(a_prime.block, b_blk, inner_starts[j])
         with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, np.bitwise_or, bcodec)
+            r_new = comm.aggregate_sparse("col", k, p_new, np.bitwise_or,
+                                          BLOOM_CODEC)
             r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-            r_cur = comm.aggregate_sparse("row", k, p_cur, np.bitwise_or, bcodec)
+            r_cur = comm.aggregate_sparse("row", k, p_cur, np.bitwise_or,
+                                          BLOOM_CODEC)
         if r_new is not None:
             x_pat = r_new
         if r_old is not None:
@@ -335,7 +333,9 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
 
     n_r, n_c = x_pat.n_rows, x_pat.n_cols
     touched = combine_blocks((x_pat, y_pat), n_r, n_c, None)
-    new_bits = DcsrBlock(n_r, n_c, x_pat.keys(), x_pat.vals.astype(np.uint64))
+    # or_into writes in place, and x_pat's values may be a read-only view of
+    # a message
+    new_bits = DcsrBlock(n_r, n_c, x_pat.keys(), x_pat.vals.copy())
     or_into(new_bits, y_bits)
     return touched, new_bits
 
@@ -367,14 +367,13 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     c_local, f_local = state.C.block, state.F.block
     share_keys(f_local, c_local)
     i, j = comm.grid_row, comm.grid_col
-    sr, ell = state.sr, state.ell
+    sr = state.sr
     _check_inner(a_prime.part, b_prime.part, comm.q)
     codec = semiring_codec(sr)
-    bcodec = bloom_codec(ell)
     inner_starts = a_prime.part.col_starts
 
     touched, new_bits = compute_pattern(comm, a, a_delta, b_prime, b_delta,
-                                        a_prime, ell, phases)
+                                        a_prime, phases)
 
     # Per local output row, the union of candidate summation-index bitfields
     # over its touched positions; reduced across the grid row so every rank
@@ -398,30 +397,29 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
         nz = np.flatnonzero(row_bits)
         vec = DcsrBlock(n_lr, 1, t_rows[starts[nz]], row_bits[nz])  # key: row
     with phases.phase("aggregate"):
-        vr = comm.aggregate_sparse("row", 0, vec, np.bitwise_or, bcodec)
+        vr = comm.aggregate_sparse("row", 0, vec, np.bitwise_or, BLOOM_CODEC)
     with phases.phase("broadcast"):
         v_buf = comm.row_broadcast(
-            0, dcsr_serialize(vr, bcodec) if vr is not None else None)
-    r_blk = dcsr_deserialize(v_buf, bcodec)
+            0, dcsr_serialize(vr, BLOOM_CODEC) if vr is not None else None)
+    r_blk = dcsr_deserialize(v_buf, BLOOM_CODEC)
     r_vec = np.zeros(n_lr, dtype=np.uint64)
     r_vec[r_blk.keys()] = r_blk.vals
 
     with phases.phase("local_multiply"):
-        a_rows = filter_rows_by_bloom(a_prime.block, r_vec,
-                                      inner_starts[j], ell)
+        a_rows = filter_rows_by_bloom(a_prime.block, r_vec, inner_starts[j])
     with phases.phase("transpose_exchange"):
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
     mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 
     # Z and H travel as one block of (z, h) records, folded field by field
-    zh_codec = record_codec(codec, bcodec)
+    zh_codec = record_codec(codec, BLOOM_CODEC)
     zh_mine = None
     for k, a_blk, mask in _rounds(comm, ar_bytes, mask_bytes, codec,
                                   STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
             zh_part = record_block(
                 masked_multiply(a_blk, b_prime.block, mask, sr,
-                                inner_starts[i], ell), zh_codec.dtype)
+                                inner_starts[i]), zh_codec.dtype)
         with phases.phase("aggregate"):
             zhr = comm.aggregate_sparse("col", k, zh_part,
                                         (sr.np_add, np.bitwise_or), zh_codec)

@@ -8,7 +8,8 @@ m its width, found by two `searchsorted` calls (_expand), so only the rows
 that a names are read and the cost tracks the number of products, not the
 size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
 output key r * m + c (_products), and callers spread a's values and bits
-to the products with .repeat(count). Sort and compress: a stable sort
+to the products with .repeat(count); the bit of summation index k is
+1 << (k mod 64) in a uint64 word (_bits). Sort and compress: a stable sort
 orders the products by output key (storage._sort_fold, by packed
 key-and-index words once a band holds 2^12 products); each key's first
 product is gathered by its run-start index and the others fold into it
@@ -142,9 +143,9 @@ def _banded_esc(rows, inner, b: DcsrBlock, columns):
     return result[0], result[1:]
 
 
-def _bits(inner: np.ndarray, inner_base: int, ell: int) -> np.ndarray:
-    """1 << ((inner_base + k) mod ell) per inner index k, as uint64."""
-    shift = ((inner_base + inner) & (ell - 1)).astype(np.uint64)
+def _bits(inner: np.ndarray, inner_base: int) -> np.ndarray:
+    """1 << ((inner_base + k) mod 64) per inner index k, as uint64."""
+    shift = ((inner_base + inner) & 63).astype(np.uint64)
     return np.left_shift(np.uint64(1), shift)
 
 
@@ -176,23 +177,21 @@ def gustavson_multiply(a, b, sr) -> DcsrBlock:
 # structure + bitfield multiply
 # ---------------------------------------------------------------------------
 
-def pattern_multiply(a, b, inner_base: int,
-                     ell: int = 64) -> tuple[DcsrBlock, DcsrBlock]:
+def pattern_multiply(a, b, inner_base: int) -> tuple[DcsrBlock, DcsrBlock]:
     """Structure of a . b plus, per output entry, the or of bit
-    ((inner_base + k) mod ell) over every summation index k that contributes
+    ((inner_base + k) mod 64) over every summation index k that contributes
     structurally. Values of a and b are ignored; structure-only blocks work.
     inner_base is the global index of local inner index 0.
 
     Returns (structure, bitfields) sharing the same positions; the structure
-    block is value-free and the bitfields are uint64. ell must be a power of
-    two.
+    block is value-free and the bitfields are uint64.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
     bits = DcsrBlock.empty(a.n_rows, b.n_cols, dtype=np.uint64)
     if a.nnz and b.nnz:
         rows, inner, _ = a.to_arrays()
-        bit = _bits(inner, inner_base, ell)
+        bit = _bits(inner, inner_base)
         keys, (vals,) = _banded_esc(
             rows, inner, b,
             lambda s, count, _: ((bit[s].repeat(count), np.bitwise_or),))
@@ -200,8 +199,8 @@ def pattern_multiply(a, b, inner_base: int,
     return DcsrBlock(bits.n_rows, bits.n_cols, bits.keys(), None), bits
 
 
-def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
-                    ell: int = 64) -> tuple[DcsrBlock, DcsrBlock]:
+def masked_multiply(a, b, mask: DcsrBlock, sr,
+                    inner_base: int) -> tuple[DcsrBlock, DcsrBlock]:
     """a . b restricted to the positions listed in mask, an a.n_rows x
     b.n_cols block.
 
@@ -214,10 +213,11 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     products formed plus the mask entries; past that, as on a wide block,
     the products are searched for in the mask's keys, in memory that stays
     product-sized. Both keep the same products in the same order, so the
-    result does not depend on which ran. Returns both the
-    value block Z and the bitfield block H of contributing summation indices
-    for the surviving positions; both fold from one sort of the products and
-    share one key array. Raises ValueError when a or b is structure-only.
+    result does not depend on which ran. Returns both the value block Z and
+    the uint64 bitfield block H of contributing summation indices (bit
+    (inner_base + k) mod 64) for the surviving positions; both fold from
+    one sort of the products and share one key array. Raises ValueError
+    when a or b is structure-only.
     """
     _require_values(a=a, b=b)
     if a.n_cols != b.n_rows:
@@ -256,6 +256,6 @@ def masked_multiply(a, b, mask: DcsrBlock, sr, inner_base: int,
     x = avals[e]
     sr.np_mul(x, b.vals[bi].astype(dtype, copy=False), out=x)
     keys, (z, h) = _sort_fold(out, (x, sr.np_add),
-                              (_bits(inner, inner_base, ell)[e], np.bitwise_or))
+                              (_bits(inner, inner_base)[e], np.bitwise_or))
     return (DcsrBlock(a.n_rows, b.n_cols, keys, z),
             DcsrBlock(a.n_rows, b.n_cols, keys, h))

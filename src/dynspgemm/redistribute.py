@@ -56,12 +56,18 @@ def update_batch(sr, rows, cols, vals=None, ops=None) -> np.ndarray:
 
 def _check_batch(batch: np.ndarray, sr, row_base: int, col_base: int,
                  n_rows: int, n_cols: int) -> None:
-    """Raise ValueError unless batch has dtype batch_dtype(sr) and every
-    update lies in the n_rows x n_cols window whose first position is
-    (row_base, col_base)."""
+    """Raise ValueError unless batch has dtype batch_dtype(sr), every op
+    code is OP_UPSERT or OP_DELETE and every update lies in the n_rows x
+    n_cols window whose first position is (row_base, col_base)."""
     if batch.dtype != batch_dtype(sr):
         raise ValueError(f"batch dtype {batch.dtype} is not the {sr.name} "
                          f"update record")
+    bad = batch["op"] > OP_DELETE   # the codes are 0 and 1
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"update ({batch['i'][k]}, {batch['j'][k]}) has op "
+                         f"code {batch['op'][k]}, neither OP_UPSERT nor "
+                         f"OP_DELETE")
     i, j = batch["i"], batch["j"]
     bad = ((i < row_base) | (i >= row_base + n_rows)
            | (j < col_base) | (j >= col_base + n_cols))

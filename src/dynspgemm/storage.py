@@ -2,8 +2,10 @@
 operands A and B as much as the maintained product C, its bitfields F and
 everything produced or exchanged, plus the wire codec used for every
 transport payload. Bitfield blocks are blocks whose values are the
-bitfields. Update batches (apply_batch) and the merges into C and F
-(add_into, or_into, replace_touched) change a block in place.
+bitfields: one uint64 word per entry, bit k mod 64 for summation index k,
+in memory and on the wire alike (BLOOM_CODEC). Update batches
+(apply_batch) and the merges into C and F (add_into, or_into,
+replace_touched) change a block in place.
 
 A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
@@ -463,14 +465,14 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
     return int(np.count_nonzero(gone))
 
 
-def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int, ell: int) -> DcsrBlock:
+def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int) -> DcsrBlock:
     """Keep a's entries (r, c, v) whose row has a bitfield r_vec[r] with bit
-    ((col_base + c) mod ell) set. col_base is the global index of local
+    ((col_base + c) mod 64) set. col_base is the global index of local
     column 0.
     """
     r_vec = np.asarray(r_vec, dtype=np.uint64)
     rows, cols, vals = a.to_arrays()
-    shift = ((col_base + cols) & (ell - 1)).astype(np.uint64)  # ell is a power of two
+    shift = ((col_base + cols) & 63).astype(np.uint64)
     keep = (r_vec[rows] >> shift) & np.uint64(1) != 0
     return DcsrBlock(a.n_rows, a.n_cols, a.keys()[keep], vals[keep])
 
@@ -498,15 +500,14 @@ def semiring_codec(sr) -> ValueCodec:
                       sr.np_dtype)
 
 
-def bloom_codec(ell: int) -> ValueCodec:
-    dt = np.dtype(f"<u{ell // 8}")
-    return ValueCodec(
-        ell // 8,
-        lambda values: np.asarray(values, dtype=dt).tobytes(),
-        lambda buf, count: np.frombuffer(buf, dtype=dt, count=count),
-        dt,
-    )
-
+_BITS = np.dtype("<u8")
+# summation-index bitfields: one little-endian uint64 word per entry
+BLOOM_CODEC = ValueCodec(
+    8,
+    lambda values: np.asarray(values, dtype=_BITS).tobytes(),
+    lambda buf, count: np.frombuffer(buf, dtype=_BITS, count=count),
+    _BITS,
+)
 
 STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None,
                              None)

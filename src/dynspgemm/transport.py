@@ -29,7 +29,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .grid import ProcessGrid
 from .storage import (
@@ -71,12 +71,7 @@ class Counters:
         self.peers_sent[peer] = self.peers_sent.get(peer, 0) + nbytes
 
     def snapshot(self) -> "Counters":
-        c = Counters(**{k: getattr(self, k) for k in (
-            "bytes_p2p", "bytes_broadcast", "bytes_alltoall", "bytes_aggregate",
-            "collective_rounds", "n_broadcasts", "n_alltoalls", "n_aggregates",
-            "n_p2p_sends", "n_p2p_recvs")})
-        c.peers_sent = dict(self.peers_sent)
-        return c
+        return replace(self, peers_sent=dict(self.peers_sent))
 
 
 _POLL = 0.05  # seconds between deadlock scans while a receive is starved

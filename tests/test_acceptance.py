@@ -46,6 +46,7 @@ from helpers import (
     owner_coords,
     position_set,
     random_map,
+    shares_a_bit,
     spmd_collect,
     update_from_map,
 )
@@ -154,49 +155,52 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
 
 
 def test_criterion_3_bitfields_never_lose_contributors():
-    """100 runs on instances up to 32x32: after the initial build and after
-    each of two chained general updates, every actually-contributing summation
-    index has its bit set in the maintained bitfields, and the same holds for
-    the per-batch pattern bits. False positives are allowed, misses are not."""
+    """100 runs on n x k by k x n instances, n up to 32: after the initial
+    build and after each of two chained general updates, every
+    actually-contributing summation index has its bit set in the maintained
+    bitfields, and the same holds for the per-batch pattern bits. False
+    positives are allowed, misses are not. In half the runs k is above 64,
+    so summation indices k and k + 64 share a bit."""
     sr = MIN_PLUS
     n_runs = 100
-    checks = 0
+    checks = shared = 0
     for idx in range(n_runs):
         q = 1 + (idx % 2)
-        ell = (8, 64)[idx % 2]
         rng = np.random.default_rng(30_000 + idx)
         n = int(rng.integers(6, 33))
-        a_seq = [random_map(rng, n, n, float(rng.uniform(0.05, 0.3)),
+        k = int(rng.integers(65, 97)) if idx % 2 == 0 else n
+        a_seq = [random_map(rng, n, k, float(rng.uniform(0.05, 0.3)),
                             values="float")]
-        b_seq = [random_map(rng, n, n, float(rng.uniform(0.05, 0.3)),
+        b_seq = [random_map(rng, k, n, float(rng.uniform(0.05, 0.3)),
                             values="float")]
         changes = []
         for _ in range(2):
-            a1, ch_a = mixed_general_batch(rng, a_seq[-1], n, n)
-            b1, ch_b = mixed_general_batch(rng, b_seq[-1], n, n)
+            a1, ch_a = mixed_general_batch(rng, a_seq[-1], n, k)
+            b1, ch_b = mixed_general_batch(rng, b_seq[-1], k, n)
             a_seq.append(a1)
             b_seq.append(b1)
             changes.append((ch_a, ch_b))
 
         def worker(comm):
-            part = BlockPartition(n, n, comm.q)
+            part = BlockPartition(n, k, comm.q)
+            part_b = BlockPartition(k, n, comm.q)
             a = dist_from_map(part, comm, a_seq[0], sr)
-            b = dist_from_map(part, comm, b_seq[0], sr)
-            st = spgemm_algebraic_init(comm, a, b, sr, ell=ell)
+            b = dist_from_map(part_b, comm, b_seq[0], sr)
+            st = spgemm_algebraic_init(comm, a, b, sr)
             out = [(st.F.global_entries(), {})]
             for step, (ch_a, ch_b) in enumerate(changes):
                 a_prev = dist_from_map(part, comm, a_seq[step], sr)
                 a_prime = dist_from_map(part, comm, a_seq[step + 1], sr)
-                b_prime = dist_from_map(part, comm, b_seq[step + 1], sr)
+                b_prime = dist_from_map(part_b, comm, b_seq[step + 1], sr)
                 d_a = update_from_map(part, comm, {p: None for p in ch_a},
                                       structure_only=True)
-                d_b = update_from_map(part, comm, {p: None for p in ch_b},
+                d_b = update_from_map(part_b, comm, {p: None for p in ch_b},
                                       structure_only=True)
                 _, new_bits = compute_pattern(comm, a_prev, d_a, b_prime, d_b,
-                                              a_prime, ell=ell)
+                                              a_prime)
                 spgemm_general_update(comm, st, a_prime, d_a, b_prime, d_b,
                                       a_prev)
-                to_global = part.to_global
+                to_global = BlockPartition(n, n, comm.q).to_global
                 i, j = comm.grid_row, comm.grid_col
                 bits_g = {to_global(i, j, r, c): v for (r, c), v in
                           entry_map(new_bits).items()}
@@ -207,7 +211,8 @@ def test_criterion_3_bitfields_never_lose_contributors():
         for step in range(3):
             f_map = gather_maps([res[step][0] for res in results])
             needed = oracle_contribution_bits(
-                {p: 1 for p in a_seq[step]}, {p: 1 for p in b_seq[step]}, ell)
+                {p: 1 for p in a_seq[step]}, {p: 1 for p in b_seq[step]}, 64)
+            shared += shares_a_bit(a_seq[step], b_seq[step])
             for pos, bits in needed.items():
                 assert bits & ~f_map.get(pos, 0) == 0, (idx, step, pos)
                 checks += 1
@@ -215,15 +220,16 @@ def test_criterion_3_bitfields_never_lose_contributors():
                 ch_a, ch_b = changes[step - 1]
                 star_bits = gather_maps([res[step][1] for res in results])
                 fresh = oracle_contribution_bits(
-                    {p: 1 for p in ch_a}, {p: 1 for p in b_seq[step]}, ell)
+                    {p: 1 for p in ch_a}, {p: 1 for p in b_seq[step]}, 64)
                 extra = oracle_contribution_bits(
-                    {p: 1 for p in a_seq[step]}, {p: 1 for p in ch_b}, ell)
+                    {p: 1 for p in a_seq[step]}, {p: 1 for p in ch_b}, 64)
                 for m in (fresh, extra):
                     for pos, bits in m.items():
                         assert bits & ~star_bits.get(pos, 0) == 0
                         checks += 1
-    print(f"\ncriterion 3 PASS: {n_runs} runs, {checks} superset checks, "
-          f"zero false negatives")
+    assert shared
+    print(f"\ncriterion 3 PASS: {n_runs} runs, {checks} superset checks "
+          f"({shared} states with a shared bit), zero false negatives")
 
 
 def test_criterion_4_redistribution_conserves_and_stays_local():

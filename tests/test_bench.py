@@ -626,10 +626,10 @@ def _cfg(**kw):
     (dict(rmat_scale=25), "scale"),
     (dict(rmat_edge_factor=0), "edge factor"),
     (dict(q=0), "grid side"),
-    (dict(ell=128), "bloom bits"),
+    (dict(seed=-1), "seed"),
     (dict(batch_size=-1), ">= 0"),
     (dict(n_batches=-1), ">= 0"),
-    (dict(ell=7), "bloom bits"),
+    (dict(seed=-(2 ** 63)), "seed"),
     (dict(semiring="max-plus"), "unknown semiring"),
 ])
 def test_validate_config_rejections(kw, match):
@@ -974,6 +974,19 @@ def test_cli_success_prints_checksum_and_writes_csv(tmp_path, capsys):
 def test_cli_bad_config_exits_2(capsys):
     assert main(["construct", "--rmat", "scale=99"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_2(capsys):
+    assert main(["insert", "--rmat", "scale=4", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_has_no_bitfield_width_option(capsys):
+    # bitfields are one 64-bit word; argparse exits 2 on an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["spgemm-general", "--rmat", "scale=3", "--bloom-bits", "64"])
+    assert exc.value.code == 2
+    assert "--bloom-bits" in capsys.readouterr().err
 
 
 def test_cli_missing_input_exits_2(capsys):

@@ -43,6 +43,7 @@ from helpers import (
     owner_coords,
     position_set,
     random_map,
+    shares_a_bit,
     spmd_collect,
     update_from_map,
 )
@@ -157,11 +158,13 @@ def test_summa_round_counts():
 @pytest.mark.parametrize("with_bits", [False, True])
 def test_static_product_adopts_round_zero(monkeypatch, q, with_bits):
     """Round 0's kernel products are C and F as they stand: each rank merges
-    q - 1 products into C (and F), and the results are unchanged."""
-    n = 12
+    q - 1 products into C (and F), and the results are unchanged. The 80
+    summation indices put two on one bit of some entries' bitfields."""
+    n, k = 12, 80
     rng = np.random.default_rng(30 + q)
-    a_map = random_map(rng, n, n, 0.3)
-    b_map = random_map(rng, n, n, 0.3)
+    a_map = random_map(rng, n, k, 0.3)
+    b_map = random_map(rng, k, n, 0.3)
+    assert shares_a_bit(a_map, b_map)
     calls = {"add_into": [], "or_into": []}
     for name in calls:
         real = getattr(distmm, name)
@@ -173,13 +176,14 @@ def test_static_product_adopts_round_zero(monkeypatch, q, with_bits):
         monkeypatch.setattr(distmm, name, counting)
 
     def worker(comm):
-        part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
-        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
+        a = dist_from_map(BlockPartition(n, k, comm.q), comm, a_map,
+                          PLUS_TIMES_I64)
+        b = dist_from_map(BlockPartition(k, n, comm.q), comm, b_map,
+                          PLUS_TIMES_I64)
         if not with_bits:
             return (summa_static(comm, a, b, PLUS_TIMES_I64).global_entries(),
                     {}, threading.get_ident())
-        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=8)
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         assert st.F.block.keys() is st.C.block.keys()
         return (st.C.global_entries(), st.F.global_entries(),
                 threading.get_ident())
@@ -189,7 +193,7 @@ def test_static_product_adopts_round_zero(monkeypatch, q, with_bits):
         a_map, b_map, PLUS_TIMES_I64)
     if with_bits:
         assert gather_maps([f for _, f, _ in out]) == oracle_contribution_bits(
-            a_map, b_map, 8)
+            a_map, b_map, 64)
     for name, merged in (("add_into", True), ("or_into", with_bits)):
         per_rank = [calls[name].count(ident) for _, _, ident in out]
         assert per_rank == [q - 1 if merged else 0] * (q * q), name
@@ -209,19 +213,10 @@ def test_init_empty_left_operand():
         assert c_map == {} and f_map == {}
 
 
-def test_init_rejects_bad_bitfield_width():
-    def worker(comm):
-        part = BlockPartition(4, 4, comm.q)
-        a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
-        spgemm_algebraic_init(comm, a, a, PLUS_TIMES_I64, ell=12)
-
-    with pytest.raises(ValueError, match="bitfield width"):
-        spmd_collect(1, worker)
-
-
-@pytest.mark.parametrize("ell", [8, 64])
-def test_init_identity_sets_diagonal_bits(ell):
-    n = 12
+@pytest.mark.parametrize("n", [8, 64])
+def test_init_identity_sets_diagonal_bits(n):
+    """Summation index i sets bit i of row i's entries: the low byte of the
+    word at n = 8, every bit up to bit 63 at n = 64."""
     rng = np.random.default_rng(7)
     b_map = random_map(rng, n, n, 0.3)
 
@@ -229,29 +224,30 @@ def test_init_identity_sets_diagonal_bits(ell):
         part = BlockPartition(n, n, comm.q)
         a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
-        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=ell)
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         return st.C.global_entries(), st.F.global_entries()
 
     out = spmd_collect(2, worker)
     assert gather_maps([c for c, _ in out]) == b_map
     f_map = gather_maps([f for _, f in out])
-    assert f_map == {(i, j): 1 << (i % ell) for (i, j) in b_map}
+    assert f_map == {(i, j): 1 << i for (i, j) in b_map}
 
 
 def test_init_bitfields_match_brute_force():
-    n = 16
+    n, k = 16, 80
     rng = np.random.default_rng(9)
-    a_map = random_map(rng, n, n, 0.2)
-    b_map = random_map(rng, n, n, 0.2)
+    a_map = random_map(rng, n, k, 0.2)
+    b_map = random_map(rng, k, n, 0.2)
 
     def worker(comm):
-        part = BlockPartition(n, n, comm.q)
-        a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
-        b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
-        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64, ell=8)
+        a = dist_from_map(BlockPartition(n, k, comm.q), comm, a_map,
+                          PLUS_TIMES_I64)
+        b = dist_from_map(BlockPartition(k, n, comm.q), comm, b_map,
+                          PLUS_TIMES_I64)
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         return st.F.global_entries()
 
-    want = oracle_contribution_bits(a_map, b_map, 8)
+    want = oracle_contribution_bits(a_map, b_map, 64)
     for q in (1, 2):
         assert gather_maps(spmd_collect(q, worker)) == want
 
@@ -605,13 +601,20 @@ def test_compute_pattern_right_side_term():
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_compute_pattern_matches_structural_oracle(q):
-    n = 20
+    n, k = 20, 80
     rng = np.random.default_rng(23 + q)
-    a0 = random_map(rng, n, n, 0.15, values="float")
-    b0 = random_map(rng, n, n, 0.15, values="float")
-    a1, ch_a = mixed_general_batch(rng, a0, n, n)
-    b1, ch_b = mixed_general_batch(rng, b0, n, n)
-    ell = 8
+    a0 = random_map(rng, n, k, 0.15, values="float")
+    b0 = random_map(rng, k, n, 0.15, values="float")
+    a1, ch_a = mixed_general_batch(rng, a0, n, k)
+    b1, ch_b = mixed_general_batch(rng, b0, k, n)
+    # summation indices 3 and 67 share bit 3 of the bits the batch adds at
+    # (0, 0); they lie in different grid columns once q > 1
+    for p in ((0, 3), (0, 67)):
+        a1[p] = 1.0
+        ch_a.add(p)
+    for p in ((3, 0), (67, 0)):
+        b1[p] = 1.0
+        ch_b.add(p)
 
     # structural oracle over global maps
     da_struct = {p: 1 for p in ch_a}
@@ -619,25 +622,26 @@ def test_compute_pattern_matches_structural_oracle(q):
     touch_want = set(oracle_product(da_struct, {p: 1 for p in b1},
                                     PLUS_TIMES_I64)) | \
         set(oracle_product({p: 1 for p in a0}, db_struct, PLUS_TIMES_I64))
-    bits_new = oracle_contribution_bits(da_struct, {p: 1 for p in b1}, ell)
-    bits_cur = oracle_contribution_bits({p: 1 for p in a1}, db_struct, ell)
+    assert shares_a_bit(da_struct, b1)
+    bits_new = oracle_contribution_bits(da_struct, {p: 1 for p in b1}, 64)
+    bits_cur = oracle_contribution_bits({p: 1 for p in a1}, db_struct, 64)
     bits_want: dict = {}
     for m in (bits_new, bits_cur):
         for p, v in m.items():
             bits_want[p] = bits_want.get(p, 0) | v
 
     def worker(comm):
-        part = BlockPartition(n, n, comm.q)
+        part, part_b = BlockPartition(n, k, comm.q), BlockPartition(k, n, comm.q)
         a = dist_from_map(part, comm, a0, PLUS_TIMES_I64)
         a_prime = dist_from_map(part, comm, a1, PLUS_TIMES_I64)
-        b_prime = dist_from_map(part, comm, b1, PLUS_TIMES_I64)
+        b_prime = dist_from_map(part_b, comm, b1, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {p: None for p in ch_a},
                               structure_only=True)
-        d_b = update_from_map(part, comm, {p: None for p in ch_b},
+        d_b = update_from_map(part_b, comm, {p: None for p in ch_b},
                               structure_only=True)
         touched, new_bits = compute_pattern(comm, a, d_a, b_prime, d_b,
-                                            a_prime, ell=ell)
-        to_global = part.to_global
+                                            a_prime)
+        to_global = BlockPartition(n, n, comm.q).to_global   # the product's
         i, j = comm.grid_row, comm.grid_col
         return ({to_global(i, j, r, c) for (r, c) in position_set(touched)},
                 {to_global(i, j, r, c): v for (r, c), v in
@@ -701,7 +705,7 @@ def test_general_random_updates_match_static_recompute(q):
         prev_a, prev_b = a0, b0
         a = dist_from_map(part, comm, prev_a, MIN_PLUS)
         b = dist_from_map(part, comm, prev_b, MIN_PLUS)
-        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS, ell=8)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         per_batch = []
         for a1, ch_a, b1, ch_b in batches:
             a_mat = dist_from_map(part, comm, prev_a, MIN_PLUS)
@@ -713,7 +717,7 @@ def test_general_random_updates_match_static_recompute(q):
                                   structure_only=True)
             before = st.C.global_entries()
             touched, _ = compute_pattern(comm, a_mat, d_a, b_prime, d_b,
-                                         a_prime, ell=8)
+                                         a_prime)
             stats = spgemm_general_update(comm, st, a_prime, d_a, b_prime,
                                           d_b, a_mat)
             static = summa_static(comm, a_prime, b_prime, MIN_PLUS)
@@ -768,29 +772,29 @@ def test_general_deletion_drops_product_entries():
 
 
 def test_general_bloom_stays_superset_after_chained_updates():
-    n = 16
-    ell = 8
+    """Over 80 summation indices, some entries hold two on one bit."""
+    n, k = 16, 80
     rng = np.random.default_rng(41)
-    a0 = random_map(rng, n, n, 0.15, values="float")
-    b0 = random_map(rng, n, n, 0.15, values="float")
+    a0 = random_map(rng, n, k, 0.25, values="float")
+    b0 = random_map(rng, k, n, 0.25, values="float")
 
     def worker(comm):
-        part = BlockPartition(n, n, comm.q)
+        part, part_b = BlockPartition(n, k, comm.q), BlockPartition(k, n, comm.q)
         prev_a, prev_b = a0, b0
         a = dist_from_map(part, comm, prev_a, MIN_PLUS)
-        b = dist_from_map(part, comm, prev_b, MIN_PLUS)
-        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS, ell=ell)
+        b = dist_from_map(part_b, comm, prev_b, MIN_PLUS)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         rng_w = np.random.default_rng(43)
         snapshots = []
         for _ in range(3):
-            a1, ch_a = mixed_general_batch(rng_w, prev_a, n, n)
-            b1, ch_b = mixed_general_batch(rng_w, prev_b, n, n)
+            a1, ch_a = mixed_general_batch(rng_w, prev_a, n, k)
+            b1, ch_b = mixed_general_batch(rng_w, prev_b, k, n)
             spgemm_general_update(
                 comm, st, dist_from_map(part, comm, a1, MIN_PLUS),
                 update_from_map(part, comm, {p: None for p in ch_a},
                                 structure_only=True),
-                dist_from_map(part, comm, b1, MIN_PLUS),
-                update_from_map(part, comm, {p: None for p in ch_b},
+                dist_from_map(part_b, comm, b1, MIN_PLUS),
+                update_from_map(part_b, comm, {p: None for p in ch_b},
                                 structure_only=True),
                 dist_from_map(part, comm, prev_a, MIN_PLUS))
             snapshots.append((a1, b1, st.F.global_entries()))
@@ -798,9 +802,10 @@ def test_general_bloom_stays_superset_after_chained_updates():
         return snapshots
 
     out = spmd_collect(1, worker)
+    assert all(shares_a_bit(a1, b1) for a1, b1, _ in out[0])
     for a1, b1, f_map in out[0]:
         needed = oracle_contribution_bits({p: 1 for p in a1},
-                                          {p: 1 for p in b1}, ell)
+                                          {p: 1 for p in b1}, 64)
         for pos, bits in needed.items():
             assert pos in f_map
             assert bits & ~f_map[pos] == 0, (pos, bin(bits), bin(f_map[pos]))
@@ -1014,7 +1019,7 @@ def test_f_shares_c_key_array_after_init_and_every_general_update(q):
         part = BlockPartition(n, n, comm.q)
         st = spgemm_algebraic_init(comm, dist_from_map(part, comm, a0, MIN_PLUS),
                                    dist_from_map(part, comm, b0, MIN_PLUS),
-                                   MIN_PLUS, ell=8)
+                                   MIN_PLUS)
         shared = [st.F.block.keys() is st.C.block.keys()]
         for batch in batches:
             _run_general(comm, part, st, batch)
@@ -1178,7 +1183,7 @@ def test_two_sided_general_batch_matches_static_under_each_semiring(sr):
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
         st = spgemm_algebraic_init(comm, dist(part, comm, a0),
-                                   dist(part, comm, b0), sr, ell=8)
+                                   dist(part, comm, b0), sr)
         deleted = 0
         for prev_a, a1, ch_a, b1, ch_b in batches:
             a_prime, b_prime = dist(part, comm, a1), dist(part, comm, b1)

@@ -28,6 +28,7 @@ from helpers import (
     oracle_product,
     position_set,
     random_map,
+    shares_a_bit,
 )
 
 
@@ -124,52 +125,54 @@ def test_one_by_one_product():
 def test_pattern_single_contribution_bit():
     a = _block({(0, 1): 2}, 2, 2)
     b = _block({(1, 1): 3}, 2, 2)
-    structure, bloom = pattern_multiply(a, b, inner_base=0, ell=64)
+    structure, bloom = pattern_multiply(a, b, inner_base=0)
     assert position_set(structure) == {(0, 1)}
     assert structure.vals is None
     assert entry_map(bloom) == {(0, 1): 1 << 1}
 
 
 def test_pattern_bit_wraps_at_ell():
-    # global inner indices 0 and 64 share bit 0 when ell = 64
+    # global inner indices 0 and 64 share bit 0 of the 64-bit word
     a = _block({(0, 0): 1, (0, 64): 1}, 1, 128)
     b = _block({(0, 0): 1, (64, 0): 1}, 128, 1)
-    _, bloom = pattern_multiply(a, b, inner_base=0, ell=64)
+    _, bloom = pattern_multiply(a, b, inner_base=0)
     assert entry_map(bloom) == {(0, 0): 1}
 
 
 def test_pattern_inner_base_shifts_bits():
     a = _block({(0, 0): 1}, 1, 1)
     b = _block({(0, 0): 1}, 1, 1)
-    _, bloom = pattern_multiply(a, b, inner_base=5, ell=8)
+    _, bloom = pattern_multiply(a, b, inner_base=5)
     assert entry_map(bloom) == {(0, 0): 1 << 5}
-    _, bloom2 = pattern_multiply(a, b, inner_base=13, ell=8)
-    assert entry_map(bloom2) == {(0, 0): 1 << 5}   # 13 mod 8
+    _, bloom2 = pattern_multiply(a, b, inner_base=69)
+    assert entry_map(bloom2) == {(0, 0): 1 << 5}   # 69 mod 64
 
 
 def test_pattern_accepts_structure_only_operands():
     a = dcsr_from_row_map(2, 2, {0: {1: None}}, structure_only=True)
     b = dcsr_from_row_map(2, 2, {1: {0: None}}, structure_only=True)
-    structure, bloom = pattern_multiply(a, b, inner_base=0, ell=8)
+    structure, bloom = pattern_multiply(a, b, inner_base=0)
     assert position_set(structure) == {(0, 0)}
     assert entry_map(bloom) == {(0, 0): 1 << 1}
 
 
-@pytest.mark.parametrize("ell", [8, 64])
-def test_pattern_matches_brute_force(ell):
-    rng = np.random.default_rng(50 + ell)
-    a_map = random_map(rng, 16, 16, 0.25)
-    b_map = random_map(rng, 16, 16, 0.25)
-    structure, bloom = pattern_multiply(_block(a_map, 16, 16),
-                                        _block(b_map, 16, 16),
-                                        inner_base=3, ell=ell)
+@pytest.mark.parametrize("inner_base", [8, 64])
+def test_pattern_matches_brute_force(inner_base):
+    """80 summation indices from inner_base: indices 64 apart share a bit,
+    and from base 64 on every index has wrapped past bit 63."""
+    rng = np.random.default_rng(50 + inner_base)
+    a_map = random_map(rng, 16, 80, 0.25)
+    b_map = random_map(rng, 80, 16, 0.25)
+    structure, bloom = pattern_multiply(_block(a_map, 16, 80),
+                                        _block(b_map, 80, 16),
+                                        inner_base=inner_base)
     structure.check()
     bloom.check()
-    assert all(0 < v < 1 << ell for v in bloom.vals)
-    shifted = {(i, 3 + k): v for (i, k), v in a_map.items()}
-    want_bits = {(i, j): bits for (i, j), bits in
-                 oracle_contribution_bits(shifted, {(3 + k, j): v for (k, j), v
-                                                    in b_map.items()}, ell).items()}
+    assert bloom.vals.dtype == np.uint64 and all(bloom.vals)
+    shifted_a = {(i, inner_base + k): v for (i, k), v in a_map.items()}
+    shifted_b = {(inner_base + k, j): v for (k, j), v in b_map.items()}
+    assert shares_a_bit(shifted_a, shifted_b)
+    want_bits = oracle_contribution_bits(shifted_a, shifted_b, 64)
     assert entry_map(bloom) == want_bits
     assert position_set(structure) == set(want_bits)
     assert position_set(structure) == position_set(bloom)
@@ -208,10 +211,10 @@ def test_masked_restricts_to_mask_positions():
         14, 14, {r: {c: None for (rr, c) in half if rr == r}
                  for r in {p[0] for p in half}}, structure_only=True)
     z, h = masked_multiply(_block(a_map, 14, 14), _block(b_map, 14, 14), mask,
-                           MIN_PLUS, inner_base=0, ell=8)
+                           MIN_PLUS, inner_base=0)
     assert entry_map(z) == {p: want[p] for p in half}
     assert position_set(z) <= position_set(mask)
-    bits = oracle_contribution_bits(a_map, b_map, 8)
+    bits = oracle_contribution_bits(a_map, b_map, 64)
     assert entry_map(h) == {p: bits[p] for p in half}
 
 
@@ -350,18 +353,20 @@ def test_gustavson_matches_oracle_property(sr, ta, tb, data):
     assert entry_map(c) == oracle_product(a_map, b_map, sr)
 
 
-@pytest.mark.parametrize("ell", [8, 64])
+@pytest.mark.parametrize("inner_base", [8, 64])
 @_KERNEL_SETTINGS
 @given(data=st.data())
-def test_pattern_matches_oracle_property(ell, data):
+def test_pattern_matches_oracle_property(inner_base, data):
     a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
-    # bases near 64 put some summation indices on bit 63 (and wrap past it)
-    base = data.draw(st.sampled_from((0, 5, 52, 60)))
-    structure, bits = pattern_multiply(a, b, inner_base=base, ell=ell)
+    # the block's first summation index lies in the word's first or second
+    # round, plus an offset; offsets 52 and 60 put some indices on bit 63
+    # (and wrap past it)
+    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
+    structure, bits = pattern_multiply(a, b, inner_base=base)
     bits.check()
     shifted_a = {(i, k + base): v for (i, k), v in a_map.items()}
     shifted_b = {(k + base, j): v for (k, j), v in b_map.items()}
-    want = oracle_contribution_bits(shifted_a, shifted_b, ell)
+    want = oracle_contribution_bits(shifted_a, shifted_b, 64)
     assert entry_map(bits) == want
     assert position_set(structure) == set(want)
 
@@ -369,7 +374,7 @@ def test_pattern_matches_oracle_property(ell, data):
 def test_pattern_sets_bit_63():
     a = _block({(0, 3): 1, (0, 4): 1}, 1, 5)
     b = _block({(3, 0): 1, (4, 0): 1}, 5, 1)
-    _, bits = pattern_multiply(a, b, inner_base=60, ell=64)
+    _, bits = pattern_multiply(a, b, inner_base=60)
     assert entry_map(bits) == {(0, 0): (1 << 63) | 1}
 
 
@@ -379,7 +384,8 @@ def test_pattern_sets_bit_63():
 @given(data=st.data())
 def test_masked_matches_restricted_oracle_property(sr, data):
     """Both ways of testing the mask, its row table and the search of its
-    keys, at both bitfield widths, match the oracle. Under plus-times-f64
+    keys, at a base inside the bitfield word and one whose indices cross
+    bit 63, match the oracle. Under plus-times-f64
     many sums depend on the order of their additions, which is ascending
     inner index in the kernel; only there are the operands filled, so the
     other semirings still draw empty and sparse ones."""
@@ -392,22 +398,22 @@ def test_masked_matches_restricted_oracle_property(sr, data):
     # the oracle adds in a_map's order: the kernel's is a's inner index
     by_inner = dict(sorted(a_map.items(), key=lambda e: e[0][::-1]))
     want = oracle_product(by_inner, b_map, sr)
-    shifted_a = {(i, k + 3): v for (i, k), v in a_map.items()}
-    shifted_b = {(k + 3, j): v for (k, j), v in b_map.items()}
     # ratio 0 sends every nonempty mask to the search, and 2^40 cells per
     # product or mask entry admits every row table
     for ratio in (0, 1 << 40):
-        for ell in (8, 64):
+        for base in (3, 60):
             searched = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "MASK_TABLE_RATIO", ratio)
                 mp.setattr(kernels, "locate",
                            lambda *q: searched.append(q) or storage.locate(*q))
-                z, h = masked_multiply(a, b, mask, sr, inner_base=3, ell=ell)
+                z, h = masked_multiply(a, b, mask, sr, inner_base=base)
             assert bool(searched) == (ratio == 0 and bool(mask_pos))
             assert entry_map(z) == {p: v for p, v in want.items()
                                     if p in mask_pos}
-            bits = oracle_contribution_bits(shifted_a, shifted_b, ell)
+            bits = oracle_contribution_bits(
+                {(i, k + base): v for (i, k), v in a_map.items()},
+                {(k + base, j): v for (k, j), v in b_map.items()}, 64)
             assert entry_map(h) == {p: v for p, v in bits.items()
                                     if p in mask_pos}
 
@@ -546,19 +552,19 @@ def test_banded_gustavson_matches_oracle_property(sr, ta, tb, budget, data):
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
-@pytest.mark.parametrize("ell", [8, 64])
+@pytest.mark.parametrize("inner_base", [8, 64])
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_banded_pattern_matches_oracle_property(ell, budget, data):
+def test_banded_pattern_matches_oracle_property(inner_base, budget, data):
     a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
-    base = data.draw(st.sampled_from((0, 5, 60)))
+    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BAND_PRODUCTS", budget)
-        structure, bits = pattern_multiply(a, b, inner_base=base, ell=ell)
+        structure, bits = pattern_multiply(a, b, inner_base=base)
     bits.check()
     want = oracle_contribution_bits(
         {(i, k + base): v for (i, k), v in a_map.items()},
-        {(k + base, j): v for (k, j), v in b_map.items()}, ell)
+        {(k + base, j): v for (k, j), v in b_map.items()}, 64)
     assert entry_map(bits) == want
     assert structure.keys() is bits.keys()
 
@@ -610,8 +616,8 @@ def test_banded_kernels_cut_at_rows_and_keep_long_rows_whole(monkeypatch,
     sorts = _banded_sorts(monkeypatch, budget)
     c = gustavson_multiply(a, b, PLUS_TIMES_I64)
     assert entry_map(c) == oracle_product(a_map, b_map, PLUS_TIMES_I64)
-    _, bits = pattern_multiply(a, b, inner_base=0, ell=8)
-    assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 8)
+    _, bits = pattern_multiply(a, b, inner_base=0)
+    assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 64)
     bound = max(budget, max(row_products.values()))
     assert len(sorts) > 2 and max(sorts) <= bound
     assert sum(sorts) == 2 * sum(row_products.values())
@@ -668,7 +674,7 @@ def test_banded_kernels_return_arrays_of_exactly_nnz_that_own_their_data(
     a, b = _block(a_map, 60, 50), _block(b_map, 50, 40)
     sorts = _banded_sorts(monkeypatch, 64)
     c = gustavson_multiply(a, b, PLUS_TIMES_I64)
-    structure, bits = pattern_multiply(a, b, inner_base=0, ell=64)
+    structure, bits = pattern_multiply(a, b, inner_base=0)
     assert len(sorts) > 2 * 10
     assert entry_map(c) == oracle_product(a_map, b_map, PLUS_TIMES_I64)
     assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 64)

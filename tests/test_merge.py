@@ -20,7 +20,7 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm.storage import (
-    bloom_codec,
+    BLOOM_CODEC,
     dcsr_deserialize,
     dcsr_serialize,
     replace_touched,
@@ -389,7 +389,7 @@ def test_splice_matches_dict_oracle(case, data, n_blocks, empty, delete_all,
         new_blocks = tuple(
             dcsr_deserialize(dcsr_serialize(b, codec), codec)
             for b, codec in zip(new_blocks, (semiring_codec(PLUS_TIMES_I64),
-                                             bloom_codec(64))))
+                                             BLOOM_CODEC)))
         assert not new_blocks[0].keys().flags.writeable
     keys, new_keys = c.keys(), new_blocks[0].keys()
     at = keys.searchsorted(np.array(sorted(over), dtype=np.int64))

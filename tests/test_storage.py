@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
+    BLOOM_CODEC,
     BOOLEAN,
     MIN_PLUS,
     PLUS_TIMES_I64,
@@ -17,7 +18,6 @@ from dynspgemm import (
     STRUCTURE_CODEC,
     add_into,
     apply_batch,
-    bloom_codec,
     dcsr_deserialize,
     dcsr_from_coo,
     dcsr_serialize,
@@ -422,14 +422,12 @@ def test_derived_layout_matches_dict_oracle(data):
     back.check()
     assert entry_map(back) == entries
 
-    ell = data.draw(st.sampled_from([8, 16, 32, 64]))
-    bits = data.draw(st.lists(st.integers(0, 2 ** ell - 1),
+    bits = data.draw(st.lists(st.integers(0, 2 ** 64 - 1),
                               min_size=len(entries), max_size=len(entries)))
-    bloom = DcsrBlock(n_rows, n_cols, block.keys(),
-                      np.asarray(bits, f"<u{ell // 8}"))
-    blob = dcsr_serialize(bloom, bloom_codec(ell))
-    assert blob == _wire(n_rows, n_cols, layout, ell // 8, bloom.vals.tobytes())
-    assert list(dcsr_deserialize(blob, bloom_codec(ell)).triples()) == \
+    bloom = DcsrBlock(n_rows, n_cols, block.keys(), np.asarray(bits, "<u8"))
+    blob = dcsr_serialize(bloom, BLOOM_CODEC)
+    assert blob == _wire(n_rows, n_cols, layout, 8, bloom.vals.tobytes())
+    assert list(dcsr_deserialize(blob, BLOOM_CODEC).triples()) == \
         [(r, c, b) for (r, c), b in zip(sorted(entries), bits)]
 
     shape = DcsrBlock(n_rows, n_cols, block.keys(), None)
@@ -499,11 +497,15 @@ def test_add_into_an_empty_block_copies_a_read_only_source():
     assert entry_map(src) == {(0, 1): 5, (1, 2): 7}
 
     bits = dcsr_deserialize(
-        dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint8),
-                       bloom_codec(8)), bloom_codec(8))
+        dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint64),
+                       BLOOM_CODEC), BLOOM_CODEC)
+    assert not bits.vals.flags.writeable
     dst = DcsrBlock.empty(2, 3, dtype=np.uint64)
     or_into(dst, bits)
-    assert dst.vals.dtype == np.uint64 and entry_map(dst) == {(1, 0): 3}
+    or_into(dst, block_from_triples(2, 3, [(1, 0, 1 << 63)], np.uint64))
+    assert dst.vals.dtype == np.uint64
+    assert entry_map(dst) == {(1, 0): (1 << 63) | 3}
+    assert entry_map(bits) == {(1, 0): 3}
 
 
 def test_add_into_with_inverses_restores():
@@ -534,30 +536,30 @@ def test_or_into_accumulates_bitfields():
 
 def test_filter_rows_zero_vector_drops_all():
     a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
-    out = filter_rows_by_bloom(a, [0, 0, 0], col_base=0, ell=64)
+    out = filter_rows_by_bloom(a, [0, 0, 0], col_base=0)
     assert out.nnz == 0
 
 
 def test_filter_rows_full_vector_keeps_all():
     a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
     full = (1 << 64) - 1
-    out = filter_rows_by_bloom(a, [full] * 3, col_base=0, ell=64)
+    out = filter_rows_by_bloom(a, [full] * 3, col_base=0)
     assert set(out.triples()) == set(a.triples())
 
 
-def test_filter_rows_small_ell_example():
-    # ell = 4: bit of column c is (col_base + c) mod 4. Bitfield 0b0010 keeps
-    # exactly columns congruent to 1 (mod 4): here 1 and 5 but not 2.
-    a = block_from_triples(1, 8, [(0, 1, 10), (0, 5, 50), (0, 2, 20)])
-    out = filter_rows_by_bloom(a, [0b0010], col_base=0, ell=4)
-    assert entry_map(out) == {(0, 1): 10, (0, 5): 50}
+def test_filter_rows_bit_wraps_example():
+    # bit of column c is (col_base + c) mod 64. Bitfield 0b0010 keeps exactly
+    # columns congruent to 1 (mod 64): here 1 and 65 but not 2.
+    a = block_from_triples(1, 72, [(0, 1, 10), (0, 65, 50), (0, 2, 20)])
+    out = filter_rows_by_bloom(a, [0b0010], col_base=0)
+    assert entry_map(out) == {(0, 1): 10, (0, 65): 50}
 
 
 def test_filter_rows_respects_col_base():
     # global column = col_base + local column; shifting the base moves bits
     a = block_from_triples(1, 4, [(0, 0, 7), (0, 1, 8)])
-    out = filter_rows_by_bloom(a, [0b0001], col_base=3, ell=4)
-    # global cols are 3 and 4 -> bits 3 and 0; only bit 0 passes
+    out = filter_rows_by_bloom(a, [0b0001], col_base=63)
+    # global cols are 63 and 64 -> bits 63 and 0; only bit 0 passes
     assert entry_map(out) == {(0, 1): 8}
 
 
@@ -566,12 +568,12 @@ def test_filter_rows_output_is_subset():
     a = block_from_triples(
         10, 10, [(int(p // 10), int(p % 10), int(rng.integers(1, 9)))
                  for p in rng.choice(100, size=40, replace=False)])
-    r_vec = [int(rng.integers(0, 256)) for _ in range(10)]
-    out = filter_rows_by_bloom(a, r_vec, col_base=5, ell=8)
+    r_vec = [int(x) for x in rng.integers(0, 1 << 64, 10, dtype=np.uint64)]
+    # global columns 60..69 cross bit 63
+    out = filter_rows_by_bloom(a, r_vec, col_base=60)
     out.check()
-    for r, c, v in out.triples():
-        assert entry_map(a)[(r, c)] == v
-        assert (r_vec[r] >> ((5 + c) % 8)) & 1
+    assert entry_map(out) == {(r, c): v for (r, c), v in entry_map(a).items()
+                              if (r_vec[r] >> ((60 + c) % 64)) & 1}
 
 
 # -- wire format ---------------------------------------------------------------
@@ -632,10 +634,11 @@ def test_wire_structure_only():
 
 
 def test_wire_bloom_round_trip():
-    b = dcsr_from_row_map(4, 4, {0: {1: 0b101}, 2: {3: 0x8000}})
-    blob = dcsr_serialize(b, bloom_codec(16))
-    back = dcsr_deserialize(blob, bloom_codec(16))
-    assert entry_map(back) == {(0, 1): 0b101, (2, 3): 0x8000}
+    b = dcsr_from_row_map(4, 4, {0: {1: 0b101}, 2: {3: 1 << 63}})
+    blob = dcsr_serialize(b, BLOOM_CODEC)
+    back = dcsr_deserialize(blob, BLOOM_CODEC)
+    assert back.vals.dtype == np.dtype("<u8")
+    assert entry_map(back) == {(0, 1): 0b101, (2, 3): 1 << 63}
 
 
 def _keyed(n_rows, n_cols, keys, vals):

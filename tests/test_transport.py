@@ -1,5 +1,6 @@
 """Simulated cluster: point-to-point, collectives, failure handling, metrics."""
 
+import dataclasses
 import os
 import platform
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from dynspgemm import (
+    Counters,
     DcsrBlock,
     DeadlockError,
     MIN_PLUS,
@@ -26,7 +28,7 @@ from dynspgemm import (
 from dynspgemm import transport
 from dynspgemm.semiring import BOOLEAN
 from dynspgemm.storage import (
-    bloom_codec,
+    BLOOM_CODEC,
     field_blocks,
     record_block,
     record_codec,
@@ -69,6 +71,25 @@ def test_p2p_self_send_costs_nothing():
         assert nbytes == 0
         assert (ns, nr) == (1, 1)
         assert peers == {}
+
+
+def test_counters_snapshot_copies_every_field():
+    """A snapshot equals the counters field by field, and its peers_sent is
+    a copy that later traffic does not change."""
+    def worker(comm):
+        comm.all_to_all_v("row", [b"x" * (comm.rank + 1)] * comm.q)
+        snap = comm.counters.snapshot()
+        fields = [f.name for f in dataclasses.fields(Counters)]
+        same = all(getattr(snap, f) == getattr(comm.counters, f)
+                   for f in fields)
+        copied = snap.peers_sent is not comm.counters.peers_sent
+        before = dict(snap.peers_sent)
+        comm.all_to_all_v("row", [b"y"] * comm.q)
+        return same, copied, before, snap.peers_sent, comm.counters.peers_sent
+
+    for same, copied, before, snap_peers, now in run_spmd(4, worker):
+        assert same and copied and before
+        assert snap_peers == before and now != before
 
 
 def test_transpose_exchange_all_ranks_at_once():
@@ -394,10 +415,10 @@ def test_aggregate_rejects_shape_mismatch():
         run_spmd(4, worker)
 
 
-def _zh_contribution(rng, sr, ell, n, nnz):
+def _zh_contribution(rng, sr, n, nnz):
     """A (z, h) pair on one key array: nnz positions of an n x n block, z in
     sr's value dtype (plus-times-f64 sums of 1e16, 1.0, -1e16 and 3.0 depend
-    on their order), h bitfields in the wire dtype of ell bits."""
+    on their order), h 64-bit bitfields."""
     keys = np.sort(rng.choice(n * n, nnz, replace=False))
     if sr is BOOLEAN:
         z = rng.integers(0, 2, nnz)
@@ -405,25 +426,27 @@ def _zh_contribution(rng, sr, ell, n, nnz):
         z = rng.choice((1e16, 1.0, -1e16, 3.0), nnz)
     else:
         z = rng.integers(-9, 10, nnz)
-    h = rng.integers(0, 1 << ell, nnz, dtype=np.uint64)
+    h = rng.integers(0, 1 << 64, nnz, dtype=np.uint64)
     return (DcsrBlock(n, n, keys, z.astype(sr.np_dtype)),
-            DcsrBlock(n, n, keys, h.astype(bloom_codec(ell).dtype)))
+            DcsrBlock(n, n, keys, h))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-@pytest.mark.parametrize("ell", [8, 64])
+@pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
                                 BOOLEAN], ids=lambda s: s.name)
-def test_record_aggregation_equals_two_aggregations(sr, ell, q):
+def test_record_aggregation_equals_two_aggregations(sr, n, q):
     """Z and H aggregated as one block of (z, h) records come out bit for bit
     as two aggregations give them, and each member sends the keys once:
-    32 + (8 + w_z + w_h) * nnz bytes. Every third rank contributes nothing,
-    so some groups fold one non-empty member and some none."""
-    n, root = 10, q - 1
-    codec, bcodec = semiring_codec(sr), bloom_codec(ell)
-    zh_codec = record_codec(codec, bcodec)
-    rng = np.random.default_rng(ell + 10 * q)
-    pairs = [_zh_contribution(rng, sr, ell, n,
+    32 + (8 + w_z + 8) * nnz bytes. Every third rank contributes nothing,
+    so some groups fold one non-empty member and some none. On an 8 x 8
+    block the members' positions mostly overlap and fold; on 64 x 64 they
+    mostly do not."""
+    root = q - 1
+    codec = semiring_codec(sr)
+    zh_codec = record_codec(codec, BLOOM_CODEC)
+    rng = np.random.default_rng(n + 10 * q)
+    pairs = [_zh_contribution(rng, sr, n,
                               0 if r % 3 == 0 else int(rng.integers(1, 30)))
              for r in range(q * q)]
 
@@ -433,13 +456,13 @@ def test_record_aggregation_equals_two_aggregations(sr, ell, q):
                                    (sr.np_add, np.bitwise_or), zh_codec)
         sent = comm.counters.bytes_aggregate
         want = (comm.aggregate_sparse("col", root, z, sr.np_add, codec),
-                comm.aggregate_sparse("col", root, h, np.bitwise_or, bcodec))
+                comm.aggregate_sparse("col", root, h, np.bitwise_or, BLOOM_CODEC))
         return sent, None if zh is None else (field_blocks(zh), want)
 
     for rank, (sent, got) in enumerate(run_spmd(q * q, worker)):
         if rank // q != root:
             assert got is None
-            assert sent == 32 + (8 + codec.width + bcodec.width) * pairs[rank][0].nnz
+            assert sent == 32 + (16 + codec.width) * pairs[rank][0].nnz
             continue
         for g, w in zip(*got):
             g.check()
