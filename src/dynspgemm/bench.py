@@ -100,7 +100,6 @@ class ExperimentConfig:
     batch_size: int = 1024        # updates per rank per batch
     n_batches: int = 10
     seed: int = 1
-    out_path: str | None = None
     random_values: bool = False
     verify_cap: int = 20_000_000   # above this, warn and skip the cross-check
     flops_cap: int = 100_000_000   # refuse configs above this estimate
@@ -215,6 +214,8 @@ def _parse_matrix_market(banner: str, fh, path: str):
                 nr, nc, nnz = (int(x) for x in parts)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad size line: {exc}") from exc
+            if min(nr, nc, nnz) < 0:
+                raise ConfigError(f"{path}:{lineno}: negative size in '{text}'")
             if nr != nc:
                 raise ConfigError(
                     f"{path}:{lineno}: adjacency must be square, got {nr}x{nc}")
@@ -406,20 +407,13 @@ def _entry_values(cfg: ExperimentConfig, sr: Semiring, m: int) -> np.ndarray:
     if not cfg.random_values:
         return np.full(m, sr.one, dtype=sr.np_dtype)
     rng = np.random.default_rng(cfg.seed)
-    base = rng.integers(1, 100, size=m)
-    if sr.np_dtype.kind == "u":
-        return np.ones(m, dtype=bool)
-    if sr.np_dtype.kind == "f":
-        return base.astype(np.float64)
-    return base
+    return rng.integers(1, 100, size=m).astype(sr.np_dtype)
 
 
 def _modified_value(i: np.ndarray, j: np.ndarray, seed: int, sr: Semiring):
     """Entry-deterministic replacement values for the 'update' experiment:
     ((i * 2654435761 + j * 40503 + seed * 97) mod 95) + 2, reduced term by
     term so that int64 arithmetic cannot overflow."""
-    if sr.np_dtype.kind == "u":
-        return True
     v = (i % 95 * (2654435761 % 95) + j % 95 * (40503 % 95)
          + seed * 97 % 95) % 95 + 2
     return v.astype(sr.np_dtype)

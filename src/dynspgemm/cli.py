@@ -92,7 +92,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         batch_size=args.batch_size,
         n_batches=args.batches,
         seed=args.seed,
-        out_path=args.out,
         random_values=args.random_values,
         verify_cap=args.verify_cap,
     )
@@ -123,8 +122,8 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         records, checksum = run_experiment(cfg)
-        if cfg.out_path:
-            emit_csv(records, cfg.out_path)
+        if args.out:
+            emit_csv(records, args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,8 @@ class BlockPartition:
     def __init__(self, n_rows: int, n_cols: int, q: int):
         if q <= 0:
             raise ValueError("grid side must be positive")
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"negative matrix shape {n_rows}x{n_cols}")
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.q = q

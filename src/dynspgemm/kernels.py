@@ -9,8 +9,8 @@ that a names are read and the cost tracks the number of products, not the
 size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
 output key r * m + c (_products), and callers spread a's values and bits
 to the products with .repeat(count); the bit of summation index k is
-1 << (k mod 64) in a uint64 word (_bits). Sort and compress: a stable sort
-orders the products by output key (storage._sort_fold, by packed
+1 << (k mod 64) in a uint64 word (storage._bits). Sort and compress: a
+stable sort orders the products by output key (storage._sort_fold, by packed
 key-and-index words once a band holds 2^12 products); each key's first
 product is gathered by its run-start index and the others fold into it
 with ufunc.at, left to right in input order, which is ascending inner
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .storage import DcsrBlock, _run_starts, _sort_fold, locate
+from .storage import DcsrBlock, _bits, _run_starts, _sort_fold, locate
 
 BAND_PRODUCTS = 1 << 18
 """Products that gustavson_multiply and pattern_multiply sort at once,
@@ -141,12 +141,6 @@ def _banded_esc(rows, inner, b: DcsrBlock, columns):
     for arr in result:
         arr.resize(n, refcheck=False)
     return result[0], result[1:]
-
-
-def _bits(inner: np.ndarray, inner_base: int) -> np.ndarray:
-    """1 << ((inner_base + k) mod 64) per inner index k, as uint64."""
-    shift = ((inner_base + inner) & 63).astype(np.uint64)
-    return np.left_shift(np.uint64(1), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     deleted = int(np.count_nonzero(~upsert & before))
 
     final = upsert[last]
-    vals = sr.decode_array(batch["v"].take(order[last]).tobytes(), len(pos))
+    vals = batch["v"].take(order[last])
     hit, new = stored & final, ~stored & final
     _splice((block,), pos[hit], (vals[hit],), pos[stored & ~final], pos[new],
             run_keys[new], (vals[new],))

@@ -1,8 +1,9 @@
 """Semiring descriptors for sparse matrix algebra.
 
 A semiring bundles the fold operator (add), the combine operator (mul), their
-identities, the numpy ufuncs that apply both to arrays, and the on-wire value
-encoding. Matrix code treats entries whose value equals `zero` as structural
+identities, the numpy ufuncs that apply both to arrays and the dtype of
+those arrays, which is also the values' wire codec (storage.semiring_codec).
+Matrix code treats entries whose value equals `zero` as structural
 non-zeros: they are kept, never dropped.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Semiring:
-    """Value algebra used by every kernel and by the wire codec.
+    """Value algebra used by every kernel.
 
     add/mul must satisfy the usual semiring axioms with `zero` the additive
     identity and annihilator and `one` the multiplicative identity. `is_ring`
@@ -27,10 +28,11 @@ class Semiring:
 
     np_add/np_mul are add/mul as ufuncs over np_dtype arrays. The kernels,
     merges and aggregations compute with these alone, so a user-built
-    semiring needs no registration; add/mul are the scalar reference
-    arithmetic. plus-times-i64 array arithmetic wraps modulo 2**64 (numpy
-    int64), still a ring, so the algebraic path stays exact. The boolean
-    lane holds 0/1 bytes (u1) under bitwise or/and.
+    semiring of any numeric dtype needs no registration; add/mul are the
+    scalar reference arithmetic. plus-times-i64 array arithmetic wraps
+    modulo 2**64 (numpy int64), still a ring, so the algebraic path stays
+    exact. The boolean lane is numpy bool, which stores only 0 or 1, under
+    bitwise or/and.
     """
 
     name: str
@@ -42,21 +44,6 @@ class Semiring:
     np_dtype: np.dtype = field(compare=False)
     np_add: np.ufunc = field(compare=False)
     np_mul: np.ufunc = field(compare=False)
-
-    @property
-    def value_width(self) -> int:
-        """Bytes per value on the wire."""
-        return self.np_dtype.itemsize
-
-    def encode_values(self, values) -> bytes:
-        return np.asarray(values, dtype=self.np_dtype).tobytes()
-
-    def decode_array(self, buf: bytes, count: int) -> np.ndarray:
-        arr = np.frombuffer(buf, dtype=self.np_dtype, count=count)
-        if self.np_dtype.kind == "u":
-            # boolean lane stores one 0/1 byte per value
-            return (arr != 0).view(self.np_dtype)
-        return arr
 
 
 PLUS_TIMES_I64 = Semiring(
@@ -103,7 +90,7 @@ BOOLEAN = Semiring(
     zero=False,
     one=True,
     is_ring=False,
-    np_dtype=np.dtype("<u1"),
+    np_dtype=np.dtype(bool),
     np_add=np.bitwise_or,
     np_mul=np.bitwise_and,
 )

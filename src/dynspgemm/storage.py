@@ -35,7 +35,9 @@ bitfields F do, and replace_touched replaces both from the recomputed Z and
 H with one search of the touched keys and one splice. The wire carries a block
 as it is stored: dcsr_serialize writes a header, the keys and the values,
 and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
-returns views of the message. The
+returns read-only views of the message. A value codec is the values' dtype
+and nothing else (ValueCodec): a semiring's np_dtype, uint64 bitfield
+words, packed records of those, or none. The
 doubly-compressed sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008),
 which lists only the non-empty rows, survives only as the derived nz_rows
 and iter_rows views; the dcsr_* names stay because the benchmark hooks wrap
@@ -49,7 +51,7 @@ never drops positions.
 from __future__ import annotations
 
 import struct
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +72,8 @@ class DcsrBlock:
     The constructor takes keys in that order; dcsr_from_keys and
     dcsr_from_coo take entries in any order. Update batches (apply_batch)
     and the merges into C and F change a block in place. A decoded block's
-    keys (and values, bool aside) are read-only views of its message, so no
-    write takes one as its destination.
+    keys and values are read-only views of its message, so no write takes
+    one as its destination.
     """
 
     __slots__ = ("n_rows", "n_cols", "_keys", "vals")
@@ -472,8 +474,7 @@ def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int) -> DcsrBlock:
     """
     r_vec = np.asarray(r_vec, dtype=np.uint64)
     rows, cols, vals = a.to_arrays()
-    shift = ((col_base + cols) & 63).astype(np.uint64)
-    keep = (r_vec[rows] >> shift) & np.uint64(1) != 0
+    keep = r_vec[rows] & _bits(cols, col_base) != 0
     return DcsrBlock(a.n_rows, a.n_cols, a.keys()[keep], vals[keep])
 
 
@@ -489,52 +490,52 @@ _MAX_CELLS = 2 ** 63 - 1  # n_rows * n_cols bound, so keys and it fit in int64
 
 
 class ValueCodec(NamedTuple):
-    width: int
-    encode: Callable  # (values) -> bytes
-    decode: Callable  # (buf, count) -> array of dtype
-    dtype: np.dtype | None   # None when structure-only
+    dtype: np.dtype | None   # the values' wire dtype, None: structure-only
+
+    @property
+    def width(self) -> int:   # bytes per value, as the header carries it
+        return 0 if self.dtype is None else self.dtype.itemsize
 
 
 def semiring_codec(sr) -> ValueCodec:
-    return ValueCodec(sr.value_width, sr.encode_values, sr.decode_array,
-                      sr.np_dtype)
+    return ValueCodec(sr.np_dtype)
 
 
-_BITS = np.dtype("<u8")
 # summation-index bitfields: one little-endian uint64 word per entry
-BLOOM_CODEC = ValueCodec(
-    8,
-    lambda values: np.asarray(values, dtype=_BITS).tobytes(),
-    lambda buf, count: np.frombuffer(buf, dtype=_BITS, count=count),
-    _BITS,
-)
+BLOOM_CODEC = ValueCodec(np.dtype("<u8"))
 
-STRUCTURE_CODEC = ValueCodec(0, lambda values: b"", lambda buf, count: None,
-                             None)
+STRUCTURE_CODEC = ValueCodec(None)
+
+
+def _bits(inner: np.ndarray, inner_base: int) -> np.ndarray:
+    """1 << ((inner_base + k) mod 64) per inner index k, as uint64: the bit
+    of a BLOOM_CODEC word that stands for summation index inner_base + k."""
+    shift = ((inner_base + inner) & 63).astype(np.uint64)
+    return np.left_shift(np.uint64(1), shift)
 
 
 def record_codec(*codecs: ValueCodec) -> ValueCodec:
     """Codec of packed records, field f<i> in codecs[i]'s dtype: a message
     carries the keys once and every field's values."""
-    dt = np.dtype([(f"f{i}", c.dtype) for i, c in enumerate(codecs)])
-    return ValueCodec(dt.itemsize, lambda v: np.asarray(v, dtype=dt).tobytes(),
-                      lambda buf, n: np.frombuffer(buf, dtype=dt, count=n), dt)
+    return ValueCodec(np.dtype([(f"f{i}", c.dtype)
+                                for i, c in enumerate(codecs)]))
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:
     """The block as stored: a header (magic, version, value width, n_rows,
-    n_cols, nnz), the keys as little-endian int64, then codec's values."""
+    n_cols, nnz), the keys as little-endian int64, then the values in
+    codec's dtype."""
     head = _HEADER.pack(_MAGIC, _VERSION, codec.width, b.n_rows, b.n_cols, b.nnz)
     parts = [head, b.keys().astype(_KEY, copy=False).tobytes()]
     if codec.width:
-        parts.append(codec.encode(b.vals))
+        parts.append(b.vals.astype(codec.dtype, copy=False).tobytes())
     return b"".join(parts)
 
 
 def dcsr_deserialize(buf: bytes, codec: ValueCodec) -> DcsrBlock:
-    """The block of a dcsr_serialize buffer, its keys a read-only view of buf.
-    Raises DecodeError unless buf is one whole canonical block whose keys
-    fit in int64."""
+    """The block of a dcsr_serialize buffer, its keys and values read-only
+    views of buf. Raises DecodeError unless buf is one whole canonical block
+    whose keys fit in int64."""
     if len(buf) < _HEADER.size:
         raise DecodeError(f"buffer too short for header: {len(buf)} bytes")
     magic, version, width, n_rows, n_cols, nnz = _HEADER.unpack_from(buf)
@@ -551,7 +552,7 @@ def dcsr_deserialize(buf: bytes, codec: ValueCodec) -> DcsrBlock:
         raise DecodeError(f"buffer length {len(buf)} != expected {want}")
     off = _HEADER.size + 8 * nnz
     keys = np.frombuffer(buf, dtype=_KEY, count=nnz, offset=_HEADER.size)
-    vals = codec.decode(memoryview(buf)[off:], nnz) if width else None
+    vals = np.frombuffer(buf, codec.dtype, nnz, off) if width else None
     block = DcsrBlock(n_rows, n_cols, keys, vals)
     try:
         block.check()

@@ -101,13 +101,6 @@ def position_set(block) -> set:
     return set(entry_map(block))
 
 
-def decode_values(sr, buf: bytes, count: int) -> list:
-    """Python values of count wire-encoded values of sr; the boolean lane's
-    0/1 bytes come back as bools."""
-    arr = sr.decode_array(buf, count)
-    return (arr.astype(bool) if sr.np_dtype.kind == "u" else arr).tolist()
-
-
 def _owner(i: int, n: int, q: int) -> int:
     """The part of the balanced split of n into q (split_range) that holds
     index i, in closed form; ValueError outside [0, n)."""

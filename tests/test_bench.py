@@ -186,6 +186,16 @@ def test_matrix_market_requires_square(tmp_path):
         load_edges(str(f))
 
 
+@pytest.mark.parametrize("size", ["-5 -5 0", "3 3 -1", "-3 -3 1"])
+def test_matrix_market_rejects_negative_sizes(tmp_path, size):
+    f = tmp_path / "g.mtx"
+    f.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                 f"{size}\n")
+    with pytest.raises(ConfigError,
+                       match=f"g.mtx:2: negative size in '{size}'"):
+        load_edges(str(f))
+
+
 def test_matrix_market_missing_size_line(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("%%MatrixMarket matrix coordinate integer general\n")
@@ -392,7 +402,7 @@ def _reference_checksum(entries: dict, sr):
     value, independent of the vectorised code."""
     acc = 0
     for (gi, gj), v in entries.items():
-        bits = int.from_bytes(sr.encode_values([v]), "little")
+        bits = int.from_bytes(np.asarray([v], sr.np_dtype).tobytes(), "little")
         acc ^= _splitmix64(_splitmix64(_splitmix64(gi) ^ gj) ^ bits)
     return len(entries), acc
 
@@ -534,6 +544,9 @@ _FROZEN_RUNS = [
     ("spgemm-algebraic", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 129958),
     ("spgemm-static", 2, False, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 158604),
     ("spgemm-static", 2, False, "plus-times-f64", "nnz=5875;hash=f6f35ceea3fb3292", 278150),
+    ("update", 2, True, "bool", "nnz=2656;hash=faf1e53e6749bb16", 6732),
+    ("spgemm-general", 2, True, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 371062),
+    ("spgemm-algebraic", 2, True, "bool", "nnz=5875;hash=904cd0ce737fc0a7", 76254),
 ]
 
 
@@ -999,6 +1012,14 @@ def test_cli_undecodable_input_exits_2(tmp_path, capsys):
     path.write_bytes(b"0 1\n\xff\xfe 2\n")
     assert main(["insert", "--input", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_cli_negative_matrix_market_size_exits_2(tmp_path, capsys):
+    path = tmp_path / "neg.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                    "-5 -5 0\n")
+    assert main(["construct", "--input", str(path)]) == 2
+    assert f"{path}:2: negative size" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

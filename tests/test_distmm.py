@@ -501,6 +501,40 @@ def test_user_built_semiring_folds_with_its_own_ufunc():
     assert gather_maps(o[2] for o in out) == oracle_product(a1, b0, max_plus)
 
 
+@pytest.mark.parametrize("dtype", ["<u1", "<u4"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_unsigned_user_semiring_matches_brute_force(q, dtype):
+    # max-min over an unsigned dtype is in no registry: its values must load,
+    # travel and fold as that dtype, not as 0/1 bytes
+    top = int(np.iinfo(dtype).max)
+    max_min = Semiring(name=f"max-min-{dtype}", add=max, mul=min, zero=0,
+                       one=top, is_ring=False, np_dtype=np.dtype(dtype),
+                       np_add=np.maximum, np_mul=np.minimum)
+    n = 12
+    rng = np.random.default_rng(29)
+    a_map, b_map = ({(int(f // n), int(f % n)): int(v) for f, v in zip(
+        rng.choice(n * n, size=40, replace=False),
+        rng.integers(1, top, size=40, endpoint=True))} for _ in range(2))
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = DistMatrix.from_triples(
+            part, comm, [(i, j, v) for (i, j), v in a_map.items()], max_min)
+        b = DistMatrix.from_triples(
+            part, comm, [(i, j, v) for (i, j), v in b_map.items()], max_min)
+        assert a.block.vals.dtype == np.dtype(dtype)
+        return summa_static(comm, a, b, max_min).global_entries()
+
+    got = gather_maps(spmd_collect(q, worker))
+    want = {}
+    for (i, k), av in a_map.items():
+        for (k2, j), bv in b_map.items():
+            if k == k2:
+                want[i, j] = max(want.get((i, j), 0), min(av, bv))
+    assert got == want
+    assert len(set(want.values())) > 2
+
+
 def test_algebraic_rejects_shape_mismatch():
     """Refused before any communication: a left operand of another inner
     dimension, and (on a 2x2 grid) a right operand partitioned for a 1x1

@@ -141,6 +141,10 @@ def test_out_of_range_and_bad_grid_rejected():
         owner_grid_col(part, -1)
     with pytest.raises(ValueError):
         BlockPartition(4, 4, 0)
+    with pytest.raises(ValueError, match="negative"):
+        BlockPartition(-5, -5, 2)
+    with pytest.raises(ValueError, match="negative"):
+        BlockPartition(4, -1, 2)
     with pytest.raises(ValueError):
         ProcessGrid(2).rank_of(2, 0)
     with pytest.raises(ValueError):

@@ -24,13 +24,13 @@ from dynspgemm import (
 )
 from dynspgemm import distmm
 from dynspgemm.redistribute import _buckets, _exchange
-from helpers import decode_values, entry_map, owner_coords
+from helpers import entry_map, owner_coords
 
 
 def records(batch, sr):
     """A batch as (row, col, op, value) tuples with Python values; a delete
     reads as value None."""
-    vals = decode_values(sr, batch["v"].tobytes(), len(batch))
+    vals = batch["v"].tolist()
     return [(i, j, op, None if op else v) for i, j, op, v in
             zip(batch["i"].tolist(), batch["j"].tolist(),
                 batch["op"].tolist(), vals)]
@@ -329,10 +329,10 @@ def test_apply_rejects_updates_outside_the_block(entry):
 
 
 def test_apply_bool_values_stay_bools():
-    # bool operand values are the 0/1 u1 lane, as in the product
+    # bool operand values are numpy bools, as in the product
     b = _empty(BOOLEAN, 2, 2)
     batch = upserts(BOOLEAN, (0, 0, True), (1, 1, False), (0, 1, 1))
-    batch["v"][2] = 7   # a non-zero byte off the wire still reads as true
+    batch["v"][2] = 7   # numpy bool stores any non-zero as true
     apply_batch(b, batch, BOOLEAN, 0, 0)
     assert b.vals.dtype == BOOLEAN.np_dtype
     assert entry_map(b) == {(0, 0): 1, (0, 1): 1, (1, 1): 0}

@@ -11,6 +11,7 @@ from dynspgemm import (
     BOOLEAN,
     MIN_PLUS,
     PLUS_TIMES_I64,
+    REGISTRY,
     DcsrBlock,
     DecodeError,
     OP_DELETE,
@@ -28,7 +29,7 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm import storage
-from dynspgemm.storage import dcsr_from_keys
+from dynspgemm.storage import dcsr_from_keys, record_codec
 from helpers import (
     block_from_triples,
     dcsr_from_row_map,
@@ -416,7 +417,7 @@ def test_derived_layout_matches_dict_oracle(data):
 
     codec = semiring_codec(sr)
     blob = dcsr_serialize(block, codec)
-    assert blob == _wire(n_rows, n_cols, layout, sr.value_width,
+    assert blob == _wire(n_rows, n_cols, layout, codec.width,
                          np.asarray(vals, sr.np_dtype).tobytes())
     back = dcsr_deserialize(blob, codec)
     back.check()
@@ -639,6 +640,23 @@ def test_wire_bloom_round_trip():
     back = dcsr_deserialize(blob, BLOOM_CODEC)
     assert back.vals.dtype == np.dtype("<u8")
     assert entry_map(back) == {(0, 1): 0b101, (2, 3): 1 << 63}
+
+
+_CODECS = {**{sr.name: semiring_codec(sr) for sr in REGISTRY.values()},
+           "bloom": BLOOM_CODEC,
+           "record": record_codec(semiring_codec(MIN_PLUS), BLOOM_CODEC)}
+
+
+@pytest.mark.parametrize("name", sorted(_CODECS))
+def test_decoded_keys_and_values_are_read_only_views(name):
+    codec = _CODECS[name]
+    b = DcsrBlock(3, 3, [1, 4, 7], np.zeros(3, dtype=codec.dtype))
+    blob = dcsr_serialize(b, codec)
+    back = dcsr_deserialize(blob, codec)
+    assert back.vals.dtype == codec.dtype
+    for arr in (back.keys(), back.vals):
+        assert not arr.flags.writeable
+        assert np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
 
 
 def _keyed(n_rows, n_cols, keys, vals):
