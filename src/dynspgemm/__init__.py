@@ -11,7 +11,6 @@ from .semiring import (
     by_name,
 )
 from .storage import (
-    BLOOM_CODEC,
     DcsrBlock,
     DecodeError,
     STRUCTURE_CODEC,
@@ -71,7 +70,7 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbortedError", "BLOOM_CODEC", "BOOLEAN", "BlockPartition", "Communicator",
+    "AbortedError", "BOOLEAN", "BlockPartition", "Communicator",
     "ConfigError", "Counters", "DcsrBlock", "DeadlockError",
     "DecodeError", "DistMatrix", "ExperimentConfig",
     "MIN_PLUS", "MetricsRecord", "NULL_PHASES", "OP_DELETE", "OP_UPSERT",

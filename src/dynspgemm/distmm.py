@@ -10,9 +10,11 @@ result in one of two ways:
   batches whose addition is selective (min, or).
 * general path: works for any semiring and any mix of inserts, modifies and
   deletes.  It recomputes exactly the output positions the batch can touch,
-  using per-entry summation-index bitfields (one uint64 word, bit k mod 64
-  for summation index k) to shrink the recomputation, and deletes touched
-  positions that lost all support.
+  from the rows of the new left operand that hold a touched position, and
+  deletes touched positions that lost all support.  It filters those rows
+  by row alone: no per-entry record of contributing summation indices is
+  kept, so an algebraic and a general update may follow each other in any
+  order.
 
 Every rank calls each function collectively with its own Communicator.
 """
@@ -28,7 +30,6 @@ from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
 from .redistribute import _check_batch, apply_batch, update_batch
 from .semiring import Semiring
 from .storage import (
-    BLOOM_CODEC,
     DcsrBlock,
     STRUCTURE_CODEC,
     _check_same_shape,
@@ -36,30 +37,25 @@ from .storage import (
     combine_blocks,
     dcsr_deserialize,
     dcsr_serialize,
-    field_blocks,
     filter_rows_by_bloom,
     locate,
-    or_into,
-    record_block,
-    record_codec,
     replace_touched,
     semiring_codec,
-    share_keys,
 )
 from .transport import NULL_PHASES
 
 
 class UnsupportedFeatureError(ValueError):
-    """A batch or state the chosen update path cannot fold exactly: a
-    non-insert batch under a semiring that is not a ring, or a general
-    update over bitfields an algebraic update left stale."""
+    """A batch the algebraic update cannot fold exactly: a non-insert batch
+    under a semiring that is not a ring. The general update takes every
+    batch."""
 
 
 @dataclass
 class DistMatrix:
     """One rank's view of a block-partitioned matrix: the partition map plus
     the locally owned DcsrBlock. Operands, which update batches change in
-    place, maintained results (C and its bitfields F) and update matrices,
+    place, maintained results (C) and update matrices,
     which carry one batch's changes, all hold the same block type.
     """
 
@@ -130,19 +126,11 @@ def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,
 
 @dataclass
 class SpgemmState:
-    """Maintained product: the result C plus, per stored entry, the bitfield F
-    of summation indices that contributed to it, one uint64 word with bit
-    k mod 64 for summation index k. F is None once an algebraic update has
-    left it stale.
-
-    While F is present it holds exactly C's positions, and its block holds
-    C's key array object (storage.share_keys): F.block.keys() is
-    C.block.keys(). The general update searches and merges that one position
-    set once per batch, and raises ValueError on a state whose F holds
-    other positions than C."""
+    """Maintained product: the result C and its semiring. Both update paths
+    fold a batch into C alone, so any order of algebraic and general updates
+    keeps it exact."""
 
     C: DistMatrix
-    F: DistMatrix | None
     sr: Semiring
 
 
@@ -172,50 +160,32 @@ def _rounds(comm, a_bytes, b_bytes, a_codec, b_codec, phases):
 # static product
 # ---------------------------------------------------------------------------
 
-def _summa(comm, a: DistMatrix, b: DistMatrix, sr: Semiring, build_bloom: bool,
-           phases):
+def summa_static(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
+                 phases=NULL_PHASES) -> DistMatrix:
+    """Full product C = a . b: q rounds of paired row/column broadcasts with
+    local accumulation. Per rank: 2q broadcasts, no point-to-point traffic."""
     q, i, j = comm.q, comm.grid_row, comm.grid_col
     _check_inner(a.part, b.part, q)
     part_c = BlockPartition(a.part.n_rows, b.part.n_cols, q)
-    inner_starts = a.part.col_starts
     codec = semiring_codec(sr)
     for k, a_blk, b_blk in _rounds(comm, dcsr_serialize(a.block, codec),
                                    dcsr_serialize(b.block, codec), codec,
                                    codec, phases):
         with phases.phase("local_multiply"):
             prod = gustavson_multiply(a_blk, b_blk, sr)
-            pat = (pattern_multiply(a_blk, b_blk, inner_starts[k])[1]
-                   if build_bloom else None)
         if not k:
-            # the kernels' fresh blocks are round 0's C and F as they stand
-            c_local, f_local = prod, pat
+            c_local = prod   # the kernel's fresh block is round 0's C as it is
             continue
         with phases.phase("merge"):
             add_into(c_local, prod, sr.np_add)
-            if build_bloom:
-                or_into(f_local, pat)
-    if build_bloom:
-        share_keys(f_local, c_local)   # one position set from here on
-    c = DistMatrix(part_c, i, j, c_local)
-    f = DistMatrix(part_c, i, j, f_local) if build_bloom else None
-    return c, f
-
-
-def summa_static(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
-                 phases=NULL_PHASES) -> DistMatrix:
-    """Full product C = a . b: q rounds of paired row/column broadcasts with
-    local accumulation. Per rank: 2q broadcasts, no point-to-point traffic."""
-    c, _ = _summa(comm, a, b, sr, False, phases)
-    return c
+    return DistMatrix(part_c, i, j, c_local)
 
 
 def spgemm_algebraic_init(comm, a: DistMatrix, b: DistMatrix, sr: Semiring,
                           phases=NULL_PHASES) -> SpgemmState:
-    """Full product that also records, per output entry, the bitfield of
-    contributing summation indices (bit k mod 64 of one uint64 word),
-    enabling later masked-recompute updates."""
-    c, f = _summa(comm, a, b, sr, True, phases)
-    return SpgemmState(C=c, F=f, sr=sr)
+    """The maintained product of a and b, ready for algebraic and general
+    updates: the static product, at its cost."""
+    return SpgemmState(C=summa_static(comm, a, b, sr, phases), sr=sr)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +205,6 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     a ring, UnsupportedFeatureError is raised before any communication when
     a_delta holds a position already stored in a, or when b_delta is not
     empty (the right operand before the batch is not at hand to check it).
-    The entry bitfields are not refreshed here: state.F is dropped, and a
-    later general update raises UnsupportedFeatureError instead of
-    recomputing from stale bitfields.
 
     Per rank and call this costs 2 transpose exchanges, 2q broadcasts and
     2q aggregations.
@@ -272,7 +239,6 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     c_local = state.C.block
     _check_same_shape(c_local, x_mine, "a_delta . b_prime")
     _check_same_shape(c_local, y_mine, "a . b_delta")
-    state.F = None
     with phases.phase("merge"):
         add_into(c_local, x_mine, sr.np_add)
         add_into(c_local, y_mine, sr.np_add)
@@ -284,26 +250,19 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
 
 def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
                     b_prime: DistMatrix, b_delta: DistMatrix,
-                    a_prime: DistMatrix,
-                    phases=NULL_PHASES) -> tuple[DcsrBlock, DcsrBlock]:
+                    phases=NULL_PHASES) -> DcsrBlock:
     """Locate every output position a batch can touch.
 
     a_delta and b_delta list, structurally, each inserted, modified or
-    deleted operand position (their values are ignored). Returns per rank:
+    deleted operand position (their values are ignored). Returns, per rank,
+    the structure-only touched set struct(a_delta . b_prime) union
+    struct(a . b_delta) of the local output block. When b_delta is empty it
+    holds the key array object of struct(a_delta . b_prime), uncopied
+    (combine_blocks).
 
-    * the touched-position structure struct(a_delta . b_prime) union
-      struct(a . b_delta) of the local output block, and
-    * the bitfield block bloom(a_delta . b_prime) | bloom(a_prime . b_delta)
-      of summation indices the batch adds to those positions.
-
-    When b_delta is empty, both hold the key array object of
-    struct(a_delta . b_prime), unsorted and uncopied (combine_blocks).
-
-    Costs 2q broadcasts, 3q aggregations and 2 transpose exchanges per rank.
+    Costs 2q broadcasts, 2q aggregations and 2 transpose exchanges per rank.
     """
-    i, j = comm.grid_row, comm.grid_col
     _check_inner(a.part, b_prime.part, comm.q)
-    inner_starts = a.part.col_starts
 
     with phases.phase("transpose_exchange"):
         a_bytes = comm.transpose_exchange(
@@ -311,33 +270,21 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
         b_bytes = comm.transpose_exchange(
             dcsr_serialize(b_delta.block, STRUCTURE_CODEC))
 
-    x_pat = y_pat = y_bits = None
+    x_pat = y_pat = None
     for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, STRUCTURE_CODEC,
                                    STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
-            _, p_new = pattern_multiply(a_blk, b_prime.block, inner_starts[i])
-            p_old, _ = pattern_multiply(a.block, b_blk, inner_starts[j])
-            _, p_cur = pattern_multiply(a_prime.block, b_blk, inner_starts[j])
+            p_new = pattern_multiply(a_blk, b_prime.block)
+            p_old = pattern_multiply(a.block, b_blk)
         with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, np.bitwise_or,
-                                          BLOOM_CODEC)
+            r_new = comm.aggregate_sparse("col", k, p_new, None, STRUCTURE_CODEC)
             r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-            r_cur = comm.aggregate_sparse("row", k, p_cur, np.bitwise_or,
-                                          BLOOM_CODEC)
         if r_new is not None:
             x_pat = r_new
         if r_old is not None:
             y_pat = r_old
-        if r_cur is not None:
-            y_bits = r_cur
 
-    n_r, n_c = x_pat.n_rows, x_pat.n_cols
-    touched = combine_blocks((x_pat, y_pat), n_r, n_c, None)
-    # or_into writes in place, and x_pat's values may be a read-only view of
-    # a message
-    new_bits = DcsrBlock(n_r, n_c, x_pat.keys(), x_pat.vals.copy())
-    or_into(new_bits, y_bits)
-    return touched, new_bits
+    return combine_blocks((x_pat, y_pat), x_pat.n_rows, x_pat.n_cols, None)
 
 
 def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
@@ -350,86 +297,57 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     a is the left operand before the batch, a_prime/b_prime the operands
     after it, and a_delta/b_delta the structural change sets (values unused);
     the right operand before the batch is not needed. Touched output
-    positions are recomputed from scratch, but only over the left-operand
-    rows and summation indices whose bitfields say they can matter; touched
-    positions left with no contribution are deleted from the product.
-    state.C and state.F are updated in place, together: one lookup of the
-    touched keys in their shared key array serves the row-bitfield union
-    and the merge. Returns local batch statistics. Raises
-    UnsupportedFeatureError when an algebraic update has dropped state.F,
-    and ValueError, before any communication, when state.F holds other
-    positions than state.C.
+    positions are recomputed from scratch over the rows of a_prime that
+    hold a touched position, whole: the filter is by row, not by summation
+    index. Touched positions left with no contribution are deleted from
+    the product. state.C is updated in place. Returns local batch
+    statistics.
+
+    Per rank and call this costs 3 transpose exchanges, 4q + 1 broadcasts
+    and 3q + 1 aggregations.
     """
-    if state.F is None:
-        raise UnsupportedFeatureError(
-            "general updates need the entry bitfields, which an algebraic "
-            "update left stale; start from a fresh spgemm_algebraic_init")
-    c_local, f_local = state.C.block, state.F.block
-    share_keys(f_local, c_local)
-    i, j = comm.grid_row, comm.grid_col
+    c_local = state.C.block
     sr = state.sr
     _check_inner(a_prime.part, b_prime.part, comm.q)
     codec = semiring_codec(sr)
-    inner_starts = a_prime.part.col_starts
 
-    touched, new_bits = compute_pattern(comm, a, a_delta, b_prime, b_delta,
-                                        a_prime, phases)
+    touched = compute_pattern(comm, a, a_delta, b_prime, b_delta, phases)
 
-    # Per local output row, the union of candidate summation-index bitfields
-    # over its touched positions; reduced across the grid row so every rank
-    # holding a piece of those rows can filter its slice of a_prime. The
-    # lookup of the touched keys in C's (and F's) keys serves the merge too:
-    # C does not change before it.
+    # The local output rows holding a touched position, united across the
+    # grid row, so that every rank holding a piece of those rows can filter
+    # its slice of a_prime.
     n_lr = state.C.local_shape[0]
     _check_same_shape(c_local, touched, "touched")
     with phases.phase("local_multiply"):
-        t_rows, t_keys = touched.to_arrays()[0], touched.keys()
-        held = pos, found = locate(c_local.keys(), t_keys)
-        bits = np.zeros(len(t_keys), dtype=np.uint64)
-        bits[found] = f_local.vals[pos[found]]
-        if new_bits.keys() is t_keys:   # compute_pattern's one-sided union
-            bits |= new_bits.vals
-        else:
-            pos, found = locate(new_bits.keys(), t_keys)
-            bits[found] |= new_bits.vals[pos[found]]
-        starts = np.flatnonzero(np.diff(t_rows, prepend=-1))
-        row_bits = np.bitwise_or.reduceat(bits, starts)
-        nz = np.flatnonzero(row_bits)
-        vec = DcsrBlock(n_lr, 1, t_rows[starts[nz]], row_bits[nz])  # key: row
+        mine = DcsrBlock(n_lr, 1, touched.nz_rows, None)   # key: row
     with phases.phase("aggregate"):
-        vr = comm.aggregate_sparse("row", 0, vec, np.bitwise_or, BLOOM_CODEC)
+        rows_union = comm.aggregate_sparse("row", 0, mine, None,
+                                           STRUCTURE_CODEC)
     with phases.phase("broadcast"):
-        v_buf = comm.row_broadcast(
-            0, dcsr_serialize(vr, BLOOM_CODEC) if vr is not None else None)
-    r_blk = dcsr_deserialize(v_buf, BLOOM_CODEC)
-    r_vec = np.zeros(n_lr, dtype=np.uint64)
-    r_vec[r_blk.keys()] = r_blk.vals
+        r_buf = comm.row_broadcast(
+            0, None if rows_union is None
+            else dcsr_serialize(rows_union, STRUCTURE_CODEC))
+    rows = np.zeros(n_lr, dtype=bool)
+    rows[dcsr_deserialize(r_buf, STRUCTURE_CODEC).keys()] = True
 
     with phases.phase("local_multiply"):
-        a_rows = filter_rows_by_bloom(a_prime.block, r_vec, inner_starts[j])
+        a_rows = filter_rows_by_bloom(a_prime.block, rows)
     with phases.phase("transpose_exchange"):
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
     mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 
-    # Z and H travel as one block of (z, h) records, folded field by field
-    zh_codec = record_codec(codec, BLOOM_CODEC)
-    zh_mine = None
+    z_mine = None
     for k, a_blk, mask in _rounds(comm, ar_bytes, mask_bytes, codec,
                                   STRUCTURE_CODEC, phases):
         with phases.phase("local_multiply"):
-            zh_part = record_block(
-                masked_multiply(a_blk, b_prime.block, mask, sr,
-                                inner_starts[i]), zh_codec.dtype)
+            z_part = masked_multiply(a_blk, b_prime.block, mask, sr)
         with phases.phase("aggregate"):
-            zhr = comm.aggregate_sparse("col", k, zh_part,
-                                        (sr.np_add, np.bitwise_or), zh_codec)
-        if zhr is not None:
-            zh_mine = zhr
+            zr = comm.aggregate_sparse("col", k, z_part, sr.np_add, codec)
+        if zr is not None:
+            z_mine = zr
 
-    z_mine, h_mine = field_blocks(zh_mine)
     with phases.phase("merge"):
-        deleted = replace_touched((c_local, f_local), touched,
-                                  (z_mine, h_mine), held)
+        deleted = replace_touched(c_local, touched, z_mine)
     return {
         "n_touched": touched.nnz,
         "n_recomputed": z_mine.nnz,

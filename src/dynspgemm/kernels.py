@@ -7,11 +7,10 @@ per entry there. Row k of b is the run of its keys in [k * m, (k + 1) * m),
 m its width, found by two `searchsorted` calls (_expand), so only the rows
 that a names are read and the cost tracks the number of products, not the
 size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
-output key r * m + c (_products), and callers spread a's values and bits
-to the products with .repeat(count); the bit of summation index k is
-1 << (k mod 64) in a uint64 word (storage._bits). Sort and compress: a
-stable sort orders the products by output key (storage._sort_fold, by packed
-key-and-index words once a band holds 2^12 products); each key's first
+output key r * m + c (_products), and callers spread a's values to the
+products with .repeat(count). Sort and compress: a stable sort orders the
+products by output key (storage._sort_fold, by packed key-and-index words
+once a band holds 2^12 products); each key's first
 product is gathered by its run-start index and the others fold into it
 with ufunc.at, left to right in input order, which is ascending inner
 index k because a is read in key order.
@@ -26,9 +25,9 @@ the bands' outputs, written one after another into the result arrays, are
 canonical. The band caps every product-sized temporary (sort words and
 order, run masks, gathers), so a large product's working memory stays
 band-sized. masked_multiply expands only the rows of a that hold a mask
-position, drops the products outside the mask, and folds both its values
-and its bitfields from one sort. It tests a product against the mask with
-one read of a bool table, a row of cells per mask row, set at the mask's
+position, drops the products outside the mask, and folds their values
+from one sort. It tests a product against the mask with one read of a
+bool table, a row of cells per mask row, set at the mask's
 entries; where that table would hold more than MASK_TABLE_RATIO cells per
 product formed or mask entry, it searches the mask's keys instead. The
 value kernels raise ValueError on a structure-only operand;
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .storage import DcsrBlock, _bits, _run_starts, _sort_fold, locate
+from .storage import DcsrBlock, _run_starts, _sort_fold, locate
 
 BAND_PRODUCTS = 1 << 18
 """Products that gustavson_multiply and pattern_multiply sort at once,
@@ -168,33 +167,22 @@ def gustavson_multiply(a, b, sr) -> DcsrBlock:
 
 
 # ---------------------------------------------------------------------------
-# structure + bitfield multiply
+# structure multiply
 # ---------------------------------------------------------------------------
 
-def pattern_multiply(a, b, inner_base: int) -> tuple[DcsrBlock, DcsrBlock]:
-    """Structure of a . b plus, per output entry, the or of bit
-    ((inner_base + k) mod 64) over every summation index k that contributes
-    structurally. Values of a and b are ignored; structure-only blocks work.
-    inner_base is the global index of local inner index 0.
-
-    Returns (structure, bitfields) sharing the same positions; the structure
-    block is value-free and the bitfields are uint64.
-    """
+def pattern_multiply(a, b) -> DcsrBlock:
+    """The structure of a . b, value-free: every position some product
+    reaches. Values of a and b are ignored; structure-only blocks work."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    bits = DcsrBlock.empty(a.n_rows, b.n_cols, dtype=np.uint64)
-    if a.nnz and b.nnz:
-        rows, inner, _ = a.to_arrays()
-        bit = _bits(inner, inner_base)
-        keys, (vals,) = _banded_esc(
-            rows, inner, b,
-            lambda s, count, _: ((bit[s].repeat(count), np.bitwise_or),))
-        bits = DcsrBlock(a.n_rows, b.n_cols, keys, vals)
-    return DcsrBlock(bits.n_rows, bits.n_cols, bits.keys(), None), bits
+    if not (a.nnz and b.nnz):
+        return DcsrBlock.empty(a.n_rows, b.n_cols, structure_only=True)
+    rows, inner, _ = a.to_arrays()
+    keys, _ = _banded_esc(rows, inner, b, lambda s, count, bi: ())
+    return DcsrBlock(a.n_rows, b.n_cols, keys, None)
 
 
-def masked_multiply(a, b, mask: DcsrBlock, sr,
-                    inner_base: int) -> tuple[DcsrBlock, DcsrBlock]:
+def masked_multiply(a, b, mask: DcsrBlock, sr) -> DcsrBlock:
     """a . b restricted to the positions listed in mask, an a.n_rows x
     b.n_cols block.
 
@@ -207,11 +195,9 @@ def masked_multiply(a, b, mask: DcsrBlock, sr,
     products formed plus the mask entries; past that, as on a wide block,
     the products are searched for in the mask's keys, in memory that stays
     product-sized. Both keep the same products in the same order, so the
-    result does not depend on which ran. Returns both the value block Z and
-    the uint64 bitfield block H of contributing summation indices (bit
-    (inner_base + k) mod 64) for the surviving positions; both fold from
-    one sort of the products and share one key array. Raises ValueError
-    when a or b is structure-only.
+    result does not depend on which ran. Returns the value block Z of the
+    surviving positions, folded from one sort of the products. Raises
+    ValueError when a or b is structure-only.
     """
     _require_values(a=a, b=b)
     if a.n_cols != b.n_rows:
@@ -249,7 +235,5 @@ def masked_multiply(a, b, mask: DcsrBlock, sr,
     bi, out = bi.take(kept), out.take(kept)
     x = avals[e]
     sr.np_mul(x, b.vals[bi].astype(dtype, copy=False), out=x)
-    keys, (z, h) = _sort_fold(out, (x, sr.np_add),
-                              (_bits(inner, inner_base)[e], np.bitwise_or))
-    return (DcsrBlock(a.n_rows, b.n_cols, keys, z),
-            DcsrBlock(a.n_rows, b.n_cols, keys, h))
+    keys, (z,) = _sort_fold(out, (x, sr.np_add))
+    return DcsrBlock(a.n_rows, b.n_cols, keys, z)

@@ -154,6 +154,6 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     final = upsert[last]
     vals = batch["v"].take(order[last])
     hit, new = stored & final, ~stored & final
-    _splice((block,), pos[hit], (vals[hit],), pos[stored & ~final], pos[new],
-            run_keys[new], (vals[new],))
+    _splice(block, pos[hit], vals[hit], pos[stored & ~final], pos[new],
+            run_keys[new], vals[new])
     return inserted, deleted

@@ -1,11 +1,9 @@
 """Local sparse blocks: one block type (DcsrBlock) for every block, the
-operands A and B as much as the maintained product C, its bitfields F and
-everything produced or exchanged, plus the wire codec used for every
-transport payload. Bitfield blocks are blocks whose values are the
-bitfields: one uint64 word per entry, bit k mod 64 for summation index k,
-in memory and on the wire alike (BLOOM_CODEC). Update batches
-(apply_batch) and the merges into C and F (add_into, or_into,
-replace_touched) change a block in place.
+operands A and B as much as the maintained product C and everything
+produced or exchanged, plus the wire codec used for every transport
+payload. Update batches (apply_batch) and the merges into C (add_into,
+replace_touched) change a block in place; or_into, a bitwise-or merge, is
+kept for uint64 blocks, and no update path calls it.
 
 A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
@@ -14,30 +12,28 @@ emit blocks only through _sort_fold, directly or behind dcsr_from_keys and
 dcsr_from_coo: one stable sort by key (an in-place sort of packed
 key-and-index words, or a stable argsort for short keys, keys in a few
 ascending runs and keys too wide to pack) and an index compress that folds
-repeated keys in input order, for one value array or several from the one
-sort (masked_multiply's values and bitfields). The value and pattern
-kernels call it once per row band of their products, so one call sorts at
-most a band's worth. Every in-place change is one write, _splice, which
-overwrites held values, deletes entries and inserts keys at ranks its caller
-found, for one block or several that share a key array. Every in-place
-writer checks that its operands share dst's shape, searches with the
-batch's keys only, once each, and hands what it found to the splice: the
-searches cost O(batch log nnz), plus one O(nnz) copy of the block's arrays,
-only when a key is added or removed. Writers gather by index where a mask
-would be near half full, which numpy gathers several times slower:
-add_into and or_into split the source into hits and misses once
-(np.flatnonzero) and gather with take; apply_batch and replace_touched keep
-masks that are nearly all true or all false. A write into an empty block
-copies the source; the static product merges no first round, it takes the
-kernels' output blocks as C and F. Blocks that hold one position set can
-share one key array object (share_keys): the maintained product C and its
-bitfields F do, and replace_touched replaces both from the recomputed Z and
-H with one search of the touched keys and one splice. The wire carries a block
+repeated keys in input order, for each value array it is given. The value and pattern kernels call it once per row band of their
+products, so one call sorts at most a band's worth. Every in-place change
+is one write, _splice, which overwrites held values, deletes entries and
+inserts keys at ranks its caller found. Every in-place writer checks that
+its operands share dst's shape, searches with the batch's keys only, once
+each, and hands what it found to the splice: the searches cost
+O(batch log nnz), plus one O(nnz) copy of the block's arrays, only when a
+key is added or removed; a write that both deletes and inserts copies them
+in one pass while its changes are few against the block. Writers gather by
+index where a mask would be near half full, which numpy gathers several
+times slower: add_into and or_into split the source into hits and misses
+once (np.flatnonzero) and gather with take; apply_batch and replace_touched
+keep masks that are nearly all true or all false. A write into an empty
+block copies the source; the static product merges no first round, it
+takes the kernel's output block as C. replace_touched replaces the touched
+entries of C from the recomputed Z with one search of the touched keys and
+one splice. filter_rows_by_bloom keeps the entries of flagged rows: the
+general update's touched-row filter of A'. The wire carries a block
 as it is stored: dcsr_serialize writes a header, the keys and the values,
 and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
 returns read-only views of the message. A value codec is the values' dtype
-and nothing else (ValueCodec): a semiring's np_dtype, uint64 bitfield
-words, packed records of those, or none. The
+and nothing else (ValueCodec): a semiring's np_dtype, or none. The
 doubly-compressed sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008),
 which lists only the non-empty rows, survives only as the derived nz_rows
 and iter_rows views; the dcsr_* names stay because the benchmark hooks wrap
@@ -71,7 +67,7 @@ class DcsrBlock:
     the DCSR layout exists only in the derived nz_rows and iter_rows views.
     The constructor takes keys in that order; dcsr_from_keys and
     dcsr_from_coo take entries in any order. Update batches (apply_batch)
-    and the merges into C and F change a block in place. A decoded block's
+    and the merges into C change a block in place. A decoded block's
     keys and values are read-only views of its message, so no write takes
     one as its destination.
     """
@@ -262,46 +258,71 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _splice(dsts, at, vals, gone, new_at, new_keys, new_vals) -> None:
-    """The one in-place write of blocks. dsts, blocks that share one key
-    array, each with its value array in vals and in new_vals, have the
-    values at the held positions at overwritten, the entries at gone
-    (ascending positions) deleted, and new_keys (sorted, none held) inserted
-    at new_at, their ranks among the held keys as the caller's search found
-    them; the splice corrects those ranks for the deletions. Overwrites
-    change the values in place. Only an added or deleted key copies the keys
-    and each value array, O(nnz), and the blocks then share one new key
-    array."""
-    for d, v in zip(dsts, vals):
-        d.vals[at] = v
-    keys = dsts[0].keys()
-    if not (len(gone) or len(new_keys)):
+_SPLICE_RUN_ENTRIES = 512
+"""A write that both deletes and inserts copies the block's kept runs as
+slices, in one pass, while the block holds at least this many entries per
+deleted or new entry; with more changes it takes two mask passes. A run
+costs about a microsecond of Python, and a mask pass about a nanosecond
+per entry."""
+
+
+def _splice(dst, at, vals, gone, new_at, new_keys, new_vals) -> None:
+    """The one in-place write of a block. dst has the values at the held
+    positions at overwritten with vals, the entries at gone (ascending
+    positions) deleted, and new_keys (sorted, none held) inserted with
+    new_vals at new_at, their ranks among the held keys as the caller's
+    search found them. Overwrites change the values in place. Only an added
+    or deleted key copies the keys and the values, O(nnz), into new
+    arrays."""
+    dst.vals[at] = vals
+    keys = dst.keys()
+    n_gone, n_new = len(gone), len(new_keys)
+    if not (n_gone or n_new):
         return
-    n_kept = len(keys) - len(gone)
-    if len(gone):
-        keep = np.ones(len(keys), dtype=bool)
-        keep[gone] = False
-        new_at = new_at - gone.searchsorted(new_at)
-    if len(new_keys):
-        # each new key lands at its rank plus its own index, and the kept
-        # entries fill the other slots in order
-        slot = new_at + np.arange(len(new_keys))
-        old = np.ones(n_kept + len(new_keys), dtype=bool)
-        old[slot] = False
+    if n_gone and n_new and (n_gone + n_new) * _SPLICE_RUN_ENTRIES <= len(keys):
+        # one pass: the kept runs between the changes, each new entry after
+        # the run that ends at its rank (before a deletion at that rank)
+        ends = np.concatenate((new_at, gone))
+        order = ends.argsort(kind="stable")
+        ends = ends[order]
+        is_new = order < n_new
+        starts = np.append(0, ends + ~is_new).tolist()
+        runs = list(zip(starts, ends.tolist(), is_new.tolist()))
 
-    def spliced(a, new_a):
-        if len(gone):
-            a = a[keep]
-        if not len(new_keys):
-            return a
-        out = np.empty(len(old), dtype=a.dtype)
-        out[slot] = new_a
-        out[old] = a
-        return out
+        def spliced(a, new_a):
+            new_a = new_a.astype(a.dtype, copy=False)
+            parts, j = [], 0
+            for lo, hi, new in runs:
+                parts.append(a[lo:hi])
+                if new:
+                    parts.append(new_a[j:j + 1])
+                    j += 1
+            parts.append(a[starts[-1]:])
+            return np.concatenate(parts)
+    else:
+        n_kept = len(keys) - n_gone
+        if n_gone:
+            keep = np.ones(len(keys), dtype=bool)
+            keep[gone] = False
+            new_at = new_at - gone.searchsorted(new_at)
+        if n_new:
+            # each new key lands at its rank plus its own index, and the
+            # kept entries fill the other slots in order
+            slot = new_at + np.arange(n_new)
+            old = np.ones(n_kept + n_new, dtype=bool)
+            old[slot] = False
 
-    merged = spliced(keys, new_keys)
-    for d, new_v in zip(dsts, new_vals):
-        d._keys, d.vals = merged, spliced(d.vals, new_v)
+        def spliced(a, new_a):
+            if n_gone:
+                a = a[keep]
+            if not n_new:
+                return a
+            out = np.empty(len(old), dtype=a.dtype)
+            out[slot] = new_a
+            out[old] = a
+            return out
+
+    dst._keys, dst.vals = spliced(keys, new_keys), spliced(dst.vals, new_vals)
 
 
 def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,11 +338,10 @@ def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
     """Fold equal-shaped blocks in list order into one canonical block. A
     position seen again folds as fold(old, new), in list order, with fold a
-    ufunc (a semiring's np_add, or np.bitwise_or for bitfields), or a tuple
-    of ufuncs, one per field, for record values (record_codec); with fold
-    None the result is the structure-only union of the members' positions.
-    Folded members must share one value dtype: ValueError otherwise, as
-    numpy would promote the values to a type fold may not take. A single
+    ufunc (a semiring's np_add); with fold None the result is the
+    structure-only union of the members' positions. Folded members must
+    share one value dtype: ValueError otherwise, as numpy would promote the
+    values to a type fold may not take. A single
     non-empty member, or the first when all are empty, is returned as is
     (its keys alone when fold is None)."""
     if fold is not None:
@@ -334,30 +354,8 @@ def combine_blocks(blocks, n_rows: int, n_cols: int, fold) -> DcsrBlock:
         b = full[0]
         return b if fold else DcsrBlock(n_rows, n_cols, b.keys(), None)
     keys = np.concatenate([b.keys() for b in blocks])
-    if fold is None:
-        return dcsr_from_keys(n_rows, n_cols, keys)
-    vals = np.concatenate([b.vals for b in blocks])
-    if not isinstance(fold, tuple):
-        return dcsr_from_keys(n_rows, n_cols, keys, vals, fold)
-    keys, cols = _sort_fold(keys, *zip((vals[f] for f in vals.dtype.names),
-                                       fold))
-    return record_block([DcsrBlock(n_rows, n_cols, keys, c) for c in cols],
-                        vals.dtype)
-
-
-def record_block(blocks, dtype: np.dtype) -> DcsrBlock:
-    """The block of records of dtype (record_codec's) whose field i holds
-    blocks[i]'s values; the blocks share one key array (Z and H)."""
-    b, vals = blocks[0], np.empty(blocks[0].nnz, dtype=dtype)
-    for f, blk in zip(dtype.names, blocks):
-        vals[f] = blk.vals
-    return DcsrBlock(b.n_rows, b.n_cols, b.keys(), vals)
-
-
-def field_blocks(block: DcsrBlock) -> list[DcsrBlock]:
-    """One block per field of a record block, each on its key array."""
-    return [DcsrBlock(block.n_rows, block.n_cols, block.keys(), block.vals[f])
-            for f in block.vals.dtype.names]
+    vals = None if fold is None else np.concatenate([b.vals for b in blocks])
+    return dcsr_from_keys(n_rows, n_cols, keys, vals, fold)
 
 
 def same_entries(x: DcsrBlock, y: DcsrBlock, dtype) -> bool:
@@ -386,8 +384,8 @@ def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
 
 
 def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
-    """Bitwise-or the bitfield entries of src into dst, in place, as
-    add_into does."""
+    """Bitwise-or the entries of src into dst, in place, as add_into does
+    with np.bitwise_or. No update path calls it."""
     _fold_into(dst, src, np.bitwise_or)
 
 
@@ -397,59 +395,26 @@ def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     pos, found = locate(dst.keys(), sk)
     hit, miss = np.flatnonzero(found), np.flatnonzero(~found)
     at = pos.take(hit)
-    _splice((dst,), at, (fold(dst.vals.take(at), sv.take(hit)),), at[:0],
-            pos.take(miss), sk.take(miss), (sv.take(miss),))
+    _splice(dst, at, fold(dst.vals.take(at), sv.take(hit)), at[:0],
+            pos.take(miss), sk.take(miss), sv.take(miss))
 
 
-def share_keys(dst: DcsrBlock, src: DcsrBlock) -> None:
-    """Make dst hold src's key array object, so that the two keep one
-    position set: a maintained product C and its bitfields F. O(1) when they
-    share it already. Raises ValueError, with nothing changed, unless dst
-    has src's shape and holds the same positions."""
-    if dst.keys() is src.keys():
-        return
-    _check_same_shape(dst, src, "src")
-    if not np.array_equal(dst.keys(), src.keys()):
-        raise ValueError("dst holds other positions than src")
-    dst._keys = src.keys()
-
-
-def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
+def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
     """dst = (dst - touched) | src, in place: every touched entry of dst is
     replaced by src's entry there or deleted. Returns the number deleted.
 
-    dst and src are one block each, or equal-length tuples of blocks that
-    each hold one position set: the dst blocks share one key array (C and
-    its bitfields F, see share_keys) and the src blocks hold equal keys (the
-    recomputed values Z and bitfields H). Each dst block takes the values of
-    the src block at its index, and all end on one key array. lookup,
-    when given, is locate(dst keys, touched keys) as the caller found it,
-    and dst must not have changed since.
-
     Raises ValueError, before any entry changes, when src holds a position
-    outside touched, when touched or a src block differs from dst in shape,
-    when the dst blocks do not share one key array, or when the src blocks
-    hold different keys.
+    outside touched, or when touched or src differs from dst in shape.
 
     Only the touched keys are searched for in dst, and src's keys in
-    touched, once each for all the blocks, so the searches cost
-    O(t log nnz(dst)) for t touched entries, and src's keys are not searched
-    when they are the touched keys (the same array or equal ones). Replaced
-    entries change in place; the keys and each value array are copied,
-    O(nnz), only when an entry is added or deleted (_splice)."""
-    dsts = dst if isinstance(dst, tuple) else (dst,)
-    srcs = src if isinstance(src, tuple) else (src,)
-    if len(dsts) != len(srcs):
-        raise ValueError(f"{len(srcs)} src blocks for {len(dsts)} dst blocks")
-    dk, tk, sk = dsts[0].keys(), touched.keys(), srcs[0].keys()
-    _check_same_shape(dsts[0], touched, "touched")
-    for s in srcs:
-        _check_same_shape(dsts[0], s, "src")
-    if any(d.keys() is not dk for d in dsts[1:]):
-        raise ValueError("dst blocks do not share one key array")
-    if any(s.keys() is not sk and not np.array_equal(s.keys(), sk)
-           for s in srcs[1:]):
-        raise ValueError("src blocks hold different keys")
+    touched, once each, so the searches cost O(t log nnz(dst)) for t
+    touched entries, and src's keys are not searched when they are the
+    touched keys (the same array or an equal one). Replaced entries change in
+    place; the keys and values are copied, O(nnz), only when an entry is
+    added or deleted (_splice)."""
+    dk, tk, sk = dst.keys(), touched.keys(), src.keys()
+    _check_same_shape(dst, touched, "touched")
+    _check_same_shape(dst, src, "src")
     if sk is tk or np.array_equal(sk, tk):
         s_at = np.arange(len(tk))
     else:
@@ -457,25 +422,24 @@ def replace_touched(dst, touched: DcsrBlock, src, lookup=None) -> int:
         if not in_touched.all():
             k = int(sk[~in_touched][0])
             raise ValueError(f"src holds key {k}, which is not a touched key")
-    pos, held = locate(dk, tk) if lookup is None else lookup
+    pos, held = locate(dk, tk)
     s_held = held[s_at]   # per src entry: does dst hold its key
     gone = held.copy()    # per touched key: does dst hold it and src not
     gone[s_at] = False
     new = ~s_held
-    _splice(dsts, pos[s_at[s_held]], [s.vals[s_held] for s in srcs], pos[gone],
-            pos[s_at[new]], sk[new], [s.vals[new] for s in srcs])
+    _splice(dst, pos[s_at[s_held]], src.vals[s_held], pos[gone],
+            pos[s_at[new]], sk[new], src.vals[new])
     return int(np.count_nonzero(gone))
 
 
-def filter_rows_by_bloom(a: DcsrBlock, r_vec, col_base: int) -> DcsrBlock:
-    """Keep a's entries (r, c, v) whose row has a bitfield r_vec[r] with bit
-    ((col_base + c) mod 64) set. col_base is the global index of local
-    column 0.
-    """
-    r_vec = np.asarray(r_vec, dtype=np.uint64)
-    rows, cols, vals = a.to_arrays()
-    keep = r_vec[rows] & _bits(cols, col_base) != 0
-    return DcsrBlock(a.n_rows, a.n_cols, a.keys()[keep], vals[keep])
+def filter_rows_by_bloom(a: DcsrBlock, rows) -> DcsrBlock:
+    """Keep a's entries whose row is flagged: rows holds one bool per local
+    row of a. This is the general update's touched-row filter of A'; it
+    filters by row alone, by no summation index, and keeps its old name
+    until the benchmark hooks that wrap it by name are renamed (ROADMAP
+    item 1)."""
+    keep = np.asarray(rows, dtype=bool)[a.keys() // max(a.n_cols, 1)]
+    return DcsrBlock(a.n_rows, a.n_cols, a.keys()[keep], a.vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +465,7 @@ def semiring_codec(sr) -> ValueCodec:
     return ValueCodec(sr.np_dtype)
 
 
-# summation-index bitfields: one little-endian uint64 word per entry
-BLOOM_CODEC = ValueCodec(np.dtype("<u8"))
-
 STRUCTURE_CODEC = ValueCodec(None)
-
-
-def _bits(inner: np.ndarray, inner_base: int) -> np.ndarray:
-    """1 << ((inner_base + k) mod 64) per inner index k, as uint64: the bit
-    of a BLOOM_CODEC word that stands for summation index inner_base + k."""
-    shift = ((inner_base + inner) & 63).astype(np.uint64)
-    return np.left_shift(np.uint64(1), shift)
-
-
-def record_codec(*codecs: ValueCodec) -> ValueCodec:
-    """Codec of packed records, field f<i> in codecs[i]'s dtype: a message
-    carries the keys once and every field's values."""
-    return ValueCodec(np.dtype([(f"f{i}", c.dtype)
-                                for i, c in enumerate(codecs)]))
 
 
 def dcsr_serialize(b: DcsrBlock, codec: ValueCodec) -> bytes:

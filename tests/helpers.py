@@ -33,33 +33,6 @@ def oracle_product(a_map: dict, b_map: dict, sr) -> dict:
     return out
 
 
-def oracle_contribution_bits(a_map: dict, b_map: dict, ell: int) -> dict:
-    """For each output position, the or-fold of 1 << (k mod ell) over all
-    structurally contributing summation indices k."""
-    b_rows: dict[int, list] = {}
-    for (k, j), _ in b_map.items():
-        b_rows.setdefault(k, []).append(j)
-    out: dict = {}
-    for (i, k), _ in a_map.items():
-        bit = 1 << (k % ell)
-        for j in b_rows.get(k, ()):
-            out[(i, j)] = out.get((i, j), 0) | bit
-    return out
-
-
-def shares_a_bit(a_map: dict, b_map: dict) -> bool:
-    """True when some output position has two structurally contributing
-    summation indices that land on one bit, k mod 64."""
-    b_rows: dict[int, list] = {}
-    for (k, j), _ in b_map.items():
-        b_rows.setdefault(k, []).append(j)
-    inner: dict = {}
-    for (i, k), _ in a_map.items():
-        for j in b_rows.get(k, ()):
-            inner.setdefault((i, j), set()).add(k)
-    return any(len({k % 64 for k in ks}) < len(ks) for ks in inner.values())
-
-
 def dcsr_from_row_map(n_rows: int, n_cols: int, row_map: dict,
                       structure_only: bool = False) -> DcsrBlock:
     """row -> {col: value} mapping to a DCSR block."""

@@ -1,4 +1,4 @@
-"""Local multiply kernels: value, structure + bloom, and masked variants."""
+"""Local multiply kernels: value, structure, and masked variants."""
 
 import tracemalloc
 
@@ -24,11 +24,9 @@ from helpers import (
     dcsr_from_row_map,
     entry_map,
     loaded_block,
-    oracle_contribution_bits,
     oracle_product,
     position_set,
     random_map,
-    shares_a_bit,
 )
 
 
@@ -120,62 +118,38 @@ def test_one_by_one_product():
     assert entry_map(gustavson_multiply(a, b, PLUS_TIMES_I64)) == {(0, 0): 20}
 
 
-# -- structure + bitfields ------------------------------------------------------
+# -- structure ------------------------------------------------------------------
 
-def test_pattern_single_contribution_bit():
-    a = _block({(0, 1): 2}, 2, 2)
-    b = _block({(1, 1): 3}, 2, 2)
-    structure, bloom = pattern_multiply(a, b, inner_base=0)
-    assert position_set(structure) == {(0, 1)}
-    assert structure.vals is None
-    assert entry_map(bloom) == {(0, 1): 1 << 1}
-
-
-def test_pattern_bit_wraps_at_ell():
-    # global inner indices 0 and 64 share bit 0 of the 64-bit word
-    a = _block({(0, 0): 1, (0, 64): 1}, 1, 128)
-    b = _block({(0, 0): 1, (64, 0): 1}, 128, 1)
-    _, bloom = pattern_multiply(a, b, inner_base=0)
-    assert entry_map(bloom) == {(0, 0): 1}
-
-
-def test_pattern_inner_base_shifts_bits():
-    a = _block({(0, 0): 1}, 1, 1)
-    b = _block({(0, 0): 1}, 1, 1)
-    _, bloom = pattern_multiply(a, b, inner_base=5)
-    assert entry_map(bloom) == {(0, 0): 1 << 5}
-    _, bloom2 = pattern_multiply(a, b, inner_base=69)
-    assert entry_map(bloom2) == {(0, 0): 1 << 5}   # 69 mod 64
+def _structure(a_map: dict, b_map: dict) -> set:
+    """The positions some product of a_map and b_map reaches."""
+    return set(oracle_product(a_map, b_map, PLUS_TIMES_I64))
 
 
 def test_pattern_accepts_structure_only_operands():
     a = dcsr_from_row_map(2, 2, {0: {1: None}}, structure_only=True)
     b = dcsr_from_row_map(2, 2, {1: {0: None}}, structure_only=True)
-    structure, bloom = pattern_multiply(a, b, inner_base=0)
+    structure = pattern_multiply(a, b)
     assert position_set(structure) == {(0, 0)}
-    assert entry_map(bloom) == {(0, 0): 1 << 1}
+    assert structure.vals is None
 
 
-@pytest.mark.parametrize("inner_base", [8, 64])
-def test_pattern_matches_brute_force(inner_base):
-    """80 summation indices from inner_base: indices 64 apart share a bit,
-    and from base 64 on every index has wrapped past bit 63."""
-    rng = np.random.default_rng(50 + inner_base)
+def test_pattern_matches_brute_force():
+    """Positions whose products sum to zero still count: structure is
+    decided by contribution."""
+    rng = np.random.default_rng(58)
     a_map = random_map(rng, 16, 80, 0.25)
     b_map = random_map(rng, 80, 16, 0.25)
-    structure, bloom = pattern_multiply(_block(a_map, 16, 80),
-                                        _block(b_map, 80, 16),
-                                        inner_base=inner_base)
+    a_map[(0, 0)], a_map[(0, 1)] = 2, -1
+    b_map[(0, 0)], b_map[(1, 0)] = 3, 6
+    for k in range(2, 80):
+        b_map.pop((k, 0), None)
+        a_map.pop((0, k), None)
+    structure = pattern_multiply(_block(a_map, 16, 80), _block(b_map, 80, 16))
     structure.check()
-    bloom.check()
-    assert bloom.vals.dtype == np.uint64 and all(bloom.vals)
-    shifted_a = {(i, inner_base + k): v for (i, k), v in a_map.items()}
-    shifted_b = {(inner_base + k, j): v for (k, j), v in b_map.items()}
-    assert shares_a_bit(shifted_a, shifted_b)
-    want_bits = oracle_contribution_bits(shifted_a, shifted_b, 64)
-    assert entry_map(bloom) == want_bits
-    assert position_set(structure) == set(want_bits)
-    assert position_set(structure) == position_set(bloom)
+    assert structure.vals is None
+    want = oracle_product(a_map, b_map, PLUS_TIMES_I64)
+    assert want[(0, 0)] == 0
+    assert position_set(structure) == set(want)
 
 
 # -- masked ----------------------------------------------------------------------
@@ -183,9 +157,9 @@ def test_pattern_matches_brute_force(inner_base):
 def test_masked_empty_mask_is_empty():
     a = _block({(0, 0): 1}, 2, 2)
     b = _block({(0, 0): 1}, 2, 2)
-    z, h = masked_multiply(a, b, DcsrBlock.empty(2, 2, structure_only=True),
-                           PLUS_TIMES_I64, inner_base=0)
-    assert z.nnz == 0 and h.nnz == 0
+    z = masked_multiply(a, b, DcsrBlock.empty(2, 2, structure_only=True),
+                        PLUS_TIMES_I64)
+    assert z.nnz == 0
 
 
 def test_masked_full_mask_equals_plain_product():
@@ -195,9 +169,8 @@ def test_masked_full_mask_equals_plain_product():
     a, b = _block(a_map, 12, 12), _block(b_map, 12, 12)
     plain = gustavson_multiply(a, b, PLUS_TIMES_I64)
     full_mask = DcsrBlock(12, 12, plain.keys(), None)
-    z, h = masked_multiply(a, b, full_mask, PLUS_TIMES_I64, inner_base=0)
+    z = masked_multiply(a, b, full_mask, PLUS_TIMES_I64)
     assert entry_map(z) == entry_map(plain)
-    assert position_set(h) == position_set(plain)
 
 
 def test_masked_restricts_to_mask_positions():
@@ -210,12 +183,10 @@ def test_masked_restricts_to_mask_positions():
     mask = dcsr_from_row_map(
         14, 14, {r: {c: None for (rr, c) in half if rr == r}
                  for r in {p[0] for p in half}}, structure_only=True)
-    z, h = masked_multiply(_block(a_map, 14, 14), _block(b_map, 14, 14), mask,
-                           MIN_PLUS, inner_base=0)
+    z = masked_multiply(_block(a_map, 14, 14), _block(b_map, 14, 14), mask,
+                        MIN_PLUS)
     assert entry_map(z) == {p: want[p] for p in half}
     assert position_set(z) <= position_set(mask)
-    bits = oracle_contribution_bits(a_map, b_map, 64)
-    assert entry_map(h) == {p: bits[p] for p in half}
 
 
 def test_masked_positions_without_contributions_are_absent():
@@ -224,14 +195,14 @@ def test_masked_positions_without_contributions_are_absent():
     b = _block({(0, 0): 3}, 2, 2)
     mask = dcsr_from_row_map(2, 2, {0: {0: None}, 1: {1: None}},
                              structure_only=True)
-    z, _ = masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
+    z = masked_multiply(a, b, mask, PLUS_TIMES_I64)
     assert entry_map(z) == {(0, 0): 6}
 
 
 def test_masked_inner_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         masked_multiply(DcsrBlock.empty(2, 3), DcsrBlock.empty(2, 2),
-                        DcsrBlock.empty(2, 2), PLUS_TIMES_I64, inner_base=0)
+                        DcsrBlock.empty(2, 2), PLUS_TIMES_I64)
 
 
 def test_masked_mask_of_another_shape_rejected():
@@ -241,7 +212,7 @@ def test_masked_mask_of_another_shape_rejected():
     b = _block({(0, 1): 3}, 2, 3)
     mask = dcsr_from_row_map(2, 2, {1: {1: None}}, structure_only=True)
     with pytest.raises(ValueError, match="mask is 2x2, the product 2x3"):
-        masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
+        masked_multiply(a, b, mask, PLUS_TIMES_I64)
 
 
 def test_masked_wide_mask_searches_its_keys():
@@ -254,17 +225,16 @@ def test_masked_wide_mask_searches_its_keys():
     mask = DcsrBlock(2, w, [0, 2 * w - 1], None)
     tracemalloc.start()
     try:
-        z, h = masked_multiply(a, b, mask, PLUS_TIMES_I64, inner_base=0)
+        z = masked_multiply(a, b, mask, PLUS_TIMES_I64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert entry_map(z) == {(0, 0): 6, (1, w - 1): 35}
-    assert entry_map(h) == {(0, 0): 1, (1, w - 1): 1}
     assert peak < (2 * w) >> 6
 
 
 def test_masked_sorts_the_products_once(monkeypatch):
-    """Z and H fold from one sort of the surviving products."""
+    """Z folds from one sort of the surviving products."""
     sorts = []
     real = storage._sort_fold
 
@@ -281,9 +251,8 @@ def test_masked_sorts_the_products_once(monkeypatch):
     want = oracle_product(a_map, b_map, MIN_PLUS)
     mask = DcsrBlock(12, 12, sorted(i * 12 + j for i, j in want)[::3], None)
     sorts.clear()
-    z, h = masked_multiply(a, b, mask, MIN_PLUS, inner_base=0)
+    z = masked_multiply(a, b, mask, MIN_PLUS)
     assert len(sorts) == 1 and sorts[0] > z.nnz == mask.nnz
-    assert z.keys() is h.keys()
 
 
 # -- properties against the oracles ---------------------------------------------
@@ -353,29 +322,14 @@ def test_gustavson_matches_oracle_property(sr, ta, tb, data):
     assert entry_map(c) == oracle_product(a_map, b_map, sr)
 
 
-@pytest.mark.parametrize("inner_base", [8, 64])
 @_KERNEL_SETTINGS
 @given(data=st.data())
-def test_pattern_matches_oracle_property(inner_base, data):
+def test_pattern_matches_oracle_property(data):
     a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
-    # the block's first summation index lies in the word's first or second
-    # round, plus an offset; offsets 52 and 60 put some indices on bit 63
-    # (and wrap past it)
-    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
-    structure, bits = pattern_multiply(a, b, inner_base=base)
-    bits.check()
-    shifted_a = {(i, k + base): v for (i, k), v in a_map.items()}
-    shifted_b = {(k + base, j): v for (k, j), v in b_map.items()}
-    want = oracle_contribution_bits(shifted_a, shifted_b, 64)
-    assert entry_map(bits) == want
-    assert position_set(structure) == set(want)
-
-
-def test_pattern_sets_bit_63():
-    a = _block({(0, 3): 1, (0, 4): 1}, 1, 5)
-    b = _block({(3, 0): 1, (4, 0): 1}, 5, 1)
-    _, bits = pattern_multiply(a, b, inner_base=60)
-    assert entry_map(bits) == {(0, 0): (1 << 63) | 1}
+    structure = pattern_multiply(a, b)
+    structure.check()
+    assert structure.vals is None
+    assert position_set(structure) == _structure(a_map, b_map)
 
 
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
@@ -384,8 +338,7 @@ def test_pattern_sets_bit_63():
 @given(data=st.data())
 def test_masked_matches_restricted_oracle_property(sr, data):
     """Both ways of testing the mask, its row table and the search of its
-    keys, at a base inside the bitfield word and one whose indices cross
-    bit 63, match the oracle. Under plus-times-f64
+    keys, match the oracle. Under plus-times-f64
     many sums depend on the order of their additions, which is ascending
     inner index in the kernel; only there are the operands filled, so the
     other semirings still draw empty and sparse ones."""
@@ -401,21 +354,15 @@ def test_masked_matches_restricted_oracle_property(sr, data):
     # ratio 0 sends every nonempty mask to the search, and 2^40 cells per
     # product or mask entry admits every row table
     for ratio in (0, 1 << 40):
-        for base in (3, 60):
-            searched = []
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "MASK_TABLE_RATIO", ratio)
-                mp.setattr(kernels, "locate",
-                           lambda *q: searched.append(q) or storage.locate(*q))
-                z, h = masked_multiply(a, b, mask, sr, inner_base=base)
-            assert bool(searched) == (ratio == 0 and bool(mask_pos))
-            assert entry_map(z) == {p: v for p, v in want.items()
-                                    if p in mask_pos}
-            bits = oracle_contribution_bits(
-                {(i, k + base): v for (i, k), v in a_map.items()},
-                {(k + base, j): v for (k, j), v in b_map.items()}, 64)
-            assert entry_map(h) == {p: v for p, v in bits.items()
-                                    if p in mask_pos}
+        searched = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "MASK_TABLE_RATIO", ratio)
+            mp.setattr(kernels, "locate",
+                       lambda *q: searched.append(q) or storage.locate(*q))
+            z = masked_multiply(a, b, mask, sr)
+        assert bool(searched) == (ratio == 0 and bool(mask_pos))
+        assert entry_map(z) == {p: v for p, v in want.items()
+                                if p in mask_pos}
 
 
 @pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
@@ -496,7 +443,7 @@ def test_float_sums_fold_in_ascending_inner_index():
         c = gustavson_multiply(left, b, PLUS_TIMES_F64)
         assert entry_map(c) == {(0, 0): want}
         mask = dcsr_from_row_map(1, 1, {0: {0: None}}, structure_only=True)
-        z, _ = masked_multiply(left, b, mask, PLUS_TIMES_F64, inner_base=0)
+        z = masked_multiply(left, b, mask, PLUS_TIMES_F64)
         assert entry_map(z) == {(0, 0): want}
 
 
@@ -552,21 +499,15 @@ def test_banded_gustavson_matches_oracle_property(sr, ta, tb, budget, data):
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
-@pytest.mark.parametrize("inner_base", [8, 64])
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_banded_pattern_matches_oracle_property(inner_base, budget, data):
+def test_banded_pattern_matches_oracle_property(budget, data):
     a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
-    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BAND_PRODUCTS", budget)
-        structure, bits = pattern_multiply(a, b, inner_base=base)
-    bits.check()
-    want = oracle_contribution_bits(
-        {(i, k + base): v for (i, k), v in a_map.items()},
-        {(k + base, j): v for (k, j), v in b_map.items()}, 64)
-    assert entry_map(bits) == want
-    assert structure.keys() is bits.keys()
+        structure = pattern_multiply(a, b)
+    structure.check()
+    assert position_set(structure) == _structure(a_map, b_map)
 
 
 def _banded_sorts(monkeypatch, budget: int) -> list:
@@ -616,8 +557,8 @@ def test_banded_kernels_cut_at_rows_and_keep_long_rows_whole(monkeypatch,
     sorts = _banded_sorts(monkeypatch, budget)
     c = gustavson_multiply(a, b, PLUS_TIMES_I64)
     assert entry_map(c) == oracle_product(a_map, b_map, PLUS_TIMES_I64)
-    _, bits = pattern_multiply(a, b, inner_base=0)
-    assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 64)
+    structure = pattern_multiply(a, b)
+    assert position_set(structure) == _structure(a_map, b_map)
     bound = max(budget, max(row_products.values()))
     assert len(sorts) > 2 and max(sorts) <= bound
     assert sum(sorts) == 2 * sum(row_products.values())
@@ -674,16 +615,16 @@ def test_banded_kernels_return_arrays_of_exactly_nnz_that_own_their_data(
     a, b = _block(a_map, 60, 50), _block(b_map, 50, 40)
     sorts = _banded_sorts(monkeypatch, 64)
     c = gustavson_multiply(a, b, PLUS_TIMES_I64)
-    structure, bits = pattern_multiply(a, b, inner_base=0)
+    structure = pattern_multiply(a, b)
     assert len(sorts) > 2 * 10
     assert entry_map(c) == oracle_product(a_map, b_map, PLUS_TIMES_I64)
-    assert entry_map(bits) == oracle_contribution_bits(a_map, b_map, 64)
-    assert structure.keys() is bits.keys()
-    for block in (c, bits):
-        block.check()
-        for arr in (block.keys(), block.vals):
-            assert arr.shape == (block.nnz,)
-            assert arr.base is None and arr.flags.owndata
+    assert position_set(structure) == _structure(a_map, b_map)
+    for arr, nnz in ((c.keys(), c.nnz), (c.vals, c.nnz),
+                     (structure.keys(), structure.nnz)):
+        assert arr.shape == (nnz,)
+        assert arr.base is None and arr.flags.owndata
+    c.check()
+    structure.check()
 
 
 # -- structure-only operands -----------------------------------------------------
@@ -699,20 +640,19 @@ def test_value_kernels_name_structure_only_operands(bare):
            for name, blk in (("a", a), ("b", b))}
     mask = DcsrBlock(2, 2, [1], None)
     want = {(0, 1): 6, (1, 0): 4}
-    structure, bits = pattern_multiply(ops["a"], ops["b"], inner_base=0)
+    structure = pattern_multiply(ops["a"], ops["b"])
     assert position_set(structure) == set(want)
-    assert entry_map(bits) == {(0, 1): 2, (1, 0): 1}
     if not bare:
         assert entry_map(gustavson_multiply(ops["a"], ops["b"],
                                             PLUS_TIMES_I64)) == want
-        z, _ = masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64, 0)
+        z = masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64)
         assert entry_map(z) == {(0, 1): 6}
         return
     message = f"{' and '.join(bare)} structure-only"
     with pytest.raises(ValueError, match=message):
         gustavson_multiply(ops["a"], ops["b"], PLUS_TIMES_I64)
     with pytest.raises(ValueError, match=message):
-        masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64, 0)
+        masked_multiply(ops["a"], ops["b"], mask, PLUS_TIMES_I64)
     # even with nothing to multiply, the operands' kind is checked first
     empty = {name: DcsrBlock(2, 2, [], None) if name in bare
              else DcsrBlock.empty(2, 2) for name in ("a", "b")}

@@ -20,7 +20,6 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm.storage import (
-    BLOOM_CODEC,
     dcsr_deserialize,
     dcsr_serialize,
     replace_touched,
@@ -225,146 +224,57 @@ def test_writers_search_only_with_the_batch(monkeypatch):
     run(lambda d: apply_batch(d, records, PLUS_TIMES_I64, 0, 0))
 
 
-def _bits_of(entries: dict) -> dict:
-    """A bitfield per key, derived from the key, for a second value array."""
-    return {k: (k * 2654435761) % 2 ** 64 for k in entries}
-
-
-@_settings
-@given(case=_case(), data=st.data(), pass_lookup=st.booleans())
-def test_replace_touched_on_two_blocks_matches_two_single_calls(
-        case, data, pass_lookup):
-    """C and F replaced together from Z and H end as two single-block calls
-    leave them, on one key array object."""
-    n_rows, n_cols, dst, touched = case
-    src = {k: data.draw(st.integers(-100, 100)) for k in touched
-           if data.draw(st.booleans())}
-    t = _block(n_cols, dict.fromkeys(touched, 0), n_rows)
-    z = _block(n_cols, src, n_rows)
-    h = _block(n_cols, _bits_of(src), n_rows, np.uint64)
-
-    c1 = _block(n_cols, dst, n_rows)
-    f1 = _block(n_cols, _bits_of(dst), n_rows, np.uint64)
-    want_deleted = replace_touched(c1, t, z)
-    assert replace_touched(f1, t, h) == want_deleted
-
-    c2 = _block(n_cols, dst, n_rows)
-    f2 = _block(n_cols, _bits_of(dst), n_rows, np.uint64)
-    storage.share_keys(f2, c2)
-    lookup = storage.locate(c2.keys(), t.keys()) if pass_lookup else None
-    assert replace_touched((c2, f2), t, (z, h), lookup) == want_deleted
-    assert _entries(c2) == _entries(c1)
-    assert _entries(f2) == _entries(f1)
-    assert f2.vals.dtype == np.uint64
-    assert c2.keys() is f2.keys()
-
-
-def test_replace_touched_on_two_blocks_refuses_unshared_positions():
-    """Unshared dst keys, unequal src keys or a src per dst missing: each
-    raises before any entry changes."""
-    dst = {5: 50, 9: 90}
-    t = _block(16, dict.fromkeys([5, 7], 0))
-    z, h = _block(16, {7: 1}), _block(16, {7: 2}, dtype=np.uint64)
-
-    def blocks(shared: bool):
-        c = _block(16, dst)
-        f = _block(16, _bits_of(dst), dtype=np.uint64)   # equal keys, own array
-        if shared:
-            storage.share_keys(f, c)
-        return c, f
-
-    cases = [
-        (blocks(False), (z, h), "do not share one key array"),
-        (blocks(True), (z, _block(16, {5: 2}, dtype=np.uint64)),
-         "src blocks hold different keys"),
-        (blocks(True), (z, _block(16, {}, dtype=np.uint64)),
-         "src blocks hold different keys"),
-        (blocks(True), (z,), "1 src blocks for 2 dst blocks"),
-    ]
-    for (c, f), srcs, match in cases:
-        keys = c.keys()
-        with pytest.raises(ValueError, match=match):
-            replace_touched((c, f), t, srcs)
-        assert _entries(c) == dst and _entries(f) == _bits_of(dst)
-        assert c.keys() is keys
-
-
-def test_share_keys_refuses_other_positions():
-    c = _block(16, {5: 50, 9: 90})
-    f = _block(16, {5: 1}, dtype=np.uint64)
-    with pytest.raises(ValueError, match="other positions"):
-        storage.share_keys(f, c)
-    assert _entries(f) == {5: 1} and f.keys() is not c.keys()
-    wide = _block(8, {5: 1, 9: 1}, n_rows=2, dtype=np.uint64)
-    with pytest.raises(ValueError, match="src is 1x16, dst is 2x8"):
-        storage.share_keys(wide, c)
-    f = _block(16, {5: 1, 9: 2}, dtype=np.uint64)
-    storage.share_keys(f, c)
-    assert f.keys() is c.keys() and _entries(f) == {5: 1, 9: 2}
-
-
-def _c_and_f():
-    """A product block C and its bitfields F on one key array object."""
-    c = _block(16, {5: 50, 9: 90})
-    f = _block(16, {5: 1, 9: 2}, dtype=np.uint64)
-    storage.share_keys(f, c)
-    return c, f
+def _c():
+    """A product block C."""
+    return _block(16, {5: 50, 9: 90})
 
 
 def test_writers_that_only_overwrite_keep_their_arrays():
-    """A write that adds and deletes no key changes the values in place: C
-    and F keep their key and value array objects."""
+    """A write that adds and deletes no key changes the values in place: the
+    block keeps its key and value array objects."""
     t = _block(16, {5: 0, 9: 0})
-    z, h = _block(16, {5: 7, 9: 8}), _block(16, {5: 3, 9: 4}, dtype=np.uint64)
     writes = [
-        lambda c, f: add_into(c, _block(16, {9: 1}), np.add),
-        lambda c, f: or_into(f, _block(16, {5: 4}, dtype=np.uint64)),
-        lambda c, f: replace_touched(c, t, z),
-        lambda c, f: replace_touched((c, f), t, (z, h)),
-        lambda c, f: apply_batch(c, update_batch(
+        lambda c: add_into(c, _block(16, {9: 1}), np.add),
+        lambda c: or_into(c, _block(16, {5: 4})),
+        lambda c: replace_touched(c, t, _block(16, {5: 7, 9: 8})),
+        lambda c: apply_batch(c, update_batch(
             PLUS_TIMES_I64, [0, 0], [5, 9], [7, 8]), PLUS_TIMES_I64, 0, 0),
     ]
     for write in writes:
-        c, f = _c_and_f()
-        arrays = (c.keys(), c.vals, f.vals)
-        before = (_entries(c), _entries(f))
-        write(c, f)
-        assert all(x is y for x, y in zip((c.keys(), c.vals, f.vals), arrays))
-        assert f.keys() is c.keys()
-        assert (_entries(c), _entries(f)) != before
+        c = _c()
+        arrays = (c.keys(), c.vals)
+        before = _entries(c)
+        write(c)
+        assert all(x is y for x, y in zip((c.keys(), c.vals), arrays))
+        assert _entries(c) != before
 
 
 def test_a_key_added_or_deleted_gives_new_arrays():
-    """A write that adds or deletes one key leaves C and F on one new shared
-    key array; a write into C alone gives C a new one. The old key array is
-    never written, so a block still holding it keeps its positions."""
-    for touched, z, h, want in [({5: 0}, {}, {}, {9: 90}),
-                                ({7: 0}, {7: 1}, {7: 2},
-                                 {5: 50, 7: 1, 9: 90})]:
-        c, f = _c_and_f()
-        old = c.keys()
-        replace_touched((c, f), _block(16, touched),
-                        (_block(16, z), _block(16, h, dtype=np.uint64)))
-        assert c.keys() is f.keys() and c.keys() is not old
-        assert old.tolist() == [5, 9] and _entries(c) == want
-    for write in (lambda c: add_into(c, _block(16, {7: 1}), np.add),
-                  lambda c: apply_batch(c, update_batch(
-                      PLUS_TIMES_I64, [0], [9], ops=OP_DELETE),
-                      PLUS_TIMES_I64, 0, 0)):
-        c, f = _c_and_f()
+    """A write that adds or deletes one key gives the block new key and value
+    arrays. The old key array is never written, so a block still holding it
+    keeps its positions."""
+    writes = [
+        lambda c: replace_touched(c, _block(16, {5: 0}), _block(16, {})),
+        lambda c: replace_touched(c, _block(16, {7: 0}), _block(16, {7: 1})),
+        lambda c: add_into(c, _block(16, {7: 1}), np.add),
+        lambda c: apply_batch(c, update_batch(
+            PLUS_TIMES_I64, [0], [9], ops=OP_DELETE), PLUS_TIMES_I64, 0, 0),
+    ]
+    for write in writes:
+        c = _c()
+        old = DcsrBlock(c.n_rows, c.n_cols, c.keys(), c.vals)
         write(c)
-        assert c.keys() is not f.keys() and _entries(f) == {5: 1, 9: 2}
+        assert c.keys() is not old.keys() and c.vals is not old.vals
+        assert _entries(old) == {5: 50, 9: 90}
 
 
 @_settings
-@given(case=_case(), data=st.data(), n_blocks=st.integers(1, 2),
-       empty=st.booleans(), delete_all=st.booleans(), read_only=st.booleans())
-def test_splice_matches_dict_oracle(case, data, n_blocks, empty, delete_all,
-                                    read_only):
-    """Overwrites, deletes and inserts in one _splice call, on one block or on
-    C and F sharing one key array, against a dict per block: from an empty
-    destination, deleting every entry, and with inserted keys and values
-    that are read-only views of a message."""
+@given(case=_case(), data=st.data(), empty=st.booleans(),
+       delete_all=st.booleans(), read_only=st.booleans())
+def test_splice_matches_dict_oracle(case, data, empty, delete_all, read_only):
+    """Overwrites, deletes and inserts in one _splice call against a dict:
+    from an empty destination, deleting every entry, and with inserted keys
+    and values that are read-only views of a message."""
     n_rows, n_cols, dst, batch = case
     dst = {} if empty else dst
     value = st.integers(-100, 100)
@@ -376,33 +286,62 @@ def test_splice_matches_dict_oracle(case, data, n_blocks, empty, delete_all,
     new = {k: data.draw(value) for k in batch
            if k not in dst and data.draw(st.booleans())}
 
-    def bits(entries):   # F's values: the same changes, as bitfields
-        return {k: v % 2 ** 64 for k, v in entries.items()}
-
     c = _block(n_cols, dst, n_rows)
-    f = _block(n_cols, bits(dst), n_rows, np.uint64)
-    storage.share_keys(f, c)
-    dsts = (c, f)[:n_blocks]
-    new_blocks = (_block(n_cols, new, n_rows),
-                  _block(n_cols, bits(new), n_rows, np.uint64))
+    new_block = _block(n_cols, new, n_rows)
     if read_only:
-        new_blocks = tuple(
-            dcsr_deserialize(dcsr_serialize(b, codec), codec)
-            for b, codec in zip(new_blocks, (semiring_codec(PLUS_TIMES_I64),
-                                             BLOOM_CODEC)))
-        assert not new_blocks[0].keys().flags.writeable
-    keys, new_keys = c.keys(), new_blocks[0].keys()
-    at = keys.searchsorted(np.array(sorted(over), dtype=np.int64))
+        codec = semiring_codec(PLUS_TIMES_I64)
+        new_block = dcsr_deserialize(dcsr_serialize(new_block, codec), codec)
+        assert not new_block.keys().flags.writeable
+    keys, new_keys = c.keys(), new_block.keys()
     storage._splice(
-        dsts, at, [np.array(list(over.values())), np.array(
-            list(bits(over).values()), dtype=np.uint64)][:n_blocks],
+        c, keys.searchsorted(np.array(sorted(over), dtype=np.int64)),
+        np.array(list(over.values())),
         keys.searchsorted(np.array(gone, dtype=np.int64)),
-        keys.searchsorted(new_keys), new_keys,
-        [b.vals for b in new_blocks][:n_blocks])
+        keys.searchsorted(new_keys), new_keys, new_block.vals)
 
-    want = {k: dst[k] for k in kept} | over | new
-    for d, w in zip(dsts, (want, bits(want))):
-        assert _entries(d) == w
-        assert d.keys() is c.keys() and d.vals.flags.writeable
-    assert c.vals.dtype == np.int64 and f.vals.dtype == np.uint64
+    assert _entries(c) == {k: dst[k] for k in kept} | over | new
+    assert c.vals.flags.writeable and c.vals.dtype == np.int64
     assert (c.keys() is keys) == (not gone and not new)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_])
+def test_one_pass_splice_equals_the_two_mask_passes(monkeypatch, dtype):
+    """A write that both deletes and inserts gives, bit for bit, the same
+    keys and values whether its kept runs are copied in one pass or through
+    the two mask passes, on random blocks: changes at the block's ends, a
+    new key at the rank of a deleted one, and new values of another dtype
+    than the block's."""
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n = int(rng.integers(1, 3000))
+        keys = np.sort(rng.choice(4 * n, n, replace=False))
+        vals = rng.integers(-9, 10, n).astype(dtype)
+        if dtype is np.float64:
+            vals[::3] = -0.0
+        n_gone = int(rng.integers(1, min(n, 40) + 1))
+        gone = np.sort(rng.choice(n, n_gone, replace=False))
+        if trial % 3 == 0:
+            gone = np.union1d(gone, [0, n - 1])
+        free = np.setdiff1d(np.arange(4 * n + 2), keys)
+        new_keys = np.sort(rng.choice(free, int(rng.integers(1, 40)),
+                                      replace=False))
+        if trial % 4 == 0:   # a new key just below a deleted one
+            g = keys[gone[0]]
+            if g > 0 and g - 1 not in keys:
+                new_keys = np.union1d(new_keys, [g - 1])
+        new_vals = rng.integers(-9, 10, len(new_keys))   # int64
+        new_at = keys.searchsorted(new_keys)
+        got = []
+        for entries in (0, 1 << 60):   # every write one pass; none
+            monkeypatch.setattr(storage, "_SPLICE_RUN_ENTRIES", entries)
+            c = DcsrBlock(1, 4 * n + 2, keys, vals.copy())
+            storage._splice(c, gone[:0], vals[:0], gone, new_at, new_keys,
+                            new_vals)
+            c.check()
+            got.append((c.keys().tobytes(), c.vals.dtype, c.vals.tobytes()))
+        assert got[0] == got[1], trial
+        want = dict(zip(keys.tolist(), vals.tolist()))
+        for k in keys[gone].tolist():
+            del want[k]
+        want.update(zip(new_keys.tolist(), new_vals.astype(dtype).tolist()))
+        assert np.frombuffer(got[0][0], np.int64).tolist() == sorted(want)

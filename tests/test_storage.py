@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynspgemm import (
-    BLOOM_CODEC,
     BOOLEAN,
     MIN_PLUS,
     PLUS_TIMES_I64,
@@ -29,7 +28,7 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm import storage
-from dynspgemm.storage import dcsr_from_keys, record_codec
+from dynspgemm.storage import ValueCodec, dcsr_from_keys
 from helpers import (
     block_from_triples,
     dcsr_from_row_map,
@@ -423,14 +422,6 @@ def test_derived_layout_matches_dict_oracle(data):
     back.check()
     assert entry_map(back) == entries
 
-    bits = data.draw(st.lists(st.integers(0, 2 ** 64 - 1),
-                              min_size=len(entries), max_size=len(entries)))
-    bloom = DcsrBlock(n_rows, n_cols, block.keys(), np.asarray(bits, "<u8"))
-    blob = dcsr_serialize(bloom, BLOOM_CODEC)
-    assert blob == _wire(n_rows, n_cols, layout, 8, bloom.vals.tobytes())
-    assert list(dcsr_deserialize(blob, BLOOM_CODEC).triples()) == \
-        [(r, c, b) for (r, c), b in zip(sorted(entries), bits)]
-
     shape = DcsrBlock(n_rows, n_cols, block.keys(), None)
     blob = dcsr_serialize(shape, STRUCTURE_CODEC)
     assert blob == _wire(n_rows, n_cols, layout, 0)
@@ -497,9 +488,10 @@ def test_add_into_an_empty_block_copies_a_read_only_source():
     assert entry_map(dst) == {(0, 1): 104.0, (1, 2): 14.0}
     assert entry_map(src) == {(0, 1): 5, (1, 2): 7}
 
+    u8 = ValueCodec(np.dtype("<u8"))
     bits = dcsr_deserialize(
-        dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint64),
-                       BLOOM_CODEC), BLOOM_CODEC)
+        dcsr_serialize(block_from_triples(2, 3, [(1, 0, 3)], np.uint64), u8),
+        u8)
     assert not bits.vals.flags.writeable
     dst = DcsrBlock.empty(2, 3, dtype=np.uint64)
     or_into(dst, bits)
@@ -533,35 +525,18 @@ def test_or_into_accumulates_bitfields():
     assert entry_map(dst) == {(0, 0): 0b0101, (0, 1): 0b0010}
 
 
-# -- bloom row filter ----------------------------------------------------------
+# -- touched-row filter --------------------------------------------------------
 
 def test_filter_rows_zero_vector_drops_all():
     a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
-    out = filter_rows_by_bloom(a, [0, 0, 0], col_base=0)
+    out = filter_rows_by_bloom(a, [False] * 3)
     assert out.nnz == 0
 
 
 def test_filter_rows_full_vector_keeps_all():
     a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
-    full = (1 << 64) - 1
-    out = filter_rows_by_bloom(a, [full] * 3, col_base=0)
+    out = filter_rows_by_bloom(a, [True] * 3)
     assert set(out.triples()) == set(a.triples())
-
-
-def test_filter_rows_bit_wraps_example():
-    # bit of column c is (col_base + c) mod 64. Bitfield 0b0010 keeps exactly
-    # columns congruent to 1 (mod 64): here 1 and 65 but not 2.
-    a = block_from_triples(1, 72, [(0, 1, 10), (0, 65, 50), (0, 2, 20)])
-    out = filter_rows_by_bloom(a, [0b0010], col_base=0)
-    assert entry_map(out) == {(0, 1): 10, (0, 65): 50}
-
-
-def test_filter_rows_respects_col_base():
-    # global column = col_base + local column; shifting the base moves bits
-    a = block_from_triples(1, 4, [(0, 0, 7), (0, 1, 8)])
-    out = filter_rows_by_bloom(a, [0b0001], col_base=63)
-    # global cols are 63 and 64 -> bits 63 and 0; only bit 0 passes
-    assert entry_map(out) == {(0, 1): 8}
 
 
 def test_filter_rows_output_is_subset():
@@ -569,12 +544,11 @@ def test_filter_rows_output_is_subset():
     a = block_from_triples(
         10, 10, [(int(p // 10), int(p % 10), int(rng.integers(1, 9)))
                  for p in rng.choice(100, size=40, replace=False)])
-    r_vec = [int(x) for x in rng.integers(0, 1 << 64, 10, dtype=np.uint64)]
-    # global columns 60..69 cross bit 63
-    out = filter_rows_by_bloom(a, r_vec, col_base=60)
+    rows = rng.random(10) < 0.5
+    out = filter_rows_by_bloom(a, rows)
     out.check()
     assert entry_map(out) == {(r, c): v for (r, c), v in entry_map(a).items()
-                              if (r_vec[r] >> ((60 + c) % 64)) & 1}
+                              if rows[r]}
 
 
 # -- wire format ---------------------------------------------------------------
@@ -634,17 +608,7 @@ def test_wire_structure_only():
     assert position_set(back) == {(1, 0), (1, 3)}
 
 
-def test_wire_bloom_round_trip():
-    b = dcsr_from_row_map(4, 4, {0: {1: 0b101}, 2: {3: 1 << 63}})
-    blob = dcsr_serialize(b, BLOOM_CODEC)
-    back = dcsr_deserialize(blob, BLOOM_CODEC)
-    assert back.vals.dtype == np.dtype("<u8")
-    assert entry_map(back) == {(0, 1): 0b101, (2, 3): 1 << 63}
-
-
-_CODECS = {**{sr.name: semiring_codec(sr) for sr in REGISTRY.values()},
-           "bloom": BLOOM_CODEC,
-           "record": record_codec(semiring_codec(MIN_PLUS), BLOOM_CODEC)}
+_CODECS = {sr.name: semiring_codec(sr) for sr in REGISTRY.values()}
 
 
 @pytest.mark.parametrize("name", sorted(_CODECS))

@@ -26,13 +26,6 @@ from dynspgemm import (
     semiring_codec,
 )
 from dynspgemm import transport
-from dynspgemm.semiring import BOOLEAN
-from dynspgemm.storage import (
-    BLOOM_CODEC,
-    field_blocks,
-    record_block,
-    record_codec,
-)
 from helpers import (
     block_from_triples,
     dcsr_from_row_map,
@@ -413,62 +406,6 @@ def test_aggregate_rejects_shape_mismatch():
 
     with pytest.raises(TransportError, match="dims"):
         run_spmd(4, worker)
-
-
-def _zh_contribution(rng, sr, n, nnz):
-    """A (z, h) pair on one key array: nnz positions of an n x n block, z in
-    sr's value dtype (plus-times-f64 sums of 1e16, 1.0, -1e16 and 3.0 depend
-    on their order), h 64-bit bitfields."""
-    keys = np.sort(rng.choice(n * n, nnz, replace=False))
-    if sr is BOOLEAN:
-        z = rng.integers(0, 2, nnz)
-    elif sr is PLUS_TIMES_F64:
-        z = rng.choice((1e16, 1.0, -1e16, 3.0), nnz)
-    else:
-        z = rng.integers(-9, 10, nnz)
-    h = rng.integers(0, 1 << 64, nnz, dtype=np.uint64)
-    return (DcsrBlock(n, n, keys, z.astype(sr.np_dtype)),
-            DcsrBlock(n, n, keys, h))
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-@pytest.mark.parametrize("n", [8, 64])
-@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
-                                BOOLEAN], ids=lambda s: s.name)
-def test_record_aggregation_equals_two_aggregations(sr, n, q):
-    """Z and H aggregated as one block of (z, h) records come out bit for bit
-    as two aggregations give them, and each member sends the keys once:
-    32 + (8 + w_z + 8) * nnz bytes. Every third rank contributes nothing,
-    so some groups fold one non-empty member and some none. On an 8 x 8
-    block the members' positions mostly overlap and fold; on 64 x 64 they
-    mostly do not."""
-    root = q - 1
-    codec = semiring_codec(sr)
-    zh_codec = record_codec(codec, BLOOM_CODEC)
-    rng = np.random.default_rng(n + 10 * q)
-    pairs = [_zh_contribution(rng, sr, n,
-                              0 if r % 3 == 0 else int(rng.integers(1, 30)))
-             for r in range(q * q)]
-
-    def worker(comm):
-        z, h = pairs[comm.rank]
-        zh = comm.aggregate_sparse("col", root, record_block((z, h), zh_codec.dtype),
-                                   (sr.np_add, np.bitwise_or), zh_codec)
-        sent = comm.counters.bytes_aggregate
-        want = (comm.aggregate_sparse("col", root, z, sr.np_add, codec),
-                comm.aggregate_sparse("col", root, h, np.bitwise_or, BLOOM_CODEC))
-        return sent, None if zh is None else (field_blocks(zh), want)
-
-    for rank, (sent, got) in enumerate(run_spmd(q * q, worker)):
-        if rank // q != root:
-            assert got is None
-            assert sent == 32 + (16 + codec.width) * pairs[rank][0].nnz
-            continue
-        for g, w in zip(*got):
-            g.check()
-            assert np.array_equal(g.keys(), w.keys())
-            assert g.vals.dtype == w.vals.dtype
-            assert g.vals.tobytes() == w.vals.tobytes()
 
 
 def test_aggregate_on_column_axis():
