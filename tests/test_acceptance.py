@@ -1,11 +1,10 @@
 """Acceptance gate: one test per acceptance criterion, numbered 1 through 8.
-Criterion 3, on the summation-index bitfields of the general update, went
-with the bitfields, so its number is unused.
 
 Each test prints a single PASS line with its measured evidence (run with
 pytest -s to see them; pytest -v shows the per-criterion outcome either way).
 """
 
+import threading
 import time
 from itertools import chain
 from typing import Optional
@@ -30,6 +29,7 @@ from dynspgemm import (
     summa_static,
     update_batch,
 )
+from dynspgemm import distmm
 from dynspgemm.bench import (
     ExperimentConfig,
     rmat_arrays,
@@ -152,6 +152,93 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
     assert elapsed < 120.0
     print(f"\ncriterion 2 PASS: {n_instances} general instances, exact match "
           f"and delta containment, {elapsed:.1f}s (< 120s)")
+
+
+def test_criterion_3_bitfields_never_lose_contributors(monkeypatch):
+    """100 runs on n x k by k x n instances, n up to 32, each with two
+    chained general updates. The general update filters its summation by
+    one flag per row of A' (filter_rows_by_bloom), set for the rows that
+    hold a touched position. After each update, every entry A'(r, k) with
+    a B'(k, c) at a touched position (r, c), that is every contributor to a
+    recomputed value, passed the filter, and what passed is a subset of A'
+    with its values. Entries kept for no touched position are allowed,
+    misses are not. In half the runs k is above 64."""
+    sr = MIN_PLUS
+    n_runs = 100
+    checks = extra = 0
+    filtered: dict = {}
+    real_filter = distmm.filter_rows_by_bloom
+
+    def keeping_filter(a, rows):
+        out = real_filter(a, rows)
+        filtered[threading.current_thread().name] = out
+        return out
+
+    monkeypatch.setattr(distmm, "filter_rows_by_bloom", keeping_filter)
+
+    def structure(x: dict, y: dict) -> set:
+        return set(oracle_product({p: 1 for p in x}, {p: 1 for p in y},
+                                  PLUS_TIMES_I64))
+
+    for idx in range(n_runs):
+        q = 1 + (idx % 2)
+        rng = np.random.default_rng(30_000 + idx)
+        n = int(rng.integers(6, 33))
+        k = int(rng.integers(65, 97)) if idx % 2 == 0 else n
+        a_seq = [random_map(rng, n, k, float(rng.uniform(0.05, 0.3)),
+                            values="float")]
+        b_seq = [random_map(rng, k, n, float(rng.uniform(0.05, 0.3)),
+                            values="float")]
+        changes = []
+        for _ in range(2):
+            a1, ch_a = mixed_general_batch(rng, a_seq[-1], n, k)
+            b1, ch_b = mixed_general_batch(rng, b_seq[-1], k, n)
+            a_seq.append(a1)
+            b_seq.append(b1)
+            changes.append((ch_a, ch_b))
+
+        def worker(comm):
+            part = BlockPartition(n, k, comm.q)
+            part_b = BlockPartition(k, n, comm.q)
+            a = dist_from_map(part, comm, a_seq[0], sr)
+            b = dist_from_map(part_b, comm, b_seq[0], sr)
+            st = spgemm_algebraic_init(comm, a, b, sr)
+            i, j = comm.grid_row, comm.grid_col
+            out = []
+            for step, (ch_a, ch_b) in enumerate(changes):
+                a_prev = dist_from_map(part, comm, a_seq[step], sr)
+                a_prime = dist_from_map(part, comm, a_seq[step + 1], sr)
+                b_prime = dist_from_map(part_b, comm, b_seq[step + 1], sr)
+                d_a = update_from_map(part, comm, {p: None for p in ch_a},
+                                      structure_only=True)
+                d_b = update_from_map(part_b, comm, {p: None for p in ch_b},
+                                      structure_only=True)
+                spgemm_general_update(comm, st, a_prime, d_a, b_prime, d_b,
+                                      a_prev)
+                kept = filtered.pop(threading.current_thread().name)
+                out.append(({part.to_global(i, j, r, c): v for (r, c), v in
+                             entry_map(kept).items()}, st.C.global_entries()))
+            return out
+
+        results = spmd_collect(q, worker)
+        for step, (ch_a, ch_b) in enumerate(changes):
+            a1, b1 = a_seq[step + 1], b_seq[step + 1]
+            kept = gather_maps([res[step][0] for res in results])
+            assert all(a1.get(p) == v for p, v in kept.items()), (idx, step)
+            touched = structure(ch_a, b1) | structure(a_seq[step], ch_b)
+            b_cols: dict = {}
+            for (kk, c) in b1:
+                b_cols.setdefault(kk, []).append(c)
+            needed = {(r, kk) for (r, kk) in a1
+                      if any((r, c) in touched for c in b_cols.get(kk, ()))}
+            assert needed <= kept.keys(), (idx, step, needed - kept.keys())
+            assert gather_maps([res[step][1] for res in results]) == \
+                oracle_product(a1, b1, sr)
+            checks += len(needed)
+            extra += len(kept.keys() - needed)
+    assert checks
+    print(f"\ncriterion 3 PASS: {n_runs} runs, {checks} contributors kept, "
+          f"{extra} entries kept for no touched position, zero misses")
 
 
 def test_criterion_4_redistribution_conserves_and_stays_local():

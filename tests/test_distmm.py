@@ -1,5 +1,6 @@
 """Distributed products: static baseline, algebraic and general updates."""
 
+import dataclasses
 import math
 import operator
 import threading
@@ -196,6 +197,29 @@ def test_init_empty_left_operand():
         return spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64).C.global_entries()
 
     assert spmd_collect(2, worker) == [{}] * 4
+
+
+def test_init_bitfields_match_brute_force():
+    """Over 80 summation indices the init's state is the brute-force
+    product C and its semiring, with no per-entry bitfield beside C."""
+    n, k = 16, 80
+    rng = np.random.default_rng(9)
+    a_map = random_map(rng, n, k, 0.2)
+    b_map = random_map(rng, k, n, 0.2)
+
+    def worker(comm):
+        a = dist_from_map(BlockPartition(n, k, comm.q), comm, a_map,
+                          PLUS_TIMES_I64)
+        b = dist_from_map(BlockPartition(k, n, comm.q), comm, b_map,
+                          PLUS_TIMES_I64)
+        st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
+        assert [f.name for f in dataclasses.fields(st)] == ["C", "sr"]
+        assert st.sr is PLUS_TIMES_I64
+        return st.C.global_entries()
+
+    want = oracle_product(a_map, b_map, PLUS_TIMES_I64)
+    for q in (1, 2):
+        assert gather_maps(spmd_collect(q, worker)) == want
 
 
 # -- algebraic updates ----------------------------------------------------------------
@@ -742,6 +766,64 @@ def test_general_deletion_drops_product_entries():
     c_map, stats = out[0]
     assert c_map == {}
     assert stats["n_deleted"] == 1
+
+
+def test_general_bloom_stays_superset_after_chained_updates(monkeypatch):
+    """Over three chained updates on 80 summation indices, at q = 1 and 2,
+    the row flags the general update hands filter_rows_by_bloom, united over
+    a grid row, are the rows of the touched positions: a superset, so no
+    contributor is lost, and no more. The product stays exact."""
+    n, k = 16, 80
+    rng = np.random.default_rng(41)
+    a0 = random_map(rng, n, k, 0.25, values="float")
+    b0 = random_map(rng, k, n, 0.25, values="float")
+    flagged: dict = {}
+    real_filter = distmm.filter_rows_by_bloom
+
+    def keeping_filter(a, rows):
+        flagged[threading.current_thread().name] = np.flatnonzero(rows)
+        return real_filter(a, rows)
+
+    monkeypatch.setattr(distmm, "filter_rows_by_bloom", keeping_filter)
+
+    def structure(x: dict, y: dict) -> set:
+        return set(oracle_product({p: 1 for p in x}, {p: 1 for p in y},
+                                  PLUS_TIMES_I64))
+
+    def worker(comm):
+        part, part_b = BlockPartition(n, k, comm.q), BlockPartition(k, n, comm.q)
+        prev_a, prev_b = a0, b0
+        a = dist_from_map(part, comm, prev_a, MIN_PLUS)
+        b = dist_from_map(part_b, comm, prev_b, MIN_PLUS)
+        st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
+        rng_w = np.random.default_rng(43)
+        snapshots = []
+        for _ in range(3):
+            a1, ch_a = mixed_general_batch(rng_w, prev_a, n, k)
+            b1, ch_b = mixed_general_batch(rng_w, prev_b, k, n)
+            spgemm_general_update(
+                comm, st, dist_from_map(part, comm, a1, MIN_PLUS),
+                update_from_map(part, comm, {p: None for p in ch_a},
+                                structure_only=True),
+                dist_from_map(part_b, comm, b1, MIN_PLUS),
+                update_from_map(part_b, comm, {p: None for p in ch_b},
+                                structure_only=True),
+                dist_from_map(part, comm, prev_a, MIN_PLUS))
+            rows = flagged.pop(threading.current_thread().name)
+            touched = structure(ch_a, b1) | structure(prev_a, ch_b)
+            snapshots.append((a1, b1, touched, st.C.global_entries(),
+                              set(part.row_starts[comm.grid_row] + rows)))
+            prev_a, prev_b = a1, b1
+        return snapshots
+
+    for q in (1, 2):
+        out = spmd_collect(q, worker)
+        for step, (a1, b1, touched, _, _) in enumerate(out[0]):
+            assert touched
+            assert gather_maps([o[step][3] for o in out]) == \
+                oracle_product(a1, b1, MIN_PLUS)
+            rows = set().union(*(o[step][4] for o in out))
+            assert rows == {r for r, _ in touched}
 
 
 @pytest.mark.parametrize("q", [1, 2])

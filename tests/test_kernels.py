@@ -125,6 +125,13 @@ def _structure(a_map: dict, b_map: dict) -> set:
     return set(oracle_product(a_map, b_map, PLUS_TIMES_I64))
 
 
+def _shifted(a_map: dict, b_map: dict, inner_base: int):
+    """a_map and b_map with every summation index moved up by inner_base,
+    so that a's first inner_base columns and b's first rows are empty."""
+    return ({(i, k + inner_base): v for (i, k), v in a_map.items()},
+            {(k + inner_base, j): v for (k, j), v in b_map.items()})
+
+
 def test_pattern_accepts_structure_only_operands():
     a = dcsr_from_row_map(2, 2, {0: {1: None}}, structure_only=True)
     b = dcsr_from_row_map(2, 2, {1: {0: None}}, structure_only=True)
@@ -133,10 +140,12 @@ def test_pattern_accepts_structure_only_operands():
     assert structure.vals is None
 
 
-def test_pattern_matches_brute_force():
+@pytest.mark.parametrize("inner_base", [8, 64])
+def test_pattern_matches_brute_force(inner_base):
     """Positions whose products sum to zero still count: structure is
-    decided by contribution."""
-    rng = np.random.default_rng(58)
+    decided by contribution. The 80 summation indices start at inner_base,
+    so from base 64 on every one lies past the first 64 inner indices."""
+    rng = np.random.default_rng(50 + inner_base)
     a_map = random_map(rng, 16, 80, 0.25)
     b_map = random_map(rng, 80, 16, 0.25)
     a_map[(0, 0)], a_map[(0, 1)] = 2, -1
@@ -144,7 +153,10 @@ def test_pattern_matches_brute_force():
     for k in range(2, 80):
         b_map.pop((k, 0), None)
         a_map.pop((0, k), None)
-    structure = pattern_multiply(_block(a_map, 16, 80), _block(b_map, 80, 16))
+    a_map, b_map = _shifted(a_map, b_map, inner_base)
+    inner = inner_base + 80
+    structure = pattern_multiply(_block(a_map, 16, inner),
+                                 _block(b_map, inner, 16))
     structure.check()
     assert structure.vals is None
     want = oracle_product(a_map, b_map, PLUS_TIMES_I64)
@@ -283,9 +295,10 @@ def _flip(entries):
 
 
 @st.composite
-def _operands(draw, sr, ta=False, tb=False, fold_order=False):
+def _operands(draw, sr, ta=False, tb=False, fold_order=False, inner_base=0):
     # a is n x k and b is k x m; ta (tb) draws a k x n (m x k) map and
     # flips it, so the kernel sees entries laid out in the other orientation.
+    # inner_base moves the summation indices up (_shifted) and widens k by it.
     # fold_order draws _fold_order_value values and fills at least a third
     # of each operand, so that many positions sum three or more products
     n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
@@ -301,6 +314,8 @@ def _operands(draw, sr, ta=False, tb=False, fold_order=False):
     b_map = _flip(b_map) if tb else b_map
     kinds = draw(st.tuples(st.sampled_from(("dynamic", "dcsr")),
                            st.sampled_from(("dynamic", "dcsr"))))
+    a_map, b_map = _shifted(a_map, b_map, inner_base)
+    k += inner_base
     return (a_map, b_map, _block(a_map, n, k, kinds[0], sr),
             _block(b_map, k, m, kinds[1], sr), (n, k, m))
 
@@ -322,10 +337,15 @@ def test_gustavson_matches_oracle_property(sr, ta, tb, data):
     assert entry_map(c) == oracle_product(a_map, b_map, sr)
 
 
+@pytest.mark.parametrize("inner_base", [8, 64])
 @_KERNEL_SETTINGS
 @given(data=st.data())
-def test_pattern_matches_oracle_property(data):
-    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
+def test_pattern_matches_oracle_property(inner_base, data):
+    """The block's summation indices start at inner_base, plus an offset:
+    offsets 52 and 60 put some of them past index 63 or 127."""
+    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
+    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64,
+                                                inner_base=base))
     structure = pattern_multiply(a, b)
     structure.check()
     assert structure.vals is None
@@ -499,10 +519,13 @@ def test_banded_gustavson_matches_oracle_property(sr, ta, tb, budget, data):
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
+@pytest.mark.parametrize("inner_base", [8, 64])
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_banded_pattern_matches_oracle_property(budget, data):
-    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64))
+def test_banded_pattern_matches_oracle_property(inner_base, budget, data):
+    base = inner_base + data.draw(st.sampled_from((0, 5, 52, 60)))
+    a_map, b_map, a, b, _ = data.draw(_operands(PLUS_TIMES_I64,
+                                                inner_base=base))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BAND_PRODUCTS", budget)
         structure = pattern_multiply(a, b)

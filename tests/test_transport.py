@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dynspgemm import (
+    BOOLEAN,
     Counters,
     DcsrBlock,
     DeadlockError,
@@ -406,6 +407,77 @@ def test_aggregate_rejects_shape_mismatch():
 
     with pytest.raises(TransportError, match="dims"):
         run_spmd(4, worker)
+
+
+def _z_contribution(rng, sr, n, nnz):
+    """A block of nnz positions of an n x n block holding z in sr's value
+    dtype (plus-times-f64 sums of 1e16, 1.0, -1e16 and 3.0 depend on their
+    order)."""
+    keys = np.sort(rng.choice(n * n, nnz, replace=False))
+    if sr is BOOLEAN:
+        z = rng.integers(0, 2, nnz)
+    elif sr is PLUS_TIMES_F64:
+        z = rng.choice((1e16, 1.0, -1e16, 3.0), nnz)
+    else:
+        z = rng.integers(-9, 10, nnz)
+    return DcsrBlock(n, n, keys, z.astype(sr.np_dtype))
+
+
+def _rows_of(block, parity):
+    """block's entries in rows of the given parity."""
+    keep = (block.keys() // block.n_cols) % 2 == parity
+    return DcsrBlock(block.n_rows, block.n_cols, block.keys()[keep],
+                     block.vals[keep])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("sr", [PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS,
+                                BOOLEAN], ids=lambda s: s.name)
+def test_record_aggregation_equals_two_aggregations(sr, n, q):
+    """One aggregation of (key, z) records in the semiring's codec comes out
+    bit for bit, dtype included, as two aggregations give it: one of the
+    members' even rows and one of their odd rows, joined. The fold is
+    position by position, which is what lets the general update aggregate
+    Z over the touched rows alone. Its keys are the structure-only
+    aggregation of the members' positions, and each member sends the keys
+    once: 32 + (8 + w_z) * nnz bytes. Every third rank contributes nothing,
+    so some groups fold one non-empty member and some none. On an 8 x 8
+    block the members' positions mostly overlap and fold; on 64 x 64 they
+    mostly do not."""
+    root = q - 1
+    codec = semiring_codec(sr)
+    rng = np.random.default_rng(n + 10 * q)
+    blocks = [_z_contribution(rng, sr, n,
+                              0 if r % 3 == 0 else int(rng.integers(1, 30)))
+              for r in range(q * q)]
+
+    def worker(comm):
+        z = blocks[comm.rank]
+        got = comm.aggregate_sparse("col", root, z, sr.np_add, codec)
+        sent = comm.counters.bytes_aggregate
+        halves = [comm.aggregate_sparse("col", root, _rows_of(z, parity),
+                                        sr.np_add, codec)
+                  for parity in (0, 1)]
+        pos = comm.aggregate_sparse(
+            "col", root, DcsrBlock(n, n, z.keys(), None), None,
+            STRUCTURE_CODEC)
+        return sent, None if got is None else (got, halves, pos)
+
+    for rank, (sent, out) in enumerate(run_spmd(q * q, worker)):
+        if rank // q != root:
+            assert out is None
+            assert sent == 32 + (8 + codec.width) * blocks[rank].nnz
+            continue
+        got, halves, pos = out
+        got.check()
+        keys = np.concatenate([h.keys() for h in halves])
+        vals = np.concatenate([h.vals for h in halves])
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(got.keys(), keys[order])
+        assert np.array_equal(got.keys(), pos.keys())
+        assert got.vals.dtype == vals.dtype == sr.np_dtype
+        assert got.vals.tobytes() == vals[order].tobytes()
 
 
 def test_aggregate_on_column_axis():
