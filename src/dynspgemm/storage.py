@@ -12,19 +12,18 @@ emit blocks only through _sort_fold, directly or behind dcsr_from_keys and
 dcsr_from_coo: one stable sort by key (an in-place sort of packed
 key-and-index words, or a stable argsort for short keys, keys in a few
 ascending runs and keys too wide to pack) and an index compress that folds
-repeated keys in input order, for each value array it is given. The value and pattern kernels call it once per row band of their
-products, so one call sorts at most a band's worth. Every in-place change
-is one write, _splice, which overwrites held values, deletes entries and
-inserts keys at ranks its caller found. Every in-place writer checks that
-its operands share dst's shape, searches with the batch's keys only, once
-each, and hands what it found to the splice: the searches cost
-O(batch log nnz), plus one O(nnz) copy of the block's arrays, only when a
-key is added or removed; a write that both deletes and inserts copies them
-in one pass while its changes are few against the block. Writers gather by
-index where a mask would be near half full, which numpy gathers several
-times slower: add_into and or_into split the source into hits and misses
-once (np.flatnonzero) and gather with take; apply_batch and replace_touched
-keep masks that are nearly all true or all false. A write into an empty
+repeated keys in input order, for each value array it is given. The
+value and pattern kernels call it once per row band of their products, so
+one call sorts at most a band's worth. Every in-place change is one write,
+_splice, which overwrites held values, deletes entries and inserts keys at
+ranks its caller found. Every in-place writer checks that its operands
+share dst's shape, searches with the batch's keys only, once each, and
+hands what it found to the splice: the searches cost O(batch log nnz), plus
+one O(nnz) copy of the block's arrays, only when a key is added or removed.
+Writers gather by index where a mask would be near half full, which numpy
+gathers several times slower: add_into and or_into split the source into
+hits and misses once (np.flatnonzero) and gather with take; apply_batch and
+replace_touched keep masks that are nearly all true or all false. A write into an empty
 block copies the source; the static product merges no first round, it
 takes the kernel's output block as C. replace_touched replaces the touched
 entries of C from the recomputed Z with one search of the touched keys and
@@ -258,69 +257,39 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-_SPLICE_RUN_ENTRIES = 512
-"""A write that both deletes and inserts copies the block's kept runs as
-slices, in one pass, while the block holds at least this many entries per
-deleted or new entry; with more changes it takes two mask passes. A run
-costs about a microsecond of Python, and a mask pass about a nanosecond
-per entry."""
-
-
 def _splice(dst, at, vals, gone, new_at, new_keys, new_vals) -> None:
     """The one in-place write of a block. dst has the values at the held
     positions at overwritten with vals, the entries at gone (ascending
     positions) deleted, and new_keys (sorted, none held) inserted with
     new_vals at new_at, their ranks among the held keys as the caller's
-    search found them. Overwrites change the values in place. Only an added
-    or deleted key copies the keys and the values, O(nnz), into new
-    arrays."""
+    search found them; the splice corrects those ranks for the deletions.
+    Overwrites change the values in place. Only an added or deleted key
+    copies the keys and the values, O(nnz), into new arrays."""
     dst.vals[at] = vals
     keys = dst.keys()
-    n_gone, n_new = len(gone), len(new_keys)
-    if not (n_gone or n_new):
+    if not (len(gone) or len(new_keys)):
         return
-    if n_gone and n_new and (n_gone + n_new) * _SPLICE_RUN_ENTRIES <= len(keys):
-        # one pass: the kept runs between the changes, each new entry after
-        # the run that ends at its rank (before a deletion at that rank)
-        ends = np.concatenate((new_at, gone))
-        order = ends.argsort(kind="stable")
-        ends = ends[order]
-        is_new = order < n_new
-        starts = np.append(0, ends + ~is_new).tolist()
-        runs = list(zip(starts, ends.tolist(), is_new.tolist()))
+    n_kept = len(keys) - len(gone)
+    if len(gone):
+        keep = np.ones(len(keys), dtype=bool)
+        keep[gone] = False
+        new_at = new_at - gone.searchsorted(new_at)
+    if len(new_keys):
+        # each new key lands at its rank plus its own index, and the kept
+        # entries fill the other slots in order
+        slot = new_at + np.arange(len(new_keys))
+        old = np.ones(n_kept + len(new_keys), dtype=bool)
+        old[slot] = False
 
-        def spliced(a, new_a):
-            new_a = new_a.astype(a.dtype, copy=False)
-            parts, j = [], 0
-            for lo, hi, new in runs:
-                parts.append(a[lo:hi])
-                if new:
-                    parts.append(new_a[j:j + 1])
-                    j += 1
-            parts.append(a[starts[-1]:])
-            return np.concatenate(parts)
-    else:
-        n_kept = len(keys) - n_gone
-        if n_gone:
-            keep = np.ones(len(keys), dtype=bool)
-            keep[gone] = False
-            new_at = new_at - gone.searchsorted(new_at)
-        if n_new:
-            # each new key lands at its rank plus its own index, and the
-            # kept entries fill the other slots in order
-            slot = new_at + np.arange(n_new)
-            old = np.ones(n_kept + n_new, dtype=bool)
-            old[slot] = False
-
-        def spliced(a, new_a):
-            if n_gone:
-                a = a[keep]
-            if not n_new:
-                return a
-            out = np.empty(len(old), dtype=a.dtype)
-            out[slot] = new_a
-            out[old] = a
-            return out
+    def spliced(a, new_a):
+        if len(gone):
+            a = a[keep]
+        if not len(new_keys):
+            return a
+        out = np.empty(len(old), dtype=a.dtype)
+        out[slot] = new_a
+        out[old] = a
+        return out
 
     dst._keys, dst.vals = spliced(keys, new_keys), spliced(dst.vals, new_vals)
 

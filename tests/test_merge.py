@@ -304,44 +304,3 @@ def test_splice_matches_dict_oracle(case, data, empty, delete_all, read_only):
     assert (c.keys() is keys) == (not gone and not new)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_])
-def test_one_pass_splice_equals_the_two_mask_passes(monkeypatch, dtype):
-    """A write that both deletes and inserts gives, bit for bit, the same
-    keys and values whether its kept runs are copied in one pass or through
-    the two mask passes, on random blocks: changes at the block's ends, a
-    new key at the rank of a deleted one, and new values of another dtype
-    than the block's."""
-    rng = np.random.default_rng(17)
-    for trial in range(60):
-        n = int(rng.integers(1, 3000))
-        keys = np.sort(rng.choice(4 * n, n, replace=False))
-        vals = rng.integers(-9, 10, n).astype(dtype)
-        if dtype is np.float64:
-            vals[::3] = -0.0
-        n_gone = int(rng.integers(1, min(n, 40) + 1))
-        gone = np.sort(rng.choice(n, n_gone, replace=False))
-        if trial % 3 == 0:
-            gone = np.union1d(gone, [0, n - 1])
-        free = np.setdiff1d(np.arange(4 * n + 2), keys)
-        new_keys = np.sort(rng.choice(free, int(rng.integers(1, 40)),
-                                      replace=False))
-        if trial % 4 == 0:   # a new key just below a deleted one
-            g = keys[gone[0]]
-            if g > 0 and g - 1 not in keys:
-                new_keys = np.union1d(new_keys, [g - 1])
-        new_vals = rng.integers(-9, 10, len(new_keys))   # int64
-        new_at = keys.searchsorted(new_keys)
-        got = []
-        for entries in (0, 1 << 60):   # every write one pass; none
-            monkeypatch.setattr(storage, "_SPLICE_RUN_ENTRIES", entries)
-            c = DcsrBlock(1, 4 * n + 2, keys, vals.copy())
-            storage._splice(c, gone[:0], vals[:0], gone, new_at, new_keys,
-                            new_vals)
-            c.check()
-            got.append((c.keys().tobytes(), c.vals.dtype, c.vals.tobytes()))
-        assert got[0] == got[1], trial
-        want = dict(zip(keys.tolist(), vals.tolist()))
-        for k in keys[gone].tolist():
-            del want[k]
-        want.update(zip(new_keys.tolist(), new_vals.astype(dtype).tolist()))
-        assert np.frombuffer(got[0][0], np.int64).tolist() == sorted(want)
