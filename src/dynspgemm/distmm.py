@@ -16,7 +16,10 @@ result in one of two ways:
   kept, so an algebraic and a general update may follow each other in any
   order.
 
-Every rank calls each function collectively with its own Communicator.
+Both paths push the two delta products to their owners through one routine,
+_push_deltas, which states the cost: the algebraic path with values, the
+general path without them, as its touched set. Every rank calls each
+function collectively with its own Communicator.
 """
 
 from __future__ import annotations
@@ -156,6 +159,38 @@ def _rounds(comm, a_bytes, b_bytes, a_codec, b_codec, phases):
                dcsr_deserialize(b_buf, b_codec))
 
 
+def _push_deltas(comm, a, a_delta, b_prime, b_delta, sr, phases):
+    """This rank's blocks of a_delta . b_prime and a . b_delta, each pushed
+    to the owner of its output block. Under sr the products carry values
+    (gustavson_multiply, folded by sr.np_add); with sr None they are
+    structure-only (pattern_multiply, no fold, no values sent). Per rank:
+    2 transpose exchanges, 2q broadcasts and 2q aggregations."""
+    if sr is None:
+        codec, fold, multiply = STRUCTURE_CODEC, None, pattern_multiply
+    else:
+        codec, fold = semiring_codec(sr), sr.np_add
+        multiply = lambda x, y: gustavson_multiply(x, y, sr)
+
+    with phases.phase("transpose_exchange"):
+        a_bytes = comm.transpose_exchange(dcsr_serialize(a_delta.block, codec))
+        b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
+
+    x_mine = y_mine = None
+    for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, codec, codec,
+                                   phases):
+        with phases.phase("local_multiply"):
+            x_part = multiply(a_blk, b_prime.block)
+            y_part = multiply(a.block, b_blk)
+        with phases.phase("aggregate"):
+            xr = comm.aggregate_sparse("col", k, x_part, fold, codec)
+            yr = comm.aggregate_sparse("row", k, y_part, fold, codec)
+        if xr is not None:
+            x_mine = xr
+        if yr is not None:
+            y_mine = yr
+    return x_mine, y_mine
+
+
 # ---------------------------------------------------------------------------
 # static product
 # ---------------------------------------------------------------------------
@@ -206,8 +241,7 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     a_delta holds a position already stored in a, or when b_delta is not
     empty (the right operand before the batch is not at hand to check it).
 
-    Per rank and call this costs 2 transpose exchanges, 2q broadcasts and
-    2q aggregations.
+    Per rank and call this costs one push (_push_deltas).
     """
     sr = state.sr
     _check_inner(a.part, b_prime.part, comm.q)
@@ -216,25 +250,8 @@ def spgemm_algebraic_update(comm, state: SpgemmState, a: DistMatrix,
     if (state.C.part.n_rows, state.C.part.n_cols) != (a.part.n_rows,
                                                       b_prime.part.n_cols):
         raise ValueError("maintained product shape does not match operands")
-    codec = semiring_codec(sr)
-
-    with phases.phase("transpose_exchange"):
-        a_bytes = comm.transpose_exchange(dcsr_serialize(a_delta.block, codec))
-        b_bytes = comm.transpose_exchange(dcsr_serialize(b_delta.block, codec))
-
-    x_mine = y_mine = None
-    for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, codec, codec,
-                                   phases):
-        with phases.phase("local_multiply"):
-            x_part = gustavson_multiply(a_blk, b_prime.block, sr)
-            y_part = gustavson_multiply(a.block, b_blk, sr)
-        with phases.phase("aggregate"):
-            xr = comm.aggregate_sparse("col", k, x_part, sr.np_add, codec)
-            yr = comm.aggregate_sparse("row", k, y_part, sr.np_add, codec)
-        if xr is not None:
-            x_mine = xr
-        if yr is not None:
-            y_mine = yr
+    x_mine, y_mine = _push_deltas(comm, a, a_delta, b_prime, b_delta, sr,
+                                  phases)
 
     c_local = state.C.block
     _check_same_shape(c_local, x_mine, "a_delta . b_prime")
@@ -260,30 +277,11 @@ def compute_pattern(comm, a: DistMatrix, a_delta: DistMatrix,
     holds the key array object of struct(a_delta . b_prime), uncopied
     (combine_blocks).
 
-    Costs 2q broadcasts, 2q aggregations and 2 transpose exchanges per rank.
+    Costs one push (_push_deltas) without values.
     """
     _check_inner(a.part, b_prime.part, comm.q)
-
-    with phases.phase("transpose_exchange"):
-        a_bytes = comm.transpose_exchange(
-            dcsr_serialize(a_delta.block, STRUCTURE_CODEC))
-        b_bytes = comm.transpose_exchange(
-            dcsr_serialize(b_delta.block, STRUCTURE_CODEC))
-
-    x_pat = y_pat = None
-    for k, a_blk, b_blk in _rounds(comm, a_bytes, b_bytes, STRUCTURE_CODEC,
-                                   STRUCTURE_CODEC, phases):
-        with phases.phase("local_multiply"):
-            p_new = pattern_multiply(a_blk, b_prime.block)
-            p_old = pattern_multiply(a.block, b_blk)
-        with phases.phase("aggregate"):
-            r_new = comm.aggregate_sparse("col", k, p_new, None, STRUCTURE_CODEC)
-            r_old = comm.aggregate_sparse("row", k, p_old, None, STRUCTURE_CODEC)
-        if r_new is not None:
-            x_pat = r_new
-        if r_old is not None:
-            y_pat = r_old
-
+    x_pat, y_pat = _push_deltas(comm, a, a_delta, b_prime, b_delta, None,
+                                phases)
     return combine_blocks((x_pat, y_pat), x_pat.n_rows, x_pat.n_cols, None)
 
 

@@ -349,16 +349,6 @@ def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     as fold(old, new), with fold a ufunc, a semiring's np_add. Into an empty
     dst, src's keys and values are copied, the values cast to dst's dtype.
     Raises ValueError when src's shape differs from dst's."""
-    _fold_into(dst, src, fold)
-
-
-def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
-    """Bitwise-or the entries of src into dst, in place, as add_into does
-    with np.bitwise_or. No update path calls it."""
-    _fold_into(dst, src, np.bitwise_or)
-
-
-def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     _check_same_shape(dst, src, "src")
     sk, sv = src.keys(), src.vals
     pos, found = locate(dst.keys(), sk)
@@ -366,6 +356,12 @@ def _fold_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     at = pos.take(hit)
     _splice(dst, at, fold(dst.vals.take(at), sv.take(hit)), at[:0],
             pos.take(miss), sk.take(miss), sv.take(miss))
+
+
+def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
+    """Bitwise-or the entries of src into dst, in place: add_into with
+    np.bitwise_or. No update path calls it."""
+    add_into(dst, src, np.bitwise_or)
 
 
 def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
@@ -377,14 +373,13 @@ def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
 
     Only the touched keys are searched for in dst, and src's keys in
     touched, once each, so the searches cost O(t log nnz(dst)) for t
-    touched entries, and src's keys are not searched when they are the
-    touched keys (the same array or an equal one). Replaced entries change in
-    place; the keys and values are copied, O(nnz), only when an entry is
-    added or deleted (_splice)."""
+    touched entries, and src's keys are not searched when they equal the
+    touched keys. Replaced entries change in place; the keys and values are
+    copied, O(nnz), only when an entry is added or deleted (_splice)."""
     dk, tk, sk = dst.keys(), touched.keys(), src.keys()
     _check_same_shape(dst, touched, "touched")
     _check_same_shape(dst, src, "src")
-    if sk is tk or np.array_equal(sk, tk):
+    if np.array_equal(sk, tk):
         s_at = np.arange(len(tk))
     else:
         s_at, in_touched = locate(tk, sk)

@@ -621,6 +621,29 @@ def test_compute_pattern_right_side_term():
         assert set().union(*spmd_collect(q, worker)) == {(0, 2)}
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_compute_pattern_round_counts(q):
+    """The touched set is the structure lane of the algebraic update's push:
+    per rank, one pairwise exchange each way for a_delta and for b_delta,
+    2q broadcasts and 2q aggregations, with both deltas non-empty."""
+    n = 12
+
+    def worker(comm):
+        part = BlockPartition(n, n, comm.q)
+        a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
+        d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
+        d_b = update_from_map(part, comm, {(5, 7): None}, structure_only=True)
+        before = comm.counters.snapshot()
+        compute_pattern(comm, a, d_a, a, d_b)
+        c = comm.counters
+        return (c.n_broadcasts - before.n_broadcasts,
+                c.n_aggregates - before.n_aggregates,
+                c.n_p2p_sends - before.n_p2p_sends,
+                c.n_p2p_recvs - before.n_p2p_recvs)
+
+    assert spmd_collect(q, worker) == [(2 * q, 2 * q, 2, 2)] * (q * q)
+
+
 @pytest.mark.parametrize("q", [1, 2])
 def test_compute_pattern_matches_structural_oracle(q):
     n, k = 20, 80
