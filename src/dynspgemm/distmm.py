@@ -316,9 +316,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     # its slice of a_prime.
     n_lr = state.C.local_shape[0]
     _check_same_shape(c_local, touched, "touched")
-    with phases.phase("local_multiply"):
-        mine = DcsrBlock(n_lr, 1, touched.nz_rows, None)   # key: row
     with phases.phase("aggregate"):
+        mine = DcsrBlock(n_lr, 1, touched.nz_rows, None)   # key: row
         rows_union = comm.aggregate_sparse("row", 0, mine, None,
                                            STRUCTURE_CODEC)
     with phases.phase("broadcast"):
@@ -328,9 +327,8 @@ def spgemm_general_update(comm, state: SpgemmState, a_prime: DistMatrix,
     rows = np.zeros(n_lr, dtype=bool)
     rows[dcsr_deserialize(r_buf, STRUCTURE_CODEC).keys()] = True
 
-    with phases.phase("local_multiply"):
-        a_rows = filter_rows_by_bloom(a_prime.block, rows)
     with phases.phase("transpose_exchange"):
+        a_rows = filter_rows_by_bloom(a_prime.block, rows)
         ar_bytes = comm.transpose_exchange(dcsr_serialize(a_rows, codec))
     mask_bytes = dcsr_serialize(touched, STRUCTURE_CODEC)
 

@@ -441,8 +441,10 @@ class PhaseRecorder:
     """Accumulates wall time and traffic per named pipeline phase.
 
     With sync=True each phase is delimited by barriers, so straggler wait is
-    charged to the phase that caused it and per-rank timings line up.  A
-    recorder built with comm=None is a no-op and can be passed everywhere.
+    charged to the phase that caused it (ranks still leave a barrier at
+    different times).  A phase whose body raises passes no barrier and
+    records nothing.  A recorder built with comm=None is a no-op and can be
+    passed everywhere.
     """
 
     def __init__(self, comm=None, sync: bool = True):
@@ -466,13 +468,11 @@ class PhaseRecorder:
             self.comm.barrier()
         v0 = self._volume()
         t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            if self.sync:
-                self.comm.barrier()
-            self.seconds[name] += time.perf_counter() - t0
-            self.bytes[name] += self._volume() - v0
+        yield
+        if self.sync:
+            self.comm.barrier()
+        self.seconds[name] += time.perf_counter() - t0
+        self.bytes[name] += self._volume() - v0
 
 
 NULL_PHASES = PhaseRecorder(None)

@@ -751,8 +751,10 @@ def test_run_experiment_zero_batch_size_is_a_no_op():
     assert checksum == "nnz=0;hash=0000000000000000"
 
 
-def test_run_experiment_record_shape_and_time_budget():
-    records, _ = run_experiment(_cfg(experiment="insert", rmat_scale=4,
+@pytest.mark.parametrize("experiment", ["insert", "spgemm-algebraic",
+                                        "spgemm-general", "spgemm-static"])
+def test_run_experiment_record_shape_and_time_budget(experiment):
+    records, _ = run_experiment(_cfg(experiment=experiment, rmat_scale=4,
                                      q=2, batch_size=8, n_batches=3))
     assert [r.batch_idx for r in records] == [0, 1, 2]
     for r in records:

@@ -17,6 +17,7 @@ from dynspgemm import (
     MIN_PLUS,
     PLUS_TIMES_F64,
     PLUS_TIMES_I64,
+    PhaseRecorder,
     Semiring,
     UnsupportedFeatureError,
     add_into,
@@ -384,7 +385,9 @@ def test_general_update_round_counts():
     the pattern, one for the touched rows, 2q for the recompute), 3q + 1
     aggregations (2q structures, the touched rows, q blocks of Z) and 3
     pairwise exchanges each way (a_delta, b_delta, the filtered rows of
-    a_prime)."""
+    a_prime). Under a synced PhaseRecorder it enters 6q + 5 phases (3q + 1
+    for the pattern, 3 for the touched rows and the filtered rows, 3q for
+    the recompute, the merge), so it passes 2 (6q + 5) barriers."""
     n = 12
 
     def worker(comm):
@@ -396,19 +399,30 @@ def test_general_update_round_counts():
                                 MIN_PLUS)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
+        n_barriers = 0
+        barrier = comm.barrier
+
+        def counting_barrier():
+            nonlocal n_barriers
+            n_barriers += 1
+            barrier()
+
+        comm.barrier = counting_barrier
         before = comm.counters.snapshot()
-        spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
+        spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a,
+                              phases=PhaseRecorder(comm))
         c = comm.counters
         return (c.n_broadcasts - before.n_broadcasts,
                 c.n_aggregates - before.n_aggregates,
                 c.n_p2p_sends - before.n_p2p_sends,
-                c.n_p2p_recvs - before.n_p2p_recvs)
+                c.n_p2p_recvs - before.n_p2p_recvs, n_barriers)
 
     for q in (2, 4):
-        for nb, na, ns, nr in spmd_collect(q, worker):
+        for nb, na, ns, nr, n_bar in spmd_collect(q, worker):
             assert nb == 4 * q + 1
             assert na == 3 * q + 1
             assert (ns, nr) == (3, 3)
+            assert n_bar == 2 * (6 * q + 5)
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -534,11 +534,21 @@ def test_partial_deadlock_detected():
         run_spmd(4, worker)
 
 
-def test_failure_propagates_original_error():
-    def worker(comm):
+@pytest.mark.parametrize("in_phase", [False, True], ids=["bare", "in_phase"])
+def test_failure_propagates_original_error(in_phase):
+    """A rank's error reaches the caller as itself, also when it is raised
+    inside a synced phase: that phase passes no exit barrier, where the rank
+    would wait for peers that are blocked on its message."""
+    def body(comm):
         if comm.rank == 2:
             raise ValueError("boom on rank 2")
         return comm.recv_block((comm.rank + 1) % comm.size)
+
+    def worker(comm):
+        if not in_phase:
+            return body(comm)
+        with PhaseRecorder(comm).phase("merge"):
+            return body(comm)
 
     with pytest.raises(ValueError, match="boom on rank 2"):
         run_spmd(4, worker)
