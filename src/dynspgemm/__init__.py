@@ -8,7 +8,6 @@ from .semiring import (
     PLUS_TIMES_I64,
     REGISTRY,
     Semiring,
-    by_name,
 )
 from .storage import (
     DcsrBlock,
@@ -63,7 +62,6 @@ from .bench import (
     VerificationError,
     emit_csv,
     load_edges,
-    parse_csv,
     run_experiment,
 )
 
@@ -78,12 +76,11 @@ __all__ = [
     "ProcessGrid", "REGISTRY", "ResourceCapError", "STRUCTURE_CODEC",
     "Semiring", "SimCluster", "SpgemmState", "TransportError",
     "UnsupportedFeatureError", "VerificationError", "add_into",
-    "apply_batch", "batch_dtype", "by_name",
-    "compute_pattern", "dcsr_deserialize", "dcsr_from_coo",
-    "dcsr_serialize", "emit_csv", "filter_rows_by_bloom",
+    "apply_batch", "batch_dtype", "compute_pattern", "dcsr_deserialize",
+    "dcsr_from_coo", "dcsr_serialize", "emit_csv", "filter_rows_by_bloom",
     "gustavson_multiply", "load_edges", "masked_multiply", "or_into",
-    "parse_csv", "pattern_multiply", "redistribute_updates",
-    "run_experiment", "run_spmd", "same_entries", "semiring_codec",
-    "spgemm_algebraic_init", "spgemm_algebraic_update",
-    "spgemm_general_update", "split_range", "summa_static", "update_batch",
+    "pattern_multiply", "redistribute_updates", "run_experiment",
+    "run_spmd", "same_entries", "semiring_codec", "spgemm_algebraic_init",
+    "spgemm_algebraic_update", "spgemm_general_update", "split_range",
+    "summa_static", "update_batch",
 ]

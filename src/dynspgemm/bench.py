@@ -1,5 +1,5 @@
-"""Desk-scale experiment harness: graph ingestion, R-MAT generation, the
-experiment driver and per-phase time/volume metrics.
+"""Desk-scale experiment harness: the one graph reader (load_edges), R-MAT
+generation, the experiment driver and per-phase time/volume metrics.
 
 Experiments run all q*q simulated ranks inside this process, each in one
 rank worker whose single batch loop serves every experiment's _Preset:
@@ -33,7 +33,7 @@ from .distmm import DistMatrix, spgemm_algebraic_init, \
 from .grid import BlockPartition
 from .redistribute import OP_DELETE, apply_batch, redistribute_updates, \
     update_batch
-from .semiring import PLUS_TIMES_I64, REGISTRY, Semiring, by_name
+from .semiring import REGISTRY, Semiring
 from .storage import DcsrBlock, _run_starts, dcsr_from_coo, same_entries
 from .transport import PHASE_NAMES, PhaseRecorder, keep_freed_pages, \
     run_spmd
@@ -131,7 +131,7 @@ def resolve_semiring(cfg: ExperimentConfig) -> Semiring:
         name = "min-plus" if general else "plus-times-i64"
     if name not in REGISTRY:
         raise ConfigError(f"unknown semiring {name!r}; known: {sorted(REGISTRY)}")
-    return by_name(name)
+    return REGISTRY[name]
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -156,22 +156,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # input sources
 # ---------------------------------------------------------------------------
 
-def load_edges(path: str, sr: Semiring = PLUS_TIMES_I64):
+def load_edges(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Read a graph file as an undirected adjacency: every edge {u, v} yields
-    upserts (u,v) and (v,u), self-loops once, values the multiplicative
-    identity. Returns (n, batch), the update batch sorted by (row, col) and
-    deduplicated.
+    positions (u,v) and (v,u), self-loops once. Returns (n, rows, cols), the
+    positions sorted by (row, col) and deduplicated; update_batch(sr, rows,
+    cols) makes them a batch of upserts with the multiplicative identity.
 
     Detects Matrix Market (coordinate real/integer/pattern, general or
     symmetric) by its banner; anything else is parsed as a whitespace
     edge list of 0-based "u v [weight]" lines with # or % comments.
     """
-    n, rows, cols = _load_positions(path)
-    return n, update_batch(sr, rows, cols)
-
-
-def _load_positions(path: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, rows, cols) of the sorted, deduplicated adjacency positions."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
@@ -473,7 +467,7 @@ def _build_pool(cfg: ExperimentConfig):
         src, dst = rmat_arrays(cfg.rmat_scale, cfg.rmat_edge_factor, cfg.seed)
         rows, cols = symmetrized_pool(src, dst, n)
         return n, rows, cols
-    n, rows, cols = _load_positions(cfg.input_path)
+    n, rows, cols = load_edges(cfg.input_path)
     if n == 0:
         raise ConfigError(f"{cfg.input_path}: no vertices found")
     return n, rows, cols
@@ -631,40 +625,3 @@ def emit_csv(records: list[MetricsRecord], path: str) -> None:
                                 rec.nnz_c, rec.nnz_filtered])
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
-
-
-def parse_csv(path: str) -> list[MetricsRecord]:
-    """Inverse of emit_csv (total_seconds is not serialized). Raises
-    ConfigError naming the file and line of a malformed row or an unknown
-    phase, and naming the file when it is not UTF-8."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if tuple(header or ()) != CSV_HEADER:
-                raise ConfigError(f"{path}: unexpected CSV header")
-            by_batch: dict[int, MetricsRecord] = {}
-            for row in reader:
-                try:
-                    (exp, q, bs, bi, seed, ph, secs, nbytes,
-                     nnz_a, nnz_b, nnz_u, nnz_c, nnz_f) = row
-                    rec = by_batch.get(int(bi))
-                    if rec is None:
-                        rec = MetricsRecord(exp, int(q), int(bs), int(bi),
-                                            int(seed))
-                        rec.nnz_a, rec.nnz_b = int(nnz_a), int(nnz_b)
-                        rec.nnz_update, rec.nnz_c = int(nnz_u), int(nnz_c)
-                        rec.nnz_filtered = int(nnz_f)
-                        by_batch[int(bi)] = rec
-                    if ph not in PHASE_NAMES:
-                        raise ValueError(f"unknown phase {ph!r}")
-                    rec.seconds[ph] = float(secs)
-                    rec.bytes[ph] = int(nbytes)
-                except ValueError as exc:   # a wrong field count or number
-                    raise ConfigError(
-                        f"{path}:{reader.line_num}: {exc}") from exc
-            return [by_batch[b] for b in sorted(by_batch)]
-    except UnicodeDecodeError as exc:   # decoded ahead of the rows, so no line
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"cannot read metrics from {path}: {exc}") from exc

@@ -26,7 +26,8 @@ from .transport import PHASE_NAMES
 
 
 def _parse_rmat(text: str) -> tuple[int, int]:
-    """Parse 'scale=S,ef=E' (ef optional, default 16)."""
+    """Parse 'scale=S,ef=E' (ef optional, default
+    ExperimentConfig.rmat_edge_factor)."""
     fields = {}
     for item in text.split(","):
         if "=" not in item:
@@ -41,7 +42,7 @@ def _parse_rmat(text: str) -> tuple[int, int]:
             raise ConfigError(f"--rmat {key} must be an integer: {exc}") from exc
     if "scale" not in fields:
         raise ConfigError("--rmat needs scale=<int>")
-    return fields["scale"], fields.get("ef", 16)
+    return fields["scale"], fields.get("ef", ExperimentConfig.rmat_edge_factor)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,17 +59,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semiring", choices=sorted(REGISTRY),
                    help="value algebra (default plus-times-i64; spgemm-general "
                         "defaults to min-plus)")
-    p.add_argument("--grid", type=int, default=1, metavar="Q",
+    p.add_argument("--grid", type=int, default=ExperimentConfig.q, metavar="Q",
                    help=f"grid side, at most {_MAX_GRID_SIDE}; simulates Q*Q "
-                        "ranks (default 1)")
-    p.add_argument("--batch-size", type=int, default=1024, metavar="N",
-                   help="updates per rank per batch (default 1024)")
-    p.add_argument("--batches", type=int, default=10, metavar="K",
-                   help="number of batches (default 10)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--verify-cap", type=int, default=20_000_000, metavar="NNZ",
-                   help="cross-check the maintained product against a full "
-                        "recompute when the work estimate is at most this")
+                        "ranks (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size,
+                   metavar="N",
+                   help="updates per rank per batch (default %(default)s)")
+    p.add_argument("--batches", type=int, default=ExperimentConfig.n_batches,
+                   metavar="K", help="number of batches (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                   help="seed of the graph, the values and the batch draws "
+                        "(default %(default)s)")
+    p.add_argument("--verify-cap", type=int, default=ExperimentConfig.verify_cap,
+                   metavar="NNZ", help="cross-check the maintained product "
+                   "against a full recompute when the work estimate is at "
+                   "most this (default %(default)s)")
     p.add_argument("--random-values", action="store_true",
                    help="seeded per-entry values instead of the multiplicative "
                         "identity")
@@ -79,14 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    scale = ef = None
+    rmat = {}
     if args.rmat is not None:
-        scale, ef = _parse_rmat(args.rmat)
+        rmat["rmat_scale"], rmat["rmat_edge_factor"] = _parse_rmat(args.rmat)
     return ExperimentConfig(
         experiment=args.experiment,
         input_path=args.input,
-        rmat_scale=scale,
-        rmat_edge_factor=ef if ef is not None else 16,
         semiring=args.semiring,
         q=args.grid,
         batch_size=args.batch_size,
@@ -94,6 +97,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         random_values=args.random_values,
         verify_cap=args.verify_cap,
+        **rmat,
     )
 
 

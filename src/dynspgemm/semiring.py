@@ -96,10 +96,3 @@ BOOLEAN = Semiring(
 )
 
 REGISTRY = {sr.name: sr for sr in (PLUS_TIMES_I64, PLUS_TIMES_F64, MIN_PLUS, BOOLEAN)}
-
-
-def by_name(name: str) -> Semiring:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown semiring {name!r}; known: {sorted(REGISTRY)}") from None

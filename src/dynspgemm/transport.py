@@ -14,8 +14,9 @@ Byte accounting:
     delivery; relay hops inside the tree do not double-count.
   - bytes_alltoall / bytes_aggregate count the actual off-rank buffers moved,
     once at the sender and once at the receiver.
-  - collective_rounds increments by one per collective call on every
-    participant, so identically-scripted ranks always agree on it.
+  - collective_rounds counts a rank's collective calls (broadcasts,
+    all-to-alls and aggregations; barriers are not counted), so
+    identically-scripted ranks always agree on it.
 
 Porting note: an MPI backend needs exactly six primitives (send, recv,
 row broadcast, column broadcast, all-to-all-v, and barrier); everything else
@@ -59,13 +60,16 @@ class Counters:
     bytes_broadcast: int = 0
     bytes_alltoall: int = 0
     bytes_aggregate: int = 0
-    collective_rounds: int = 0
     n_broadcasts: int = 0
     n_alltoalls: int = 0
     n_aggregates: int = 0
     n_p2p_sends: int = 0
     n_p2p_recvs: int = 0
     peers_sent: dict = field(default_factory=dict)  # peer rank -> bytes
+
+    @property
+    def collective_rounds(self) -> int:
+        return self.n_broadcasts + self.n_alltoalls + self.n_aggregates
 
     def note_peer(self, peer: int, nbytes: int) -> None:
         self.peers_sent[peer] = self.peers_sent.get(peer, 0) + nbytes
@@ -240,7 +244,6 @@ class Communicator:
         _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_broadcasts += 1
-        ctr.collective_rounds += 1
         root_rank = members[root_idx]
         rel = (my_idx - root_idx) % size
         if rel == 0:
@@ -281,7 +284,6 @@ class Communicator:
             raise ValueError(f"need {size} buffers, got {len(buffers)}")
         ctr = self.counters
         ctr.n_alltoalls += 1
-        ctr.collective_rounds += 1
         for g, dst in enumerate(members):
             if g == my_idx:
                 continue
@@ -316,7 +318,6 @@ class Communicator:
         _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_aggregates += 1
-        ctr.collective_rounds += 1
         if size == 1:
             return block
         if my_idx != root_idx:

@@ -5,7 +5,7 @@ import csv
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,72 +37,64 @@ from dynspgemm.bench import (
     combine_checksums,
     emit_csv,
     load_edges,
-    parse_csv,
     resolve_semiring,
     rmat_arrays,
     run_experiment,
     symmetrized_pool,
     validate_config,
 )
-from dynspgemm.cli import _parse_rmat, build_parser, main
+from dynspgemm.cli import _config_from_args, _parse_rmat, build_parser, \
+    main
 from dynspgemm.transport import PHASE_NAMES
 from helpers import block_from_triples, entry_map, loaded_block, owner_coords
 
 
 # -- edge-list ingestion ---------------------------------------------------------
 
-def _edges(batch):
-    return sorted(zip(batch["i"].tolist(), batch["j"].tolist()))
+def _edges(rows, cols):
+    return sorted(zip(rows.tolist(), cols.tolist()))
 
 
 def test_load_edges_single_edge(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == 2
-    assert _edges(batch) == [(0, 1), (1, 0)]
-    assert (batch["op"] == OP_UPSERT).all() and (batch["v"] == 1).all()
+    assert _edges(rows, cols) == [(0, 1), (1, 0)]
 
 
 def test_load_edges_self_loop_once(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("2 2\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == 3
-    assert _edges(batch) == [(2, 2)]
+    assert _edges(rows, cols) == [(2, 2)]
 
 
 def test_load_edges_triangle(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n1 2\n0 2\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n >= 3
-    assert len(batch) == 6
-    assert _edges(batch) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert len(rows) == len(cols) == 6
+    assert _edges(rows, cols) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                  (2, 1)]
 
 
 def test_load_edges_comments_blanks_and_weights(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("# header\n\n% more\n0 3 9.5\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == 4
-    # a trailing weight column is tolerated; values stay the identity
-    assert _edges(batch) == [(0, 3), (3, 0)]
-    assert (batch["v"] == 1).all()
+    # a trailing weight column is tolerated and not read
+    assert _edges(rows, cols) == [(0, 3), (3, 0)]
 
 
 def test_load_edges_duplicate_edges_collapse(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n1 0\n0 1\n")
-    _, batch = load_edges(str(f))
-    assert _edges(batch) == [(0, 1), (1, 0)]
-
-
-def test_load_edges_semiring_identity_value(tmp_path):
-    f = tmp_path / "g.txt"
-    f.write_text("0 1\n")
-    _, batch = load_edges(str(f), sr=MIN_PLUS)
-    assert batch["v"].dtype == np.float64 and (batch["v"] == 0.0).all()
+    _, rows, cols = load_edges(str(f))
+    assert _edges(rows, cols) == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("body,lineno", [
@@ -122,9 +114,9 @@ def test_load_edges_rejects_ids_whose_keys_overflow_int64(tmp_path):
     max_n = math.isqrt(2 ** 63 - 1)
     f = tmp_path / "g.txt"
     f.write_text(f"0 {max_n - 1}\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == max_n
-    assert _edges(batch) == [(0, max_n - 1), (max_n - 1, 0)]
+    assert _edges(rows, cols) == [(0, max_n - 1), (max_n - 1, 0)]
     f.write_text(f"0 {max_n}\n")
     with pytest.raises(ConfigError, match="int64"):
         load_edges(str(f))
@@ -136,18 +128,18 @@ def test_matrix_market_general(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("%%MatrixMarket matrix coordinate integer general\n"
                  "% comment\n3 3 2\n1 2 5\n2 3 1\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == 3
-    assert _edges(batch) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert _edges(rows, cols) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_matrix_market_pattern_symmetric(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
                  "3 3 1\n3 1\n")
-    n, batch = load_edges(str(f))
+    n, rows, cols = load_edges(str(f))
     assert n == 3
-    assert _edges(batch) == [(0, 2), (2, 0)]
+    assert _edges(rows, cols) == [(0, 2), (2, 0)]
 
 
 @pytest.mark.parametrize("banner,match", [
@@ -878,65 +870,26 @@ def test_emit_csv_one_record_six_phase_rows(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
+    """Every column of one record's rows, as csv.reader reads them back:
+    seconds as their repr, so the float comes back bit for bit."""
     path = tmp_path / "m.csv"
     rec = _sample_record()
     emit_csv([rec], str(path))
-    back = parse_csv(str(path))
-    assert len(back) == 1
-    got = back[0]
-    assert got.seconds == rec.seconds
-    assert got.bytes == rec.bytes
-    assert (got.experiment, got.q, got.batch_size, got.batch_idx,
-            got.seed) == ("insert", 2, 8, 0, 7)
-    assert (got.nnz_a, got.nnz_b, got.nnz_update, got.nnz_c,
-            got.nnz_filtered) == (5, 6, 7, 8, 9)
-
-
-def test_parse_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("a,b,c\n")
-    with pytest.raises(ConfigError, match="header"):
-        parse_csv(str(path))
-
-
-@pytest.mark.parametrize("bad_row,match", [
-    ("insert,2,8\n", r"expected 13, got 3"),
-    ("insert,2,8,0,7,merge,x,0,5,6,7,8,9\n", r"float: 'x'"),
-], ids=["field-count", "non-numeric"])
-def test_parse_csv_names_the_file_and_line_of_a_bad_row(tmp_path, bad_row,
-                                                        match):
-    path = tmp_path / "m.csv"
-    emit_csv([_sample_record()], str(path))   # header and lines 2-7
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(bad_row)
-    with pytest.raises(ConfigError, match=f"m.csv:8: .*{match}"):
-        parse_csv(str(path))
-
-
-def test_parse_csv_names_the_line_of_an_unknown_phase(tmp_path):
-    path = tmp_path / "m.csv"
-    emit_csv([_sample_record()], str(path))
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("insert,2,8,0,7,bogus,0.5,0,5,6,7,8,9\n")
-    with pytest.raises(ConfigError, match=r"m.csv:8: unknown phase 'bogus'"):
-        parse_csv(str(path))
-
-
-def test_parse_csv_names_the_file_that_is_not_utf8(tmp_path):
-    path = tmp_path / "m.csv"
-    emit_csv([_sample_record()], str(path))
-    with open(path, "ab") as fh:
-        fh.write(b"insert,2,8,0,7,merge,0.5,0,5,6,7,8,\xff\n")
-    with pytest.raises(ConfigError, match=r"m.csv: not UTF-8"):
-        parse_csv(str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == CSV_HEADER
+    assert rows == [
+        ["insert", "2", "8", "0", "7", ph, repr(rec.seconds[ph]),
+         str(rec.bytes[ph]), "5", "6", "7", "8", "9"]
+        for ph in PHASE_NAMES]
+    assert [float(r[6]) for r in rows] == [rec.seconds[ph]
+                                           for ph in PHASE_NAMES]
 
 
 def test_csv_io_errors_carry_the_path(tmp_path):
     missing = tmp_path / "sub" / "m.csv"
     with pytest.raises(OSError, match="cannot write"):
         emit_csv([], str(missing))
-    with pytest.raises(OSError, match="cannot read"):
-        parse_csv(str(missing))
 
 
 def test_csv_replay_identical_except_seconds(tmp_path):
@@ -961,6 +914,15 @@ def test_parse_rmat_spec():
     for bad in ("ef=3", "scale=x", "scale=5,foo=1", "scale"):
         with pytest.raises(ConfigError):
             _parse_rmat(bad)
+
+
+def test_cli_defaults_are_the_config_defaults():
+    """Every flag left out takes ExperimentConfig's own default."""
+    args = build_parser().parse_args(["insert", "--rmat", "scale=4"])
+    got = _config_from_args(args)
+    want = ExperimentConfig("insert", rmat_scale=4)
+    for f in fields(ExperimentConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_cli_requires_experiment_and_source():

@@ -49,12 +49,12 @@ def route_on_one_rank(batch, sr):
 
 # -- bucket step (the routing sort) -----------------------------------------------
 
-def test_counting_sort_empty():
+def test_buckets_empty():
     order, offs = _buckets(np.empty(0, dtype=np.int64), 4)
     assert order.tolist() == [] and offs.tolist() == [0, 0, 0, 0, 0]
 
 
-def test_counting_sort_is_stable():
+def test_buckets_is_stable():
     items = np.array(["a0", "b0", "a1", "c0", "a2", "b1"])
     keys = np.array([0, 1, 0, 2, 0, 1])
     order, offs = _buckets(keys, 3)
@@ -62,7 +62,7 @@ def test_counting_sort_is_stable():
     assert offs.tolist() == [0, 3, 5, 6]
 
 
-def test_counting_sort_matches_sorted_oracle():
+def test_buckets_matches_sorted_oracle():
     rng = np.random.default_rng(19)
     # past 255 buckets the destinations sort as uint16, not uint8
     for n_buckets in (16, 300):
@@ -78,7 +78,7 @@ def test_counting_sort_matches_sorted_oracle():
 
 # -- batch records and their wire bytes ------------------------------------------------
 
-def test_tuple_codec_round_trip():
+def test_record_wire_round_trip():
     sr = PLUS_TIMES_I64
     batch = update_batch(sr, [3, 0, 2 ** 40], [1, 7, 5], [42, 99, -6],
                          ops=[OP_UPSERT, OP_DELETE, OP_UPSERT])
@@ -90,7 +90,7 @@ def test_tuple_codec_round_trip():
     assert back["v"][1] == sr.zero    # a delete carries the zero
 
 
-def test_tuple_codec_bool_and_tropical():
+def test_record_wire_bool_and_tropical():
     bools = update_batch(BOOLEAN, [1, 0, 3], [1, 2, 3], [True, False, True],
                          ops=np.array([OP_UPSERT, OP_UPSERT, OP_DELETE]))
     assert bools.dtype.itemsize == 18
@@ -105,7 +105,7 @@ def test_tuple_codec_bool_and_tropical():
     assert back["v"][1] == np.inf
 
 
-def test_tuple_codec_rejects_ragged_buffer():
+def test_record_wire_rejects_ragged_buffer():
     class TruncatingComm:
         """One-rank communicator that drops the last byte of every buffer."""
 
@@ -165,7 +165,7 @@ def test_exchange_matches_the_concatenated_gather(sr, q):
     assert all(run_spmd(q * q, worker))
 
 
-def test_tuple_codec_empty():
+def test_record_wire_empty():
     batch = update_batch(PLUS_TIMES_I64, [], [])
     assert batch.tobytes() == b""
     back = route_on_one_rank(batch, PLUS_TIMES_I64)

@@ -13,7 +13,6 @@ from dynspgemm import (
     PLUS_TIMES_I64,
     REGISTRY,
     DcsrBlock,
-    by_name,
     dcsr_deserialize,
     dcsr_serialize,
     semiring_codec,
@@ -118,8 +117,5 @@ def test_infinity_survives_codec():
 def test_registry_lookup():
     for name, sr in REGISTRY.items():
         assert sr.name == name
-        assert by_name(name) is sr
-    with pytest.raises(KeyError):
-        by_name("definitely-not-a-semiring")
     assert sorted(REGISTRY) == ["bool", "min-plus", "plus-times-f64",
                                 "plus-times-i64"]
