@@ -8,12 +8,12 @@ m its width, found by two `searchsorted` calls (_expand), so only the rows
 that a names are read and the cost tracks the number of products, not the
 size of b or the dense dimensions. Entry (r, k) and key k * m + c meet at
 output key r * m + c (_products), and callers spread a's values to the
-products with .repeat(count). Sort and compress: a stable sort orders the
-products by output key (storage._sort_fold, by packed key-and-index words
-once a band holds 2^12 products); each key's first
-product is gathered by its run-start index and the others fold into it
-with ufunc.at, left to right in input order, which is ascending inner
-index k because a is read in key order.
+products with .repeat(count). Sort and compress (storage._sort_fold): a
+stable sort orders the products by output key; each key's first product
+is gathered by its run-start index and the others fold into it with
+ufunc.at, left to right in input order, which is ascending inner index k
+because a is read in key order. pattern_multiply, which folds no value,
+sorts and compresses its product keys alone.
 
 gustavson_multiply and pattern_multiply expand, sort and compress in row
 bands (_banded_esc): a's entries are cut only where the row changes,

@@ -8,34 +8,25 @@ kept for uint64 blocks, and no update path calls it.
 A block is its canonical entry keys r * n_cols + c, one strictly increasing
 int64 array, and its values in key order, so array code finds positions
 with `searchsorted` and no operation rebuilds rows. Kernels and combinators
-emit blocks only through _sort_fold, directly or behind dcsr_from_keys and
-dcsr_from_coo: one stable sort by key (an in-place sort of packed
-key-and-index words, or a stable argsort for short keys, keys in a few
-ascending runs and keys too wide to pack) and an index compress that folds
-repeated keys in input order, for each value array it is given. The
-value and pattern kernels call it once per row band of their products, so
-one call sorts at most a band's worth. Every in-place change is one write,
-_splice, which overwrites held values, deletes entries and inserts keys at
-ranks its caller found. Every in-place writer checks that its operands
-share dst's shape, searches with the batch's keys only, once each, and
-hands what it found to the splice: the searches cost O(batch log nnz), plus
-one O(nnz) copy of the block's arrays, only when a key is added or removed.
-Writers gather by index where a mask would be near half full, which numpy
-gathers several times slower: add_into and or_into split the source into
-hits and misses once (np.flatnonzero) and gather with take; apply_batch and
-replace_touched keep masks that are nearly all true or all false. A write into an empty
-block copies the source; the static product merges no first round, it
-takes the kernel's output block as C. replace_touched replaces the touched
-entries of C from the recomputed Z with one search of the touched keys and
-one splice. filter_rows_by_bloom keeps the entries of flagged rows: the
-general update's touched-row filter of A'. The wire carries a block
-as it is stored: dcsr_serialize writes a header, the keys and the values,
-and dcsr_deserialize checks the header and the keys (DcsrBlock.check) and
-returns read-only views of the message. A value codec is the values' dtype
-and nothing else (ValueCodec): a semiring's np_dtype, or none. The
-doubly-compressed sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008),
-which lists only the non-empty rows, survives only as the derived nz_rows
-and iter_rows views; the dcsr_* names stay because the benchmark hooks wrap
+emit blocks only through _sort_fold (directly or behind dcsr_from_keys and
+dcsr_from_coo): one stable sort by key (packed key-and-index words, or a
+stable argsort for short keys, keys in a few ascending runs and keys too
+wide to pack) and an index compress that folds repeated keys in input
+order, for each value array given; with none, the keys alone sort and
+compress. Every in-place change is one write, _splice. Every writer checks
+that its operands share dst's shape and searches with the batch's keys
+only, once each: O(batch log nnz), plus one O(nnz) copy of the block's
+arrays only when a key is added or removed. add_into, or_into and
+replace_touched write by index (_write): hits and misses split once
+(np.flatnonzero) and gather with take, as a mask neither nearly empty nor
+nearly full gathers several times slower (replace_touched finds 0-41% of
+its touched keys held on general-q2). The wire carries a block as it is
+stored (dcsr_serialize: a header, the keys and the values), and
+dcsr_deserialize checks it (DcsrBlock.check) and returns read-only views
+of the message. A value codec is the values' dtype (ValueCodec): a
+semiring's np_dtype, or none. The dcsr_* names, after the doubly-compressed
+sparse row layout (DCSR; Buluc & Gilbert, IPDPS 2008) that survives only
+as the nz_rows and iter_rows views, stay because the benchmark hooks wrap
 them by name.
 
 Structural convention everywhere in this package: an entry whose value equals
@@ -66,10 +57,9 @@ class DcsrBlock:
     the DCSR layout exists only in the derived nz_rows and iter_rows views.
     The constructor takes keys in that order; dcsr_from_keys and
     dcsr_from_coo take entries in any order. Update batches (apply_batch)
-    and the merges into C change a block in place. A decoded block's
-    keys and values are read-only views of its message, so no write takes
-    one as its destination.
-    """
+    and the merges into C change a block in place. A decoded block's keys
+    and values are read-only views of its message, so no write takes one
+    as its destination."""
 
     __slots__ = ("n_rows", "n_cols", "_keys", "vals")
 
@@ -173,10 +163,9 @@ _PACK_MIN = 1 << 12
 cost outweighs what the packed-word sort saves."""
 
 _PACK_MIN_DESCENTS = 64
-"""Keys that descend fewer times than this form a few ascending runs (the
-concatenated blocks of an aggregation or combine_blocks), which the stable
-argsort (timsort) merges in linear time, faster than the packed-word
-sort."""
+"""Keys descending fewer times than this form a few ascending runs (the
+concatenated blocks of combine_blocks), which a stable sort (timsort)
+merges in linear time, faster than a packed-word sort or a quicksort."""
 
 
 def _pack_shift(keys: np.ndarray) -> int:
@@ -190,9 +179,12 @@ def _pack_shift(keys: np.ndarray) -> int:
     b = (n - 1).bit_length()
     if (int(keys.max()) - int(keys.min())).bit_length() + b > 63:
         return 0
-    if np.count_nonzero(keys[1:] < keys[:-1]) < _PACK_MIN_DESCENTS:
-        return 0
-    return b
+    return 0 if _few_runs(keys) else b
+
+
+def _few_runs(keys: np.ndarray) -> bool:
+    """True when keys descend fewer than _PACK_MIN_DESCENTS times."""
+    return np.count_nonzero(keys[1:] < keys[:-1]) < _PACK_MIN_DESCENTS
 
 
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +217,11 @@ def _sort_fold(keys: np.ndarray, *columns) -> tuple[np.ndarray, list]:
     first entry's value with fold (a ufunc, or None to keep that value)
     applied to the rest of its run one by one, left to right in input
     order. Every column folds from the one sort, through integer gathers at
-    the run starts and fold.at over the other entries of each run."""
+    the run starts and fold.at over the other entries of each run. With no
+    column, the keys alone sort (stably when _few_runs) and compress."""
+    if not columns:
+        keys = np.sort(keys, kind="stable" if _few_runs(keys) else None)
+        return keys.take(np.flatnonzero(_run_starts(keys))), []
     order, keys = _stable_order(keys)
     first = _run_starts(keys)
     starts = np.flatnonzero(first)
@@ -344,18 +340,24 @@ def _check_same_shape(dst: DcsrBlock, other: DcsrBlock, name: str) -> None:
                          f"dst is {dst.n_rows}x{dst.n_cols}")
 
 
+def _write(dst, sk, sv, pos, held, fold, gone) -> None:
+    """Write entries (sk, sv) at their positions pos in dst, held where dst
+    holds the key (locate): hits fold as fold(old, new), or are overwritten
+    when fold is None, misses insert, and the entries at gone are deleted."""
+    hit, miss = np.flatnonzero(held), np.flatnonzero(~held)
+    at = pos.take(hit)
+    vals = sv.take(hit) if fold is None else fold(dst.vals.take(at), sv.take(hit))
+    _splice(dst, at, vals, gone, pos.take(miss), sk.take(miss), sv.take(miss))
+
+
 def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:
     """Fold src into dst in place: new positions insert, existing ones fold
     as fold(old, new), with fold a ufunc, a semiring's np_add. Into an empty
     dst, src's keys and values are copied, the values cast to dst's dtype.
     Raises ValueError when src's shape differs from dst's."""
     _check_same_shape(dst, src, "src")
-    sk, sv = src.keys(), src.vals
-    pos, found = locate(dst.keys(), sk)
-    hit, miss = np.flatnonzero(found), np.flatnonzero(~found)
-    at = pos.take(hit)
-    _splice(dst, at, fold(dst.vals.take(at), sv.take(hit)), at[:0],
-            pos.take(miss), sk.take(miss), sv.take(miss))
+    pos, found = locate(dst.keys(), src.keys())
+    _write(dst, src.keys(), src.vals, pos, found, fold, pos[:0])
 
 
 def or_into(dst: DcsrBlock, src: DcsrBlock) -> None:
@@ -372,28 +374,25 @@ def replace_touched(dst: DcsrBlock, touched: DcsrBlock, src: DcsrBlock) -> int:
     outside touched, or when touched or src differs from dst in shape.
 
     Only the touched keys are searched for in dst, and src's keys in
-    touched, once each, so the searches cost O(t log nnz(dst)) for t
-    touched entries, and src's keys are not searched when they equal the
-    touched keys. Replaced entries change in place; the keys and values are
-    copied, O(nnz), only when an entry is added or deleted (_splice)."""
+    touched only when they differ from them: O(t log nnz(dst)) for t
+    touched entries. Replaced entries change in place (_write); the keys
+    and values are copied, O(nnz), only when an entry is added or deleted."""
     dk, tk, sk = dst.keys(), touched.keys(), src.keys()
     _check_same_shape(dst, touched, "touched")
     _check_same_shape(dst, src, "src")
-    if np.array_equal(sk, tk):
-        s_at = np.arange(len(tk))
-    else:
+    pos, held = locate(dk, tk)
+    gone = pos[:0]
+    if not np.array_equal(sk, tk):
         s_at, in_touched = locate(tk, sk)
         if not in_touched.all():
-            k = int(sk[~in_touched][0])
+            k = int(sk[np.argmin(in_touched)])
             raise ValueError(f"src holds key {k}, which is not a touched key")
-    pos, held = locate(dk, tk)
-    s_held = held[s_at]   # per src entry: does dst hold its key
-    gone = held.copy()    # per touched key: does dst hold it and src not
-    gone[s_at] = False
-    new = ~s_held
-    _splice(dst, pos[s_at[s_held]], src.vals[s_held], pos[gone],
-            pos[s_at[new]], sk[new], src.vals[new])
-    return int(np.count_nonzero(gone))
+        lost = held.copy()   # per touched key: dst holds it and src does not
+        lost[s_at] = False
+        gone = pos.take(np.flatnonzero(lost))
+        pos, held = pos.take(s_at), held.take(s_at)
+    _write(dst, sk, src.vals, pos, held, None, gone)
+    return len(gone)
 
 
 def filter_rows_by_bloom(a: DcsrBlock, rows) -> DcsrBlock:

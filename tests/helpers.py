@@ -17,6 +17,7 @@ from dynspgemm import (
     run_spmd,
     update_batch,
 )
+from dynspgemm import storage
 
 
 def oracle_product(a_map: dict, b_map: dict, sr) -> dict:
@@ -229,3 +230,12 @@ def mixed_general_batch(rng, cur: dict, n_rows: int, n_cols: int,
             new[pos] = float(rng.integers(1, 21))                 # insert
             changed.add(pos)
     return new, changed
+
+
+def refuse_permutations(monkeypatch) -> None:
+    """Make every build of a sort permutation (storage._stable_order) raise,
+    so a test can show that a structure-only fold builds none."""
+    def refuse(keys):
+        raise AssertionError("a structure-only fold built a sort permutation")
+
+    monkeypatch.setattr(storage, "_stable_order", refuse)

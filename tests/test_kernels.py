@@ -27,6 +27,7 @@ from helpers import (
     oracle_product,
     position_set,
     random_map,
+    refuse_permutations,
 )
 
 
@@ -499,6 +500,26 @@ def test_float_sums_of_many_interleaved_products_fold_in_inner_order(
     backwards = oracle_product(dict(reversed(a_map.items())), b_map,
                                PLUS_TIMES_F64)
     assert backwards != want   # the fold order shows in the sums
+
+
+@pytest.mark.parametrize("budget", [kernels.BAND_PRODUCTS, 1 << 12])
+def test_pattern_sorts_product_keys_alone(budget, monkeypatch):
+    """pattern_multiply builds no sort permutation: past 2^12 products, in
+    one band and in several, its keys are np.unique of the product keys."""
+    rng = np.random.default_rng(17)
+    n, k, m = 48, 64, 40
+    a_map, b_map = random_map(rng, n, k, 0.3), random_map(rng, k, m, 0.3)
+    a, b = _block(a_map, n, k), _block(b_map, k, m)
+    b_cols: dict = {}
+    for inner, j in b_map:
+        b_cols.setdefault(inner, []).append(j)
+    products = [i * m + j for i, inner in a_map for j in b_cols.get(inner, [])]
+    assert len(products) > 1 << 12   # past one band of 2^12 too
+    refuse_permutations(monkeypatch)
+    monkeypatch.setattr(kernels, "BAND_PRODUCTS", budget)
+    structure = pattern_multiply(a, b)
+    assert structure.vals is None
+    assert np.array_equal(structure.keys(), np.unique(products))
 
 
 # -- row bands -------------------------------------------------------------------

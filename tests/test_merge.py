@@ -95,6 +95,74 @@ def test_add_into_matches_dict_oracle(case, data, fold):
     assert _entries(d) == want
 
 
+@st.composite
+def _large_case(draw, held_share: float):
+    """(n_rows, n_cols, dst, batch, rng): the 8,000-entry block as a
+    {key: value} map, a sorted batch of 200 to 3,000 distinct keys of which
+    held_share are held by dst, and a generator for the values."""
+    n_rows, n_cols = 512, 256
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = rng.permutation(n_rows * n_cols)
+    held, free = cells[:8_000], cells[8_000:]
+    dst = dict(zip(held.tolist(), rng.integers(-100, 100, len(held)).tolist()))
+    n = draw(st.integers(200, 3_000))
+    n_held = round(held_share * n)
+    batch = np.concatenate([held[:n_held], free[:n - n_held]])
+    return n_rows, n_cols, dst, sorted(batch.tolist()), rng
+
+
+def _frozen(*blocks) -> list:
+    """Copies of the blocks' key and value arrays."""
+    return [a.copy() for b in blocks for a in (b.keys(), b.vals)]
+
+
+def _unchanged(frozen: list, *blocks) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(frozen, _frozen(*blocks)))
+
+
+@pytest.mark.parametrize("held_share", [0, 0.3, 1])
+@pytest.mark.parametrize("strict_subset", [False, True])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_replace_touched_large_batches_match_dict_oracle(held_share,
+                                                         strict_subset, data):
+    """Hundreds to thousands of touched keys, none, about a third or all of
+    them held by dst, with src equal to touched or a strict subset of it."""
+    n_rows, n_cols, dst, touched, rng = data.draw(_large_case(held_share))
+    kept = np.ones(len(touched), dtype=bool)
+    if strict_subset:
+        kept = rng.random(len(touched)) < 0.5
+        kept[rng.integers(len(touched))] = False
+    values = rng.integers(-100, 100, len(touched)).tolist()
+    src = {k: v for k, v, x in zip(touched, values, kept.tolist()) if x}
+    t = _block(n_cols, dict.fromkeys(touched, 0), n_rows)
+    s = _block(n_cols, src, n_rows)
+    frozen = _frozen(t, s)
+    d = _block(n_cols, dst, n_rows)
+    deleted = replace_touched(d, t, s)
+    gone = set(touched)
+    assert _entries(d) == {k: v for k, v in dst.items() if k not in gone} | src
+    assert deleted == sum(k in dst and k not in src for k in touched)
+    assert _unchanged(frozen, t, s)
+
+
+@pytest.mark.parametrize("held_share", [0, 0.3, 1])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), fold=st.sampled_from([np.add, np.minimum]))
+def test_add_into_large_batches_match_dict_oracle(held_share, data, fold):
+    n_rows, n_cols, dst, batch, rng = data.draw(_large_case(held_share))
+    src = dict(zip(batch, rng.integers(-100, 100, len(batch)).tolist()))
+    want = dict(dst)
+    for k, v in src.items():
+        want[k] = int(fold(want[k], v)) if k in want else v
+    s = _block(n_cols, src, n_rows)
+    frozen = _frozen(s)
+    d = _block(n_cols, dst, n_rows)
+    add_into(d, s, fold)
+    assert _entries(d) == want
+    assert _unchanged(frozen, s)
+
+
 @_settings
 @given(case=_case(), data=st.data())
 def test_apply_batch_matches_dict_oracle(case, data):

@@ -35,6 +35,7 @@ from helpers import (
     entry_map,
     loaded_block,
     position_set,
+    refuse_permutations,
 )
 
 
@@ -363,6 +364,36 @@ def test_sort_fold_is_the_stable_argsort_fold(regime, data):
     assert np.array_equal(firsts, order[starts])
     want = _fold_oracle(keys.tolist(), vals.tolist(), lambda x, y: x + y)
     assert sums.tobytes() == np.array([want[k] for k in got.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("regime", ["few-runs", "interleaved", "wide"])
+def test_structure_only_sort_fold_sorts_the_keys_alone(regime, monkeypatch):
+    """With no value column, _sort_fold builds no permutation: its keys are
+    np.unique's in each regime, and its input keys are left unchanged."""
+    keys = _keys_in_regime(np.random.default_rng(3), regime, 3 << 12)
+    before = keys.copy()
+    refuse_permutations(monkeypatch)
+    got, folded = storage._sort_fold(keys)
+    assert np.array_equal(got, np.unique(keys)) and folded == []
+    assert np.array_equal(keys, before)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 200])
+def test_structure_only_combine_builds_no_permutation(n_blocks, monkeypatch):
+    """combine_blocks with fold None, over two ascending runs of keys and
+    over many (past _PACK_MIN_DESCENTS descents), gives np.unique of the
+    members' keys and builds no sort permutation."""
+    rng = np.random.default_rng(n_blocks)
+    n, size = 256, (3 << 12) // n_blocks
+    blocks = [DcsrBlock(n, n, np.unique(rng.integers(0, n * n, size)), None)
+              for _ in range(n_blocks)]
+    keys = np.concatenate([b.keys() for b in blocks])
+    assert len(keys) > storage._PACK_MIN
+    assert storage._few_runs(keys) == (n_blocks == 2)
+    refuse_permutations(monkeypatch)
+    union = storage.combine_blocks(blocks, n, n, None)
+    assert union.vals is None
+    assert np.array_equal(union.keys(), np.unique(keys))
 
 
 def _oracle_dcsr(entries: dict):
