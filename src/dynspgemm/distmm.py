@@ -30,7 +30,6 @@ import numpy as np
 
 from .grid import BlockPartition
 from .kernels import gustavson_multiply, masked_multiply, pattern_multiply
-from .redistribute import _check_batch, apply_batch, update_batch
 from .semiring import Semiring
 from .storage import (
     DcsrBlock,
@@ -85,28 +84,6 @@ class DistMatrix:
         i, j = comm.grid_row, comm.grid_col
         return cls(part, i, j,
                    DcsrBlock.empty(*part.block_shape(i, j), dtype=sr.np_dtype))
-
-    @classmethod
-    def from_triples(cls, part: BlockPartition, comm, triples,
-                     sr: Semiring) -> "DistMatrix":
-        """Build this rank's block from global (row, col, value) triples; each
-        rank keeps the entries its block owns, in sr's value dtype. Later
-        duplicates overwrite earlier ones."""
-        d = cls.empty(part, comm, sr)
-        rows, cols, vals = zip(*triples) if triples else ((), (), ())
-        batch = update_batch(sr, rows, cols, vals)
-        _check_batch(batch, sr, 0, 0, part.n_rows, part.n_cols)
-        mine = ((part.owner_grid_rows(batch["i"]) == d.grid_row)
-                & (part.owner_grid_cols(batch["j"]) == d.grid_col))
-        apply_batch(d.block, batch.take(np.flatnonzero(mine)), sr,
-                    d.row_base, d.col_base)
-        return d
-
-    def global_entries(self) -> dict:
-        """Local entries keyed by global (row, col); for assembling test views."""
-        to_global = self.part.to_global
-        i, j = self.grid_row, self.grid_col
-        return {to_global(i, j, r, c): v for r, c, v in self.block.triples()}
 
 
 def _require_insert_only(a: DistMatrix, a_delta: DistMatrix,

@@ -106,13 +106,6 @@ class DcsrBlock:
         cols = np.multiply(rows, self.n_cols)
         return rows, np.subtract(self._keys, cols, out=cols), vals
 
-    def triples(self):
-        """(row, col, value) as Python scalars; value None when
-        structure-only."""
-        rows, cols, vals = self.to_arrays()
-        vals = [None] * len(cols) if vals is None else vals.tolist()
-        return zip(rows.tolist(), cols.tolist(), vals)
-
     def check(self) -> None:
         """Raise ValueError unless the keys strictly increase within
         [0, n_rows * n_cols) and vals, when present, has one per key."""

@@ -1,7 +1,9 @@
 """In-process message-passing simulator for a square grid of ranks.
 
 Every rank runs as a thread against reliable, ordered, unbounded point-to-point
-channels. Collectives (row/column broadcast, all-to-all-v, sparse aggregation,
+channels, but only one rank runs at a time, in a fixed order (SimCluster's
+baton), so every run interleaves the same way and a deadlock is reported at
+once. Collectives (row/column broadcast, all-to-all-v, sparse aggregation,
 barrier) are layered on the p2p channels: broadcasts as binomial trees of
 O(log q) depth, aggregation as one direct send from every other member to
 the root, the barrier as a dissemination round.
@@ -78,91 +80,73 @@ class Counters:
         return replace(self, peers_sent=dict(self.peers_sent))
 
 
-_POLL = 0.05  # seconds between deadlock scans while a receive is starved
-
-
 class SimCluster:
-    """Shared state for one simulated run: channels, liveness, failure."""
+    """Shared state for one simulated run: channels, the baton, failure.
+
+    Only the rank that holds the baton runs. It hands the baton on only when
+    it receives from an empty channel or returns, and then to the next rank
+    after it, in rank order, that can run: one that has not started, or one
+    whose awaited channel is no longer empty. Every run therefore
+    interleaves the same way. When no rank can run and some have not
+    returned, the run is deadlocked, and that is declared at once. A
+    failure wakes every rank, so that each raises.
+    """
 
     def __init__(self, p: int):
         self.p = p
         self.grid = ProcessGrid.for_ranks(p)
         self.chan = [[deque() for _dst in range(p)] for _src in range(p)]
-        self.conds = [threading.Condition() for _ in range(p)]
-        self.reg = threading.Lock()
-        self.waiting_on = [None] * p   # src a rank is blocked receiving from
+        self.baton = [threading.Event() for _ in range(p)]
+        self.baton[0].set()
+        self.waiting_on = [None] * p   # src each rank last parked on
         self.finished = [False] * p
         self.failed: BaseException | None = None
 
     # -- raw channel ops (used by Communicator only) ------------------------
     def put(self, src: int, dst: int, msg) -> None:
-        if self.failed is not None:
-            raise AbortedError("cluster already failed") from self.failed
-        cond = self.conds[dst]
-        with cond:
-            self.chan[src][dst].append(msg)
-            cond.notify_all()
+        self.chan[src][dst].append(msg)
 
     def take(self, src: int, dst: int):
         q = self.chan[src][dst]
-        cond = self.conds[dst]
-        with cond:
-            if q:
-                return q.popleft()
-            if self.failed is not None:
-                raise AbortedError("cluster failed while receiving") from self.failed
-            # The waiting flag stays up across wakeups: the rank is logically
-            # blocked in this receive the whole time, including while it scans.
-            with self.reg:
-                self.waiting_on[dst] = src
-            try:
-                while True:
-                    cond.wait(_POLL)
-                    if q:
-                        return q.popleft()
-                    if self.failed is not None:
-                        raise AbortedError("cluster failed while receiving") from self.failed
-                    self._scan_for_deadlock()
-            finally:
-                with self.reg:
-                    self.waiting_on[dst] = None
+        if not q:
+            self.waiting_on[dst] = src
+            self._hand_on(dst)
+            self.wait_turn(dst)
+        return q.popleft()
 
-    def _scan_for_deadlock(self) -> None:
-        """Declare deadlock iff every unfinished rank is blocked on a receive
-        whose channel is empty. Raises in the declaring rank; others wake and
-        fail their own pending operations."""
-        with self.reg:
-            if self.failed is not None:
+    # -- the baton -----------------------------------------------------------
+    def wait_turn(self, rank: int) -> None:
+        """Block until rank holds the baton; AbortedError once the run has
+        failed. A failure leaves every baton set, so later waits return."""
+        baton = self.baton[rank]
+        baton.wait()
+        if self.failed is not None:
+            raise AbortedError("cluster failed") from self.failed
+        baton.clear()
+
+    def finish(self, rank: int) -> None:
+        self.finished[rank] = True
+        if self.failed is None:
+            self._hand_on(rank)
+
+    def _hand_on(self, rank: int) -> None:
+        for r in (*range(rank + 1, self.p), *range(rank + 1)):
+            if self.finished[r]:
+                continue
+            src = self.waiting_on[r]
+            if src is None or self.chan[src][r]:
+                self.baton[r].set()
                 return
-            blocked = 0
-            for r in range(self.p):
-                if self.finished[r]:
-                    continue
-                src = self.waiting_on[r]
-                if src is None or self.chan[src][r]:
-                    return  # someone can still make progress
-                blocked += 1
-            if blocked == 0:
-                return
-            self.failed = DeadlockError(
-                f"{blocked} rank(s) blocked on receives with no matching sends")
-        self._wake_all()
-        raise self.failed
+        blocked = self.finished.count(False)
+        if blocked:
+            self.abort(DeadlockError(
+                f"{blocked} rank(s) blocked on receives with no matching sends"))
 
     def abort(self, exc: BaseException) -> None:
-        with self.reg:
-            if self.failed is None:
-                self.failed = exc
-        self._wake_all()
-
-    def mark_finished(self, rank: int) -> None:
-        with self.reg:
-            self.finished[rank] = True
-
-    def _wake_all(self) -> None:
-        for cond in self.conds:
-            with cond:
-                cond.notify_all()
+        if self.failed is None:
+            self.failed = exc
+        for baton in self.baton:
+            baton.set()
 
 
 class Communicator:
@@ -399,23 +383,20 @@ def keep_freed_pages() -> bool:
 def run_spmd(p: int, fn, *args) -> list:
     """Run fn(comm, *args) on p simulated ranks; return per-rank results.
 
-    The first rank exception aborts the whole cluster and is re-raised here.
+    The first failure, a rank's exception or a DeadlockError, aborts the
+    whole cluster and is re-raised here.
     """
     cluster = SimCluster(p)
     results = [None] * p
-    errors: list[tuple[int, BaseException]] = []
-    err_lock = threading.Lock()
 
     def body(rank: int) -> None:
-        comm = Communicator(cluster, rank)
         try:
-            results[rank] = fn(comm, *args)
+            cluster.wait_turn(rank)
+            results[rank] = fn(Communicator(cluster, rank), *args)
         except BaseException as exc:  # noqa: BLE001 - must fan failure out
-            with err_lock:
-                errors.append((rank, exc))
             cluster.abort(exc)
         finally:
-            cluster.mark_finished(rank)
+            cluster.finish(rank)
 
     if p == 1:
         body(0)
@@ -426,11 +407,8 @@ def run_spmd(p: int, fn, *args) -> list:
             t.start()
         for t in threads:
             t.join()
-    if errors:
-        errors.sort(key=lambda e: e[0])
-        rank, exc = next(((r, e) for r, e in errors if not isinstance(e, AbortedError)),
-                         errors[0])
-        raise exc
+    if cluster.failed is not None:
+        raise cluster.failed
     return results
 
 

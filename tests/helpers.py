@@ -18,6 +18,7 @@ from dynspgemm import (
     update_batch,
 )
 from dynspgemm import storage
+from dynspgemm.redistribute import _check_batch
 
 
 def oracle_product(a_map: dict, b_map: dict, sr) -> dict:
@@ -64,10 +65,18 @@ def loaded_block(n_rows: int, n_cols: int, triples, sr) -> DcsrBlock:
     return block
 
 
+def block_triples(block):
+    """(row, col, value) of a block's entries in key order, as Python
+    scalars; value None when structure-only."""
+    rows, cols, vals = block.to_arrays()
+    vals = [None] * len(cols) if vals is None else vals.tolist()
+    return zip(rows.tolist(), cols.tolist(), vals)
+
+
 def entry_map(block) -> dict:
     """{(row, col): value} of a block's entries, value None when
     structure-only."""
-    return {(r, c): v for r, c, v in block.triples()}
+    return {(r, c): v for r, c, v in block_triples(block)}
 
 
 def position_set(block) -> set:
@@ -137,8 +146,32 @@ def random_map(rng, n_rows: int, n_cols: int, density: float,
     return out
 
 
+def dist_from_triples(part: BlockPartition, comm, triples,
+                      sr) -> DistMatrix:
+    """This rank's block of global (row, col, value) triples: every rank
+    checks every triple (ValueError outside the matrix) and keeps those its
+    block owns, in sr's value dtype. Later duplicates overwrite earlier
+    ones."""
+    d = DistMatrix.empty(part, comm, sr)
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    batch = update_batch(sr, rows, cols, vals)
+    _check_batch(batch, sr, 0, 0, part.n_rows, part.n_cols)
+    mine = ((part.owner_grid_rows(batch["i"]) == d.grid_row)
+            & (part.owner_grid_cols(batch["j"]) == d.grid_col))
+    apply_batch(d.block, batch.take(np.flatnonzero(mine)), sr,
+                d.row_base, d.col_base)
+    return d
+
+
+def global_entries(d: DistMatrix) -> dict:
+    """This rank's entries of d keyed by global (row, col)."""
+    to_global = d.part.to_global
+    i, j = d.grid_row, d.grid_col
+    return {to_global(i, j, r, c): v for r, c, v in block_triples(d.block)}
+
+
 def dist_from_map(part: BlockPartition, comm, m: dict, sr) -> DistMatrix:
-    return DistMatrix.from_triples(
+    return dist_from_triples(
         part, comm, [(i, j, v) for (i, j), v in m.items()], sr)
 
 

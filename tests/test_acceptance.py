@@ -38,9 +38,11 @@ from dynspgemm.bench import (
 )
 from helpers import (
     apply_delta,
+    block_triples,
     dist_from_map,
     entry_map,
     gather_maps,
+    global_entries,
     hypersparse_delta,
     mixed_general_batch,
     oracle_product,
@@ -92,7 +94,7 @@ def test_criterion_1_algebraic_updates_match_static_recompute():
                 add_into(a.block, d_a.block, sr.np_add)
                 static = summa_static(comm, a, b, sr)
                 assert entry_map(st.C.block) == entry_map(static.block)
-            return st.C.global_entries()
+            return global_entries(st.C)
 
         final = gather_maps(spmd_collect(q, worker))
         assert final == oracle_product(ca, cb, sr)
@@ -130,7 +132,7 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
                                   structure_only=True)
             d_b = update_from_map(part, comm, {p: None for p in ch_b},
                                   structure_only=True)
-            before = st.C.global_entries()
+            before = global_entries(st.C)
             touched = compute_pattern(comm, a, d_a, b_prime, d_b)
             spgemm_general_update(comm, st, a_prime, d_a, b_prime, d_b, a)
             static = summa_static(comm, a_prime, b_prime, sr)
@@ -138,7 +140,7 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
             to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
             touched_g = {to_global(i, j, r, c) for (r, c) in position_set(touched)}
-            return before, st.C.global_entries(), touched_g
+            return before, global_entries(st.C), touched_g
 
         out = spmd_collect(q, worker)
         before = gather_maps([o[0] for o in out])
@@ -217,7 +219,7 @@ def test_criterion_3_bitfields_never_lose_contributors(monkeypatch):
                                       a_prev)
                 kept = filtered.pop(threading.current_thread().name)
                 out.append(({part.to_global(i, j, r, c): v for (r, c), v in
-                             entry_map(kept).items()}, st.C.global_entries()))
+                             entry_map(kept).items()}, global_entries(st.C)))
             return out
 
         results = spmd_collect(q, worker)
@@ -431,8 +433,8 @@ def test_criterion_7_applying_a_batch_beats_rebuilding():
     rebuild_times = []
     for _ in range(2):
         t0 = time.perf_counter()
-        row_ptr, _, _ = _csr_from_triples(n, n, chain(block.triples(),
-                                                      batch_triples))
+        row_ptr, _, _ = _csr_from_triples(
+            n, n, chain(block_triples(block), batch_triples))
         rebuild_times.append(time.perf_counter() - t0)
 
     apply_times = []

@@ -33,11 +33,14 @@ from dynspgemm import (
 )
 from dynspgemm import distmm, storage
 from dynspgemm.bench import _local_checksum
+import helpers
 from helpers import (
     apply_delta,
     dist_from_map,
+    dist_from_triples,
     entry_map,
     gather_maps,
+    global_entries,
     hypersparse_delta,
     mixed_general_batch,
     oracle_product,
@@ -64,7 +67,7 @@ def test_summa_identity_leaves_b_unchanged():
         part = BlockPartition(n, n, comm.q)
         a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
-        return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
+        return global_entries(summa_static(comm, a, b, PLUS_TIMES_I64))
 
     assert gather_maps(spmd_collect(2, worker)) == b_map
 
@@ -74,7 +77,7 @@ def test_summa_single_entry_product():
         part = BlockPartition(4, 4, comm.q)
         a = dist_from_map(part, comm, {(0, 1): 2}, PLUS_TIMES_I64)
         b = dist_from_map(part, comm, {(1, 0): 3}, PLUS_TIMES_I64)
-        return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
+        return global_entries(summa_static(comm, a, b, PLUS_TIMES_I64))
 
     assert gather_maps(spmd_collect(2, worker)) == {(0, 0): 6}
 
@@ -90,7 +93,7 @@ def test_summa_random_matches_dense_oracle(q):
         part = BlockPartition(n, n, comm.q)
         a = dist_from_map(part, comm, a_map, PLUS_TIMES_I64)
         b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
-        return summa_static(comm, a, b, PLUS_TIMES_I64).global_entries()
+        return global_entries(summa_static(comm, a, b, PLUS_TIMES_I64))
 
     got = gather_maps(spmd_collect(q, worker))
     da = np.zeros((n, n), dtype=np.int64)
@@ -119,7 +122,7 @@ def test_summa_rectangular_dims():
                           PLUS_TIMES_I64)
         c = summa_static(comm, a, b, PLUS_TIMES_I64)
         assert (c.part.n_rows, c.part.n_cols) == (n, m)
-        return c.global_entries()
+        return global_entries(c)
 
     got = gather_maps(spmd_collect(2, worker))
     assert got == oracle_product(a_map, b_map, PLUS_TIMES_I64)
@@ -180,7 +183,7 @@ def test_static_product_adopts_round_zero(monkeypatch, q, via_init):
                           PLUS_TIMES_I64)
         c = (spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64).C if via_init
              else summa_static(comm, a, b, PLUS_TIMES_I64))
-        return c.global_entries(), threading.get_ident()
+        return global_entries(c), threading.get_ident()
 
     out = spmd_collect(q, worker)
     assert gather_maps([c for c, _ in out]) == oracle_product(
@@ -195,7 +198,7 @@ def test_init_empty_left_operand():
         part = BlockPartition(6, 6, comm.q)
         a = DistMatrix.empty(part, comm, PLUS_TIMES_I64)
         b = dist_from_map(part, comm, {(0, 1): 5}, PLUS_TIMES_I64)
-        return spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64).C.global_entries()
+        return global_entries(spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64).C)
 
     assert spmd_collect(2, worker) == [{}] * 4
 
@@ -216,7 +219,7 @@ def test_init_bitfields_match_brute_force():
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         assert [f.name for f in dataclasses.fields(st)] == ["C", "sr"]
         assert st.sr is PLUS_TIMES_I64
-        return st.C.global_entries()
+        return global_entries(st.C)
 
     want = oracle_product(a_map, b_map, PLUS_TIMES_I64)
     for q in (1, 2):
@@ -240,7 +243,7 @@ def test_algebraic_no_op_update_only_moves_headers():
         before = comm.counters.snapshot()
         spgemm_algebraic_update(comm, st, a, empty, b, empty)
         delta_bytes = comm.counters.bytes_broadcast - before.bytes_broadcast
-        return st.C.global_entries(), delta_bytes
+        return global_entries(st.C), delta_bytes
 
     out = spmd_collect(2, worker)
     assert gather_maps([c for c, _ in out]) == oracle_product(a_map, b_map,
@@ -268,7 +271,7 @@ def test_algebraic_hand_example():
         d_b = update_from_map(part, comm, {})
         # right operand unchanged, so b is already "after the batch"
         spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
-        return st.C.global_entries()
+        return global_entries(st.C)
 
     got = gather_maps(spmd_collect(2, worker))
     assert got == {(0, 0): 1, (1, 1): 3, (2, 2): 1, (3, 3): 1, (0, 1): 6}
@@ -305,7 +308,7 @@ def test_plus_times_i64_wraps_modulo_2_64(q):
         add_into(a.block, d_a.block, PLUS_TIMES_I64.np_add)
         static = summa_static(comm, a, b, PLUS_TIMES_I64)
         _local_checksum(st.C, PLUS_TIMES_I64)
-        return st.C.global_entries(), static.global_entries()
+        return global_entries(st.C), global_entries(static)
 
     out = spmd_collect(q, worker)
     want = {p: _wrap_i64(v) for p, v in exact.items()}
@@ -344,7 +347,7 @@ def test_algebraic_random_updates_match_static_recompute(q, sr):
             add_into(a.block, d_a.block, sr.np_add)     # now a catches up
             static = summa_static(comm, a, b, sr)
             assert entry_map(st.C.block) == entry_map(static.block)
-            results.append(st.C.global_entries())
+            results.append(global_entries(st.C))
         return results
 
     out = spmd_collect(q, worker)
@@ -466,7 +469,7 @@ def test_algebraic_non_ring_inserts_match_oracle(q):
             spgemm_algebraic_update(comm, st, a, d_a, b,
                                     update_from_map(part, comm, {}))
             add_into(a.block, d_a.block, MIN_PLUS.np_add)
-        return st.C.global_entries()
+        return global_entries(st.C)
 
     a_final = {**a0, **batches[0], **batches[1], **batches[2]}
     assert gather_maps(spmd_collect(q, worker)) == oracle_product(a_final, b0,
@@ -495,12 +498,12 @@ def test_user_built_semiring_folds_with_its_own_ufunc():
         part = BlockPartition(n, n, comm.q)
         a = dist_from_map(part, comm, a0, max_plus)
         b = dist_from_map(part, comm, b0, max_plus)
-        static = summa_static(comm, a, b, max_plus).global_entries()
+        static = global_entries(summa_static(comm, a, b, max_plus))
         st = spgemm_algebraic_init(comm, a, b, max_plus)
         spgemm_algebraic_update(comm, st, a,
                                 update_from_map(part, comm, inserts), b,
                                 update_from_map(part, comm, {}))
-        algebraic = st.C.global_entries()
+        algebraic = global_entries(st.C)
         st = spgemm_algebraic_init(comm, a, b, max_plus)
         a_prime = dist_from_map(part, comm, a1, max_plus)
         d_a = update_from_map(part, comm, {p: None for p in
@@ -508,7 +511,7 @@ def test_user_built_semiring_folds_with_its_own_ufunc():
                               structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
-        return static, algebraic, st.C.global_entries()
+        return static, algebraic, global_entries(st.C)
 
     out = spmd_collect(2, worker)
     assert gather_maps(o[0] for o in out) == oracle_product(a0, b0, max_plus)
@@ -534,12 +537,12 @@ def test_unsigned_user_semiring_matches_brute_force(q, dtype):
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
-        a = DistMatrix.from_triples(
+        a = dist_from_triples(
             part, comm, [(i, j, v) for (i, j), v in a_map.items()], max_min)
-        b = DistMatrix.from_triples(
+        b = dist_from_triples(
             part, comm, [(i, j, v) for (i, j), v in b_map.items()], max_min)
         assert a.block.vals.dtype == np.dtype(dtype)
-        return summa_static(comm, a, b, max_min).global_entries()
+        return global_entries(summa_static(comm, a, b, max_min))
 
     got = gather_maps(spmd_collect(q, worker))
     want = {}
@@ -706,12 +709,12 @@ def test_general_hand_example(q):
         b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
         full = {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 4.0, (1, 1): 4.0}
-        assert all(full[p] == v for p, v in st.C.global_entries().items())
+        assert all(full[p] == v for p, v in global_entries(st.C).items())
         a_prime = dist_from_map(part, comm, a1, MIN_PLUS)
         d_a = update_from_map(part, comm, {(0, 0): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         stats = spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
-        return st.C.global_entries(), stats
+        return global_entries(st.C), stats
 
     out = spmd_collect(q, worker)
     got = gather_maps([c for c, _ in out])
@@ -750,7 +753,7 @@ def test_general_random_updates_match_static_recompute(q):
                                   structure_only=True)
             d_b = update_from_map(part, comm, {p: None for p in ch_b},
                                   structure_only=True)
-            before = st.C.global_entries()
+            before = global_entries(st.C)
             touched = compute_pattern(comm, a_mat, d_a, b_prime, d_b)
             stats = spgemm_general_update(comm, st, a_prime, d_a, b_prime,
                                           d_b, a_mat)
@@ -760,7 +763,7 @@ def test_general_random_updates_match_static_recompute(q):
             i, j = comm.grid_row, comm.grid_col
             touched_g = {to_global(i, j, r, c)
                          for (r, c) in position_set(touched)}
-            per_batch.append((before, st.C.global_entries(), touched_g, stats))
+            per_batch.append((before, global_entries(st.C), touched_g, stats))
             prev_a, prev_b = a1, b1
         return per_batch
 
@@ -797,7 +800,7 @@ def test_general_deletion_drops_product_entries():
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         stats = spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a)
-        return st.C.global_entries(), stats
+        return global_entries(st.C), stats
 
     out = spmd_collect(1, worker)
     c_map, stats = out[0]
@@ -848,7 +851,7 @@ def test_general_bloom_stays_superset_after_chained_updates(monkeypatch):
                 dist_from_map(part, comm, prev_a, MIN_PLUS))
             rows = flagged.pop(threading.current_thread().name)
             touched = structure(ch_a, b1) | structure(prev_a, ch_b)
-            snapshots.append((a1, b1, touched, st.C.global_entries(),
+            snapshots.append((a1, b1, touched, global_entries(st.C),
                               set(part.row_starts[comm.grid_row] + rows)))
             prev_a, prev_b = a1, b1
         return snapshots
@@ -893,7 +896,7 @@ def test_general_after_algebraic_is_exact_or_raises(q):
                 update_from_map(part, comm, {gone: None}, structure_only=True),
                 b, update_from_map(part, comm, {}, structure_only=True),
                 dist_from_map(part, comm, a1, MIN_PLUS))
-            return st.C.global_entries()
+            return global_entries(st.C)
 
         got = gather_maps(spmd_collect(q, worker))
         assert got == oracle_product(a2, b0, MIN_PLUS), idx
@@ -971,7 +974,7 @@ def test_any_call_order_is_exact_or_raises(q, sr, data):
     def check(comm, part, st_, product):
         mine = {p: v for p, v in product.items()
                 if owner_coords(part, *p) == (comm.grid_row, comm.grid_col)}
-        assert st_.C.global_entries() == mine
+        assert global_entries(st_.C) == mine
 
     def worker(comm):
         part = BlockPartition(n, n, comm.q)
@@ -1015,12 +1018,12 @@ def test_general_empty_batch_changes_nothing():
         a = dist_from_map(part, comm, a0, MIN_PLUS)
         b = dist_from_map(part, comm, b0, MIN_PLUS)
         st = spgemm_algebraic_init(comm, a, b, MIN_PLUS)
-        c_before = st.C.global_entries()
+        c_before = global_entries(st.C)
         d = update_from_map(part, comm, {}, structure_only=True)
         stats = spgemm_general_update(comm, st, a, d, b, d, a)
         assert stats == {"n_touched": 0, "n_recomputed": 0, "n_deleted": 0,
                          "nnz_filtered": 0}
-        return st.C.global_entries() == c_before
+        return global_entries(st.C) == c_before
 
     assert all(spmd_collect(2, worker))
 
@@ -1225,14 +1228,14 @@ def test_dist_matrix_from_triples_keeps_owned_entries():
 
     def worker(comm):
         part = BlockPartition(10, 10, comm.q)
-        d = DistMatrix.from_triples(part, comm,
-                                    [(i, j, v) for (i, j), v in m.items()],
-                                    PLUS_TIMES_I64)
+        d = dist_from_triples(part, comm,
+                              [(i, j, v) for (i, j), v in m.items()],
+                              PLUS_TIMES_I64)
         br, bc = part.block_shape(comm.grid_row, comm.grid_col)
         assert isinstance(d.block, DcsrBlock)
         d.block.check()
         assert (d.block.n_rows, d.block.n_cols) == (br, bc)
-        return d.global_entries()
+        return global_entries(d)
 
     assert gather_maps(spmd_collect(2, worker)) == m
 
@@ -1244,11 +1247,24 @@ def test_dist_matrix_from_triples_rejects_entries_outside_the_matrix():
         part = BlockPartition(4, 4, comm.q)
         for bad in ((4, 0, 1), (0, -1, 1)):
             with pytest.raises(ValueError):
-                DistMatrix.from_triples(part, comm, [(0, 0, 5), bad],
-                                        PLUS_TIMES_I64)
+                dist_from_triples(part, comm, [(0, 0, 5), bad],
+                                  PLUS_TIMES_I64)
         return True
 
     assert spmd_collect(2, worker) == [True] * 4
+
+
+def test_dist_matrix_from_triples_refuses_an_unknown_op_code(monkeypatch):
+    """A triple that arrives as op code 7 raises ValueError naming it, and no
+    block is built."""
+    def with_code_7(sr, rows, cols, vals=None, ops=None):
+        return update_batch(sr, rows, cols, vals,
+                            ops=np.full(len(rows), 7, np.uint8))
+
+    monkeypatch.setattr(helpers, "update_batch", with_code_7)
+    with pytest.raises(ValueError, match="op code 7"):
+        spmd_collect(1, lambda comm: dist_from_triples(
+            BlockPartition(4, 4, 1), comm, [(0, 0, 1)], PLUS_TIMES_I64))
 
 
 def test_dist_matrix_from_triples_holds_the_semiring_dtype_on_every_rank():
@@ -1258,13 +1274,13 @@ def test_dist_matrix_from_triples_holds_the_semiring_dtype_on_every_rank():
 
     def worker(comm):
         part = BlockPartition(4, 4, comm.q)
-        d = DistMatrix.from_triples(part, comm, [(0, 0, 5)], PLUS_TIMES_I64)
+        d = dist_from_triples(part, comm, [(0, 0, 5)], PLUS_TIMES_I64)
         assert d.block.vals.dtype == PLUS_TIMES_I64.np_dtype
         i, j = comm.grid_row, comm.grid_col
         batch = update_batch(PLUS_TIMES_I64, [3], [3], [big])
         if owner_coords(part, 3, 3) == (i, j):
             apply_batch(d.block, batch, PLUS_TIMES_I64, d.row_base, d.col_base)
-        return d.global_entries()
+        return global_entries(d)
 
     got = gather_maps(spmd_collect(2, worker))
     assert got == {(0, 0): 5, (3, 3): big}
@@ -1277,7 +1293,7 @@ def test_min_plus_identity_zero_is_infinity():
         part = BlockPartition(2, 2, comm.q)
         a = dist_from_map(part, comm, {(0, 0): 0.0, (0, 1): math.inf}, MIN_PLUS)
         b = dist_from_map(part, comm, {(0, 0): 4.0, (1, 0): 1.0}, MIN_PLUS)
-        return summa_static(comm, a, b, MIN_PLUS).global_entries()
+        return global_entries(summa_static(comm, a, b, MIN_PLUS))
 
     got = gather_maps(spmd_collect(1, worker))
     # inf entry is structural: it contributes min(0+4, inf+1) = 4 at (0,0)

@@ -9,7 +9,6 @@ from dynspgemm import (
     BOOLEAN,
     BlockPartition,
     DcsrBlock,
-    DistMatrix,
     MIN_PLUS,
     OP_DELETE,
     OP_UPSERT,
@@ -22,7 +21,6 @@ from dynspgemm import (
     run_spmd,
     update_batch,
 )
-from dynspgemm import distmm
 from dynspgemm.redistribute import _buckets, _exchange
 from helpers import entry_map, owner_coords
 
@@ -263,10 +261,10 @@ def test_route_rejects_a_negative_index_and_another_semirings_batch():
         run_spmd(1, worker, upserts(PLUS_TIMES_I64, (0, 1, 1)), BOOLEAN)
 
 
-def test_unknown_op_code_is_refused_before_anything_changes(monkeypatch):
+def test_unknown_op_code_is_refused_before_anything_changes():
     """An op code other than OP_UPSERT and OP_DELETE raises ValueError naming
-    it: routing sends nothing, apply_batch changes nothing (it used to read
-    code 7 as a delete) and DistMatrix.from_triples builds no block."""
+    it: routing sends nothing and apply_batch changes nothing (it used to
+    read code 7 as a delete)."""
     batch = update_batch(PLUS_TIMES_I64, [0, 1], [0, 1], [9, 9],
                          ops=np.array([7, 0], np.uint8))
     part = BlockPartition(4, 4, 2)
@@ -282,15 +280,6 @@ def test_unknown_op_code_is_refused_before_anything_changes(monkeypatch):
     with pytest.raises(ValueError, match="op code 7"):
         apply_batch(block, batch, PLUS_TIMES_I64, 0, 0)
     assert entry_map(block) == {(0, 0): 5}
-
-    def with_code_7(sr, rows, cols, vals=None, ops=None):
-        return update_batch(sr, rows, cols, vals,
-                            ops=np.full(len(rows), 7, np.uint8))
-
-    monkeypatch.setattr(distmm, "update_batch", with_code_7)
-    with pytest.raises(ValueError, match="op code 7"):
-        run_spmd(1, lambda comm: DistMatrix.from_triples(
-            BlockPartition(4, 4, 1), comm, [(0, 0, 1)], PLUS_TIMES_I64))
 
 
 # -- batched application --------------------------------------------------------------

@@ -31,6 +31,7 @@ from dynspgemm import storage
 from dynspgemm.storage import ValueCodec, dcsr_from_keys
 from helpers import (
     block_from_triples,
+    block_triples,
     dcsr_from_row_map,
     entry_map,
     loaded_block,
@@ -134,7 +135,7 @@ def test_from_triples_and_row_access():
     b = block_from_triples(3, 4, [(0, 1, 5), (2, 0, 3), (0, 1, 6)])
     assert b.nnz == 2
     assert entry_map(b)[(0, 1)] == 6   # later triple overwrites
-    # lists of Python scalars, as triples() yields Python scalars
+    # lists of Python scalars, as block_triples yields Python scalars
     assert list(b.iter_rows()) == [(0, [1], [6]), (2, [0], [3])]
     assert all(type(x) is list for _, cols, vals in b.iter_rows()
                for x in (cols, vals))
@@ -171,7 +172,7 @@ def test_round_trip_conversions_preserve_triples():
     b = loaded_block(30, 17, triples, PLUS_TIMES_I64)
     b.check()
     want = set((r, c, v) for r, c, v in triples)
-    assert set(b.triples()) == want
+    assert set(block_triples(b)) == want
     assert entry_map(b) == entry_map(block_from_triples(30, 17, triples))
     assert position_set(b) == {(r, c) for r, c, _ in triples}
 
@@ -202,7 +203,7 @@ def test_to_arrays_matches_triples_for_every_semiring():
         rows, cols, vals = b.to_arrays(sr.np_dtype)
         assert vals.dtype == sr.np_dtype
         got = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
-        assert got == list(b.triples())
+        assert got == list(block_triples(b))
 
 
 def _block(entries, n=4):
@@ -245,7 +246,7 @@ def test_same_entries_agrees_with_entry_map_equality():
                 _apply(x, (r, c))
         # y: x's entries loaded in another order, then at most one random
         # change
-        triples = list(x.triples())
+        triples = list(block_triples(x))
         y = loaded_block(5, 5, [triples[k] for k in rng.permutation(len(triples))],
                          PLUS_TIMES_I64)
         r, c = int(rng.integers(5)), int(rng.integers(5))
@@ -265,7 +266,7 @@ def test_dcsr_from_coo_is_canonical_and_folds_in_input_order():
     assert d.keys().tolist() == [0, 4, 16]
     assert d.nz_rows.tolist() == [0, 3]
     assert list(d.iter_rows()) == [(0, [0, 4], [1, 2]), (3, [1], [7])]
-    assert list(d.triples()) == [(0, 0, 1), (0, 4, 2), (3, 1, 7)]
+    assert list(block_triples(d)) == [(0, 0, 1), (0, 4, 2), (3, 1, 7)]
     d.check()
     # a repeated position folds left to right in input order; without a
     # fold the first entry stays
@@ -567,7 +568,7 @@ def test_filter_rows_zero_vector_drops_all():
 def test_filter_rows_full_vector_keeps_all():
     a = block_from_triples(3, 6, [(0, 1, 1), (1, 2, 2), (2, 5, 3)])
     out = filter_rows_by_bloom(a, [True] * 3)
-    assert set(out.triples()) == set(a.triples())
+    assert set(block_triples(out)) == set(block_triples(a))
 
 
 def test_filter_rows_output_is_subset():

@@ -534,14 +534,23 @@ def test_partial_deadlock_detected():
         run_spmd(4, worker)
 
 
-@pytest.mark.parametrize("in_phase", [False, True], ids=["bare", "in_phase"])
-def test_failure_propagates_original_error(in_phase):
+@pytest.mark.parametrize("in_phase, failing", [
+    pytest.param(False, 2, id="bare"),
+    pytest.param(True, 2, id="in_phase"),
+    pytest.param(False, 0, id="bare-first"),
+    pytest.param(True, 0, id="in_phase-first"),
+    pytest.param(False, 3, id="bare-last"),
+    pytest.param(True, 3, id="in_phase-last"),
+])
+def test_failure_propagates_original_error(in_phase, failing):
     """A rank's error reaches the caller as itself, also when it is raised
     inside a synced phase: that phase passes no exit barrier, where the rank
-    would wait for peers that are blocked on its message."""
+    would wait for peers that are blocked on its message. Rank 0 raises
+    before any other rank has started (bare) and rank 3 is the last in
+    hand-on order."""
     def body(comm):
-        if comm.rank == 2:
-            raise ValueError("boom on rank 2")
+        if comm.rank == failing:
+            raise ValueError(f"boom on rank {failing}")
         return comm.recv_block((comm.rank + 1) % comm.size)
 
     def worker(comm):
@@ -550,8 +559,41 @@ def test_failure_propagates_original_error(in_phase):
         with PhaseRecorder(comm).phase("merge"):
             return body(comm)
 
-    with pytest.raises(ValueError, match="boom on rank 2"):
+    with pytest.raises(ValueError, match=f"boom on rank {failing}"):
         run_spmd(4, worker)
+
+
+@pytest.mark.parametrize("p", [4, 16])
+def test_ranks_interleave_in_one_fixed_order(p):
+    """One rank runs at a time and hands the baton on in rank order, so two
+    runs log the same events in the same order, and an unlocked
+    read-modify-write of shared state loses no update, even when the
+    interpreter switches threads every microsecond."""
+    def worker(comm, log, count):
+        for step in range(3):
+            log.append((comm.rank, "broadcast", step))
+            comm.row_broadcast(step % comm.q,
+                               b"x" if comm.grid_col == step % comm.q else None)
+            log.append((comm.rank, "barrier", step))
+            for _ in range(100):
+                n = count[0]
+                count[0] = n + 1
+            comm.barrier()
+            log.append((comm.rank, "done", step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for _ in range(2):
+            log, count = [], [0]
+            run_spmd(p, worker, log, count)
+            runs.append((log, count[0]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 9 * p
+    assert runs[0][1] == 300 * p
 
 
 def test_counters_are_deterministic_across_runs():
