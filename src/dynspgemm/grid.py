@@ -84,13 +84,6 @@ class BlockPartition:
         indices."""
         return np.searchsorted(self.col_starts, cols, side="right") - 1
 
-    # translations --------------------------------------------------------
-    def to_global(self, gi: int, gj: int, li: int, lj: int) -> tuple[int, int]:
-        if not (0 <= li < self.row_sizes[gi] and 0 <= lj < self.col_sizes[gj]):
-            raise ValueError(f"local index ({li}, {lj}) outside block "
-                             f"({gi}, {gj})")
-        return self.row_starts[gi] + li, self.col_starts[gj] + lj
-
     def block_shape(self, gi: int, gj: int) -> tuple[int, int]:
         return self.row_sizes[gi], self.col_sizes[gj]
 

@@ -17,9 +17,11 @@ the records are gathered into that order by index (`take`), the fast path
 for structured records, where fancy indexing is several times slower.
 
 A rank applies the batch it owns to its DcsrBlock as one sort, one search
-and one splice (storage._splice): a stable sort of the records' local keys
+and one write: a stable sort of the records' local keys
 (storage._stable_order, the packed-word sort), one search of the block for
-the batch's keys, O(batch log nnz(block)), and one write that overwrites
+the batch's keys, O(batch log nnz(block)), and one call of storage._write,
+the write under the merges into C too, with the keys whose last record
+upserts and the held positions whose last record deletes. It overwrites
 held keys in place and deletes and inserts the others, copying the block,
 O(nnz(block)), only when a key is added or removed.
 """
@@ -29,8 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BlockPartition
-from .storage import DcsrBlock, _run_starts, _splice, _stable_order, \
-    locate
+from .storage import DcsrBlock, _run_starts, _stable_order, _write, locate
 
 OP_UPSERT = 0
 OP_DELETE = 1
@@ -152,8 +153,6 @@ def apply_batch(block: DcsrBlock, batch: np.ndarray, sr,
     deleted = int(np.count_nonzero(~upsert & before))
 
     final = upsert[last]
-    vals = batch["v"].take(order[last])
-    hit, new = stored & final, ~stored & final
-    _splice(block, pos[hit], vals[hit], pos[stored & ~final], pos[new],
-            run_keys[new], vals[new])
+    _write(block, run_keys[final], batch["v"].take(order[last][final]),
+           pos[final], stored[final], None, pos[stored & ~final])
     return inserted, deleted

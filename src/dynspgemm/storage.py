@@ -13,15 +13,16 @@ dcsr_from_coo): one stable sort by key (packed key-and-index words, or a
 stable argsort for short keys, keys in a few ascending runs and keys too
 wide to pack) and an index compress that folds repeated keys in input
 order, for each value array given; with none, the keys alone sort and
-compress. Every in-place change is one write, _splice. Every writer checks
-that its operands share dst's shape and searches with the batch's keys
-only, once each: O(batch log nnz), plus one O(nnz) copy of the block's
-arrays only when a key is added or removed. add_into, or_into and
-replace_touched write by index (_write): hits and misses split once
-(np.flatnonzero) and gather with take, as a mask neither nearly empty nor
-nearly full gathers several times slower (replace_touched finds 0-41% of
-its touched keys held on general-q2). The wire carries a block as it is
-stored (dcsr_serialize: a header, the keys and the values), and
+compress. Every in-place change is one call of one write, _write, from
+its three callers: add_into (and or_into), replace_touched and
+redistribute.apply_batch. Every writer checks that its operands share
+dst's shape and searches with the batch's keys only, once each:
+O(batch log nnz), plus one O(nnz) copy of the block's arrays only when a
+key is added or removed. The write goes by index: hits and misses split
+once (np.flatnonzero) and gather with take, as a mask neither nearly
+empty nor nearly full gathers several times slower (replace_touched finds
+0-41% of its touched keys held on general-q2). The wire carries a block
+as it is stored (dcsr_serialize: a header, the keys and the values), and
 dcsr_deserialize checks it (DcsrBlock.check) and returns read-only views
 of the message. A value codec is the values' dtype (ValueCodec): a
 semiring's np_dtype, or none. The dcsr_* names, after the doubly-compressed
@@ -246,43 +247,6 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _splice(dst, at, vals, gone, new_at, new_keys, new_vals) -> None:
-    """The one in-place write of a block. dst has the values at the held
-    positions at overwritten with vals, the entries at gone (ascending
-    positions) deleted, and new_keys (sorted, none held) inserted with
-    new_vals at new_at, their ranks among the held keys as the caller's
-    search found them; the splice corrects those ranks for the deletions.
-    Overwrites change the values in place. Only an added or deleted key
-    copies the keys and the values, O(nnz), into new arrays."""
-    dst.vals[at] = vals
-    keys = dst.keys()
-    if not (len(gone) or len(new_keys)):
-        return
-    n_kept = len(keys) - len(gone)
-    if len(gone):
-        keep = np.ones(len(keys), dtype=bool)
-        keep[gone] = False
-        new_at = new_at - gone.searchsorted(new_at)
-    if len(new_keys):
-        # each new key lands at its rank plus its own index, and the kept
-        # entries fill the other slots in order
-        slot = new_at + np.arange(len(new_keys))
-        old = np.ones(n_kept + len(new_keys), dtype=bool)
-        old[slot] = False
-
-    def spliced(a, new_a):
-        if len(gone):
-            a = a[keep]
-        if not len(new_keys):
-            return a
-        out = np.empty(len(old), dtype=a.dtype)
-        out[slot] = new_a
-        out[old] = a
-        return out
-
-    dst._keys, dst.vals = spliced(keys, new_keys), spliced(dst.vals, new_vals)
-
-
 def locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pos, found) for each query in the strictly increasing keys: its
     insertion position, and whether keys holds it there."""
@@ -334,13 +298,42 @@ def _check_same_shape(dst: DcsrBlock, other: DcsrBlock, name: str) -> None:
 
 
 def _write(dst, sk, sv, pos, held, fold, gone) -> None:
-    """Write entries (sk, sv) at their positions pos in dst, held where dst
-    holds the key (locate): hits fold as fold(old, new), or are overwritten
-    when fold is None, misses insert, and the entries at gone are deleted."""
+    """The one in-place write of a block. Entries (sk, sv), sk sorted, go to
+    their positions pos in dst, held where dst holds the key (locate): held
+    keys fold as fold(old, new), or are overwritten when fold is None, in
+    place; the entries at gone (ascending held positions, none of them
+    written) are deleted; the other keys insert at their ranks pos,
+    corrected for the deletions. Only an added or deleted key copies the
+    keys and the values, O(nnz), into new arrays."""
     hit, miss = np.flatnonzero(held), np.flatnonzero(~held)
     at = pos.take(hit)
-    vals = sv.take(hit) if fold is None else fold(dst.vals.take(at), sv.take(hit))
-    _splice(dst, at, vals, gone, pos.take(miss), sk.take(miss), sv.take(miss))
+    vals = sv.take(hit)
+    dst.vals[at] = vals if fold is None else fold(dst.vals.take(at), vals)
+    if not (len(gone) or len(miss)):
+        return
+    slot = pos.take(miss)
+    if len(gone):
+        keep = np.ones(dst.nnz, dtype=bool)
+        keep[gone] = False
+        slot -= gone.searchsorted(slot)
+    if len(miss):
+        # each new key lands at its rank plus its own index, and the kept
+        # entries fill the other slots in order
+        slot += np.arange(len(miss))
+        old = np.ones(dst.nnz - len(gone) + len(miss), dtype=bool)
+        old[slot] = False
+
+    def written(a, new):
+        if len(gone):
+            a = a[keep]
+        if not len(miss):
+            return a
+        out = np.empty(len(old), dtype=a.dtype)
+        out[slot] = new.take(miss)
+        out[old] = a
+        return out
+
+    dst._keys, dst.vals = written(dst.keys(), sk), written(dst.vals, sv)
 
 
 def add_into(dst: DcsrBlock, src: DcsrBlock, fold: np.ufunc) -> None:

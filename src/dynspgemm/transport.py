@@ -20,9 +20,11 @@ Byte accounting:
     all-to-alls and aggregations; barriers are not counted), so
     identically-scripted ranks always agree on it.
 
-Porting note: an MPI backend needs exactly six primitives (send, recv,
-row broadcast, column broadcast, all-to-all-v, and barrier); everything else
-in this package goes through them.
+Porting note: an MPI backend needs send, recv, row and column broadcast
+(MPI_Bcast), all-to-all-v (MPI_Alltoallv), barrier, and a gather of
+variable-length buffers to a root (MPI_Gatherv): aggregation is that
+gather, which sends and receives on the raw channels here, plus a local
+fold at the root (combine_blocks).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .grid import ProcessGrid
 from .storage import (
@@ -75,9 +77,6 @@ class Counters:
 
     def note_peer(self, peer: int, nbytes: int) -> None:
         self.peers_sent[peer] = self.peers_sent.get(peer, 0) + nbytes
-
-    def snapshot(self) -> "Counters":
-        return replace(self, peers_sent=dict(self.peers_sent))
 
 
 class SimCluster:
@@ -224,37 +223,32 @@ class Communicator:
         return self._broadcast(self.col_group(), self.grid_row, root_row, payload)
 
     def _broadcast(self, members, my_idx, root_idx, payload):
+        """A binomial tree over the members counted from the root: member
+        rel takes from rel - span, span the lowest set bit of rel, and sends
+        to rel + m for each power of two m below span, largest first. The
+        root's span is the smallest power of two at or above the size."""
         size = len(members)
         _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_broadcasts += 1
         root_rank = members[root_idx]
         rel = (my_idx - root_idx) % size
-        if rel == 0:
-            if payload is None:
-                raise TransportError("broadcast root must supply a payload")
-            if size > 1:
-                ctr.bytes_broadcast += len(payload)
+        if rel:
+            span = rel & -rel
+            payload = self._take(members[(my_idx - span) % size], "bc",
+                                 root_rank)
+            ctr.bytes_broadcast += len(payload)
+        elif payload is None:
+            raise TransportError("broadcast root must supply a payload")
         else:
-            mask = 1
-            while mask < size:
-                if rel & mask:
-                    src = members[(rel - mask + root_idx) % size]
-                    payload = self._take(src, "bc", root_rank)
-                    ctr.bytes_broadcast += len(payload)
-                    break
-                mask <<= 1
-            mask >>= 1
-        if rel == 0:
-            mask = 1
-            while mask < size:
-                mask <<= 1
-            mask >>= 1
-        while mask:
-            if rel + mask < size:
-                dst = members[(rel + mask + root_idx) % size]
-                self.cluster.put(self.rank, dst, ("bc", root_rank, payload))
-            mask >>= 1
+            span = 1 << (size - 1).bit_length()
+            ctr.bytes_broadcast += len(payload) if size > 1 else 0
+        m = span >> 1
+        while m:
+            if rel + m < size:
+                self.cluster.put(self.rank, members[(my_idx + m) % size],
+                                 ("bc", root_rank, payload))
+            m >>= 1
         return payload
 
     # -- all-to-all ---------------------------------------------------------------

@@ -6,10 +6,13 @@ numpy products) and never call the kernels under test.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from dynspgemm import (
     BlockPartition,
+    Counters,
     DcsrBlock,
     DistMatrix,
     apply_batch,
@@ -163,11 +166,22 @@ def dist_from_triples(part: BlockPartition, comm, triples,
     return d
 
 
+def to_global(part: BlockPartition, gi: int, gj: int, li: int,
+              lj: int) -> tuple[int, int]:
+    """The global (row, col) of local position (li, lj) of block (gi, gj)."""
+    return part.row_starts[gi] + li, part.col_starts[gj] + lj
+
+
+def counters_snapshot(c: Counters) -> Counters:
+    """A copy of c, its peers_sent a copy too."""
+    return replace(c, peers_sent=dict(c.peers_sent))
+
+
 def global_entries(d: DistMatrix) -> dict:
     """This rank's entries of d keyed by global (row, col)."""
-    to_global = d.part.to_global
     i, j = d.grid_row, d.grid_col
-    return {to_global(i, j, r, c): v for r, c, v in block_triples(d.block)}
+    return {to_global(d.part, i, j, r, c): v
+            for r, c, v in block_triples(d.block)}
 
 
 def dist_from_map(part: BlockPartition, comm, m: dict, sr) -> DistMatrix:

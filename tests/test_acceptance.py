@@ -39,6 +39,7 @@ from dynspgemm.bench import (
 from helpers import (
     apply_delta,
     block_triples,
+    counters_snapshot,
     dist_from_map,
     entry_map,
     gather_maps,
@@ -50,6 +51,7 @@ from helpers import (
     position_set,
     random_map,
     spmd_collect,
+    to_global,
     update_from_map,
 )
 
@@ -137,9 +139,9 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
             spgemm_general_update(comm, st, a_prime, d_a, b_prime, d_b, a)
             static = summa_static(comm, a_prime, b_prime, sr)
             assert entry_map(st.C.block) == entry_map(static.block)
-            to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
-            touched_g = {to_global(i, j, r, c) for (r, c) in position_set(touched)}
+            touched_g = {to_global(part, i, j, r, c)
+                         for (r, c) in position_set(touched)}
             return before, global_entries(st.C), touched_g
 
         out = spmd_collect(q, worker)
@@ -156,7 +158,7 @@ def test_criterion_2_general_updates_match_static_and_stay_contained():
           f"and delta containment, {elapsed:.1f}s (< 120s)")
 
 
-def test_criterion_3_bitfields_never_lose_contributors(monkeypatch):
+def test_criterion_3_row_filter_never_loses_contributors(monkeypatch):
     """100 runs on n x k by k x n instances, n up to 32, each with two
     chained general updates. The general update filters its summation by
     one flag per row of A' (filter_rows_by_bloom), set for the rows that
@@ -218,7 +220,7 @@ def test_criterion_3_bitfields_never_lose_contributors(monkeypatch):
                 spgemm_general_update(comm, st, a_prime, d_a, b_prime, d_b,
                                       a_prev)
                 kept = filtered.pop(threading.current_thread().name)
-                out.append(({part.to_global(i, j, r, c): v for (r, c), v in
+                out.append(({to_global(part, i, j, r, c): v for (r, c), v in
                              entry_map(kept).items()}, global_entries(st.C)))
             return out
 
@@ -300,15 +302,15 @@ def test_criterion_5_collective_round_counts():
                           PLUS_TIMES_I64)
         b = dist_from_map(part, comm, {(i, (i + 1) % n): 2 for i in range(n)},
                           PLUS_TIMES_I64)
-        c0 = comm.counters.snapshot()
+        c0 = counters_snapshot(comm.counters)
         summa_static(comm, a, b, PLUS_TIMES_I64)
-        c1 = comm.counters.snapshot()
+        c1 = counters_snapshot(comm.counters)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {(0, 1): 5})
         d_b = update_from_map(part, comm, {})
-        c2 = comm.counters.snapshot()
+        c2 = counters_snapshot(comm.counters)
         spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
-        c3 = comm.counters.snapshot()
+        c3 = counters_snapshot(comm.counters)
         return ((c1.n_broadcasts - c0.n_broadcasts,
                  c1.n_aggregates - c0.n_aggregates),
                 (c3.n_broadcasts - c2.n_broadcasts,

@@ -36,6 +36,7 @@ from dynspgemm.bench import _local_checksum
 import helpers
 from helpers import (
     apply_delta,
+    counters_snapshot,
     dist_from_map,
     dist_from_triples,
     entry_map,
@@ -48,6 +49,7 @@ from helpers import (
     position_set,
     random_map,
     spmd_collect,
+    to_global,
     update_from_map,
 )
 
@@ -143,7 +145,7 @@ def test_summa_round_counts():
         part = BlockPartition(8, 8, comm.q)
         a = dist_from_map(part, comm, _identity(8), PLUS_TIMES_I64)
         b = dist_from_map(part, comm, _identity(8), PLUS_TIMES_I64)
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         summa_static(comm, a, b, PLUS_TIMES_I64)
         after = comm.counters
         return (after.n_broadcasts - before.n_broadcasts,
@@ -203,7 +205,7 @@ def test_init_empty_left_operand():
     assert spmd_collect(2, worker) == [{}] * 4
 
 
-def test_init_bitfields_match_brute_force():
+def test_init_state_matches_brute_force():
     """Over 80 summation indices the init's state is the brute-force
     product C and its semiring, with no per-entry bitfield beside C."""
     n, k = 16, 80
@@ -240,7 +242,7 @@ def test_algebraic_no_op_update_only_moves_headers():
         b = dist_from_map(part, comm, b_map, PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         empty = update_from_map(part, comm, {})
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         spgemm_algebraic_update(comm, st, a, empty, b, empty)
         delta_bytes = comm.counters.bytes_broadcast - before.bytes_broadcast
         return global_entries(st.C), delta_bytes
@@ -368,7 +370,7 @@ def test_algebraic_update_round_counts():
         b = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         st = spgemm_algebraic_init(comm, a, b, PLUS_TIMES_I64)
         d = update_from_map(part, comm, {(0, 1): 4})
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         spgemm_algebraic_update(comm, st, a, d, b, update_from_map(part, comm, {}))
         c = comm.counters
         return (c.n_broadcasts - before.n_broadcasts,
@@ -411,7 +413,7 @@ def test_general_update_round_counts():
             barrier()
 
         comm.barrier = counting_barrier
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         spgemm_general_update(comm, st, a_prime, d_a, b, d_b, a,
                               phases=PhaseRecorder(comm))
         c = comm.counters
@@ -572,7 +574,7 @@ def test_algebraic_rejects_shape_mismatch():
         else:
             b = DistMatrix(BlockPartition(4, 4, 1), comm.grid_row,
                            comm.grid_col, DcsrBlock.empty(4, 4, dtype=np.int64))
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         try:
             spgemm_algebraic_update(comm, st, a, d_a, b, d_b)
         finally:
@@ -612,9 +614,8 @@ def test_compute_pattern_hand_example():
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {}, structure_only=True)
         touched = compute_pattern(comm, a, d_a, b, d_b)
-        to_global = part.to_global
         i, j = comm.grid_row, comm.grid_col
-        return {to_global(i, j, r, c) for (r, c) in position_set(touched)}
+        return {to_global(part, i, j, r, c) for (r, c) in position_set(touched)}
 
     assert set().union(*spmd_collect(1, worker)) == {(0, 0), (0, 2)}
 
@@ -630,9 +631,8 @@ def test_compute_pattern_right_side_term():
         d_a = update_from_map(part, comm, {}, structure_only=True)
         d_b = update_from_map(part, comm, {(1, 2): None}, structure_only=True)
         touched = compute_pattern(comm, a, d_a, b, d_b)
-        to_global = part.to_global
         i, j = comm.grid_row, comm.grid_col
-        return {to_global(i, j, r, c) for (r, c) in position_set(touched)}
+        return {to_global(part, i, j, r, c) for (r, c) in position_set(touched)}
 
     for q in (1, 2):
         assert set().union(*spmd_collect(q, worker)) == {(0, 2)}
@@ -650,7 +650,7 @@ def test_compute_pattern_round_counts(q):
         a = dist_from_map(part, comm, _identity(n), PLUS_TIMES_I64)
         d_a = update_from_map(part, comm, {(0, 1): None}, structure_only=True)
         d_b = update_from_map(part, comm, {(5, 7): None}, structure_only=True)
-        before = comm.counters.snapshot()
+        before = counters_snapshot(comm.counters)
         compute_pattern(comm, a, d_a, a, d_b)
         c = comm.counters
         return (c.n_broadcasts - before.n_broadcasts,
@@ -687,9 +687,10 @@ def test_compute_pattern_matches_structural_oracle(q):
                               structure_only=True)
         touched = compute_pattern(comm, a, d_a, b_prime, d_b)
         assert touched.vals is None
-        to_global = BlockPartition(n, n, comm.q).to_global   # the product's
+        part_c = BlockPartition(n, n, comm.q)   # the product's
         i, j = comm.grid_row, comm.grid_col
-        return {to_global(i, j, r, c) for (r, c) in position_set(touched)}
+        return {to_global(part_c, i, j, r, c)
+                for (r, c) in position_set(touched)}
 
     assert set().union(*spmd_collect(q, worker)) == touch_want
 
@@ -759,9 +760,8 @@ def test_general_random_updates_match_static_recompute(q):
                                           d_b, a_mat)
             static = summa_static(comm, a_prime, b_prime, MIN_PLUS)
             assert entry_map(st.C.block) == entry_map(static.block)
-            to_global = part.to_global
             i, j = comm.grid_row, comm.grid_col
-            touched_g = {to_global(i, j, r, c)
+            touched_g = {to_global(part, i, j, r, c)
                          for (r, c) in position_set(touched)}
             per_batch.append((before, global_entries(st.C), touched_g, stats))
             prev_a, prev_b = a1, b1
@@ -808,7 +808,7 @@ def test_general_deletion_drops_product_entries():
     assert stats["n_deleted"] == 1
 
 
-def test_general_bloom_stays_superset_after_chained_updates(monkeypatch):
+def test_general_row_flags_stay_superset_after_chained_updates(monkeypatch):
     """Over three chained updates on 80 summation indices, at q = 1 and 2,
     the row flags the general update hands filter_rows_by_bloom, united over
     a grid row, are the rows of the touched positions: a superset, so no

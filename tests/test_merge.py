@@ -1,7 +1,11 @@
 """The in-place writers (replace_touched, add_into, apply_batch) and the one
-write under them (storage._splice) against dict oracles, when a write copies
-a block's arrays, and the cost of the writers' searches: each looks up the
-batch's keys, never the block's own."""
+write under them (storage._write) against dict oracles, when a write copies
+a block's arrays, the cost of the writers' searches (each looks up the
+batch's keys, never the block's own), and that each writer call is one
+_write call, the only code that writes a block's arrays."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from dynspgemm import (
 from dynspgemm.storage import (
     dcsr_deserialize,
     dcsr_serialize,
+    locate,
     replace_touched,
     semiring_codec,
 )
@@ -338,11 +343,13 @@ def test_a_key_added_or_deleted_gives_new_arrays():
 
 @_settings
 @given(case=_case(), data=st.data(), empty=st.booleans(),
-       delete_all=st.booleans(), read_only=st.booleans())
-def test_splice_matches_dict_oracle(case, data, empty, delete_all, read_only):
-    """Overwrites, deletes and inserts in one _splice call against a dict:
-    from an empty destination, deleting every entry, and with inserted keys
-    and values that are read-only views of a message."""
+       delete_all=st.booleans(), read_only=st.booleans(),
+       fold=st.sampled_from([None, np.add]))
+def test_write_matches_dict_oracle(case, data, empty, delete_all, read_only,
+                                   fold):
+    """Overwrites or folds, deletes and inserts in one _write call against a
+    dict: from an empty destination, deleting every entry, and with written
+    keys and values that are read-only views of a message."""
     n_rows, n_cols, dst, batch = case
     dst = {} if empty else dst
     value = st.integers(-100, 100)
@@ -355,20 +362,84 @@ def test_splice_matches_dict_oracle(case, data, empty, delete_all, read_only):
            if k not in dst and data.draw(st.booleans())}
 
     c = _block(n_cols, dst, n_rows)
-    new_block = _block(n_cols, new, n_rows)
+    src = _block(n_cols, over | new, n_rows)
     if read_only:
         codec = semiring_codec(PLUS_TIMES_I64)
-        new_block = dcsr_deserialize(dcsr_serialize(new_block, codec), codec)
-        assert not new_block.keys().flags.writeable
-    keys, new_keys = c.keys(), new_block.keys()
-    storage._splice(
-        c, keys.searchsorted(np.array(sorted(over), dtype=np.int64)),
-        np.array(list(over.values())),
-        keys.searchsorted(np.array(gone, dtype=np.int64)),
-        keys.searchsorted(new_keys), new_keys, new_block.vals)
+        src = dcsr_deserialize(dcsr_serialize(src, codec), codec)
+        assert not src.keys().flags.writeable
+    keys = c.keys()
+    pos, found = locate(keys, src.keys())
+    storage._write(c, src.keys(), src.vals, pos, found, fold,
+                   keys.searchsorted(np.array(gone, dtype=np.int64)))
 
+    if fold is not None:
+        over = {k: dst[k] + v for k, v in over.items()}
     assert _entries(c) == {k: dst[k] for k in kept} | over | new
     assert c.vals.flags.writeable and c.vals.dtype == np.int64
     assert (c.keys() is keys) == (not gone and not new)
 
 
+def test_each_writer_call_is_one_write(monkeypatch):
+    """One call of apply_batch, add_into or replace_touched, each adding,
+    overwriting and deleting, makes exactly one _write call."""
+    writes = []
+    real = storage._write
+
+    def counting(*args):
+        writes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(storage, "_write", counting)
+    monkeypatch.setattr(redistribute, "_write", counting)
+    calls = [
+        lambda c: apply_batch(c, update_batch(
+            PLUS_TIMES_I64, [0, 0, 0], [5, 9, 7], [1, 0, 3],
+            [OP_UPSERT, OP_DELETE, OP_UPSERT]), PLUS_TIMES_I64, 0, 0),
+        lambda c: add_into(c, _block(16, {5: 1, 7: 3}), np.add),
+        lambda c: replace_touched(c, _block(16, {5: 0, 7: 0, 9: 0}),
+                                  _block(16, {5: 1, 7: 3})),
+    ]
+    for call in calls:
+        writes.clear()
+        c = _c()
+        call(c)
+        assert len(writes) == 1 and set(_entries(c)) >= {5, 7}
+
+
+def _assigned_names(target):
+    """The attribute names a target assigns, or assigns into through a
+    subscript: `x.vals = ...`, `x.vals[i] = ...`, `x._keys[i] += ...`."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute):
+        return {target.attr}
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_assigned_names, target.elts))
+    return set()
+
+
+def _array_writers(node, scope):
+    """The qualified names of the functions under node that assign an _keys
+    or vals attribute, or assign into one."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _array_writers(child, scope)
+            continue
+        name = f"{scope}.{child.name}"
+        targets = [t for sub in ast.walk(child) for t in (
+            sub.targets if isinstance(sub, ast.Assign) else
+            [sub.target] if isinstance(sub, (ast.AugAssign, ast.AnnAssign))
+            else [])]
+        if (isinstance(child, ast.FunctionDef) and any(
+                _assigned_names(t) & {"_keys", "vals"} for t in targets)):
+            yield name
+        yield from _array_writers(child, name)
+
+
+def test_only_write_assigns_a_blocks_arrays():
+    """No function of the package but storage._write assigns a block's _keys
+    or vals, or assigns into them; DcsrBlock.__init__ sets them once."""
+    writers = {name for path in Path(storage.__file__).parent.glob("*.py")
+               for name in _array_writers(ast.parse(path.read_text()),
+                                          path.stem)}
+    assert writers == {"storage._write", "storage.DcsrBlock.__init__"}

@@ -29,6 +29,7 @@ from dynspgemm import (
 from dynspgemm import transport
 from helpers import (
     block_from_triples,
+    counters_snapshot,
     dcsr_from_row_map,
     entry_map,
     volume_tuple,
@@ -72,7 +73,7 @@ def test_counters_snapshot_copies_every_field():
     a copy that later traffic does not change."""
     def worker(comm):
         comm.all_to_all_v("row", [b"x" * (comm.rank + 1)] * comm.q)
-        snap = comm.counters.snapshot()
+        snap = counters_snapshot(comm.counters)
         fields = [f.name for f in dataclasses.fields(Counters)]
         same = all(getattr(snap, f) == getattr(comm.counters, f)
                    for f in fields)
