@@ -16,11 +16,11 @@ class ProcessGrid:
 
     @classmethod
     def for_ranks(cls, p: int) -> "ProcessGrid":
+        if p <= 0:
+            raise ValueError(f"need at least one rank, not {p}")
         q = math.isqrt(p)
         if q * q != p:
             raise ValueError(f"rank count {p} is not a perfect square")
-        if p <= 0:
-            raise ValueError("need at least one rank")
         return cls(q)
 
     @property

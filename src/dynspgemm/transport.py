@@ -3,10 +3,13 @@
 Every rank runs as a thread against reliable, ordered, unbounded point-to-point
 channels, but only one rank runs at a time, in a fixed order (SimCluster's
 baton), so every run interleaves the same way and a deadlock is reported at
-once. Collectives (row/column broadcast, all-to-all-v, sparse aggregation,
-barrier) are layered on the p2p channels: broadcasts as binomial trees of
-O(log q) depth, aggregation as one direct send from every other member to
-the root, the barrier as a dissemination round.
+once. A channel is made on its first use, so the simulator holds only the
+pairs a run talks over, not p x p. Collectives (row/column broadcast,
+all-to-all-v, sparse aggregation, barrier) are layered on the p2p channels
+within row and column groups that each Communicator fixes at construction:
+broadcasts as binomial trees of O(log q) depth, aggregation as one direct
+send from every other member to the root (one path for every group size,
+one member included), the barrier as a dissemination round.
 
 Byte accounting:
   - bytes_p2p counts each off-rank send_block payload at the sender and at the
@@ -32,7 +35,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -82,8 +85,9 @@ class Counters:
 class SimCluster:
     """Shared state for one simulated run: channels, the baton, failure.
 
-    Only the rank that holds the baton runs. It hands the baton on only when
-    it receives from an empty channel or returns, and then to the next rank
+    A channel, chan[src, dst], is made on its first put or take. Only the
+    rank that holds the baton runs. It hands the baton on only when it
+    receives from an empty channel or returns, and then to the next rank
     after it, in rank order, that can run: one that has not started, or one
     whose awaited channel is no longer empty. Every run therefore
     interleaves the same way. When no rank can run and some have not
@@ -94,7 +98,7 @@ class SimCluster:
     def __init__(self, p: int):
         self.p = p
         self.grid = ProcessGrid.for_ranks(p)
-        self.chan = [[deque() for _dst in range(p)] for _src in range(p)]
+        self.chan = defaultdict(deque)   # (src, dst) -> messages
         self.baton = [threading.Event() for _ in range(p)]
         self.baton[0].set()
         self.waiting_on = [None] * p   # src each rank last parked on
@@ -103,10 +107,10 @@ class SimCluster:
 
     # -- raw channel ops (used by Communicator only) ------------------------
     def put(self, src: int, dst: int, msg) -> None:
-        self.chan[src][dst].append(msg)
+        self.chan[src, dst].append(msg)
 
     def take(self, src: int, dst: int):
-        q = self.chan[src][dst]
+        q = self.chan[src, dst]
         if not q:
             self.waiting_on[dst] = src
             self._hand_on(dst)
@@ -133,7 +137,7 @@ class SimCluster:
             if self.finished[r]:
                 continue
             src = self.waiting_on[r]
-            if src is None or self.chan[src][r]:
+            if src is None or self.chan.get((src, r)):
                 self.baton[r].set()
                 return
         blocked = self.finished.count(False)
@@ -149,22 +153,18 @@ class SimCluster:
 
 
 class Communicator:
-    """Per-rank endpoint: identity on the grid, channel ops, and counters."""
+    """Per-rank endpoint: identity on the grid, channel ops, and counters.
+    Its row and column groups (members, own index) are fixed at construction."""
 
     def __init__(self, cluster: SimCluster, rank: int):
         self.cluster = cluster
         self.rank = rank
-        self.grid = cluster.grid
-        self.grid_row, self.grid_col = self.grid.coords_of(rank)
+        self.grid = grid = cluster.grid
+        self.size, self.q = grid.p, grid.q
+        self.grid_row, self.grid_col = i, j = grid.coords_of(rank)
+        self._groups = {"row": (grid.row_members(i), j),
+                       "col": (grid.col_members(j), i)}
         self.counters = Counters()
-
-    @property
-    def size(self) -> int:
-        return self.grid.p
-
-    @property
-    def q(self) -> int:
-        return self.grid.q
 
     # -- point to point ------------------------------------------------------
     def send_block(self, dst: int, payload: bytes) -> None:
@@ -200,27 +200,17 @@ class Communicator:
         return self.recv_block(partner)
 
     # -- groups ---------------------------------------------------------------
-    def row_group(self) -> list[int]:
-        return self.grid.row_members(self.grid_row)
-
-    def col_group(self) -> list[int]:
-        return self.grid.col_members(self.grid_col)
-
     def _group(self, axis: str) -> tuple[list[int], int]:
-        if axis == "row":
-            members = self.row_group()
-            return members, self.grid_col
-        if axis == "col":
-            members = self.col_group()
-            return members, self.grid_row
-        raise ValueError(f"axis must be 'row' or 'col', not {axis!r}")
+        if axis not in self._groups:
+            raise ValueError(f"axis must be 'row' or 'col', not {axis!r}")
+        return self._groups[axis]
 
     # -- broadcast --------------------------------------------------------------
     def row_broadcast(self, root_col: int, payload: bytes | None) -> bytes:
-        return self._broadcast(self.row_group(), self.grid_col, root_col, payload)
+        return self._broadcast(*self._groups["row"], root_col, payload)
 
     def col_broadcast(self, root_row: int, payload: bytes | None) -> bytes:
-        return self._broadcast(self.col_group(), self.grid_row, root_row, payload)
+        return self._broadcast(*self._groups["col"], root_row, payload)
 
     def _broadcast(self, members, my_idx, root_idx, payload):
         """A binomial tree over the members counted from the root: member
@@ -289,15 +279,15 @@ class Communicator:
         contributions in ascending member order, entries colliding at the
         same position with fold(old, new), so results are reproducible.
         fold is a ufunc (a semiring's np_add), or None for structure-only
-        blocks.
+        blocks. A one-member group takes the root's path too, so its own
+        block comes back, values cast to the codec's dtype (keys alone when
+        fold is None).
         """
         members, my_idx = self._group(axis)
         size = len(members)
         _check_root(root_idx, size)
         ctr = self.counters
         ctr.n_aggregates += 1
-        if size == 1:
-            return block
         if my_idx != root_idx:
             root = members[root_idx]
             buf = dcsr_serialize(block, codec)
@@ -422,7 +412,7 @@ class PhaseRecorder:
 
     def __init__(self, comm=None, sync: bool = True):
         self.comm = comm
-        self.sync = sync and comm is not None and comm.size > 1
+        self.sync = sync and comm is not None
         self.seconds = dict.fromkeys(PHASE_NAMES, 0.0)
         self.bytes = dict.fromkeys(PHASE_NAMES, 0)
 

@@ -43,6 +43,9 @@ def test_for_ranks_rejects_non_square():
     for p in (2, 3, 5, 6, 7, 8, 10, 12):
         with pytest.raises(ValueError):
             ProcessGrid.for_ranks(p)
+    for p in (-4, 0):
+        with pytest.raises(ValueError, match="at least one rank"):
+            ProcessGrid.for_ranks(p)
     assert ProcessGrid.for_ranks(9).q == 3
     assert ProcessGrid.for_ranks(1).q == 1
 

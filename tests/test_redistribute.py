@@ -227,7 +227,8 @@ def test_route_random_tuples_preserved_and_owned(sr):
         assert all(owner_coords(part, i, j) == grid for i, j, _, _ in
                    records(got, sr))
         peers = set(comm.counters.peers_sent)
-        assert peers <= set(comm.row_group()) | set(comm.col_group())
+        assert peers <= (set(comm.grid.row_members(comm.grid_row))
+                         | set(comm.grid.col_members(comm.grid_col)))
         assert comm.counters.n_alltoalls == 2
         return records(got, sr)
 

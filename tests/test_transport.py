@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,12 +393,27 @@ def test_back_to_back_aggregations_reach_their_own_roots():
 
 
 def test_aggregate_single_rank_is_identity():
+    """A one-member group takes the root's path: its own block comes back,
+    the values cast to the codec's dtype, the keys alone under a
+    structure-only fold."""
     def worker(comm):
-        block = dcsr_from_row_map(2, 2, {1: {1: 5}})
-        return entry_map(comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64))
+        block = DcsrBlock(2, 2, [3], np.array([5], dtype=np.int32))
+        return (comm.aggregate_sparse("row", 0, block, PLUS_TIMES_I64.np_add, I64),
+                comm.aggregate_sparse("col", 0, block, None, STRUCTURE_CODEC))
 
-    (got,), = (run_spmd(1, worker),)
-    assert got == {(1, 1): 5}
+    (valued, pattern), = run_spmd(1, worker)
+    assert entry_map(valued) == {(1, 1): 5} and valued.vals.dtype == I64.dtype
+    assert entry_map(pattern) == {(1, 1): None}
+
+
+@pytest.mark.parametrize("call", [
+    lambda comm: comm.all_to_all_v("diag", [b""]),
+    lambda comm: comm.aggregate_sparse("diag", 0, DcsrBlock.empty(2, 2),
+                                       None, STRUCTURE_CODEC),
+])
+def test_unknown_axis_rejected(call):
+    with pytest.raises(ValueError, match="'diag'"):
+        run_spmd(1, call)
 
 
 def test_aggregate_rejects_shape_mismatch():
@@ -595,6 +611,21 @@ def test_ranks_interleave_in_one_fixed_order(p):
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 9 * p
     assert runs[0][1] == 300 * p
+
+
+def test_simulator_state_follows_the_grid_not_p_squared():
+    """A rank talks only to its row and column peers, its transpose partner
+    and log2 p barrier partners: building a 256-rank cluster and its
+    communicators makes no channel and starts no thread."""
+    tracemalloc.start()
+    try:
+        cluster = transport.SimCluster(256)
+        comms = [transport.Communicator(cluster, r) for r in range(256)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"traced peak {peak / 2**20:.1f} MB"
+    assert len(comms) == 256 and not cluster.chan
 
 
 def test_counters_are_deterministic_across_runs():
